@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import os
 import sys
 from pathlib import Path
 from typing import Callable, Optional
@@ -31,24 +30,16 @@ from .errors import (
     UnsupportedDomain,
 )
 from .examples import make_eq7, make_eq8, make_xfy
-from .extension import audit_extension, extend_convex, extend_rectangle, extend_semiconvex
-from .geometry import DomainKind, DomainSpec
+from .extension import audit_extension, extend
+from .geometry import DomainSpec
 from .map_model import Box, DEC_INC, INC_DEC, MapSpec, check_monotonicity
-from .stability import _run_ensemble, certify, iterate_orbit
+from .stability import _run_ensemble, certify, iterate_orbit, sample_starts
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
 EXIT_AUDIT_FAIL = 2
 EXIT_UNSUPPORTED = 3
 EXIT_CONFIG = 4
-
-
-def thread_cap() -> int:
-    """Worker-count cap from MONOMAP_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("MONOMAP_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +130,14 @@ _KNOWN_KEYS = {
         "steps",
     },
     "tolerances": {"tol_chain", "tol_fp", "tol_cont", "tol_mono", "tol_range"},
+}
+
+# the tolerance keys each command reads; giving it any other is an error
+_COMMAND_TOLERANCES = {
+    "extend": {"tol_cont", "tol_mono", "tol_range"},
+    "fixedpoints": {"tol_fp"},
+    "certify": {"tol_chain", "tol_fp"},
+    "simulate": set(),
 }
 
 
@@ -241,10 +240,8 @@ def build_problem(cfg: dict):
             domain = DomainSpec.rectangle(x0, x1, y0, y1)
         elif kind == "polygon":
             try:
-                pts = [
-                    tuple(float(v) for v in pair.split(","))
-                    for pair in dsec["vertices"].split(";")
-                ]
+                pairs = [pair.split(",") for pair in dsec["vertices"].split(";")]
+                pts = [(float(x), float(y)) for x, y in pairs]
             except (KeyError, ValueError) as e:
                 raise ConfigError(
                     "polygon domain needs vertices=x1,y1;x2,y2;..."
@@ -273,16 +270,6 @@ def _tolerances(cfg: dict) -> dict:
     return out
 
 
-def _build_extension(spec, domain):
-    kind = domain.classify()
-    if kind == DomainKind.RECTANGLE:
-        x0, x1, y0, y1 = domain.bbox
-        return extend_rectangle(spec, Box(x0, x1, y0, y1))
-    if kind == DomainKind.CONVEX:
-        return extend_convex(spec, domain)
-    return extend_semiconvex(spec, domain)
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 # ---------------------------------------------------------------------------
@@ -294,13 +281,10 @@ def cmd_extend(cfg: dict, out: Path, seed: int, tols: dict) -> int:
     if not mono.ok:
         print(f"declared monotone signature fails at {mono.witness}")
         return EXIT_AUDIT_FAIL
-    ext = _build_extension(spec, domain)
+    ext = extend(spec, domain)
     rng = np.random.default_rng(seed)
     grid_n = _as_int(cfg["run"], "audit_grid", 100)
-    audit = audit_extension(ext, grid_n=grid_n, rng=rng, **{
-        k: v for k, v in tols.items()
-        if k in ("tol_cont", "tol_mono", "tol_range")
-    })
+    audit = audit_extension(ext, grid_n=grid_n, rng=rng, **tols)
     report.write_json(out / "extension.json", ext.to_dict())
     report.write_json(out / "extension_audit.json", audit.to_dict())
     (out / "pieces.svg").write_text(report.render_pieces_svg(ext))
@@ -311,7 +295,7 @@ def cmd_extend(cfg: dict, out: Path, seed: int, tols: dict) -> int:
 
 def cmd_fixedpoints(cfg: dict, out: Path, seed: int, tols: dict) -> int:
     spec, domain = build_problem(cfg)
-    ext = _build_extension(spec, domain)
+    ext = extend(spec, domain)
     n_grid = _as_int(cfg["run"], "n_grid", 256)
     n_dense = _as_int(cfg["run"], "n_dense", 1024)
     rep = fp.find_artificial(ext, n_grid=n_grid, tol_fp=tols.get("tol_fp"))
@@ -340,23 +324,20 @@ def cmd_certify(cfg: dict, out: Path, seed: int, tols: dict) -> int:
             ccfg[key] = v
     if "variant" in run:
         ccfg["variant"] = run["variant"]
-    for key in ("tol_chain", "tol_fp"):
-        if key in tols:
-            ccfg[key] = tols[key]
+    ccfg.update(tols)
     cert = certify(spec, domain, ccfg)
     report.write_json(out / "certificate.json", cert.to_dict())
     (out / "certificate.md").write_text(report.render_certificate_md(cert))
-    if hasattr(cert, "chains"):
+    if cert.chains is not None:
         report.write_chains_csv(out / "chains.csv", *cert.chains)
-    if hasattr(cert, "orbit_traces"):
+    if cert.orbit_traces is not None:
         report.write_orbits_csv(out / "orbits.csv", cert.orbit_traces)
         (out / "phase.svg").write_text(
             report.render_phase_svg(
                 domain,
                 traces=cert.orbit_traces,
                 fixed_points=[cert.x_star] if cert.x_star is not None else [],
-                rect=getattr(cert, "extension", None)
-                and cert.extension.rect,
+                rect=cert.extension.rect,
             )
         )
     else:
@@ -385,17 +366,10 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, tols: dict) -> int:
             print(f"orbit left the domain at step {orbit.exited_at}")
     else:
         n_orbits = _as_int(run, "n_orbits", 20)
+        sx, sy = sample_starts(domain, n_orbits, rng)
         x0b, x1b, y0b, y1b = domain.bbox
-        sx = np.empty(0)
-        sy = np.empty(0)
-        while len(sx) < n_orbits:
-            cx = rng.uniform(x0b, x1b, 4 * n_orbits)
-            cy = rng.uniform(y0b, y1b, 4 * n_orbits)
-            keep = domain.contains(cx, cy) >= 0
-            sx = np.concatenate([sx, cx[keep]])[:n_orbits]
-            sy = np.concatenate([sy, cy[keep]])[:n_orbits]
         span = max(x1b - x0b, y1b - y0b)
-        finals, exits, traces = _run_ensemble(
+        _, exits, traces, _ = _run_ensemble(
             spec, domain, sx, sy, steps, 1e-9 * span, keep_every=1
         )
         if exits:
@@ -443,6 +417,12 @@ def main(argv=None) -> int:
                 if v <= 0:
                     raise ConfigError(f"{key} must be positive")
                 tols[key] = v
+        unread = sorted(set(tols) - _COMMAND_TOLERANCES[args.command])
+        if unread:
+            raise ConfigError(
+                f"{args.command} does not read the tolerance "
+                f"{', '.join(unread)}"
+            )
         seed = args.seed if args.seed is not None else _as_int(
             cfg["run"], "seed", 0
         )

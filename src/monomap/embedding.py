@@ -18,8 +18,6 @@ to fixed points of G and bracket every orbit in between.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -320,20 +318,8 @@ def run_corner_chains(
         raise ValueError("max_iter must be at least 1")
     if tol_chain is None:
         tol_chain = 1e-10 * (sys.b - sys.a)
-    n_threads = 1
-    try:
-        n_threads = max(1, int(os.environ.get("MONOMAP_THREADS", "1")))
-    except ValueError:
-        pass
-    if n_threads >= 2:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            lo_fut = pool.submit(_run_one_chain, sys, MIN_CORNER, max_iter, tol_chain)
-            hi_fut = pool.submit(_run_one_chain, sys, MAX_CORNER, max_iter, tol_chain)
-            lo_chain = lo_fut.result()
-            hi_chain = hi_fut.result()
-    else:
-        lo_chain = _run_one_chain(sys, MIN_CORNER, max_iter, tol_chain)
-        hi_chain = _run_one_chain(sys, MAX_CORNER, max_iter, tol_chain)
+    lo_chain = _run_one_chain(sys, MIN_CORNER, max_iter, tol_chain)
+    hi_chain = _run_one_chain(sys, MAX_CORNER, max_iter, tol_chain)
     last_lo = lo_chain.states[-1]
     last_hi = hi_chain.states[-1]
     if not sys.precedes(last_lo, last_hi, tol=10 * tol_chain):

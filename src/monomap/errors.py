@@ -46,16 +46,8 @@ class NonFiniteValue(MonomapError):
     """A map evaluation produced NaN or infinity (CLI exit code 2)."""
 
 
-class AuditFailure(MonomapError):
-    """An extension audit or oracle consistency check failed (exit code 2)."""
-
-
 class OutsideRect(MonomapError):
     """Evaluation or embedding state outside the extension rectangle."""
-
-
-class MonotonicityConflict(MonomapError):
-    """The map is not monotone with the declared signature on the domain."""
 
 
 class ChainMonotonicityBroken(MonomapError):
@@ -72,11 +64,3 @@ class ParamConstraint(MonomapError):
 
 class NotAFixedPoint(MonomapError):
     """Local stability was requested at a point that is not fixed."""
-
-
-class DomainExit(MonomapError):
-    """An orbit left the domain of definition."""
-
-
-class NewtonStall(MonomapError):
-    """Newton refinement failed to converge from a seed."""

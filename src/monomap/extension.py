@@ -43,9 +43,8 @@ weak monotonicity hold to floating-point accuracy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -55,7 +54,7 @@ from .errors import (
     SectorOrderViolation,
     UnsupportedDomain,
 )
-from .map_model import Box, Direction, MapSpec, MonotoneSignature, DEC_INC, INC_DEC
+from .map_model import Box, DEC_INC, MapSpec
 from .geometry import DomainSpec, DomainKind
 
 SCHEMA_VERSION = 1
@@ -201,7 +200,7 @@ class _ChainTable:
         return obj
 
     def __init__(self, pts: np.ndarray, srcs: np.ndarray, valfuncs, tol: float):
-        pts, srcs = _dedupe_polyline(pts, srcs, tol)
+        pts, srcs = _dedupe_polyline(pts, srcs)
         pts, srcs = _insert_breakpoints(pts, srcs, valfuncs, tol)
         self.xs = pts[:, 0].copy()
         self.ys = pts[:, 1].copy()
@@ -277,10 +276,10 @@ class _ChainTable:
         }
 
 
-def _dedupe_polyline(pts, srcs, tol):
+def _dedupe_polyline(pts, srcs):
     keep = [0]
     for i in range(1, len(pts)):
-        if np.hypot(*(pts[i] - pts[keep[-1]])) > 1e-14 + 0 * tol:
+        if np.hypot(*(pts[i] - pts[keep[-1]])) > 1e-14:
             keep.append(i)
     pts2 = pts[keep]
     srcs2 = np.asarray(srcs)[np.minimum(keep, len(srcs) - 1)] if len(srcs) else np.asarray(srcs)
@@ -454,7 +453,7 @@ _Z_SECTOR = 100  # + sector index
 
 class _Engine:
     def __init__(self, func: Callable, omega: np.ndarray, rect: Box,
-                 tol_val: float, allow_sectors: bool = True):
+                 tol_val: float):
         self.func = func
         self.rect = rect
         self.omega = omega  # ccw polyline, no repeated end vertex
@@ -462,7 +461,7 @@ class _Engine:
         self.geom_tol = 1e-12 * rect.diam
 
         self._split_chains()
-        self._close_sectors(allow_sectors)
+        self._close_sectors()
         self._check_chain_monotone()
         self._build_tables()
         self._find_flats()
@@ -474,7 +473,7 @@ class _Engine:
         pts = self.omega
         self._extremes_raw = _extreme_midpoints(pts, self.geom_tol)
 
-    def _close_sectors(self, allow):
+    def _close_sectors(self):
         L, B, R, T, ring = self._extremes_raw
         # ring: polyline starting at L, ccw, ending back at L (not repeated),
         # with L,B,R,T inserted as vertices at indices iL=0, iB, iR, iT.
@@ -486,14 +485,14 @@ class _Engine:
         ne = pts[iR : iT + 1]
         nw = pts[iT:]
         self.sectors: List[_Sector] = []
-        se, se_srcs = self._close_chain_sectors(se, allow)
+        se, se_srcs = self._close_chain_sectors(se)
         self.sw_pts, self.se_pts, self.ne_pts, self.nw_pts = sw, se, ne, nw
         self.se_srcs = se_srcs
         self.valfuncs = [lambda x, y: np.asarray(self.func(x, y), dtype=float)]
         for s in self.sectors:
             self.valfuncs.append(s.eval)
 
-    def _close_chain_sectors(self, se: np.ndarray, allow: bool):
+    def _close_chain_sectors(self, se: np.ndarray):
         """Close x-backtracking intrusions on the SE chain with vertical
         chords; each intrusion becomes a sector fill."""
         srcs = np.zeros(max(len(se) - 1, 0), dtype=int)
@@ -503,10 +502,6 @@ class _Engine:
             viol = np.nonzero(np.diff(xs) < -self.geom_tol)[0]
             if viol.size == 0:
                 return se, srcs
-            if not allow:
-                raise UnsupportedDomain(
-                    "domain boundary backtracks; not convex"
-                )
             guard += 1
             if guard > 32:
                 raise UnsupportedDomain("too many boundary intrusions")
@@ -571,7 +566,6 @@ class _Engine:
         nw_rev = self.nw_pts[::-1].copy()  # L -> T, x and y non-decreasing
         self.t_nw = _ChainTable(nw_rev, srcs0(nw_rev), vf, tol)
         self.t_sw = _ChainTable(self.sw_pts, srcs0(self.sw_pts), vf, tol)
-        ne = self.ne_pts[::-1].copy()  # T -> R: y decreasing; use R -> T
         self.t_ne = _ChainTable(self.ne_pts, srcs0(self.ne_pts), vf, tol)
         # left / right boundary walls as x-of-y knot tables
         left = np.vstack([self.sw_pts[::-1], nw_rev[1:]])  # B -> L -> T
@@ -1034,30 +1028,38 @@ class ExtensionAudit:
         }
 
 
+def _swap_piece(p: ExtensionPiece) -> ExtensionPiece:
+    """The piece mirrored across the diagonal (the frame swap is its own
+    inverse)."""
+    poly = np.asarray(p.polygon, dtype=float)[:, ::-1][::-1].copy()
+    return ExtensionPiece(p.rule, poly, p.meta)
+
+
 class ExtendedMap:
-    """Piecewise evaluator for the extension of a map to a rectangle."""
+    """Piecewise evaluator for the extension of a map to a rectangle.
+
+    ``base_range`` is the sampled range of the base map on the domain; it
+    is None for a rectangle, where the map is its own extension.
+    """
 
     def __init__(self, base: MapSpec, rect: Box, domain: Optional[DomainSpec],
-                 engine: Optional[_Engine], swapped: bool, mode: str = "nice"):
+                 engine: Optional[_Engine], swapped: bool,
+                 base_range: Optional[tuple] = None):
         self.base = base
         self.rect = rect
         self.domain = domain
         self.engine = engine
         self.swapped = swapped
-        self.mode = mode
+        self.base_range = base_range
         if engine is None:
             self.pieces = [
                 ExtensionPiece(RULE_BASE, _rect_poly(rect.x0, rect.x1, rect.y0, rect.y1),
                                {"zone": "rectangle"})
             ]
+        elif swapped:
+            self.pieces = [_swap_piece(p) for p in engine.pieces]
         else:
-            self.pieces = [self._unswap_piece(p) for p in engine.pieces]
-
-    def _unswap_piece(self, p: ExtensionPiece) -> ExtensionPiece:
-        if not self.swapped:
-            return p
-        poly = np.asarray(p.polygon, dtype=float)[:, ::-1][::-1].copy()
-        return ExtensionPiece(p.rule, poly, p.meta)
+            self.pieces = list(engine.pieces)
 
     # evaluation -----------------------------------------------------------
 
@@ -1090,7 +1092,7 @@ class ExtendedMap:
         d = {
             "schema_version": SCHEMA_VERSION,
             "kind": "extended_map",
-            "mode": self.mode,
+            "mode": "nice",
             "swapped": self.swapped,
             "rect": list(self.rect.as_tuple()),
             "map": {
@@ -1100,7 +1102,7 @@ class ExtendedMap:
             },
             "pieces": [p.to_dict() for p in self.pieces],
         }
-        if hasattr(self, "base_range"):
+        if self.base_range is not None:
             d["base_range"] = list(self.base_range)
         if self.engine is not None:
             d["engine"] = self.engine.to_state()
@@ -1113,11 +1115,10 @@ class ExtendedMap:
         if data.get("kind") != "extended_map":
             raise ValueError("not a serialized extended map")
         rect = Box(*data["rect"])
-        swapped = bool(data["swapped"])
+        base_range = tuple(data["base_range"]) if "base_range" in data else None
         if "engine" not in data:
-            ext = cls(base, rect, None, None, swapped=False,
-                      mode=data.get("mode", "nice"))
-            return ext
+            return cls(base, rect, None, None, False, base_range)
+        swapped = bool(data["swapped"])
         if swapped:
             func = lambda x, y: np.asarray(base(y, x), dtype=float)
             crect = Box(rect.y0, rect.y1, rect.x0, rect.x1)
@@ -1125,25 +1126,13 @@ class ExtendedMap:
             func = lambda x, y: np.asarray(base(x, y), dtype=float)
             crect = rect
         engine = _Engine.from_state(data["engine"], func, crect, 1e-12)
-        ext = cls.__new__(cls)
-        ext.base = base
-        ext.rect = rect
-        ext.domain = None
-        ext.engine = engine
-        ext.swapped = swapped
-        ext.mode = data.get("mode", "nice")
-        ext.pieces = [
+        pieces = [
             ExtensionPiece(p["rule"], np.asarray(p["polygon"], dtype=float),
                            dict(p["meta"]))
             for p in data["pieces"]
         ]
-        engine.pieces = [
-            ExtensionPiece(p.rule, p.polygon[:, ::-1][::-1].copy(), p.meta)
-            for p in ext.pieces
-        ] if swapped else list(ext.pieces)
-        if "base_range" in data:
-            ext.base_range = tuple(data["base_range"])
-        return ext
+        engine.pieces = [_swap_piece(p) for p in pieces] if swapped else pieces
+        return cls(base, rect, None, engine, swapped, base_range)
 
 
 def _canonical_problem(map_spec: MapSpec, domain: DomainSpec):
@@ -1184,41 +1173,29 @@ def extend_rectangle(map_spec: MapSpec, rect: Box) -> ExtendedMap:
     return ExtendedMap(map_spec, rect, None, None, swapped=False)
 
 
-def extend_convex(map_spec: MapSpec, domain: DomainSpec) -> ExtendedMap:
+def extend(map_spec: MapSpec, domain: DomainSpec) -> ExtendedMap:
+    """Extend a mixed-monotone map from its domain to the bounding
+    rectangle.
+
+    A rectangle is its own extension.  Convex and semi-convex domains go
+    through the one zone construction (a convex domain simply has no
+    sectors); a domain that fails the exterior-ray test is rejected.
+    """
     kind = domain.classify()
     if kind == DomainKind.RECTANGLE:
-        x0, x1, y0, y1 = domain.bbox
-        return extend_rectangle(map_spec, Box(x0, x1, y0, y1))
-    if kind != DomainKind.CONVEX:
-        raise UnsupportedDomain(f"domain is {kind.value}, not convex")
-    return _build_extension(map_spec, domain, allow_sectors=False)
-
-
-def extend_semiconvex(map_spec: MapSpec, domain: DomainSpec) -> ExtendedMap:
-    kind = domain.classify()
-    if kind == DomainKind.RECTANGLE:
-        x0, x1, y0, y1 = domain.bbox
-        return extend_rectangle(map_spec, Box(x0, x1, y0, y1))
+        return extend_rectangle(map_spec, Box(*domain.bbox))
     if kind == DomainKind.UNSUPPORTED:
         raise UnsupportedDomain("domain failed the exterior-ray test")
-    return _build_extension(map_spec, domain, allow_sectors=True)
-
-
-def _build_extension(map_spec, domain, allow_sectors):
     func, pts, rect, swapped = _canonical_problem(map_spec, domain)
     lo, hi = _sampled_range(map_spec, domain)
-    tol_val = 1e-12 * max(1.0, hi - lo)
     engine = _Engine(
         lambda x, y: np.asarray(func(x, y), dtype=float),
         pts,
         rect,
-        tol_val,
-        allow_sectors=allow_sectors,
+        1e-12 * max(1.0, hi - lo),
     )
-    ext_rect = Box(*domain.bbox)
-    ext = ExtendedMap(map_spec, ext_rect, domain, engine, swapped)
-    ext.base_range = (lo, hi)
-    return ext
+    return ExtendedMap(map_spec, Box(*domain.bbox), domain, engine, swapped,
+                       base_range=(lo, hi))
 
 
 def eval_extended(ext: ExtendedMap, p) -> float:
@@ -1239,7 +1216,7 @@ def audit_extension(ext: ExtendedMap, grid_n: int = 100, rng=None,
     monotonicity on the rectangle, and range preservation."""
     rng = np.random.default_rng(0) if rng is None else rng
     r = ext.rect
-    if ext.domain is not None and hasattr(ext, "base_range"):
+    if ext.domain is not None and ext.base_range is not None:
         lo, hi = ext.base_range
     else:
         gx = np.linspace(r.x0, r.x1, grid_n)
@@ -1324,10 +1301,12 @@ def audit_extension(ext: ExtendedMap, grid_n: int = 100, rng=None,
     dx = sx * np.diff(V, axis=0)
     dy = sy * np.diff(V, axis=1)
     n_viol = int(np.sum(dx < -tol_mono) + np.sum(dy < -tol_mono))
-    worst = min(float(dx.min(initial=0.0)), float(dy.min(initial=0.0)))
     monotone_ok = n_viol == 0
     if not monotone_ok:
-        witnesses["monotone"] = (0.0, 0.0, worst)
+        # the grid point where the worst difference starts
+        d = dx if dx.min() <= dy.min() else dy
+        i, j = np.unravel_index(np.argmin(d), d.shape)
+        witnesses["monotone"] = (gx[i], gy[j], float(d[i, j]))
 
     # (Nice) range preservation
     inflation = max(lo - float(V.min()), float(V.max()) - hi, 0.0)

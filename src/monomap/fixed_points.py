@@ -32,8 +32,6 @@ from .map_model import MapSpec
 SCHEMA_VERSION = 1
 
 METHOD_SWEEP = "NumericSweep"
-METHOD_EQ7 = "ClosedFormEq7"
-METHOD_EQ8 = "ClosedFormEq8"
 
 
 def _as_eval(target) -> Callable:
@@ -128,7 +126,7 @@ def find_equilibria(
 
 
 def _square_bounds(rect) -> Tuple[float, float]:
-    x0, x1, y0, y1 = rect.as_tuple() if hasattr(rect, "as_tuple") else rect
+    x0, x1, y0, y1 = rect.as_tuple()
     tol = 1e-9 * max(1.0, abs(x1 - x0))
     if abs(x0 - y0) > tol or abs(x1 - y1) > tol:
         raise ParamConstraint(
@@ -200,7 +198,6 @@ def _flagged_cells(h1: np.ndarray, h2: np.ndarray, tol: float) -> np.ndarray:
 
 def find_artificial(
     ext,
-    rect=None,
     n_grid: int = 256,
     tol_fp: Optional[float] = None,
     sep_min: Optional[float] = None,
@@ -215,7 +212,7 @@ def find_artificial(
     swept; roots are mirrored by the symmetry of the system.
     """
     F = _as_eval(ext)
-    a, b = _square_bounds(rect if rect is not None else ext.rect)
+    a, b = _square_bounds(ext.rect)
     if tol_fp is None:
         tol_fp = 1e-9 * (b - a)
     if sep_min is None:
@@ -291,7 +288,7 @@ def find_artificial(
 # ---------------------------------------------------------------------------
 
 
-def oracle_sweep(ext, rect=None, n_dense: int = 1024) -> dict:
+def oracle_sweep(ext, n_dense: int = 1024) -> dict:
     """Brute-force residual sweep on a dense grid.
 
     Returns all cells where both components of the residual change sign
@@ -300,7 +297,7 @@ def oracle_sweep(ext, rect=None, n_dense: int = 1024) -> dict:
     by a flagged cell or zero node, and vice versa.
     """
     F = _as_eval(ext)
-    a, b = _square_bounds(rect if rect is not None else ext.rect)
+    a, b = _square_bounds(ext.rect)
     tol_fp = 1e-9 * (b - a)
     H = _h_system(F, a, b)
     xs = np.linspace(a, b, n_dense + 1)

@@ -1,18 +1,15 @@
-"""Planar domain handling: boundary curves, classification, queries.
+"""Planar domain handling: polygon boundaries, classification, queries.
 
-Domains are closed curves made of parametric segments.  Analytic
-segments are discretized once, up to a chord-error tolerance, and every
-point query afterwards works on the polyline.  That keeps containment,
-projection and region dispatch consistent with each other: there is a
-single geometric truth, the polyline.
+A domain is a simple polygon, stored counterclockwise without a repeated
+closing vertex.  Containment, projection and region dispatch all work on
+that one vertex list, so they stay consistent with each other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,83 +21,6 @@ class DomainKind(Enum):
     CONVEX = "convex"
     SEMI_CONVEX = "semi_convex"
     UNSUPPORTED = "unsupported"
-
-
-class Location(Enum):
-    INSIDE = "inside"
-    OUTSIDE = "outside"
-    ON_BOUNDARY = "on_boundary"
-
-
-@dataclass
-class ParamSegment:
-    """One boundary piece, either a straight line or an analytic curve.
-
-    Analytic curves provide ``curve(t) -> (x, y)`` on [t0, t1].
-    """
-
-    p0: tuple[float, float]
-    p1: tuple[float, float]
-    curve: Optional[Callable[[np.ndarray], tuple]] = None
-    t0: float = 0.0
-    t1: float = 1.0
-
-    @property
-    def is_line(self) -> bool:
-        return self.curve is None
-
-    def point(self, t):
-        """Evaluate at parameter(s) t in [t0, t1]."""
-        t = np.asarray(t, dtype=float)
-        if self.curve is not None:
-            x, y = self.curve(t)
-            return np.asarray(x, float), np.asarray(y, float)
-        lam = (t - self.t0) / (self.t1 - self.t0)
-        x = self.p0[0] + lam * (self.p1[0] - self.p0[0])
-        y = self.p0[1] + lam * (self.p1[1] - self.p0[1])
-        return x, y
-
-    def discretize(self, chord_tol: float, max_pts: int = 20000) -> np.ndarray:
-        """Return an (n, 2) vertex array approximating the segment.
-
-        Refines by interval halving until the midpoint chord deviation of
-        every interval is below ``chord_tol``.
-        """
-        if self.is_line:
-            return np.array([self.p0, self.p1], dtype=float)
-        ts = [self.t0, self.t1]
-        # Start from a modest uniform grid so wiggly curves are not missed.
-        ts = list(np.linspace(self.t0, self.t1, 33))
-        while len(ts) < max_pts:
-            ts_arr = np.array(ts)
-            xm, ym = self.point(0.5 * (ts_arr[:-1] + ts_arr[1:]))
-            x, y = self.point(ts_arr)
-            cx = 0.5 * (x[:-1] + x[1:])
-            cy = 0.5 * (y[:-1] + y[1:])
-            dev = np.hypot(xm - cx, ym - cy)
-            bad = np.nonzero(dev > chord_tol)[0]
-            if bad.size == 0:
-                break
-            new_ts = 0.5 * (ts_arr[bad] + ts_arr[bad + 1])
-            ts = sorted(set(ts) | set(new_ts.tolist()))
-        ts_arr = np.array(ts)
-        x, y = self.point(ts_arr)
-        return np.column_stack([x, y])
-
-
-@dataclass
-class BoundaryCurve:
-    """A closed boundary: ordered segments end-to-end."""
-
-    segments: List[ParamSegment]
-
-    def check_closed(self, tol: float) -> bool:
-        for a, b in zip(self.segments, self.segments[1:] + self.segments[:1]):
-            xa, ya = a.point(np.array([a.t1]))
-            xb, yb = b.point(np.array([b.t0]))
-            if math.hypot(float(xa[0] - xb[0]), float(ya[0] - yb[0])) > tol:
-                return False
-        return True
 
 
 def _signed_area(pts: np.ndarray) -> float:
@@ -119,53 +39,20 @@ def _dedupe(pts: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
-@dataclass
-class MonotoneArc:
-    """A maximal boundary stretch on which f = F(r(t)) is monotone."""
-
-    seg_index: int
-    t0: float
-    t1: float
-    direction: int  # +1 increasing, -1 decreasing, 0 flat
-    f0: float
-    f1: float
-
-
 class DomainSpec:
-    """A domain plus its polyline approximation and cached classification."""
+    """A polygonal domain with its cached classification."""
 
-    def __init__(
-        self,
-        boundary: BoundaryCurve,
-        chord_tol: Optional[float] = None,
-        name: str = "domain",
-    ):
-        self.boundary = boundary
+    def __init__(self, vertices: Sequence[tuple], name: str = "domain"):
+        pts = np.asarray(vertices, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise UnsupportedDomain("vertices must be (x, y) pairs")
         self.name = name
-        # Rough bbox first (from segment endpoints) to scale tolerances.
-        probe = np.concatenate(
-            [np.column_stack(s.point(np.linspace(s.t0, s.t1, 17)))
-             for s in boundary.segments]
-        )
-        diam = math.hypot(
-            probe[:, 0].max() - probe[:, 0].min(),
-            probe[:, 1].max() - probe[:, 1].min(),
-        )
+        diam = math.hypot(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]))
         if diam == 0:
             raise UnsupportedDomain("degenerate (zero-size) boundary")
-        self.chord_tol = chord_tol if chord_tol is not None else 1e-6 * diam
-        if not boundary.check_closed(1e-6 * diam):
-            raise UnsupportedDomain("boundary is not closed")
-
-        pieces = [s.discretize(self.chord_tol) for s in boundary.segments]
-        # Track which original segment each polyline vertex came from so
-        # segment-level queries can be answered later.
-        verts = []
-        seg_of = []
-        for i, arr in enumerate(pieces):
-            verts.append(arr[:-1])
-            seg_of.extend([i] * (len(arr) - 1))
-        pts = _dedupe(np.concatenate(verts), 1e-12 * diam)
+        # boundary band for containment queries
+        self.chord_tol = 1e-6 * diam
+        pts = _dedupe(pts, 1e-12 * diam)
         if _signed_area(pts) < 0:
             pts = pts[::-1].copy()
         if len(pts) < 3:
@@ -196,24 +83,14 @@ class DomainSpec:
     def rectangle(x0: float, x1: float, y0: float, y1: float) -> "DomainSpec":
         if not (x0 < x1 and y0 < y1):
             raise UnsupportedDomain("rectangle needs x0 < x1 and y0 < y1")
-        corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-        segs = [
-            ParamSegment(corners[i], corners[(i + 1) % 4]) for i in range(4)
-        ]
-        d = DomainSpec(BoundaryCurve(segs), name="rectangle")
+        d = DomainSpec([(x0, y0), (x1, y0), (x1, y1), (x0, y1)],
+                       name="rectangle")
         d._kind = DomainKind.RECTANGLE
         return d
 
     @staticmethod
     def polygon(points: Sequence[tuple], name: str = "polygon") -> "DomainSpec":
-        pts = [tuple(map(float, p)) for p in points]
-        if len(pts) < 3:
-            raise UnsupportedDomain("polygon needs at least 3 vertices")
-        segs = [
-            ParamSegment(pts[i], pts[(i + 1) % len(pts)])
-            for i in range(len(pts))
-        ]
-        return DomainSpec(BoundaryCurve(segs), name=name)
+        return DomainSpec(points, name=name)
 
     # -- point queries ---------------------------------------------------
 
@@ -264,12 +141,6 @@ class DomainSpec:
         out = np.where(on_edge, 0, np.where(inside, 1, -1))
         return out.reshape(shape)
 
-    def locate(self, x: float, y: float, tol: Optional[float] = None) -> Location:
-        code = int(self.contains(x, y, tol))
-        return {1: Location.INSIDE, 0: Location.ON_BOUNDARY, -1: Location.OUTSIDE}[
-            code
-        ]
-
     def project(self, x: float, y: float, direction: str) -> Optional[tuple]:
         """Nearest boundary intersection of the axis ray from (x, y).
 
@@ -301,13 +172,13 @@ class DomainSpec:
 
     # -- classification ----------------------------------------------------
 
-    def classify(self, n_samples: int = 256) -> DomainKind:
+    def classify(self) -> DomainKind:
         if self._kind is not None:
             return self._kind
-        self._kind = self._classify(n_samples)
+        self._kind = self._classify()
         return self._kind
 
-    def _classify(self, n_samples: int) -> DomainKind:
+    def _classify(self) -> DomainKind:
         v = self.vertices
         n = len(v)
         if self._is_self_intersecting():
@@ -332,7 +203,7 @@ class DomainSpec:
         if np.all(cross >= -1e-12 * scale * scale):
             return DomainKind.CONVEX
 
-        if self._semi_convex_ray_test(n_samples):
+        if self._semi_convex_ray_test():
             return DomainKind.SEMI_CONVEX
         return DomainKind.UNSUPPORTED
 
@@ -361,10 +232,6 @@ class DomainSpec:
     def _is_self_intersecting(self) -> bool:
         v = self.vertices
         n = len(v)
-        if n > 512:
-            # Big polylines come from analytic curves we generated
-            # ourselves; skip the quadratic check.
-            return False
         p = v
         q = np.roll(v, -1, axis=0)
         for i in range(n):
@@ -375,127 +242,27 @@ class DomainSpec:
                     return True
         return False
 
-    def _ray_escapes(self, sx: float, sy: float, dx: int, dy: int) -> bool:
-        """True if the axis ray from an exterior point never meets the
-        boundary."""
-        direction = {(1, 0): "x+", (-1, 0): "x-", (0, 1): "y+", (0, -1): "y-"}[
-            (dx, dy)
-        ]
-        return self.project(sx, sy, direction) is None
-
-    def _semi_convex_ray_test(self, n_samples: int) -> bool:
+    def _semi_convex_ray_test(self) -> bool:
         """Near every sampled boundary point, every nearby exterior probe
         must have at least one horizontal or vertical ray that escapes to
         infinity without re-intersecting the boundary."""
         v = self.vertices
         mids = 0.5 * (v + np.roll(v, -1, axis=0))
         samples = np.concatenate([v, mids])
-        if len(samples) > n_samples:
-            step = len(samples) // n_samples
-            samples = samples[::step]
+        if len(samples) > 256:  # thin long boundaries to ~256 samples
+            samples = samples[:: len(samples) // 256]
         eps = 64.0 * self.chord_tol + 1e-9 * self.diam
-        offsets = [
+        offsets = np.array([
             (1, 0), (-1, 0), (0, 1), (0, -1),
             (1, 1), (1, -1), (-1, 1), (-1, -1),
-        ]
-        for px, py in samples:
-            for ox, oy in offsets:
-                sx, sy = px + ox * eps, py + oy * eps
-                if int(self.contains(sx, sy)) != -1:
-                    continue
-                ok = any(
-                    self._ray_escapes(sx, sy, dx, dy)
-                    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
-                )
-                if not ok:
-                    return False
+        ], dtype=float)
+        probes = (samples[:, None, :] + eps * offsets[None, :, :]).reshape(-1, 2)
+        outside = self.contains(probes[:, 0], probes[:, 1]) == -1
+        for sx, sy in probes[outside]:
+            if all(self.project(sx, sy, d) is not None
+                   for d in ("x+", "x-", "y+", "y-")):
+                return False
         return True
-
-    # -- boundary segmentation -------------------------------------------
-
-    def segment_boundary(
-        self,
-        func: Callable,
-        n_probe: int = 257,
-        max_arcs: int = 64,
-        refine_tol: float = 1e-9,
-    ) -> List[MonotoneArc]:
-        """Split the boundary into maximal arcs where f = F(r(t)) is
-        monotone.  Works on the analytic segments, refining each interior
-        extremum by ternary search."""
-        arcs: List[MonotoneArc] = []
-        for si, seg in enumerate(self.boundary.segments):
-            ts = np.linspace(seg.t0, seg.t1, n_probe)
-            xs, ys = seg.point(ts)
-            fs = np.asarray(func(xs, ys), dtype=float)
-            d = np.diff(fs)
-            scale = max(1.0, float(np.max(np.abs(fs))))
-            sgn = np.where(d > refine_tol * scale, 1,
-                           np.where(d < -refine_tol * scale, -1, 0))
-            # Compress to a sign sequence, refining each change point.
-            breaks = [seg.t0]
-            cur = 0
-            for k in range(len(sgn)):
-                s = sgn[k]
-                if s == 0:
-                    continue
-                if cur == 0:
-                    cur = s
-                elif s != cur:
-                    t_star = _refine_extremum(
-                        seg, func, ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)],
-                        kind=cur,
-                    )
-                    breaks.append(t_star)
-                    cur = s
-            breaks.append(seg.t1)
-            dirs = _arc_directions(seg, func, breaks)
-            for (ta, tb), dr in zip(zip(breaks[:-1], breaks[1:]), dirs):
-                xa, ya = seg.point(np.array([ta, tb]))
-                fa, fb = np.asarray(func(xa, ya), dtype=float)
-                arcs.append(MonotoneArc(si, float(ta), float(tb), dr,
-                                        float(fa), float(fb)))
-            if len(arcs) > max_arcs:
-                raise UnsupportedDomain(
-                    f"boundary splits into more than {max_arcs} monotone arcs"
-                )
-        return arcs
-
-
-def _arc_directions(seg, func, breaks):
-    dirs = []
-    for ta, tb in zip(breaks[:-1], breaks[1:]):
-        x, y = seg.point(np.array([ta, tb]))
-        f = np.asarray(func(x, y), dtype=float)
-        df = float(f[1] - f[0])
-        dirs.append(1 if df > 0 else (-1 if df < 0 else 0))
-    return dirs
-
-
-def _refine_extremum(seg, func, ta, tb, kind, iters=200):
-    """Ternary search for the extremum of f(r(t)) on [ta, tb].
-
-    ``kind`` is the direction before the extremum (+1 means we refine a
-    local maximum)."""
-    lo, hi = float(ta), float(tb)
-    for _ in range(iters):
-        if hi - lo < 1e-15 * max(1.0, abs(hi)):
-            break
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        x, y = seg.point(np.array([m1, m2]))
-        f1, f2 = np.asarray(func(x, y), dtype=float)
-        if kind > 0:  # local max
-            if f1 < f2:
-                lo = m1
-            else:
-                hi = m2
-        else:  # local min
-            if f1 > f2:
-                lo = m1
-            else:
-                hi = m2
-    return 0.5 * (lo + hi)
 
 
 def _segments_cross(p0, p1, q0, q1) -> bool:

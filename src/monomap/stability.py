@@ -13,25 +13,19 @@ orbits are attached as corroborating evidence, never as proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from . import fixed_points as fp
 from .embedding import SYM4, build_embedding, check_order_preserving, run_corner_chains
 from .errors import (
-    DomainExit,
     MonomapError,
     NonFiniteValue,
     NotAFixedPoint,
     UnsupportedDomain,
 )
-from .extension import (
-    audit_extension,
-    extend_convex,
-    extend_rectangle,
-    extend_semiconvex,
-)
+from .extension import ExtendedMap, audit_extension, extend
 from .geometry import DomainKind, DomainSpec
 from .map_model import Box, MapSpec, check_monotonicity, jacobian_fd
 
@@ -229,9 +223,11 @@ def _run_ensemble(
     tol_fp: float,
     keep_every: int = 100,
 ):
-    """Iterate many orbits in lockstep; returns finals, exit count, traces.
+    """Iterate many orbits in lockstep.
 
-    Stops early once every orbit's step size drops below tol_fp / 10.
+    Returns the final values, the number of orbits that left the domain,
+    the traces, and whether the orbits settled: every orbit's step size
+    dropped below tol_fp / 10, which also stops the iteration early.
     Traces are thinned to every `keep_every`-th value for plotting.
     """
     cur = np.asarray(starts_x, dtype=float).copy()
@@ -239,6 +235,7 @@ def _run_ensemble(
     exited = np.zeros(cur.shape, dtype=bool)
     tol = 4 * domain.chord_tol
     traces = [cur.copy()]
+    settled = False
     for k in range(n_steps):
         nxt = np.asarray(map_spec(cur, prev), dtype=float)
         if not np.all(np.isfinite(nxt)):
@@ -251,9 +248,25 @@ def _run_ensemble(
         if (k + 1) % keep_every == 0:
             traces.append(cur.copy())
         if change < tol_fp / 10:
+            settled = True
             break
     traces.append(cur.copy())
-    return cur, int(np.count_nonzero(exited)), np.asarray(traces)
+    return cur, int(np.count_nonzero(exited)), np.asarray(traces), settled
+
+
+def sample_starts(domain: DomainSpec, n: int, rng: np.random.Generator):
+    """n start points (x_0, x_{-1}) drawn uniformly from the bounding box
+    of the domain, keeping those inside it or on its boundary."""
+    x0, x1, y0, y1 = domain.bbox
+    sx = np.empty(0)
+    sy = np.empty(0)
+    while len(sx) < n:
+        cx = rng.uniform(x0, x1, 4 * n)
+        cy = rng.uniform(y0, y1, 4 * n)
+        keep = domain.contains(cx, cy) >= 0
+        sx = np.concatenate([sx, cx[keep]])[:n]
+        sy = np.concatenate([sy, cy[keep]])[:n]
+    return sx, sy
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +356,10 @@ class StabilityCertificate:
     verdict: str = INCONCLUSIVE
     verdict_detail: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
+    # side data for report rendering; not serialized
+    extension: Optional[ExtendedMap] = None
+    chains: Optional[tuple] = None  # (min-corner chain, max-corner chain)
+    orbit_traces: Optional[np.ndarray] = None
 
     @property
     def globally_stable(self) -> bool:
@@ -376,6 +393,141 @@ def _stage(cert: StabilityCertificate, name: str, status: str, **extra):
     cert.stages.append({"stage": name, "status": status, **extra})
 
 
+@dataclass
+class _Run:
+    """What the certify stages read and pass on to later stages."""
+
+    spec: MapSpec
+    domain: DomainSpec
+    cfg: dict
+    rng: np.random.Generator
+    cert: StabilityCertificate
+    span: float
+    tol_fp: float
+    ext: Optional[ExtendedMap] = None
+    x_star: Optional[float] = None
+
+
+# Each stage returns the extra fields of its "passed" record or raises;
+# it may fill certificate fields first, so a failure keeps its evidence.
+
+
+def _check_monotonicity(run: _Run) -> dict:
+    mono = check_monotonicity(run.spec, Box(*run.domain.bbox))
+    if not mono.ok:
+        raise MonomapError(f"declared signature violated at {mono.witness}")
+    return {"n_violations": mono.n_violations_x + mono.n_violations_y}
+
+
+def _classify_domain(run: _Run) -> dict:
+    kind = run.domain.classify()
+    if kind == DomainKind.UNSUPPORTED:
+        raise UnsupportedDomain("domain is not semi-convex")
+    return {"kind": kind.value}
+
+
+def _check_invariance(run: _Run) -> dict:
+    inv = verify_invariance(
+        run.spec, run.domain, n_boundary=run.cfg["n_boundary"], rng=run.rng
+    )
+    run.cert.invariance = inv
+    if not inv.verified:
+        raise MonomapError(f"domain is not invariant; witness {inv.witness}")
+    return {"n_samples": inv.n_samples}
+
+
+def _build_extension(run: _Run) -> dict:
+    ext = extend(run.spec, run.domain)
+    aud = audit_extension(ext, grid_n=run.cfg["audit_grid"], rng=run.rng)
+    run.cert.extension_audit = aud.to_dict()
+    if not aud.all_ok:
+        raise MonomapError("extension audit failed")
+    run.ext = run.cert.extension = ext
+    return {"n_pieces": len(ext.pieces)}
+
+
+def _search_artificial(run: _Run) -> dict:
+    ext, cert = run.ext, run.cert
+    report = fp.find_artificial(ext, n_grid=run.cfg["n_grid"], tol_fp=run.tol_fp)
+    oracle = fp.oracle_sweep(ext, n_dense=run.cfg["n_dense"])
+    ok, detail = fp.check_oracle_consistency(ext, report, oracle)
+    cert.artificial_search = report.to_dict()
+    cert.oracle_consistent = ok
+    if not ok:
+        raise MonomapError(f"oracle inconsistency: {detail}")
+    if report.has_artificial:
+        raise MonomapError(f"artificial fixed points exist: {report.artificial}")
+    if report.suspicious:
+        raise MonomapError("suspicious (possibly tangential) roots")
+    return {"n_equilibria": len(report.equilibria)}
+
+
+def _run_chains(run: _Run) -> dict:
+    cfg, ext, tol_fp = run.cfg, run.ext, run.tol_fp
+    sys = build_embedding(ext, cfg["variant"])
+    order = check_order_preserving(sys, cfg["n_order_pairs"], rng=run.rng)
+    if not order.ok:
+        raise MonomapError(
+            f"embedded step is not order preserving "
+            f"(margin {order.worst_margin:.3e})"
+        )
+    lo, hi = run_corner_chains(
+        sys, max_iter=cfg["max_iter"], tol_chain=cfg["tol_chain"]
+    )
+    run.cert.chains = (lo, hi)
+    run.cert.corner_chain_limits = {
+        "variant": cfg["variant"],
+        "min_chain": lo.to_dict(),
+        "max_chain": hi.to_dict(),
+    }
+    if lo.limit is None or hi.limit is None:
+        raise MonomapError("a corner chain did not converge")
+    # each chain stopped on its own step size; when the contraction
+    # is slow the two limits can still sit a geometric tail apart,
+    # so keep stepping both until they meet or the gap stalls
+    s_lo, s_hi = lo.limit.copy(), hi.limit.copy()
+    gap = float(np.max(np.abs(s_lo - s_hi)))
+    checkpoint = np.inf
+    for k in range(cfg["max_iter"]):
+        if gap <= 10 * tol_fp:
+            break
+        if (k + 1) % 1000 == 0:
+            if gap > 0.999 * checkpoint:
+                break  # genuinely separated limits
+            checkpoint = gap
+        s_lo = sys.step(s_lo)
+        s_hi = sys.step(s_hi)
+        gap = float(np.max(np.abs(s_lo - s_hi)))
+    diag = float(np.max(np.abs(s_lo - s_lo[0])))
+    if gap > 10 * tol_fp or diag > 10 * tol_fp:
+        raise MonomapError(
+            f"corner chains do not meet at a diagonal point "
+            f"(gap {gap:.3e}, off-diagonal {diag:.3e})"
+        )
+    x_star = float(s_lo[0])
+    # polish the chain limit with a 1-D root solve of F(x, x) - x
+    polished = _polish_equilibrium(ext, x_star, run.span, gap)
+    if polished is not None and abs(polished - x_star) <= 1e3 * tol_fp:
+        x_star = polished
+    resid = abs(float(ext.eval(x_star, x_star)) - x_star)
+    if resid > 100 * tol_fp:
+        raise MonomapError(
+            f"chain limit is not a fixed point (residual {resid:.3e})"
+        )
+    run.x_star = x_star
+    return {"x_star": x_star}
+
+
+_STAGES: List[Tuple[str, Callable[[_Run], dict]]] = [
+    ("monotonicity", _check_monotonicity),
+    ("classify_domain", _classify_domain),
+    ("invariance", _check_invariance),
+    ("extension", _build_extension),
+    ("artificial_fixed_points", _search_artificial),
+    ("corner_chains", _run_chains),
+]
+
+
 def certify(
     map_spec: MapSpec,
     domain: DomainSpec,
@@ -385,7 +537,7 @@ def certify(
 
     Any stage failure is recorded and turns the verdict Inconclusive
     with the stage name; the remaining stages are skipped.  Side data
-    (chains, extension, orbits) is attached to the returned certificate
+    (chains, extension, orbits) is kept on the returned certificate
     object for report rendering.
     """
     cfg = dict(_DEFAULTS)
@@ -413,160 +565,30 @@ def certify(
             "seed": cfg["seed"],
         },
     )
-
-    def fail(stage: str, err: Exception) -> StabilityCertificate:
-        _stage(cert, stage, "failed", error=type(err).__name__,
-               message=str(err))
-        cert.verdict = INCONCLUSIVE
-        cert.verdict_detail = {
-            "stage": stage,
-            "error": type(err).__name__,
-            "reason": str(err),
-        }
-        return cert
-
-    # 1. declared monotonicity
-    try:
-        mono = check_monotonicity(map_spec, Box(x0, x1, y0, y1))
-        if not mono.ok:
-            raise MonomapError(
-                f"declared signature violated at {mono.witness}"
-            )
-        _stage(cert, "monotonicity", "passed",
-               n_violations=mono.n_violations_x + mono.n_violations_y)
-    except Exception as e:  # noqa: BLE001 - every stage converts to verdict
-        return fail("monotonicity", e)
-
-    # 2. domain classification
-    try:
-        kind = domain.classify()
-        if kind == DomainKind.UNSUPPORTED:
-            raise UnsupportedDomain("domain is not semi-convex")
-        _stage(cert, "classify_domain", "passed", kind=kind.value)
-    except Exception as e:
-        return fail("classify_domain", e)
-
-    # 3. invariance
-    try:
-        inv = verify_invariance(
-            map_spec, domain, n_boundary=cfg["n_boundary"], rng=rng
-        )
-        cert.invariance = inv
-        if not inv.verified:
-            raise MonomapError(
-                f"domain is not invariant; witness {inv.witness}"
-            )
-        _stage(cert, "invariance", "passed", n_samples=inv.n_samples)
-    except Exception as e:
-        return fail("invariance", e)
-
-    # 4. extension + audit
-    try:
-        if kind == DomainKind.RECTANGLE:
-            ext = extend_rectangle(map_spec, Box(x0, x1, y0, y1))
-        elif kind == DomainKind.CONVEX:
-            ext = extend_convex(map_spec, domain)
-        else:
-            ext = extend_semiconvex(map_spec, domain)
-        aud = audit_extension(ext, grid_n=cfg["audit_grid"], rng=rng)
-        cert.extension_audit = aud.to_dict()
-        if not aud.all_ok:
-            raise MonomapError("extension audit failed")
-        _stage(cert, "extension", "passed", n_pieces=len(ext.pieces))
-    except Exception as e:
-        return fail("extension", e)
-    cert.extension = ext  # attached for report rendering
-
-    # 5. artificial fixed points + oracle
-    try:
-        report = fp.find_artificial(ext, n_grid=cfg["n_grid"], tol_fp=tol_fp)
-        oracle = fp.oracle_sweep(ext, n_dense=cfg["n_dense"])
-        ok, detail = fp.check_oracle_consistency(ext, report, oracle)
-        cert.artificial_search = report.to_dict()
-        cert.oracle_consistent = ok
-        if not ok:
-            raise MonomapError(f"oracle inconsistency: {detail}")
-        if report.has_artificial:
-            raise MonomapError(
-                f"artificial fixed points exist: {report.artificial}"
-            )
-        if report.suspicious:
-            raise MonomapError("suspicious (possibly tangential) roots")
-        _stage(cert, "artificial_fixed_points", "passed",
-               n_equilibria=len(report.equilibria))
-    except Exception as e:
-        return fail("artificial_fixed_points", e)
-
-    # 6. embedding + corner chains
-    try:
-        sys = build_embedding(ext, cfg["variant"])
-        order = check_order_preserving(sys, cfg["n_order_pairs"], rng=rng)
-        if not order.ok:
-            raise MonomapError(
-                f"embedded step is not order preserving "
-                f"(margin {order.worst_margin:.3e})"
-            )
-        lo, hi = run_corner_chains(
-            sys, max_iter=cfg["max_iter"], tol_chain=cfg["tol_chain"]
-        )
-        cert.chains = (lo, hi)  # attached for report rendering
-        cert.corner_chain_limits = {
-            "variant": cfg["variant"],
-            "min_chain": lo.to_dict(),
-            "max_chain": hi.to_dict(),
-        }
-        if lo.limit is None or hi.limit is None:
-            raise MonomapError("a corner chain did not converge")
-        # each chain stopped on its own step size; when the contraction
-        # is slow the two limits can still sit a geometric tail apart,
-        # so keep stepping both until they meet or the gap stalls
-        s_lo, s_hi = lo.limit.copy(), hi.limit.copy()
-        gap = float(np.max(np.abs(s_lo - s_hi)))
-        checkpoint = np.inf
-        for k in range(cfg["max_iter"]):
-            if gap <= 10 * tol_fp:
-                break
-            if (k + 1) % 1000 == 0:
-                if gap > 0.999 * checkpoint:
-                    break  # genuinely separated limits
-                checkpoint = gap
-            s_lo = sys.step(s_lo)
-            s_hi = sys.step(s_hi)
-            gap = float(np.max(np.abs(s_lo - s_hi)))
-        diag = float(np.max(np.abs(s_lo - s_lo[0])))
-        if gap > 10 * tol_fp or diag > 10 * tol_fp:
-            raise MonomapError(
-                f"corner chains do not meet at a diagonal point "
-                f"(gap {gap:.3e}, off-diagonal {diag:.3e})"
-            )
-        x_star = float(s_lo[0])
-        # polish the chain limit with a 1-D root solve of F(x, x) - x
-        polished = _polish_equilibrium(ext, x_star, span, gap)
-        if polished is not None and abs(polished - x_star) <= 1e3 * tol_fp:
-            x_star = polished
-        resid = abs(float(ext.eval(x_star, x_star)) - x_star)
-        if resid > 100 * tol_fp:
-            raise MonomapError(
-                f"chain limit is not a fixed point (residual {resid:.3e})"
-            )
-        _stage(cert, "corner_chains", "passed", x_star=x_star)
-    except Exception as e:
-        return fail("corner_chains", e)
+    run = _Run(map_spec, domain, cfg, rng, cert, span, tol_fp)
+    for name, stage in _STAGES:
+        try:
+            extra = stage(run)
+        except Exception as e:  # noqa: BLE001 - every stage converts to verdict
+            _stage(cert, name, "failed", error=type(e).__name__,
+                   message=str(e))
+            cert.verdict = INCONCLUSIVE
+            cert.verdict_detail = {
+                "stage": name,
+                "error": type(e).__name__,
+                "reason": str(e),
+            }
+            return cert
+        _stage(cert, name, "passed", **extra)
+    x_star = run.x_star
 
     # 7. empirical orbit ensemble (corroboration only)
     want = cfg["n_orbits"]
-    starts_x = np.empty(0)
-    starts_y = np.empty(0)
-    while len(starts_x) < want:
-        cx = rng.uniform(x0, x1, 4 * want)
-        cy = rng.uniform(y0, y1, 4 * want)
-        keep = domain.contains(cx, cy) >= 0
-        starts_x = np.concatenate([starts_x, cx[keep]])[:want]
-        starts_y = np.concatenate([starts_y, cy[keep]])[:want]
-    finals, exits, traces = _run_ensemble(
+    starts_x, starts_y = sample_starts(domain, want, rng)
+    finals, exits, traces, settled = _run_ensemble(
         map_spec, domain, starts_x, starts_y, cfg["orbit_steps"], tol_fp
     )
-    cert.orbit_traces = traces  # attached for report rendering
+    cert.orbit_traces = traces
     worst_dev = float(np.max(np.abs(finals - x_star))) if len(finals) else 0.0
     cert.orbit_ensemble = {
         "n_orbits": want,
@@ -574,7 +596,8 @@ def certify(
         "n_domain_exits": exits,
         "max_final_deviation": worst_dev,
     }
-    if exits or worst_dev > max(1e4 * tol_fp, 1e-6 * span):
+    away = worst_dev > max(1e4 * tol_fp, 1e-6 * span)
+    if exits or (away and settled):
         _stage(cert, "orbit_ensemble", "failed",
                n_domain_exits=exits, max_final_deviation=worst_dev)
         cert.verdict = REFUTED
@@ -584,10 +607,16 @@ def certify(
             "max_final_deviation": worst_dev,
         }
         return cert
-    _stage(cert, "orbit_ensemble", "passed", max_final_deviation=worst_dev)
+    if away:
+        # the orbits stay inside but have not settled within the step
+        # budget: that contradicts nothing, it only corroborates less
+        _stage(cert, "orbit_ensemble", "incomplete",
+               n_domain_exits=exits, max_final_deviation=worst_dev)
+    else:
+        _stage(cert, "orbit_ensemble", "passed", max_final_deviation=worst_dev)
 
     # verdict
-    equilibria = fp.find_equilibria(ext, (x0, x1), n_grid=cfg["n_grid"],
+    equilibria = fp.find_equilibria(run.ext, (x0, x1), n_grid=cfg["n_grid"],
                                     tol_fp=tol_fp)
     if len(equilibria) == 1:
         cert.verdict = GLOBALLY_STABLE

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from monomap.examples import make_eq7, make_eq8, make_xfy
-from monomap.extension import extend_convex, extend_rectangle
+from monomap.extension import extend, extend_rectangle
 from monomap.geometry import DomainSpec
 from monomap.map_model import Box
 
@@ -15,7 +15,7 @@ def eq8_problem():
 @pytest.fixture(scope="session")
 def eq8_ext(eq8_problem):
     spec, domain = eq8_problem
-    return extend_convex(spec, domain)
+    return extend(spec, domain)
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,7 @@ from monomap.errors import DegenerateCase
 from monomap.examples import make_eq7, make_eq8, make_xfy
 from monomap.extension import (
     audit_extension,
-    extend_convex,
+    extend,
     extend_rectangle,
 )
 from monomap.fixed_points import (
@@ -78,7 +78,7 @@ def test_criterion_1_eq8_end_to_end():
     assert inv.verified
     assert inv.n_samples >= 10_000
 
-    ext = extend_convex(spec, domain)
+    ext = extend(spec, domain)
     audit = audit_extension(ext, rng=np.random.default_rng(1))
     assert audit.all_ok
 
@@ -207,7 +207,7 @@ def test_criterion_4_random_domains():
         bx0, bx1, by0, by1 = domain.bbox
         spec = MapSpec(func, sig, Box(bx0, bx1, by0, by1))
 
-        ext = extend_convex(spec, domain)
+        ext = extend(spec, domain)
         audit = audit_extension(ext, grid_n=200,
                                 rng=np.random.default_rng(trial))
         assert audit.agreement_ok, trial

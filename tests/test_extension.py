@@ -12,12 +12,18 @@ from monomap.extension import (
     ExtendedMap,
     audit_extension,
     eval_extended,
-    extend_convex,
+    extend,
     extend_rectangle,
-    extend_semiconvex,
 )
 from monomap.geometry import DomainSpec
-from monomap.map_model import Box, DEC_INC, INC_DEC, MapSpec
+from monomap.map_model import (
+    Box,
+    DEC_INC,
+    INC_DEC,
+    Direction,
+    MapSpec,
+    MonotoneSignature,
+)
 
 
 class TestRectangleExtension:
@@ -91,7 +97,7 @@ class TestSwappedSignature:
         func = lambda x, y: (1.0 + y) / (1.0 + x + y)
         spec = MapSpec(func, DEC_INC, Box(0.0, 1.0, 0.0, 1.0))
         d = DomainSpec.polygon([(0, 0), (1, 0), (1, 0.7), (0.4, 1), (0, 1)])
-        ext = extend_convex(spec, d)
+        ext = extend(spec, d)
         assert not ext.swapped
         assert eval_extended(ext, (0.2, 0.3)) == pytest.approx(
             func(0.2, 0.3), abs=1e-12
@@ -109,7 +115,7 @@ class TestSemiConvex:
         d = DomainSpec.polygon(pts)
         func = lambda x, y: (1.0 + x) / (1.0 + x + y)
         spec = MapSpec(func, INC_DEC, Box(0.0, 2.0, 0.0, 2.0))
-        ext = extend_semiconvex(spec, d)
+        ext = extend(spec, d)
         audit = audit_extension(ext, rng=np.random.default_rng(2))
         assert audit.all_ok
 
@@ -117,7 +123,7 @@ class TestSemiConvex:
         d = DomainSpec.polygon([(0, 0), (1, 0), (0.2, 0.2), (0, 1)])
         func = lambda x, y: (1.0 + x) / (1.0 + x + y)
         spec = MapSpec(func, INC_DEC, Box(0.0, 1.0, 0.0, 1.0))
-        ext = extend_semiconvex(spec, d)
+        ext = extend(spec, d)
         audit = audit_extension(ext, rng=np.random.default_rng(6))
         assert audit.all_ok
 
@@ -128,16 +134,18 @@ class TestSemiConvex:
         func = lambda x, y: (1.0 + x) / (1.0 + x + y)
         spec = MapSpec(func, INC_DEC, Box(0.0, 2.0, 0.0, 2.0))
         with pytest.raises(UnsupportedDomain):
-            extend_semiconvex(spec, d)
+            extend(spec, d)
 
-    def test_convex_builder_rejects_nonconvex(self):
+    def test_u_notch_rejected_by_sector_fill(self):
+        # a deep axis-aligned notch classifies semi-convex, but the
+        # boundary values along its sector arc are not monotone
         pts = [(0, 0), (2, 0), (2, 2), (1.2, 2), (1.2, 0.8),
                (0.8, 0.8), (0.8, 2), (0, 2)]
         d = DomainSpec.polygon(pts)
         func = lambda x, y: (1.0 + x) / (1.0 + x + y)
         spec = MapSpec(func, INC_DEC, Box(0.0, 2.0, 0.0, 2.0))
-        with pytest.raises(UnsupportedDomain):
-            extend_convex(spec, d)
+        with pytest.raises(NonMonotoneInducedEdge):
+            extend(spec, d)
 
 
 class TestSerialization:
@@ -169,7 +177,7 @@ class TestNegativeControls:
         with pytest.raises(
             (NonMonotoneInducedEdge, SectorOrderViolation, UnsupportedDomain)
         ):
-            ext = extend_convex(spec, d)
+            ext = extend(spec, d)
             audit = audit_extension(ext, rng=np.random.default_rng(4))
             assert not audit.all_ok
             raise UnsupportedDomain("caught by audit instead of builder")
@@ -181,3 +189,24 @@ class TestNegativeControls:
         audit = audit_extension(ext, rng=np.random.default_rng(5))
         assert not audit.all_ok
         assert audit.n_monotone_violations > 0
+        # the worst violation is the fall in y, declared increasing, from
+        # the grid point (0, 0): F(0, h) - F(0, 0) = -1/100 for h = 1/99
+        x, y, worst = audit.to_dict()["witnesses"]["monotone"]
+        h = 1.0 / 99
+        assert (x, y) == (0.0, 0.0)
+        assert worst == pytest.approx(func(x, y + h) - func(x, y), rel=1e-12)
+        assert worst < 0
+
+    def test_monotone_witness_is_a_real_violation(self):
+        # declared decreasing in both: only x is violated, worst along y = 1
+        func = lambda x, y: (1.0 + x) / (1.0 + x + y)
+        sig = MonotoneSignature(Direction.DECREASING, Direction.DECREASING)
+        spec = MapSpec(func, sig, Box(0.0, 1.0, 0.0, 1.0))
+        ext = extend_rectangle(spec, Box(0.0, 1.0, 0.0, 1.0))
+        audit = audit_extension(ext, rng=np.random.default_rng(5))
+        assert not audit.monotone_ok
+        x, y, worst = audit.to_dict()["witnesses"]["monotone"]
+        h = 1.0 / 99
+        assert y > 0
+        assert func(x + h, y) - func(x, y) > 0
+        assert worst == pytest.approx(-(func(x + h, y) - func(x, y)), rel=1e-12)

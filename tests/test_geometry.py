@@ -23,6 +23,14 @@ class TestClassification:
         d = DomainSpec.polygon(pts)
         assert d.classify() == DomainKind.SEMI_CONVEX
 
+    def test_keyhole_is_unsupported(self):
+        # probes just below the keyhole's neck see the boundary along
+        # every axis ray, so the exterior-ray test fails
+        pts = [(0, 0), (3, 0), (3, 3), (1.6, 3), (1.6, 2), (2, 2), (2, 1),
+               (1, 1), (1, 2), (1.4, 2), (1.4, 3), (0, 3)]
+        d = DomainSpec.polygon(pts)
+        assert d.classify() == DomainKind.UNSUPPORTED
+
     def test_self_intersecting_rejected(self):
         d = DomainSpec.polygon([(0, 0), (1, 1), (1, 0), (0, 1)])
         with pytest.raises(UnsupportedDomain):
@@ -92,6 +100,42 @@ class TestProjection:
     def test_axis_ray_misses(self):
         d = DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0)
         assert d.project(2.0, 0.5, "x+") is None
+
+
+def _ray_test_one_probe_at_a_time(d):
+    """Reference for DomainSpec._semi_convex_ray_test: the same probes,
+    located and ray-tested one at a time."""
+    v = d.vertices
+    samples = np.concatenate([v, 0.5 * (v + np.roll(v, -1, axis=0))])
+    if len(samples) > 256:
+        samples = samples[:: len(samples) // 256]
+    eps = 64.0 * d.chord_tol + 1e-9 * d.diam
+    for px, py in samples:
+        for ox, oy in [(1, 0), (-1, 0), (0, 1), (0, -1),
+                       (1, 1), (1, -1), (-1, 1), (-1, -1)]:
+            sx, sy = px + ox * eps, py + oy * eps
+            if int(d.contains(sx, sy)) != -1:
+                continue
+            if all(d.project(sx, sy, k) is not None
+                   for k in ("x+", "x-", "y+", "y-")):
+                return False
+    return True
+
+
+def test_ray_test_matches_one_probe_at_a_time():
+    rng = np.random.default_rng(4)
+    seen = set()
+    for _ in range(40):
+        # random star-shaped polygons: simple, often not convex
+        n = int(rng.integers(5, 13))
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        radii = rng.uniform(0.2, 2.0, n)
+        d = DomainSpec.polygon(np.column_stack(
+            [radii * np.cos(angles), 0.7 * radii * np.sin(angles)]))
+        want = _ray_test_one_probe_at_a_time(d)
+        assert d._semi_convex_ray_test() == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 @settings(max_examples=30, deadline=None)

@@ -120,6 +120,19 @@ class TestCertify:
         assert doc["schema_version"] >= 1
         json.dumps(doc)
 
+    def test_short_orbit_budget_leaves_verdict_alone(self):
+        # 5 steps are too few for the orbits to settle; they stay inside
+        # the pentagon, which contradicts nothing the proof stages showed
+        spec, domain = make_eq8(1.0, 0.3)
+        cert = certify(spec, domain, {"orbit_steps": 5})
+        assert cert.verdict == GLOBALLY_STABLE
+        stage = cert.stages[-1]
+        assert stage["stage"] == "orbit_ensemble"
+        assert stage["status"] == "incomplete"
+        assert stage["n_domain_exits"] == 0
+        assert stage["max_final_deviation"] > 1e-6
+        assert cert.orbit_ensemble["steps"] == 5
+
     def test_coppel_style_flat_map(self):
         # one-dimensional contraction viewed as a planar map constant in y
         spec = MapSpec(lambda x, y: x / 2.0 + 0.25 - 0.0 * y, INC_DEC,
