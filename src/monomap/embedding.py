@@ -27,10 +27,9 @@ from .errors import (
     ChainMonotonicityBroken,
     EmbeddingUnavailable,
     NotMixedMonotone,
-    OutsideRect,
     SlowConvergence,
 )
-from .extension import ExtendedMap
+from .extension import ExtendedMap, clamp_to
 from .map_model import INC_DEC
 
 SYM2 = "Sym2"
@@ -168,9 +167,8 @@ class EmbeddedSystem:
                 f"state dimension {s.shape[1]} does not match {self.variant}"
             )
         pad = 1e-9 * (self.b - self.a)
-        if np.any(s < self.a - pad) or np.any(s > self.b + pad):
-            raise OutsideRect("embedded state outside the rectangle bounds")
-        s = np.clip(s, self.a, self.b)
+        s = clamp_to(s, self.a, self.b, pad,
+                     "embedded state outside the rectangle bounds")
         n = s.shape[0]
         out = np.empty_like(s)
         if self.variant == SYM2:
@@ -201,7 +199,7 @@ class EmbeddedSystem:
             out[:, 7] = u2
         # a nice extension keeps values inside the original range up to a
         # small audit tolerance; clamp so chains stay inside the box
-        np.clip(out, self.a, self.b, out=out)
+        out = clamp_to(out, self.a, self.b, copy=False)
         return out[0] if single else out
 
     # -- state <-> planar points -------------------------------------------
@@ -257,52 +255,6 @@ def check_order_preserving(
     )
 
 
-def _run_one_chain(
-    sys: EmbeddedSystem,
-    start: str,
-    max_iter: int,
-    tol_chain: float,
-) -> CornerChain:
-    s = sys.min_corner.copy() if start == MIN_CORNER else sys.max_corner.copy()
-    # the chain rises from the least element and falls from the greatest
-    direction = 1.0 if start == MIN_CORNER else -1.0
-    states = [s]
-    norms = []
-    converged = False
-    checkpoint_norm = np.inf
-    for k in range(max_iter):
-        t = sys.step(s)
-        slack = float(np.min(direction * sys.order_signs * (t - s)))
-        if slack < -tol_chain:
-            raise ChainMonotonicityBroken(
-                f"{start} chain lost monotonicity at iteration {k + 1} "
-                f"(slack {slack:.3e}); the extension or its declared "
-                "monotonicity is inconsistent"
-            )
-        norm = float(np.max(np.abs(t - s)))
-        states.append(t)
-        norms.append(norm)
-        s = t
-        if norm < tol_chain:
-            converged = True
-            break
-        if (k + 1) % 1000 == 0:
-            if norm > 0.999 * checkpoint_norm:
-                raise SlowConvergence(
-                    f"{start} chain step size stalled at {norm:.3e} after "
-                    f"{k + 1} iterations"
-                )
-            checkpoint_norm = norm
-    return CornerChain(
-        start=start,
-        states=np.asarray(states),
-        step_norms=np.asarray(norms),
-        limit=s.copy() if converged else None,
-        monotone_verified=True,
-        converged=converged,
-    )
-
-
 def run_corner_chains(
     sys: EmbeddedSystem,
     max_iter: int = 100000,
@@ -312,17 +264,79 @@ def run_corner_chains(
 
     The two chains are monotone and converge to fixed points a* and b*
     of G with a* preceding b*; every orbit of G is squeezed between
-    them.
+    them.  Both chains advance through one batched step per iteration;
+    each keeps its own convergence, stall and monotonicity tests, and a
+    chain that stops leaves the other to continue alone.  A failure of
+    the MinCorner chain is raised at once; one of the MaxCorner chain is
+    raised only after the MinCorner chain has finished cleanly.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if tol_chain is None:
         tol_chain = 1e-10 * (sys.b - sys.a)
-    lo_chain = _run_one_chain(sys, MIN_CORNER, max_iter, tol_chain)
-    hi_chain = _run_one_chain(sys, MAX_CORNER, max_iter, tol_chain)
-    last_lo = lo_chain.states[-1]
-    last_hi = hi_chain.states[-1]
-    if not sys.precedes(last_lo, last_hi, tol=10 * tol_chain):
+    starts = (MIN_CORNER, MAX_CORNER)
+    # the chain rises from the least element and falls from the greatest
+    slopes = np.stack([sys.order_signs, -sys.order_signs])
+    states = [[sys.min_corner.copy()], [sys.max_corner.copy()]]
+    norms = [[], []]
+    converged = [False, False]
+    checkpoint = [np.inf, np.inf]
+    max_error: Optional[Exception] = None
+    live = [0, 1]  # chains still stepping, in the row order of s
+    s = np.stack([states[0][0], states[1][0]])
+    for k in range(max_iter):
+        t = sys.step(s)
+        diff = t - s
+        slack = np.min(slopes[live] * diff, axis=1)
+        step = np.max(np.abs(diff), axis=1)
+        keep = []
+        for row, c in enumerate(live):
+            error = None
+            if slack[row] < -tol_chain:
+                error = ChainMonotonicityBroken(
+                    f"{starts[c]} chain lost monotonicity at iteration "
+                    f"{k + 1} (slack {float(slack[row]):.3e}); the extension "
+                    "or its declared monotonicity is inconsistent"
+                )
+            else:
+                norm = float(step[row])
+                states[c].append(t[row])
+                norms[c].append(norm)
+                if norm < tol_chain:
+                    converged[c] = True
+                    continue
+                if (k + 1) % 1000 == 0:
+                    if norm > 0.999 * checkpoint[c]:
+                        error = SlowConvergence(
+                            f"{starts[c]} chain step size stalled at "
+                            f"{norm:.3e} after {k + 1} iterations"
+                        )
+                    checkpoint[c] = norm
+            if error is None:
+                keep.append(row)
+            elif c == 0:
+                raise error
+            else:
+                max_error = error
+        if not keep:
+            break
+        live = [live[row] for row in keep]
+        s = t if len(keep) == len(t) else t[keep]
+    if max_error is not None:
+        raise max_error
+    lo_chain, hi_chain = (
+        CornerChain(
+            start=starts[c],
+            states=np.asarray(states[c]),
+            step_norms=np.asarray(norms[c]),
+            limit=states[c][-1].copy() if converged[c] else None,
+            monotone_verified=True,
+            converged=converged[c],
+        )
+        for c in (0, 1)
+    )
+    if not sys.precedes(lo_chain.states[-1], hi_chain.states[-1],
+                        tol=10 * tol_chain):
         raise ChainMonotonicityBroken(
             "the lower corner chain overtook the upper corner chain"
         )

@@ -224,11 +224,12 @@ class _ChainTable:
         n = len(coord)
         if first:
             i = np.searchsorted(coord, q, side="left")
-            i = np.clip(i, 0, n - 1)
+            np.minimum(i, n - 1, out=i)
             j = np.maximum(i - 1, 0)
             denom = coord[i] - coord[j]
             lam = np.where(denom > 0, (q - coord[j]) / np.where(denom > 0, denom, 1), 1.0)
-            lam = np.where(i == 0, 0.0, np.clip(lam, 0.0, 1.0))
+            _unit_clamp(lam)
+            lam = np.where(i == 0, 0.0, lam)
             base = np.where(i == 0, 0, j)
             x = self.xs[base] + lam * (self.xs[np.minimum(base + 1, n - 1)] - self.xs[base])
             y = self.ys[base] + lam * (self.ys[np.minimum(base + 1, n - 1)] - self.ys[base])
@@ -237,11 +238,12 @@ class _ChainTable:
             return edge, interior_from, x, y
         else:
             i = np.searchsorted(coord, q, side="right") - 1
-            i = np.clip(i, 0, n - 1)
+            np.maximum(i, 0, out=i)
             nxt = np.minimum(i + 1, n - 1)
             denom = coord[nxt] - coord[i]
             lam = np.where(denom > 0, (q - coord[i]) / np.where(denom > 0, denom, 1), 0.0)
-            lam = np.where(i == n - 1, 0.0, np.clip(lam, 0.0, 1.0))
+            _unit_clamp(lam)
+            lam = np.where(i == n - 1, 0.0, lam)
             x = self.xs[i] + lam * (self.xs[nxt] - self.xs[i])
             y = self.ys[i] + lam * (self.ys[nxt] - self.ys[i])
             interior_to = i  # last vertex at/before the crossing
@@ -286,14 +288,24 @@ def _dedupe_polyline(pts, srcs):
     return pts2, srcs2
 
 
+def _unit_clamp(lam: np.ndarray) -> None:
+    """Clamp an array to [0, 1] in place, as np.clip does but without its
+    Python-level wrapper (the bound comes first: on a tie numpy's
+    maximum/minimum return the second operand, which keeps the value)."""
+    np.maximum(0.0, lam, out=lam)
+    np.minimum(1.0, lam, out=lam)
+
+
 def _interp_mono(knot_q, knot_v, q):
     """Piecewise-linear interpolation on weakly monotone increasing
     knots (ties collapse to the earlier knot)."""
     n = len(knot_q)
-    i = np.clip(np.searchsorted(knot_q, q, side="left"), 1, n - 1)
+    i = np.searchsorted(knot_q, q, side="left")
+    np.maximum(i, 1, out=i)
+    np.minimum(i, n - 1, out=i)
     d = knot_q[i] - knot_q[i - 1]
     lam = np.where(d > 0, (q - knot_q[i - 1]) / np.where(d > 0, d, 1), 0.0)
-    lam = np.clip(lam, 0.0, 1.0)
+    _unit_clamp(lam)
     return knot_v[i - 1] + lam * (knot_v[i] - knot_v[i - 1])
 
 
@@ -658,31 +670,26 @@ class _Engine:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         out = np.empty(x.shape)
         code = self.classify(x, y)
-        m = code == _Z_BASE
-        if np.any(m):
-            out[m] = self.func(x[m], y[m])
-        m = code == _Z_SWBAND
-        if np.any(m):
-            out[m] = self._eval_sw(x[m], y[m], corner=False)
-        m = code == _Z_SWCORNER
-        if np.any(m):
-            out[m] = self._eval_sw(x[m], y[m], corner=True)
-        m = code == _Z_SE
-        if np.any(m):
-            out[m] = self.t_se.window("y", y[m], "x", x[m], want_max=False)
-        m = code == _Z_NW
-        if np.any(m):
-            out[m] = self._eval_nw(x[m], y[m])
-        m = code == _Z_NEBAND
-        if np.any(m):
-            out[m] = self._eval_ne(x[m], y[m], corner=False)
-        m = code == _Z_NECORNER
-        if np.any(m):
-            out[m] = self._eval_ne(x[m], y[m], corner=True)
-        for k, s in enumerate(self.sectors):
-            m = code == _Z_SECTOR + k
-            if np.any(m):
-                out[m] = s.eval(x[m], y[m])
+        # only the zones that occur; a small batch usually hits one
+        for zone in np.flatnonzero(np.bincount(code)).tolist():
+            m = code == zone
+            xm, ym = x[m], y[m]
+            if zone == _Z_BASE:
+                out[m] = self.func(xm, ym)
+            elif zone == _Z_SWBAND:
+                out[m] = self._eval_sw(xm, ym, corner=False)
+            elif zone == _Z_SWCORNER:
+                out[m] = self._eval_sw(xm, ym, corner=True)
+            elif zone == _Z_SE:
+                out[m] = self.t_se.window("y", ym, "x", xm, want_max=False)
+            elif zone == _Z_NW:
+                out[m] = self._eval_nw(xm, ym)
+            elif zone == _Z_NEBAND:
+                out[m] = self._eval_ne(xm, ym, corner=False)
+            elif zone == _Z_NECORNER:
+                out[m] = self._eval_ne(xm, ym, corner=True)
+            else:
+                out[m] = self.sectors[zone - _Z_SECTOR].eval(xm, ym)
         return out
 
     def _eval_nw(self, x, y):
@@ -1028,6 +1035,26 @@ class ExtensionAudit:
         }
 
 
+def clamp_to(v: np.ndarray, lo: float, hi: float, pad: float = np.inf,
+             what: str = "", copy: bool = True) -> np.ndarray:
+    """``v`` clipped to [lo, hi]; OutsideRect(what) when a value lies more
+    than ``pad`` outside.
+
+    One min and one max reduction decide both.  An array already inside
+    comes back as it is; only one that needs clipping is clipped, into a
+    copy or, with copy=False, in place.  NaN passes through, as it does
+    through np.clip.
+    """
+    if not v.size:
+        return v
+    vmin, vmax = v.min(), v.max()
+    if vmin < lo - pad or vmax > hi + pad:
+        raise OutsideRect(what)
+    if vmin >= lo and vmax <= hi:
+        return v
+    return np.clip(v, lo, hi, out=None if copy else v)
+
+
 def _swap_piece(p: ExtensionPiece) -> ExtensionPiece:
     """The piece mirrored across the diagonal (the frame swap is its own
     inverse)."""
@@ -1069,12 +1096,9 @@ class ExtendedMap:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         r = self.rect
         pad = 1e-9 * r.diam
-        if np.any(x < r.x0 - pad) or np.any(x > r.x1 + pad) or np.any(
-            y < r.y0 - pad
-        ) or np.any(y > r.y1 + pad):
-            raise OutsideRect("evaluation point outside the extension rectangle")
-        x = np.clip(x, r.x0, r.x1)
-        y = np.clip(y, r.y0, r.y1)
+        what = "evaluation point outside the extension rectangle"
+        x = clamp_to(x, r.x0, r.x1, pad, what)
+        y = clamp_to(y, r.y0, r.y1, pad, what)
         if self.engine is None:
             out = np.asarray(self.base(x, y), dtype=float)
         elif self.swapped:

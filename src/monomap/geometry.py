@@ -230,16 +230,25 @@ class DomainSpec:
         return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
 
     def _is_self_intersecting(self) -> bool:
+        """True when two edges that share no vertex cross.  Each edge
+        (p0, p1) is tested against all later edges (q0, q1) in one array
+        pass of the four orientation tests of a segment pair."""
         v = self.vertices
         n = len(v)
-        p = v
         q = np.roll(v, -1, axis=0)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue
-                if _segments_cross(p[i], q[i], p[j], q[j]):
-                    return True
+        ax, ay, bx, by = v[:, 0], v[:, 1], q[:, 0], q[:, 1]
+        for i in range(n - 2):
+            # the later edges not adjacent to edge i (edge n-1 closes
+            # the ring onto edge 0)
+            j = slice(i + 2, n - 1 if i == 0 else n)
+            p0x, p0y, p1x, p1y = ax[i], ay[i], bx[i], by[i]
+            q0x, q0y, q1x, q1y = ax[j], ay[j], bx[j], by[j]
+            d1 = (q1x - q0x) * (p0y - q0y) - (q1y - q0y) * (p0x - q0x)
+            d2 = (q1x - q0x) * (p1y - q0y) - (q1y - q0y) * (p1x - q0x)
+            d3 = (p1x - p0x) * (q0y - p0y) - (p1y - p0y) * (q0x - p0x)
+            d4 = (p1x - p0x) * (q1y - p0y) - (p1y - p0y) * (q1x - p0x)
+            if np.any(((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))):
+                return True
         return False
 
     def _semi_convex_ray_test(self) -> bool:
@@ -263,14 +272,3 @@ class DomainSpec:
                    for d in ("x+", "x-", "y+", "y-")):
                 return False
         return True
-
-
-def _segments_cross(p0, p1, q0, q1) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(q0, q1, p0)
-    d2 = orient(q0, q1, p1)
-    d3 = orient(p0, p1, q0)
-    d4 = orient(p0, p1, q1)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))

@@ -162,6 +162,11 @@ class Orbit:
         }
 
 
+# points per containment call in iterate_orbit: bounds the point x edge
+# temporaries of DomainSpec.contains on long orbits
+_ORBIT_BLOCK = 1 << 16
+
+
 def iterate_orbit(
     map_spec: MapSpec,
     x0: float,
@@ -169,25 +174,33 @@ def iterate_orbit(
     n: int,
     domain: Optional[DomainSpec] = None,
 ) -> Orbit:
-    """Run x_{k+1} = F(x_k, x_{k-1}) for n steps from (x0, x_m1)."""
+    """Run x_{k+1} = F(x_k, x_{k-1}) for n steps from (x0, x_m1).
+
+    ``exited_at`` is the first n with (x_n, x_{n-1}) outside the domain;
+    the orbit is located after it has run, block by block, up to the
+    first block with an exit.
+    """
     vals = np.empty(n + 2)
     vals[0] = x_m1
     vals[1] = x0
-    exited = None
     for k in range(n):
-        cur, prev = vals[k + 1], vals[k]
-        nxt = float(map_spec(cur, prev))
+        nxt = float(map_spec(vals[k + 1], vals[k]))
         if not np.isfinite(nxt):
             raise NonFiniteValue(
                 f"orbit produced a non-finite value at step {k + 1}"
             )
         vals[k + 2] = nxt
-        if (
-            exited is None
-            and domain is not None
-            and domain.contains(nxt, cur, tol=4 * domain.chord_tol) < 0
-        ):
-            exited = k + 1
+    exited = None
+    if domain is not None:
+        tol = 4 * domain.chord_tol
+        for start in range(0, n, _ORBIT_BLOCK):
+            stop = min(start + _ORBIT_BLOCK, n)
+            codes = domain.contains(vals[start + 2 : stop + 2],
+                                    vals[start + 1 : stop + 1], tol=tol)
+            out = np.flatnonzero(codes < 0)
+            if out.size:
+                exited = start + int(out[0]) + 1
+                break
     return Orbit(values=vals, exited_at=exited)
 
 
@@ -485,8 +498,8 @@ def _run_chains(run: _Run) -> dict:
     # each chain stopped on its own step size; when the contraction
     # is slow the two limits can still sit a geometric tail apart,
     # so keep stepping both until they meet or the gap stalls
-    s_lo, s_hi = lo.limit.copy(), hi.limit.copy()
-    gap = float(np.max(np.abs(s_lo - s_hi)))
+    pair = np.stack([lo.limit, hi.limit])
+    gap = float(np.max(np.abs(pair[0] - pair[1])))
     checkpoint = np.inf
     for k in range(cfg["max_iter"]):
         if gap <= 10 * tol_fp:
@@ -495,9 +508,9 @@ def _run_chains(run: _Run) -> dict:
             if gap > 0.999 * checkpoint:
                 break  # genuinely separated limits
             checkpoint = gap
-        s_lo = sys.step(s_lo)
-        s_hi = sys.step(s_hi)
-        gap = float(np.max(np.abs(s_lo - s_hi)))
+        pair = sys.step(pair)
+        gap = float(np.max(np.abs(pair[0] - pair[1])))
+    s_lo = pair[0]
     diag = float(np.max(np.abs(s_lo - s_lo[0])))
     if gap > 10 * tol_fp or diag > 10 * tol_fp:
         raise MonomapError(

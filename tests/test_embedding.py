@@ -15,7 +15,11 @@ from monomap.embedding import (
     run_corner_chains,
     squeeze_bounds,
 )
-from monomap.errors import EmbeddingUnavailable, SlowConvergence
+from monomap.errors import (
+    ChainMonotonicityBroken,
+    EmbeddingUnavailable,
+    SlowConvergence,
+)
 from monomap.extension import extend_rectangle
 from monomap.map_model import Box, DEC_INC, INC_DEC, MapSpec
 
@@ -139,8 +143,138 @@ class TestCornerChains:
         spec = MapSpec(func, INC_DEC, Box(0.0, 1.0, 0.0, 1.0))
         ext = extend_rectangle(spec, Box(0.0, 1.0, 0.0, 1.0))
         sys = build_embedding(ext, SYM2)
-        with pytest.raises(SlowConvergence):
+        with pytest.raises(SlowConvergence) as got:
             run_corner_chains(sys, max_iter=100000, tol_chain=1e-16)
+        # both chains stall at iteration 1000; the MinCorner one is reported,
+        # as when the chains run one after the other
+        with pytest.raises(SlowConvergence) as want:
+            _reference_chains(sys, tol_chain=1e-16)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{MIN_CORNER} chain step size")
+
+
+def _reference_chain(sys, start, max_iter, tol_chain):
+    """One corner chain stepped on its own, one state per step."""
+    s = sys.min_corner.copy() if start == MIN_CORNER else sys.max_corner.copy()
+    direction = 1.0 if start == MIN_CORNER else -1.0
+    states = [s]
+    norms = []
+    checkpoint_norm = np.inf
+    for k in range(max_iter):
+        t = sys.step(s)
+        slack = float(np.min(direction * sys.order_signs * (t - s)))
+        if slack < -tol_chain:
+            raise ChainMonotonicityBroken(
+                f"{start} chain lost monotonicity at iteration {k + 1} "
+                f"(slack {slack:.3e}); the extension or its declared "
+                "monotonicity is inconsistent"
+            )
+        norm = float(np.max(np.abs(t - s)))
+        states.append(t)
+        norms.append(norm)
+        s = t
+        if norm < tol_chain:
+            break
+        if (k + 1) % 1000 == 0:
+            if norm > 0.999 * checkpoint_norm:
+                raise SlowConvergence(
+                    f"{start} chain step size stalled at {norm:.3e} after "
+                    f"{k + 1} iterations"
+                )
+            checkpoint_norm = norm
+    return np.asarray(states), np.asarray(norms)
+
+
+def _reference_chains(sys, max_iter=100000, tol_chain=None):
+    """The MinCorner chain to its end, then the MaxCorner chain."""
+    if tol_chain is None:
+        tol_chain = 1e-10 * (sys.b - sys.a)
+    return [_reference_chain(sys, start, max_iter, tol_chain)
+            for start in (MIN_CORNER, MAX_CORNER)]
+
+
+class _Rowwise:
+    """An embedded system whose step t of a state s becomes
+    ``change(sys, s, t)`` for the states whose first coordinate satisfies
+    ``pick``.  The rule looks at each state alone, so stepping one state
+    or a batch sees the same changes."""
+
+    def __init__(self, sys, pick, change):
+        self._sys = sys
+        self._pick = pick
+        self._change = change
+
+    def __getattr__(self, name):
+        return getattr(self._sys, name)
+
+    def step(self, state):
+        s = np.asarray(state, dtype=float)
+        t = self._sys.step(s)
+        hit = self._pick(s[..., 0])
+        t[hit] = self._change(self._sys, s[hit], t[hit])
+        return t
+
+
+# a step run backwards: a chain through such a state loses monotonicity
+_REVERSE = lambda sys, s, t: 2 * s - t
+# two steps of G at once: a chain through such states stays monotone
+# and gets ahead
+_TWICE = lambda sys, s, t: sys.step(t)
+
+# for the eq7 chains on [0, 1]: the MaxCorner chain starts at first
+# coordinate 1 and falls towards 0.7071; the MinCorner chain rises from
+# 0 through 0.5 and 0.6
+_AT_MAX_CORNER = lambda x: x > 0.99
+_ON_MIN_CHAIN = lambda x: (x > 0.55) & (x < 0.62)
+_ABOVE_LIMIT = lambda x: x > 0.71
+
+
+class TestBatchedChainsMatchPerCorner:
+    """run_corner_chains steps both corners as one batch; each chain must
+    come out exactly as when stepped alone."""
+
+    @pytest.mark.parametrize("variant", [SYM2, SYM4, SYM8])
+    @pytest.mark.parametrize("ext_name", ["eq7_ext", "eq8_ext"])
+    def test_states_and_step_norms_bit_for_bit(self, request, ext_name,
+                                               variant):
+        sys = build_embedding(request.getfixturevalue(ext_name), variant)
+        chains = run_corner_chains(sys)
+        for chain, (states, norms) in zip(chains, _reference_chains(sys)):
+            assert chain.converged
+            assert np.array_equal(chain.states, states)
+            assert np.array_equal(chain.step_norms, norms)
+            assert np.array_equal(chain.limit, states[-1])
+
+    @pytest.mark.parametrize("variant", [SYM2, SYM4, SYM8])
+    def test_chain_that_stops_first_leaves_the_other_running(self, eq7_ext,
+                                                            variant):
+        # the MaxCorner chain takes double steps and converges first
+        sys = _Rowwise(build_embedding(eq7_ext, variant), _ABOVE_LIMIT, _TWICE)
+        lo, hi = run_corner_chains(sys)
+        (lo_states, lo_norms), (hi_states, hi_norms) = _reference_chains(sys)
+        assert lo.converged and hi.converged
+        assert hi.n_iter < lo.n_iter
+        assert np.array_equal(lo.states, lo_states)
+        assert np.array_equal(lo.step_norms, lo_norms)
+        assert np.array_equal(hi.states, hi_states)
+        assert np.array_equal(hi.step_norms, hi_norms)
+
+    @pytest.mark.parametrize("variant", [SYM2, SYM4, SYM8])
+    @pytest.mark.parametrize("fault,failing", [
+        (_AT_MAX_CORNER, MAX_CORNER),
+        (_ON_MIN_CHAIN, MIN_CORNER),
+        # the MaxCorner chain fails first (iteration 1), the MinCorner
+        # chain later (iteration 3); the MinCorner error is the one raised
+        (lambda x: _AT_MAX_CORNER(x) | _ON_MIN_CHAIN(x), MIN_CORNER),
+    ], ids=["max_corner_only", "min_corner_only", "both"])
+    def test_failure_type_and_message(self, eq7_ext, variant, fault, failing):
+        sys = _Rowwise(build_embedding(eq7_ext, variant), fault, _REVERSE)
+        with pytest.raises(ChainMonotonicityBroken) as want:
+            _reference_chains(sys)
+        with pytest.raises(ChainMonotonicityBroken) as got:
+            run_corner_chains(sys)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{failing} chain lost")
 
 
 class TestSqueeze:

@@ -138,6 +138,51 @@ def test_ray_test_matches_one_probe_at_a_time():
     assert seen == {True, False}
 
 
+def _self_intersecting_pairwise(d):
+    """Reference for DomainSpec._is_self_intersecting: every pair of
+    edges that share no vertex, one pair at a time."""
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    p = d.vertices
+    q = np.roll(p, -1, axis=0)
+    n = len(p)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            d1 = orient(p[j], q[j], p[i])
+            d2 = orient(p[j], q[j], q[i])
+            d3 = orient(p[i], q[i], p[j])
+            d4 = orient(p[i], q[i], q[j])
+            if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+                return True
+    return False
+
+
+def test_self_intersection_matches_pairwise_loop():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for k in range(120):
+        n = int(rng.integers(3, 25))
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        radii = rng.uniform(0.2, 2.0, n)
+        pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+        if k % 3 == 1:
+            pts = pts[rng.permutation(n)]  # mostly self-intersecting
+        elif k % 3 == 2:
+            # small integer grid: collinear and touching edges, exact zeros
+            pts = rng.integers(0, 4, (n, 2)).astype(float)
+        try:
+            d = DomainSpec.polygon(pts)
+        except UnsupportedDomain:
+            continue
+        want = _self_intersecting_pairwise(d)
+        assert d._is_self_intersecting() == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(5, 12),

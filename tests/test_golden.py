@@ -1,6 +1,6 @@
 """Golden-artifact regression test.
 
-Reruns three CLI commands and compares every artifact they write, byte
+Reruns five CLI commands and compares every artifact they write, byte
 for byte, with the copies under ``tests/data/golden/``:
 
 * ``eq8_certify``: eq8 with p = 1, h = 0.3 and seed 0, the
@@ -8,7 +8,11 @@ for byte, with the copies under ``tests/data/golden/``:
 * ``eq7_certify``: eq7 with p = 0.5, q = 2, r = 4, the Inconclusive
   path where an artificial pair is found;
 * ``notched_extend``: ``extend`` of (1 + x)/(1 + x + y), signature
-  inc_dec, on a notched polygon that needs a sector fill.
+  inc_dec, on a notched polygon that needs a sector fill;
+* ``eq8_near_degenerate_certify``: eq8 with p = 1, h = 0.49 and seed 0,
+  whose corner chains run for thousands of steps before they meet;
+* ``eq8_simulate``: one 10,000-step eq8 orbit (p = 1, h = 0.45) from a
+  fixed start inside the pentagon.
 
 A refactor must leave these bytes unchanged.  The golden files may be
 regenerated only together with a ``schema_version`` bump that
@@ -43,6 +47,17 @@ CASES = {
         "signature = inc_dec\n\n[domain]\nkind = polygon\n"
         "vertices = 0,0;2,0;2,2;1.4,2;1.0,1.3;0.6,2;0,2\n\n[run]\nseed = 0\n",
         ("extension.json", "extension_audit.json"),
+    ),
+    "eq8_near_degenerate_certify": (
+        "certify",
+        "[map]\nfamily = eq8\np = 1.0\nh = 0.49\n\n[run]\nseed = 0\n",
+        ("certificate.json", "chains.csv"),
+    ),
+    "eq8_simulate": (
+        "simulate",
+        "[map]\nfamily = eq8\np = 1.0\nh = 0.45\n\n"
+        "[run]\nx0 = 2.0\nx_m1 = 0.5\nsteps = 10000\n",
+        ("orbit.svg", "orbits.csv", "phase.svg"),
     ),
 }
 

@@ -53,6 +53,77 @@ class TestOrbits:
         assert orbit.exited_at is not None
 
 
+def _reference_orbit(map_spec, x0, x_m1, n, domain):
+    """iterate_orbit with the domain checked after every step."""
+    vals = np.empty(n + 2)
+    vals[0] = x_m1
+    vals[1] = x0
+    exited = None
+    for k in range(n):
+        cur, prev = vals[k + 1], vals[k]
+        nxt = float(map_spec(cur, prev))
+        vals[k + 2] = nxt
+        if exited is None and domain.contains(
+            nxt, cur, tol=4 * domain.chord_tol
+        ) < 0:
+            exited = k + 1
+    return vals, exited
+
+
+# x_{n+1} = 2 cos(t) x_n - x_{n-1} turns (x_n, x_{n-1}) around an
+# ellipse by t per step; the hexagon is flat, so the orbit leaves it
+# through the top and bottom and comes back each half turn
+_TURN = 0.05
+_ROTATION = MapSpec(lambda x, y: 2 * np.cos(_TURN) * x - y, INC_DEC,
+                    Box(-2.0, 2.0, -2.0, 2.0), name="rotation")
+_FLAT_HEXAGON = DomainSpec.polygon(
+    [(-1.2, 0.0), (-0.9, -0.5), (0.9, -0.5), (1.2, 0.0), (0.9, 0.5),
+     (-0.9, 0.5)])
+
+
+class TestOrbitContainmentPass:
+    """iterate_orbit locates the whole orbit after it has run, block by
+    block; exited_at and the values must be those of a per-step check."""
+
+    def _assert_matches_reference(self, x0, x_m1, n):
+        orbit = iterate_orbit(_ROTATION, x0, x_m1, n, domain=_FLAT_HEXAGON)
+        vals, exited = _reference_orbit(_ROTATION, x0, x_m1, n, _FLAT_HEXAGON)
+        assert np.array_equal(orbit.values, vals)
+        assert orbit.exited_at == exited
+        return orbit
+
+    @pytest.mark.parametrize("block", [1, 5, 11, 12, 1 << 16])
+    def test_leaves_and_re_enters(self, monkeypatch, block):
+        # first exit at n = 12: block 11 puts it first in the second
+        # block, block 12 last in the first
+        monkeypatch.setattr(stab, "_ORBIT_BLOCK", block)
+        orbit = self._assert_matches_reference(0.0, np.sin(_TURN), 200)
+        assert orbit.exited_at == 12
+        codes = _FLAT_HEXAGON.contains(orbit.values[2:], orbit.values[1:-1])
+        assert codes[orbit.exited_at - 1] < 0
+        assert np.any(codes[orbit.exited_at:] > 0)  # it came back in
+
+    def test_start_outside(self):
+        assert _FLAT_HEXAGON.contains(1.0, np.cos(_TURN)) < 0
+        orbit = self._assert_matches_reference(1.0, np.cos(_TURN), 50)
+        assert orbit.exited_at == 1
+
+    @pytest.mark.parametrize("start", [(0.0, 0.1), (1.0, np.cos(_TURN))])
+    def test_no_steps(self, start):
+        orbit = self._assert_matches_reference(*start, 0)
+        assert orbit.exited_at is None
+        assert list(orbit.values) == [start[1], start[0]]
+
+    def test_longer_than_one_block(self, monkeypatch):
+        monkeypatch.setattr(stab, "_ORBIT_BLOCK", 8)
+        # stays inside for 4 blocks and a part block: no exit anywhere
+        orbit = self._assert_matches_reference(0.0, 0.01, 37)
+        assert orbit.exited_at is None
+        # first exit in the second block
+        orbit = self._assert_matches_reference(0.0, np.sin(_TURN), 37)
+        assert orbit.exited_at == 12
+
+
 class TestLocalStability:
     def test_eq8_equilibrium_is_a_sink(self, eq8_problem):
         spec, _ = eq8_problem
