@@ -5,9 +5,9 @@
 
 The config is flat ``key = value`` text under ``[section]`` headers (see
 README for the key reference).  Exit codes: 0 success / GloballyStable,
-1 Inconclusive verdict, 2 audit or oracle failure, 3 unsupported
-domain, 4 configuration error.  With a fixed seed all JSON/CSV/SVG
-outputs are byte-identical across runs.
+1 Inconclusive verdict or unresolved fixed-point search, 2 audit or
+numeric failure, 3 unsupported domain, 4 configuration error.  With a
+fixed seed all JSON/CSV/SVG outputs are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -120,7 +120,6 @@ _KNOWN_KEYS = {
         "orbit_steps",
         "variant",
         "n_grid",
-        "n_dense",
         "n_boundary",
         "max_iter",
         "audit_grid",
@@ -297,27 +296,19 @@ def cmd_fixedpoints(cfg: dict, out: Path, seed: int, tols: dict) -> int:
     spec, domain = build_problem(cfg)
     ext = extend(spec, domain)
     n_grid = _as_int(cfg["run"], "n_grid", 256)
-    n_dense = _as_int(cfg["run"], "n_dense", 1024)
     rep = fp.find_artificial(ext, n_grid=n_grid, tol_fp=tols.get("tol_fp"))
-    oracle = fp.oracle_sweep(ext, n_dense=n_dense)
-    ok, detail = fp.check_oracle_consistency(ext, rep, oracle)
-    doc = rep.to_dict()
-    doc["oracle_consistent"] = ok
-    doc["oracle_detail"] = {
-        k: v for k, v in detail.items() if k != "orphan_marks"
-    }
-    report.write_json(out / "fixed_points.json", doc)
+    report.write_json(out / "fixed_points.json", rep.to_dict())
     print(f"equilibria: {[x for x, _ in rep.equilibria]}; artificial: "
-          f"{[pair for pair, _ in rep.artificial]}; oracle "
-          f"{'consistent' if ok else 'INCONSISTENT'}")
-    return EXIT_OK if ok else EXIT_AUDIT_FAIL
+          f"{[pair for pair, _, _ in rep.artificial]}; "
+          f"{len(rep.unresolved)} unresolved search box(es)")
+    return EXIT_INCONCLUSIVE if rep.unresolved else EXIT_OK
 
 
 def cmd_certify(cfg: dict, out: Path, seed: int, tols: dict) -> int:
     spec, domain = build_problem(cfg)
     run = cfg["run"]
     ccfg = {"seed": seed}
-    for key in ("n_boundary", "n_grid", "n_dense", "n_orbits",
+    for key in ("n_boundary", "n_grid", "n_orbits",
                 "orbit_steps", "max_iter", "audit_grid", "n_order_pairs"):
         v = _as_int(run, key)
         if v is not None:

@@ -12,46 +12,75 @@ box before comparison, so roots created by the box clamp (for maps
 whose range overflows the box) are found as well; those are precisely
 the extra fixed points the embedded iteration can converge to.
 
-Searches are grid sweeps with damped-Newton refinement, backed by an
-independent dense brute-force oracle (`oracle_sweep`) so that a missed
-root shows up as an unexplained flagged cell.
+Equilibria come from a 1-D sweep with bisection.  Artificial fixed
+points come from a quadtree over the half y >= x of the box that rests
+on monotonicity: on a cell [x0, x1] x [y0, y1] a map increasing in x
+and decreasing in y takes exactly the values [F(x0, y1), F(x1, y0)], so
+four corner values enclose both components of the clamped residual
+(the decomposition function of mixed-monotone systems).  A cell whose
+enclosure misses 0 holds no root and is dropped; the cells left at the
+finest width are reported, as a pair or as unresolved, never dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ContinuumOfFixedPoints, DegenerateCase, ParamConstraint
 from .extension import ExtendedMap
-from .map_model import MapSpec
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-METHOD_SWEEP = "NumericSweep"
+METHOD_ENCLOSURE = "MonotoneEnclosure"
+
+# refinement stops at cells 2^-_MAX_DEPTH of the box wide, or before a
+# level would hold more than _MAX_CELLS cells
+_MAX_DEPTH = 40
+_MAX_CELLS = 1 << 18
+# every enclosure comparison is widened by this many ulps of the box's
+# largest coordinate, for the rounding of F and of the differences
+_ULPS = 8
+
+LIMITS = (
+    "the search is only as sound as the monotonicity of the extended map",
+    "it proves nothing in the band |x - y| <= diagonal_band; equilibria "
+    "there come from a 1-D bracketing of F(x, x) - x",
+)
+
+# ((x, y) centre, residual at the centre, (x0, x1, y0, y1) box)
+Kept = Tuple[Tuple[float, float], float, Tuple[float, float, float, float]]
 
 
 def _as_eval(target) -> Callable:
     """Vectorized (x, y) -> F(x, y) from a map spec, extension, or callable."""
     if isinstance(target, ExtendedMap):
         return target.eval
-    if isinstance(target, MapSpec):
-        return lambda x, y: np.asarray(target(x, y), dtype=float)
     return lambda x, y: np.asarray(target(x, y), dtype=float)
+
+
+def _kept_dict(k: Kept) -> dict:
+    (x, y), res, box = k
+    return {"x": x, "y": y, "residual": res, "box": list(box)}
 
 
 @dataclass
 class FixedPointReport:
-    """Roots of the symmetric system F(x,y)=x, F(y,x)=y on a square box."""
+    """Roots of the symmetric system F(x,y)=x, F(y,x)=y on a square box.
+
+    ``artificial`` and ``unresolved`` split the boxes the search kept: a
+    box whose centre residual is at most tol_fp is an artificial pair,
+    any other box is unresolved.
+    """
 
     equilibria: List[Tuple[float, float]]  # (x*, residual)
-    artificial: List[Tuple[Tuple[float, float], float]]  # ((x, y), residual)
-    suspicious: List[dict] = field(default_factory=list)
-    sweep: dict = field(default_factory=dict)
-    method: str = METHOD_SWEEP
+    artificial: List[Kept]
+    unresolved: List[Kept] = field(default_factory=list)
+    search: dict = field(default_factory=dict)
+    method: str = METHOD_ENCLOSURE
 
     @property
     def has_artificial(self) -> bool:
@@ -64,11 +93,12 @@ class FixedPointReport:
             "equilibria": [
                 {"x": x, "residual": r} for x, r in self.equilibria
             ],
-            "artificial": [
-                {"x": p[0], "y": p[1], "residual": r} for p, r in self.artificial
-            ],
-            "suspicious": self.suspicious,
-            "sweep": self.sweep,
+            "artificial": [_kept_dict(k) for k in self.artificial],
+            "search": {
+                **self.search,
+                "unresolved": [_kept_dict(k) for k in self.unresolved],
+            },
+            "limits": list(LIMITS),
         }
 
 
@@ -121,7 +151,7 @@ def find_equilibria(
 
 
 # ---------------------------------------------------------------------------
-# The symmetric system H(x, y) = (F(x,y)-x, F(y,x)-y), clamped to the box.
+# Artificial fixed points: monotone enclosures on a quadtree.
 # ---------------------------------------------------------------------------
 
 
@@ -135,65 +165,51 @@ def _square_bounds(rect) -> Tuple[float, float]:
     return float(x0), float(x1)
 
 
-def _h_system(F: Callable, a: float, b: float) -> Callable:
-    def H(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        h1 = np.clip(F(x, y), a, b) - x
-        h2 = np.clip(F(y, x), a, b) - y
-        if x.ndim == 0 and y.ndim == 0:
-            return np.squeeze(h1), np.squeeze(h2)
-        return h1, h2
-
-    return H
+def _nodes(k: np.ndarray, n: int, a: float, b: float) -> np.ndarray:
+    """Coordinates of grid lines k of n equal cells of [a, b]; k / n is
+    exact, so a node shared by two cells has one value, and node n is b."""
+    return np.where(k == n, b, a + (b - a) * (k / n))
 
 
-def _newton_refine(H, x, y, a, b, tol_fp):
-    """Damped Newton with finite-difference Jacobian, clamped to the box."""
-    p = np.array([x, y], dtype=float)
-    h1, h2 = H(p[0], p[1])
-    res = max(abs(float(h1)), abs(float(h2)))
-    for _ in range(60):
-        if res < tol_fp:
-            return p, res, True
-        step_h = 1e-6 * max(1.0, abs(p[0]), abs(p[1]))
-        # one-sided differences, flipped at the box edge
-        J = np.empty((2, 2))
-        for j in range(2):
-            q = p.copy()
-            dh = step_h if q[j] + step_h <= b else -step_h
-            q[j] += dh
-            g1, g2 = H(q[0], q[1])
-            J[0, j] = (float(g1) - float(h1)) / dh
-            J[1, j] = (float(g2) - float(h2)) / dh
-        try:
-            delta = np.linalg.solve(J, -np.array([float(h1), float(h2)]))
-        except np.linalg.LinAlgError:
-            return p, res, False
-        lam = 1.0
-        for _ in range(50):
-            q = np.clip(p + lam * delta, a, b)
-            g1, g2 = H(q[0], q[1])
-            new_res = max(abs(float(g1)), abs(float(g2)))
-            if new_res < res:
-                break
-            lam *= 0.5
-        else:
-            return p, res, False
-        p, h1, h2, res = q, g1, g2, new_res
-    return p, res, res < tol_fp
+def _labels(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Index of the 8-connected group of each grid cell (i, j)."""
+    todo = {c: k for k, c in enumerate(zip(i.tolist(), j.tolist()))}
+    label = np.empty(len(todo), dtype=np.int64)
+    group = 0
+    while todo:
+        frontier = [todo.popitem()]
+        while frontier:
+            (ci, cj), k = frontier.pop()
+            label[k] = group
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    nb = (ci + di, cj + dj)
+                    if nb in todo:
+                        frontier.append((nb, todo.pop(nb)))
+        group += 1
+    return label
 
 
-def _flagged_cells(h1: np.ndarray, h2: np.ndarray, tol: float) -> np.ndarray:
-    """Boolean mask of grid cells where both components change sign."""
+def _corner_ranges(ext, x0, x1, y0, y1):
+    """Least and greatest values of F(x, y) and of F(y, x), clamped to the
+    box, on the cells [x0, x1] x [y0, y1], from one ``ext.eval`` call.
 
-    def changes(h):
-        c = np.stack(
-            [h[:-1, :-1], h[1:, :-1], h[:-1, 1:], h[1:, 1:]]
-        )
-        return (c.min(axis=0) < -tol) & (c.max(axis=0) > tol)
+    Each is F at one corner: the ends of x and y that the signature of
+    the base map says give the least, or the greatest, value.
+    """
+    sx, sy = ext.base.signature.as_tuple()
+    a, b = ext.rect.x0, ext.rect.x1
 
-    return changes(h1) & changes(h2)
+    def ends(lo, hi, sign):
+        return (lo, hi) if sign > 0 else (hi, lo)
+
+    xa, xb = ends(x0, x1, sx)  # F(x, y) spans [F(xa, ya), F(xb, yb)]
+    ya, yb = ends(y0, y1, sy)
+    yc, yd = ends(y0, y1, sx)  # F(y, x) spans [F(yc, xc), F(yd, xd)]
+    xc, xd = ends(x0, x1, sy)
+    v = np.clip(ext.eval(np.concatenate([xa, xb, yc, yd]),
+                         np.concatenate([ya, yb, xc, xd])), a, b)
+    return np.split(v, 4)
 
 
 def find_artificial(
@@ -202,209 +218,104 @@ def find_artificial(
     tol_fp: Optional[float] = None,
     sep_min: Optional[float] = None,
 ) -> FixedPointReport:
-    """Sweep the box for solutions of F(x,y)=x, F(y,x)=y and refine them.
+    """Enclose every solution of F(x,y)=x, F(y,x)=y in the box of ``ext``.
 
-    Cells of an n_grid x n_grid sweep where both residual components
-    change sign seed a damped Newton; converged roots off the diagonal
-    by more than sep_min are artificial, the rest are equilibria.  Grid
-    nodes where the residual already vanishes (roots pinned to the box
-    edge by clamping) are collected directly.  Only the half y > x is
-    swept; roots are mirrored by the symmetry of the system.
+    Equilibria come from `find_equilibria` on n_grid cells of the
+    diagonal.  Off the diagonal, a quadtree over the half y >= x splits
+    all its cells at once, one ``ext.eval`` call per level.  A cell is
+    dropped when the corner enclosure of F(x,y)-x or of F(y,x)-y (values
+    of F clamped to the box) misses 0 by more than a few ulps, or when it
+    lies within sep_min of the diagonal.  An enclosure of their
+    difference from the same four corners is the difference of the two
+    enclosures, so it would drop no further cell.
+
+    The cells left at width 2^-40 of the box, or when a level would
+    exceed the cell budget, are grouped into boxes (cells less than
+    sep_min apart share one).  A box whose centre residual is at most
+    tol_fp is an artificial pair (its mirror image solves the system
+    too); any other box is unresolved.
     """
-    F = _as_eval(ext)
     a, b = _square_bounds(ext.rect)
     if tol_fp is None:
         tol_fp = 1e-9 * (b - a)
     if sep_min is None:
         sep_min = 1e-6 * (b - a)
-    H = _h_system(F, a, b)
-    xs = np.linspace(a, b, n_grid + 1)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    h1, h2 = H(X.ravel(), Y.ravel())
-    h1 = h1.reshape(X.shape)
-    h2 = h2.reshape(X.shape)
+    equilibria = find_equilibria(ext, (a, b), n_grid=n_grid, tol_fp=tol_fp,
+                                 sep_min=sep_min)
+    eps = _ULPS * np.spacing(max(abs(a), abs(b)))
+    i = j = np.zeros(1, dtype=np.int64)
+    depth = cells = evaluations = widest = 0
+    while True:
+        n = 1 << depth
+        x0, x1 = _nodes(i, n, a, b), _nodes(i + 1, n, a, b)
+        y0, y1 = _nodes(j, n, a, b), _nodes(j + 1, n, a, b)
+        flo, fhi, glo, ghi = _corner_ranges(ext, x0, x1, y0, y1)
+        cells += i.size
+        evaluations += 4 * i.size
+        keep = (
+            (flo - x1 <= eps) & (fhi - x0 >= -eps)  # F(x, y) - x
+            & (glo - y1 <= eps) & (ghi - y0 >= -eps)  # F(y, x) - y
+            & (y1 - x0 > sep_min)  # not wholly inside the diagonal band
+        )
+        i, j = i[keep], j[keep]
+        widest = max(widest, i.size)
+        if not i.size:
+            stop = "exhausted"
+            break
+        if depth == _MAX_DEPTH:
+            stop = "min_width"
+            break
+        if 4 * i.size > _MAX_CELLS:
+            stop = "cell_budget"
+            break
+        # the four children; those wholly below the diagonal mirror kept ones
+        ci = (2 * i[:, None] + np.array([0, 1, 0, 1])).ravel()
+        cj = (2 * j[:, None] + np.array([0, 0, 1, 1])).ravel()
+        above = cj + 1 > ci
+        i, j = ci[above], cj[above]
+        depth += 1
 
-    roots: List[Tuple[float, float, float]] = []
-    suspicious: List[dict] = []
-
-    # roots sitting exactly on grid nodes (typically pinned by the clamp)
-    node_hit = np.maximum(np.abs(h1), np.abs(h2)) < tol_fp
-    for i, j in zip(*np.nonzero(node_hit)):
-        if xs[j] >= xs[i]:  # keep y >= x half
-            roots.append((float(xs[i]), float(xs[j]), 0.0))
-
-    mask = _flagged_cells(h1, h2, 0.0)
-    n_cells = int(np.count_nonzero(mask))
-    for i, j in zip(*np.nonzero(mask)):
-        cx = 0.5 * (xs[i] + xs[i + 1])
-        cy = 0.5 * (xs[j] + xs[j + 1])
-        if cy < cx - sep_min:  # mirror half; handled by symmetry
-            continue
-        p, res, ok = _newton_refine(H, cx, cy, a, b, tol_fp)
-        if ok:
-            roots.append((float(p[0]), float(p[1]), res))
-        else:
-            suspicious.append(
-                {"cell_center": [cx, cy], "residual": res,
-                 "reason": "newton stalled"}
-            )
-
-    equilibria: List[Tuple[float, float]] = []
-    artificial: List[Tuple[Tuple[float, float], float]] = []
-    for x, y, res in roots:
-        if abs(x - y) <= sep_min:
-            x_star = 0.5 * (x + y)
-            if all(abs(x_star - e[0]) > sep_min for e in equilibria):
-                equilibria.append((x_star, res))
-        else:
-            lo, hi = (x, y) if x < y else (y, x)
-            if all(
-                abs(lo - p[0]) > sep_min or abs(hi - p[1]) > sep_min
-                for p, _ in artificial
-            ):
-                # the mirrored point solves the system with the same residual
-                g1, g2 = H(hi, lo)
-                mirror_res = max(abs(float(g1)), abs(float(g2)))
-                artificial.append(((lo, hi), max(res, mirror_res)))
-    equilibria.sort(key=lambda e: e[0])
-    artificial.sort(key=lambda e: e[0])
+    # cells less than sep_min apart form one box: group them by their
+    # ancestors at the last depth whose cells are at least sep_min wide
+    n = 1 << depth
+    shift = max(0, depth - int(np.floor(np.log2((b - a) / sep_min))))
+    coarse, parent = np.unique(np.stack([i >> shift, j >> shift], axis=1),
+                               axis=0, return_inverse=True)
+    label = _labels(coarse[:, 0], coarse[:, 1])[parent.ravel()]
+    m = int(label.max()) + 1 if label.size else 0
+    kb = np.array([[n], [0], [n], [0]]).repeat(m, axis=1)
+    np.minimum.at(kb[0], label, i)
+    np.maximum.at(kb[1], label, i + 1)
+    np.minimum.at(kb[2], label, j)
+    np.maximum.at(kb[3], label, j + 1)
+    bx0, bx1, by0, by1 = (_nodes(k, n, a, b) for k in kb)
+    cx, cy = 0.5 * (bx0 + bx1), 0.5 * (by0 + by1)
+    v = np.clip(ext.eval(np.concatenate([cx, cy]), np.concatenate([cy, cx])),
+                a, b)
+    evaluations += v.size
+    res = np.maximum(np.abs(v[: cx.size] - cx), np.abs(v[cx.size:] - cy))
+    artificial: List[Kept] = []
+    unresolved: List[Kept] = []
+    for k in np.argsort(cx, kind="stable"):
+        kept = ((float(cx[k]), float(cy[k])), float(res[k]),
+                (float(bx0[k]), float(bx1[k]), float(by0[k]), float(by1[k])))
+        (artificial if res[k] <= tol_fp else unresolved).append(kept)
     return FixedPointReport(
         equilibria=equilibria,
         artificial=artificial,
-        suspicious=suspicious,
-        sweep={
-            "n_grid": n_grid,
+        unresolved=unresolved,
+        search={
             "box": [a, b],
-            "n_flagged_cells": n_cells,
+            "cells": cells,
+            "depth": depth,
+            "min_width": (b - a) / n,
+            "widest_level": widest,
+            "stop": stop,
+            "evaluations": evaluations,
+            "diagonal_band": sep_min,
             "tol_fp": tol_fp,
-            "sep_min": sep_min,
         },
-        method=METHOD_SWEEP,
     )
-
-
-# ---------------------------------------------------------------------------
-# Independent dense oracle.
-# ---------------------------------------------------------------------------
-
-
-def oracle_sweep(ext, n_dense: int = 1024) -> dict:
-    """Brute-force residual sweep on a dense grid.
-
-    Returns all cells where both components of the residual change sign
-    and all nodes where the residual vanishes outright.  Used to
-    cross-check `find_artificial`: every reported root must be explained
-    by a flagged cell or zero node, and vice versa.
-    """
-    F = _as_eval(ext)
-    a, b = _square_bounds(ext.rect)
-    tol_fp = 1e-9 * (b - a)
-    H = _h_system(F, a, b)
-    xs = np.linspace(a, b, n_dense + 1)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    h1, h2 = H(X.ravel(), Y.ravel())
-    h1 = h1.reshape(X.shape)
-    h2 = h2.reshape(X.shape)
-    mask = _flagged_cells(h1, h2, 0.0)
-    ii, jj = np.nonzero(mask)
-    cell = (b - a) / n_dense
-    cells = [
-        (float(xs[i]), float(xs[j]), float(xs[i + 1]), float(xs[j + 1]))
-        for i, j in zip(ii, jj)
-    ]
-    node_hit = np.maximum(np.abs(h1), np.abs(h2)) < tol_fp
-    zi, zj = np.nonzero(node_hit)
-    zero_nodes = [(float(xs[i]), float(xs[j])) for i, j in zip(zi, zj)]
-    return {
-        "n_dense": n_dense,
-        "box": [a, b],
-        "cell_size": cell,
-        "cells": cells,
-        "cell_indices": list(zip(map(int, ii), map(int, jj))),
-        "zero_nodes": zero_nodes,
-    }
-
-
-def _cell_clusters(indices: Sequence[Tuple[int, int]]) -> List[List[Tuple[int, int]]]:
-    """Group flagged cells into 8-connected clusters."""
-    todo = set(indices)
-    clusters = []
-    while todo:
-        seed = todo.pop()
-        group = [seed]
-        frontier = [seed]
-        while frontier:
-            ci, cj = frontier.pop()
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    nb = (ci + di, cj + dj)
-                    if nb in todo:
-                        todo.remove(nb)
-                        group.append(nb)
-                        frontier.append(nb)
-        clusters.append(group)
-    return clusters
-
-
-def check_oracle_consistency(
-    ext,
-    report: FixedPointReport,
-    oracle: dict,
-) -> Tuple[bool, dict]:
-    """Do the sweep report and the dense oracle explain each other?
-
-    Every reported root must sit inside (or one cell away from) a
-    flagged oracle cell or zero node.  Conversely, every connected
-    cluster of flagged cells must be explained: Newton started from a
-    cell of the cluster has to land on a reported root (the zero curves
-    of the two residual components may share cells along a near-tangent
-    stretch without crossing there, so the landing root may lie outside
-    the cluster).  Unexplained clusters, orphan roots, or suspicious
-    seeds all fail the check.
-    """
-    F = _as_eval(ext)
-    a, b = oracle["box"]
-    cell = oracle["cell_size"]
-    tol_fp = 1e-9 * (b - a)
-    sep = max(2 * cell, 1e4 * tol_fp)
-    H = _h_system(F, a, b)
-    points = [(x, x) for x, _ in report.equilibria]
-    for (x, y), _ in report.artificial:
-        points.extend([(x, y), (y, x)])
-    marks = [
-        (0.5 * (c[0] + c[2]), 0.5 * (c[1] + c[3])) for c in oracle["cells"]
-    ] + [tuple(z) for z in oracle["zero_nodes"]]
-
-    def near(p, qs, rad):
-        return any(max(abs(p[0] - q[0]), abs(p[1] - q[1])) <= rad for q in qs)
-
-    orphan_roots = [p for p in points if not near(p, marks, 2 * cell)]
-
-    unexplained = []
-    for group in _cell_clusters(oracle["cell_indices"]):
-        ci, cj = group[len(group) // 2]
-        cx = a + (ci + 0.5) * cell
-        cy = a + (cj + 0.5) * cell
-        if near((cx, cy), points, max(2 * cell, (len(group) + 1) * cell)):
-            continue
-        p, res, ok = _newton_refine(H, cx, cy, a, b, tol_fp)
-        if not ok or not near((float(p[0]), float(p[1])), points, sep):
-            unexplained.append((cx, cy))
-    zero_orphans = [
-        z for z in oracle["zero_nodes"] if not near(tuple(z), points, 2 * cell)
-    ]
-    ok = (
-        not orphan_roots
-        and not unexplained
-        and not zero_orphans
-        and not report.suspicious
-    )
-    return ok, {
-        "orphan_roots": orphan_roots,
-        "unexplained_clusters": unexplained[:20],
-        "orphan_zero_nodes": zero_orphans[:20],
-        "n_suspicious": len(report.suspicious),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -262,16 +262,18 @@ def render_certificate_md(cert) -> str:
         ]
     if d["artificial_search"] is not None:
         art = d["artificial_search"]
+        se = art["search"]
         lines += [
             "## Artificial fixed points",
             "",
             f"- equilibria: {[e['x'] for e in art['equilibria']]}",
             f"- artificial pairs: "
             f"{[(a_['x'], a_['y']) for a_ in art['artificial']]}",
-            f"- suspicious seeds: {len(art['suspicious'])}",
-            f"- independent dense oracle consistent: {d['oracle_consistent']}",
-            "",
-        ]
+            f"- monotone-enclosure search: {se['cells']} cells, "
+            f"{se['evaluations']} evaluations, depth {se['depth']} "
+            f"(stop: {se['stop']}), diagonal band {se['diagonal_band']:.3e}",
+            f"- unresolved boxes: {[u['box'] for u in se['unresolved']]}",
+        ] + [f"- limit: {text}" for text in art["limits"]] + [""]
     if d["corner_chain_limits"] is not None:
         cc = d["corner_chain_limits"]
         lines += [

@@ -4,7 +4,7 @@ The certificate chains together every audit in the package: declared
 monotonicity, domain classification, invariance of the domain under the
 companion map T(x, y) = (F(x, y), x), the continuity/monotonicity/range
 audit of the rectangular extension, the absence of artificial fixed
-points (with an independent dense oracle), and the convergence of both
+points (by monotone enclosures on a quadtree), and the convergence of both
 corner chains of the symmetric embedding to one diagonal point.  Only
 when every link holds does the verdict become GloballyStable; sampled
 orbits are attached as corroborating evidence, never as proof.
@@ -29,7 +29,7 @@ from .extension import ExtendedMap, audit_extension, extend
 from .geometry import DomainKind, DomainSpec
 from .map_model import Box, MapSpec, check_monotonicity, jacobian_fd
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 SINK = "Sink"
 SADDLE = "Saddle"
@@ -341,7 +341,6 @@ def local_stability(
 _DEFAULTS = {
     "n_boundary": 200,
     "n_grid": 256,
-    "n_dense": 1024,
     "n_orbits": 100,
     "orbit_steps": 10000,
     "n_order_pairs": 1000,
@@ -363,7 +362,6 @@ class StabilityCertificate:
     invariance: Optional[InvarianceResult] = None
     extension_audit: Optional[dict] = None
     artificial_search: Optional[dict] = None
-    oracle_consistent: Optional[bool] = None
     corner_chain_limits: Optional[dict] = None
     orbit_ensemble: Optional[dict] = None
     verdict: str = INCONCLUSIVE
@@ -393,7 +391,6 @@ class StabilityCertificate:
             else self.invariance.to_dict(),
             "extension_audit": self.extension_audit,
             "artificial_search": self.artificial_search,
-            "oracle_consistent": self.oracle_consistent,
             "corner_chain_limits": self.corner_chain_limits,
             "orbit_ensemble": self.orbit_ensemble,
             "verdict": self.verdict,
@@ -418,6 +415,7 @@ class _Run:
     span: float
     tol_fp: float
     ext: Optional[ExtendedMap] = None
+    equilibria: Optional[list] = None  # (x, residual) pairs from stage 5
     x_star: Optional[float] = None
 
 
@@ -462,16 +460,18 @@ def _build_extension(run: _Run) -> dict:
 def _search_artificial(run: _Run) -> dict:
     ext, cert = run.ext, run.cert
     report = fp.find_artificial(ext, n_grid=run.cfg["n_grid"], tol_fp=run.tol_fp)
-    oracle = fp.oracle_sweep(ext, n_dense=run.cfg["n_dense"])
-    ok, detail = fp.check_oracle_consistency(ext, report, oracle)
     cert.artificial_search = report.to_dict()
-    cert.oracle_consistent = ok
-    if not ok:
-        raise MonomapError(f"oracle inconsistency: {detail}")
+    run.equilibria = report.equilibria
     if report.has_artificial:
-        raise MonomapError(f"artificial fixed points exist: {report.artificial}")
-    if report.suspicious:
-        raise MonomapError("suspicious (possibly tangential) roots")
+        raise MonomapError(
+            "artificial fixed points exist: "
+            f"{[(pair, res) for pair, res, _ in report.artificial]}"
+        )
+    if report.unresolved:
+        raise MonomapError(
+            f"{len(report.unresolved)} search box(es) neither hold a "
+            f"root nor exclude one, the first {report.unresolved[0][2]}"
+        )
     return {"n_equilibria": len(report.equilibria)}
 
 
@@ -629,8 +629,7 @@ def certify(
         _stage(cert, "orbit_ensemble", "passed", max_final_deviation=worst_dev)
 
     # verdict
-    equilibria = fp.find_equilibria(run.ext, (x0, x1), n_grid=cfg["n_grid"],
-                                    tol_fp=tol_fp)
+    equilibria = run.equilibria
     if len(equilibria) == 1:
         cert.verdict = GLOBALLY_STABLE
         cert.verdict_detail = {"x_star": x_star}

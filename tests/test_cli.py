@@ -100,8 +100,10 @@ class TestCommands:
         out = tmp_path / "out"
         assert main(["fixedpoints", "--config", cfg, "--out", str(out)]) == 0
         doc = json.loads((out / "fixed_points.json").read_text())
-        assert doc["oracle_consistent"]
+        assert "oracle_consistent" not in doc
         assert doc["artificial"] == []
+        assert doc["search"]["unresolved"] == []
+        assert doc["search"]["cells"] > 0
 
     def test_certify_globally_stable(self, tmp_path):
         cfg = write_cfg(tmp_path, EQ8_CFG)
@@ -136,6 +138,26 @@ class TestExitCodes:
     def test_config_error_is_4(self, tmp_path):
         cfg = write_cfg(tmp_path, "[run]\nwarp = 9\n")
         assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 4
+
+    def test_removed_n_dense_key_is_4(self, tmp_path):
+        cfg = write_cfg(tmp_path, EQ8_CFG + "\n[run]\nn_dense = 1024\n")
+        assert main(["fixedpoints", "--config", cfg,
+                     "--out", str(tmp_path)]) == 4
+
+    def test_unresolved_search_is_1(self, tmp_path):
+        # F(x, y) = (1 - y)/(1 + 3y) has a curve of artificial fixed
+        # points; the search stops at its cell budget with boxes it
+        # cannot decide
+        cfg = write_cfg(
+            tmp_path,
+            "[map]\nfamily = expression\nexpr = (1 - y)/(1 + 3*y) + 0*x\n"
+            "signature = inc_dec\n\n[domain]\nkind = rect\n"
+            "rect = 0,1,0,1\n",
+        )
+        assert main(["fixedpoints", "--config", cfg,
+                     "--out", str(tmp_path)]) == 1
+        doc = json.loads((tmp_path / "fixed_points.json").read_text())
+        assert doc["search"]["unresolved"]
 
     def test_missing_file_is_4(self, tmp_path):
         assert main(["certify", "--config", str(tmp_path / "nope.cfg"),

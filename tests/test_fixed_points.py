@@ -5,17 +5,17 @@ import pytest
 
 from monomap.errors import ContinuumOfFixedPoints, DegenerateCase, ParamConstraint
 from monomap.fixed_points import (
-    check_oracle_consistency,
+    _corner_ranges,
     closed_form_eq7,
     closed_form_eq8_line_family,
     eq8_b3,
     find_artificial,
     find_equilibria,
-    oracle_sweep,
 )
-from monomap.examples import make_eq7
-from monomap.extension import extend_rectangle
-from monomap.map_model import Box
+from monomap.examples import make_eq7, make_eq8
+from monomap.extension import extend, extend_rectangle
+from monomap.geometry import DomainSpec
+from monomap.map_model import Box, DEC_INC, INC_DEC, MapSpec
 
 
 class TestFindEquilibria:
@@ -71,7 +71,7 @@ class TestArtificialSearch:
         ext = extend_rectangle(spec, Box(x0, x1, y0, y1))
         rep = find_artificial(ext)
         assert rep.has_artificial
-        (x, y), res = rep.artificial[0]
+        (x, y), res, _ = rep.artificial[0]
         assert x == pytest.approx((3 - math.sqrt(3)) / 6, abs=1e-9)
         assert y == pytest.approx((3 + math.sqrt(3)) / 6, abs=1e-9)
         assert abs(res) < 5e-9
@@ -92,7 +92,7 @@ class TestArtificialSearch:
 
     def test_xfy_pinned_corner_pair(self, xfy_ext):
         rep = find_artificial(xfy_ext)
-        pairs = [p for p, _ in rep.artificial]
+        pairs = [p for p, _, _ in rep.artificial]
         assert (0.01, 3.0) in [
             (pytest.approx(px, abs=1e-9), pytest.approx(py, abs=1e-9))
             for px, py in pairs
@@ -108,29 +108,238 @@ class TestArtificialSearch:
         json.dumps(doc)
 
 
-class TestOracleConsistency:
-    def test_eq8_consistent(self, eq8_ext):
-        rep = find_artificial(eq8_ext)
-        oracle = oracle_sweep(eq8_ext)
-        ok, detail = check_oracle_consistency(eq8_ext, rep, oracle)
-        assert ok
+def reference_cells(ext, n=1024):
+    """Brute-force reference, independent of the search: the cells of an
+    n x n grid of the box where both clamped residual components change
+    sign and the residual vector winds around the cell, plus the grid
+    nodes where the residual vanishes, as (x0, x1, y0, y1) boxes.
 
-    def test_eq7_unstable_consistent(self):
-        spec, domain = make_eq7(0.5, 2.0, 4.0)
-        x0, x1, y0, y1 = domain.bbox
-        ext = extend_rectangle(spec, Box(x0, x1, y0, y1))
-        rep = find_artificial(ext)
-        ok, _ = check_oracle_consistency(ext, rep, oracle_sweep(ext))
-        assert ok
+    Sign changes alone flag many root-free cells where the two zero
+    curves run close without crossing; a nonzero winding number is what
+    a root inside the cell leaves on its corners.
+    """
+    a, b = ext.rect.x0, ext.rect.x1
+    xs = np.linspace(a, b, n + 1)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    h1 = np.clip(ext.eval(X.ravel(), Y.ravel()), a, b).reshape(X.shape) - X
+    h2 = np.clip(ext.eval(Y.ravel(), X.ravel()), a, b).reshape(X.shape) - Y
 
-    def test_suppressed_root_is_flagged(self):
-        spec, domain = make_eq7(0.5, 2.0, 4.0)
-        x0, x1, y0, y1 = domain.bbox
-        ext = extend_rectangle(spec, Box(x0, x1, y0, y1))
+    def changes(h):
+        c = np.stack([h[:-1, :-1], h[1:, :-1], h[1:, 1:], h[:-1, 1:]])
+        return (c.min(axis=0) < 0) & (c.max(axis=0) > 0)
+
+    ang = np.arctan2(h2, h1)
+    ring = [ang[:-1, :-1], ang[1:, :-1], ang[1:, 1:], ang[:-1, 1:], ang[:-1, :-1]]
+    turn = sum((q - p + np.pi) % (2 * np.pi) - np.pi
+               for p, q in zip(ring, ring[1:]))
+    wind = np.rint(turn / (2 * np.pi)) != 0
+    ii, jj = np.nonzero(changes(h1) & changes(h2) & wind)
+    cells = [(xs[i], xs[i + 1], xs[j], xs[j + 1]) for i, j in zip(ii, jj)]
+    zero = np.maximum(np.abs(h1), np.abs(h2)) < 1e-9 * (b - a)
+    cells += [(xs[i], xs[i], xs[j], xs[j]) for i, j in zip(*np.nonzero(zero))]
+    return cells
+
+
+def unexplained(ext, rep):
+    """Reference cells off the diagonal band that meet no box the search
+    kept (as an artificial pair or unresolved), mirrored to y >= x."""
+    band = rep.search["diagonal_band"]
+    boxes = [box for _, _, box in rep.artificial + rep.unresolved]
+    out = []
+    for x0, x1, y0, y1 in reference_cells(ext):
+        if y1 < x0:
+            x0, x1, y0, y1 = y0, y1, x0, x1
+        if y0 - x1 <= band:
+            continue
+        if not any(x0 <= bx1 and bx0 <= x1 and y0 <= by1 and by0 <= y1
+                   for bx0, bx1, by0, by1 in boxes):
+            out.append((x0, x1, y0, y1))
+    return out
+
+
+def eq7_ext(p, q, r):
+    spec, domain = make_eq7(p, q, r)
+    return extend_rectangle(spec, Box(*domain.bbox))
+
+
+class TestBruteForceReference:
+    def test_eq8_explained(self, eq8_ext):
+        assert unexplained(eq8_ext, find_artificial(eq8_ext)) == []
+
+    def test_eq7_unstable_explained(self):
+        ext = eq7_ext(0.5, 2.0, 4.0)
         rep = find_artificial(ext)
-        rep.artificial = []  # pretend the sweep missed the pair
-        ok, detail = check_oracle_consistency(ext, rep, oracle_sweep(ext))
-        assert not ok
+        assert len(rep.artificial) == 1
+        assert unexplained(ext, rep) == []
+
+    def test_xfy_corner_pair_explained(self, xfy_ext):
+        assert unexplained(xfy_ext, find_artificial(xfy_ext)) == []
+
+    @pytest.mark.parametrize("case", [("eq7", 2.05, 3.0, 3.0),
+                                      ("eq8", 2.0, 0.499)])
+    def test_near_tangent_cases_explained(self, case):
+        make = make_eq7 if case[0] == "eq7" else make_eq8
+        ext = extend(*make(*case[1:]))
+        rep = find_artificial(ext)
+        assert not rep.artificial and not rep.unresolved
+        assert unexplained(ext, rep) == []
+
+    def test_suppressed_pair_is_caught(self):
+        ext = eq7_ext(0.5, 2.0, 4.0)
+        rep = find_artificial(ext)
+        rep.artificial = []  # pretend the search dropped the pair's box
+        assert unexplained(ext, rep)
+
+
+class TestFoundRegressions:
+    """Stable cases the earlier Newton sweep and dense oracle reported as
+    artificial pairs or left inconsistent; the algebra rules out
+    artificial fixed points in all of them."""
+
+    @pytest.mark.parametrize("p, h", [(1.2, 0.499), (1.5, 0.499),
+                                      (2.0, 0.499), (3.0, 0.499),
+                                      (3.0, 0.495)])
+    def test_eq8_near_half_has_no_pair(self, p, h):
+        rep = find_artificial(extend(*make_eq8(p, h)))
+        assert rep.artificial == []
+        assert rep.unresolved == []
+        assert [x for x, _ in rep.equilibria] == pytest.approx([p - h], abs=1e-9)
+
+    @pytest.mark.parametrize("p, q, r", [
+        (p, 3.0, 3.0) for p in (2.01, 2.02, 2.03, 2.04, 2.05)
+    ] + [(p, 2.0, 5.0) for p in (1.01, 1.02, 1.03, 1.04, 1.05)])
+    def test_eq7_above_threshold_has_no_pair(self, p, q, r):
+        rep = find_artificial(eq7_ext(p, q, r))
+        assert closed_form_eq7(p, q, r)["regime"] == "iii"
+        assert rep.artificial == []
+        assert rep.unresolved == []
+
+
+def eq7_triples(rng, n):
+    """n eq7 triples cycling through the four regimes: q <= 1, r <= 1,
+    above the threshold t = (r-1)(q-1)^2/4 and below it (one pair); half
+    of the last two lie within 1% of t."""
+    out = []
+    for k in range(n):
+        regime = k % 4
+        if regime == 0:
+            q = rng.uniform(0.2, 1.0)
+            p = q * rng.uniform(0.05, 1.0)
+            r = rng.uniform(0.1, 10.0)
+        elif regime == 1:
+            q = rng.uniform(1.0, 10.0)
+            p = q * rng.uniform(0.05, 1.0)
+            r = rng.uniform(0.05, 1.0)
+        else:
+            q = rng.uniform(1.5, 6.0)
+            r = rng.uniform(1.05, min(1 + 4 * q / (q - 1) ** 2, 40.0))
+            t = (r - 1) * (q - 1) ** 2 / 4
+            near = rng.uniform() < 0.5
+            if regime == 2:
+                f = rng.uniform(1.005, 1.01) if near else rng.uniform(1.01, 3.0)
+            else:
+                f = rng.uniform(0.99, 0.995) if near else rng.uniform(0.05, 0.99)
+            p = min(f * t, q)
+        out.append((float(p), float(q), float(r)))
+    return out
+
+
+class TestAgreement:
+    def test_eq7_matches_closed_form(self):
+        rng = np.random.default_rng(2026)
+        for p, q, r in eq7_triples(rng, 200):
+            rep = find_artificial(eq7_ext(p, q, r))
+            want = closed_form_eq7(p, q, r)["artificial_pairs"]
+            got = [pair for pair, _, _ in rep.artificial]
+            assert rep.unresolved == [], (p, q, r)
+            assert len(got) == len(want), (p, q, r)
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, abs=1e-9), (p, q, r)
+
+    def test_eq8_has_no_pair(self):
+        rng = np.random.default_rng(2027)
+        for k in range(50):
+            h = float(rng.uniform(0.05, 0.49) if k % 2 else
+                      rng.uniform(0.49, 0.499))
+            p = float(rng.uniform(max(0.5, h + 0.05), 3.0))
+            rep = find_artificial(extend(*make_eq8(p, h)))
+            assert rep.artificial == [] and rep.unresolved == [], (p, h)
+
+
+NOTCHED = [(0, 0), (2, 0), (2, 2), (1.4, 2), (1.0, 1.3), (0.6, 2), (0, 2)]
+
+
+class TestCornerRanges:
+    """The four corner values bound F(x, y) and F(y, x) on the whole cell."""
+
+    @pytest.mark.parametrize("case", ["eq7", "eq8", "inc_dec_notched",
+                                      "dec_inc_notched"])
+    def test_ranges_hold_sampled_values(self, case, rng):
+        if case == "eq7":
+            ext = eq7_ext(0.5, 2.0, 4.0)
+        elif case == "eq8":
+            ext = extend(*make_eq8(1.0, 0.3))
+        else:
+            sig = INC_DEC if case == "inc_dec_notched" else DEC_INC
+            f = ((lambda x, y: (1 + x) / (1 + x + y)) if sig == INC_DEC
+                 else (lambda x, y: (1 + y) / (1 + x + y)))
+            # the dec_inc frame needs the notch mirrored across the diagonal
+            pts = NOTCHED if sig == INC_DEC else [(y, x) for x, y in NOTCHED][::-1]
+            ext = extend(MapSpec(f, sig, Box(0.0, 2.0, 0.0, 2.0)),
+                         DomainSpec.polygon(pts))
+        a, b = ext.rect.x0, ext.rect.x1
+        corners = np.sort(rng.uniform(a, b, (2, 2, 400)), axis=1)
+        x0, x1 = corners[0]
+        y0, y1 = corners[1]
+        flo, fhi, glo, ghi = _corner_ranges(ext, x0, x1, y0, y1)
+        t = rng.uniform(0.0, 1.0, (2, 30, 400))
+        x = x0 + t[0] * (x1 - x0)
+        y = y0 + t[1] * (y1 - y0)
+        f = np.clip(ext.eval(x.ravel(), y.ravel()), a, b).reshape(x.shape)
+        g = np.clip(ext.eval(y.ravel(), x.ravel()), a, b).reshape(x.shape)
+        tol = 1e-12 * (b - a)
+        assert np.all(flo - tol <= f) and np.all(f <= fhi + tol)
+        assert np.all(glo - tol <= g) and np.all(g <= ghi + tol)
+
+
+class TestSearchOutcomes:
+    def test_pair_far_from_the_origin(self):
+        """On a box whose corners are large next to its width the finest
+        cells are about one ulp wide; the eq7(0.5, 2, 4) pair shifted by
+        10^4 is still found, to 1e-9."""
+        c = 1e4
+        spec = MapSpec(
+            lambda x, y: c + (0.5 + 2 * (x - c)) / (1 + (x - c) + 4 * (y - c)),
+            INC_DEC, Box(c, c + 2, c, c + 2))
+        rep = find_artificial(extend_rectangle(spec, spec.box))
+        want = closed_form_eq7(0.5, 2.0, 4.0)["artificial_pairs"][0]
+        assert [pair for pair, _, _ in rep.artificial] == [
+            pytest.approx((c + want[0], c + want[1]), abs=1e-9)
+        ]
+
+    def test_curve_of_roots_is_never_absent(self):
+        """F(x, y) = g(y) with g(y) = (1 - y)/(1 + 3y) an involution: every
+        point of the curve y = g(x) solves the system.  The search runs
+        into its cell budget and keeps the curve, as boxes."""
+        spec = MapSpec(lambda x, y: (1 - y) / (1 + 3 * y) + 0 * x, INC_DEC,
+                       Box(0.0, 1.0, 0.0, 1.0))
+        rep = find_artificial(extend_rectangle(spec, spec.box))
+        assert rep.search["stop"] == "cell_budget"
+        assert rep.unresolved
+        # the boxes cover the curve off the diagonal band
+        xs = np.linspace(0.0, 1.0 / 3.0 - 1e-3, 50)
+        boxes = [box for _, _, box in rep.artificial + rep.unresolved]
+        for x in xs:
+            y = (1 - x) / (1 + 3 * x)
+            assert any(b[0] <= x <= b[1] and b[2] <= y <= b[3]
+                       for b in boxes), x
+
+    def test_record(self, eq8_ext):
+        search = find_artificial(eq8_ext).to_dict()["search"]
+        assert search["stop"] == "exhausted"
+        assert search["unresolved"] == []
+        assert search["evaluations"] == 4 * search["cells"]
+        assert search["diagonal_band"] == pytest.approx(1e-6 * 6.3)
 
 
 class TestEq8LineFamily:

@@ -3,7 +3,7 @@ import pytest
 
 import monomap.stability as stab
 from monomap.errors import NotAFixedPoint
-from monomap.examples import make_eq7, make_eq8
+from monomap.examples import eq7_equilibrium, make_eq7, make_eq8
 from monomap.geometry import DomainSpec
 from monomap.map_model import Box, INC_DEC, MapSpec
 from monomap.stability import (
@@ -204,6 +204,20 @@ class TestCertify:
         assert stage["max_final_deviation"] > 1e-6
         assert cert.orbit_ensemble["steps"] == 5
 
+    def test_equilibria_found_once(self, eq8_problem, monkeypatch):
+        # the verdict reuses the equilibria of the artificial-point stage
+        calls = []
+        real = stab.fp.find_equilibria
+
+        def counted(*a, **k):
+            calls.append(a)
+            return real(*a, **k)
+
+        monkeypatch.setattr(stab.fp, "find_equilibria", counted)
+        cert = certify(*eq8_problem)
+        assert cert.verdict == GLOBALLY_STABLE
+        assert len(calls) == 1
+
     def test_coppel_style_flat_map(self):
         # one-dimensional contraction viewed as a planar map constant in y
         spec = MapSpec(lambda x, y: x / 2.0 + 0.25 - 0.0 * y, INC_DEC,
@@ -212,6 +226,22 @@ class TestCertify:
         cert = certify(spec, domain)
         assert cert.verdict == GLOBALLY_STABLE
         assert cert.x_star == pytest.approx(0.5, abs=1e-9)
+
+
+class TestFoundRegressions:
+    """Stable cases that the earlier Newton sweep and dense oracle left
+    Inconclusive at the artificial fixed-point stage."""
+
+    def test_eq7_just_above_threshold_certifies(self):
+        cert = certify(*make_eq7(2.05, 3.0, 3.0))
+        assert cert.verdict == GLOBALLY_STABLE
+        assert cert.x_star == pytest.approx(eq7_equilibrium(2.05, 3.0, 3.0),
+                                            abs=1e-9)
+
+    def test_eq8_p3_h0495_certifies(self):
+        cert = certify(*make_eq8(3.0, 0.495))
+        assert cert.verdict == GLOBALLY_STABLE
+        assert cert.x_star == pytest.approx(3.0 - 0.495, abs=1e-9)
 
 
 class TestSoundnessGate:
@@ -265,7 +295,7 @@ class TestSoundnessGate:
 
         def broken(*a, **k):
             rep = real(*a, **k)
-            rep.artificial = [((0.2, 0.9), 0.0)]
+            rep.artificial = [((0.2, 0.9), 0.0, (0.2, 0.2, 0.9, 0.9))]
             return rep
 
         monkeypatch.setattr(stab.fp, "find_artificial", broken)
@@ -273,13 +303,20 @@ class TestSoundnessGate:
         assert cert.verdict == INCONCLUSIVE
         assert cert.verdict_detail["stage"] == "artificial_fixed_points"
 
-    def test_oracle_inconsistency_blocks(self, eq8_problem, monkeypatch):
-        monkeypatch.setattr(
-            stab.fp, "check_oracle_consistency",
-            lambda *a, **k: (False, {"reason": "forced"}),
-        )
+    def test_unresolved_box_blocks(self, eq8_problem, monkeypatch):
+        real = stab.fp.find_artificial
+
+        def broken(*a, **k):
+            rep = real(*a, **k)
+            rep.unresolved = [((2.0, 3.0), 0.1, (1.9, 2.1, 2.9, 3.1))]
+            return rep
+
+        monkeypatch.setattr(stab.fp, "find_artificial", broken)
         cert = self._certify(eq8_problem)
         assert cert.verdict == INCONCLUSIVE
+        assert cert.verdict_detail["stage"] == "artificial_fixed_points"
+        assert cert.artificial_search["search"]["unresolved"][0]["box"] == [
+            1.9, 2.1, 2.9, 3.1]
 
     def test_order_audit_failure_blocks(self, eq8_problem, monkeypatch):
         real = stab.check_order_preserving
