@@ -30,12 +30,11 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 from scipy.optimize import brentq
 
+from .enclosure import METHOD_ENCLOSURE, corner_ranges
 from .errors import ContinuumOfFixedPoints, DegenerateCase, ParamConstraint
 from .extension import ExtendedMap
 
 SCHEMA_VERSION = 2
-
-METHOD_ENCLOSURE = "MonotoneEnclosure"
 
 # refinement stops at cells 2^-_MAX_DEPTH of the box wide, or before a
 # level would hold more than _MAX_CELLS cells
@@ -194,22 +193,17 @@ def _corner_ranges(ext, x0, x1, y0, y1):
     """Least and greatest values of F(x, y) and of F(y, x), clamped to the
     box, on the cells [x0, x1] x [y0, y1], from one ``ext.eval`` call.
 
-    Each is F at one corner: the ends of x and y that the signature of
-    the base map says give the least, or the greatest, value.
+    F(y, x) on a cell is F on the cell mirrored across the diagonal, so
+    both come from the corner enclosure of the base map's signature.
     """
-    sx, sy = ext.base.signature.as_tuple()
-    a, b = ext.rect.x0, ext.rect.x1
-
-    def ends(lo, hi, sign):
-        return (lo, hi) if sign > 0 else (hi, lo)
-
-    xa, xb = ends(x0, x1, sx)  # F(x, y) spans [F(xa, ya), F(xb, yb)]
-    ya, yb = ends(y0, y1, sy)
-    yc, yd = ends(y0, y1, sx)  # F(y, x) spans [F(yc, xc), F(yd, xd)]
-    xc, xd = ends(x0, x1, sy)
-    v = np.clip(ext.eval(np.concatenate([xa, xb, yc, yd]),
-                         np.concatenate([ya, yb, xc, xd])), a, b)
-    return np.split(v, 4)
+    n = x0.size
+    _, _, v = corner_ranges(
+        ext.eval, ext.base.signature.as_tuple(),
+        np.concatenate([x0, y0]), np.concatenate([x1, y1]),
+        np.concatenate([y0, x0]), np.concatenate([y1, x1]),
+    )
+    v = np.clip(v, ext.rect.x0, ext.rect.x1)
+    return v[0, :n], v[1, :n], v[0, n:], v[1, n:]
 
 
 def find_artificial(

@@ -141,6 +141,46 @@ class DomainSpec:
         out = np.where(on_edge, 0, np.where(inside, 1, -1))
         return out.reshape(shape)
 
+    def slice_bounds(self, t, axis: int):
+        """Ends of the domain's slices through the coordinates ``t``.
+
+        ``axis`` 1 slices at heights y = t and gives the x-interval of
+        each slice; ``axis`` 0 slices at x = t and gives y-intervals.
+        ``t`` is clamped to the domain's range along ``axis``.  For a
+        convex domain the slice is this one interval, with its lower end
+        a convex and its upper end a concave function of t.
+        """
+        v = self.vertices
+        a0, b0 = v[:, axis], v[:, 1 - axis]
+        a1, b1 = np.roll(a0, -1), np.roll(b0, -1)
+        t = np.clip(np.asarray(t, dtype=float), a0.min(), a0.max())[..., None]
+        da = a1 - a0
+        flat = da == 0
+        hit = (np.minimum(a0, a1) <= t) & (t <= np.maximum(a0, a1))
+        s = np.clip((t - a0) / np.where(flat, 1.0, da), 0.0, 1.0)
+        b = b0 + s * (b1 - b0)
+        # an edge along the slice contributes both of its ends
+        lo = np.where(hit, np.where(flat, np.minimum(b0, b1), b), np.inf)
+        hi = np.where(hit, np.where(flat, np.maximum(b0, b1), b), -np.inf)
+        return lo.min(axis=-1), hi.max(axis=-1)
+
+    def slab_extent(self, x0, x1):
+        """y-range of the part of a convex domain in each slab x0 <= x <= x1.
+
+        The slice ends at the slab's sides, and every vertex between
+        them, bound it.
+        """
+        x0, x1 = np.asarray(x0, dtype=float), np.asarray(x1, dtype=float)
+        lo0, hi0 = self.slice_bounds(x0, axis=0)
+        lo1, hi1 = self.slice_bounds(x1, axis=0)
+        vx, vy = self.vertices[:, 0], self.vertices[:, 1]
+        between = (x0[..., None] < vx) & (vx < x1[..., None])
+        lo = np.minimum(np.minimum(lo0, lo1),
+                        np.where(between, vy, np.inf).min(axis=-1))
+        hi = np.maximum(np.maximum(hi0, hi1),
+                        np.where(between, vy, -np.inf).max(axis=-1))
+        return lo, hi
+
     def project(self, x: float, y: float, direction: str) -> Optional[tuple]:
         """Nearest boundary intersection of the axis ray from (x, y).
 

@@ -239,13 +239,22 @@ def render_certificate_md(cert) -> str:
     lines.append("")
     if d["invariance"] is not None:
         inv = d["invariance"]
-        lines += [
-            "## Invariance",
-            "",
-            f"- verified: {inv['verified']} over {inv['n_samples']} samples, "
-            f"worst boundary margin {inv['worst_margin']:.3e}",
-            "",
-        ]
+        lines += ["## Invariance", "", f"- method: {inv['method']}"]
+        if "search" in inv:
+            se = inv["search"]
+            lines += [
+                f"- verified: {inv['verified']} by {se['cells']} cells, "
+                f"{se['evaluations']} evaluations, depth {se['depth']} "
+                f"(stop: {se['stop']}), tol {se['tol']:.3e}",
+                f"- unproved boxes: {se['unproved']}",
+            ] + [f"- limit: {text}" for text in inv["limits"]]
+        else:
+            lines.append(
+                f"- verified: {inv['verified']} over {inv['n_samples']} "
+                f"samples, worst boundary margin {inv['worst_margin']:.3e}")
+        if "witness" in inv:
+            lines.append(f"- witness: {inv['witness']}")
+        lines.append("")
     if d["extension_audit"] is not None:
         a = d["extension_audit"]
         lines += [

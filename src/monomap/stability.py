@@ -19,6 +19,7 @@ import numpy as np
 
 from . import fixed_points as fp
 from .embedding import SYM4, build_embedding, check_order_preserving, run_corner_chains
+from .enclosure import METHOD_ENCLOSURE, corner_ranges
 from .errors import (
     MonomapError,
     NonFiniteValue,
@@ -29,7 +30,7 @@ from .extension import ExtendedMap, audit_extension, extend
 from .geometry import DomainKind, DomainSpec
 from .map_model import Box, MapSpec, check_monotonicity, jacobian_fd
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 SINK = "Sink"
 SADDLE = "Saddle"
@@ -47,19 +48,45 @@ REFUTED = "Refuted"
 # ---------------------------------------------------------------------------
 
 
+METHOD_SAMPLED = "sampled"
+
+# the proof refines cells until each is proved, or until a failing cell
+# is narrower than the image tolerance, or before a level would hold
+# more than this many cells
+_MAX_INVARIANCE_CELLS = 1 << 16
+
+INVARIANCE_LIMITS = (
+    "the proof is only as sound as the monotonicity of the map, which "
+    "the monotonicity stage checks by sampling",
+    "images are proved to lie within tol of the domain, not inside it",
+)
+
+
 @dataclass
 class InvarianceResult:
+    """Whether T(x, y) = (F(x, y), x) maps the domain into itself.
+
+    ``method`` is MonotoneEnclosure for a proof by corner enclosures,
+    with its record in ``search``; or sampled, with ``n_samples`` and
+    ``worst_margin``.  ``witness`` is a point of the domain whose image
+    leaves it by more than the tolerance.
+    """
+
     verified: bool
-    n_samples: int
-    worst_margin: float  # distance of the closest boundary image to exiting
-    witness: Optional[Tuple[float, float]] = None  # pre-image of a violation
+    method: str
+    witness: Optional[Tuple[float, float]] = None
+    search: Optional[dict] = None
+    n_samples: Optional[int] = None
+    worst_margin: Optional[float] = None  # closest boundary image to exiting
 
     def to_dict(self):
-        d = {
-            "verified": self.verified,
-            "n_samples": self.n_samples,
-            "worst_margin": self.worst_margin,
-        }
+        d = {"method": self.method, "verified": self.verified}
+        if self.method == METHOD_ENCLOSURE:
+            d["search"] = self.search
+            d["limits"] = list(INVARIANCE_LIMITS)
+        else:
+            d["n_samples"] = self.n_samples
+            d["worst_margin"] = self.worst_margin
         if self.witness is not None:
             d["witness"] = list(self.witness)
         return d
@@ -81,6 +108,107 @@ def _boundary_distance(domain: DomainSpec, x: np.ndarray, y: np.ndarray):
 
 
 def verify_invariance(
+    map_spec: MapSpec,
+    domain: DomainSpec,
+    n_boundary: int = 500,
+    rng: Optional[np.random.Generator] = None,
+) -> InvarianceResult:
+    """Check that T(x, y) = (F(x, y), x) maps the domain into itself.
+
+    Rectangles and convex domains get a proof (`prove_invariance`);
+    any other domain is sampled (`sample_invariance`), which is the
+    only use of ``n_boundary`` and ``rng``.
+    """
+    if domain.classify() in (DomainKind.RECTANGLE, DomainKind.CONVEX):
+        return prove_invariance(map_spec, domain)
+    return sample_invariance(map_spec, domain, n_boundary, rng)
+
+
+def prove_invariance(map_spec: MapSpec, domain: DomainSpec) -> InvarianceResult:
+    """Prove that T maps a convex domain into its tol-band, by bisection.
+
+    On a cell [x0, x1] x [y0, y1] the images T(x, y) have heights in
+    [x0, x1], and the corner enclosure gives the exact range [f0, f1] of
+    F.  The slice of the domain at height t is [L(t), R(t)] with L
+    convex and R concave, so every image lies within tol of the domain
+    when the heights overshoot the domain's y-range by some e <= tol and
+
+        f0 >= max(L(x0), L(x1)) - (tol - e),
+        f1 <= min(R(x0), R(x1)) + (tol - e).
+
+    Cells start as the bounding box, and each level first clips the
+    y-range of every cell to the domain's extent over its x-range
+    (dropping the cells that miss the domain), then evaluates every
+    cell in one call of F.  A failing cell is split in x and in y.  An
+    extreme corner in the domain whose image lies outside by more than
+    tol stops the proof with that corner as the witness.  Failing cells
+    narrower than tol, and all failing cells when the next level would
+    exceed the cell budget, are left as ``unproved`` boxes.  The band
+    tol, thousands of ulps wide, also absorbs the rounding of F and of
+    the slice ends.
+    """
+    tol = 4 * domain.chord_tol
+    bx0, bx1, by0, by1 = domain.bbox
+    sig = map_spec.signature.as_tuple()
+    x0, x1 = np.array([bx0]), np.array([bx1])
+    y0, y1 = np.array([by0]), np.array([by1])
+    unproved = []
+    witness = None
+    depth = cells = evaluations = 0
+    stop = "proved"
+    while x0.size:
+        lo, hi = domain.slab_extent(x0, x1)
+        y0, y1 = np.maximum(y0, lo), np.minimum(y1, hi)
+        meets = y0 <= y1
+        x0, x1, y0, y1 = x0[meets], x1[meets], y0[meets], y1[meets]
+        xs, ys, f = corner_ranges(map_spec, sig, x0, x1, y0, y1)
+        cells += x0.size
+        evaluations += f.size
+        slack = tol - np.maximum(0.0, np.maximum(by0 - x0, x1 - by1))
+        l0, r0 = domain.slice_bounds(x0, axis=1)
+        l1, r1 = domain.slice_bounds(x1, axis=1)
+        bad = ~((slack >= 0)
+                & (f[0] >= np.maximum(l0, l1) - slack)
+                & (f[1] <= np.minimum(r0, r1) + slack))
+        if not bad.any():
+            break
+        cx, cy, fx = xs[:, bad].ravel(), ys[:, bad].ravel(), f[:, bad].ravel()
+        out = ((domain.contains(cx, cy, tol=0.0) >= 0)
+               & (domain.contains(fx, cx, tol=tol) < 0))
+        if out.any():
+            k = int(np.argmax(out))
+            witness = (float(cx[k]), float(cy[k]))
+            stop = "witness"
+            break
+        x0, x1, y0, y1 = x0[bad], x1[bad], y0[bad], y1[bad]
+        left = np.maximum(x1 - x0, y1 - y0) < tol
+        if 4 * x0.size > _MAX_INVARIANCE_CELLS:
+            left[:], stop = True, "cell_budget"
+        elif left.any():
+            stop = "min_width"
+        unproved += [[float(c) for c in box] for box in
+                     zip(x0[left], x1[left], y0[left], y1[left])]
+        x0, x1, y0, y1 = x0[~left], x1[~left], y0[~left], y1[~left]
+        xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        x0, x1 = np.concatenate([x0, xm, x0, xm]), np.concatenate([xm, x1, xm, x1])
+        y0, y1 = np.concatenate([y0, y0, ym, ym]), np.concatenate([ym, ym, y1, y1])
+        depth += 1
+    return InvarianceResult(
+        verified=witness is None and not unproved,
+        method=METHOD_ENCLOSURE,
+        witness=witness,
+        search={
+            "cells": cells,
+            "evaluations": evaluations,
+            "depth": depth,
+            "tol": tol,
+            "stop": stop,
+            "unproved": unproved,
+        },
+    )
+
+
+def sample_invariance(
     map_spec: MapSpec,
     domain: DomainSpec,
     n_boundary: int = 500,
@@ -129,6 +257,7 @@ def verify_invariance(
         dist = float(_boundary_distance(domain, tx[bad], ty[bad]).max())
         return InvarianceResult(
             verified=False,
+            method=METHOD_SAMPLED,
             n_samples=n_samples,
             worst_margin=-dist,
             witness=(float(sx[k]), float(sy[k])),
@@ -136,6 +265,7 @@ def verify_invariance(
     bdist = _boundary_distance(domain, tx[: len(bx)], ty[: len(bx)])
     return InvarianceResult(
         verified=True,
+        method=METHOD_SAMPLED,
         n_samples=n_samples,
         worst_margin=float(bdist.min()),
     )
@@ -227,6 +357,11 @@ def _polish_equilibrium(ext, x_star: float, span: float, gap: float):
     return None
 
 
+# steps per containment call in _run_ensemble: one call locates a block
+# of steps of every orbit (256 steps of 100 orbits are 400 KB of points)
+_ENSEMBLE_BLOCK = 256
+
+
 def _run_ensemble(
     map_spec: MapSpec,
     domain: DomainSpec,
@@ -242,6 +377,7 @@ def _run_ensemble(
     the traces, and whether the orbits settled: every orbit's step size
     dropped below tol_fp / 10, which also stops the iteration early.
     Traces are thinned to every `keep_every`-th value for plotting.
+    The domain is checked once per block of _ENSEMBLE_BLOCK steps.
     """
     cur = np.asarray(starts_x, dtype=float).copy()
     prev = np.asarray(starts_y, dtype=float).copy()
@@ -249,13 +385,21 @@ def _run_ensemble(
     tol = 4 * domain.chord_tol
     traces = [cur.copy()]
     settled = False
+    # the points (x_{k+1}, x_k) of the steps not located yet
+    px = np.empty((_ENSEMBLE_BLOCK, cur.size))
+    py = np.empty_like(px)
+    filled = 0
     for k in range(n_steps):
         nxt = np.asarray(map_spec(cur, prev), dtype=float)
         if not np.all(np.isfinite(nxt)):
             raise NonFiniteValue(
                 f"orbit ensemble produced a non-finite value at step {k + 1}"
             )
-        exited |= domain.contains(nxt, cur, tol=tol) < 0
+        px[filled], py[filled] = nxt, cur
+        filled += 1
+        if filled == _ENSEMBLE_BLOCK:
+            exited |= np.any(domain.contains(px, py, tol=tol) < 0, axis=0)
+            filled = 0
         change = np.max(np.abs(nxt - cur))
         prev, cur = cur, nxt
         if (k + 1) % keep_every == 0:
@@ -263,6 +407,9 @@ def _run_ensemble(
         if change < tol_fp / 10:
             settled = True
             break
+    if filled:
+        exited |= np.any(domain.contains(px[:filled], py[:filled], tol=tol) < 0,
+                         axis=0)
     traces.append(cur.copy())
     return cur, int(np.count_nonzero(exited)), np.asarray(traces), settled
 
@@ -442,9 +589,17 @@ def _check_invariance(run: _Run) -> dict:
         run.spec, run.domain, n_boundary=run.cfg["n_boundary"], rng=run.rng
     )
     run.cert.invariance = inv
-    if not inv.verified:
+    if inv.witness is not None:
         raise MonomapError(f"domain is not invariant; witness {inv.witness}")
-    return {"n_samples": inv.n_samples}
+    if not inv.verified:
+        raise MonomapError(
+            f"domain invariance unproved on {len(inv.search['unproved'])} "
+            f"cell(s) (stop: {inv.search['stop']})"
+        )
+    if inv.method == METHOD_ENCLOSURE:
+        return {"method": inv.method, "cells": inv.search["cells"],
+                "evaluations": inv.search["evaluations"]}
+    return {"method": inv.method, "n_samples": inv.n_samples}
 
 
 def _build_extension(run: _Run) -> dict:

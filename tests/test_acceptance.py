@@ -72,7 +72,8 @@ def test_criterion_1_eq8_end_to_end():
     inv = verify_invariance(spec, domain, n_boundary=100,
                             rng=np.random.default_rng(0))
     assert inv.verified
-    assert inv.n_samples >= 10_000
+    assert inv.method == "MonotoneEnclosure"
+    assert inv.search["unproved"] == []
 
     ext = extend(spec, domain)
     audit = audit_extension(ext, rng=np.random.default_rng(1))

@@ -102,6 +102,31 @@ class TestProjection:
         assert d.project(2.0, 0.5, "x+") is None
 
 
+class TestSlices:
+    HEXAGON = [(-1.2, 0.0), (-0.9, -0.5), (0.9, -0.5), (1.2, 0.0),
+               (0.9, 0.5), (-0.9, 0.5)]
+
+    def test_horizontal_slices(self):
+        d = DomainSpec.polygon(self.HEXAGON)
+        # heights past the top clamp to it; the top is a flat edge
+        lo, hi = d.slice_bounds(np.array([0.0, 0.25, 0.5, 2.0, -0.5]), axis=1)
+        assert lo == pytest.approx([-1.2, -1.05, -0.9, -0.9, -0.9])
+        assert hi == pytest.approx([1.2, 1.05, 0.9, 0.9, 0.9])
+
+    def test_vertical_slices(self):
+        d = DomainSpec.polygon(self.HEXAGON)
+        lo, hi = d.slice_bounds(np.array([-1.2, -1.05, 0.0, 1.2]), axis=0)
+        assert lo == pytest.approx([0.0, -0.25, -0.5, 0.0])
+        assert hi == pytest.approx([0.0, 0.25, 0.5, 0.0])
+
+    def test_slab_extent_includes_vertices_inside_the_slab(self):
+        diamond = DomainSpec.polygon([(0, -1), (1, 0), (0, 1), (-1, 0)])
+        lo, hi = diamond.slab_extent(np.array([-0.5, 0.25, -1.0]),
+                                     np.array([0.5, 0.75, -1.0]))
+        assert lo == pytest.approx([-1.0, -0.75, 0.0])
+        assert hi == pytest.approx([1.0, 0.75, 0.0])
+
+
 def _ray_test_one_probe_at_a_time(d):
     """Reference for DomainSpec._semi_convex_ray_test: the same probes,
     located and ray-tested one at a time."""

@@ -4,8 +4,8 @@ import pytest
 import monomap.stability as stab
 from monomap.errors import NotAFixedPoint
 from monomap.examples import eq7_equilibrium, make_eq7, make_eq8
-from monomap.geometry import DomainSpec
-from monomap.map_model import Box, INC_DEC, MapSpec
+from monomap.geometry import DomainKind, DomainSpec
+from monomap.map_model import Box, DEC_INC, INC_DEC, MapSpec
 from monomap.stability import (
     CONVERGENT_SET,
     GLOBALLY_STABLE,
@@ -18,13 +18,63 @@ from monomap.stability import (
 )
 
 
+def _outside_by(domain, x, y):
+    """A lower bound on how far (x, y) lies outside a convex domain: the
+    largest distance past one of its edge lines (negative inside)."""
+    v = domain.vertices
+    d = np.roll(v, -1, axis=0) - v
+    left = d[:, 0] * (y - v[:, 1]) - d[:, 1] * (x - v[:, 0])
+    return float(np.max(-left / np.hypot(d[:, 0], d[:, 1])))
+
+
+def _assert_real_witness(spec, domain, res):
+    """The witness lies in the domain and its image T(w) = (F(w), w_x)
+    lies outside it by more than the proof's tolerance."""
+    assert not res.verified
+    assert res.witness is not None
+    x, y = res.witness
+    assert _outside_by(domain, x, y) <= 1e-12 * domain.diam
+    assert _outside_by(domain, float(spec(x, y)), x) > 4 * domain.chord_tol
+
+
+def _shift_edge(vertices, i, dist):
+    """The convex polygon with edge i moved inward by dist, its ends slid
+    along the neighbouring edges."""
+    v = np.asarray(vertices, dtype=float)
+    n = len(v)
+    a, b = v[i], v[(i + 1) % n]
+    d = b - a
+    inward = np.array([-d[1], d[0]]) / np.hypot(*d)  # left of a ccw edge
+    p = a + dist * inward
+
+    def meet(q, e):  # the shifted edge line meets the line q + s e
+        s = np.linalg.solve(np.array([d, -e]).T, q - p)
+        return p + s[0] * d
+
+    w = v.copy()
+    w[i] = meet(v[i - 1], a - v[i - 1])
+    w[(i + 1) % n] = meet(b, v[(i + 2) % n] - b)
+    return w
+
+
+_DEC_INC = MapSpec(lambda x, y: (1 + y) / (1 + x + y), DEC_INC,
+                   Box(0.0, 1.0, 0.0, 1.0), name="dec_inc")
+
+
 class TestInvariance:
     def test_eq8_pentagon_is_invariant(self, eq8_problem):
         spec, domain = eq8_problem
         res = verify_invariance(spec, domain, n_boundary=100,
                                 rng=np.random.default_rng(0))
         assert res.verified
-        assert res.n_samples >= 10000
+        assert res.method == "MonotoneEnclosure"
+        assert res.search["unproved"] == []
+        assert res.to_dict()["search"]["stop"] == "proved"
+
+    def test_eq7_square_takes_one_cell(self):
+        res = verify_invariance(*make_eq7(0.5, 2.0, 4.0))
+        assert res.verified
+        assert (res.search["cells"], res.search["evaluations"]) == (1, 2)
 
     def test_shrunk_square_is_not_invariant(self, eq8_problem):
         spec, _ = eq8_problem
@@ -37,6 +87,115 @@ class TestInvariance:
         x, y = res.witness
         fx = float(spec(x, y))
         assert not (0.0 <= fx <= 0.35 and 0.0 <= x <= 0.35) or fx > 0.35
+        _assert_real_witness(spec, small, res)
+
+    @pytest.mark.parametrize("edge", [1, 2, 3, 4])
+    def test_pentagon_edge_moved_inward_fails(self, eq8_problem, edge):
+        # every edge but the right side x = c carries images of the
+        # pentagon; moved 1% of c inward, it lets some of them out
+        spec, domain = eq8_problem
+        c = domain.bbox[1]
+        moved = DomainSpec.polygon(_shift_edge(domain.vertices, edge, 0.01 * c))
+        assert moved.classify() == DomainKind.CONVEX
+        res = verify_invariance(spec, moved)
+        assert res.method == "MonotoneEnclosure"
+        _assert_real_witness(spec, moved, res)
+
+    @pytest.mark.parametrize("vertices", [
+        [(0, 0), (1, 0), (1, 1), (0, 1)],
+        # the image of (1, 0) is (1/2, 1), the top end of the cut edge
+        [(0, 0), (1, 0), (1, 1), (0.5, 1), (0, 0.5)],
+    ])
+    def test_dec_inc_invariant(self, vertices):
+        res = verify_invariance(_DEC_INC, DomainSpec.polygon(vertices))
+        assert res.verified
+        assert res.method == "MonotoneEnclosure"
+
+    @pytest.mark.parametrize("vertices", [
+        [(0, 0), (1, 0), (1, 1), (0.51, 1), (0, 0.49)],
+        [(0, 0), (0.7, 0), (1, 0.3), (1, 1), (0, 1)],
+    ])
+    def test_dec_inc_not_invariant(self, vertices):
+        domain = DomainSpec.polygon(vertices)
+        _assert_real_witness(_DEC_INC, domain, verify_invariance(_DEC_INC, domain))
+
+    def test_heights_above_the_domain_fail(self):
+        # F maps into [0, 1], inside the wide rectangle's x-range, but an
+        # image's height is its pre-image's x, up to 2 > 1
+        spec = MapSpec(lambda x, y: (1 + x) / (2 + x + y), INC_DEC,
+                       Box(0.0, 2.0, 0.0, 1.0))
+        wide = DomainSpec.rectangle(0.0, 2.0, 0.0, 1.0)
+        _assert_real_witness(spec, wide, verify_invariance(spec, wide))
+
+    def test_semi_convex_domain_is_sampled(self):
+        # a notch in the right side, past every image F <= 1
+        domain = DomainSpec.polygon([(0, 0), (2, 0), (2, 0.6), (1.3, 1.0),
+                                     (2, 1.4), (2, 2), (0, 2)])
+        assert domain.classify() == DomainKind.SEMI_CONVEX
+        spec = MapSpec(lambda x, y: (1 + x) / (1 + x + y), INC_DEC,
+                       Box(0.0, 2.0, 0.0, 2.0))
+        res = verify_invariance(spec, domain, n_boundary=100,
+                                rng=np.random.default_rng(0))
+        assert res.verified
+        assert res.method == "sampled"
+        assert res.n_samples >= 10_000
+        assert "search" not in res.to_dict()
+
+    def test_unproved_cells_fail_without_a_witness(self, eq8_problem,
+                                                   monkeypatch):
+        # a budget of a few cells stops the eq8 proof before it finishes
+        monkeypatch.setattr(stab, "_MAX_INVARIANCE_CELLS", 8)
+        res = verify_invariance(*eq8_problem)
+        assert not res.verified
+        assert res.witness is None
+        assert res.search["stop"] == "cell_budget"
+        assert res.search["unproved"]
+        cert = certify(*eq8_problem)
+        assert cert.verdict == INCONCLUSIVE
+        assert cert.verdict_detail["stage"] == "invariance"
+        assert "unproved" in cert.verdict_detail["reason"]
+
+
+def _random_invariance_case(rng, k):
+    """Case k of the seeded suite: eq8 or eq7 on its own domain, or on
+    that domain shrunk toward an inner point by up to 30%."""
+    if k % 2:
+        p = rng.uniform(0.5, 3.0)
+        spec, domain = make_eq8(p, rng.uniform(0.05, 0.499))
+    else:
+        q = rng.uniform(0.5, 4.0)
+        spec, domain = make_eq7(rng.uniform(0.05, 1.0) * q, q,
+                                rng.uniform(0.1, 6.0))
+    shrunk = (k // 2) % 2 == 1
+    if shrunk:
+        v = domain.vertices
+        centre = v.mean(axis=0)
+        domain = DomainSpec.polygon(
+            centre + rng.uniform(0.7, 1.0) * (v - centre))
+    return spec, domain, shrunk
+
+
+class TestInvarianceRandomized:
+    """The proof never passes where the sampled check finds an image
+    outside, and every witness it gives is real."""
+
+    def test_proof_agrees_with_sampling(self):
+        rng = np.random.default_rng(20261018)
+        outcomes = {"proved": 0, "witness": 0}
+        for k in range(200):
+            spec, domain, shrunk = _random_invariance_case(rng, k)
+            proof = stab.prove_invariance(spec, domain)
+            ref = stab.sample_invariance(spec, domain, n_boundary=40,
+                                         rng=np.random.default_rng(k))
+            assert not (proof.verified and not ref.verified), (k, spec.params)
+            if proof.witness is not None:
+                _assert_real_witness(spec, domain, proof)
+                outcomes["witness"] += 1
+            elif not shrunk:
+                assert proof.verified, (k, spec.params, proof.search)
+            outcomes["proved"] += proof.verified
+        # both outcomes are exercised
+        assert outcomes["proved"] >= 100 and outcomes["witness"] >= 20, outcomes
 
 
 class TestOrbits:
@@ -122,6 +281,70 @@ class TestOrbitContainmentPass:
         # first exit in the second block
         orbit = self._assert_matches_reference(0.0, np.sin(_TURN), 37)
         assert orbit.exited_at == 12
+
+
+def _reference_ensemble(map_spec, domain, starts_x, starts_y, n_steps,
+                        tol_fp, keep_every=100):
+    """_run_ensemble with the domain checked after every step."""
+    cur, prev = starts_x.copy(), starts_y.copy()
+    exited = np.zeros(cur.shape, dtype=bool)
+    traces = [cur.copy()]
+    settled = False
+    for k in range(n_steps):
+        nxt = np.asarray(map_spec(cur, prev), dtype=float)
+        exited |= domain.contains(nxt, cur, tol=4 * domain.chord_tol) < 0
+        change = np.max(np.abs(nxt - cur))
+        prev, cur = cur, nxt
+        if (k + 1) % keep_every == 0:
+            traces.append(cur.copy())
+        if change < tol_fp / 10:
+            settled = True
+            break
+    traces.append(cur.copy())
+    return cur, int(np.count_nonzero(exited)), np.asarray(traces), settled
+
+
+class TestEnsembleContainmentPass:
+    """_run_ensemble locates the orbits a block of steps at a time; the
+    exits, the early stop and the traces must be those of a per-step
+    check."""
+
+    def _assert_matches_reference(self, spec, domain, starts, n_steps,
+                                  tol_fp):
+        got = stab._run_ensemble(spec, domain, *starts, n_steps, tol_fp)
+        want = _reference_ensemble(spec, domain, *starts, n_steps, tol_fp)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        assert np.array_equal(got[2], want[2])
+        assert got[3] == want[3]
+        return got
+
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_settling_orbits_on_a_shrunk_pentagon(self, monkeypatch, block):
+        # the top side moved down by a fifth of c: some orbits pass above
+        # it before they settle at x* = 0.7, within the first 256 steps
+        monkeypatch.setattr(stab, "_ENSEMBLE_BLOCK", block)
+        spec, domain = make_eq8(1.0, 0.3)
+        moved = DomainSpec.polygon(
+            _shift_edge(domain.vertices, 1, 0.2 * domain.bbox[1]))
+        starts = stab.sample_starts(moved, 100, np.random.default_rng(3))
+        _, exits, _, settled = self._assert_matches_reference(
+            spec, moved, starts, 10_000, 1e-9 * domain.bbox[1])
+        assert 0 < exits < 100
+        assert settled
+
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_turning_orbits_run_every_step(self, monkeypatch, block):
+        # rotations never settle; the orbits far from the centre leave
+        # the flat hexagon, those near it stay
+        monkeypatch.setattr(stab, "_ENSEMBLE_BLOCK", block)
+        sx, sy = stab.sample_starts(_FLAT_HEXAGON, 100,
+                                    np.random.default_rng(3))
+        _, exits, traces, settled = self._assert_matches_reference(
+            _ROTATION, _FLAT_HEXAGON, (0.5 * sx, 0.5 * sy), 600, 1e-9)
+        assert 0 < exits < 100
+        assert not settled
+        assert len(traces) == 8
 
 
 class TestLocalStability:
