@@ -4,7 +4,12 @@
             [--out DIR] [--seed N] [--tol-KEY VALUE]
 
 The config is flat ``key = value`` text under ``[section]`` headers (see
-README for the key reference).  Exit codes: 0 success / GloballyStable,
+README for the key reference).  A tolerance comes from a ``--tol-KEY``
+flag or a ``[tolerances]`` key; each command accepts only those it reads
+(extend: tol_cont, tol_mono, tol_range; fixedpoints and certify: tol_fp;
+simulate: none), and certify stops the corner chains once their order
+interval is at most 10 * tol_fp wide.  ``n_orbits`` must be at least 1.
+Exit codes: 0 success / GloballyStable,
 1 Inconclusive verdict or unresolved fixed-point search, 2 audit or
 numeric failure, 3 unsupported domain, 4 configuration error.  With a
 fixed seed all JSON/CSV/SVG outputs are byte-identical across runs.
@@ -128,14 +133,14 @@ _KNOWN_KEYS = {
         "x_m1",
         "steps",
     },
-    "tolerances": {"tol_chain", "tol_fp", "tol_cont", "tol_mono", "tol_range"},
+    "tolerances": {"tol_fp", "tol_cont", "tol_mono", "tol_range"},
 }
 
 # the tolerance keys each command reads; giving it any other is an error
 _COMMAND_TOLERANCES = {
     "extend": {"tol_cont", "tol_mono", "tol_range"},
     "fixedpoints": {"tol_fp"},
-    "certify": {"tol_chain", "tol_fp"},
+    "certify": {"tol_fp"},
     "simulate": set(),
 }
 
@@ -387,7 +392,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=".", help="output directory")
     ap.add_argument("--seed", type=int, default=None,
                     help="override the [run] seed")
-    ap.add_argument("--tol-chain", type=float, dest="tol_chain")
     ap.add_argument("--tol-fp", type=float, dest="tol_fp")
     ap.add_argument("--tol-cont", type=float, dest="tol_cont")
     ap.add_argument("--tol-mono", type=float, dest="tol_mono")
@@ -402,7 +406,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(text)
         tols = _tolerances(cfg)
-        for key in ("tol_chain", "tol_fp", "tol_cont", "tol_mono", "tol_range"):
+        for key in sorted(_KNOWN_KEYS["tolerances"]):
             v = getattr(args, key)
             if v is not None:
                 if v <= 0:
@@ -414,6 +418,8 @@ def main(argv=None) -> int:
                 f"{args.command} does not read the tolerance "
                 f"{', '.join(unread)}"
             )
+        if _as_int(cfg["run"], "n_orbits", 1) < 1:
+            raise ConfigError("n_orbits must be at least 1")
         seed = args.seed if args.seed is not None else _as_int(
             cfg["run"], "seed", 0
         )

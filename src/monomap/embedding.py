@@ -17,18 +17,12 @@ to fixed points of G and bracket every orbit in between.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    ChainMonotonicityBroken,
-    EmbeddingUnavailable,
-    NotMixedMonotone,
-    SlowConvergence,
-)
+from .errors import ChainMonotonicityBroken, EmbeddingUnavailable, NotMixedMonotone
 from .extension import ExtendedMap, clamp_to
 from .map_model import INC_DEC
 
@@ -46,6 +40,11 @@ _ORDER_SIGNS = {
 
 MIN_CORNER = "MinCorner"
 MAX_CORNER = "MaxCorner"
+
+# why run_corner_chains stopped
+CONVERGED = "converged"
+STALLED = "stalled"
+MAX_ITER = "max_iter"
 
 
 @dataclass
@@ -77,30 +76,21 @@ class CornerChain:
     start: str  # MIN_CORNER or MAX_CORNER
     states: np.ndarray  # (n_iter + 1, dim)
     step_norms: np.ndarray  # (n_iter,)
-    limit: Optional[np.ndarray]
-    monotone_verified: bool
-    converged: bool
 
     @property
     def n_iter(self) -> int:
         return len(self.step_norms)
 
-    def write_csv(self, path) -> None:
-        dim = self.states.shape[1]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iteration"] + [f"s{i}" for i in range(dim)] + ["step_norm"])
-            for k, row in enumerate(self.states):
-                norm = "" if k == 0 else repr(float(self.step_norms[k - 1]))
-                w.writerow([k] + [repr(float(v)) for v in row] + [norm])
+    @property
+    def limit(self) -> np.ndarray:
+        """The last state, the chain's approximation of its limit."""
+        return self.states[-1]
 
     def to_dict(self):
         return {
             "start": self.start,
             "n_iter": self.n_iter,
-            "limit": None if self.limit is None else self.limit.tolist(),
-            "monotone_verified": self.monotone_verified,
-            "converged": self.converged,
+            "limit": self.limit.tolist(),
             "final_step_norm": float(self.step_norms[-1]) if self.n_iter else 0.0,
         }
 
@@ -258,89 +248,63 @@ def check_order_preserving(
 def run_corner_chains(
     sys: EmbeddedSystem,
     max_iter: int = 100000,
-    tol_chain: Optional[float] = None,
-) -> Tuple[CornerChain, CornerChain]:
+    tol: Optional[float] = None,
+) -> Tuple[CornerChain, CornerChain, str]:
     """Iterate G from the least and greatest corners of the box.
 
     The two chains are monotone and converge to fixed points a* and b*
-    of G with a* preceding b*; every orbit of G is squeezed between
-    them.  Both chains advance through one batched step per iteration;
-    each keeps its own convergence, stall and monotonicity tests, and a
-    chain that stops leaves the other to continue alone.  A failure of
-    the MinCorner chain is raised at once; one of the MaxCorner chain is
-    raised only after the MinCorner chain has finished cleanly.
+    of G with a* preceding b*; every orbit of G lies in the order
+    interval between their iterates.  Both corners advance as one
+    batched step per iteration until that interval closes: the stop is
+    CONVERGED once its width max|s_hi - s_lo| is at most ``tol``
+    (default 1e-8 of the box span), STALLED once the width falls by
+    less than 0.1% over 1,000 steps, or MAX_ITER.  Each step is checked
+    to move its chain in the chain's direction.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if tol_chain is None:
-        tol_chain = 1e-10 * (sys.b - sys.a)
     starts = (MIN_CORNER, MAX_CORNER)
+    span = sys.b - sys.a
+    if tol is None:
+        tol = 1e-8 * span
+    slack_tol = 1e-10 * span
     # the chain rises from the least element and falls from the greatest
     slopes = np.stack([sys.order_signs, -sys.order_signs])
-    states = [[sys.min_corner.copy()], [sys.max_corner.copy()]]
-    norms = [[], []]
-    converged = [False, False]
-    checkpoint = [np.inf, np.inf]
-    max_error: Optional[Exception] = None
-    live = [0, 1]  # chains still stepping, in the row order of s
-    s = np.stack([states[0][0], states[1][0]])
+    s = np.stack([sys.min_corner, sys.max_corner])
+    states = [s]
+    stop = MAX_ITER
+    checkpoint = np.inf
     for k in range(max_iter):
         t = sys.step(s)
-        diff = t - s
-        slack = np.min(slopes[live] * diff, axis=1)
-        step = np.max(np.abs(diff), axis=1)
-        keep = []
-        for row, c in enumerate(live):
-            error = None
-            if slack[row] < -tol_chain:
-                error = ChainMonotonicityBroken(
-                    f"{starts[c]} chain lost monotonicity at iteration "
-                    f"{k + 1} (slack {float(slack[row]):.3e}); the extension "
-                    "or its declared monotonicity is inconsistent"
-                )
-            else:
-                norm = float(step[row])
-                states[c].append(t[row])
-                norms[c].append(norm)
-                if norm < tol_chain:
-                    converged[c] = True
-                    continue
-                if (k + 1) % 1000 == 0:
-                    if norm > 0.999 * checkpoint[c]:
-                        error = SlowConvergence(
-                            f"{starts[c]} chain step size stalled at "
-                            f"{norm:.3e} after {k + 1} iterations"
-                        )
-                    checkpoint[c] = norm
-            if error is None:
-                keep.append(row)
-            elif c == 0:
-                raise error
-            else:
-                max_error = error
-        if not keep:
+        slack = np.min(slopes * (t - s), axis=1)
+        bad = np.flatnonzero(slack < -slack_tol)
+        if bad.size:
+            row = bad[0]
+            raise ChainMonotonicityBroken(
+                f"{starts[row]} chain lost monotonicity at "
+                f"iteration {k + 1} (slack {float(slack[row]):.3e}); the "
+                "extension or its declared monotonicity is inconsistent"
+            )
+        states.append(t)
+        s = t
+        width = float(np.max(np.abs(t[1] - t[0])))
+        if width <= tol:
+            stop = CONVERGED
             break
-        live = [live[row] for row in keep]
-        s = t if len(keep) == len(t) else t[keep]
-    if max_error is not None:
-        raise max_error
-    lo_chain, hi_chain = (
-        CornerChain(
-            start=starts[c],
-            states=np.asarray(states[c]),
-            step_norms=np.asarray(norms[c]),
-            limit=states[c][-1].copy() if converged[c] else None,
-            monotone_verified=True,
-            converged=converged[c],
-        )
-        for c in (0, 1)
-    )
-    if not sys.precedes(lo_chain.states[-1], hi_chain.states[-1],
-                        tol=10 * tol_chain):
+        if (k + 1) % 1000 == 0:
+            if width > 0.999 * checkpoint:
+                stop = STALLED
+                break
+            checkpoint = width
+    states = np.stack(states, axis=1)  # (2, n_iter + 1, dim)
+    norms = np.max(np.abs(np.diff(states, axis=1)), axis=2)
+    lo, hi = (CornerChain(start, states[c], norms[c])
+              for c, start in enumerate(starts))
+    if not sys.precedes(lo.limit, hi.limit, tol=10 * slack_tol):
         raise ChainMonotonicityBroken(
             "the lower corner chain overtook the upper corner chain"
         )
-    return lo_chain, hi_chain
+    return lo, hi, stop
 
 
 @dataclass

@@ -38,10 +38,6 @@ class NonMonotoneInducedEdge(MonomapError):
     guess a fill rule in that situation."""
 
 
-class SlowConvergence(MonomapError):
-    """Iteration budget exhausted without geometric progress."""
-
-
 class NonFiniteValue(MonomapError):
     """A map evaluation produced NaN or infinity (CLI exit code 2)."""
 

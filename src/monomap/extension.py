@@ -399,10 +399,8 @@ class _Sector:
         # both arc values increase along the boundary, so the windowed
         # minimum over the arc between the two projections collapses to
         # the horizontal projection onto the wedge's far boundary
-        ys_all = np.concatenate([self.arc1[:, 1], self.arc2[1:, 1]])
-        xs_all = np.concatenate([self.arc1[:, 0], self.arc2[1:, 0]])
         yq = np.clip(y, self.y_lo, self.y_hi)
-        xq = _interp_mono(ys_all, xs_all, yq)
+        xq = _interp_mono(self.polygon[:, 1], self.polygon[:, 0], yq)
         return np.asarray(self.func(xq, yq), dtype=float)
 
     def contains(self, x, y, tol):

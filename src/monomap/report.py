@@ -289,6 +289,7 @@ def render_certificate_md(cert) -> str:
             "## Corner chains",
             "",
             f"- variant: {cc['variant']}",
+            f"- stop: {cc['stop']}, order-interval width {cc['gap']:.3e}",
             f"- min-corner chain: {cc['min_chain']['n_iter']} iterations, "
             f"limit {cc['min_chain']['limit']}",
             f"- max-corner chain: {cc['max_chain']['n_iter']} iterations, "

@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 
 from monomap.cli import main as cli_main
+from monomap import stability
 from monomap.embedding import (
+    CONVERGED,
+    STALLED,
     SYM2,
     SYM4,
     SYM8,
@@ -84,7 +87,8 @@ def test_criterion_1_eq8_end_to_end():
     assert not rep.unresolved
 
     sys4 = build_embedding(ext, SYM4)
-    lo, hi = run_corner_chains(sys4, tol_chain=1e-12 * (sys4.b - sys4.a))
+    lo, hi, stop = run_corner_chains(sys4, tol=1e-12 * (sys4.b - sys4.a))
+    assert stop == CONVERGED
     assert np.allclose(lo.limit, x_star, atol=1e-8)
     assert np.allclose(hi.limit, x_star, atol=1e-8)
 
@@ -154,11 +158,34 @@ def test_criterion_3_xfy():
     assert eig[0] == pytest.approx(0.5, abs=1e-4)
     assert eig[1] == pytest.approx(1.5, abs=1e-4)
 
-    lo, hi = run_corner_chains(sys2)
+    # the chains settle on separate limits: their order interval stops
+    # shrinking instead of closing
+    lo, hi, stop = run_corner_chains(sys2)
+    assert stop == STALLED
     assert float(np.max(np.abs(lo.limit - hi.limit))) > 0.1
 
     rep = find_artificial(ext)
     assert rep.has_artificial
+
+
+@criterion("criterion 3: separate chain limits fail the chain stage")
+def test_criterion_3_separate_limits_fail_the_chain_stage(monkeypatch):
+    # the xfy box is not invariant and holds an artificial pair, so
+    # certify stops before the chains; without those two stages the
+    # chain stage itself must refuse the separate limits
+    spec, domain = make_xfy(lambda y: 2.0 / (1.0 + y))
+    monkeypatch.setattr(stability, "_STAGES", [
+        (name, stage) for name, stage in stability._STAGES
+        if name not in ("invariance", "artificial_fixed_points")
+    ])
+    cert = certify(spec, domain)
+    assert cert.verdict == "Inconclusive"
+    assert cert.verdict_detail["stage"] == "corner_chains"
+    assert cert.stages[-1]["status"] == "failed"
+    gap = cert.corner_chain_limits["gap"]
+    assert cert.corner_chain_limits["stop"] == STALLED
+    assert gap > 0.1
+    assert f"gap {gap:.3e}" in cert.verdict_detail["reason"]
 
 
 @criterion("criterion 4: random convex domains with random rational maps")
@@ -226,8 +253,7 @@ def test_criterion_5_order_and_bracketing():
         assert audit.ok, variant
         assert audit.n_pairs == 10_000
 
-        lo, hi = run_corner_chains(sysv)
-        assert lo.monotone_verified and hi.monotone_verified
+        lo, hi, _ = run_corner_chains(sysv)
         signs = sysv.order_signs
         for chain, direction in ((lo, 1.0), (hi, -1.0)):
             diffs = np.diff(chain.states, axis=0)

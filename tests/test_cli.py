@@ -193,6 +193,23 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 4
         assert "tol_fp" in capsys.readouterr().err
 
+    def test_tol_chain_is_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, EQ8_CFG)
+        with pytest.raises(SystemExit):
+            main(["certify", "--config", cfg, "--out", str(tmp_path),
+                  "--tol-chain", "1e-10"])
+        assert "--tol-chain" in capsys.readouterr().err
+        cfg = write_cfg(tmp_path, EQ8_CFG + "\n[tolerances]\ntol_chain = 1e-10\n",
+                        name="tols.cfg")
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert "tol_chain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["certify", "simulate"])
+    def test_orbit_count_below_one_is_4(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, EQ8_CFG + "n_orbits = 0\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert "n_orbits" in capsys.readouterr().err
+
     def test_extend_reads_tol_mono(self, tmp_path):
         cfg = write_cfg(tmp_path, EQ8_CFG)
         assert main(["extend", "--config", cfg, "--out", str(tmp_path),

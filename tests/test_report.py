@@ -41,7 +41,7 @@ class TestJson:
 class TestCsv:
     def test_chains_csv(self, tmp_path, eq8_ext):
         sys = build_embedding(eq8_ext, SYM4)
-        lo, hi = run_corner_chains(sys)
+        lo, hi, _ = run_corner_chains(sys)
         path = tmp_path / "chains.csv"
         write_chains_csv(path, lo, hi)
         lines = path.read_text().strip().splitlines()

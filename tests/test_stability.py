@@ -406,6 +406,25 @@ class TestCertify:
         with pytest.raises(ValueError):
             certify(spec, domain, {"bogus_knob": 3})
 
+    def test_tol_chain_is_not_a_config_key(self, eq8_problem):
+        spec, domain = eq8_problem
+        with pytest.raises(ValueError, match="tol_chain"):
+            certify(spec, domain, {"tol_chain": 1e-10})
+
+    @pytest.mark.parametrize("n_orbits", [0, -3])
+    def test_orbit_count_below_one_rejected(self, n_orbits):
+        with pytest.raises(ValueError, match="n_orbits"):
+            certify(*make_eq7(1.0, 1.0, 1.0), {"n_orbits": n_orbits})
+
+    def test_certificate_records_the_chain_stop(self, eq8_problem):
+        spec, domain = eq8_problem
+        cert = certify(spec, domain)
+        cc = cert.corner_chain_limits
+        assert cc["stop"] == "converged"
+        assert cc["gap"] <= cert.tolerances["tol_fp"] * 10
+        assert cc["min_chain"]["n_iter"] == cc["max_chain"]["n_iter"]
+        assert "tol_chain" not in cert.tolerances
+
     def test_certificate_serializes(self, eq8_problem):
         import json
 
