@@ -8,8 +8,12 @@ README for the key reference).  A tolerance comes from a ``--tol-KEY``
 flag or a ``[tolerances]`` key; each command accepts only those it reads
 (extend: tol_cont, tol_mono, tol_range; fixedpoints and certify: tol_fp;
 simulate: none), and certify stops the corner chains once their order
-interval is at most 10 * tol_fp wide.  ``n_orbits`` must be at least 1.
-Exit codes: 0 success / GloballyStable,
+interval is at most 10 * tol_fp wide.  Every ``[run]`` size (n_grid,
+n_boundary, n_orbits, orbit_steps, max_iter, audit_grid, n_order_pairs,
+steps) must be at least 1.  ``[map]`` names a family (eq7, eq8, xfy or
+expression); each is an expression compiled by
+``map_model.compile_expression``, and a key the family does not read is
+a configuration error.  Exit codes: 0 success / GloballyStable,
 1 Inconclusive verdict or unresolved fixed-point search, 2 audit or
 numeric failure, 3 unsupported domain, 4 configuration error.  With a
 fixed seed all JSON/CSV/SVG outputs are byte-identical across runs.
@@ -18,10 +22,9 @@ fixed seed all JSON/CSV/SVG outputs are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import ast
 import sys
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,79 +40,16 @@ from .errors import (
 from .examples import make_eq7, make_eq8, make_xfy
 from .extension import audit_extension, extend
 from .geometry import DomainSpec
-from .map_model import Box, DEC_INC, INC_DEC, MapSpec, check_monotonicity
-from .stability import _run_ensemble, certify, iterate_orbit, sample_starts
+from .map_model import (Box, DEC_INC, INC_DEC, MapSpec, check_monotonicity,
+                        compile_expression)
+from .stability import (SIZE_KEYS, _run_ensemble, certify, check_sizes,
+                        iterate_orbit, sample_starts)
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
 EXIT_AUDIT_FAIL = 2
 EXIT_UNSUPPORTED = 3
 EXIT_CONFIG = 4
-
-
-# ---------------------------------------------------------------------------
-# Safe expression maps: +, -, *, /, **, exp, log, parentheses, x, y, params.
-# ---------------------------------------------------------------------------
-
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-_ALLOWED_UNARY = (ast.UAdd, ast.USub)
-_ALLOWED_CALLS = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt}
-
-
-def compile_expression(expr: str, params: dict) -> Callable:
-    """Compile an arithmetic expression in x, y, and named parameters."""
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as e:
-        raise ConfigError(f"cannot parse expression {expr!r}: {e}") from e
-
-    names = dict(params)
-
-    def build(node):
-        if isinstance(node, ast.Expression):
-            return build(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            v = float(node.value)
-            return lambda x, y: v
-        if isinstance(node, ast.Name):
-            if node.id == "x":
-                return lambda x, y: x
-            if node.id == "y":
-                return lambda x, y: y
-            if node.id in names:
-                v = float(names[node.id])
-                return lambda x, y: v
-            raise ConfigError(f"unknown name {node.id!r} in expression")
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-            lf, rf = build(node.left), build(node.right)
-            op = type(node.op)
-            if op is ast.Add:
-                return lambda x, y: lf(x, y) + rf(x, y)
-            if op is ast.Sub:
-                return lambda x, y: lf(x, y) - rf(x, y)
-            if op is ast.Mult:
-                return lambda x, y: lf(x, y) * rf(x, y)
-            if op is ast.Div:
-                return lambda x, y: lf(x, y) / rf(x, y)
-            return lambda x, y: lf(x, y) ** rf(x, y)
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, _ALLOWED_UNARY):
-            f = build(node.operand)
-            if isinstance(node.op, ast.USub):
-                return lambda x, y: -f(x, y)
-            return f
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            fn = _ALLOWED_CALLS.get(node.func.id)
-            if fn is None or node.keywords or len(node.args) != 1:
-                raise ConfigError(
-                    f"only exp, log, sqrt calls are allowed, got {node.func.id!r}"
-                )
-            f = build(node.args[0])
-            return lambda x, y: fn(f(x, y))
-        raise ConfigError(
-            f"unsupported expression element {type(node).__name__}"
-        )
-
-    return build(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -189,31 +129,35 @@ def _as_int(cfg_sec: dict, key: str, default=None) -> Optional[int]:
         raise ConfigError(f"{key} must be an integer, got {cfg_sec[key]!r}") from e
 
 
+# the rational families: constructor and the [map] keys it reads, in
+# argument order
+_FAMILIES = {"eq7": (make_eq7, ("p", "q", "r")), "eq8": (make_eq8, ("p", "h"))}
+
+
+def _reject_unread(family: str, unread) -> None:
+    if unread:
+        raise ConfigError(f"family {family} does not read the [map] "
+                          f"key(s) {', '.join(sorted(unread))}")
+
+
 def build_problem(cfg: dict):
     """Instantiate (MapSpec, DomainSpec) from a parsed config."""
     msec = dict(cfg["map"])
     family = msec.pop("family", None)
     if family is None:
         raise ConfigError("[map] needs a family= key (eq7, eq8, xfy, expression)")
-    if family == "eq7":
-        p = _as_float(msec, "p")
-        q = _as_float(msec, "q")
-        r = _as_float(msec, "r")
-        if None in (p, q, r):
-            raise ConfigError("eq7 needs p=, q=, r=")
-        spec, domain = make_eq7(p, q, r)
-    elif family == "eq8":
-        p = _as_float(msec, "p")
-        h = _as_float(msec, "h")
-        if None in (p, h):
-            raise ConfigError("eq8 needs p=, h=")
-        spec, domain = make_eq8(p, h)
+    if family in _FAMILIES:
+        make, names = _FAMILIES[family]
+        _reject_unread(family, set(msec) - set(names))
+        if len(msec) < len(names):
+            raise ConfigError(f"{family} needs {'=, '.join(names)}=")
+        spec, domain = make(*(_as_float(msec, k) for k in names))
     elif family == "xfy":
         fexpr = msec.pop("f", None)
         if fexpr is None:
             raise ConfigError("xfy needs f= (an expression in y)")
-        params = {k: _as_float(msec, k) for k in list(msec)
-                  if k not in ("expr", "signature")}
+        _reject_unread(family, {"expr", "signature"} & set(msec))
+        params = {k: _as_float(msec, k) for k in msec}
         g = compile_expression(fexpr, params)
         spec, domain = make_xfy(lambda yv: g(0.0, yv))
     elif family == "expression":
@@ -223,12 +167,10 @@ def build_problem(cfg: dict):
         sig_txt = msec.pop("signature", "inc_dec")
         if sig_txt not in ("inc_dec", "dec_inc"):
             raise ConfigError("signature must be inc_dec or dec_inc")
-        params = {k: _as_float(msec, k) for k in list(msec)}
-        f = compile_expression(expr, params)
-        func = lambda x, y: np.asarray(f(np.asarray(x, dtype=float),
-                                         np.asarray(y, dtype=float)), dtype=float)
+        params = {k: _as_float(msec, k) for k in msec}
         sig = INC_DEC if sig_txt == "inc_dec" else DEC_INC
-        spec = MapSpec(func, sig, None, name="expression", params=params)
+        spec = MapSpec(compile_expression(expr, params), sig, None,
+                       name="expression", params=params)
         domain = None
     else:
         raise ConfigError(f"unknown map family {family!r}")
@@ -418,8 +360,11 @@ def main(argv=None) -> int:
                 f"{args.command} does not read the tolerance "
                 f"{', '.join(unread)}"
             )
-        if _as_int(cfg["run"], "n_orbits", 1) < 1:
-            raise ConfigError("n_orbits must be at least 1")
+        run = cfg["run"]
+        try:
+            check_sizes({k: _as_int(run, k) for k in SIZE_KEYS if k in run})
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
         seed = args.seed if args.seed is not None else _as_int(
             cfg["run"], "seed", 0
         )

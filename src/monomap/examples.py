@@ -7,10 +7,13 @@ Three families:
   pentagonal invariant domain inside [0, c]^2,
 * ``XfY``           F(x, y) = x f(y) with f decreasing and f(0) > 1.
 
-Each constructor validates its parameter constraints and returns a map
-spec (with the analytic equilibrium available through
-``eq7_equilibrium`` / ``eq8_x_star``) plus the invariant domain where
-one is known.
+The two rational families are expressions (``EQ7_EXPR``, ``EQ8_EXPR``)
+compiled by ``map_model.compile_expression``, the compiler behind the
+CLI's ``expression`` maps.  Each constructor validates its parameter
+constraints and returns a map spec plus the invariant domain where one
+is known.  The analytic equilibria (``eq7_equilibrium``,
+``eq8_x_star``) and the closed-form artificial fixed-point analyses of
+the rational families sit next to them and reuse their checks.
 """
 
 from __future__ import annotations
@@ -18,14 +21,30 @@ from __future__ import annotations
 from typing import Callable, Tuple
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import DegenerateCase, ParamConstraint
 from .geometry import DomainSpec
-from .map_model import Box, INC_DEC, MapSpec
+from .map_model import Box, INC_DEC, MapSpec, compile_expression
 
 FAMILY_EQ7 = "RationalPQR"
 FAMILY_EQ8 = "RationalPQRH"
 FAMILY_XFY = "XfY"
+
+EQ7_EXPR = "(p + q*x) / (1 + x + r*y)"
+EQ8_EXPR = "(p + 2*p*x) / (1 + x + y) - h"
+
+
+# ---------------------------------------------------------------------------
+# RationalPQR: F(x, y) = (p + qx) / (1 + x + ry).
+# ---------------------------------------------------------------------------
+
+
+def _check_eq7(p: float, q: float, r: float) -> None:
+    if not (0 < p <= q):
+        raise ParamConstraint(f"requires 0 < p <= q, got p={p}, q={q}")
+    if not r > 0:
+        raise ParamConstraint(f"requires r > 0, got r={r}")
 
 
 def eq7_equilibrium(p: float, q: float, r: float) -> float:
@@ -36,22 +55,14 @@ def eq7_equilibrium(p: float, q: float, r: float) -> float:
 
 def make_eq7(p: float, q: float, r: float) -> Tuple[MapSpec, DomainSpec]:
     """F(x, y) = (p + qx) / (1 + x + ry) on the invariant square [0, q]^2."""
-    if not (0 < p <= q):
-        raise ParamConstraint(f"requires 0 < p <= q, got p={p}, q={q}")
-    if not r > 0:
-        raise ParamConstraint(f"requires r > 0, got r={r}")
-
-    def F(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return (p + q * x) / (1 + x + r * y)
-
+    _check_eq7(p, q, r)
+    params = {"p": p, "q": q, "r": r}
     spec = MapSpec(
-        F,
+        compile_expression(EQ7_EXPR, params),
         INC_DEC,
         Box(0.0, q, 0.0, q),
         name=FAMILY_EQ7,
-        params={"p": p, "q": q, "r": r},
+        params=params,
     )
     x_star = eq7_equilibrium(p, q, r)
     if not x_star < q:
@@ -60,6 +71,49 @@ def make_eq7(p: float, q: float, r: float) -> Tuple[MapSpec, DomainSpec]:
         )
     domain = DomainSpec.rectangle(0.0, q, 0.0, q)
     return spec, domain
+
+
+def closed_form_eq7(p: float, q: float, r: float) -> dict:
+    """Artificial fixed-point analysis of F(x,y)=(p+qx)/(1+x+ry).
+
+    The off-diagonal solutions of the symmetric system satisfy
+    x + y = q - 1 together with the quadratic
+    (r-1)x^2 - (r-1)(q-1)x + p = 0.  No artificial fixed point lies in
+    the domain when (i) q <= 1, (ii) 0 <= r <= 1, or (iii) r > 1 and
+    p > (r-1)(q-1)^2 / 4.
+    """
+    _check_eq7(p, q, r)
+    regime = None
+    if q <= 1:
+        regime = "i"
+    elif r <= 1:
+        regime = "ii"
+    elif p > 0.25 * (r - 1) * (q - 1) ** 2:
+        regime = "iii"
+    out = {
+        "p": p,
+        "q": q,
+        "r": r,
+        "equilibrium": eq7_equilibrium(p, q, r),
+        "regime": regime,
+        "artificial_pairs": [],
+    }
+    if regime is None:
+        aq, bq, cq = (r - 1), -(r - 1) * (q - 1), p
+        d = bq * bq - 4 * aq * cq
+        if d >= 0:
+            r1 = (-bq - np.sqrt(d)) / (2 * aq)
+            r2 = (-bq + np.sqrt(d)) / (2 * aq)
+            for x in sorted({float(r1), float(r2)}):
+                y = (q - 1) - x
+                if x < y:
+                    out["artificial_pairs"].append((x, y))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# RationalPQRH: F(x, y) = (p + 2px) / (1 + x + y) - h.
+# ---------------------------------------------------------------------------
 
 
 def eq8_x_star(p: float, h: float) -> float:
@@ -87,18 +141,13 @@ def make_eq8(p: float, h: float) -> Tuple[MapSpec, DomainSpec]:
         )
     x_star = eq8_x_star(p, h)
     c = x_star * (x_star + p + 1) / h
-
-    def F(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return (p + 2 * p * x) / (1 + x + y) - h
-
+    params = {"p": p, "h": h}
     spec = MapSpec(
-        F,
+        compile_expression(EQ8_EXPR, params),
         INC_DEC,
         Box(0.0, c, 0.0, c),
         name=FAMILY_EQ8,
-        params={"p": p, "h": h},
+        params=params,
     )
     # invariant-domain inequality x* + pc/(1+c) < c from the analysis
     if not x_star + p * c / (1 + c) < c:
@@ -110,6 +159,72 @@ def make_eq8(p: float, h: float) -> Tuple[MapSpec, DomainSpec]:
         name="eq8-pentagon",
     )
     return spec, domain
+
+
+def eq8_b3(x_star: float, h: float) -> float:
+    """Leading coefficient of the line-family elimination cubic."""
+    return (
+        h**3
+        * (1 - h) ** 2
+        * (
+            4 * x_star**3
+            + 4 * x_star**2
+            + (1 - h) * (3 * h + 1) * x_star
+            + h * (1 - h - h * h)
+        )
+    )
+
+
+def closed_form_eq8_line_family(
+    p: float,
+    h: float,
+    m_probe: float,
+    n_samples: int = 32,
+) -> dict:
+    """No-artificial-fixed-point check for F(x,y)=(p+2px)/(1+x+y)-h.
+
+    Off-domain candidate roots of the extended map lie on lines
+    y = m x + x* with slope m above m0 = (c - x*)/x*.  For each slope,
+    the second equation F(y, x) = y pins x, leaving a scalar residual
+    from the first equation; the analysis shows that residual never
+    vanishes for m > m0.  This routine evaluates the residual at
+    m_probe and verifies its sign is constant across sampled slopes.
+    """
+    spec, _ = make_eq8(p, h)
+    F = spec.func
+    x_star = eq8_x_star(p, h)
+    c = spec.box.x1
+    m0 = (c - x_star) / x_star
+
+    def residual(m: float) -> float:
+        # pin x from F(mx + x*, x) = mx + x*, then test the first
+        # equation with the ray-extended value F(x_plus, y)
+        g = lambda x: F(m * x + x_star, x) - (m * x + x_star)
+        x = brentq(g, 1e-14, x_star, xtol=1e-14)
+        y = m * x + x_star
+        x_plus = (y - x_star) * x_star / (c - x_star)
+        return F(x_plus, y) - x
+
+    res_probe = residual(float(m_probe))
+    ms = m0 + np.geomspace(1e-3, 1e3, n_samples)
+    samples = [residual(float(m)) for m in ms]
+    signs = {np.sign(s) for s in samples}
+    return {
+        "p": p,
+        "h": h,
+        "x_star": x_star,
+        "c": c,
+        "m0": m0,
+        "b3": eq8_b3(x_star, h),
+        "residual_at_probe": res_probe,
+        "sign_constant": len(signs) == 1 and 0.0 not in signs,
+        "residual_samples": samples,
+    }
+
+
+# ---------------------------------------------------------------------------
+# XfY: F(x, y) = x f(y).
+# ---------------------------------------------------------------------------
 
 
 def make_xfy(

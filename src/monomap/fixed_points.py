@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .enclosure import METHOD_ENCLOSURE, corner_ranges
-from .errors import ContinuumOfFixedPoints, DegenerateCase, ParamConstraint
+from .errors import ContinuumOfFixedPoints, ParamConstraint
 from .extension import ExtendedMap
 
 SCHEMA_VERSION = 2
@@ -310,121 +310,3 @@ def find_artificial(
             "tol_fp": tol_fp,
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# Closed forms for the two rational families.
-# ---------------------------------------------------------------------------
-
-
-def closed_form_eq7(p: float, q: float, r: float) -> dict:
-    """Artificial fixed-point analysis of F(x,y)=(p+qx)/(1+x+ry).
-
-    The off-diagonal solutions of the symmetric system satisfy
-    x + y = q - 1 together with the quadratic
-    (r-1)x^2 - (r-1)(q-1)x + p = 0.  No artificial fixed point lies in
-    the domain when (i) q <= 1, (ii) 0 <= r <= 1, or (iii) r > 1 and
-    p > (r-1)(q-1)^2 / 4.
-    """
-    if not (0 < p <= q):
-        raise ParamConstraint("requires 0 < p <= q")
-    if not r > 0:
-        raise ParamConstraint("requires r > 0")
-    # unique positive equilibrium: (1+r)x^2 + (1-q)x - p = 0
-    disc = (1 - q) ** 2 + 4 * (1 + r) * p
-    x_star = ((q - 1) + np.sqrt(disc)) / (2 * (1 + r))
-    regime = None
-    if q <= 1:
-        regime = "i"
-    elif r <= 1:
-        regime = "ii"
-    elif p > 0.25 * (r - 1) * (q - 1) ** 2:
-        regime = "iii"
-    out = {
-        "p": p,
-        "q": q,
-        "r": r,
-        "equilibrium": float(x_star),
-        "regime": regime,
-        "artificial_pairs": [],
-    }
-    if regime is None:
-        aq, bq, cq = (r - 1), -(r - 1) * (q - 1), p
-        d = bq * bq - 4 * aq * cq
-        if d >= 0:
-            r1 = (-bq - np.sqrt(d)) / (2 * aq)
-            r2 = (-bq + np.sqrt(d)) / (2 * aq)
-            for x in sorted({float(r1), float(r2)}):
-                y = (q - 1) - x
-                if x < y:
-                    out["artificial_pairs"].append((x, y))
-    return out
-
-
-def eq8_b3(x_star: float, h: float) -> float:
-    """Leading coefficient of the line-family elimination cubic."""
-    return (
-        h**3
-        * (1 - h) ** 2
-        * (
-            4 * x_star**3
-            + 4 * x_star**2
-            + (1 - h) * (3 * h + 1) * x_star
-            + h * (1 - h - h * h)
-        )
-    )
-
-
-def closed_form_eq8_line_family(
-    p: float,
-    h: float,
-    m_probe: float,
-    n_samples: int = 32,
-) -> dict:
-    """No-artificial-fixed-point check for F(x,y)=(p+2px)/(1+x+y)-h.
-
-    Off-domain candidate roots of the extended map lie on lines
-    y = m x + x* with slope m above m0 = (c - x*)/x*.  For each slope,
-    the second equation F(y, x) = y pins x, leaving a scalar residual
-    from the first equation; the analysis shows that residual never
-    vanishes for m > m0.  This routine evaluates the residual at
-    m_probe and verifies its sign is constant across sampled slopes.
-    """
-    if not (p > 0 and h > 0):
-        raise ParamConstraint("requires p > 0 and h > 0")
-    if abs(h - 0.5) < 1e-12:
-        raise DegenerateCase(
-            "h = 1/2 produces a continuum of artificial fixed points"
-        )
-    if not h < min(p, 0.5):
-        raise ParamConstraint("requires 0 < h < min(p, 1/2)")
-    x_star = p - h
-    c = x_star * (x_star + p + 1) / h
-    m0 = (c - x_star) / x_star
-
-    F = lambda x, y: (p + 2 * p * x) / (1 + x + y) - h
-
-    def residual(m: float) -> float:
-        # pin x from F(mx + x*, x) = mx + x*, then test the first
-        # equation with the ray-extended value F(x_plus, y)
-        g = lambda x: F(m * x + x_star, x) - (m * x + x_star)
-        x = brentq(g, 1e-14, x_star, xtol=1e-14)
-        y = m * x + x_star
-        x_plus = (y - x_star) * x_star / (c - x_star)
-        return F(x_plus, y) - x
-
-    res_probe = residual(float(m_probe))
-    ms = m0 + np.geomspace(1e-3, 1e3, n_samples)
-    samples = [residual(float(m)) for m in ms]
-    signs = {np.sign(s) for s in samples}
-    return {
-        "p": p,
-        "h": h,
-        "x_star": x_star,
-        "c": c,
-        "m0": m0,
-        "b3": eq8_b3(x_star, h),
-        "residual_at_probe": res_probe,
-        "sign_constant": len(signs) == 1 and 0.0 not in signs,
-        "residual_samples": samples,
-    }

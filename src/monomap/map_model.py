@@ -3,18 +3,21 @@
 A second-order difference equation x_{n+1} = F(x_n, x_{n-1}) is studied
 through the companion planar map T(x, y) = (F(x, y), x).  Everything in
 this module is signature bookkeeping and small numerics (finite
-difference Jacobians, grid monotonicity audits, partial-order compares).
+difference Jacobians, grid monotonicity audits, partial-order compares),
+plus the one map representation: an arithmetic expression in x, y and
+named parameters, compiled by `compile_expression`.
 """
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFiniteValue
+from .errors import ConfigError, NonFiniteValue
 
 
 class Direction(Enum):
@@ -36,9 +39,6 @@ class MonotoneSignature:
     @property
     def is_mixed(self) -> bool:
         return self.first != self.second
-
-    def swapped(self) -> "MonotoneSignature":
-        return MonotoneSignature(self.second, self.first)
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.first.sign, self.second.sign)
@@ -68,22 +68,6 @@ class Box:
     @property
     def diam(self) -> float:
         return float(np.hypot(self.x1 - self.x0, self.y1 - self.y0))
-
-    @property
-    def width(self) -> float:
-        return self.x1 - self.x0
-
-    @property
-    def height(self) -> float:
-        return self.y1 - self.y0
-
-    def contains(self, x, y, tol: float = 0.0):
-        return (
-            (x >= self.x0 - tol)
-            & (x <= self.x1 + tol)
-            & (y >= self.y0 - tol)
-            & (y <= self.y1 + tol)
-        )
 
     def clip(self, x, y):
         return np.clip(x, self.x0, self.x1), np.clip(y, self.y0, self.y1)
@@ -116,6 +100,68 @@ class MapSpec:
                 f"map {self.name!r} produced non-finite values"
             )
         return out
+
+
+# ---------------------------------------------------------------------------
+# Expression maps: + - * / **, unary +-, exp log sqrt, x, y, parameters.
+# ---------------------------------------------------------------------------
+
+_FUNCTIONS = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt}
+_RESERVED = {"x", "y", "__builtins__", *_FUNCTIONS}
+_GRAMMAR = (
+    ast.Expression, ast.BinOp, ast.UnaryOp, ast.Call, ast.Name, ast.Load,
+    ast.Constant, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd,
+    ast.USub,
+)
+
+
+def compile_expression(expr: str, params: dict) -> Callable:
+    """Compile an arithmetic expression in x, y and named float parameters
+    into ``lambda x, y: expr``; anything outside the grammar is rejected.
+
+    A whitelist pass over the parsed tree admits the grammar only, turns
+    number literals into floats, and checks every name; the tree is then
+    compiled once and evaluated without builtins.
+    """
+    clash = sorted(_RESERVED & set(params))
+    if clash:
+        raise ConfigError(f"reserved name(s) used as parameter: {clash}")
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as e:
+        raise ConfigError(f"cannot parse expression {expr!r}: {e}") from e
+    callees = set()
+    for node in ast.walk(tree):  # a node comes before its children
+        if not isinstance(node, _GRAMMAR):
+            raise ConfigError(
+                f"unsupported expression element {type(node).__name__}"
+            )
+        if isinstance(node, ast.Call):
+            fn = node.func
+            if (not isinstance(fn, ast.Name) or fn.id not in _FUNCTIONS
+                    or node.keywords or len(node.args) != 1):
+                raise ConfigError(
+                    "only exp, log, sqrt calls with one argument are allowed, "
+                    f"got {ast.unparse(node)!r}"
+                )
+            callees.add(fn)
+        elif isinstance(node, ast.Name):
+            if node not in callees and node.id not in ("x", "y", *params):
+                raise ConfigError(f"unknown name {node.id!r} in expression")
+        elif isinstance(node, ast.Constant):
+            if not isinstance(node.value, (int, float)):
+                raise ConfigError(f"unsupported constant {node.value!r}")
+            try:
+                node.value = float(node.value)
+            except OverflowError as e:
+                raise ConfigError("integer constant too large") from e
+    args = ast.arguments(posonlyargs=[], args=[ast.arg("x"), ast.arg("y")],
+                         kwonlyargs=[], kw_defaults=[], defaults=[])
+    code = compile(ast.fix_missing_locations(
+        ast.Expression(ast.Lambda(args, tree.body))), "<expression>", "eval")
+    namespace = {k: float(v) for k, v in params.items()}
+    namespace.update(_FUNCTIONS, __builtins__={})
+    return eval(code, namespace)
 
 
 class OrderRelation(Enum):
@@ -158,7 +204,6 @@ def compare(p, q, order: OrderRelation, tol: float = 0.0) -> Comparison:
 @dataclass
 class MonotonicityAudit:
     ok: bool
-    observed: Optional[MonotoneSignature]
     n_violations_x: int
     n_violations_y: int
     worst_violation: float
@@ -203,17 +248,8 @@ def check_monotonicity(
         if float(-dy[i, j]) > worst:
             worst = float(-dy[i, j])
             witness = (float(xs[i]), float(ys[j]), "y")
-
-    # Report the empirically observed signature as a convenience.
-    med_dx = np.median(np.diff(Z, axis=0))
-    med_dy = np.median(np.diff(Z, axis=1))
-    observed = MonotoneSignature(
-        Direction.INCREASING if med_dx >= 0 else Direction.DECREASING,
-        Direction.INCREASING if med_dy >= 0 else Direction.DECREASING,
-    )
     return MonotonicityAudit(
         ok=(n_x == 0 and n_y == 0),
-        observed=observed,
         n_violations_x=n_x,
         n_violations_y=n_y,
         worst_violation=worst,

@@ -498,6 +498,17 @@ _DEFAULTS = {
     "tol_fp": None,  # defaults to 1e-9 * (b - a)
 }
 
+# run sizes (grid cells, samples, orbits, steps; ``steps`` is simulate's)
+SIZE_KEYS = ("n_grid", "n_boundary", "n_orbits", "orbit_steps", "max_iter",
+             "audit_grid", "n_order_pairs", "steps")
+
+
+def check_sizes(sizes: dict) -> None:
+    """Raise ValueError naming the first run size in ``sizes`` below 1."""
+    for key in SIZE_KEYS:
+        if key in sizes and sizes[key] < 1:
+            raise ValueError(f"{key} must be at least 1, got {sizes[key]}")
+
 
 @dataclass
 class StabilityCertificate:
@@ -626,6 +637,11 @@ def _search_artificial(run: _Run) -> dict:
             f"{len(report.unresolved)} search box(es) neither hold a "
             f"root nor exclude one, the first {report.unresolved[0][2]}"
         )
+    if not report.equilibria:
+        raise MonomapError(
+            f"the {run.cfg['n_grid']}-cell sweep of F(x, x) - x found no "
+            "equilibrium"
+        )
     return {"n_equilibria": len(report.equilibria)}
 
 
@@ -699,8 +715,7 @@ def certify(
         if unknown:
             raise ValueError(f"unknown certify config keys: {sorted(unknown)}")
         cfg.update(config)
-    if cfg["n_orbits"] < 1:
-        raise ValueError("n_orbits must be at least 1")
+    check_sizes(cfg)
     rng = np.random.default_rng(cfg["seed"])
     x0, x1, y0, y1 = domain.bbox
     span = max(x1 - x0, y1 - y0)

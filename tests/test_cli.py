@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from monomap.cli import compile_expression, main, parse_config
+from monomap.cli import main, parse_config
 from monomap.errors import ConfigError
+from monomap.examples import make_eq8
+from monomap.map_model import compile_expression
+from monomap.stability import SIZE_KEYS, certify
 
 EQ8_CFG = """
 [map]
@@ -73,15 +76,25 @@ class TestExpressionCompiler:
             "x if y else 0",
             "open('/etc/passwd')",
             "x @ y",
+            "exp + x",
         ],
     )
     def test_unsafe_constructs_rejected(self, expr):
         with pytest.raises(ConfigError):
             compile_expression(expr, {})
 
+    def test_integer_too_large_for_a_float_rejected(self):
+        with pytest.raises(ConfigError, match="too large"):
+            compile_expression("x + 1" + "0" * 400, {})
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError):
             compile_expression("x + z", {})
+
+    @pytest.mark.parametrize("name", ["x", "y", "exp"])
+    def test_reserved_parameter_name_rejected(self, name):
+        with pytest.raises(ConfigError, match=name):
+            compile_expression("x + y", {name: 1.0})
 
 
 class TestCommands:
@@ -209,6 +222,41 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, EQ8_CFG + "n_orbits = 0\n")
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 4
         assert "n_orbits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, keys, unread", [
+        ("eq7", "p = 1.0\nq = 2.0\nr = 3.0\n", "h = 0.3"),
+        ("eq8", "p = 1.0\nh = 0.3\n", "q = 2.0"),
+        ("xfy", "f = 2/(1 + y)\n", "signature = dec_inc"),
+    ])
+    def test_unread_map_key_is_4(self, tmp_path, capsys, family, keys, unread):
+        cfg = write_cfg(tmp_path, f"[map]\nfamily = {family}\n{keys}")
+        assert main(["extend", "--config", cfg, "--out", str(tmp_path)]) == 0
+        cfg = write_cfg(tmp_path, f"[map]\nfamily = {family}\n{keys}{unread}\n")
+        assert main(["extend", "--config", cfg, "--out", str(tmp_path)]) == 4
+        key = unread.split(" = ")[0]
+        assert (f"family {family} does not read the [map] key(s) {key}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key", SIZE_KEYS)
+    def test_size_below_one_is_rejected(self, tmp_path, capsys, key):
+        readers = {
+            "n_grid": ("fixedpoints", "certify"),
+            "n_boundary": ("certify",),
+            "n_orbits": ("certify", "simulate"),
+            "orbit_steps": ("certify", "simulate"),
+            "max_iter": ("certify",),
+            "audit_grid": ("extend", "certify"),
+            "n_order_pairs": ("certify",),
+            "steps": ("simulate",),
+        }[key]
+        if "certify" in readers:
+            with pytest.raises(ValueError, match=key):
+                certify(*make_eq8(1.0, 0.3), {key: 0})
+        cfg = write_cfg(tmp_path, EQ8_CFG + f"{key} = 0\n")
+        for command in readers:
+            assert main([command, "--config", cfg,
+                         "--out", str(tmp_path)]) == 4
+            assert f"{key} must be at least 1" in capsys.readouterr().err
 
     def test_extend_reads_tol_mono(self, tmp_path):
         cfg = write_cfg(tmp_path, EQ8_CFG)

@@ -61,6 +61,26 @@ class TestEq8Family:
             make_eq8(-1.0, 0.3)
 
 
+@pytest.mark.parametrize("make, params, reference", [
+    (make_eq7, (0.5, 2.0, 4.0),
+     lambda x, y, p, q, r: (p + q * x) / (1 + x + r * y)),
+    (make_eq7, (1.0, 1.0, 1.0),
+     lambda x, y, p, q, r: (p + q * x) / (1 + x + r * y)),
+    (make_eq8, (1.0, 0.49),
+     lambda x, y, p, h: (p + 2 * p * x) / (1 + x + y) - h),
+    (make_eq8, (2.0, 0.3),
+     lambda x, y, p, h: (p + 2 * p * x) / (1 + x + y) - h),
+])
+def test_compiled_family_matches_its_formula(make, params, reference):
+    spec, _ = make(*params)
+    assert tuple(spec.params.values()) == params
+    b = spec.box
+    rng = np.random.default_rng(2024)
+    x = rng.uniform(b.x0, b.x1, 10**6)
+    y = rng.uniform(b.y0, b.y1, 10**6)
+    assert np.array_equal(spec(x, y), reference(x, y, *params))
+
+
 class TestXfYFamily:
     def test_valid_factor(self):
         spec, domain = make_xfy(lambda y: 2.0 / (1.0 + y))

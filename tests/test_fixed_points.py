@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from monomap.errors import ContinuumOfFixedPoints, DegenerateCase, ParamConstraint
-from monomap.fixed_points import (
-    _corner_ranges,
+from monomap.fixed_points import _corner_ranges, find_artificial, find_equilibria
+from monomap.examples import (
     closed_form_eq7,
     closed_form_eq8_line_family,
     eq8_b3,
-    find_artificial,
-    find_equilibria,
+    make_eq7,
+    make_eq8,
 )
-from monomap.examples import make_eq7, make_eq8
 from monomap.extension import extend, extend_rectangle
 from monomap.geometry import DomainSpec
 from monomap.map_model import Box, DEC_INC, INC_DEC, MapSpec

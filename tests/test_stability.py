@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import monomap.fixed_points as fp
 import monomap.stability as stab
 from monomap.errors import NotAFixedPoint
 from monomap.examples import eq7_equilibrium, make_eq7, make_eq8
@@ -410,6 +411,14 @@ class TestCertify:
         spec, domain = eq8_problem
         with pytest.raises(ValueError, match="tol_chain"):
             certify(spec, domain, {"tol_chain": 1e-10})
+
+    def test_empty_equilibrium_sweep_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(fp, "find_equilibria", lambda *a, **k: [])
+        cert = certify(*make_eq8(1.0, 0.3))
+        assert cert.verdict == INCONCLUSIVE
+        assert cert.verdict_detail["stage"] == "artificial_fixed_points"
+        assert "sweep" in cert.verdict_detail["reason"]
+        assert "no equilibrium" in cert.verdict_detail["reason"]
 
     @pytest.mark.parametrize("n_orbits", [0, -3])
     def test_orbit_count_below_one_rejected(self, n_orbits):
