@@ -8,12 +8,15 @@ README for the key reference).  A tolerance comes from a ``--tol-KEY``
 flag or a ``[tolerances]`` key; each command accepts only those it reads
 (extend: tol_cont, tol_mono, tol_range; fixedpoints and certify: tol_fp;
 simulate: none), and certify stops the corner chains once their order
-interval is at most 10 * tol_fp wide.  Every ``[run]`` size (n_grid,
-n_boundary, n_orbits, orbit_steps, max_iter, audit_grid, n_order_pairs,
-steps) must be at least 1.  ``[map]`` names a family (eq7, eq8, xfy or
-expression); each is an expression compiled by
-``map_model.compile_expression``, and a key the family does not read is
-a configuration error.  Exit codes: 0 success / GloballyStable,
+interval is at most 10 * tol_fp wide.  Each command likewise accepts
+only the ``[run]`` keys it reads (extend: seed, audit_grid; fixedpoints:
+seed, n_grid; certify: seed, n_grid, n_orbits, orbit_steps, max_iter,
+audit_grid, n_order_pairs, variant; simulate: seed, steps, orbit_steps,
+n_orbits, x0, x_m1), and every ``[run]`` size among them must be at
+least 1.  ``[map]`` names a family (eq7, eq8, xfy or expression); each
+is an expression compiled by ``map_model.compile_expression``, and a
+key the family does not read, or a parameter the expression never
+names, is a configuration error.  Exit codes: 0 success / GloballyStable,
 1 Inconclusive verdict or unresolved fixed-point search, 2 audit or
 numeric failure, 3 unsupported domain, 4 configuration error.  With a
 fixed seed all JSON/CSV/SVG outputs are byte-identical across runs.
@@ -56,23 +59,19 @@ EXIT_CONFIG = 4
 # Config file parsing: [section] headers + key = value lines.
 # ---------------------------------------------------------------------------
 
+# the [run] keys each command reads; giving it any other is an error
+_COMMAND_RUN_KEYS = {
+    "extend": {"seed", "audit_grid"},
+    "fixedpoints": {"seed", "n_grid"},
+    "certify": {"seed", "n_grid", "n_orbits", "orbit_steps", "max_iter",
+                "audit_grid", "n_order_pairs", "variant"},
+    "simulate": {"seed", "steps", "orbit_steps", "n_orbits", "x0", "x_m1"},
+}
+
 _KNOWN_KEYS = {
     "map": {"family", "expr", "signature", "f"},
     "domain": {"kind", "rect", "vertices"},
-    "run": {
-        "seed",
-        "n_orbits",
-        "orbit_steps",
-        "variant",
-        "n_grid",
-        "n_boundary",
-        "max_iter",
-        "audit_grid",
-        "n_order_pairs",
-        "x0",
-        "x_m1",
-        "steps",
-    },
+    "run": set().union(*_COMMAND_RUN_KEYS.values()),
     "tolerances": {"tol_fp", "tol_cont", "tol_mono", "tol_range"},
 }
 
@@ -255,13 +254,8 @@ def cmd_certify(cfg: dict, out: Path, seed: int, tols: dict) -> int:
     spec, domain = build_problem(cfg)
     run = cfg["run"]
     ccfg = {"seed": seed}
-    for key in ("n_boundary", "n_grid", "n_orbits",
-                "orbit_steps", "max_iter", "audit_grid", "n_order_pairs"):
-        v = _as_int(run, key)
-        if v is not None:
-            ccfg[key] = v
-    if "variant" in run:
-        ccfg["variant"] = run["variant"]
+    for key in sorted((_COMMAND_RUN_KEYS["certify"] - {"seed"}) & run.keys()):
+        ccfg[key] = run[key] if key == "variant" else _as_int(run, key)
     ccfg.update(tols)
     cert = certify(spec, domain, ccfg)
     report.write_json(out / "certificate.json", cert.to_dict())
@@ -361,8 +355,16 @@ def main(argv=None) -> int:
                 f"{', '.join(unread)}"
             )
         run = cfg["run"]
+        reads = _COMMAND_RUN_KEYS[args.command]
+        unread = sorted(set(run) - reads)
+        if unread:
+            raise ConfigError(
+                f"{args.command} does not read the [run] key(s) "
+                f"{', '.join(unread)}"
+            )
         try:
-            check_sizes({k: _as_int(run, k) for k in SIZE_KEYS if k in run})
+            check_sizes({k: _as_int(run, k) for k in sorted(reads & run.keys())
+                         if k in SIZE_KEYS})
         except ValueError as e:
             raise ConfigError(str(e)) from e
         seed = args.seed if args.seed is not None else _as_int(

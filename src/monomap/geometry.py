@@ -141,38 +141,35 @@ class DomainSpec:
         out = np.where(on_edge, 0, np.where(inside, 1, -1))
         return out.reshape(shape)
 
-    def slice_bounds(self, t, axis: int):
-        """Ends of the domain's slices through the coordinates ``t``.
+    def slice_bounds(self, t):
+        """Lowest and highest boundary point on each vertical line x = t.
 
-        ``axis`` 1 slices at heights y = t and gives the x-interval of
-        each slice; ``axis`` 0 slices at x = t and gives y-intervals.
-        ``t`` is clamped to the domain's range along ``axis``.  For a
-        convex domain the slice is this one interval, with its lower end
-        a convex and its upper end a concave function of t.
+        ``t`` is clamped to the domain's x-range; an edge along the line
+        contributes both of its ends.
         """
         v = self.vertices
-        a0, b0 = v[:, axis], v[:, 1 - axis]
-        a1, b1 = np.roll(a0, -1), np.roll(b0, -1)
-        t = np.clip(np.asarray(t, dtype=float), a0.min(), a0.max())[..., None]
-        da = a1 - a0
-        flat = da == 0
-        hit = (np.minimum(a0, a1) <= t) & (t <= np.maximum(a0, a1))
-        s = np.clip((t - a0) / np.where(flat, 1.0, da), 0.0, 1.0)
-        b = b0 + s * (b1 - b0)
-        # an edge along the slice contributes both of its ends
-        lo = np.where(hit, np.where(flat, np.minimum(b0, b1), b), np.inf)
-        hi = np.where(hit, np.where(flat, np.maximum(b0, b1), b), -np.inf)
+        x0, y0 = v[:, 0], v[:, 1]
+        x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+        t = np.clip(np.asarray(t, dtype=float), x0.min(), x0.max())[..., None]
+        dx = x1 - x0
+        flat = dx == 0
+        hit = (np.minimum(x0, x1) <= t) & (t <= np.maximum(x0, x1))
+        s = np.clip((t - x0) / np.where(flat, 1.0, dx), 0.0, 1.0)
+        y = y0 + s * (y1 - y0)
+        lo = np.where(hit, np.where(flat, np.minimum(y0, y1), y), np.inf)
+        hi = np.where(hit, np.where(flat, np.maximum(y0, y1), y), -np.inf)
         return lo.min(axis=-1), hi.max(axis=-1)
 
     def slab_extent(self, x0, x1):
-        """y-range of the part of a convex domain in each slab x0 <= x <= x1.
+        """y-range of the part of the domain in each slab x0 <= x <= x1.
 
-        The slice ends at the slab's sides, and every vertex between
-        them, bound it.
+        The part is a polygon whose vertices are the domain's vertices
+        inside the slab and the boundary points on the slab's sides, so
+        those bound it; this holds for any polygon, convex or not.
         """
         x0, x1 = np.asarray(x0, dtype=float), np.asarray(x1, dtype=float)
-        lo0, hi0 = self.slice_bounds(x0, axis=0)
-        lo1, hi1 = self.slice_bounds(x1, axis=0)
+        lo0, hi0 = self.slice_bounds(x0)
+        lo1, hi1 = self.slice_bounds(x1)
         vx, vy = self.vertices[:, 0], self.vertices[:, 1]
         between = (x0[..., None] < vx) & (vx < x1[..., None])
         lo = np.minimum(np.minimum(lo0, lo1),
@@ -180,6 +177,38 @@ class DomainSpec:
         hi = np.maximum(np.maximum(hi0, hi1),
                         np.where(between, vy, -np.inf).max(axis=-1))
         return lo, hi
+
+    def trapezoids(self):
+        """The polygon cut at every distinct vertex height.
+
+        Returns the cut heights ``ys`` (ascending) and, for each band
+        ys[j] <= y <= ys[j + 1], a (k, 2) array of edge indices: the left
+        and the right edge of each of the band's k trapezoids.  Edge i
+        runs from vertex i to vertex i + 1.  No vertex lies inside a
+        band, so the edges that cross it keep their order; sorted by
+        their x at mid-height they pair up, left to right, as the sides
+        of the trapezoids (Seidel 1991).  Every trapezoid is convex and
+        lies in the polygon.
+        """
+        ya = self.vertices[:, 1]
+        yb = np.roll(ya, -1)
+        ys = np.unique(ya)
+        bands = []
+        for lo, hi in zip(ys[:-1], ys[1:]):
+            cross = np.flatnonzero((np.minimum(ya, yb) <= lo)
+                                   & (np.maximum(ya, yb) >= hi))
+            mid = self.edge_x(cross, 0.5 * (lo + hi))
+            bands.append(cross[np.argsort(mid)].reshape(-1, 2))
+        return ys, bands
+
+    def edge_x(self, edges, t):
+        """x of the non-horizontal edges ``edges`` at heights ``t``
+        (broadcast against each other), clamped to each edge's ends."""
+        v = self.vertices
+        a, b = v[edges], v[(edges + 1) % len(v)]
+        x0, y0, x1, y1 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+        s = np.clip((t - y0) / (y1 - y0), 0.0, 1.0)
+        return x0 + s * (x1 - x0)
 
     def project(self, x: float, y: float, direction: str) -> Optional[tuple]:
         """Nearest boundary intersection of the axis ray from (x, y).

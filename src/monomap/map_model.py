@@ -117,7 +117,8 @@ _GRAMMAR = (
 
 def compile_expression(expr: str, params: dict) -> Callable:
     """Compile an arithmetic expression in x, y and named float parameters
-    into ``lambda x, y: expr``; anything outside the grammar is rejected.
+    into ``lambda x, y: expr``; anything outside the grammar, and a
+    parameter the expression never names, is rejected.
 
     A whitelist pass over the parsed tree admits the grammar only, turns
     number literals into floats, and checks every name; the tree is then
@@ -130,7 +131,7 @@ def compile_expression(expr: str, params: dict) -> Callable:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as e:
         raise ConfigError(f"cannot parse expression {expr!r}: {e}") from e
-    callees = set()
+    callees, used = set(), set()
     for node in ast.walk(tree):  # a node comes before its children
         if not isinstance(node, _GRAMMAR):
             raise ConfigError(
@@ -148,6 +149,7 @@ def compile_expression(expr: str, params: dict) -> Callable:
         elif isinstance(node, ast.Name):
             if node not in callees and node.id not in ("x", "y", *params):
                 raise ConfigError(f"unknown name {node.id!r} in expression")
+            used.add(node.id)
         elif isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise ConfigError(f"unsupported constant {node.value!r}")
@@ -155,6 +157,10 @@ def compile_expression(expr: str, params: dict) -> Callable:
                 node.value = float(node.value)
             except OverflowError as e:
                 raise ConfigError("integer constant too large") from e
+    unused = sorted(set(params) - used)
+    if unused:
+        raise ConfigError(f"the expression {expr!r} does not use the "
+                          f"parameter(s) {', '.join(unused)}")
     args = ast.arguments(posonlyargs=[], args=[ast.arg("x"), ast.arg("y")],
                          kwonlyargs=[], kw_defaults=[], defaults=[])
     code = compile(ast.fix_missing_locations(

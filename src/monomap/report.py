@@ -239,19 +239,16 @@ def render_certificate_md(cert) -> str:
     lines.append("")
     if d["invariance"] is not None:
         inv = d["invariance"]
-        lines += ["## Invariance", "", f"- method: {inv['method']}"]
-        if "search" in inv:
-            se = inv["search"]
-            lines += [
-                f"- verified: {inv['verified']} by {se['cells']} cells, "
-                f"{se['evaluations']} evaluations, depth {se['depth']} "
-                f"(stop: {se['stop']}), tol {se['tol']:.3e}",
-                f"- unproved boxes: {se['unproved']}",
-            ] + [f"- limit: {text}" for text in inv["limits"]]
-        else:
-            lines.append(
-                f"- verified: {inv['verified']} over {inv['n_samples']} "
-                f"samples, worst boundary margin {inv['worst_margin']:.3e}")
+        se = inv["search"]
+        lines += [
+            "## Invariance",
+            "",
+            f"- method: {inv['method']}",
+            f"- verified: {inv['verified']} by {se['cells']} cells, "
+            f"{se['evaluations']} evaluations, depth {se['depth']} "
+            f"(stop: {se['stop']}), tol {se['tol']:.3e}",
+            f"- unproved boxes: {se['unproved']}",
+        ] + [f"- limit: {text}" for text in inv["limits"]]
         if "witness" in inv:
             lines.append(f"- witness: {inv['witness']}")
         lines.append("")

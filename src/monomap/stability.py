@@ -48,8 +48,6 @@ REFUTED = "Refuted"
 # ---------------------------------------------------------------------------
 
 
-METHOD_SAMPLED = "sampled"
-
 # the proof refines cells until each is proved, or until a failing cell
 # is narrower than the image tolerance, or before a level would hold
 # more than this many cells
@@ -64,77 +62,64 @@ INVARIANCE_LIMITS = (
 
 @dataclass
 class InvarianceResult:
-    """Whether T(x, y) = (F(x, y), x) maps the domain into itself.
-
-    ``method`` is MonotoneEnclosure for a proof by corner enclosures,
-    with its record in ``search``; or sampled, with ``n_samples`` and
-    ``worst_margin``.  ``witness`` is a point of the domain whose image
+    """Whether T(x, y) = (F(x, y), x) maps the domain into itself, proved
+    by corner enclosures (``method`` MonotoneEnclosure) with the record
+    in ``search``.  ``witness`` is a point of the domain whose image
     leaves it by more than the tolerance.
     """
 
     verified: bool
-    method: str
+    search: dict
     witness: Optional[Tuple[float, float]] = None
-    search: Optional[dict] = None
-    n_samples: Optional[int] = None
-    worst_margin: Optional[float] = None  # closest boundary image to exiting
+    method: str = METHOD_ENCLOSURE
 
     def to_dict(self):
-        d = {"method": self.method, "verified": self.verified}
-        if self.method == METHOD_ENCLOSURE:
-            d["search"] = self.search
-            d["limits"] = list(INVARIANCE_LIMITS)
-        else:
-            d["n_samples"] = self.n_samples
-            d["worst_margin"] = self.worst_margin
+        d = {"method": self.method, "verified": self.verified,
+             "search": self.search, "limits": list(INVARIANCE_LIMITS)}
         if self.witness is not None:
             d["witness"] = list(self.witness)
         return d
 
 
-def _boundary_distance(domain: DomainSpec, x: np.ndarray, y: np.ndarray):
-    v = domain.vertices
-    a = v
-    b = np.roll(v, -1, axis=0)
-    best = np.full(x.shape, np.inf)
-    for (ax, ay), (bx, by) in zip(a, b):
-        dx, dy = bx - ax, by - ay
-        L2 = dx * dx + dy * dy
-        t = ((x - ax) * dx + (y - ay) * dy) / L2 if L2 > 0 else 0.0
-        t = np.clip(t, 0.0, 1.0)
-        px, py = ax + t * dx, ay + t * dy
-        best = np.minimum(best, np.hypot(x - px, y - py))
-    return best
+def _fits_trapezoids(domain, cuts, bands, h0, h1, f0, f1, slack):
+    """Which cells have their image slice [f0, f1] in one trapezoid of
+    every band that their heights [h0, h1] cross, within ``slack``.  A
+    band is crossed when [h0, h1] overlaps it with positive length, or
+    holds h0 = h1: a point shared with a neighbouring band is checked
+    there."""
+    ok = slack >= 0
+    f0, f1, slack = f0[:, None], f1[:, None], slack[:, None]
+    for lo, hi, sides in zip(cuts[:-1], cuts[1:], bands):
+        a, b = np.maximum(h0, lo), np.minimum(h1, hi)
+        crossed = (a < b) | ((a == b) & (h0 == h1))
+        # the sides' x at both ends, shape (2, cells, trapezoids, 2)
+        x = domain.edge_x(sides, np.stack([a, b])[..., None, None])
+        fit = ((f0 >= x[..., 0].max(axis=0) - slack)
+               & (f1 <= x[..., 1].min(axis=0) + slack))
+        ok &= ~crossed | fit.any(axis=1)
+    return ok
 
 
-def verify_invariance(
-    map_spec: MapSpec,
-    domain: DomainSpec,
-    n_boundary: int = 500,
-    rng: Optional[np.random.Generator] = None,
-) -> InvarianceResult:
-    """Check that T(x, y) = (F(x, y), x) maps the domain into itself.
-
-    Rectangles and convex domains get a proof (`prove_invariance`);
-    any other domain is sampled (`sample_invariance`), which is the
-    only use of ``n_boundary`` and ``rng``.
-    """
-    if domain.classify() in (DomainKind.RECTANGLE, DomainKind.CONVEX):
-        return prove_invariance(map_spec, domain)
-    return sample_invariance(map_spec, domain, n_boundary, rng)
-
-
-def prove_invariance(map_spec: MapSpec, domain: DomainSpec) -> InvarianceResult:
-    """Prove that T maps a convex domain into its tol-band, by bisection.
+def verify_invariance(map_spec: MapSpec, domain: DomainSpec) -> InvarianceResult:
+    """Prove that T maps the domain into its tol-band, by bisection.
 
     On a cell [x0, x1] x [y0, y1] the images T(x, y) have heights in
     [x0, x1], and the corner enclosure gives the exact range [f0, f1] of
-    F.  The slice of the domain at height t is [L(t), R(t)] with L
-    convex and R concave, so every image lies within tol of the domain
-    when the heights overshoot the domain's y-range by some e <= tol and
+    F.  The domain, cut at its vertex heights, is a union of trapezoids
+    (`DomainSpec.trapezoids`).  Clip the heights to the domain's
+    y-range, giving [h0, h1], which overshoots it by some e <= tol.  In
+    each band that [h0, h1] crosses, over [a, b], the cell needs one
+    trapezoid, with left and right edges l and r, such that
 
-        f0 >= max(L(x0), L(x1)) - (tol - e),
-        f1 <= min(R(x0), R(x1)) + (tol - e).
+        f0 >= max(l(a), l(b)) - (tol - e),
+        f1 <= min(r(a), r(b)) + (tol - e).
+
+    A trapezoid is convex, so the slice then fits it at every height in
+    [a, b], and every image lies within tol of the domain.  On a convex
+    domain each band holds one trapezoid; its slice ends L(t), R(t) are
+    convex and concave, so the band checks come down to those at h0 and
+    h1.  The test is the same for rectangles, convex and semi-convex
+    domains.
 
     Cells start as the bounding box, and each level first clips the
     y-range of every cell to the domain's extent over its x-range
@@ -145,10 +130,11 @@ def prove_invariance(map_spec: MapSpec, domain: DomainSpec) -> InvarianceResult:
     narrower than tol, and all failing cells when the next level would
     exceed the cell budget, are left as ``unproved`` boxes.  The band
     tol, thousands of ulps wide, also absorbs the rounding of F and of
-    the slice ends.
+    the edge positions.
     """
     tol = 4 * domain.chord_tol
     bx0, bx1, by0, by1 = domain.bbox
+    cuts, bands = domain.trapezoids()
     sig = map_spec.signature.as_tuple()
     x0, x1 = np.array([bx0]), np.array([bx1])
     y0, y1 = np.array([by0]), np.array([by1])
@@ -165,11 +151,8 @@ def prove_invariance(map_spec: MapSpec, domain: DomainSpec) -> InvarianceResult:
         cells += x0.size
         evaluations += f.size
         slack = tol - np.maximum(0.0, np.maximum(by0 - x0, x1 - by1))
-        l0, r0 = domain.slice_bounds(x0, axis=1)
-        l1, r1 = domain.slice_bounds(x1, axis=1)
-        bad = ~((slack >= 0)
-                & (f[0] >= np.maximum(l0, l1) - slack)
-                & (f[1] <= np.minimum(r0, r1) + slack))
+        bad = ~_fits_trapezoids(domain, cuts, bands, np.clip(x0, by0, by1),
+                                np.clip(x1, by0, by1), f[0], f[1], slack)
         if not bad.any():
             break
         cx, cy, fx = xs[:, bad].ravel(), ys[:, bad].ravel(), f[:, bad].ravel()
@@ -195,7 +178,6 @@ def prove_invariance(map_spec: MapSpec, domain: DomainSpec) -> InvarianceResult:
         depth += 1
     return InvarianceResult(
         verified=witness is None and not unproved,
-        method=METHOD_ENCLOSURE,
         witness=witness,
         search={
             "cells": cells,
@@ -205,69 +187,6 @@ def prove_invariance(map_spec: MapSpec, domain: DomainSpec) -> InvarianceResult:
             "stop": stop,
             "unproved": unproved,
         },
-    )
-
-
-def sample_invariance(
-    map_spec: MapSpec,
-    domain: DomainSpec,
-    n_boundary: int = 500,
-    rng: Optional[np.random.Generator] = None,
-) -> InvarianceResult:
-    """Sample the domain and check T(x, y) = (F(x, y), x) stays inside.
-
-    Takes n_boundary samples per boundary segment plus about
-    n_boundary^2 interior points.  The reported margin is the smallest
-    distance of a boundary-sample image to the boundary (interior
-    images are containment-checked only).
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    tol = domain.chord_tol
-    v = domain.vertices
-    n_seg = len(v)
-    ts = np.linspace(0.0, 1.0, n_boundary, endpoint=False)
-    bx = np.concatenate(
-        [v[i, 0] + ts * (v[(i + 1) % n_seg, 0] - v[i, 0]) for i in range(n_seg)]
-    )
-    by = np.concatenate(
-        [v[i, 1] + ts * (v[(i + 1) % n_seg, 1] - v[i, 1]) for i in range(n_seg)]
-    )
-    x0, x1, y0, y1 = domain.bbox
-    want = n_boundary * n_boundary
-    ix = np.empty(0)
-    iy = np.empty(0)
-    while len(ix) < want:
-        cx = rng.uniform(x0, x1, 2 * want)
-        cy = rng.uniform(y0, y1, 2 * want)
-        keep = domain.contains(cx, cy) >= 0
-        ix = np.concatenate([ix, cx[keep]])
-        iy = np.concatenate([iy, cy[keep]])
-    ix, iy = ix[:want], iy[:want]
-
-    sx = np.concatenate([bx, ix])
-    sy = np.concatenate([by, iy])
-    tx = np.asarray(map_spec(sx, sy), dtype=float)
-    ty = sx
-    inside = domain.contains(tx, ty, tol=4 * tol) >= 0
-    n_samples = len(sx)
-    if not np.all(inside):
-        bad = np.nonzero(~inside)[0]
-        k = int(bad[0])
-        dist = float(_boundary_distance(domain, tx[bad], ty[bad]).max())
-        return InvarianceResult(
-            verified=False,
-            method=METHOD_SAMPLED,
-            n_samples=n_samples,
-            worst_margin=-dist,
-            witness=(float(sx[k]), float(sy[k])),
-        )
-    bdist = _boundary_distance(domain, tx[: len(bx)], ty[: len(bx)])
-    return InvarianceResult(
-        verified=True,
-        method=METHOD_SAMPLED,
-        n_samples=n_samples,
-        worst_margin=float(bdist.min()),
     )
 
 
@@ -486,7 +405,6 @@ def local_stability(
 # ---------------------------------------------------------------------------
 
 _DEFAULTS = {
-    "n_boundary": 200,
     "n_grid": 256,
     "n_orbits": 100,
     "orbit_steps": 10000,
@@ -499,8 +417,8 @@ _DEFAULTS = {
 }
 
 # run sizes (grid cells, samples, orbits, steps; ``steps`` is simulate's)
-SIZE_KEYS = ("n_grid", "n_boundary", "n_orbits", "orbit_steps", "max_iter",
-             "audit_grid", "n_order_pairs", "steps")
+SIZE_KEYS = ("n_grid", "n_orbits", "orbit_steps", "max_iter", "audit_grid",
+             "n_order_pairs", "steps")
 
 
 def check_sizes(sizes: dict) -> None:
@@ -595,9 +513,7 @@ def _classify_domain(run: _Run) -> dict:
 
 
 def _check_invariance(run: _Run) -> dict:
-    inv = verify_invariance(
-        run.spec, run.domain, n_boundary=run.cfg["n_boundary"], rng=run.rng
-    )
+    inv = verify_invariance(run.spec, run.domain)
     run.cert.invariance = inv
     if inv.witness is not None:
         raise MonomapError(f"domain is not invariant; witness {inv.witness}")
@@ -606,10 +522,8 @@ def _check_invariance(run: _Run) -> dict:
             f"domain invariance unproved on {len(inv.search['unproved'])} "
             f"cell(s) (stop: {inv.search['stop']})"
         )
-    if inv.method == METHOD_ENCLOSURE:
-        return {"method": inv.method, "cells": inv.search["cells"],
-                "evaluations": inv.search["evaluations"]}
-    return {"method": inv.method, "n_samples": inv.n_samples}
+    return {"method": inv.method, "cells": inv.search["cells"],
+            "evaluations": inv.search["evaluations"]}
 
 
 def _build_extension(run: _Run) -> dict:

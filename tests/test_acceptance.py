@@ -72,8 +72,7 @@ def test_criterion_1_eq8_end_to_end():
     spec, domain = make_eq8(1.0, 0.3)
     x_star = 0.7
 
-    inv = verify_invariance(spec, domain, n_boundary=100,
-                            rng=np.random.default_rng(0))
+    inv = verify_invariance(spec, domain)
     assert inv.verified
     assert inv.method == "MonotoneEnclosure"
     assert inv.search["unproved"] == []

@@ -87,6 +87,11 @@ class TestExpressionCompiler:
         with pytest.raises(ConfigError, match="too large"):
             compile_expression("x + 1" + "0" * 400, {})
 
+    def test_unused_parameter_rejected(self):
+        assert compile_expression("p*x - y", {"p": 2.0})(1.0, 1.0) == 1.0
+        with pytest.raises(ConfigError, match="parameter.s. q"):
+            compile_expression("p*x - y", {"p": 2.0, "q": 7.0})
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError):
             compile_expression("x + z", {})
@@ -241,7 +246,6 @@ class TestExitCodes:
     def test_size_below_one_is_rejected(self, tmp_path, capsys, key):
         readers = {
             "n_grid": ("fixedpoints", "certify"),
-            "n_boundary": ("certify",),
             "n_orbits": ("certify", "simulate"),
             "orbit_steps": ("certify", "simulate"),
             "max_iter": ("certify",),
@@ -257,6 +261,40 @@ class TestExitCodes:
             assert main([command, "--config", cfg,
                          "--out", str(tmp_path)]) == 4
             assert f"{key} must be at least 1" in capsys.readouterr().err
+
+    def test_removed_n_boundary_key_is_4(self, tmp_path, capsys):
+        # the sampled invariance check that read it is gone
+        cfg = write_cfg(tmp_path, EQ8_CFG + "n_boundary = 5\n")
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert "n_boundary" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="n_boundary"):
+            certify(*make_eq8(1.0, 0.3), {"n_boundary": 5})
+
+    @pytest.mark.parametrize("command, extra, unread", [
+        ("extend", "variant = Sym2\nx0 = 5\n", "variant, x0"),
+        ("extend", "n_grid = 64\n", "n_grid"),
+        ("fixedpoints", "variant = Sym2\n", "variant"),
+        ("fixedpoints", "audit_grid = 50\n", "audit_grid"),
+        ("certify", "x0 = 0.5\nsteps = 10\n", "steps, x0"),
+        ("simulate", "max_iter = 10\n", "max_iter"),
+    ])
+    def test_unread_run_key_is_4(self, tmp_path, capsys, command, extra,
+                                 unread):
+        cfg = write_cfg(tmp_path, EQ8_CFG + extra)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert (f"{command} does not read the [run] key(s) {unread}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text", [
+        "family = expression\nexpr = (1 + x)/(1 + x + y)\nq = 7\n",
+        "family = xfy\nf = a/(1 + y)\na = 2\nb = 3\n",
+    ])
+    def test_unused_parameter_is_4(self, tmp_path, capsys, text):
+        cfg = write_cfg(tmp_path, f"[map]\n{text}\n[domain]\nkind = rect\n"
+                                  "rect = 0,1,0,1\n")
+        assert main(["extend", "--config", cfg, "--out", str(tmp_path)]) == 4
+        name = text.strip().rsplit("\n", 1)[-1].split(" = ")[0]
+        assert f"parameter(s) {name}" in capsys.readouterr().err
 
     def test_extend_reads_tol_mono(self, tmp_path):
         cfg = write_cfg(tmp_path, EQ8_CFG)

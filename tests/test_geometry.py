@@ -107,15 +107,38 @@ class TestSlices:
                (0.9, 0.5), (-0.9, 0.5)]
 
     def test_horizontal_slices(self):
+        # the hexagon cut at its vertex heights is two trapezoids, one
+        # per band; their sides give the ends of the horizontal slices
         d = DomainSpec.polygon(self.HEXAGON)
-        # heights past the top clamp to it; the top is a flat edge
-        lo, hi = d.slice_bounds(np.array([0.0, 0.25, 0.5, 2.0, -0.5]), axis=1)
-        assert lo == pytest.approx([-1.2, -1.05, -0.9, -0.9, -0.9])
-        assert hi == pytest.approx([1.2, 1.05, 0.9, 0.9, 0.9])
+        cuts, bands = d.trapezoids()
+        assert list(cuts) == [-0.5, 0.0, 0.5]
+        assert [b.shape for b in bands] == [(1, 2), (1, 2)]
+        # heights past a band's ends clamp to them; the top is a flat edge
+        (left, right), = bands[1]
+        t = np.array([0.0, 0.25, 0.5, 2.0])
+        assert d.edge_x(left, t) == pytest.approx([-1.2, -1.05, -0.9, -0.9])
+        assert d.edge_x(right, t) == pytest.approx([1.2, 1.05, 0.9, 0.9])
+        (left, right), = bands[0]
+        assert d.edge_x(left, -0.5) == pytest.approx(-0.9)
+        assert d.edge_x(right, -0.5) == pytest.approx(0.9)
+
+    def test_notch_splits_the_bands_above_its_tip(self):
+        # a V notch in the top side: one trapezoid below its tip, two
+        # side by side above it
+        d = DomainSpec.polygon([(0, 0), (2, 0), (2, 2), (1.6, 2),
+                                (1.3, 0.9), (1.0, 2), (0, 2)])
+        cuts, bands = d.trapezoids()
+        assert list(cuts) == [0.0, 0.9, 2.0]
+        assert [len(b) for b in bands] == [1, 2]
+        sides = [float(d.edge_x(e, 1.5)) for e in bands[1].ravel()]
+        assert sides == pytest.approx([0.0, 1.0 + 0.3 * 0.5 / 1.1,
+                                       1.6 - 0.3 * 0.5 / 1.1, 2.0])
+        (left, right), = bands[0]
+        assert (d.edge_x(left, 0.5), d.edge_x(right, 0.5)) == (0.0, 2.0)
 
     def test_vertical_slices(self):
         d = DomainSpec.polygon(self.HEXAGON)
-        lo, hi = d.slice_bounds(np.array([-1.2, -1.05, 0.0, 1.2]), axis=0)
+        lo, hi = d.slice_bounds(np.array([-1.2, -1.05, 0.0, 1.2]))
         assert lo == pytest.approx([0.0, -0.25, -0.5, 0.0])
         assert hi == pytest.approx([0.0, 0.25, 0.5, 0.0])
 

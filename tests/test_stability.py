@@ -3,6 +3,7 @@ import pytest
 
 import monomap.fixed_points as fp
 import monomap.stability as stab
+from monomap.enclosure import corner_ranges
 from monomap.errors import NotAFixedPoint
 from monomap.examples import eq7_equilibrium, make_eq7, make_eq8
 from monomap.geometry import DomainKind, DomainSpec
@@ -38,6 +39,40 @@ def _assert_real_witness(spec, domain, res):
     assert _outside_by(domain, float(spec(x, y)), x) > 4 * domain.chord_tol
 
 
+def _winding(domain, x, y):
+    """Winding number of the domain's boundary around (x, y), from the
+    sum of the angles its edges subtend there."""
+    a = domain.vertices - (x, y)
+    b = np.roll(a, -1, axis=0)
+    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    dot = (a * b).sum(axis=1)
+    return round(float(np.arctan2(cross, dot).sum()) / (2 * np.pi))
+
+
+def _boundary_distance(domain, x, y):
+    """Distance from (x, y) to the domain's boundary."""
+    a = domain.vertices
+    d = np.roll(a, -1, axis=0) - a
+    t = np.clip(((x - a[:, 0]) * d[:, 0] + (y - a[:, 1]) * d[:, 1])
+                / (d * d).sum(axis=1), 0.0, 1.0)
+    return float(np.hypot(x - a[:, 0] - t * d[:, 0],
+                          y - a[:, 1] - t * d[:, 1]).min())
+
+
+def _assert_real_exit(spec, domain, res):
+    """_assert_real_witness for any polygon: the witness lies in the
+    domain (or on its boundary), and its image lies outside it, farther
+    than the proof's tolerance from the boundary."""
+    assert not res.verified
+    assert res.witness is not None
+    x, y = res.witness
+    assert (_winding(domain, x, y) == 1
+            or _boundary_distance(domain, x, y) <= 1e-12 * domain.diam)
+    fx = float(spec(x, y))
+    assert _winding(domain, fx, x) == 0
+    assert _boundary_distance(domain, fx, x) > 4 * domain.chord_tol
+
+
 def _shift_edge(vertices, i, dist):
     """The convex polygon with edge i moved inward by dist, its ends slid
     along the neighbouring edges."""
@@ -65,8 +100,7 @@ _DEC_INC = MapSpec(lambda x, y: (1 + y) / (1 + x + y), DEC_INC,
 class TestInvariance:
     def test_eq8_pentagon_is_invariant(self, eq8_problem):
         spec, domain = eq8_problem
-        res = verify_invariance(spec, domain, n_boundary=100,
-                                rng=np.random.default_rng(0))
+        res = verify_invariance(spec, domain)
         assert res.verified
         assert res.method == "MonotoneEnclosure"
         assert res.search["unproved"] == []
@@ -80,8 +114,7 @@ class TestInvariance:
     def test_shrunk_square_is_not_invariant(self, eq8_problem):
         spec, _ = eq8_problem
         small = DomainSpec.rectangle(0.0, 0.35, 0.0, 0.35)
-        res = verify_invariance(spec, small, n_boundary=50,
-                                rng=np.random.default_rng(0))
+        res = verify_invariance(spec, small)
         assert not res.verified
         assert res.witness is not None
         # the witness point really does leave the square
@@ -128,19 +161,45 @@ class TestInvariance:
         wide = DomainSpec.rectangle(0.0, 2.0, 0.0, 1.0)
         _assert_real_witness(spec, wide, verify_invariance(spec, wide))
 
-    def test_semi_convex_domain_is_sampled(self):
+    def test_semi_convex_domain_is_proved(self):
         # a notch in the right side, past every image F <= 1
         domain = DomainSpec.polygon([(0, 0), (2, 0), (2, 0.6), (1.3, 1.0),
                                      (2, 1.4), (2, 2), (0, 2)])
         assert domain.classify() == DomainKind.SEMI_CONVEX
         spec = MapSpec(lambda x, y: (1 + x) / (1 + x + y), INC_DEC,
                        Box(0.0, 2.0, 0.0, 2.0))
-        res = verify_invariance(spec, domain, n_boundary=100,
-                                rng=np.random.default_rng(0))
+        res = verify_invariance(spec, domain)
         assert res.verified
-        assert res.method == "sampled"
-        assert res.n_samples >= 10_000
-        assert "search" not in res.to_dict()
+        assert res.method == "MonotoneEnclosure"
+        assert res.search["stop"] == "proved"
+        assert res.search["unproved"] == []
+        assert "search" in res.to_dict()
+
+    def test_thin_image_in_a_shallow_notch_fails(self):
+        # the images (F, x) with F within 1e-8 of 1 are narrower than
+        # the slack, and (F(2, 0), 2) lies inside the top notch
+        domain = DomainSpec.polygon([(0, 0), (2, 0), (2, 2), (1.1, 2),
+                                     (1.0, 1.5), (0.9, 2), (0, 2)])
+        assert domain.classify() == DomainKind.SEMI_CONVEX
+        spec = MapSpec(lambda x, y: 1 + 1e-9 * (x - y), INC_DEC,
+                       Box(0.0, 2.0, 0.0, 2.0))
+        res = verify_invariance(spec, domain)
+        assert res.search["stop"] == "witness"
+        assert res.witness == (2.0, 0.0)
+        _assert_real_exit(spec, domain, res)
+
+    def test_notched_square_certifies(self):
+        domain = DomainSpec.polygon([(0, 0), (2, 0), (2, 2), (1.6, 2),
+                                     (1.3, 0.9), (1.0, 2), (0, 2)])
+        assert domain.classify() == DomainKind.SEMI_CONVEX
+        spec = MapSpec(lambda x, y: (1 + x) / (1 + x + y), INC_DEC,
+                       Box(0.0, 2.0, 0.0, 2.0))
+        cert = certify(spec, domain)
+        assert cert.verdict == GLOBALLY_STABLE
+        assert cert.x_star == 0.7071067811865476
+        assert cert.invariance.verified
+        assert (cert.invariance.search["cells"],
+                cert.invariance.search["evaluations"]) == (1, 2)
 
     def test_unproved_cells_fail_without_a_witness(self, eq8_problem,
                                                    monkeypatch):
@@ -176,6 +235,103 @@ def _random_invariance_case(rng, k):
     return spec, domain, shrunk
 
 
+def _slice_ends(domain, t):
+    """Ends L(t), R(t) of a convex domain's slices at the heights t, the
+    heights clamped to its y-range."""
+    v = domain.vertices
+    y0, x0 = v[:, 1], v[:, 0]
+    y1, x1 = np.roll(y0, -1), np.roll(x0, -1)
+    t = np.clip(np.asarray(t, dtype=float), y0.min(), y0.max())[..., None]
+    dy = y1 - y0
+    flat = dy == 0
+    hit = (np.minimum(y0, y1) <= t) & (t <= np.maximum(y0, y1))
+    s = np.clip((t - y0) / np.where(flat, 1.0, dy), 0.0, 1.0)
+    x = x0 + s * (x1 - x0)
+    lo = np.where(hit, np.where(flat, np.minimum(x0, x1), x), np.inf)
+    hi = np.where(hit, np.where(flat, np.maximum(x0, x1), x), -np.inf)
+    return lo.min(axis=-1), hi.max(axis=-1)
+
+
+def _two_height_invariance(map_spec, domain):
+    """Reference for verify_invariance on convex domains: the cell test
+    checks the slice ends at the two ends h0, h1 of the cell's heights
+    only, which suffices as L is convex and R concave.  Returns the
+    search record and the witness."""
+    tol = 4 * domain.chord_tol
+    bx0, bx1, by0, by1 = domain.bbox
+    sig = map_spec.signature.as_tuple()
+    x0, x1 = np.array([bx0]), np.array([bx1])
+    y0, y1 = np.array([by0]), np.array([by1])
+    unproved = []
+    witness = None
+    depth = cells = evaluations = 0
+    stop = "proved"
+    while x0.size:
+        lo, hi = domain.slab_extent(x0, x1)
+        y0, y1 = np.maximum(y0, lo), np.minimum(y1, hi)
+        meets = y0 <= y1
+        x0, x1, y0, y1 = x0[meets], x1[meets], y0[meets], y1[meets]
+        xs, ys, f = corner_ranges(map_spec, sig, x0, x1, y0, y1)
+        cells += x0.size
+        evaluations += f.size
+        slack = tol - np.maximum(0.0, np.maximum(by0 - x0, x1 - by1))
+        l0, r0 = _slice_ends(domain, x0)
+        l1, r1 = _slice_ends(domain, x1)
+        bad = ~((slack >= 0)
+                & (f[0] >= np.maximum(l0, l1) - slack)
+                & (f[1] <= np.minimum(r0, r1) + slack))
+        if not bad.any():
+            break
+        cx, cy, fx = xs[:, bad].ravel(), ys[:, bad].ravel(), f[:, bad].ravel()
+        out = ((domain.contains(cx, cy, tol=0.0) >= 0)
+               & (domain.contains(fx, cx, tol=tol) < 0))
+        if out.any():
+            k = int(np.argmax(out))
+            witness = (float(cx[k]), float(cy[k]))
+            stop = "witness"
+            break
+        x0, x1, y0, y1 = x0[bad], x1[bad], y0[bad], y1[bad]
+        left = np.maximum(x1 - x0, y1 - y0) < tol
+        if 4 * x0.size > stab._MAX_INVARIANCE_CELLS:
+            left[:], stop = True, "cell_budget"
+        elif left.any():
+            stop = "min_width"
+        unproved += [[float(c) for c in box] for box in
+                     zip(x0[left], x1[left], y0[left], y1[left])]
+        x0, x1, y0, y1 = x0[~left], x1[~left], y0[~left], y1[~left]
+        xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        x0, x1 = np.concatenate([x0, xm, x0, xm]), np.concatenate([xm, x1, xm, x1])
+        y0, y1 = np.concatenate([y0, y0, ym, ym]), np.concatenate([ym, ym, y1, y1])
+        depth += 1
+    search = {"cells": cells, "evaluations": evaluations, "depth": depth,
+              "tol": tol, "stop": stop, "unproved": unproved}
+    return search, witness
+
+
+def _sample_invariance(map_spec, domain, n_boundary, rng):
+    """Reference check by sampling: n_boundary points per edge and
+    n_boundary^2 interior points drawn by rejection from the bounding
+    box.  Returns whether every image T(x, y) = (F(x, y), x) lies within
+    4 * chord_tol of the domain."""
+    v = domain.vertices
+    w = np.roll(v, -1, axis=0)
+    ts = np.linspace(0.0, 1.0, n_boundary, endpoint=False)[:, None]
+    bx = (v[:, 0] + ts * (w[:, 0] - v[:, 0])).ravel()
+    by = (v[:, 1] + ts * (w[:, 1] - v[:, 1])).ravel()
+    x0, x1, y0, y1 = domain.bbox
+    want = n_boundary * n_boundary
+    ix, iy = np.empty(0), np.empty(0)
+    while len(ix) < want:
+        cx = rng.uniform(x0, x1, 2 * want)
+        cy = rng.uniform(y0, y1, 2 * want)
+        keep = domain.contains(cx, cy) >= 0
+        ix, iy = np.concatenate([ix, cx[keep]]), np.concatenate([iy, cy[keep]])
+    sx = np.concatenate([bx, ix[:want]])
+    sy = np.concatenate([by, iy[:want]])
+    tx = np.asarray(map_spec(sx, sy), dtype=float)
+    return bool(np.all(domain.contains(tx, sx, tol=4 * domain.chord_tol) >= 0))
+
+
 class TestInvarianceRandomized:
     """The proof never passes where the sampled check finds an image
     outside, and every witness it gives is real."""
@@ -185,10 +341,10 @@ class TestInvarianceRandomized:
         outcomes = {"proved": 0, "witness": 0}
         for k in range(200):
             spec, domain, shrunk = _random_invariance_case(rng, k)
-            proof = stab.prove_invariance(spec, domain)
-            ref = stab.sample_invariance(spec, domain, n_boundary=40,
-                                         rng=np.random.default_rng(k))
-            assert not (proof.verified and not ref.verified), (k, spec.params)
+            proof = verify_invariance(spec, domain)
+            sampled = _sample_invariance(spec, domain, 40,
+                                         np.random.default_rng(k))
+            assert not (proof.verified and not sampled), (k, spec.params)
             if proof.witness is not None:
                 _assert_real_witness(spec, domain, proof)
                 outcomes["witness"] += 1
@@ -197,6 +353,65 @@ class TestInvarianceRandomized:
             outcomes["proved"] += proof.verified
         # both outcomes are exercised
         assert outcomes["proved"] >= 100 and outcomes["witness"] >= 20, outcomes
+
+    def test_convex_record_matches_two_height_reference(self):
+        # on a convex domain each band holds one trapezoid, and the band
+        # checks decide every cell as the two-height test does
+        rng = np.random.default_rng(20261018)
+        for k in range(200):
+            spec, domain, _ = _random_invariance_case(rng, k)
+            assert domain.classify() in (DomainKind.RECTANGLE,
+                                         DomainKind.CONVEX)
+            proof = verify_invariance(spec, domain)
+            search, witness = _two_height_invariance(spec, domain)
+            assert proof.search == search, (k, spec.params)
+            assert proof.witness == witness, (k, spec.params)
+
+    def test_semi_convex_proof_agrees_with_sampling(self):
+        rng = np.random.default_rng(20261019)
+        outcomes = {(sig, stop): 0 for sig in (INC_DEC, DEC_INC)
+                    for stop in ("proved", "witness")}
+        for k in range(300):
+            spec, domain = _notched_square_case(rng, k)
+            assert domain.classify() == DomainKind.SEMI_CONVEX, k
+            proof = verify_invariance(spec, domain)
+            sampled = _sample_invariance(spec, domain, 40,
+                                         np.random.default_rng(k))
+            assert not (proof.verified and not sampled), (k, spec.params)
+            if proof.witness is not None:
+                _assert_real_exit(spec, domain, proof)
+            else:
+                assert proof.verified, (k, spec.params, proof.search)
+            outcomes[spec.signature, proof.search["stop"]] += 1
+        # both outcomes occur in both signatures
+        assert min(outcomes.values()) >= 5, outcomes
+
+
+def _notched_square_case(rng, k):
+    """Case k of the seeded semi-convex suite: the first rational family
+    F = (p + q x)/(1 + x + r y) on [0, q]^2 with one or two V notches cut
+    into the top side (signature inc_dec), or on even k its mirror
+    F = (p + q y)/(1 + y + r x) with the domain mirrored in the diagonal,
+    which moves the notches to the right side (dec_inc)."""
+    q = rng.uniform(0.5, 4.0)
+    p = rng.uniform(0.05, 1.0) * q
+    r = rng.uniform(0.1, 6.0)
+    n = int(rng.integers(1, 3))
+    cuts = np.sort(rng.uniform(0.05, 0.95, 2 * n))[::-1] * q
+    pts = [(0.0, 0.0), (q, 0.0), (q, q)]
+    for right, left in cuts.reshape(-1, 2):  # right to left along the top
+        tip = (left + (right - left) * rng.uniform(0.2, 0.8),
+               q * rng.uniform(0.2, 0.95))
+        pts += [(right, q), tip, (left, q)]
+    pts.append((0.0, q))
+    pts = np.array(pts)
+    if k % 2:
+        spec, _ = make_eq7(p, q, r)
+    else:
+        spec = MapSpec(lambda x, y: (p + q * y) / (1 + y + r * x), DEC_INC,
+                       Box(0.0, q, 0.0, q), params={"p": p, "q": q, "r": r})
+        pts = pts[::-1, ::-1].copy()
+    return spec, DomainSpec.polygon(pts)
 
 
 class TestOrbits:
