@@ -11,15 +11,18 @@ simulate: none), and certify stops the corner chains once their order
 interval is at most 10 * tol_fp wide.  Each command likewise accepts
 only the ``[run]`` keys it reads (extend: seed, audit_grid; fixedpoints:
 seed, n_grid; certify: seed, n_grid, n_orbits, orbit_steps, max_iter,
-audit_grid, n_order_pairs, variant; simulate: seed, steps, orbit_steps,
-n_orbits, x0, x_m1), and every ``[run]`` size among them must be at
-least 1.  ``[map]`` names a family (eq7, eq8, xfy or expression); each
-is an expression compiled by ``map_model.compile_expression``, and a
-key the family does not read, or a parameter the expression never
-names, is a configuration error.  Exit codes: 0 success / GloballyStable,
-1 Inconclusive verdict or unresolved fixed-point search, 2 audit or
-numeric failure, 3 unsupported domain, 4 configuration error.  With a
-fixed seed all JSON/CSV/SVG outputs are byte-identical across runs.
+audit_grid, n_order_pairs; simulate: seed, steps, orbit_steps, n_orbits,
+x0, x_m1), and every ``[run]`` size among them must be at least 1.
+Certify always runs the 4-dimensional embedding (Sym4).  Simulate runs
+one orbit from (x0, x_m1) when both are given, random starts when
+neither is, and rejects one without the other.  ``[map]`` names a
+family (eq7, eq8, xfy or expression); each is an expression compiled by
+``map_model.compile_expression``, and a key the family does not read,
+or a parameter the expression never names, is a configuration error.
+Exit codes: 0 success / GloballyStable, 1 Inconclusive verdict or
+unresolved fixed-point search, 2 audit or numeric failure, 3 unsupported
+domain, 4 configuration error.  With a fixed seed all JSON/CSV/SVG
+outputs are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ _COMMAND_RUN_KEYS = {
     "extend": {"seed", "audit_grid"},
     "fixedpoints": {"seed", "n_grid"},
     "certify": {"seed", "n_grid", "n_orbits", "orbit_steps", "max_iter",
-                "audit_grid", "n_order_pairs", "variant"},
+                "audit_grid", "n_order_pairs"},
     "simulate": {"seed", "steps", "orbit_steps", "n_orbits", "x0", "x_m1"},
 }
 
@@ -255,7 +258,7 @@ def cmd_certify(cfg: dict, out: Path, seed: int, tols: dict) -> int:
     run = cfg["run"]
     ccfg = {"seed": seed}
     for key in sorted((_COMMAND_RUN_KEYS["certify"] - {"seed"}) & run.keys()):
-        ccfg[key] = run[key] if key == "variant" else _as_int(run, key)
+        ccfg[key] = _as_int(run, key)
     ccfg.update(tols)
     cert = certify(spec, domain, ccfg)
     report.write_json(out / "certificate.json", cert.to_dict())
@@ -289,8 +292,12 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, tols: dict) -> int:
     steps = _as_int(run, "steps", _as_int(run, "orbit_steps", 1000))
     x0 = _as_float(run, "x0")
     x_m1 = _as_float(run, "x_m1")
+    if (x0 is None) != (x_m1 is None):
+        given, missing = ("x0", "x_m1") if x_m1 is None else ("x_m1", "x0")
+        raise ConfigError(f"[run] {given} needs {missing} too; give both "
+                          "or neither")
     rng = np.random.default_rng(seed)
-    if x0 is not None and x_m1 is not None:
+    if x0 is not None:
         orbit = iterate_orbit(spec, x0, x_m1, steps, domain=domain)
         traces = orbit.values[1:, None]
         (out / "orbit.svg").write_text(report.render_orbit_svg(orbit.values))

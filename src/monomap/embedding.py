@@ -1,13 +1,11 @@
 """Symmetric monotone embeddings of the planar dynamics.
 
 A mixed-monotone planar map F (increasing in x, decreasing in y) embeds
-into an order-preserving map G on a higher-dimensional box, in three
+into an order-preserving map G on a higher-dimensional box, in two
 variants:
 
 * ``Sym2``  G(x, y) = (F(x, y), F(y, x)) on [a, b]^2,
-* ``Sym4``  G((x, y), (u, v)) = ((F(x, y), u), (F(u, v), x)) on [a, b]^4,
-* ``Sym8``  G((X, Y), (U, V)) = (((F(X), F(V)), X), ((F(U), F(Y)), U))
-  on [a, b]^8.
+* ``Sym4``  G((x, y), (u, v)) = ((F(x, y), u), (F(u, v), x)) on [a, b]^4.
 
 Each variant preserves a componentwise partial order (a sign pattern of
 the coordinates) and has explicit least and greatest elements, so the
@@ -17,25 +15,23 @@ to fixed points of G and bracket every orbit in between.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ChainMonotonicityBroken, EmbeddingUnavailable, NotMixedMonotone
+from .errors import ChainMonotonicityBroken, EmbeddingUnavailable
 from .extension import ExtendedMap, clamp_to
 from .map_model import INC_DEC
 
 SYM2 = "Sym2"
 SYM4 = "Sym4"
-SYM8 = "Sym8"
 
 # componentwise order sign pattern per variant: state s precedes state t
 # exactly when sign * s <= sign * t holds in every coordinate
 _ORDER_SIGNS = {
     SYM2: np.array([1, -1], dtype=float),
     SYM4: np.array([1, -1, -1, 1], dtype=float),
-    SYM8: np.array([1, -1, 1, -1, -1, 1, -1, 1], dtype=float),
 }
 
 MIN_CORNER = "MinCorner"
@@ -101,16 +97,11 @@ class EmbeddedSystem:
     def __init__(self, source: ExtendedMap, variant: str):
         if variant not in _ORDER_SIGNS:
             raise ValueError(f"unknown embedding variant {variant!r}")
-        sig = source.base.signature
-        if not sig.is_mixed:
-            raise NotMixedMonotone(
-                "embedding requires a map increasing in one argument and "
-                "decreasing in the other"
-            )
-        if sig != INC_DEC:
+        if source.base.signature != INC_DEC:
             raise EmbeddingUnavailable(
-                "embedding formulas assume the map increases in x and "
-                "decreases in y; swap the arguments of the map first"
+                "embedding requires a mixed monotone map that increases in "
+                "x and decreases in y; swap the arguments of a map that "
+                "decreases in x first"
             )
         r = source.rect
         tol = 1e-9 * max(r.diam, 1.0)
@@ -122,8 +113,8 @@ class EmbeddedSystem:
         self.variant = variant
         self.a = float(r.x0)
         self.b = float(r.x1)
-        self.state_dim = {SYM2: 2, SYM4: 4, SYM8: 8}[variant]
         self.order_signs = _ORDER_SIGNS[variant]
+        self.state_dim = self.order_signs.size
         lo, hi = self.a, self.b
         self.min_corner = np.where(self.order_signs > 0, lo, hi).astype(float)
         self.max_corner = np.where(self.order_signs > 0, hi, lo).astype(float)
@@ -135,12 +126,6 @@ class EmbeddedSystem:
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
         return bool(np.all(self.order_signs * (t - s) >= -tol))
-
-    def order_margin(self, s, t) -> float:
-        """Smallest componentwise slack of s preceding t (negative if not)."""
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return float(np.min(self.order_signs * (t - s), axis=-1))
 
     # -- stepping -----------------------------------------------------------
 
@@ -166,48 +151,17 @@ class EmbeddedSystem:
             vals = self._F(np.concatenate([x, y]), np.concatenate([y, x]))
             out[:, 0] = vals[:n]
             out[:, 1] = vals[n:]
-        elif self.variant == SYM4:
+        else:
             x, y, u, v = s.T
             vals = self._F(np.concatenate([x, u]), np.concatenate([y, v]))
             out[:, 0] = vals[:n]
             out[:, 1] = u
             out[:, 2] = vals[n:]
             out[:, 3] = x
-        else:
-            x1, x2, y1, y2, u1, u2, v1, v2 = s.T
-            vals = self._F(
-                np.concatenate([x1, v1, u1, y1]),
-                np.concatenate([x2, v2, u2, y2]),
-            )
-            out[:, 0] = vals[:n]
-            out[:, 1] = vals[n : 2 * n]
-            out[:, 2] = x1
-            out[:, 3] = x2
-            out[:, 4] = vals[2 * n : 3 * n]
-            out[:, 5] = vals[3 * n :]
-            out[:, 6] = u1
-            out[:, 7] = u2
         # a nice extension keeps values inside the original range up to a
         # small audit tolerance; clamp so chains stay inside the box
         out = clamp_to(out, self.a, self.b, copy=False)
         return out[0] if single else out
-
-    # -- state <-> planar points -------------------------------------------
-
-    def diagonal_state(self, x: float, y: float) -> np.ndarray:
-        """The embedded state representing the planar point (x, y)."""
-        if self.variant == SYM2:
-            return np.array([x, y], dtype=float)
-        if self.variant == SYM4:
-            # (x, y, x, y) is invariant: it steps to the companion image
-            # (F(x, y), x, F(x, y), x)
-            return np.array([x, y, x, y], dtype=float)
-        return np.array([x, y, x, y, x, y, x, y], dtype=float)
-
-    def planar_pair(self, state) -> Tuple[float, float]:
-        """Reduce a state to its representative planar (x, y) pair."""
-        s = np.asarray(state, dtype=float)
-        return float(s[0]), float(s[1])
 
 
 def build_embedding(ext: ExtendedMap, variant: str = SYM4) -> EmbeddedSystem:
@@ -219,13 +173,11 @@ def check_order_preserving(
     sys: EmbeddedSystem,
     n_pairs: int = 1000,
     rng: Optional[np.random.Generator] = None,
-    tol_mono: Optional[float] = None,
 ) -> OrderAudit:
-    """Sample comparable state pairs and verify G keeps them comparable."""
+    """Sample comparable state pairs and verify G keeps them comparable,
+    up to 1e-9 of the box span."""
     if rng is None:
         rng = np.random.default_rng(0)
-    if tol_mono is None:
-        tol_mono = 1e-9 * (sys.b - sys.a)
     d = sys.state_dim
     lo = rng.uniform(sys.a, sys.b, size=(n_pairs, d))
     bump = rng.uniform(0.0, sys.b - sys.a, size=(n_pairs, d))
@@ -235,7 +187,7 @@ def check_order_preserving(
     margins = np.min(sys.order_signs * (g_hi - g_lo), axis=1)
     k = int(np.argmin(margins))
     worst = float(margins[k])
-    ok = worst >= -tol_mono
+    ok = worst >= -1e-9 * (sys.b - sys.a)
     return OrderAudit(
         ok=ok,
         n_pairs=n_pairs,
@@ -305,81 +257,3 @@ def run_corner_chains(
             "the lower corner chain overtook the upper corner chain"
         )
     return lo, hi, stop
-
-
-@dataclass
-class SqueezeReport:
-    """Which squeeze hypothesis held and the margins of its inequalities."""
-
-    case: str  # "i", "ii", or "none"
-    hypothesis_margins: dict = field(default_factory=dict)
-    chain_margins: list = field(default_factory=list)
-    holds: bool = False
-
-    def to_dict(self):
-        return {
-            "case": self.case,
-            "hypothesis_margins": self.hypothesis_margins,
-            "chain_margins": self.chain_margins,
-            "holds": self.holds,
-        }
-
-
-def squeeze_bounds(sys: EmbeddedSystem, X, Y, tol: float = 0.0) -> SqueezeReport:
-    """Check the squeeze inequalities for a pair of planar points.
-
-    With states X = (x, y) and Y = (u, v) of the 4-dimensional
-    embedding, either hypothesis
-
-    * (i)  x <= v <= y <= u with u <= F(u, v) and F(x, y) <= x, or
-    * (ii) v <= x <= u <= y with F(u, v) <= u and x <= F(x, y),
-
-    forces a chain of order inequalities that pins every orbit of F
-    between iterates of G.  Report-only: returns the applicable case and
-    all margins, classifying "none" when neither hypothesis holds.
-    """
-    if sys.variant != SYM4:
-        raise EmbeddingUnavailable(
-            "squeeze bounds are defined for the 4-dimensional embedding"
-        )
-    x, y = map(float, X)
-    u, v = map(float, Y)
-    Fxy = float(sys._F(x, y))
-    Fuv = float(sys._F(u, v))
-    h1 = {
-        "v-x": v - x,
-        "y-v": y - v,
-        "u-y": u - y,
-        "F(u,v)-u": Fuv - u,
-        "x-F(x,y)": x - Fxy,
-    }
-    h2 = {
-        "x-v": x - v,
-        "u-x": u - x,
-        "y-u": y - u,
-        "u-F(u,v)": u - Fuv,
-        "F(x,y)-x": Fxy - x,
-    }
-    XY = np.array([x, y, u, v], dtype=float)
-    XX = np.array([x, y, x, y], dtype=float)
-    YX = np.array([u, v, x, y], dtype=float)
-    if all(m >= -tol for m in h1.values()):
-        seq = [sys.step(XY), XY, XX, YX, sys.step(YX)]
-        case, hyp = "i", h1
-    elif all(m >= -tol for m in h2.values()):
-        seq = [XY, sys.step(XY), sys.step(XX), sys.step(YX), YX]
-        case, hyp = "ii", h2
-    else:
-        return SqueezeReport(
-            case="none",
-            hypothesis_margins={"i": h1, "ii": h2},
-            chain_margins=[],
-            holds=False,
-        )
-    margins = [sys.order_margin(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
-    return SqueezeReport(
-        case=case,
-        hypothesis_margins=hyp,
-        chain_margins=margins,
-        holds=all(m >= -max(tol, 1e-12 * (sys.b - sys.a)) for m in margins),
-    )

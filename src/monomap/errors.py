@@ -17,10 +17,6 @@ class UnsupportedDomain(MonomapError):
     """Domain geometry outside the supported class (CLI exit code 3)."""
 
 
-class NotMixedMonotone(MonomapError):
-    """Map is not mixed monotone on the requested box."""
-
-
 class EmbeddingUnavailable(MonomapError):
     """No order-preserving symmetric embedding exists for this signature."""
 
@@ -56,7 +52,3 @@ class ContinuumOfFixedPoints(MonomapError):
 
 class ParamConstraint(MonomapError):
     """Family parameters violate a structural precondition."""
-
-
-class NotAFixedPoint(MonomapError):
-    """Local stability was requested at a point that is not fixed."""

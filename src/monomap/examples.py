@@ -226,21 +226,25 @@ def closed_form_eq8_line_family(
 # XfY: F(x, y) = x f(y).
 # ---------------------------------------------------------------------------
 
+# the square [a, b]^2 of the family, and the samples of f on [0, b] that
+# check its constraints
+_XFY_BOX = (0.01, 3.0)
+_XFY_CHECKS = 128
+
 
 def make_xfy(
     f: Callable[[np.ndarray], np.ndarray],
-    box: Tuple[float, float] = (0.01, 3.0),
-    n_check: int = 128,
 ) -> Tuple[MapSpec, DomainSpec]:
-    """F(x, y) = x f(y) with f decreasing and f(0) > 1 (checked by sampling).
+    """F(x, y) = x f(y) on [0.01, 3]^2, with f decreasing and f(0) > 1
+    (checked by sampling).
 
     The equilibrium x* with f(x*) = 1 cannot attract the whole square
     under the 2-dimensional symmetric embedding: the embedded Jacobian
     at (x*, x*) has an eigenvalue 1 - x* f'(x*) > 1, so the embedding's
     corner chains split and artificial fixed points must exist.
     """
-    a, b = float(box[0]), float(box[1])
-    ys = np.linspace(0.0, b, n_check)
+    a, b = _XFY_BOX
+    ys = np.linspace(0.0, b, _XFY_CHECKS)
     fv = np.asarray(f(ys), dtype=float)
     if not np.all(np.isfinite(fv)):
         raise ParamConstraint("f must be finite on the domain")

@@ -43,6 +43,9 @@ _MAX_CELLS = 1 << 18
 # every enclosure comparison is widened by this many ulps of the box's
 # largest coordinate, for the rounding of F and of the differences
 _ULPS = 8
+# roots closer than this fraction of the box span count as one, and the
+# quadtree proves nothing within it of the diagonal
+_SEP_MIN = 1e-6
 
 LIMITS = (
     "the search is only as sound as the monotonicity of the extended map",
@@ -111,15 +114,14 @@ def find_equilibria(
     interval: Tuple[float, float],
     n_grid: int = 256,
     tol_fp: Optional[float] = None,
-    sep_min: Optional[float] = None,
 ) -> List[Tuple[float, float]]:
-    """Roots of g(x) = F(x, x) - x on [a, b], as (root, residual) pairs."""
+    """Roots of g(x) = F(x, x) - x on [a, b], as (root, residual) pairs;
+    roots less than 1e-6 of b - a apart are merged."""
     F = _as_eval(target)
     a, b = float(interval[0]), float(interval[1])
     if tol_fp is None:
         tol_fp = 1e-9 * (b - a)
-    if sep_min is None:
-        sep_min = 1e-6 * (b - a)
+    sep_min = _SEP_MIN * (b - a)
     xs = np.linspace(a, b, n_grid + 1)
     g = np.asarray(F(xs, xs), dtype=float) - xs
     tiny = 1e-12 * max(1.0, float(np.max(np.abs(g))))
@@ -210,7 +212,6 @@ def find_artificial(
     ext,
     n_grid: int = 256,
     tol_fp: Optional[float] = None,
-    sep_min: Optional[float] = None,
 ) -> FixedPointReport:
     """Enclose every solution of F(x,y)=x, F(y,x)=y in the box of ``ext``.
 
@@ -219,9 +220,9 @@ def find_artificial(
     all its cells at once, one ``ext.eval`` call per level.  A cell is
     dropped when the corner enclosure of F(x,y)-x or of F(y,x)-y (values
     of F clamped to the box) misses 0 by more than a few ulps, or when it
-    lies within sep_min of the diagonal.  An enclosure of their
-    difference from the same four corners is the difference of the two
-    enclosures, so it would drop no further cell.
+    lies within sep_min = 1e-6 of the box span of the diagonal.  An
+    enclosure of their difference from the same four corners is the
+    difference of the two enclosures, so it would drop no further cell.
 
     The cells left at width 2^-40 of the box, or when a level would
     exceed the cell budget, are grouped into boxes (cells less than
@@ -232,10 +233,8 @@ def find_artificial(
     a, b = _square_bounds(ext.rect)
     if tol_fp is None:
         tol_fp = 1e-9 * (b - a)
-    if sep_min is None:
-        sep_min = 1e-6 * (b - a)
-    equilibria = find_equilibria(ext, (a, b), n_grid=n_grid, tol_fp=tol_fp,
-                                 sep_min=sep_min)
+    sep_min = _SEP_MIN * (b - a)
+    equilibria = find_equilibria(ext, (a, b), n_grid=n_grid, tol_fp=tol_fp)
     eps = _ULPS * np.spacing(max(abs(a), abs(b)))
     i = j = np.zeros(1, dtype=np.int64)
     depth = cells = evaluations = widest = 0

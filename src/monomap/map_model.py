@@ -1,9 +1,8 @@
-"""Core model types: planar maps F(x, y), monotone signatures, orders.
+"""Core model types: planar maps F(x, y) and their monotone signatures.
 
 A second-order difference equation x_{n+1} = F(x_n, x_{n-1}) is studied
 through the companion planar map T(x, y) = (F(x, y), x).  Everything in
-this module is signature bookkeeping and small numerics (finite
-difference Jacobians, grid monotonicity audits, partial-order compares),
+this module is signature bookkeeping and the grid monotonicity audit,
 plus the one map representation: an arithmetic expression in x, y and
 named parameters, compiled by `compile_expression`.
 """
@@ -68,9 +67,6 @@ class Box:
     @property
     def diam(self) -> float:
         return float(np.hypot(self.x1 - self.x0, self.y1 - self.y0))
-
-    def clip(self, x, y):
-        return np.clip(x, self.x0, self.x1), np.clip(y, self.y0, self.y1)
 
     def as_tuple(self):
         return (self.x0, self.x1, self.y0, self.y1)
@@ -170,43 +166,6 @@ def compile_expression(expr: str, params: dict) -> Callable:
     return eval(code, namespace)
 
 
-class OrderRelation(Enum):
-    """Planar partial orders used by the embeddings."""
-
-    SOUTHEAST = "southeast"  # (x,y) <= (u,v)  iff  x <= u and v <= y
-    NORTHEAST = "northeast"  # (x,y) <= (u,v)  iff  x <= u and y <= v
-
-    def signs(self) -> tuple[int, int]:
-        return (1, -1) if self is OrderRelation.SOUTHEAST else (1, 1)
-
-
-class Comparison(Enum):
-    LESS_EQ = "less_eq"
-    GREATER_EQ = "greater_eq"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-
-
-def compare(p, q, order: OrderRelation, tol: float = 0.0) -> Comparison:
-    """Compare two points under a planar partial order.
-
-    ``tol`` treats coordinate differences below it as equality, which is
-    what chain-monotonicity checks need when limits are approached.
-    """
-    sx, sy = order.signs()
-    dx = sx * (q[0] - p[0])
-    dy = sy * (q[1] - p[1])
-    le = dx >= -tol and dy >= -tol
-    ge = dx <= tol and dy <= tol
-    if le and ge:
-        return Comparison.EQUAL
-    if le:
-        return Comparison.LESS_EQ
-    if ge:
-        return Comparison.GREATER_EQ
-    return Comparison.INCOMPARABLE
-
-
 @dataclass
 class MonotonicityAudit:
     ok: bool
@@ -216,24 +175,22 @@ class MonotonicityAudit:
     witness: Optional[tuple] = None
 
 
-def check_monotonicity(
-    spec: MapSpec,
-    box: Optional[Box] = None,
-    n_grid: int = 256,
-    tol_mono: float = 1e-9,
-) -> MonotonicityAudit:
-    """Audit the declared signature on an n_grid x n_grid lattice.
+# the monotonicity audit's lattice size and tolerance, relative to the
+# sampled range of F so that flat maps do not trip on rounding noise
+_MONO_GRID = 256
+_MONO_TOL = 1e-9
 
-    The tolerance is relative to the sampled range of F, so flat maps do
-    not trip on rounding noise.
-    """
+
+def check_monotonicity(spec: MapSpec,
+                       box: Optional[Box] = None) -> MonotonicityAudit:
+    """Audit the declared signature on a 256 x 256 lattice of the box."""
     box = box or spec.box
-    xs = np.linspace(box.x0, box.x1, n_grid)
-    ys = np.linspace(box.y0, box.y1, n_grid)
+    xs = np.linspace(box.x0, box.x1, _MONO_GRID)
+    ys = np.linspace(box.y0, box.y1, _MONO_GRID)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     Z = spec.eval_checked(X, Y)
     spread = float(Z.max() - Z.min())
-    tol = tol_mono * max(1.0, spread)
+    tol = _MONO_TOL * max(1.0, spread)
 
     sgn_x = spec.signature.first.sign
     sgn_y = spec.signature.second.sign
@@ -261,15 +218,3 @@ def check_monotonicity(
         worst_violation=worst,
         witness=witness,
     )
-
-
-def jacobian_fd(func, x: float, y: float, h: float = 1e-6) -> np.ndarray:
-    """Jacobian of the companion map T(x,y) = (F(x,y), x) at a point.
-
-    Central differences for the F row; the second row is exactly (1, 0).
-    """
-    hx = h * max(1.0, abs(x))
-    hy = h * max(1.0, abs(y))
-    fx = (float(func(x + hx, y)) - float(func(x - hx, y))) / (2 * hx)
-    fy = (float(func(x, y + hy)) - float(func(x, y - hy))) / (2 * hy)
-    return np.array([[fx, fy], [1.0, 0.0]])

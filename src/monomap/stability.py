@@ -20,22 +20,12 @@ import numpy as np
 from . import fixed_points as fp
 from .embedding import SYM4, build_embedding, check_order_preserving, run_corner_chains
 from .enclosure import METHOD_ENCLOSURE, corner_ranges
-from .errors import (
-    MonomapError,
-    NonFiniteValue,
-    NotAFixedPoint,
-    UnsupportedDomain,
-)
+from .errors import MonomapError, NonFiniteValue, UnsupportedDomain
 from .extension import ExtendedMap, audit_extension, extend
 from .geometry import DomainKind, DomainSpec
-from .map_model import Box, MapSpec, check_monotonicity, jacobian_fd
+from .map_model import Box, MapSpec, check_monotonicity
 
 SCHEMA_VERSION = 4
-
-SINK = "Sink"
-SADDLE = "Saddle"
-SOURCE = "Source"
-NON_HYPERBOLIC = "NonHyperbolic"
 
 GLOBALLY_STABLE = "GloballyStable"
 CONVERGENT_SET = "ConvergentToEquilibriumSet"
@@ -349,58 +339,6 @@ def sample_starts(domain: DomainSpec, n: int, rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# Local stability of an equilibrium.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LocalStability:
-    classification: str
-    eigenvalues: Tuple[complex, complex]
-    jacobian: np.ndarray
-
-    def to_dict(self):
-        return {
-            "classification": self.classification,
-            "eigenvalues": [
-                [ev.real, ev.imag] for ev in self.eigenvalues
-            ],
-            "jacobian": self.jacobian.tolist(),
-        }
-
-
-def local_stability(
-    map_spec: MapSpec,
-    x_star: float,
-    tol_fp: Optional[float] = None,
-    tol_eig: float = 1e-6,
-) -> LocalStability:
-    """Classify the equilibrium by the spectrum of the companion map."""
-    if tol_fp is None:
-        scale = map_spec.box.diam if map_spec.box is not None else 1.0
-        tol_fp = 1e-6 * max(1.0, scale)
-    if abs(float(map_spec(x_star, x_star)) - x_star) > tol_fp:
-        raise NotAFixedPoint(f"{x_star} is not an equilibrium of the map")
-    fx, fy = jacobian_fd(map_spec, x_star, x_star)[0]
-    J = np.array([[fx, fy], [1.0, 0.0]])
-    evs = np.linalg.eigvals(J)
-    mags = np.abs(evs)
-    if np.any(np.abs(mags - 1.0) <= tol_eig):
-        cls = NON_HYPERBOLIC
-    elif np.all(mags < 1.0):
-        cls = SINK
-    elif np.all(mags > 1.0):
-        cls = SOURCE
-    else:
-        cls = SADDLE
-    return LocalStability(
-        classification=cls,
-        eigenvalues=(complex(evs[0]), complex(evs[1])),
-        jacobian=J,
-    )
-
-
-# ---------------------------------------------------------------------------
 # The certificate pipeline.
 # ---------------------------------------------------------------------------
 
@@ -410,7 +348,6 @@ _DEFAULTS = {
     "orbit_steps": 10000,
     "n_order_pairs": 1000,
     "audit_grid": 100,
-    "variant": SYM4,
     "max_iter": 100000,
     "seed": 0,
     "tol_fp": None,  # defaults to 1e-9 * (b - a)
@@ -561,7 +498,7 @@ def _search_artificial(run: _Run) -> dict:
 
 def _run_chains(run: _Run) -> dict:
     cfg, ext, tol_fp = run.cfg, run.ext, run.tol_fp
-    sys = build_embedding(ext, cfg["variant"])
+    sys = build_embedding(ext, SYM4)
     order = check_order_preserving(sys, cfg["n_order_pairs"], rng=run.rng)
     if not order.ok:
         raise MonomapError(
@@ -574,7 +511,7 @@ def _run_chains(run: _Run) -> dict:
     gap = float(np.max(np.abs(hi.limit - lo.limit)))
     run.cert.chains = (lo, hi)
     run.cert.corner_chain_limits = {
-        "variant": cfg["variant"],
+        "variant": SYM4,
         "stop": stop,
         "gap": gap,
         "min_chain": lo.to_dict(),

@@ -19,7 +19,6 @@ from monomap.embedding import (
     STALLED,
     SYM2,
     SYM4,
-    SYM8,
     build_embedding,
     check_order_preserving,
     run_corner_chains,
@@ -245,7 +244,7 @@ def test_criterion_5_order_and_bracketing():
     spec, domain = make_eq7(1.0, 1.0, 1.0)
     ext = extend_rectangle(spec, Box(0.0, 1.0, 0.0, 1.0))
     rng = np.random.default_rng(11)
-    for variant in (SYM2, SYM4, SYM8):
+    for variant in (SYM2, SYM4):
         sysv = build_embedding(ext, variant)
 
         audit = check_order_preserving(sysv, n_pairs=10_000, rng=rng)

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import monomap.cli as cli
 from monomap.cli import main, parse_config
 from monomap.errors import ConfigError
 from monomap.examples import make_eq8
@@ -152,6 +154,14 @@ class TestCommands:
         assert (out / "orbit.svg").exists()
 
 
+def test_readme_config_sample_certifies(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sample = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = write_cfg(tmp_path, sample)
+    assert main(["certify", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 0
+
+
 class TestExitCodes:
     def test_config_error_is_4(self, tmp_path):
         cfg = write_cfg(tmp_path, "[run]\nwarp = 9\n")
@@ -270,10 +280,35 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="n_boundary"):
             certify(*make_eq8(1.0, 0.3), {"n_boundary": 5})
 
+    def test_removed_variant_key_is_4(self, tmp_path, capsys, monkeypatch):
+        # certify runs only the Sym4 embedding; the key is rejected before
+        # any stage runs, whatever its value
+        def no_stage(*args):
+            raise AssertionError("certify ran")
+
+        monkeypatch.setattr(cli, "certify", no_stage)
+        for variant in ("Sym5", "Sym4"):
+            cfg = write_cfg(tmp_path, EQ8_CFG + f"variant = {variant}\n")
+            out = tmp_path / variant
+            assert main(["certify", "--config", cfg, "--out", str(out)]) == 4
+            assert "'variant'" in capsys.readouterr().err
+            assert not out.exists()
+        with pytest.raises(ValueError, match="variant"):
+            certify(*make_eq8(1.0, 0.3), {"variant": "Sym2"})
+
+    @pytest.mark.parametrize("given, missing", [("x0", "x_m1"), ("x_m1", "x0")])
+    def test_simulate_needs_both_start_keys(self, tmp_path, capsys, given,
+                                            missing):
+        cfg = write_cfg(tmp_path, EQ8_CFG + f"{given} = 0.5\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+        assert f"{given} needs {missing}" in capsys.readouterr().err
+        assert not (out / "orbits.csv").exists()
+
     @pytest.mark.parametrize("command, extra, unread", [
-        ("extend", "variant = Sym2\nx0 = 5\n", "variant, x0"),
+        ("extend", "n_orbits = 5\nx0 = 5\n", "n_orbits, x0"),
         ("extend", "n_grid = 64\n", "n_grid"),
-        ("fixedpoints", "variant = Sym2\n", "variant"),
+        ("fixedpoints", "max_iter = 10\n", "max_iter"),
         ("fixedpoints", "audit_grid = 50\n", "audit_grid"),
         ("certify", "x0 = 0.5\nsteps = 10\n", "steps, x0"),
         ("simulate", "max_iter = 10\n", "max_iter"),

@@ -12,21 +12,20 @@ from monomap.embedding import (
     STALLED,
     SYM2,
     SYM4,
-    SYM8,
     build_embedding,
     check_order_preserving,
     run_corner_chains,
-    squeeze_bounds,
 )
 from monomap.errors import ChainMonotonicityBroken, EmbeddingUnavailable
 from monomap.extension import extend_rectangle
-from monomap.map_model import Box, DEC_INC, INC_DEC, MapSpec
+from monomap.map_model import (Box, DEC_INC, Direction, INC_DEC, MapSpec,
+                                MonotoneSignature)
 
 SQRT_HALF = 0.7071067811865476
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("variant,dim", [(SYM2, 2), (SYM4, 4), (SYM8, 8)])
+    @pytest.mark.parametrize("variant,dim", [(SYM2, 2), (SYM4, 4)])
     def test_state_dimensions(self, eq7_ext, variant, dim):
         sys = build_embedding(eq7_ext, variant)
         assert sys.state_dim == dim
@@ -34,11 +33,16 @@ class TestConstruction:
         assert sys.precedes(sys.min_corner, sys.max_corner)
 
     def test_dec_inc_source_unavailable(self):
-        func = lambda x, y: (1.0 + y) / (1.0 + x + y)
-        spec = MapSpec(func, DEC_INC, Box(0.0, 1.0, 0.0, 1.0))
-        ext = extend_rectangle(spec, Box(0.0, 1.0, 0.0, 1.0))
-        with pytest.raises(EmbeddingUnavailable):
-            build_embedding(ext, SYM2)
+        # a (dec, inc) map, and an (inc, inc) map that is not mixed at all
+        inc_inc = MonotoneSignature(Direction.INCREASING, Direction.INCREASING)
+        for func, sig in (
+            (lambda x, y: (1.0 + y) / (1.0 + x + y), DEC_INC),
+            (lambda x, y: (x + y) / 2.0, inc_inc),
+        ):
+            spec = MapSpec(func, sig, Box(0.0, 1.0, 0.0, 1.0))
+            ext = extend_rectangle(spec, Box(0.0, 1.0, 0.0, 1.0))
+            with pytest.raises(EmbeddingUnavailable):
+                build_embedding(ext, SYM2)
 
     def test_non_square_rect_unavailable(self):
         func = lambda x, y: (1.0 + x) / (1.0 + x + y)
@@ -56,13 +60,12 @@ class TestStep:
         assert out == pytest.approx([0.5, 1.0])
 
     def test_diagonal_states_track_the_planar_map(self, eq7_ext):
+        # the state (x, y, x, y) steps to (F(x, y), x, F(x, y), x): both
+        # halves follow the companion map T(x, y) = (F(x, y), x)
         sys = build_embedding(eq7_ext, SYM4)
-        s = sys.diagonal_state(0.3, 0.6)
-        t = sys.step(s)
+        t = sys.step(np.array([0.3, 0.6, 0.3, 0.6]))
         fx = float(eq7_ext.base(0.3, 0.6))
-        x1, y1 = sys.planar_pair(t)
-        assert x1 == pytest.approx(fx, abs=1e-12)
-        assert y1 == pytest.approx(0.3, abs=1e-12)
+        assert t == pytest.approx([fx, 0.3, fx, 0.3], abs=1e-12)
 
     def test_batched_step_matches_scalar(self, eq7_ext, rng):
         sys = build_embedding(eq7_ext, SYM4)
@@ -72,14 +75,14 @@ class TestStep:
             assert batch[i] == pytest.approx(sys.step(states[i]), abs=1e-14)
 
     def test_step_stays_in_box(self, eq8_ext, rng):
-        sys = build_embedding(eq8_ext, SYM8)
-        states = rng.uniform(sys.a, sys.b, (200, 8))
+        sys = build_embedding(eq8_ext, SYM4)
+        states = rng.uniform(sys.a, sys.b, (200, 4))
         out = sys.step(states)
         assert np.all(out >= sys.a) and np.all(out <= sys.b)
 
 
 class TestOrderPreservation:
-    @pytest.mark.parametrize("variant", [SYM2, SYM4, SYM8])
+    @pytest.mark.parametrize("variant", [SYM2, SYM4])
     def test_random_ordered_pairs_stay_ordered(self, eq7_ext, variant):
         sys = build_embedding(eq7_ext, variant)
         audit = check_order_preserving(
@@ -100,7 +103,7 @@ class TestOrderPreservation:
 
 
 class TestCornerChains:
-    @pytest.mark.parametrize("variant", [SYM2, SYM4, SYM8])
+    @pytest.mark.parametrize("variant", [SYM2, SYM4])
     def test_chains_converge_to_the_equilibrium(self, eq7_ext, variant):
         sys = build_embedding(eq7_ext, variant)
         lo, hi, stop = run_corner_chains(sys)
@@ -108,7 +111,7 @@ class TestCornerChains:
         assert np.allclose(lo.limit, SQRT_HALF, atol=1e-8)
         assert np.allclose(hi.limit, SQRT_HALF, atol=1e-8)
 
-    @pytest.mark.parametrize("variant", [SYM2, SYM4, SYM8])
+    @pytest.mark.parametrize("variant", [SYM2, SYM4])
     def test_stops_once_the_order_interval_closes(self, eq8_ext, variant):
         sys = build_embedding(eq8_ext, variant)
         tol = 1e-9 * (sys.b - sys.a)
@@ -200,7 +203,7 @@ class TestChainFaults:
     """A chain whose step goes against its direction raises
     ChainMonotonicityBroken naming that chain and the iteration."""
 
-    @pytest.mark.parametrize("variant", [SYM2, SYM4, SYM8])
+    @pytest.mark.parametrize("variant", [SYM2, SYM4])
     @pytest.mark.parametrize("fault,failing,iteration", [
         (_AT_MAX_CORNER, MAX_CORNER, 1),
         (_ON_MIN_CHAIN, MIN_CORNER, 3),
@@ -215,19 +218,6 @@ class TestChainFaults:
         assert str(got.value).startswith(
             f"{failing} chain lost monotonicity at iteration {iteration} "
         )
-
-
-class TestSqueeze:
-    def test_case_ii_holds_for_eq7(self, eq7_ext):
-        sys = build_embedding(eq7_ext, SYM4)
-        rep = squeeze_bounds(sys, (0.6, 0.8), (0.8, 0.6))
-        assert rep.holds
-        assert rep.case == "ii"
-
-    def test_sym2_rejected(self, eq7_ext):
-        sys = build_embedding(eq7_ext, SYM2)
-        with pytest.raises(EmbeddingUnavailable):
-            squeeze_bounds(sys, (0.6, 0.8), (0.8, 0.6))
 
 
 class TestChainArtifacts:
@@ -255,7 +245,6 @@ def test_order_relation_axioms(data):
     class Carrier:
         order_signs = signs
         precedes = EmbeddedSystem.precedes
-        order_margin = EmbeddedSystem.order_margin
 
     sys = Carrier()
     s, t = state(), state()

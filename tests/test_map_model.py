@@ -7,15 +7,11 @@ from hypothesis import strategies as st
 
 from monomap.map_model import (
     Box,
-    Comparison,
     DEC_INC,
     INC_DEC,
     MapSpec,
     NonFiniteValue,
-    OrderRelation,
     check_monotonicity,
-    compare,
-    jacobian_fd,
 )
 
 
@@ -32,11 +28,6 @@ class TestBox:
         b = Box(0.0, 3.0, 1.0, 5.0)
         assert b.diam == pytest.approx(5.0)
         assert b.as_tuple() == (0.0, 3.0, 1.0, 5.0)
-
-    def test_clip(self):
-        b = Box(0.0, 1.0, 0.0, 2.0)
-        x, y = b.clip(-1.0, 5.0)
-        assert (x, y) == (0.0, 2.0)
 
 
 class TestMonotonicityAudit:
@@ -62,42 +53,6 @@ class TestMonotonicityAudit:
         )
         with pytest.raises(NonFiniteValue):
             check_monotonicity(spec)
-
-
-class TestJacobianFD:
-    def test_matches_analytic_partials(self):
-        # F(x,y) = (1+x)/(1+x+y): Fx = y/(1+x+y)^2, Fy = -(1+x)/(1+x+y)^2
-        x, y = 0.3, 0.6
-        d = 1.0 + x + y
-        J = jacobian_fd(rational, x, y)
-        assert J[0, 0] == pytest.approx(y / d**2, abs=1e-7)
-        assert J[0, 1] == pytest.approx(-(1.0 + x) / d**2, abs=1e-7)
-
-    def test_companion_rows(self):
-        J = jacobian_fd(rational, 0.5, 0.5)
-        assert J[1, 0] == pytest.approx(1.0)
-        assert J[1, 1] == pytest.approx(0.0)
-
-
-class TestCompare:
-    def test_southeast_order(self):
-        # southeast: right and down
-        assert (
-            compare((1.0, 0.0), (0.0, 1.0), OrderRelation.SOUTHEAST)
-            == Comparison.GREATER_EQ
-        )
-
-    def test_northeast_order(self):
-        assert (
-            compare((0.0, 0.0), (1.0, 1.0), OrderRelation.NORTHEAST)
-            == Comparison.LESS_EQ
-        )
-
-    def test_incomparable(self):
-        assert (
-            compare((0.0, 1.0), (1.0, 2.0), OrderRelation.SOUTHEAST)
-            == Comparison.INCOMPARABLE
-        )
 
 
 @settings(max_examples=50, deadline=None)

@@ -4,7 +4,6 @@ import pytest
 import monomap.fixed_points as fp
 import monomap.stability as stab
 from monomap.enclosure import corner_ranges
-from monomap.errors import NotAFixedPoint
 from monomap.examples import eq7_equilibrium, make_eq7, make_eq8
 from monomap.geometry import DomainKind, DomainSpec
 from monomap.map_model import Box, DEC_INC, INC_DEC, MapSpec
@@ -12,10 +11,8 @@ from monomap.stability import (
     CONVERGENT_SET,
     GLOBALLY_STABLE,
     INCONCLUSIVE,
-    SINK,
     certify,
     iterate_orbit,
-    local_stability,
     verify_invariance,
 )
 
@@ -561,31 +558,6 @@ class TestEnsembleContainmentPass:
         assert 0 < exits < 100
         assert not settled
         assert len(traces) == 8
-
-
-class TestLocalStability:
-    def test_eq8_equilibrium_is_a_sink(self, eq8_problem):
-        spec, _ = eq8_problem
-        loc = local_stability(spec, 0.7)
-        assert loc.classification == SINK
-        mags = sorted(abs(ev) for ev in loc.eigenvalues)
-        assert mags[0] == pytest.approx(0.6455, abs=1e-3)
-        assert mags[1] == pytest.approx(0.6455, abs=1e-3)
-
-    def test_linear_recursion_eigenvalues(self):
-        # x_{n+1} = x_n/4 - y_n/8: companion eigenvalues from
-        # t^2 - t/4 + 1/8 have modulus sqrt(1/8)
-        spec = MapSpec(lambda x, y: x / 4.0 - y / 8.0, INC_DEC,
-                       Box(-1.0, 1.0, -1.0, 1.0))
-        loc = local_stability(spec, 0.0)
-        assert loc.classification == SINK
-        for ev in loc.eigenvalues:
-            assert abs(ev) == pytest.approx(np.sqrt(1.0 / 8.0), abs=1e-5)
-
-    def test_not_a_fixed_point(self, eq8_problem):
-        spec, _ = eq8_problem
-        with pytest.raises(NotAFixedPoint):
-            local_stability(spec, 0.1)
 
 
 class TestCertify:
