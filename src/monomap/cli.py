@@ -1,28 +1,27 @@
 """Command-line front end.
 
     monomap <extend|fixedpoints|certify|simulate> --config FILE
-            [--out DIR] [--seed N] [--tol-KEY VALUE]
+            [--out DIR] [--seed N]
 
 The config is flat ``key = value`` text under ``[section]`` headers (see
-README for the key reference).  A tolerance comes from a ``--tol-KEY``
-flag or a ``[tolerances]`` key; each command accepts only those it reads
-(extend: tol_cont, tol_mono, tol_range; fixedpoints and certify: tol_fp;
-simulate: none), and certify stops the corner chains once their order
-interval is at most 10 * tol_fp wide.  Each command likewise accepts
-only the ``[run]`` keys it reads (extend: seed, audit_grid; fixedpoints:
-seed, n_grid; certify: seed, n_grid, n_orbits, orbit_steps, max_iter,
-audit_grid, n_order_pairs; simulate: seed, steps, orbit_steps, n_orbits,
-x0, x_m1), and every ``[run]`` size among them must be at least 1.
-Certify always runs the 4-dimensional embedding (Sym4).  Simulate runs
-one orbit from (x0, x_m1) when both are given, random starts when
-neither is, and rejects one without the other.  ``[map]`` names a
-family (eq7, eq8, xfy or expression); each is an expression compiled by
-``map_model.compile_expression``, and a key the family does not read,
-or a parameter the expression never names, is a configuration error.
-Exit codes: 0 success / GloballyStable, 1 Inconclusive verdict or
-unresolved fixed-point search, 2 audit or numeric failure, 3 unsupported
-domain, 4 configuration error.  With a fixed seed all JSON/CSV/SVG
-outputs are byte-identical across runs.
+README for the key reference).  Every pass/fail threshold is fixed and
+scaled to the problem: the fixed-point tolerance tol_fp is 1e-9 of the
+box span, and certify stops the corner chains once their order interval
+is at most 10 * tol_fp wide.  Each command accepts only the ``[run]``
+keys it reads (extend: seed, audit_grid; fixedpoints: n_grid; certify:
+seed, n_grid, n_orbits, orbit_steps, max_iter, audit_grid,
+n_order_pairs; simulate: seed, steps, n_orbits, x0, x_m1), and every
+``[run]`` size among them must be at least 1.  Certify always runs the
+4-dimensional embedding (Sym4).  Simulate runs one orbit from (x0, x_m1)
+when both are given, n_orbits random starts when neither is, and
+rejects one without the other, or n_orbits beside them.  ``[map]``
+names a family (eq7, eq8, xfy or expression); each is an expression
+compiled by ``map_model.compile_expression``, and a key the family does
+not read, or a parameter the expression never names, is a configuration
+error.  Exit codes: 0 success / GloballyStable, 1 Inconclusive verdict
+or unresolved fixed-point search, 2 audit or numeric failure, 3
+unsupported domain, 4 configuration or usage error.  With a fixed seed
+all JSON/CSV/SVG outputs are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -65,25 +64,16 @@ EXIT_CONFIG = 4
 # the [run] keys each command reads; giving it any other is an error
 _COMMAND_RUN_KEYS = {
     "extend": {"seed", "audit_grid"},
-    "fixedpoints": {"seed", "n_grid"},
+    "fixedpoints": {"n_grid"},
     "certify": {"seed", "n_grid", "n_orbits", "orbit_steps", "max_iter",
                 "audit_grid", "n_order_pairs"},
-    "simulate": {"seed", "steps", "orbit_steps", "n_orbits", "x0", "x_m1"},
+    "simulate": {"seed", "steps", "n_orbits", "x0", "x_m1"},
 }
 
 _KNOWN_KEYS = {
     "map": {"family", "expr", "signature", "f"},
     "domain": {"kind", "rect", "vertices"},
     "run": set().union(*_COMMAND_RUN_KEYS.values()),
-    "tolerances": {"tol_fp", "tol_cont", "tol_mono", "tol_range"},
-}
-
-# the tolerance keys each command reads; giving it any other is an error
-_COMMAND_TOLERANCES = {
-    "extend": {"tol_cont", "tol_mono", "tol_range"},
-    "fixedpoints": {"tol_fp"},
-    "certify": {"tol_fp"},
-    "simulate": set(),
 }
 
 
@@ -205,25 +195,12 @@ def build_problem(cfg: dict):
     return spec, domain
 
 
-def _tolerances(cfg: dict) -> dict:
-    out = {}
-    for key, val in cfg["tolerances"].items():
-        try:
-            v = float(val)
-        except ValueError as e:
-            raise ConfigError(f"{key} must be a number") from e
-        if v <= 0:
-            raise ConfigError(f"{key} must be positive")
-        out[key] = v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 # ---------------------------------------------------------------------------
 
 
-def cmd_extend(cfg: dict, out: Path, seed: int, tols: dict) -> int:
+def cmd_extend(cfg: dict, out: Path, seed: int) -> int:
     spec, domain = build_problem(cfg)
     mono = check_monotonicity(spec)
     if not mono.ok:
@@ -232,7 +209,7 @@ def cmd_extend(cfg: dict, out: Path, seed: int, tols: dict) -> int:
     ext = extend(spec, domain)
     rng = np.random.default_rng(seed)
     grid_n = _as_int(cfg["run"], "audit_grid", 100)
-    audit = audit_extension(ext, grid_n=grid_n, rng=rng, **tols)
+    audit = audit_extension(ext, grid_n=grid_n, rng=rng)
     report.write_json(out / "extension.json", ext.to_dict())
     report.write_json(out / "extension_audit.json", audit.to_dict())
     (out / "pieces.svg").write_text(report.render_pieces_svg(ext))
@@ -241,11 +218,11 @@ def cmd_extend(cfg: dict, out: Path, seed: int, tols: dict) -> int:
     return EXIT_OK if audit.all_ok else EXIT_AUDIT_FAIL
 
 
-def cmd_fixedpoints(cfg: dict, out: Path, seed: int, tols: dict) -> int:
+def cmd_fixedpoints(cfg: dict, out: Path, seed: int) -> int:
     spec, domain = build_problem(cfg)
     ext = extend(spec, domain)
     n_grid = _as_int(cfg["run"], "n_grid", 256)
-    rep = fp.find_artificial(ext, n_grid=n_grid, tol_fp=tols.get("tol_fp"))
+    rep = fp.find_artificial(ext, n_grid=n_grid)
     report.write_json(out / "fixed_points.json", rep.to_dict())
     print(f"equilibria: {[x for x, _ in rep.equilibria]}; artificial: "
           f"{[pair for pair, _, _ in rep.artificial]}; "
@@ -253,13 +230,12 @@ def cmd_fixedpoints(cfg: dict, out: Path, seed: int, tols: dict) -> int:
     return EXIT_INCONCLUSIVE if rep.unresolved else EXIT_OK
 
 
-def cmd_certify(cfg: dict, out: Path, seed: int, tols: dict) -> int:
+def cmd_certify(cfg: dict, out: Path, seed: int) -> int:
     spec, domain = build_problem(cfg)
     run = cfg["run"]
     ccfg = {"seed": seed}
     for key in sorted((_COMMAND_RUN_KEYS["certify"] - {"seed"}) & run.keys()):
         ccfg[key] = _as_int(run, key)
-    ccfg.update(tols)
     cert = certify(spec, domain, ccfg)
     report.write_json(out / "certificate.json", cert.to_dict())
     (out / "certificate.md").write_text(report.render_certificate_md(cert))
@@ -286,16 +262,19 @@ def cmd_certify(cfg: dict, out: Path, seed: int, tols: dict) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def cmd_simulate(cfg: dict, out: Path, seed: int, tols: dict) -> int:
+def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
     spec, domain = build_problem(cfg)
     run = cfg["run"]
-    steps = _as_int(run, "steps", _as_int(run, "orbit_steps", 1000))
+    steps = _as_int(run, "steps", 1000)
     x0 = _as_float(run, "x0")
     x_m1 = _as_float(run, "x_m1")
     if (x0 is None) != (x_m1 is None):
         given, missing = ("x0", "x_m1") if x_m1 is None else ("x_m1", "x0")
         raise ConfigError(f"[run] {given} needs {missing} too; give both "
                           "or neither")
+    if x0 is not None and "n_orbits" in run:
+        raise ConfigError("[run] n_orbits counts random starts; simulate "
+                          "runs one orbit from the given x0, x_m1")
     rng = np.random.default_rng(seed)
     if x0 is not None:
         orbit = iterate_orbit(spec, x0, x_m1, steps, domain=domain)
@@ -335,11 +314,11 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=".", help="output directory")
     ap.add_argument("--seed", type=int, default=None,
                     help="override the [run] seed")
-    ap.add_argument("--tol-fp", type=float, dest="tol_fp")
-    ap.add_argument("--tol-cont", type=float, dest="tol_cont")
-    ap.add_argument("--tol-mono", type=float, dest="tol_mono")
-    ap.add_argument("--tol-range", type=float, dest="tol_range")
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as e:
+        # argparse has printed the help (exit 0) or the usage error
+        return EXIT_OK if e.code == 0 else EXIT_CONFIG
 
     try:
         text = Path(args.config).read_text()
@@ -348,19 +327,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = parse_config(text)
-        tols = _tolerances(cfg)
-        for key in sorted(_KNOWN_KEYS["tolerances"]):
-            v = getattr(args, key)
-            if v is not None:
-                if v <= 0:
-                    raise ConfigError(f"{key} must be positive")
-                tols[key] = v
-        unread = sorted(set(tols) - _COMMAND_TOLERANCES[args.command])
-        if unread:
-            raise ConfigError(
-                f"{args.command} does not read the tolerance "
-                f"{', '.join(unread)}"
-            )
         run = cfg["run"]
         reads = _COMMAND_RUN_KEYS[args.command]
         unread = sorted(set(run) - reads)
@@ -385,7 +351,7 @@ def main(argv=None) -> int:
             "certify": cmd_certify,
             "simulate": cmd_simulate,
         }[args.command]
-        return handler(cfg, out, seed, tols)
+        return handler(cfg, out, seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

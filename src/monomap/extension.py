@@ -188,33 +188,32 @@ class _ChainTable:
     """A chain polyline with per-vertex boundary values and windowed
     min/max support.  Coordinates are weakly monotone along the chain."""
 
-    @classmethod
-    def from_state(cls, state: dict, valfuncs) -> "_ChainTable":
-        obj = cls.__new__(cls)
-        obj.xs = np.asarray(state["xs"], dtype=float)
-        obj.ys = np.asarray(state["ys"], dtype=float)
-        obj.fs = np.asarray(state["fs"], dtype=float)
-        obj.edge_srcs = np.asarray(state["edge_srcs"], dtype=int)
-        obj.valfuncs = valfuncs
-        obj.rmq = _SparseTable(obj.fs)
-        return obj
+    def __init__(self, xs, ys, fs, edge_srcs, valfuncs):
+        self.xs = np.asarray(xs, dtype=float)
+        self.ys = np.asarray(ys, dtype=float)
+        self.fs = np.asarray(fs, dtype=float)
+        self.edge_srcs = np.asarray(edge_srcs, dtype=int)
+        self.valfuncs = valfuncs
+        self.rmq = _SparseTable(self.fs)
 
-    def __init__(self, pts: np.ndarray, srcs: np.ndarray, valfuncs, tol: float):
+    @classmethod
+    def build(cls, pts: np.ndarray, srcs: np.ndarray, valfuncs,
+              tol: float) -> "_ChainTable":
+        """The table of a polyline, refined until the boundary value is
+        monotone on every edge."""
         pts, srcs = _dedupe_polyline(pts, srcs)
         pts, srcs = _insert_breakpoints(pts, srcs, valfuncs, tol)
-        self.xs = pts[:, 0].copy()
-        self.ys = pts[:, 1].copy()
-        self.edge_srcs = np.asarray(srcs[: len(pts) - 1], dtype=int)
-        self.valfuncs = valfuncs
+        xs, ys = pts[:, 0].copy(), pts[:, 1].copy()
+        edge_srcs = np.asarray(srcs[: len(pts) - 1], dtype=int)
         # a vertex shared by two sources sits on the domain boundary,
         # where the sources agree; use the incoming edge's source
         vs = (
-            np.concatenate([self.edge_srcs[:1], self.edge_srcs])
-            if len(self.edge_srcs)
+            np.concatenate([edge_srcs[:1], edge_srcs])
+            if len(edge_srcs)
             else np.zeros(len(pts), dtype=int)
         )
-        self.fs = _eval_src(self.xs, self.ys, vs, valfuncs)
-        self.rmq = _SparseTable(self.fs)
+        fs = _eval_src(xs, ys, vs, valfuncs)
+        return cls(xs, ys, fs, edge_srcs, valfuncs)
 
     # crossing helpers -------------------------------------------------
 
@@ -324,62 +323,44 @@ class _Sector:
     minimum when it increases.
     """
 
-    @classmethod
-    def from_state(cls, state: dict, func) -> "_Sector":
-        obj = cls.__new__(cls)
-        obj.arc1 = np.asarray(state["arc1"], dtype=float)
-        obj.arc2 = np.asarray(state["arc2"], dtype=float)
-        obj.func = func
-        obj.mode = state["mode"]
-        obj.chord_x = float(obj.arc1[0, 0])
-        obj.y_lo = float(obj.arc1[0, 1])
-        obj.y_apex = float(obj.arc1[-1, 1])
-        obj.y_hi = float(obj.arc2[-1, 1])
-        obj.apex = obj.arc1[-1]
-        obj.polygon = np.vstack([obj.arc1, obj.arc2[1:]])
-        return obj
-
-    def __init__(self, arc1: np.ndarray, arc2: np.ndarray, func, tol_val: float):
-        self.arc1 = arc1  # (n,2), x weakly decreasing, y weakly increasing
-        self.arc2 = arc2  # (m,2), x weakly increasing, y weakly increasing
+    def __init__(self, arc1, arc2, func, mode: str):
+        self.arc1 = np.asarray(arc1, dtype=float)
+        self.arc2 = np.asarray(arc2, dtype=float)
         self.func = func
-        self.chord_x = float(arc1[0, 0])
-        self.y_lo = float(arc1[0, 1])
-        self.y_apex = float(arc1[-1, 1])
-        self.y_hi = float(arc2[-1, 1])
-        self.apex = arc1[-1]
-        self.polygon = np.vstack([arc1, arc2[1:]])
+        self.mode = mode
+        self.chord_x = float(self.arc1[0, 0])
+        self.y_lo = float(self.arc1[0, 1])
+        self.y_hi = float(self.arc2[-1, 1])
+        self.apex = self.arc1[-1]
+        self.polygon = np.vstack([self.arc1, self.arc2[1:]])
+
+    @classmethod
+    def build(cls, arc1: np.ndarray, arc2: np.ndarray, func,
+              tol_val: float) -> "_Sector":
+        """The sector of two arcs, filled by the rule arc2's value allows."""
         f2 = np.asarray(func(arc2[:, 0], arc2[:, 1]), dtype=float)
         d2 = np.diff(f2)
         if np.all(d2 >= -tol_val):
-            self.mode = "min_window"
-        elif np.all(d2 <= tol_val):
-            self.mode = "linear"
-            # monotone fill needs the upper graph to dominate the lower
-            xs = np.linspace(self.apex[0], self.chord_x, 64)
-            lo = _interp_mono(self._a1_x(), self._a1_y(), xs)
-            hi = _interp_mono(self.arc2[:, 0], self.arc2[:, 1], xs)
-            vlo = np.asarray(func(xs, lo), dtype=float)
-            vhi = np.asarray(func(xs, hi), dtype=float)
-            if np.any(vhi < vlo - tol_val):
-                k = int(np.argmin(vhi - vlo))
-                raise SectorOrderViolation(
-                    f"sector fill would break monotonicity near x={xs[k]:.6g}"
-                )
-        else:
+            return cls(arc1, arc2, func, "min_window")
+        if not np.all(d2 <= tol_val):
             raise NonMonotoneInducedEdge(
                 "boundary value oscillates along a sector arc"
             )
-
-    # arc1 sorted by increasing x for interpolation
-    def _a1_x(self):
-        return self.arc1[::-1, 0]
-
-    def _a1_y(self):
-        return self.arc1[::-1, 1]
+        sector = cls(arc1, arc2, func, "linear")
+        # monotone fill needs the upper graph to dominate the lower
+        xs = np.linspace(sector.apex[0], sector.chord_x, 64)
+        vlo = np.asarray(func(xs, sector.lower_y(xs)), dtype=float)
+        vhi = np.asarray(func(xs, sector.upper_y(xs)), dtype=float)
+        if np.any(vhi < vlo - tol_val):
+            k = int(np.argmin(vhi - vlo))
+            raise SectorOrderViolation(
+                f"sector fill would break monotonicity near x={xs[k]:.6g}"
+            )
+        return sector
 
     def lower_y(self, x):
-        return _interp_mono(self._a1_x(), self._a1_y(), x)
+        # arc1 reversed runs by increasing x
+        return _interp_mono(self.arc1[::-1, 0], self.arc1[::-1, 1], x)
 
     def upper_y(self, x):
         return _interp_mono(self.arc2[:, 0], self.arc2[:, 1], x)
@@ -470,21 +451,16 @@ class _Engine:
         self.tol_val = tol_val
         self.geom_tol = 1e-12 * rect.diam
 
-        self._split_chains()
         self._close_sectors()
         self._check_chain_monotone()
         self._build_tables()
         self._find_flats()
-        self._build_pieces()
+        self._build_walls_and_pieces()
 
     # -- chain construction ---------------------------------------------
 
-    def _split_chains(self):
-        pts = self.omega
-        self._extremes_raw = _extreme_midpoints(pts, self.geom_tol)
-
     def _close_sectors(self):
-        L, B, R, T, ring = self._extremes_raw
+        L, B, R, T, ring = _extreme_midpoints(self.omega, self.geom_tol)
         # ring: polyline starting at L, ccw, ending back at L (not repeated),
         # with L,B,R,T inserted as vertices at indices iL=0, iB, iR, iT.
         self.L, self.B, self.R, self.T = L, B, R, T
@@ -498,9 +474,7 @@ class _Engine:
         se, se_srcs = self._close_chain_sectors(se)
         self.sw_pts, self.se_pts, self.ne_pts, self.nw_pts = sw, se, ne, nw
         self.se_srcs = se_srcs
-        self.valfuncs = [lambda x, y: np.asarray(self.func(x, y), dtype=float)]
-        for s in self.sectors:
-            self.valfuncs.append(s.eval)
+        self.valfuncs = _valfuncs(self.func, self.sectors)
 
     def _close_chain_sectors(self, se: np.ndarray):
         """Close x-backtracking intrusions on the SE chain with vertical
@@ -540,7 +514,7 @@ class _Engine:
                 np.diff(seg[m:, 0]) < -self.geom_tol
             ):
                 raise UnsupportedDomain("nested boundary intrusions")
-            sector = _Sector(seg[: m + 1], seg[m:], self.func, self.tol_val)
+            sector = _Sector.build(seg[: m + 1], seg[m:], self.func, self.tol_val)
             self.sectors.append(sector)
             src_id = len(self.sectors)  # valfuncs index
             se = np.vstack([se[: i + 1], w2[None, :], se[j:]]) if abs(
@@ -572,18 +546,11 @@ class _Engine:
         vf = self.valfuncs
         tol = self.tol_val
         srcs0 = lambda p: np.zeros(max(len(p) - 1, 0), dtype=int)
-        self.t_se = _ChainTable(self.se_pts, self.se_srcs, vf, tol)
+        self.t_se = _ChainTable.build(self.se_pts, self.se_srcs, vf, tol)
         nw_rev = self.nw_pts[::-1].copy()  # L -> T, x and y non-decreasing
-        self.t_nw = _ChainTable(nw_rev, srcs0(nw_rev), vf, tol)
-        self.t_sw = _ChainTable(self.sw_pts, srcs0(self.sw_pts), vf, tol)
-        self.t_ne = _ChainTable(self.ne_pts, srcs0(self.ne_pts), vf, tol)
-        # left / right boundary walls as x-of-y knot tables
-        left = np.vstack([self.sw_pts[::-1], nw_rev[1:]])  # B -> L -> T
-        right = np.vstack([self.se_pts, self.ne_pts[1:]])  # B -> R -> T
-        self.wall_left_y = left[:, 1]
-        self.wall_left_x = left[:, 0]
-        self.wall_right_y = right[:, 1]
-        self.wall_right_x = right[:, 0]
+        self.t_nw = _ChainTable.build(nw_rev, srcs0(nw_rev), vf, tol)
+        self.t_sw = _ChainTable.build(self.sw_pts, srcs0(self.sw_pts), vf, tol)
+        self.t_ne = _ChainTable.build(self.ne_pts, srcs0(self.ne_pts), vf, tol)
 
     def _find_flats(self):
         g = 1e-9 * self.rect.diam
@@ -748,9 +715,17 @@ class _Engine:
         base = np.asarray(self.func(xx, y), dtype=float)
         return base + self._ne_graft_terms(x, y, all_flats=False)
 
-    # -- piece polygons -----------------------------------------------------
+    # -- boundary walls and piece polygons ----------------------------------
 
-    def _build_pieces(self):
+    def _build_walls_and_pieces(self):
+        """Everything else the evaluator needs, from the tables, flats
+        and sectors alone; the built and the loaded engine share it."""
+        # boundary walls as x-of-y knot tables (B -> L -> T, B -> R -> T)
+        self.wall_left_x = np.concatenate([self.t_sw.xs[::-1], self.t_nw.xs[1:]])
+        self.wall_left_y = np.concatenate([self.t_sw.ys[::-1], self.t_nw.ys[1:]])
+        self.wall_right_x = np.concatenate([self.t_se.xs, self.t_ne.xs[1:]])
+        self.wall_right_y = np.concatenate([self.t_se.ys, self.t_ne.ys[1:]])
+
         r = self.rect
         X0, X1, Y0, Y1 = r.x0, r.x1, r.y0, r.y1
         L, B, R, T = self.L, self.B, self.R, self.T
@@ -844,41 +819,34 @@ class _Engine:
         }
 
     @classmethod
-    def from_state(cls, state: dict, func: Callable, rect: Box,
-                   tol_val: float) -> "_Engine":
+    def from_state(cls, state: dict, func: Callable, rect: Box) -> "_Engine":
         """Rebuild an evaluator from serialized state, skipping all the
         geometric construction and validation."""
         eng = cls.__new__(cls)
         eng.func = func
         eng.rect = rect
         eng.omega = np.asarray(state["omega"], dtype=float)
-        eng.tol_val = tol_val
         eng.geom_tol = 1e-12 * rect.diam
         ex = state["extremes"]
-        eng.L = np.asarray(ex["L"], dtype=float)
-        eng.B = np.asarray(ex["B"], dtype=float)
-        eng.R = np.asarray(ex["R"], dtype=float)
-        eng.T = np.asarray(ex["T"], dtype=float)
+        eng.L, eng.B, eng.R, eng.T = (np.asarray(ex[k], dtype=float)
+                                      for k in "LBRT")
         eng.sw_flats = [tuple(map(float, f)) for f in state["sw_flats"]]
         eng.ne_flats = [tuple(map(float, f)) for f in state["ne_flats"]]
-        eng.sectors = [_Sector.from_state(s, func) for s in state["sectors"]]
-        eng.valfuncs = [lambda x, y: np.asarray(func(x, y), dtype=float)]
-        for s in eng.sectors:
-            eng.valfuncs.append(s.eval)
+        eng.sectors = [_Sector(**s, func=func) for s in state["sectors"]]
+        eng.valfuncs = _valfuncs(func, eng.sectors)
         t = state["tables"]
-        eng.t_se = _ChainTable.from_state(t["se"], eng.valfuncs)
-        eng.t_nw = _ChainTable.from_state(t["nw"], eng.valfuncs)
-        eng.t_sw = _ChainTable.from_state(t["sw"], eng.valfuncs)
-        eng.t_ne = _ChainTable.from_state(t["ne"], eng.valfuncs)
-        # boundary walls as x-of-y knot tables (B -> L -> T, B -> R -> T)
-        lx = np.concatenate([eng.t_sw.xs[::-1], eng.t_nw.xs[1:]])
-        ly = np.concatenate([eng.t_sw.ys[::-1], eng.t_nw.ys[1:]])
-        rx = np.concatenate([eng.t_se.xs, eng.t_ne.xs[1:]])
-        ry = np.concatenate([eng.t_se.ys, eng.t_ne.ys[1:]])
-        eng.wall_left_x, eng.wall_left_y = lx, ly
-        eng.wall_right_x, eng.wall_right_y = rx, ry
-        eng.pieces = []
+        eng.t_se, eng.t_nw, eng.t_sw, eng.t_ne = (
+            _ChainTable(**t[k], valfuncs=eng.valfuncs)
+            for k in ("se", "nw", "sw", "ne"))
+        eng._build_walls_and_pieces()
         return eng
+
+
+def _valfuncs(func: Callable, sectors) -> list:
+    """The boundary value sources of the chain tables: the base map
+    (source 0), then each sector's fill."""
+    return ([lambda x, y: np.asarray(func(x, y), dtype=float)]
+            + [s.eval for s in sectors])
 
 
 def _trim_runs(part: np.ndarray, axis: int, lo: float, hi: float, g: float):
@@ -1133,7 +1101,9 @@ class ExtendedMap:
     @classmethod
     def from_dict(cls, data: dict, base: MapSpec) -> "ExtendedMap":
         """Rebuild an evaluator from :meth:`to_dict` output plus the base
-        map callable, without redoing the geometric construction."""
+        map callable, without redoing the geometric construction.  The
+        ``pieces`` key is not read: the engine redraws them from its
+        state."""
         if data.get("kind") != "extended_map":
             raise ValueError("not a serialized extended map")
         rect = Box(*data["rect"])
@@ -1147,13 +1117,7 @@ class ExtendedMap:
         else:
             func = lambda x, y: np.asarray(base(x, y), dtype=float)
             crect = rect
-        engine = _Engine.from_state(data["engine"], func, crect, 1e-12)
-        pieces = [
-            ExtensionPiece(p["rule"], np.asarray(p["polygon"], dtype=float),
-                           dict(p["meta"]))
-            for p in data["pieces"]
-        ]
-        engine.pieces = [_swap_piece(p) for p in pieces] if swapped else pieces
+        engine = _Engine.from_state(data["engine"], func, crect)
         return cls(base, rect, None, engine, swapped, base_range)
 
 
@@ -1230,12 +1194,12 @@ def eval_extended(ext: ExtendedMap, p) -> float:
     return float(ext.eval(x, y))
 
 
-def audit_extension(ext: ExtendedMap, grid_n: int = 100, rng=None,
-                    tol_cont: Optional[float] = None,
-                    tol_mono: Optional[float] = None,
-                    tol_range: Optional[float] = None) -> ExtensionAudit:
+def audit_extension(ext: ExtendedMap, grid_n: int = 100,
+                    rng=None) -> ExtensionAudit:
     """Check continuity across piece borders, agreement on the domain,
-    monotonicity on the rectangle, and range preservation."""
+    monotonicity on the rectangle, and range preservation.  A jump may
+    reach 1e-7, a monotonicity violation 1e-9 and a range inflation 1e-6
+    of the spread of F's values."""
     rng = np.random.default_rng(0) if rng is None else rng
     r = ext.rect
     if ext.domain is not None and ext.base_range is not None:
@@ -1247,9 +1211,6 @@ def audit_extension(ext: ExtendedMap, grid_n: int = 100, rng=None,
         V = ext.eval(X.ravel(), Y.ravel())
         lo, hi = float(V.min()), float(V.max())
     spread = max(hi - lo, 1e-12)
-    tol_cont = 1e-7 * spread if tol_cont is None else tol_cont
-    tol_mono = 1e-9 * spread if tol_mono is None else tol_mono
-    tol_range = 1e-6 * spread if tol_range is None else tol_range
     witnesses = {}
 
     # (C1) continuity: sample along every piece edge, compare both sides.
@@ -1292,7 +1253,7 @@ def audit_extension(ext: ExtendedMap, grid_n: int = 100, rng=None,
         k = int(np.argmax(jumps))
         max_jump = float(jumps[k])
         witnesses["continuity"] = (mid[ok][k][0], mid[ok][k][1], max_jump)
-    continuity_ok = max_jump <= tol_cont
+    continuity_ok = max_jump <= 1e-7 * spread
 
     # (C2) agreement with the base map on the domain
     max_dis = 0.0
@@ -1322,6 +1283,7 @@ def audit_extension(ext: ExtendedMap, grid_n: int = 100, rng=None,
     sy = ext.base.signature.second.sign
     dx = sx * np.diff(V, axis=0)
     dy = sy * np.diff(V, axis=1)
+    tol_mono = 1e-9 * spread
     n_viol = int(np.sum(dx < -tol_mono) + np.sum(dy < -tol_mono))
     monotone_ok = n_viol == 0
     if not monotone_ok:
@@ -1332,7 +1294,7 @@ def audit_extension(ext: ExtendedMap, grid_n: int = 100, rng=None,
 
     # (Nice) range preservation
     inflation = max(lo - float(V.min()), float(V.max()) - hi, 0.0)
-    nice_ok = inflation <= tol_range
+    nice_ok = inflation <= 1e-6 * spread
 
     return ExtensionAudit(
         continuity_ok,

@@ -25,7 +25,7 @@ finest width are reported, as a pair or as unresolved, never dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -113,14 +113,13 @@ def find_equilibria(
     target,
     interval: Tuple[float, float],
     n_grid: int = 256,
-    tol_fp: Optional[float] = None,
 ) -> List[Tuple[float, float]]:
-    """Roots of g(x) = F(x, x) - x on [a, b], as (root, residual) pairs;
-    roots less than 1e-6 of b - a apart are merged."""
+    """Roots of g(x) = F(x, x) - x on [a, b], as (root, residual) pairs,
+    each bracketed to 1e-9 of b - a; roots less than 1e-6 of b - a apart
+    are merged."""
     F = _as_eval(target)
     a, b = float(interval[0]), float(interval[1])
-    if tol_fp is None:
-        tol_fp = 1e-9 * (b - a)
+    tol_fp = 1e-9 * (b - a)
     sep_min = _SEP_MIN * (b - a)
     xs = np.linspace(a, b, n_grid + 1)
     g = np.asarray(F(xs, xs), dtype=float) - xs
@@ -211,7 +210,6 @@ def _corner_ranges(ext, x0, x1, y0, y1):
 def find_artificial(
     ext,
     n_grid: int = 256,
-    tol_fp: Optional[float] = None,
 ) -> FixedPointReport:
     """Enclose every solution of F(x,y)=x, F(y,x)=y in the box of ``ext``.
 
@@ -227,14 +225,13 @@ def find_artificial(
     The cells left at width 2^-40 of the box, or when a level would
     exceed the cell budget, are grouped into boxes (cells less than
     sep_min apart share one).  A box whose centre residual is at most
-    tol_fp is an artificial pair (its mirror image solves the system
+    tol_fp = 1e-9 of the box span is an artificial pair (its mirror image solves the system
     too); any other box is unresolved.
     """
     a, b = _square_bounds(ext.rect)
-    if tol_fp is None:
-        tol_fp = 1e-9 * (b - a)
+    tol_fp = 1e-9 * (b - a)
     sep_min = _SEP_MIN * (b - a)
-    equilibria = find_equilibria(ext, (a, b), n_grid=n_grid, tol_fp=tol_fp)
+    equilibria = find_equilibria(ext, (a, b), n_grid=n_grid)
     eps = _ULPS * np.spacing(max(abs(a), abs(b)))
     i = j = np.zeros(1, dtype=np.int64)
     depth = cells = evaluations = widest = 0

@@ -350,7 +350,6 @@ _DEFAULTS = {
     "audit_grid": 100,
     "max_iter": 100000,
     "seed": 0,
-    "tol_fp": None,  # defaults to 1e-9 * (b - a)
 }
 
 # run sizes (grid cells, samples, orbits, steps; ``steps`` is simulate's)
@@ -475,7 +474,7 @@ def _build_extension(run: _Run) -> dict:
 
 def _search_artificial(run: _Run) -> dict:
     ext, cert = run.ext, run.cert
-    report = fp.find_artificial(ext, n_grid=run.cfg["n_grid"], tol_fp=run.tol_fp)
+    report = fp.find_artificial(ext, n_grid=run.cfg["n_grid"])
     cert.artificial_search = report.to_dict()
     run.equilibria = report.equilibria
     if report.has_artificial:
@@ -570,7 +569,7 @@ def certify(
     rng = np.random.default_rng(cfg["seed"])
     x0, x1, y0, y1 = domain.bbox
     span = max(x1 - x0, y1 - y0)
-    tol_fp = cfg["tol_fp"] if cfg["tol_fp"] is not None else 1e-9 * span
+    tol_fp = 1e-9 * span
     cert = StabilityCertificate(
         map_name=map_spec.name,
         map_params=dict(map_spec.params),

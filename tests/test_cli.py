@@ -18,7 +18,6 @@ p = 1.0
 h = 0.3
 
 [run]
-seed = 0
 """
 
 
@@ -30,7 +29,7 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 class TestConfigParsing:
     def test_sections_and_values(self):
-        cfg = parse_config(EQ8_CFG)
+        cfg = parse_config(EQ8_CFG + "seed = 0\n")
         assert cfg["map"]["family"] == "eq8"
         assert cfg["run"]["seed"] == "0"
 
@@ -212,25 +211,46 @@ class TestExitCodes:
         assert main(["extend", "--config", cfg, "--out", str(tmp_path)]) == 3
 
     def test_tolerance_a_command_does_not_read_is_4(self, tmp_path, capsys):
+        # every threshold is fixed in code: no command reads a tolerance
         cfg = write_cfg(tmp_path, EQ8_CFG)
-        assert main(["certify", "--config", cfg, "--out", str(tmp_path),
-                     "--tol-mono", "1e-30"]) == 4
-        assert "tol_mono" in capsys.readouterr().err
+        for flag in ("--tol-fp", "--tol-cont", "--tol-mono", "--tol-range"):
+            assert main(["certify", "--config", cfg, "--out", str(tmp_path),
+                         flag, "1e-30"]) == 4
+            assert flag in capsys.readouterr().err
         cfg = write_cfg(tmp_path, EQ8_CFG + "\n[tolerances]\ntol_fp = 1e-9\n",
                         name="tols.cfg")
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 4
-        assert "tol_fp" in capsys.readouterr().err
+        for command in ("extend", "fixedpoints", "certify", "simulate"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 4
+            assert "[tolerances]" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="tol_fp"):
+            certify(*make_eq8(1.0, 0.3), {"tol_fp": 1e-9})
 
     def test_tol_chain_is_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, EQ8_CFG)
-        with pytest.raises(SystemExit):
-            main(["certify", "--config", cfg, "--out", str(tmp_path),
-                  "--tol-chain", "1e-10"])
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path),
+                     "--tol-chain", "1e-10"]) == 4
         assert "--tol-chain" in capsys.readouterr().err
         cfg = write_cfg(tmp_path, EQ8_CFG + "\n[tolerances]\ntol_chain = 1e-10\n",
                         name="tols.cfg")
         assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 4
-        assert "tol_chain" in capsys.readouterr().err
+        assert "[tolerances]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["certify", "--config", "run.cfg", "--warp", "9"], "--warp"),
+        (["certify"], "--config"),
+        (["certify", "--config", "run.cfg", "--seed", "x"], "--seed"),
+    ])
+    def test_usage_error_is_4(self, tmp_path, capsys, monkeypatch, argv,
+                              named):
+        monkeypatch.chdir(tmp_path)
+        write_cfg(tmp_path, EQ8_CFG)
+        assert main(argv) == 4
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "certificate.json").exists()
+
+    def test_help_is_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "--config" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["certify", "simulate"])
     def test_orbit_count_below_one_is_4(self, tmp_path, capsys, command):
@@ -257,7 +277,7 @@ class TestExitCodes:
         readers = {
             "n_grid": ("fixedpoints", "certify"),
             "n_orbits": ("certify", "simulate"),
-            "orbit_steps": ("certify", "simulate"),
+            "orbit_steps": ("certify",),
             "max_iter": ("certify",),
             "audit_grid": ("extend", "certify"),
             "n_order_pairs": ("certify",),
@@ -305,6 +325,16 @@ class TestExitCodes:
         assert f"{given} needs {missing}" in capsys.readouterr().err
         assert not (out / "orbits.csv").exists()
 
+    def test_simulate_start_rejects_n_orbits(self, tmp_path, capsys):
+        # a given start runs one orbit; a count of random starts beside it
+        # would be dropped
+        cfg = write_cfg(tmp_path, EQ8_CFG + "x0 = 0.5\nx_m1 = 0.6\n"
+                                            "n_orbits = 50\nsteps = 10\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+        assert "n_orbits" in capsys.readouterr().err
+        assert not (out / "orbits.csv").exists()
+
     @pytest.mark.parametrize("command, extra, unread", [
         ("extend", "n_orbits = 5\nx0 = 5\n", "n_orbits, x0"),
         ("extend", "n_grid = 64\n", "n_grid"),
@@ -312,6 +342,8 @@ class TestExitCodes:
         ("fixedpoints", "audit_grid = 50\n", "audit_grid"),
         ("certify", "x0 = 0.5\nsteps = 10\n", "steps, x0"),
         ("simulate", "max_iter = 10\n", "max_iter"),
+        ("simulate", "orbit_steps = 500\nsteps = 10\n", "orbit_steps"),
+        ("fixedpoints", "seed = 3\n", "seed"),
     ])
     def test_unread_run_key_is_4(self, tmp_path, capsys, command, extra,
                                  unread):
@@ -330,16 +362,6 @@ class TestExitCodes:
         assert main(["extend", "--config", cfg, "--out", str(tmp_path)]) == 4
         name = text.strip().rsplit("\n", 1)[-1].split(" = ")[0]
         assert f"parameter(s) {name}" in capsys.readouterr().err
-
-    def test_extend_reads_tol_mono(self, tmp_path):
-        cfg = write_cfg(tmp_path, EQ8_CFG)
-        assert main(["extend", "--config", cfg, "--out", str(tmp_path),
-                     "--tol-mono", "1e-30"]) == 0
-
-    def test_negative_tolerance_is_4(self, tmp_path):
-        cfg = write_cfg(tmp_path, EQ8_CFG)
-        assert main(["certify", "--config", cfg, "--out", str(tmp_path),
-                     "--tol-fp", "-1"]) == 4
 
 
 class TestOverrides:

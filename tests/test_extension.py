@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from test_stability import _notched_square_case
 
 from monomap.errors import (
     NonMonotoneInducedEdge,
@@ -24,6 +27,30 @@ from monomap.map_model import (
     MapSpec,
     MonotoneSignature,
 )
+from monomap.report import dumps_json
+
+
+def _random_convex_case(rng):
+    """A convex polygon with vertices on a random ellipse and a rational
+    map of either mixed signature, as in acceptance criterion 4."""
+    n = int(rng.integers(5, 13))
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    while np.min(np.diff(np.append(angles, angles[0] + 2 * np.pi))) < 0.1:
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    rx, ry = rng.uniform(0.5, 2.0, 2)
+    rot = rng.uniform(0.0, np.pi)
+    centre = rng.uniform(2.5, 4.0, 2)
+    ex, ey = rx * np.cos(angles), ry * np.sin(angles)
+    pts = centre + np.column_stack([ex * np.cos(rot) - ey * np.sin(rot),
+                                    ex * np.sin(rot) + ey * np.cos(rot)])
+    domain = DomainSpec.polygon(pts)
+    q = rng.uniform(0.2, 2.0)
+    p, r = q * rng.uniform(0.1, 1.0), rng.uniform(0.2, 2.0)
+    if rng.integers(0, 2):
+        func, sig = (lambda x, y: (p + q * y) / (1.0 + y + r * x)), DEC_INC
+    else:
+        func, sig = (lambda x, y: (p + q * x) / (1.0 + x + r * y)), INC_DEC
+    return MapSpec(func, sig, Box(*domain.bbox)), domain
 
 
 class TestRectangleExtension:
@@ -163,6 +190,33 @@ class TestSerialization:
     def test_loaded_extension_audits(self, eq8_ext):
         loaded = ExtendedMap.from_dict(eq8_ext.to_dict(), eq8_ext.base)
         assert audit_extension(loaded, rng=np.random.default_rng(3)).all_ok
+
+    def test_seeded_round_trips_are_bitwise(self):
+        # the loaded engine rebuilds its walls and pieces from the stored
+        # tables and sectors; both must match the built ones exactly
+        rng = np.random.default_rng(20261018)
+        cases = [_random_convex_case(rng) for _ in range(12)]
+        cases += [_notched_square_case(rng, k) for k in range(24)]
+        seen = set()
+        for k, (spec, domain) in enumerate(cases):
+            ext = extend(spec, domain)
+            d = json.loads(dumps_json(ext.to_dict()))
+            loaded = ExtendedMap.from_dict(d, spec)
+            assert json.loads(dumps_json(loaded.to_dict())) == d, k
+            x0, x1, y0, y1 = ext.rect.as_tuple()
+            X, Y = np.meshgrid(np.linspace(x0, x1, 151),
+                               np.linspace(y0, y1, 151), indexing="ij")
+            v = domain.vertices
+            t = np.linspace(0.0, 1.0, 41)[:, None, None]
+            edge = (v + t * (np.roll(v, -1, axis=0) - v)).reshape(-1, 2)
+            x = np.concatenate([X.ravel(), edge[:, 0]])
+            y = np.concatenate([Y.ravel(), edge[:, 1]])
+            np.testing.assert_array_equal(loaded.eval(x, y), ext.eval(x, y),
+                                          err_msg=str(k))
+            seen.add((spec.signature, len(ext.engine.sectors) > 0))
+        # convex and notched cases of both signatures took part
+        assert seen == {(sig, notched) for sig in (INC_DEC, DEC_INC)
+                        for notched in (False, True)}
 
     def test_schema_version_present(self, eq8_ext):
         assert "schema_version" in eq8_ext.to_dict()
