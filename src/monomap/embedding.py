@@ -15,6 +15,8 @@ to fixed points of G and bracket every orbit in between.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -163,6 +165,29 @@ class EmbeddedSystem:
         out = clamp_to(out, self.a, self.b, copy=False)
         return out[0] if single else out
 
+    def step_corners(self, s: list) -> Optional[list]:
+        """``step`` of the two Sym4 states s[:4] and s[4:], on Python
+        floats, where all four points F is evaluated at lie where the
+        extension is F.  F is evaluated at them in one call, by numpy, and
+        the values are clipped to [a, b] as ``step`` clips them.  None for
+        Sym2 or when a point lies elsewhere: ``step`` decides then."""
+        if self.variant != SYM4:
+            return None
+        x0, y0, u0, v0, x1, y1, u1, v1 = s
+        ext = self.source
+        is_base = ext.is_base
+        if not (is_base(x0, y0) and is_base(x1, y1) and is_base(u0, v0)
+                and is_base(u1, v1)):
+            return None
+        f0, f1, f2, f3 = ext.base(np.array([x0, x1, u0, u1]),
+                                  np.array([y0, y1, v0, v1])).tolist()
+        t = [f0, u0, f2, x0, f1, u1, f3, x1]
+        a, b = self.a, self.b
+        if not (a <= f0 <= b and a <= f1 <= b and a <= f2 <= b
+                and a <= f3 <= b):
+            t = np.clip(t, a, b).tolist()
+        return t
+
 
 def build_embedding(ext: ExtendedMap, variant: str = SYM4) -> EmbeddedSystem:
     """Construct the symmetric embedding of an extended map."""
@@ -206,12 +231,15 @@ def run_corner_chains(
 
     The two chains are monotone and converge to fixed points a* and b*
     of G with a* preceding b*; every orbit of G lies in the order
-    interval between their iterates.  Both corners advance as one
-    batched step per iteration until that interval closes: the stop is
-    CONVERGED once its width max|s_hi - s_lo| is at most ``tol``
-    (default 1e-8 of the box span), STALLED once the width falls by
-    less than 0.1% over 1,000 steps, or MAX_ITER.  Each step is checked
-    to move its chain in the chain's direction.
+    interval between their iterates.  Both corners advance together,
+    their states kept as Python floats: a step whose four evaluation
+    points all lie where the extension is F is ``sys.step_corners``,
+    one call of F; any other step is ``sys.step`` on the (2, dim)
+    array.  Both give the same bits.  The stop is CONVERGED once the
+    interval's width max|s_hi - s_lo| is at most ``tol`` (default 1e-8
+    of the box span), STALLED once the width falls by less than 0.1%
+    over 1,000 steps, or MAX_ITER.  Each step is checked to move its
+    chain in the chain's direction.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -220,26 +248,30 @@ def run_corner_chains(
     if tol is None:
         tol = 1e-8 * span
     slack_tol = 1e-10 * span
+    dim = sys.state_dim
     # the chain rises from the least element and falls from the greatest
-    slopes = np.stack([sys.order_signs, -sys.order_signs])
-    s = np.stack([sys.min_corner, sys.max_corner])
-    states = [s]
+    signs = sys.order_signs.tolist()
+    slopes = signs + [-g for g in signs]
+    s = sys.min_corner.tolist() + sys.max_corner.tolist()
+    states = array("d", s)
     stop = MAX_ITER
-    checkpoint = np.inf
+    checkpoint = math.inf
     for k in range(max_iter):
-        t = sys.step(s)
-        slack = np.min(slopes * (t - s), axis=1)
-        bad = np.flatnonzero(slack < -slack_tol)
-        if bad.size:
-            row = bad[0]
-            raise ChainMonotonicityBroken(
-                f"{starts[row]} chain lost monotonicity at "
-                f"iteration {k + 1} (slack {float(slack[row]):.3e}); the "
-                "extension or its declared monotonicity is inconsistent"
-            )
-        states.append(t)
+        t = sys.step_corners(s)
+        if t is None:
+            t = sys.step(np.reshape(s, (2, dim))).ravel().tolist()
+        d = [g * (v - w) for g, v, w in zip(slopes, t, s)]
+        for row in (0, 1):
+            slack = min(d[row * dim:(row + 1) * dim])
+            if slack < -slack_tol:
+                raise ChainMonotonicityBroken(
+                    f"{starts[row]} chain lost monotonicity at "
+                    f"iteration {k + 1} (slack {slack:.3e}); the "
+                    "extension or its declared monotonicity is inconsistent"
+                )
+        states.extend(t)
         s = t
-        width = float(np.max(np.abs(t[1] - t[0])))
+        width = max([abs(h - l) for l, h in zip(t[:dim], t[dim:])])
         if width <= tol:
             stop = CONVERGED
             break
@@ -248,7 +280,8 @@ def run_corner_chains(
                 stop = STALLED
                 break
             checkpoint = width
-    states = np.stack(states, axis=1)  # (2, n_iter + 1, dim)
+    # (2, n_iter + 1, dim)
+    states = np.frombuffer(states).reshape(-1, 2, dim).transpose(1, 0, 2).copy()
     norms = np.max(np.abs(np.diff(states, axis=1)), axis=2)
     lo, hi = (CornerChain(start, states[c], norms[c])
               for c, start in enumerate(starts))

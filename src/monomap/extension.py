@@ -43,6 +43,7 @@ weak monotonicity hold to floating-point accuracy.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -305,6 +306,15 @@ def _interp_mono(knot_q, knot_v, q):
     d = knot_q[i] - knot_q[i - 1]
     lam = np.where(d > 0, (q - knot_q[i - 1]) / np.where(d > 0, d, 1), 0.0)
     _unit_clamp(lam)
+    return knot_v[i - 1] + lam * (knot_v[i] - knot_v[i - 1])
+
+
+def _interp_one(knot_q: list, knot_v: list, q: float) -> float:
+    """`_interp_mono` at one point, on lists of floats, with the same
+    arithmetic (bisect_left finds the knot searchsorted finds)."""
+    i = min(max(bisect_left(knot_q, q), 1), len(knot_q) - 1)
+    d = knot_q[i] - knot_q[i - 1]
+    lam = min(max((q - knot_q[i - 1]) / d, 0.0), 1.0) if d > 0 else 0.0
     return knot_v[i - 1] + lam * (knot_v[i] - knot_v[i - 1])
 
 
@@ -628,6 +638,18 @@ class _Engine:
                 code[base] = sub
         return code
 
+    def is_base(self, x: float, y: float) -> bool:
+        """Whether ``classify`` puts the point in the base zone, on
+        floats; False also for a point whose x lies in a sector's x
+        range, where the array path decides."""
+        if y > self._t_y or y < self._b_y:
+            return False
+        if x < _interp_one(*self._wall_left, y):
+            return False
+        if x > _interp_one(*self._wall_right, y):
+            return False
+        return not any(lo <= x <= hi for lo, hi in self._sector_spans)
+
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, x, y):
@@ -725,6 +747,13 @@ class _Engine:
         self.wall_left_y = np.concatenate([self.t_sw.ys[::-1], self.t_nw.ys[1:]])
         self.wall_right_x = np.concatenate([self.t_se.xs, self.t_ne.xs[1:]])
         self.wall_right_y = np.concatenate([self.t_se.ys, self.t_ne.ys[1:]])
+        # the same walls and bounds as floats, for is_base
+        self._wall_left = (self.wall_left_y.tolist(), self.wall_left_x.tolist())
+        self._wall_right = (self.wall_right_y.tolist(),
+                            self.wall_right_x.tolist())
+        self._t_y, self._b_y = float(self.T[1]), float(self.B[1])
+        self._sector_spans = [(float(s.apex[0]), s.chord_x)
+                              for s in self.sectors]
 
         r = self.rect
         X0, X1, Y0, Y1 = r.x0, r.x1, r.y0, r.y1
@@ -1076,6 +1105,20 @@ class ExtendedMap:
 
     __call__ = eval
 
+    def is_base(self, x: float, y: float) -> bool:
+        """Whether ``eval`` at the point (x, y) is F at that very point:
+        the point lies in ``rect`` (eval clamps one outside it) and in
+        the engine's base zone.  A point in a sector's x range answers
+        False as well; ``eval`` decides there."""
+        r = self.rect
+        if not (r.x0 <= x <= r.x1 and r.y0 <= y <= r.y1):
+            return False
+        if self.engine is None:
+            return True
+        if self.swapped:
+            return self.engine.is_base(y, x)
+        return self.engine.is_base(x, y)
+
     # serialization ----------------------------------------------------------
 
     def to_dict(self):
@@ -1118,7 +1161,10 @@ class ExtendedMap:
             func = lambda x, y: np.asarray(base(x, y), dtype=float)
             crect = rect
         engine = _Engine.from_state(data["engine"], func, crect)
-        return cls(base, rect, None, engine, swapped, base_range)
+        # the domain in the caller's frame, so the audit checks agreement
+        # on it and reads the stored range
+        verts = engine.omega[::-1, ::-1] if swapped else engine.omega
+        return cls(base, rect, DomainSpec(verts), engine, swapped, base_range)
 
 
 def _canonical_problem(map_spec: MapSpec, domain: DomainSpec):

@@ -7,7 +7,7 @@ bytes, and reports can be diffed in CI.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 from typing import Optional, Sequence
 
@@ -49,28 +49,37 @@ def write_json(path, obj) -> None:
         fh.write(dumps_json(obj))
 
 
+def _write_csv(path, header: list, rows) -> None:
+    """Write the header and the rows, each a list of strings, as
+    ``csv.writer`` writes fields that need no quoting: joined by commas,
+    every line ended by \\r\\n."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(",".join(row) + "\r\n"
+                      for row in itertools.chain([header], rows))
+
+
 def write_orbits_csv(path, traces: np.ndarray, keep_every: int = 100) -> None:
     """Orbit ensemble traces: one row per recorded step, one column per orbit."""
     traces = np.asarray(traces, dtype=float)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step"] + [f"orbit{i}" for i in range(traces.shape[1])])
-        for k, row in enumerate(traces):
-            w.writerow([k * keep_every] + [repr(float(v)) for v in row])
+    _write_csv(path,
+               ["step"] + [f"orbit{i}" for i in range(traces.shape[1])],
+               ([str(k * keep_every), *map(repr, row.tolist())]
+                for k, row in enumerate(traces)))
 
 
 def write_chains_csv(path, lo_chain, hi_chain) -> None:
     """Both corner chains in one file: chain id, iteration, state, step norm."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        dim = lo_chain.states.shape[1]
-        w.writerow(["chain", "iteration"] + [f"s{i}" for i in range(dim)]
-                   + ["step_norm"])
-        for chain in (lo_chain, hi_chain):
-            for k, row in enumerate(chain.states):
-                norm = "" if k == 0 else repr(float(chain.step_norms[k - 1]))
-                w.writerow([chain.start, k]
-                           + [repr(float(v)) for v in row] + [norm])
+    dim = lo_chain.states.shape[1]
+
+    def rows(chain):
+        norms = itertools.chain([""], map(repr, chain.step_norms.tolist()))
+        for k, (row, norm) in enumerate(zip(chain.states, norms)):
+            yield [chain.start, str(k), *map(repr, row.tolist()), norm]
+
+    _write_csv(path,
+               ["chain", "iteration"] + [f"s{i}" for i in range(dim)]
+               + ["step_norm"],
+               itertools.chain(rows(lo_chain), rows(hi_chain)))
 
 
 # ---------------------------------------------------------------------------
@@ -102,22 +111,25 @@ class _Canvas:
         py = self.size - self.margin - (y - self.y0) * self.scale
         return px, py
 
+    def _points(self, pts) -> str:
+        """The SVG points attribute of an (n, 2) point list: ``pt`` on
+        arrays, formatted as ``_fmt`` formats."""
+        px, py = self.pt(*np.asarray(pts, dtype=float).T)
+        return " ".join(f"{a:.6g},{b:.6g}"
+                        for a, b in zip(px.tolist(), py.tolist()))
+
     def polygon(self, pts, fill, stroke="#333333", width=1.0, opacity=0.8):
-        coords = " ".join(
-            f"{_fmt(px)},{_fmt(py)}" for px, py in (self.pt(x, y) for x, y in pts)
-        )
         self.parts.append(
-            f'<polygon points="{coords}" fill="{fill}" stroke="{stroke}" '
-            f'stroke-width="{width}" fill-opacity="{opacity}"/>'
+            f'<polygon points="{self._points(pts)}" fill="{fill}" '
+            f'stroke="{stroke}" stroke-width="{width}" '
+            f'fill-opacity="{opacity}"/>'
         )
 
     def polyline(self, pts, stroke, width=1.0, opacity=1.0):
-        coords = " ".join(
-            f"{_fmt(px)},{_fmt(py)}" for px, py in (self.pt(x, y) for x, y in pts)
-        )
         self.parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{width}" stroke-opacity="{opacity}"/>'
+            f'<polyline points="{self._points(pts)}" fill="none" '
+            f'stroke="{stroke}" stroke-width="{width}" '
+            f'stroke-opacity="{opacity}"/>'
         )
 
     def circle(self, x, y, r, fill):
@@ -182,10 +194,8 @@ def render_phase_svg(
     if traces is not None:
         traces = np.asarray(traces, dtype=float)
         for j in range(traces.shape[1]):
-            xs = traces[1:, j]
-            ys = traces[:-1, j]
-            cv.polyline(list(zip(xs, ys)), stroke="#b04040",
-                        width=0.7, opacity=0.5)
+            cv.polyline(np.column_stack([traces[1:, j], traces[:-1, j]]),
+                        stroke="#b04040", width=0.7, opacity=0.5)
     for x_star in fixed_points:
         cv.circle(x_star, x_star, 4, "#006400")
     return cv.render()
@@ -199,7 +209,8 @@ def render_orbit_svg(values: np.ndarray) -> str:
     if hi - lo < 1e-30:
         lo, hi = lo - 0.5, hi + 0.5
     cv = _Canvas(0, n - 1, lo, hi)
-    cv.polyline(list(zip(range(n), values)), stroke="#1f4e9c", width=1.2)
+    cv.polyline(np.column_stack([np.arange(n), values]), stroke="#1f4e9c",
+                width=1.2)
     cv.text(0, hi, f"n={n - 1} final={values[-1]:.9g}", size=12)
     return cv.render()
 

@@ -12,6 +12,8 @@ orbits are attached as corroborating evidence, never as proof.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -215,20 +217,24 @@ def iterate_orbit(
 ) -> Orbit:
     """Run x_{k+1} = F(x_k, x_{k-1}) for n steps from (x0, x_m1).
 
+    The values are kept as Python floats, but F is always evaluated by
+    numpy, on the 0-d arrays ``map_spec`` makes of them: Python's own
+    ``**`` and ``/`` differ from numpy's (x ** 3.0 in the last bit, and
+    1 / 0 raises where numpy gives inf, a NonFiniteValue here).
     ``exited_at`` is the first n with (x_n, x_{n-1}) outside the domain;
     the orbit is located after it has run, block by block, up to the
     first block with an exit.
     """
-    vals = np.empty(n + 2)
-    vals[0] = x_m1
-    vals[1] = x0
+    prev, cur = float(x_m1), float(x0)
+    vals = array("d", (prev, cur))
     for k in range(n):
-        nxt = float(map_spec(vals[k + 1], vals[k]))
-        if not np.isfinite(nxt):
+        prev, cur = cur, float(map_spec(cur, prev))
+        if not math.isfinite(cur):
             raise NonFiniteValue(
                 f"orbit produced a non-finite value at step {k + 1}"
             )
-        vals[k + 2] = nxt
+        vals.append(cur)
+    vals = np.frombuffer(vals)
     exited = None
     if domain is not None:
         tol = 4 * domain.chord_tol

@@ -17,9 +17,11 @@ from monomap.embedding import (
     run_corner_chains,
 )
 from monomap.errors import ChainMonotonicityBroken, EmbeddingUnavailable
-from monomap.extension import extend_rectangle
+from monomap.examples import make_eq7, make_eq8
+from monomap.extension import extend, extend_rectangle
+from monomap.geometry import DomainSpec
 from monomap.map_model import (Box, DEC_INC, Direction, INC_DEC, MapSpec,
-                                MonotoneSignature)
+                                MonotoneSignature, compile_expression)
 
 SQRT_HALF = 0.7071067811865476
 
@@ -181,6 +183,9 @@ class _Rowwise:
     def __getattr__(self, name):
         return getattr(self._sys, name)
 
+    def step_corners(self, s):
+        return None  # every chain step goes through step below
+
     def step(self, state):
         s = np.asarray(state, dtype=float)
         t = self._sys.step(s)
@@ -218,6 +223,191 @@ class TestChainFaults:
         assert str(got.value).startswith(
             f"{failing} chain lost monotonicity at iteration {iteration} "
         )
+
+
+def _faulty_rectangle_ext(ext, pick):
+    """The rectangle extension of ext's map with a fault in F itself.
+    In the chain step's batch of four points (the x halves of the
+    MinCorner and the MaxCorner state, then their u halves), F's values
+    for each state whose first coordinate satisfies ``pick`` run
+    backwards, as _REVERSE runs them, wherever that stays in the box
+    (a step to outside would be clipped back to the corner)."""
+    func = ext.base.func
+    lo, hi = ext.rect.x0, ext.rect.x1
+
+    def faulty(x, y):
+        f = np.array(func(x, y), dtype=float)
+        if f.shape == (4,):
+            for row in np.flatnonzero(pick(x[:2])):
+                idx = [row, row + 2]
+                back = 2 * x[idx] - f[idx]
+                f[idx] = np.where((back >= lo) & (back <= hi), back, f[idx])
+        return f
+
+    spec = MapSpec(faulty, ext.base.signature, ext.base.box)
+    return extend_rectangle(spec, ext.rect)
+
+
+class TestChainFaultsOnFloats:
+    """The same faults, made by F, on the float path.  The MaxCorner
+    chain's first step cannot run backwards inside the box, so its
+    fault shows at iteration 2, when its u half can fall."""
+
+    @pytest.mark.parametrize("fault,failing,iteration", [
+        (_AT_MAX_CORNER, MAX_CORNER, 2),
+        (_ON_MIN_CHAIN, MIN_CORNER, 3),
+        (lambda x: _AT_MAX_CORNER(x) | _ON_MIN_CHAIN(x), MAX_CORNER, 2),
+    ], ids=["max_corner_only", "min_corner_only", "both"])
+    def test_failure_names_the_chain(self, eq7_ext, monkeypatch, fault,
+                                     failing, iteration):
+        sys = build_embedding(_faulty_rectangle_ext(eq7_ext, fault), SYM4)
+
+        def no_array_step(self, state):
+            raise AssertionError("the chain left the float path")
+
+        monkeypatch.setattr(EmbeddedSystem, "step", no_array_step)
+        with pytest.raises(ChainMonotonicityBroken) as got:
+            run_corner_chains(sys)
+        assert str(got.value).startswith(
+            f"{failing} chain lost monotonicity at iteration {iteration} "
+        )
+
+
+def _array_chains(sys, max_iter=100000, tol=None):
+    """The reference for run_corner_chains: the same rules on arrays,
+    with both corners stepped as one (2, dim) batch through sys.step
+    every iteration."""
+    span = sys.b - sys.a
+    if tol is None:
+        tol = 1e-8 * span
+    slack_tol = 1e-10 * span
+    slopes = np.stack([sys.order_signs, -sys.order_signs])
+    s = np.stack([sys.min_corner, sys.max_corner])
+    states = [s]
+    stop = MAX_ITER
+    checkpoint = np.inf
+    for k in range(max_iter):
+        t = sys.step(s)
+        slack = np.min(slopes * (t - s), axis=1)
+        bad = np.flatnonzero(slack < -slack_tol)
+        if bad.size:
+            raise ChainMonotonicityBroken(f"row {bad[0]} at {k + 1}")
+        states.append(t)
+        s = t
+        width = float(np.max(np.abs(t[1] - t[0])))
+        if width <= tol:
+            stop = CONVERGED
+            break
+        if (k + 1) % 1000 == 0:
+            if width > 0.999 * checkpoint:
+                stop = STALLED
+                break
+            checkpoint = width
+    states = np.stack(states, axis=1)
+    norms = np.max(np.abs(np.diff(states, axis=1)), axis=2)
+    return states, norms, stop
+
+
+# c (p + x^2)/(1 + x^2 + q sqrt(y)) e^(-r y): increasing in x and
+# decreasing in y; near the corner (1, 0) its values exceed 1, so the
+# chains on the unit square are clipped there, and they stall at an
+# artificial pair
+_POWER_EXPR = "c * (p + x ** 2) / (1 + x ** 2 + q * sqrt(y)) * exp(-r * y)"
+# a convex octagon whose bounding box is the unit square
+_OCTAGON = [(0.2, 0.0), (0.8, 0.0), (1.0, 0.3), (1.0, 0.7), (0.7, 1.0),
+            (0.3, 1.0), (0.0, 0.8), (0.0, 0.2)]
+
+
+def _chain_case(name):
+    """A fresh problem per case, so the point counter wraps its own F."""
+    if name.startswith("eq8"):
+        spec, domain = make_eq8(0.95, float(name[4:]))
+    elif name == "eq7":
+        spec, domain = make_eq7(2.05, 3.0, 3.0)
+    elif name == "log":
+        # F(1, 0) is inf, a value both paths clip to the box
+        params = {"c": 0.1}
+        spec = MapSpec(compile_expression("(1 + x) / (1 + x + y) - c * log(y)",
+                                          params),
+                       INC_DEC, Box(0.0, 1.0, 0.0, 1.0), params=params)
+        domain = DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0)
+    else:
+        params = {"c": 2.0, "p": 0.3, "q": 0.5, "r": 0.4}
+        spec = MapSpec(compile_expression(_POWER_EXPR, params), INC_DEC,
+                       Box(0.0, 1.0, 0.0, 1.0), params=params)
+        domain = (DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0)
+                  if name == "expression" else DomainSpec.polygon(_OCTAGON))
+    return spec, extend(spec, domain)
+
+
+class TestFloatChainsMatchArrayChains:
+    """The float loop gives the bits of the array loop, with F evaluated
+    at the same number of points."""
+
+    @pytest.mark.parametrize("name,variant", [
+        ("eq8 0.3", SYM4), ("eq8 0.49", SYM4), ("eq8 0.495", SYM4),
+        ("eq8 0.49", SYM2), ("eq7", SYM4), ("log", SYM4),
+        ("expression", SYM4), ("expression octagon", SYM4),
+    ])
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_bitwise_equal(self, name, variant, monkeypatch):
+        spec, ext = _chain_case(name)
+        points = [0]
+        func = spec.func
+
+        def counted(x, y):
+            points[0] += np.broadcast(x, y).size
+            return func(x, y)
+
+        spec.func = counted
+        sys = build_embedding(ext, variant)
+        tol = 1e-8 * (sys.b - sys.a)
+        want_states, want_norms, want_stop = _array_chains(sys, tol=tol)
+        want_points, points[0] = points[0], 0
+
+        array_steps = [0]
+        step = EmbeddedSystem.step
+
+        def counted_step(self, state):
+            array_steps[0] += 1
+            return step(self, state)
+
+        monkeypatch.setattr(EmbeddedSystem, "step", counted_step)
+        lo, hi, stop = run_corner_chains(sys, tol=tol)
+        assert stop == want_stop
+        assert stop == (STALLED if name.startswith("expression") else CONVERGED)
+        for c, chain in enumerate((lo, hi)):
+            assert chain.states.tobytes() == want_states[c].tobytes()
+            assert chain.step_norms.tobytes() == want_norms[c].tobytes()
+        assert points[0] == want_points
+        n_steps = lo.n_iter
+        if variant == SYM2:
+            assert array_steps[0] == n_steps
+        elif ext.engine is None:
+            assert array_steps[0] == 0  # every point of the box is F's
+        else:
+            # the corner steps leave the domain; the rest stay on floats
+            assert 0 < array_steps[0] < n_steps / 2
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_states_follow_the_array_rules(self, monkeypatch):
+        # 0 log 0 is NaN at the corner points: within a few steps NaN
+        # fills every coordinate of both chains, no rule stops them, and
+        # both loops run to max_iter past two checkpoints
+        spec = MapSpec(compile_expression("(1 + x) / (1 + x + y) + 0 * log(y)",
+                                          {}),
+                       INC_DEC, Box(0.0, 1.0, 0.0, 1.0))
+        sys = build_embedding(extend_rectangle(spec, spec.box), SYM4)
+        want_states, want_norms, want_stop = _array_chains(sys, max_iter=2500)
+        assert np.isnan(want_states[:, -1]).all()
+        # the closing order check fails on NaN limits; skip it here
+        monkeypatch.setattr(EmbeddedSystem, "precedes", lambda *a, **k: True)
+        lo, hi, stop = run_corner_chains(sys, max_iter=2500)
+        assert stop == want_stop == MAX_ITER
+        for c, chain in enumerate((lo, hi)):
+            assert chain.states.tobytes() == want_states[c].tobytes()
+            assert chain.step_norms.tobytes() == want_norms[c].tobytes()
 
 
 class TestChainArtifacts:

@@ -189,7 +189,29 @@ class TestSerialization:
 
     def test_loaded_extension_audits(self, eq8_ext):
         loaded = ExtendedMap.from_dict(eq8_ext.to_dict(), eq8_ext.base)
-        assert audit_extension(loaded, rng=np.random.default_rng(3)).all_ok
+        np.testing.assert_array_equal(loaded.domain.vertices,
+                                      eq8_ext.domain.vertices)
+        assert loaded.domain.chord_tol == eq8_ext.domain.chord_tol
+        audit = audit_extension(loaded, rng=np.random.default_rng(3))
+        assert audit.all_ok
+        assert audit.to_dict() == audit_extension(
+            eq8_ext, rng=np.random.default_rng(3)).to_dict()
+
+    def test_loaded_extension_audit_catches_corrupted_values(self, eq8_ext):
+        # raise the boundary values the north-west zone takes its maximum
+        # over and lower those the south-east zone takes its minimum over
+        data = json.loads(dumps_json(eq8_ext.to_dict()))
+        tables = data["engine"]["tables"]
+        tables["nw"]["fs"] = [v + 1.0 for v in tables["nw"]["fs"]]
+        tables["se"]["fs"] = [v - 1.0 for v in tables["se"]["fs"]]
+        loaded = ExtendedMap.from_dict(data, eq8_ext.base)
+        audit = audit_extension(loaded, rng=np.random.default_rng(3))
+        assert not audit.nice_ok
+        assert audit.range_inflation == pytest.approx(1.0)
+
+    def test_loaded_rectangle_has_no_domain(self, eq7_ext):
+        loaded = ExtendedMap.from_dict(eq7_ext.to_dict(), eq7_ext.base)
+        assert loaded.domain is None and loaded.engine is None
 
     def test_seeded_round_trips_are_bitwise(self):
         # the loaded engine rebuilds its walls and pieces from the stored
@@ -220,6 +242,85 @@ class TestSerialization:
 
     def test_schema_version_present(self, eq8_ext):
         assert "schema_version" in eq8_ext.to_dict()
+
+
+def _zone_probe_points(engine, rng):
+    """Canonical-frame points around an engine: a seeded grid over its
+    rectangle, the wall knots and the boundary vertices, and points one
+    ulp either side of each wall, at its knots and between them."""
+    r = engine.rect
+    gx = rng.uniform(r.x0, r.x1, 400)
+    gy = rng.uniform(r.y0, r.y1, 400)
+    X, Y = np.meshgrid(np.linspace(r.x0, r.x1, 61), np.linspace(r.y0, r.y1, 61))
+    xs = [gx, X.ravel(), engine.omega[:, 0]]
+    ys = [gy, Y.ravel(), engine.omega[:, 1]]
+    for kx, ky in ((engine.wall_left_x, engine.wall_left_y),
+                   (engine.wall_right_x, engine.wall_right_y)):
+        mid_y = 0.5 * (ky[:-1] + ky[1:])
+        wall_y = np.concatenate([ky, mid_y])
+        wall_x = np.concatenate([kx, np.interp(mid_y, ky, kx)])
+        for x in (wall_x, np.nextafter(wall_x, -np.inf),
+                  np.nextafter(wall_x, np.inf)):
+            xs.append(x)
+            ys.append(wall_y)
+        for y in (np.nextafter(ky, -np.inf), np.nextafter(ky, np.inf)):
+            xs.append(kx)
+            ys.append(y)
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+class TestOnePointZoneTest:
+    """_Engine.is_base answers classify's base-zone question for one
+    point, on floats; in a sector's x range it answers False and leaves
+    the point to eval."""
+
+    def test_matches_classify(self):
+        from monomap.extension import _Z_BASE
+
+        rng = np.random.default_rng(20261019)
+        cases = [_random_convex_case(rng) for _ in range(8)]
+        cases += [_notched_square_case(rng, k) for k in range(16)]
+        seen = set()
+        for k, (spec, domain) in enumerate(cases):
+            ext = extend(spec, domain)
+            loaded = ExtendedMap.from_dict(
+                json.loads(dumps_json(ext.to_dict())), spec)
+            for engine in (ext.engine, loaded.engine):
+                x, y = _zone_probe_points(engine, rng)
+                want = engine.classify(x, y) == _Z_BASE
+                spans = engine._sector_spans
+                in_sector = np.zeros(x.shape, dtype=bool)
+                for lo, hi in spans:
+                    in_sector |= (x >= lo) & (x <= hi)
+                got = np.array([engine.is_base(a, b)
+                                for a, b in zip(x.tolist(), y.tolist())])
+                np.testing.assert_array_equal(got, want & ~in_sector,
+                                              err_msg=str(k))
+                assert want.any() and (~want).any()
+            seen.add((spec.signature, len(ext.engine.sectors) > 0))
+        assert seen == {(sig, notched) for sig in (INC_DEC, DEC_INC)
+                        for notched in (False, True)}
+
+    def test_extended_map_swaps_and_checks_the_rectangle(self, eq8_ext, rng):
+        # where is_base says yes, eval is F itself, bit for bit; a point
+        # off the rectangle, which eval clamps, is never base
+        r = eq8_ext.rect
+        x = rng.uniform(r.x0, r.x1, 3000)
+        y = rng.uniform(r.y0, r.y1, 3000)
+        base = np.array([eq8_ext.is_base(a, b)
+                         for a, b in zip(x.tolist(), y.tolist())])
+        assert 0.2 < base.mean() < 1.0
+        np.testing.assert_array_equal(eq8_ext.eval(x[base], y[base]),
+                                      eq8_ext.base(x[base], y[base]))
+        assert not base[~np.asarray(eq8_ext.domain.contains(x, y) >= 0)].any()
+        pad = 1e-12 * r.diam
+        for a, b in ((r.x0 - pad, 0.5), (0.5, r.y1 + pad)):
+            assert not eq8_ext.is_base(a, b)
+
+    def test_rectangle_extension_is_base_on_its_box(self, eq7_ext):
+        assert eq7_ext.is_base(0.0, 1.0) and eq7_ext.is_base(0.3, 0.6)
+        assert not eq7_ext.is_base(np.nextafter(1.0, 2.0), 0.5)
+        assert not eq7_ext.is_base(0.5, np.nan)
 
 
 class TestNegativeControls:

@@ -4,6 +4,7 @@ import pytest
 import monomap.fixed_points as fp
 import monomap.stability as stab
 from monomap.enclosure import corner_ranges
+from monomap.errors import NonFiniteValue
 from monomap.examples import eq7_equilibrium, make_eq7, make_eq8
 from monomap.geometry import DomainKind, DomainSpec
 from monomap.map_model import Box, DEC_INC, INC_DEC, MapSpec
@@ -423,6 +424,33 @@ class TestOrbits:
         small = DomainSpec.rectangle(0.0, 0.35, 0.0, 0.35)
         orbit = iterate_orbit(spec, 0.0, 0.0, 50, domain=small)
         assert orbit.exited_at is not None
+
+    def test_float_orbit_is_numpy_bitwise(self, rng):
+        # x ** 2.0 and y ** 3.0 on floats differ from numpy's in the last
+        # bit for some inputs; the orbit must keep numpy's values
+        from monomap.map_model import compile_expression
+
+        params = {"p": 0.5, "q": 0.8}
+        spec = MapSpec(
+            compile_expression("(p + x ** 2) / (1 + x ** 2 + q * y ** 3)",
+                               params),
+            INC_DEC, Box(0.0, 1.0, 0.0, 1.0))
+        for x0, x_m1 in rng.uniform(0.0, 1.0, (5, 2)):
+            vals = [x_m1, x0]
+            for k in range(3000):
+                vals.append(float(spec(np.float64(vals[k + 1]),
+                                       np.float64(vals[k]))))
+            got = iterate_orbit(spec, x0, x_m1, 3000).values
+            assert got.tobytes() == np.array(vals).tobytes()
+
+    def test_zero_denominator_is_non_finite(self):
+        # 1 / (x - y) from (1.5, 1): x_1 = 2, x_2 = 2, then 1 / 0, which
+        # numpy evaluates to inf where Python floats would raise
+        spec = MapSpec(lambda x, y: 1.0 / (x - y), INC_DEC,
+                       Box(0.0, 4.0, 0.0, 4.0))
+        with np.errstate(divide="ignore"), pytest.raises(NonFiniteValue) as got:
+            iterate_orbit(spec, 1.5, 1.0, 10)
+        assert str(got.value) == "orbit produced a non-finite value at step 3"
 
 
 def _reference_orbit(map_spec, x0, x_m1, n, domain):
