@@ -18,8 +18,10 @@ rejects one without the other, or n_orbits beside them.  ``[map]``
 names a family (eq7, eq8, xfy or expression); each is an expression
 compiled by ``map_model.compile_expression``, and a key the family does
 not read, or a parameter the expression never names, is a configuration
-error.  Exit codes: 0 success / GloballyStable, 1 Inconclusive verdict
-or unresolved fixed-point search, 2 audit or numeric failure, 3
+error.  Extend and fixedpoints first check the declared monotone
+signature by sampling, and exit 2 with the witness when it fails.  Exit
+codes: 0 success / GloballyStable, 1 Inconclusive verdict or unresolved
+fixed-point search, 2 audit, signature or numeric failure, 3
 unsupported domain, 4 configuration or usage error.  With a fixed seed
 all JSON/CSV/SVG outputs are byte-identical across runs.
 """
@@ -200,11 +202,18 @@ def build_problem(cfg: dict):
 # ---------------------------------------------------------------------------
 
 
-def cmd_extend(cfg: dict, out: Path, seed: int) -> int:
-    spec, domain = build_problem(cfg)
+def _signature_fails(spec: MapSpec) -> bool:
+    """Check the declared signature, which extend and the fixed-point
+    search rest on; print the witness of a failure."""
     mono = check_monotonicity(spec)
     if not mono.ok:
         print(f"declared monotone signature fails at {mono.witness}")
+    return not mono.ok
+
+
+def cmd_extend(cfg: dict, out: Path, seed: int) -> int:
+    spec, domain = build_problem(cfg)
+    if _signature_fails(spec):
         return EXIT_AUDIT_FAIL
     ext = extend(spec, domain)
     rng = np.random.default_rng(seed)
@@ -220,6 +229,8 @@ def cmd_extend(cfg: dict, out: Path, seed: int) -> int:
 
 def cmd_fixedpoints(cfg: dict, out: Path, seed: int) -> int:
     spec, domain = build_problem(cfg)
+    if _signature_fails(spec):
+        return EXIT_AUDIT_FAIL
     ext = extend(spec, domain)
     n_grid = _as_int(cfg["run"], "n_grid", 256)
     rep = fp.find_artificial(ext, n_grid=n_grid)

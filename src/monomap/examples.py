@@ -18,10 +18,10 @@ the rational families sit next to them and reuse their checks.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegenerateCase, ParamConstraint
 from .geometry import DomainSpec
@@ -175,6 +175,15 @@ def eq8_b3(x_star: float, h: float) -> float:
     )
 
 
+def eq8_line_x(p: float, h: float, m: float) -> float:
+    """The x > 0 where F(y, x) = y on the line y = m x + x* (m > 0) for
+    F(x, y) = (p + 2px)/(1 + x + y) - h.  With x* = p - h that equation
+    is m(m+1)x^2 + (m(1-h) + p)x - p x* = 0, and x is its positive root,
+    written without cancellation."""
+    a, b, c = m * (m + 1), m * (1 - h) + p, p * eq8_x_star(p, h)
+    return 2 * c / (b + math.sqrt(b * b + 4 * a * c))
+
+
 def closed_form_eq8_line_family(
     p: float,
     h: float,
@@ -197,10 +206,9 @@ def closed_form_eq8_line_family(
     m0 = (c - x_star) / x_star
 
     def residual(m: float) -> float:
-        # pin x from F(mx + x*, x) = mx + x*, then test the first
-        # equation with the ray-extended value F(x_plus, y)
-        g = lambda x: F(m * x + x_star, x) - (m * x + x_star)
-        x = brentq(g, 1e-14, x_star, xtol=1e-14)
+        # pin x from the second equation, then test the first equation
+        # with the ray-extended value F(x_plus, y)
+        x = eq8_line_x(p, h, m)
         y = m * x + x_star
         x_plus = (y - x_star) * x_star / (c - x_star)
         return F(x_plus, y) - x

@@ -1230,16 +1230,6 @@ def extend(map_spec: MapSpec, domain: DomainSpec) -> ExtendedMap:
                        base_range=(lo, hi))
 
 
-def eval_extended(ext: ExtendedMap, p) -> float:
-    """Single-point evaluation honoring the boundary-band convention:
-    points inside or within the boundary band of the domain evaluate
-    through the base map."""
-    x, y = float(p[0]), float(p[1])
-    if ext.domain is not None and int(ext.domain.contains(x, y)) >= 0:
-        return float(np.asarray(ext.base(x, y)).ravel()[0])
-    return float(ext.eval(x, y))
-
-
 def audit_extension(ext: ExtendedMap, grid_n: int = 100,
                     rng=None) -> ExtensionAudit:
     """Check continuity across piece borders, agreement on the domain,

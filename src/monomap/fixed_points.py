@@ -12,10 +12,12 @@ box before comparison, so roots created by the box clamp (for maps
 whose range overflows the box) are found as well; those are precisely
 the extra fixed points the embedded iteration can converge to.
 
-Equilibria come from a 1-D sweep with bisection.  Artificial fixed
-points come from a quadtree over the half y >= x of the box that rests
-on monotonicity: on a cell [x0, x1] x [y0, y1] a map increasing in x
-and decreasing in y takes exactly the values [F(x0, y1), F(x1, y0)], so
+Equilibria come from a sampled 1-D sweep of F(x, x) - x; every sign
+change is narrowed to a bracket of two adjacent floats, in passes that
+evaluate all brackets in one call of F.  Artificial fixed points come
+from a quadtree over the half y >= x of the box that rests on
+monotonicity: on a cell [x0, x1] x [y0, y1] a map increasing in x and
+decreasing in y takes exactly the values [F(x0, y1), F(x1, y0)], so
 four corner values enclose both components of the clamped residual
 (the decomposition function of mixed-monotone systems).  A cell whose
 enclosure misses 0 holds no root and is dropped; the cells left at the
@@ -24,17 +26,17 @@ finest width are reported, as a pair or as unresolved, never dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .enclosure import METHOD_ENCLOSURE, corner_ranges
 from .errors import ContinuumOfFixedPoints, ParamConstraint
 from .extension import ExtendedMap
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # refinement stops at cells 2^-_MAX_DEPTH of the box wide, or before a
 # level would hold more than _MAX_CELLS cells
@@ -46,6 +48,8 @@ _ULPS = 8
 # roots closer than this fraction of the box span count as one, and the
 # quadtree proves nothing within it of the diagonal
 _SEP_MIN = 1e-6
+# each narrowing pass cuts every equilibrium bracket into this many parts
+_PARTS = 32
 
 LIMITS = (
     "the search is only as sound as the monotonicity of the extended map",
@@ -55,13 +59,6 @@ LIMITS = (
 
 # ((x, y) centre, residual at the centre, (x0, x1, y0, y1) box)
 Kept = Tuple[Tuple[float, float], float, Tuple[float, float, float, float]]
-
-
-def _as_eval(target) -> Callable:
-    """Vectorized (x, y) -> F(x, y) from a map spec, extension, or callable."""
-    if isinstance(target, ExtendedMap):
-        return target.eval
-    return lambda x, y: np.asarray(target(x, y), dtype=float)
 
 
 def _kept_dict(k: Kept) -> dict:
@@ -105,8 +102,38 @@ class FixedPointReport:
 
 
 # ---------------------------------------------------------------------------
-# Equilibria: 1-D sweep + bisection.
+# Equilibria: 1-D sweep, then narrowing to adjacent floats.
 # ---------------------------------------------------------------------------
+
+
+def _narrow(F, lo, hi, glo, ghi):
+    """Narrow the brackets [lo, hi] of sign changes of g(x) = F(x, x) - x,
+    with g(lo) = glo and g(hi) = ghi of opposite signs, until the ends of
+    each bracket are adjacent floats, or equal at an exact zero of g.
+
+    Each pass cuts every bracket that still holds a float strictly inside
+    into _PARTS equal parts, evaluates g at all their inner nodes in one
+    call of F, and keeps the first part where g leaves the sign of g(lo).
+    Returns the narrowed (lo, hi, glo, ghi) as arrays.
+    """
+    brackets = np.column_stack([lo, hi, glo, ghi]).astype(float).tolist()
+    t = np.arange(1, _PARTS) / _PARTS
+    while True:
+        live = [br for br in brackets if math.nextafter(br[0], br[1]) < br[1]]
+        if not live:
+            return np.array(brackets).reshape(-1, 4).T
+        a, b = np.array(live)[:, :2].T[..., None]
+        x = np.minimum(a + (b - a) * t, b)
+        g = np.asarray(F(x.ravel(), x.ravel()), dtype=float).reshape(x.shape) - x
+        for br, xs, gs in zip(live, x.tolist(), g.tolist()):
+            for xi, gi in zip(xs, gs):
+                if gi == 0.0:
+                    br[:] = [xi, xi, 0.0, 0.0]
+                    break
+                if (gi > 0) != (br[2] > 0):
+                    br[1], br[3] = xi, gi
+                    break
+                br[0], br[2] = xi, gi
 
 
 def find_equilibria(
@@ -115,11 +142,16 @@ def find_equilibria(
     n_grid: int = 256,
 ) -> List[Tuple[float, float]]:
     """Roots of g(x) = F(x, x) - x on [a, b], as (root, residual) pairs,
-    each bracketed to 1e-9 of b - a; roots less than 1e-6 of b - a apart
-    are merged."""
-    F = _as_eval(target)
+    for an extension or a vectorized callable F.
+
+    g is sampled on n_grid equal cells.  A node where g is exactly 0 is a
+    root; every cell where g changes sign is narrowed (`_narrow`) until
+    its ends are adjacent floats, and the end with the smaller |g| is the
+    root, with |g| there as its residual.  Roots less than 1e-6 of b - a
+    apart are merged.
+    """
+    F = target.eval if isinstance(target, ExtendedMap) else target
     a, b = float(interval[0]), float(interval[1])
-    tol_fp = 1e-9 * (b - a)
     sep_min = _SEP_MIN * (b - a)
     xs = np.linspace(a, b, n_grid + 1)
     g = np.asarray(F(xs, xs), dtype=float) - xs
@@ -132,21 +164,16 @@ def find_equilibria(
             f"{degenerate} of {n_grid} grid cells are identically zero; "
             "the map has a continuum of equilibria"
         )
-    gfun = lambda x: float(F(x, x)) - x
-    roots: List[float] = []
-    for i in range(n_grid):
-        g0, g1 = g[i], g[i + 1]
-        if g0 == 0.0:
-            roots.append(float(xs[i]))
-        elif g0 * g1 < 0:
-            roots.append(float(brentq(gfun, xs[i], xs[i + 1], xtol=tol_fp / 4)))
-    if g[-1] == 0.0:
-        roots.append(float(xs[-1]))
+    i = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)
+    lo, hi, glo, ghi = _narrow(F, xs[i], xs[i + 1], g[i], g[i + 1])
+    right = np.abs(ghi) < np.abs(glo)
+    zero = xs[g == 0.0]
+    x = np.concatenate([zero, np.where(right, hi, lo)])
+    res = np.concatenate([np.zeros_like(zero), np.abs(np.where(right, ghi, glo))])
     out: List[Tuple[float, float]] = []
-    for r in sorted(roots):
-        if out and abs(r - out[-1][0]) <= sep_min:
-            continue
-        out.append((r, abs(gfun(r))))
+    for k in np.argsort(x, kind="stable").tolist():
+        if not out or x[k] - out[-1][0] > sep_min:
+            out.append((float(x[k]), float(res[k])))
     return out
 
 

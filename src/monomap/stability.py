@@ -5,7 +5,7 @@ monotonicity, domain classification, invariance of the domain under the
 companion map T(x, y) = (F(x, y), x), the continuity/monotonicity/range
 audit of the rectangular extension, the absence of artificial fixed
 points (by monotone enclosures on a quadtree), and the convergence of both
-corner chains of the symmetric embedding to one diagonal point.  Only
+corner chains of the symmetric embedding to the one equilibrium.  Only
 when every link holds does the verdict become GloballyStable; sampled
 orbits are attached as corroborating evidence, never as proof.
 """
@@ -27,10 +27,9 @@ from .extension import ExtendedMap, audit_extension, extend
 from .geometry import DomainKind, DomainSpec
 from .map_model import Box, MapSpec, check_monotonicity
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 GLOBALLY_STABLE = "GloballyStable"
-CONVERGENT_SET = "ConvergentToEquilibriumSet"
 INCONCLUSIVE = "Inconclusive"
 REFUTED = "Refuted"
 
@@ -249,29 +248,6 @@ def iterate_orbit(
     return Orbit(values=vals, exited_at=exited)
 
 
-def _polish_equilibrium(ext, x_star: float, span: float, gap: float):
-    """Refine an approximate equilibrium by bisection on F(x, x) - x."""
-    from scipy.optimize import brentq
-
-    g = lambda x: float(ext.eval(x, x)) - x
-    delta = max(1e-6 * span, 10 * gap)
-    r = ext.rect
-    for _ in range(20):
-        a = max(r.x0, x_star - delta)
-        b = min(r.x1, x_star + delta)
-        ga, gb = g(a), g(b)
-        if ga == 0.0:
-            return a
-        if gb == 0.0:
-            return b
-        if ga * gb < 0:
-            return float(brentq(g, a, b, xtol=1e-13 * max(1.0, span)))
-        delta *= 4
-        if a == r.x0 and b == r.x1:
-            break
-    return None
-
-
 # steps per containment call in _run_ensemble: one call locates a block
 # of steps of every orbit (256 steps of 100 orbits are 400 KB of points)
 _ENSEMBLE_BLOCK = 256
@@ -429,7 +405,6 @@ class _Run:
     cfg: dict
     rng: np.random.Generator
     cert: StabilityCertificate
-    span: float
     tol_fp: float
     ext: Optional[ExtendedMap] = None
     equilibria: Optional[list] = None  # (x, residual) pairs from stage 5
@@ -529,18 +504,16 @@ def _run_chains(run: _Run) -> dict:
             f"corner chains do not meet at a diagonal point "
             f"(stop {stop}, gap {gap:.3e}, off-diagonal {diag:.3e})"
         )
-    x_star = float(s_lo[0])
-    # polish the chain limit with a 1-D root solve of F(x, x) - x
-    polished = _polish_equilibrium(ext, x_star, run.span, gap)
-    if polished is not None and abs(polished - x_star) <= 1e3 * tol_fp:
-        x_star = polished
-    resid = abs(float(ext.eval(x_star, x_star)) - x_star)
-    if resid > 100 * tol_fp:
+    # every equilibrium lies in the chains' order interval, so x* is the
+    # one equilibrium of stage 5, within gap + diag of the chain limit
+    limit, eqs = float(s_lo[0]), [x for x, _ in run.equilibria]
+    if len(eqs) != 1 or abs(eqs[0] - limit) > gap + 10 * tol_fp:
         raise MonomapError(
-            f"chain limit is not a fixed point (residual {resid:.3e})"
+            f"the corner chains meet at {limit!r} (gap {gap:.3e}), but the "
+            f"sweep's equilibria {eqs} are not one point in their interval"
         )
-    run.x_star = x_star
-    return {"x_star": x_star}
+    run.x_star = eqs[0]
+    return {"x_star": eqs[0]}
 
 
 _STAGES: List[Tuple[str, Callable[[_Run], dict]]] = [
@@ -589,7 +562,7 @@ def certify(
             "seed": cfg["seed"],
         },
     )
-    run = _Run(map_spec, domain, cfg, rng, cert, span, tol_fp)
+    run = _Run(map_spec, domain, cfg, rng, cert, tol_fp)
     for name, stage in _STAGES:
         try:
             extra = stage(run)
@@ -639,17 +612,6 @@ def certify(
     else:
         _stage(cert, "orbit_ensemble", "passed", max_final_deviation=worst_dev)
 
-    # verdict
-    equilibria = run.equilibria
-    if len(equilibria) == 1:
-        cert.verdict = GLOBALLY_STABLE
-        cert.verdict_detail = {"x_star": x_star}
-    else:
-        cert.verdict = CONVERGENT_SET
-        cert.verdict_detail = {
-            "x_star": x_star,
-            "equilibria": [x for x, _ in equilibria],
-            "reason": "multiple equilibria; convergence point may depend "
-            "on the start",
-        }
+    cert.verdict = GLOBALLY_STABLE
+    cert.verdict_detail = {"x_star": x_star}
     return cert

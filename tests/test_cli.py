@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +188,23 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 1
         doc = json.loads((tmp_path / "fixed_points.json").read_text())
         assert doc["search"]["unresolved"]
+
+    @pytest.mark.parametrize("command", ["extend", "fixedpoints"])
+    def test_violated_signature_is_2(self, tmp_path, capsys, command):
+        # 1 - y + 3x(1 - x) decreases in x past x = 1/2, against the
+        # declared inc_dec; both commands rest on that signature
+        cfg = write_cfg(
+            tmp_path,
+            "[map]\nfamily = expression\nexpr = 1 - y + k*x*(1 - x)\n"
+            "k = 3\nsignature = inc_dec\n\n[domain]\nkind = rect\n"
+            "rect = 0,1,0,1\n",
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert "declared monotone signature fails at (0.99" in printed
+        assert "'x')" in printed
+        assert not (out / "fixed_points.json").exists()
 
     def test_missing_file_is_4(self, tmp_path):
         assert main(["certify", "--config", str(tmp_path / "nope.cfg"),
@@ -375,3 +395,17 @@ class TestOverrides:
         assert (out1 / "certificate.json").read_bytes() == (
             out2 / "certificate.json"
         ).read_bytes()
+
+
+def test_cli_import_does_not_load_scipy():
+    # numpy is the only runtime dependency; importing scipy.optimize
+    # would add about half a second to every command's start-up
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys, monomap.cli; assert 'scipy' not in sys.modules"],
+        env=env, check=True,
+    )

@@ -14,7 +14,6 @@ from monomap.examples import make_eq8
 from monomap.extension import (
     ExtendedMap,
     audit_extension,
-    eval_extended,
     extend,
     extend_rectangle,
 )
@@ -57,13 +56,13 @@ class TestRectangleExtension:
     def test_is_the_base_map(self, eq7_ext):
         spec = eq7_ext.base
         for x, y in [(0.2, 0.8), (0.0, 0.0), (1.0, 1.0)]:
-            assert eval_extended(eq7_ext, (x, y)) == pytest.approx(
+            assert eq7_ext.eval(x, y) == pytest.approx(
                 float(spec(x, y)), abs=1e-14
             )
 
     def test_outside_rect_raises(self, eq7_ext):
         with pytest.raises(OutsideRect):
-            eval_extended(eq7_ext, (2.0, 0.5))
+            eq7_ext.eval(2.0, 0.5)
 
     def test_audit_passes(self, eq7_ext):
         audit = audit_extension(eq7_ext, rng=np.random.default_rng(0))
@@ -82,14 +81,14 @@ class TestConvexExtension:
             if int(domain.contains(x, y)) != 1:
                 continue
             n += 1
-            assert eval_extended(eq8_ext, (x, y)) == pytest.approx(
+            assert eq8_ext.eval(x, y) == pytest.approx(
                 float(spec(x, y)), abs=1e-12
             )
 
     def test_outside_value_pins_to_boundary(self, eq8_ext):
         # the point (0.1, b) lies left of the pentagon; its value is the
         # base map at the horizontal boundary hit with the same y
-        got = eval_extended(eq8_ext, (0.1, 6.2))
+        got = eq8_ext.eval(0.1, 6.2)
         assert got == pytest.approx(0.0011093502377179099, abs=1e-15)
 
     def test_range_stays_within_base_range(self, eq8_ext, rng):
@@ -97,7 +96,7 @@ class TestConvexExtension:
         x0, x1, y0, y1 = eq8_ext.rect.as_tuple()
         xs = rng.uniform(x0, x1, 2000)
         ys = rng.uniform(y0, y1, 2000)
-        vals = np.array([eval_extended(eq8_ext, p) for p in zip(xs, ys)])
+        vals = np.array([eq8_ext.eval(x, y) for x, y in zip(xs, ys)])
         assert vals.min() >= lo - 1e-9 * (hi - lo + 1.0)
         assert vals.max() <= hi + 1e-9 * (hi - lo + 1.0)
 
@@ -111,11 +110,11 @@ class TestConvexExtension:
         x0, x1, y0, y1 = eq8_ext.rect.as_tuple()
         xs = np.linspace(x0, x1, 80)
         for y in np.linspace(y0, y1, 9):
-            vals = [eval_extended(eq8_ext, (x, y)) for x in xs]
+            vals = [eq8_ext.eval(x, y) for x in xs]
             assert np.all(np.diff(vals) >= -1e-9)
         ys = np.linspace(y0, y1, 80)
         for x in np.linspace(x0, x1, 9):
-            vals = [eval_extended(eq8_ext, (x, y)) for y in ys]
+            vals = [eq8_ext.eval(x, y) for y in ys]
             assert np.all(np.diff(vals) <= 1e-9)
 
 
@@ -126,7 +125,7 @@ class TestSwappedSignature:
         d = DomainSpec.polygon([(0, 0), (1, 0), (1, 0.7), (0.4, 1), (0, 1)])
         ext = extend(spec, d)
         assert not ext.swapped
-        assert eval_extended(ext, (0.2, 0.3)) == pytest.approx(
+        assert ext.eval(0.2, 0.3) == pytest.approx(
             func(0.2, 0.3), abs=1e-12
         )
         audit = audit_extension(ext, rng=np.random.default_rng(1))
@@ -183,9 +182,7 @@ class TestSerialization:
         xs = rng.uniform(x0, x1, 500)
         ys = rng.uniform(y0, y1, 500)
         for x, y in zip(xs, ys):
-            assert eval_extended(loaded, (x, y)) == eval_extended(
-                eq8_ext, (x, y)
-            )
+            assert loaded.eval(x, y) == eq8_ext.eval(x, y)
 
     def test_loaded_extension_audits(self, eq8_ext):
         loaded = ExtendedMap.from_dict(eq8_ext.to_dict(), eq8_ext.base)

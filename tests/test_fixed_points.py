@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from monomap.errors import ContinuumOfFixedPoints, DegenerateCase, ParamConstraint
-from monomap.fixed_points import _corner_ranges, find_artificial, find_equilibria
+from monomap.fixed_points import (
+    _PARTS,
+    _corner_ranges,
+    _narrow,
+    find_artificial,
+    find_equilibria,
+)
 from monomap.examples import (
     closed_form_eq7,
     closed_form_eq8_line_family,
     eq8_b3,
+    eq8_line_x,
     make_eq7,
     make_eq8,
 )
@@ -22,14 +29,47 @@ class TestFindEquilibria:
         roots = find_equilibria(lambda x, y: np.cos(x), (0.0, 1.0))
         assert len(roots) == 1
         x, res = roots[0]
-        assert x == pytest.approx(0.7390851332151607, abs=1e-12)
-        assert abs(res) < 1e-12
+        exact = 0.7390851332151607
+        assert abs(x - exact) <= 4 * np.spacing(exact)
+        assert abs(res) < 1e-15
 
     def test_multiple_roots(self):
         roots = find_equilibria(
             lambda x, y: (x - 0.2) * (x - 0.5) * (x - 0.9) + x, (0.0, 1.0)
         )
-        assert [r for r, _ in roots] == pytest.approx([0.2, 0.5, 0.9], abs=1e-10)
+        assert len(roots) == 3
+        for (x, _), exact in zip(roots, (0.2, 0.5, 0.9)):
+            assert abs(x - exact) <= 4 * np.spacing(exact)
+
+    @pytest.mark.parametrize("F, a, b", [
+        (lambda x, y: np.cos(x), 0.0, 1.0),
+        # an exact float root: the bracket closes on it
+        (lambda x, y: 2 * x - 0.5, 0.1, 0.9),
+        # a root near 0 in a bracket spanning hundreds of binades
+        (lambda x, y: 2 * x - 1e-300, -1.0, 1.0),
+    ])
+    def test_narrowing_ends_at_adjacent_floats(self, F, a, b):
+        lo, hi = np.array([a]), np.array([b])
+        glo, ghi = F(lo, lo) - lo, F(hi, hi) - hi
+        lo, hi, glo, ghi = _narrow(F, lo, hi, glo, ghi)
+        assert np.sign(glo[0]) * np.sign(ghi[0]) <= 0
+        assert hi[0] == np.nextafter(lo[0], np.inf) or (
+            lo[0] == hi[0] and glo[0] == ghi[0] == 0.0)
+
+    def test_brackets_narrow_together(self):
+        calls = []
+
+        def F(x, y):
+            calls.append(x.size)
+            return x + np.sin(10 * x)
+
+        lo, hi = np.array([0.2, 0.55, 0.9]), np.array([0.4, 0.7, 1.0])
+        lo, hi, _, _ = _narrow(F, lo, hi, np.sin(10 * lo), np.sin(10 * hi))
+        assert np.all(hi == np.nextafter(lo, np.inf))
+        assert np.all(np.abs(lo - np.pi * np.array([1, 2, 3]) / 10) < 1e-15)
+        # one call per pass, each on the inner nodes of every open bracket
+        assert calls[0] == 3 * (_PARTS - 1)
+        assert len(calls) <= 12
 
     def test_no_roots(self):
         assert find_equilibria(lambda x, y: x + 1.0, (0.0, 1.0)) == []
@@ -350,6 +390,17 @@ class TestEq8LineFamily:
         assert doc["x_star"] == pytest.approx(0.7)
         assert doc["sign_constant"]
         assert all(r != 0 for r in doc["residual_samples"])
+
+    @pytest.mark.parametrize("p, h", [(1.0, 0.3), (2.0, 0.45), (3.0, 0.495),
+                                      (1.0, 0.1)])
+    def test_pinned_x_solves_the_second_equation(self, p, h):
+        doc = closed_form_eq8_line_family(p, h, m_probe=10.0)
+        F = make_eq8(p, h)[0].func
+        for m in doc["m0"] + np.geomspace(1e-3, 1e3, 32):
+            x = eq8_line_x(p, h, m)
+            y = m * x + doc["x_star"]
+            assert x > 0
+            assert abs(F(y, x) - y) <= 1e-12 * max(1.0, y)
 
     def test_degenerate_height_rejected(self):
         with pytest.raises(DegenerateCase):

@@ -9,7 +9,6 @@ from monomap.examples import eq7_equilibrium, make_eq7, make_eq8
 from monomap.geometry import DomainKind, DomainSpec
 from monomap.map_model import Box, DEC_INC, INC_DEC, MapSpec
 from monomap.stability import (
-    CONVERGENT_SET,
     GLOBALLY_STABLE,
     INCONCLUSIVE,
     certify,
@@ -670,8 +669,26 @@ class TestCertify:
         assert stage["max_final_deviation"] > 1e-6
         assert cert.orbit_ensemble["steps"] == 5
 
+    @pytest.mark.parametrize("equilibria, named", [
+        ([(0.7, 0.0), (0.8, 0.0)], "[0.7, 0.8]"),
+        ([(0.75, 0.0)], "[0.75]"),
+    ])
+    def test_chains_must_meet_at_the_one_equilibrium(
+            self, eq8_problem, monkeypatch, equilibria, named):
+        # x* is stage 5's equilibrium; stage 6 fails, naming the values,
+        # when the sweep holds two, or one the chains do not bracket
+        monkeypatch.setattr(fp, "find_equilibria", lambda *a, **k: equilibria)
+        cert = certify(*eq8_problem)
+        assert cert.verdict == INCONCLUSIVE
+        assert cert.verdict_detail["stage"] == "corner_chains"
+        assert cert.corner_chain_limits["stop"] == "converged"
+        reason = cert.verdict_detail["reason"]
+        assert named in reason
+        assert f"meet at {float(cert.chains[0].limit[0])!r}" in reason
+
     def test_equilibria_found_once(self, eq8_problem, monkeypatch):
-        # the verdict reuses the equilibria of the artificial-point stage
+        # stage 6 reads x* from the artificial-point stage's equilibria;
+        # nothing solves for it again
         calls = []
         real = stab.fp.find_equilibria
 
@@ -701,8 +718,8 @@ class TestFoundRegressions:
     def test_eq7_just_above_threshold_certifies(self):
         cert = certify(*make_eq7(2.05, 3.0, 3.0))
         assert cert.verdict == GLOBALLY_STABLE
-        assert cert.x_star == pytest.approx(eq7_equilibrium(2.05, 3.0, 3.0),
-                                            abs=1e-9)
+        exact = eq7_equilibrium(2.05, 3.0, 3.0)
+        assert abs(cert.x_star - exact) <= 4 * np.spacing(exact)
 
     def test_eq8_p3_h0495_certifies(self):
         cert = certify(*make_eq8(3.0, 0.495))
@@ -801,5 +818,4 @@ class TestSoundnessGate:
 class TestVerdictVocabulary:
     def test_constants(self):
         assert GLOBALLY_STABLE == "GloballyStable"
-        assert CONVERGENT_SET == "ConvergentToEquilibriumSet"
         assert INCONCLUSIVE == "Inconclusive"
