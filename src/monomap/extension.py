@@ -56,7 +56,7 @@ from .errors import (
     UnsupportedDomain,
 )
 from .map_model import Box, DEC_INC, MapSpec
-from .geometry import DomainSpec, DomainKind
+from .geometry import DomainKind, DomainSpec, EdgeTable
 
 SCHEMA_VERSION = 1
 
@@ -629,12 +629,11 @@ class _Engine:
                 xb, yb = x[base], y[base]
                 sub = code[base]
                 for k, s in enumerate(self.sectors):
-                    hit = s.contains(xb, yb, 0.0) & (sub == _Z_BASE)
+                    hit = np.flatnonzero(s.contains(xb, yb, 0.0)
+                                         & (sub == _Z_BASE))
                     # sector polygons overlap the base region only on arcs
-                    inside_sector = hit & ~_point_in_poly(
-                        xb, yb, self.omega
-                    )
-                    sub[inside_sector] = _Z_SECTOR + k
+                    hit = hit[~self._omega_edges.even_odd(xb[hit], yb[hit])]
+                    sub[hit] = _Z_SECTOR + k
                 code[base] = sub
         return code
 
@@ -754,6 +753,7 @@ class _Engine:
         self._t_y, self._b_y = float(self.T[1]), float(self.B[1])
         self._sector_spans = [(float(s.apex[0]), s.chord_x)
                               for s in self.sectors]
+        self._omega_edges = EdgeTable(self.omega)
 
         r = self.rect
         X0, X1, Y0, Y1 = r.x0, r.x1, r.y0, r.y1
@@ -890,20 +890,6 @@ def _trim_runs(part: np.ndarray, axis: int, lo: float, hi: float, g: float):
     ) <= g:
         part = part[:-1]
     return part
-
-
-def _point_in_poly(x, y, poly):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    inside = np.zeros(x.shape, dtype=bool)
-    x0s, y0s = poly[:, 0], poly[:, 1]
-    x1s, y1s = np.roll(x0s, -1), np.roll(y0s, -1)
-    for ex0, ey0, ex1, ey1 in zip(x0s, y0s, x1s, y1s):
-        cond = (ey0 > y) != (ey1 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = ex0 + (y - ey0) * (ex1 - ex0) / (ey1 - ey0)
-        inside ^= cond & (x < xi)
-    return inside
 
 
 def _extreme_midpoints(pts: np.ndarray, g: float):

@@ -39,6 +39,92 @@ def _dedupe(pts: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
+class EdgeTable:
+    """The edges of a closed polygon ring, tabulated once for sweeps over
+    points sorted by y.
+
+    Edge k runs from vertex k to vertex k + 1.  A sweep never pairs a
+    point with an edge whose y-band misses it: each edge finds its points
+    in the sorted order with ``searchsorted`` and works on that slice
+    alone (the crossing test of Haines, *Point in Polygon Strategies*,
+    Graphics Gems IV, 1994).
+    """
+
+    def __init__(self, ring: np.ndarray):
+        x0, y0 = ring[:, 0], ring[:, 1]
+        x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+        dx, dy = x1 - x0, y1 - y0
+        L2 = dx * dx + dy * dy
+        ylo, yhi = np.minimum(y0, y1), np.maximum(y0, y1)
+        # a horizontal edge crosses no row of points
+        slanted = dy != 0
+        self._slanted = list(zip(*(a[slanted].tolist()
+                                   for a in (x0, y0, dx, dy))))
+        self._bands = np.concatenate([ylo[slanted], yhi[slanted]])
+        self._seg = np.array([x0, y0, dx, dy, np.where(L2 > 0, L2, 1.0)])
+        self._yspan = np.concatenate([ylo, yhi])
+        self._grow = np.repeat([-1.0, 1.0], len(ring))
+        self._xspan = list(zip(np.minimum(x0, x1).tolist(),
+                               np.maximum(x0, x1).tolist()))
+        # rounding slack of a point's distance to an edge: a few ulps of
+        # the coordinates, and the differences whose squares underflow
+        # to 0 (below about 1.5e-162)
+        self._ulps = 8.0 * float(np.spacing(np.max(np.abs(ring)))) + 1e-160
+
+    def crossings(self, xs: np.ndarray, ys: np.ndarray):
+        """For each non-horizontal edge whose band holds points: the slice
+        ``lo:hi`` of the points (sorted by ``ys``) with
+        min(y0, y1) <= y < max(y0, y1), and the edge's x at their
+        heights."""
+        m = len(self._slanted)
+        ends = np.searchsorted(ys, self._bands).tolist()
+        for (x0, y0, dx, dy), lo, hi in zip(self._slanted, ends[:m], ends[m:]):
+            if lo < hi:
+                yield lo, hi, x0 + (ys[lo:hi] - y0) * dx / dy
+
+    def parity(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The even-odd rule for points sorted by ``ys``: whether a ray to
+        +x from each crosses the ring an odd number of times."""
+        inside = np.zeros(xs.shape, dtype=bool)
+        for lo, hi, xi in self.crossings(xs, ys):
+            inside[lo:hi] ^= xs[lo:hi] < xi
+        return inside
+
+    def even_odd(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``parity`` for the points of the 1-D arrays ``x``, ``y`` in any
+        order."""
+        order = np.argsort(y)
+        out = np.empty(x.shape, dtype=bool)
+        out[order] = self.parity(x[order], y[order])
+        return out
+
+    def near(self, xs: np.ndarray, ys: np.ndarray, tol: float) -> np.ndarray:
+        """Indices of the points (sorted by ``ys``) within ``tol`` of an
+        edge.  Only the points in an edge's bounding box, widened by
+        2 tol and the rounding slack, go through the distance test."""
+        pad = 2.0 * abs(tol) + self._ulps
+        ends = np.searchsorted(ys, self._yspan + self._grow * pad).tolist()
+        n = len(self._xspan)
+        hits, edges = [], []
+        for k, ((xlo, xhi), lo, hi) in enumerate(
+                zip(self._xspan, ends[:n], ends[n:])):
+            if lo < hi:
+                band = xs[lo:hi]
+                i = np.flatnonzero((band >= xlo - pad) & (band <= xhi + pad))
+                if i.size:
+                    hits.append(i + lo)
+                    edges.append(k)
+        if not hits:
+            return np.empty(0, dtype=np.intp)
+        p = np.concatenate(hits)
+        x0, y0, dx, dy, L2 = self._seg[
+            :, np.repeat(edges, [len(i) for i in hits])]
+        px, py = xs[p], ys[p]
+        tpar = np.clip(((px - x0) * dx + (py - y0) * dy) / L2, 0.0, 1.0)
+        d2 = (px - (x0 + tpar * dx)) ** 2 + (py - (y0 + tpar * dy)) ** 2
+        return p[d2 <= tol * tol]
+
+
 class DomainSpec:
     """A polygonal domain with its cached classification."""
 
@@ -58,6 +144,7 @@ class DomainSpec:
         if len(pts) < 3:
             raise UnsupportedDomain("fewer than 3 distinct boundary points")
         self.vertices = pts  # ccw, no repeated closing vertex
+        self._edges = EdgeTable(pts)
         self._kind: Optional[DomainKind] = None
 
     # -- basic metrics -------------------------------------------------
@@ -100,46 +187,32 @@ class DomainSpec:
         ``x`` and ``y`` must broadcast against each other; the codes come
         back in their broadcast shape.  A scalar query gives a 0-d array
         (so ``int(d.contains(x, y))`` works), and a 1-D query gives a 1-D
-        array of the same length.
+        array of the same length.  A point within ``tol`` (default
+        ``chord_tol``) of an edge is on the boundary; otherwise the
+        even-odd rule decides.
+
+        One y-sorted sweep (``EdgeTable``): the points are sorted by y
+        once; each edge finds the points in its y-band by binary search,
+        tests only those for an even-odd crossing, and tests only those
+        in its bounding box, widened by 2 tol and a rounding slack, for
+        distance.  For N points that costs O(N log N) plus O(1) per
+        (point, edge) pair in a band, not per (point, edge) pair.
+        Memory is O(N) plus the pairs that pass the bounding-box test.
+        A skipped pair is one whose crossing condition is false or whose
+        distance exceeds tol, so skipping never changes a code.
         """
         tol = self.chord_tol if tol is None else tol
-        x, y = np.broadcast_arrays(
-            np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        )
-        shape = x.shape
-        x, y = x.ravel(), y.ravel()
-        v = self.vertices
-        x0s, y0s = v[:, 0], v[:, 1]
-        x1s, y1s = np.roll(x0s, -1), np.roll(y0s, -1)
-
-        inside = np.zeros(x.shape, dtype=bool)
-        on_edge = np.zeros(x.shape, dtype=bool)
-        # Classic even-odd ray casting, broadcast points x edges in chunks.
-        n_edges = len(x0s)
-        chunk = max(1, int(4e6 // max(x.size, 1)))
-        dx_all, dy_all = x1s - x0s, y1s - y0s
-        L2_all = dx_all * dx_all + dy_all * dy_all
-        for s in range(0, n_edges, chunk):
-            e = slice(s, s + chunk)
-            ex0 = x0s[e][:, None]
-            ey0 = y0s[e][:, None]
-            ey1 = y1s[e][:, None]
-            dx = dx_all[e][:, None]
-            dy = dy_all[e][:, None]
-            L2 = np.where(L2_all[e] > 0, L2_all[e], 1)[:, None]
-            cond = (ey0 > y[None, :]) != (ey1 > y[None, :])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xi = ex0 + (y[None, :] - ey0) * dx / np.where(dy != 0, dy, 1)
-            crossed = cond & (x[None, :] < xi)
-            inside ^= (np.sum(crossed, axis=0) % 2).astype(bool)
-            tpar = ((x[None, :] - ex0) * dx + (y[None, :] - ey0) * dy) / L2
-            tpar = np.clip(tpar, 0.0, 1.0)
-            d2 = (x[None, :] - (ex0 + tpar * dx)) ** 2 + (
-                y[None, :] - (ey0 + tpar * dy)
-            ) ** 2
-            on_edge |= np.any(d2 <= tol * tol, axis=0)
-        out = np.where(on_edge, 0, np.where(inside, 1, -1))
-        return out.reshape(shape)
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.shape != y.shape:
+            x, y = np.broadcast_arrays(x, y)
+        order = np.argsort(y, axis=None)
+        xs, ys = x.ravel()[order], y.ravel()[order]
+        code = np.where(self._edges.parity(xs, ys), 1, -1)
+        code[self._edges.near(xs, ys, tol)] = 0
+        out = np.empty_like(code)
+        out[order] = code
+        return out.reshape(x.shape)
 
     def slice_bounds(self, t):
         """Lowest and highest boundary point on each vertical line x = t.
@@ -228,7 +301,6 @@ class DomainSpec:
                 d = xi - x if direction == "x+" else x - xi
                 if d >= -1e-14 and (best is None or d < best[0]):
                     best = (d, (float(xi), float(y)))
-            # also catch exactly-horizontal aligned vertices
         else:
             cond = (x0s > x) != (x1s > x)
             idx = np.nonzero(cond)[0]
@@ -323,7 +395,9 @@ class DomainSpec:
     def _semi_convex_ray_test(self) -> bool:
         """Near every sampled boundary point, every nearby exterior probe
         must have at least one horizontal or vertical ray that escapes to
-        infinity without re-intersecting the boundary."""
+        infinity without re-intersecting the boundary.  A ray meets an
+        edge that crosses its line at a signed distance >= -1e-14 ahead,
+        as in ``project``."""
         v = self.vertices
         mids = 0.5 * (v + np.roll(v, -1, axis=0))
         samples = np.concatenate([v, mids])
@@ -335,9 +409,18 @@ class DomainSpec:
             (1, 1), (1, -1), (-1, 1), (-1, -1),
         ], dtype=float)
         probes = (samples[:, None, :] + eps * offsets[None, :, :]).reshape(-1, 2)
-        outside = self.contains(probes[:, 0], probes[:, 1]) == -1
-        for sx, sy in probes[outside]:
-            if all(self.project(sx, sy, d) is not None
-                   for d in ("x+", "x-", "y+", "y-")):
-                return False
-        return True
+        probes = probes[self.contains(probes[:, 0], probes[:, 1]) == -1]
+        blocked = np.ones(len(probes), dtype=bool)
+        # the x-rays sweep the probes by y; the y-rays sweep them by x,
+        # against the boundary mirrored in the diagonal
+        for edges, (u, w) in ((self._edges, (0, 1)),
+                              (EdgeTable(v[:, ::-1]), (1, 0))):
+            order = np.argsort(probes[:, w])
+            us, ws = probes[order, u], probes[order, w]
+            ahead = np.zeros(len(us), dtype=bool)
+            behind = np.zeros(len(us), dtype=bool)
+            for lo, hi, ui in edges.crossings(us, ws):
+                ahead[lo:hi] |= ui - us[lo:hi] >= -1e-14
+                behind[lo:hi] |= us[lo:hi] - ui >= -1e-14
+            blocked[order] &= ahead & behind
+        return not blocked.any()

@@ -202,8 +202,8 @@ class Orbit:
         }
 
 
-# points per containment call in iterate_orbit: bounds the point x edge
-# temporaries of DomainSpec.contains on long orbits
+# points per containment call in iterate_orbit: an orbit that leaves the
+# domain early stops after the block it leaves in
 _ORBIT_BLOCK = 1 << 16
 
 

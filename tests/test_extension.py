@@ -320,6 +320,53 @@ class TestOnePointZoneTest:
         assert not eq7_ext.is_base(0.5, np.nan)
 
 
+def _even_odd(x, y, poly):
+    """Even-odd ray casting over every point and every edge."""
+    inside = np.zeros(x.shape, dtype=bool)
+    x0s, y0s = poly[:, 0], poly[:, 1]
+    x1s, y1s = np.roll(x0s, -1), np.roll(y0s, -1)
+    for ex0, ey0, ex1, ey1 in zip(x0s, y0s, x1s, y1s):
+        cond = (ey0 > y) != (ey1 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = ex0 + (y - ey0) * (ex1 - ex0) / (ey1 - ey0)
+        inside ^= cond & (x < xi)
+    return inside
+
+
+class TestSectorZones:
+    def test_matches_full_array_sector_test(self):
+        # a point of the base zone goes to sector k when sector k's
+        # polygon holds it and the domain does not; the even-odd test
+        # here runs on every base point, not only on the sector's hits
+        from monomap.extension import _Z_BASE, _Z_SECTOR
+
+        rng = np.random.default_rng(20261020)
+        cases = [_random_convex_case(rng) for _ in range(8)]
+        cases += [_notched_square_case(rng, k) for k in range(16)]
+        seen = set()
+        for k, (spec, domain) in enumerate(cases):
+            ext = extend(spec, domain)
+            loaded = ExtendedMap.from_dict(
+                json.loads(dumps_json(ext.to_dict())), spec)
+            for engine in (ext.engine, loaded.engine):
+                x, y = _zone_probe_points(engine, rng)
+                got = engine.classify(x, y)
+                want = got.copy()
+                base = (got == _Z_BASE) | (got >= _Z_SECTOR)
+                xb, yb = x[base], y[base]
+                sub = np.full(xb.shape, _Z_BASE)
+                for j, s in enumerate(engine.sectors):
+                    hit = s.contains(xb, yb, 0.0) & (sub == _Z_BASE)
+                    sub[hit & ~_even_odd(xb, yb, engine.omega)] = (
+                        _Z_SECTOR + j)
+                want[base] = sub
+                np.testing.assert_array_equal(got, want, err_msg=str(k))
+                seen.add((spec.signature, bool(engine.sectors),
+                          bool((got >= _Z_SECTOR).any())))
+        assert seen == {(INC_DEC, False, False), (DEC_INC, False, False),
+                        (INC_DEC, True, True), (DEC_INC, True, True)}
+
+
 class TestNegativeControls:
     def test_oscillating_boundary_values_rejected(self):
         # not actually monotone: boundary values oscillate along an arc

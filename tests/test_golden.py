@@ -1,6 +1,6 @@
 """Golden-artifact regression test.
 
-Reruns five CLI commands and compares every artifact they write, byte
+Reruns six CLI commands and compares every artifact they write, byte
 for byte, with the copies under ``tests/data/golden/``:
 
 * ``eq8_certify``: eq8 with p = 1, h = 0.3 and seed 0, the
@@ -9,6 +9,10 @@ for byte, with the copies under ``tests/data/golden/``:
   path where an artificial pair is found;
 * ``notched_extend``: ``extend`` of (1 + x)/(1 + x + y), signature
   inc_dec, on a notched polygon that needs a sector fill;
+* ``convex_dec_inc_extend``: ``extend`` of (a + b*y)/(1 + y + c*x),
+  signature dec_inc, on a convex polygon with nine vertices on a
+  rotated ellipse: the zone engine in its own frame, where every other
+  polygon case here runs it on the diagonal mirror of an inc_dec map;
 * ``eq8_near_degenerate_certify``: eq8 with p = 1, h = 0.49 and seed 0,
   whose corner chains run for thousands of steps before they meet;
 * ``eq8_simulate``: one 10,000-step eq8 orbit (p = 1, h = 0.45) from a
@@ -46,7 +50,16 @@ CASES = {
         "[map]\nfamily = expression\nexpr = (1 + x)/(1 + x + y)\n"
         "signature = inc_dec\n\n[domain]\nkind = polygon\n"
         "vertices = 0,0;2,0;2,2;1.4,2;1.0,1.3;0.6,2;0,2\n\n[run]\nseed = 0\n",
-        ("extension.json", "extension_audit.json"),
+        ("extension.json", "extension_audit.json", "pieces.svg"),
+    ),
+    "convex_dec_inc_extend": (
+        "extend",
+        "[map]\nfamily = expression\nexpr = (a + b*y)/(1 + y + c*x)\n"
+        "signature = dec_inc\na = 0.6\nb = 1.5\nc = 0.8\n\n"
+        "[domain]\nkind = polygon\nvertices = 4.144,3.894;3.391,3.98;"
+        "2.455,3.607;1.774,2.95;1.666,2.316;2.183,2.003;3.082,2.156;"
+        "3.943,2.704;4.362,3.391\n\n[run]\nseed = 0\n",
+        ("extension.json", "extension_audit.json", "pieces.svg"),
     ),
     "eq8_near_degenerate_certify": (
         "certify",
