@@ -20,8 +20,8 @@ compiled by ``map_model.compile_expression``, and a key the family does
 not read, or a parameter the expression never names, is a configuration
 error.  Extend and fixedpoints first check the declared monotone
 signature by sampling, and exit 2 with the witness when it fails.  Exit
-codes: 0 success / GloballyStable, 1 Inconclusive verdict or unresolved
-fixed-point search, 2 audit, signature or numeric failure, 3
+codes: 0 success / GloballyStable, 1 Inconclusive or Refuted verdict, or
+unresolved fixed-point search, 2 audit, signature or numeric failure, 3
 unsupported domain, 4 configuration or usage error.  With a fixed seed
 all JSON/CSV/SVG outputs are byte-identical across runs.
 """

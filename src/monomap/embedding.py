@@ -1,16 +1,15 @@
-"""Symmetric monotone embeddings of the planar dynamics.
+"""The symmetric monotone embedding of the planar dynamics.
 
 A mixed-monotone planar map F (increasing in x, decreasing in y) embeds
-into an order-preserving map G on a higher-dimensional box, in two
-variants:
+into the order-preserving map
 
-* ``Sym2``  G(x, y) = (F(x, y), F(y, x)) on [a, b]^2,
-* ``Sym4``  G((x, y), (u, v)) = ((F(x, y), u), (F(u, v), x)) on [a, b]^4.
+    G((x, y), (u, v)) = ((F(x, y), u), (F(u, v), x))  on [a, b]^4
 
-Each variant preserves a componentwise partial order (a sign pattern of
-the coordinates) and has explicit least and greatest elements, so the
-iterates of the two extreme corners form monotone chains that converge
-to fixed points of G and bracket every orbit in between.
+(``Sym4``, the name ``certificate.json`` records).  G preserves the
+componentwise order with signs (1, -1, -1, 1) and has explicit least and
+greatest elements, so the iterates of the two extreme corners form
+monotone chains that converge to fixed points of G and bracket every
+orbit in between.
 """
 
 from __future__ import annotations
@@ -26,15 +25,11 @@ from .errors import ChainMonotonicityBroken, EmbeddingUnavailable
 from .extension import ExtendedMap, clamp_to
 from .map_model import INC_DEC
 
-SYM2 = "Sym2"
 SYM4 = "Sym4"
 
-# componentwise order sign pattern per variant: state s precedes state t
-# exactly when sign * s <= sign * t holds in every coordinate
-_ORDER_SIGNS = {
-    SYM2: np.array([1, -1], dtype=float),
-    SYM4: np.array([1, -1, -1, 1], dtype=float),
-}
+# componentwise order sign pattern: state s precedes state t exactly when
+# sign * s <= sign * t holds in every coordinate
+_ORDER_SIGNS = np.array([1, -1, -1, 1], dtype=float)
 
 MIN_CORNER = "MinCorner"
 MAX_CORNER = "MaxCorner"
@@ -94,11 +89,9 @@ class CornerChain:
 
 
 class EmbeddedSystem:
-    """One of the symmetric embeddings of an extended planar map."""
+    """The symmetric embedding of an extended planar map."""
 
-    def __init__(self, source: ExtendedMap, variant: str):
-        if variant not in _ORDER_SIGNS:
-            raise ValueError(f"unknown embedding variant {variant!r}")
+    def __init__(self, source: ExtendedMap):
         if source.base.signature != INC_DEC:
             raise EmbeddingUnavailable(
                 "embedding requires a mixed monotone map that increases in "
@@ -112,10 +105,9 @@ class EmbeddedSystem:
                 "embedding requires a square rectangle [a, b] x [a, b]"
             )
         self.source = source
-        self.variant = variant
         self.a = float(r.x0)
         self.b = float(r.x1)
-        self.order_signs = _ORDER_SIGNS[variant]
+        self.order_signs = _ORDER_SIGNS
         self.state_dim = self.order_signs.size
         lo, hi = self.a, self.b
         self.min_corner = np.where(self.order_signs > 0, lo, hi).astype(float)
@@ -131,9 +123,6 @@ class EmbeddedSystem:
 
     # -- stepping -----------------------------------------------------------
 
-    def _F(self, x, y):
-        return self.source.eval(x, y)
-
     def step(self, state):
         """Apply G once.  Accepts a single state (dim,) or a batch (n, dim)."""
         s = np.asarray(state, dtype=float)
@@ -141,57 +130,43 @@ class EmbeddedSystem:
         s = np.atleast_2d(s)
         if s.shape[1] != self.state_dim:
             raise ValueError(
-                f"state dimension {s.shape[1]} does not match {self.variant}"
+                f"state dimension {s.shape[1]} does not match {SYM4}"
             )
         pad = 1e-9 * (self.b - self.a)
         s = clamp_to(s, self.a, self.b, pad,
                      "embedded state outside the rectangle bounds")
         n = s.shape[0]
         out = np.empty_like(s)
-        if self.variant == SYM2:
-            x, y = s[:, 0], s[:, 1]
-            vals = self._F(np.concatenate([x, y]), np.concatenate([y, x]))
-            out[:, 0] = vals[:n]
-            out[:, 1] = vals[n:]
-        else:
-            x, y, u, v = s.T
-            vals = self._F(np.concatenate([x, u]), np.concatenate([y, v]))
-            out[:, 0] = vals[:n]
-            out[:, 1] = u
-            out[:, 2] = vals[n:]
-            out[:, 3] = x
+        x, y, u, v = s.T
+        vals = self.source.eval(np.concatenate([x, u]), np.concatenate([y, v]))
+        out[:, 0] = vals[:n]
+        out[:, 1] = u
+        out[:, 2] = vals[n:]
+        out[:, 3] = x
         # a nice extension keeps values inside the original range up to a
         # small audit tolerance; clamp so chains stay inside the box
         out = clamp_to(out, self.a, self.b, copy=False)
         return out[0] if single else out
 
-    def step_corners(self, s: list) -> Optional[list]:
-        """``step`` of the two Sym4 states s[:4] and s[4:], on Python
-        floats, where all four points F is evaluated at lie where the
-        extension is F.  F is evaluated at them in one call, by numpy, and
-        the values are clipped to [a, b] as ``step`` clips them.  None for
-        Sym2 or when a point lies elsewhere: ``step`` decides then."""
-        if self.variant != SYM4:
-            return None
+    def step_corners(self, s: list) -> list:
+        """``step`` of the two states s[:4] and s[4:], in [a, b], on
+        Python floats.  F is evaluated at the four points in one call:
+        of F itself, by numpy, where all four lie where the extension is
+        F, and of the extension otherwise, as ``step`` calls it.  The
+        values are clipped to [a, b] as ``step`` clips them."""
         x0, y0, u0, v0, x1, y1, u1, v1 = s
         ext = self.source
         is_base = ext.is_base
-        if not (is_base(x0, y0) and is_base(x1, y1) and is_base(u0, v0)
-                and is_base(u1, v1)):
-            return None
-        f0, f1, f2, f3 = ext.base(np.array([x0, x1, u0, u1]),
-                                  np.array([y0, y1, v0, v1])).tolist()
+        f = (ext.base if is_base(x0, y0) and is_base(x1, y1)
+             and is_base(u0, v0) and is_base(u1, v1) else ext.eval)
+        f0, f1, f2, f3 = f(np.array([x0, x1, u0, u1]),
+                           np.array([y0, y1, v0, v1])).tolist()
         t = [f0, u0, f2, x0, f1, u1, f3, x1]
         a, b = self.a, self.b
         if not (a <= f0 <= b and a <= f1 <= b and a <= f2 <= b
                 and a <= f3 <= b):
             t = np.clip(t, a, b).tolist()
         return t
-
-
-def build_embedding(ext: ExtendedMap, variant: str = SYM4) -> EmbeddedSystem:
-    """Construct the symmetric embedding of an extended map."""
-    return EmbeddedSystem(ext, variant)
 
 
 def check_order_preserving(
@@ -232,14 +207,12 @@ def run_corner_chains(
     The two chains are monotone and converge to fixed points a* and b*
     of G with a* preceding b*; every orbit of G lies in the order
     interval between their iterates.  Both corners advance together,
-    their states kept as Python floats: a step whose four evaluation
-    points all lie where the extension is F is ``sys.step_corners``,
-    one call of F; any other step is ``sys.step`` on the (2, dim)
-    array.  Both give the same bits.  The stop is CONVERGED once the
-    interval's width max|s_hi - s_lo| is at most ``tol`` (default 1e-8
-    of the box span), STALLED once the width falls by less than 0.1%
-    over 1,000 steps, or MAX_ITER.  Each step is checked to move its
-    chain in the chain's direction.
+    their states kept as Python floats, one ``sys.step_corners`` call a
+    step; it gives the bits ``sys.step`` gives on the (2, dim) array.
+    The stop is CONVERGED once the interval's width max|s_hi - s_lo| is
+    at most ``tol`` (default 1e-8 of the box span), STALLED once the
+    width falls by less than 0.1% over 1,000 steps, or MAX_ITER.  Each
+    step is checked to move its chain in the chain's direction.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -258,8 +231,6 @@ def run_corner_chains(
     checkpoint = math.inf
     for k in range(max_iter):
         t = sys.step_corners(s)
-        if t is None:
-            t = sys.step(np.reshape(s, (2, dim))).ravel().tolist()
         d = [g * (v - w) for g, v, w in zip(slopes, t, s)]
         for row in (0, 1):
             slack = min(d[row * dim:(row + 1) * dim])

@@ -247,9 +247,10 @@ def make_xfy(
     (checked by sampling).
 
     The equilibrium x* with f(x*) = 1 cannot attract the whole square
-    under the 2-dimensional symmetric embedding: the embedded Jacobian
-    at (x*, x*) has an eigenvalue 1 - x* f'(x*) > 1, so the embedding's
-    corner chains split and artificial fixed points must exist.
+    under the symmetric embedding (Sym4): the embedded Jacobian at
+    (x*, x*, x*, x*) has an eigenvalue (1 + sqrt(1 + 4|x* f'(x*)|))/2 > 1,
+    so the embedding's corner chains split and artificial fixed points
+    must exist.
     """
     a, b = _XFY_BOX
     ys = np.linspace(0.0, b, _XFY_CHECKS)

@@ -13,7 +13,9 @@ transforms used below) into four chains:
   NE: right -> top, x non-increasing, y non-decreasing
   NW: top -> left, x and y non-increasing
 
-The exterior of the domain inside the rectangle is tiled by pieces:
+The rectangle is the domain's bounding box, so the four extreme points
+lie on its sides, and the exterior of the domain inside it is tiled by
+pieces:
 
   * below the SW chain: vertical-ray pieces (constant along rays up to
     the boundary) plus graft rectangles next to each vertical flat of
@@ -25,9 +27,7 @@ The exterior of the domain inside the rectangle is tiled by pieces:
     the boundary arc between the projections);
   * left of / above the NW chain: the mirrored windowed-maximum rule;
   * right of the NE chain: horizontal-ray pieces plus grafts (the
-    mirror image of the SW side);
-  * the two remaining rectangle corners: graft pieces fed by the
-    adjacent windowed pieces.
+    mirror image of the SW side).
 
 Sector intrusions on the SE chain (boundary backtracking in x while y
 still increases) are closed by a vertical chord and filled first —
@@ -394,11 +394,11 @@ class _Sector:
         xq = _interp_mono(self.polygon[:, 1], self.polygon[:, 0], yq)
         return np.asarray(self.func(xq, yq), dtype=float)
 
-    def contains(self, x, y, tol):
-        inx = (x >= self.apex[0] - tol) & (x <= self.chord_x + tol)
+    def contains(self, x, y):
+        inx = (x >= self.apex[0]) & (x <= self.chord_x)
         y1 = self.lower_y(np.clip(x, self.apex[0], self.chord_x))
         y2 = self.upper_y(np.clip(x, self.apex[0], self.chord_x))
-        return inx & (y >= y1 - tol) & (y <= y2 + tol)
+        return inx & (y >= y1) & (y <= y2)
 
     def to_state(self):
         return {
@@ -448,7 +448,7 @@ def _rect_poly(x0, x1, y0, y1):
 # The canonical engine: F decreasing in x, increasing in y.
 # ---------------------------------------------------------------------------
 
-_Z_BASE, _Z_SWBAND, _Z_SWCORNER, _Z_SE, _Z_NW, _Z_NEBAND, _Z_NECORNER = range(7)
+_Z_BASE, _Z_SWBAND, _Z_SE, _Z_NW, _Z_NEBAND = range(5)
 _Z_SECTOR = 100  # + sector index
 
 
@@ -596,32 +596,16 @@ class _Engine:
     # -- zone classification ----------------------------------------------
 
     def classify(self, x, y):
-        L, B, R, T = self.L, self.B, self.R, self.T
+        """The zone of each point of the rectangle."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         code = np.full(x.shape, _Z_BASE, dtype=int)
-        above = y > T[1]
-        below = y < B[1]
-        mid = ~(above | below)
-        code[above & (x < T[0])] = _Z_NW
-        code[above & (x >= T[0])] = _Z_NECORNER
-        code[below & (x < L[0])] = _Z_SWCORNER
-        code[below & (x >= L[0]) & (x <= B[0])] = _Z_SWBAND
-        code[below & (x > B[0])] = _Z_SE
-        if np.any(mid):
-            ym = y[mid]
-            xl = _interp_mono(self.wall_left_y, self.wall_left_x, ym)
-            xr = _interp_mono(self.wall_right_y, self.wall_right_x, ym)
-            xm = x[mid]
-            sub = np.full(xm.shape, _Z_BASE, dtype=int)
-            left_of = xm < xl
-            right_of = xm > xr
-            sub[left_of & (ym >= L[1])] = _Z_NW
-            sub[left_of & (ym < L[1]) & (xm < L[0])] = _Z_SWCORNER
-            sub[left_of & (ym < L[1]) & (xm >= L[0])] = _Z_SWBAND
-            sub[right_of & (ym <= R[1])] = _Z_SE
-            sub[right_of & (ym > R[1])] = _Z_NEBAND
-            code[mid] = sub
+        left_of = x < _interp_mono(self.wall_left_y, self.wall_left_x, y)
+        right_of = x > _interp_mono(self.wall_right_y, self.wall_right_x, y)
+        code[left_of & (y >= self.L[1])] = _Z_NW
+        code[left_of & (y < self.L[1])] = _Z_SWBAND
+        code[right_of & (y <= self.R[1])] = _Z_SE
+        code[right_of & (y > self.R[1])] = _Z_NEBAND
         # points inside the closed domain may actually lie in a sector
         if self.sectors:
             base = code == _Z_BASE
@@ -629,7 +613,7 @@ class _Engine:
                 xb, yb = x[base], y[base]
                 sub = code[base]
                 for k, s in enumerate(self.sectors):
-                    hit = np.flatnonzero(s.contains(xb, yb, 0.0)
+                    hit = np.flatnonzero(s.contains(xb, yb)
                                          & (sub == _Z_BASE))
                     # sector polygons overlap the base region only on arcs
                     hit = hit[~self._omega_edges.even_odd(xb[hit], yb[hit])]
@@ -641,8 +625,6 @@ class _Engine:
         """Whether ``classify`` puts the point in the base zone, on
         floats; False also for a point whose x lies in a sector's x
         range, where the array path decides."""
-        if y > self._t_y or y < self._b_y:
-            return False
         if x < _interp_one(*self._wall_left, y):
             return False
         if x > _interp_one(*self._wall_right, y):
@@ -663,30 +645,23 @@ class _Engine:
             if zone == _Z_BASE:
                 out[m] = self.func(xm, ym)
             elif zone == _Z_SWBAND:
-                out[m] = self._eval_sw(xm, ym, corner=False)
-            elif zone == _Z_SWCORNER:
-                out[m] = self._eval_sw(xm, ym, corner=True)
+                out[m] = self._eval_sw(xm, ym)
             elif zone == _Z_SE:
                 out[m] = self.t_se.window("y", ym, "x", xm, want_max=False)
             elif zone == _Z_NW:
-                out[m] = self._eval_nw(xm, ym)
+                out[m] = self.t_nw.window("x", xm, "y", ym, want_max=True)
             elif zone == _Z_NEBAND:
-                out[m] = self._eval_ne(xm, ym, corner=False)
-            elif zone == _Z_NECORNER:
-                out[m] = self._eval_ne(xm, ym, corner=True)
+                out[m] = self._eval_ne(xm, ym)
             else:
                 out[m] = self.sectors[zone - _Z_SECTOR].eval(xm, ym)
         return out
 
-    def _eval_nw(self, x, y):
-        return self.t_nw.window("x", x, "y", y, want_max=True)
-
-    def _sw_graft_terms(self, x, y, all_flats):
+    def _sw_graft_terms(self, x, y):
         total = np.zeros(x.shape)
         for (e, yt, yb) in self.sw_flats:
             # inclusive: at x == e the projection hits the flat top, and
             # the graft term restores the value on the flat itself
-            active = (x <= e) if not all_flats else np.ones(x.shape, dtype=bool)
+            active = x <= e
             if not np.any(active):
                 continue
             yc = np.clip(y[active], yb, yt)
@@ -697,23 +672,20 @@ class _Engine:
             total[active] += term
         return total
 
-    def _eval_sw(self, x, y, corner: bool):
-        if corner:
-            base = self._eval_nw(x, np.full(x.shape, self.L[1]))
-            return base + self._sw_graft_terms(x, y, all_flats=True)
+    def _eval_sw(self, x, y):
         # vertical projection up onto the SW chain; at a flat this takes
         # the limit from the left (the flat top), matching the grafts
         t = self.t_sw
         yy = _interp_mono(t.xs, t.ys, x)
         base = np.asarray(self.func(x, yy), dtype=float)
-        return base + self._sw_graft_terms(x, y, all_flats=False)
+        return base + self._sw_graft_terms(x, y)
 
-    def _ne_graft_terms(self, x, y, all_flats):
+    def _ne_graft_terms(self, x, y):
         total = np.zeros(x.shape)
         for (h, xl, xr) in self.ne_flats:
             # strict: at y == h the projection already sits at the flat's
             # right end, which is the correct boundary value there
-            active = (y > h) if not all_flats else np.ones(x.shape, dtype=bool)
+            active = y > h
             if not np.any(active):
                 continue
             xc = np.clip(x[active], xl, xr)
@@ -724,33 +696,34 @@ class _Engine:
             total[active] += term
         return total
 
-    def _eval_ne(self, x, y, corner: bool):
-        if corner:
-            base = self._eval_nw(np.full(y.shape, self.T[0]), y)
-            return base + self._ne_graft_terms(x, y, all_flats=True)
+    def _eval_ne(self, x, y):
         # horizontal projection left onto the NE chain (table R -> T has
         # y non-decreasing, x non-increasing); at a flat this takes the
         # limit from below (the flat's right end), matching the grafts
         t = self.t_ne
         xx = _interp_mono(t.ys, t.xs, y)
         base = np.asarray(self.func(xx, y), dtype=float)
-        return base + self._ne_graft_terms(x, y, all_flats=False)
+        return base + self._ne_graft_terms(x, y)
 
     # -- boundary walls and piece polygons ----------------------------------
 
     def _build_walls_and_pieces(self):
         """Everything else the evaluator needs, from the tables, flats
         and sectors alone; the built and the loaded engine share it."""
-        # boundary walls as x-of-y knot tables (B -> L -> T, B -> R -> T)
-        self.wall_left_x = np.concatenate([self.t_sw.xs[::-1], self.t_nw.xs[1:]])
-        self.wall_left_y = np.concatenate([self.t_sw.ys[::-1], self.t_nw.ys[1:]])
+        # boundary walls as x-of-y knot tables (B -> L -> T, B -> R -> T);
+        # interpolation takes the earlier of tied knots, so the left wall
+        # starts at the last knot at B's height: on a flat bottom that is
+        # its left end, not B
+        wall_x = np.concatenate([self.t_sw.xs[::-1], self.t_nw.xs[1:]])
+        wall_y = np.concatenate([self.t_sw.ys[::-1], self.t_nw.ys[1:]])
+        k = int(np.searchsorted(wall_y, wall_y[0], side="right")) - 1
+        self.wall_left_x, self.wall_left_y = wall_x[k:], wall_y[k:]
         self.wall_right_x = np.concatenate([self.t_se.xs, self.t_ne.xs[1:]])
         self.wall_right_y = np.concatenate([self.t_se.ys, self.t_ne.ys[1:]])
-        # the same walls and bounds as floats, for is_base
+        # the same walls as floats, for is_base
         self._wall_left = (self.wall_left_y.tolist(), self.wall_left_x.tolist())
         self._wall_right = (self.wall_right_y.tolist(),
                             self.wall_right_x.tolist())
-        self._t_y, self._b_y = float(self.T[1]), float(self.B[1])
         self._sector_spans = [(float(s.apex[0]), s.chord_x)
                               for s in self.sectors]
         self._omega_edges = EdgeTable(self.omega)
@@ -791,8 +764,6 @@ class _Engine:
             add(RULE_RAY_YPLUS, poly, zone="south_ray", slab=j)
             if floor > Y0 + g:
                 add(RULE_GRAFT, _rect_poly(a, b, Y0, floor), zone="south_graft")
-        if L[0] - X0 > g and L[1] - Y0 > g:
-            add(RULE_GRAFT, _rect_poly(X0, L[0], Y0, L[1]), zone="southwest_corner")
 
         # SE windowed piece
         se_chain = np.column_stack([self.t_se.xs, self.t_se.ys])
@@ -801,10 +772,7 @@ class _Engine:
 
         # NW windowed piece
         nw_chain = np.column_stack([self.t_nw.xs, self.t_nw.ys])  # L -> T
-        poly = [(X0, L[1])] if L[0] - X0 > g else []
-        poly = np.vstack(
-            [np.array(poly + [(L[0], L[1])]), nw_chain[1:], [(T[0], Y1), (X0, Y1)]]
-        )
+        poly = np.vstack([[L], nw_chain[1:], [(T[0], Y1), (X0, Y1)]])
         add(RULE_MAX, poly, zone="northwest")
 
         # NE side: slabs between horizontal flats (chain R -> T)
@@ -822,8 +790,6 @@ class _Engine:
             add(RULE_RAY_XMINUS, poly, zone="east_ray", slab=j)
             if X1 - wall > g:
                 add(RULE_GRAFT, _rect_poly(wall, X1, a, b), zone="east_graft")
-        if X1 - T[0] > g and Y1 - T[1] > g:
-            add(RULE_GRAFT, _rect_poly(T[0], X1, T[1], Y1), zone="northeast_corner")
 
         self.pieces = pieces
 
@@ -874,8 +840,7 @@ class _Engine:
 def _valfuncs(func: Callable, sectors) -> list:
     """The boundary value sources of the chain tables: the base map
     (source 0), then each sector's fill."""
-    return ([lambda x, y: np.asarray(func(x, y), dtype=float)]
-            + [s.eval for s in sectors])
+    return [func] + [s.eval for s in sectors]
 
 
 def _trim_runs(part: np.ndarray, axis: int, lo: float, hi: float, g: float):
@@ -1132,7 +1097,8 @@ class ExtendedMap:
         """Rebuild an evaluator from :meth:`to_dict` output plus the base
         map callable, without redoing the geometric construction.  The
         ``pieces`` key is not read: the engine redraws them from its
-        state."""
+        state.  ValueError when the stored rectangle is not the bounding
+        box of the stored domain, the only rectangle ``extend`` builds."""
         if data.get("kind") != "extended_map":
             raise ValueError("not a serialized extended map")
         rect = Box(*data["rect"])
@@ -1140,36 +1106,31 @@ class ExtendedMap:
         if "engine" not in data:
             return cls(base, rect, None, None, False, base_range)
         swapped = bool(data["swapped"])
-        if swapped:
-            func = lambda x, y: np.asarray(base(y, x), dtype=float)
-            crect = Box(rect.y0, rect.y1, rect.x0, rect.x1)
-        else:
-            func = lambda x, y: np.asarray(base(x, y), dtype=float)
-            crect = rect
+        # the engine's map and rectangle, and the domain in the caller's
+        # frame, so the audit checks agreement on it and reads the
+        # stored range
+        func, crect, verts = _swap_frame(
+            base, rect, np.asarray(data["engine"]["omega"], dtype=float),
+            swapped)
+        domain = DomainSpec(verts)
+        if Box(*domain.bbox) != rect:
+            raise ValueError(
+                f"extension rectangle {list(rect.as_tuple())} is not the "
+                f"bounding box {list(domain.bbox)} of its domain"
+            )
         engine = _Engine.from_state(data["engine"], func, crect)
-        # the domain in the caller's frame, so the audit checks agreement
-        # on it and reads the stored range
-        verts = engine.omega[::-1, ::-1] if swapped else engine.omega
-        return cls(base, rect, DomainSpec(verts), engine, swapped, base_range)
+        return cls(base, rect, domain, engine, swapped, base_range)
 
 
-def _canonical_problem(map_spec: MapSpec, domain: DomainSpec):
-    """Return (func, polyline, rect, swapped) in the canonical frame
-    where the map decreases in x and increases in y."""
-    sig = map_spec.signature
-    if not sig.is_mixed:
-        raise UnsupportedDomain(
-            "extension requires a mixed-monotone map signature"
-        )
-    x0, x1, y0, y1 = domain.bbox
-    rect = Box(x0, x1, y0, y1)
-    if sig == DEC_INC:
-        return map_spec, domain.vertices.copy(), rect, False
-    # swap frame: F_hat(x, y) = F(y, x) is decreasing in x, increasing in y
-    func = lambda x, y: map_spec(y, x)
-    pts = domain.vertices[:, ::-1][::-1].copy()
-    rect_s = Box(y0, y1, x0, x1)
-    return func, pts, rect_s, True
+def _swap_frame(func: Callable, rect: Box, verts: np.ndarray, swapped: bool):
+    """``func``, ``rect`` and the ccw vertices ``verts`` seen from the
+    other frame when ``swapped``: (x, y) -> F(y, x), the transposed box and
+    the vertices mirrored in the diagonal, in reverse order so that they
+    stay counterclockwise.  The swap is its own inverse."""
+    if not swapped:
+        return func, rect, verts
+    return ((lambda x, y: func(y, x)), Box(rect.y0, rect.y1, rect.x0, rect.x1),
+            verts[::-1, ::-1].copy())
 
 
 def _sampled_range(map_spec: MapSpec, domain: DomainSpec, n: int = 120):
@@ -1204,15 +1165,18 @@ def extend(map_spec: MapSpec, domain: DomainSpec) -> ExtendedMap:
         return extend_rectangle(map_spec, Box(*domain.bbox))
     if kind == DomainKind.UNSUPPORTED:
         raise UnsupportedDomain("domain failed the exterior-ray test")
-    func, pts, rect, swapped = _canonical_problem(map_spec, domain)
+    if not map_spec.signature.is_mixed:
+        raise UnsupportedDomain(
+            "extension requires a mixed-monotone map signature"
+        )
+    # the engine's frame: F decreasing in x, increasing in y
+    swapped = map_spec.signature != DEC_INC
+    rect = Box(*domain.bbox)
+    func, crect, pts = _swap_frame(map_spec, rect, domain.vertices.copy(),
+                                   swapped)
     lo, hi = _sampled_range(map_spec, domain)
-    engine = _Engine(
-        lambda x, y: np.asarray(func(x, y), dtype=float),
-        pts,
-        rect,
-        1e-12 * max(1.0, hi - lo),
-    )
-    return ExtendedMap(map_spec, Box(*domain.bbox), domain, engine, swapped,
+    engine = _Engine(func, pts, crect, 1e-12 * max(1.0, hi - lo))
+    return ExtendedMap(map_spec, rect, domain, engine, swapped,
                        base_range=(lo, hi))
 
 
@@ -1224,13 +1188,15 @@ def audit_extension(ext: ExtendedMap, grid_n: int = 100,
     of the spread of F's values."""
     rng = np.random.default_rng(0) if rng is None else rng
     r = ext.rect
-    if ext.domain is not None and ext.base_range is not None:
+    # the grid of the monotonicity and range checks; without a stored
+    # range (a rectangle) its values give the spread as well
+    gx = np.linspace(r.x0, r.x1, grid_n)
+    gy = np.linspace(r.y0, r.y1, grid_n)
+    X, Y = np.meshgrid(gx, gy, indexing="ij")
+    V = ext.eval(X.ravel(), Y.ravel()).reshape(grid_n, grid_n)
+    if ext.base_range is not None:
         lo, hi = ext.base_range
     else:
-        gx = np.linspace(r.x0, r.x1, grid_n)
-        gy = np.linspace(r.y0, r.y1, grid_n)
-        X, Y = np.meshgrid(gx, gy, indexing="ij")
-        V = ext.eval(X.ravel(), Y.ravel())
         lo, hi = float(V.min()), float(V.max())
     spread = max(hi - lo, 1e-12)
     witnesses = {}
@@ -1297,10 +1263,6 @@ def audit_extension(ext: ExtendedMap, grid_n: int = 100,
     agreement_ok = max_dis == 0.0 or max_dis <= 1e-14 * max(1.0, spread)
 
     # (C3) monotonicity on the whole rectangle
-    gx = np.linspace(r.x0, r.x1, grid_n)
-    gy = np.linspace(r.y0, r.y1, grid_n)
-    X, Y = np.meshgrid(gx, gy, indexing="ij")
-    V = ext.eval(X.ravel(), Y.ravel()).reshape(grid_n, grid_n)
     sx = ext.base.signature.first.sign
     sy = ext.base.signature.second.sign
     dx = sx * np.diff(V, axis=0)

@@ -1,7 +1,7 @@
 """Planar domain handling: polygon boundaries, classification, queries.
 
 A domain is a simple polygon, stored counterclockwise without a repeated
-closing vertex.  Containment, projection and region dispatch all work on
+closing vertex.  Containment, slicing and classification all work on
 that one vertex list, so they stay consistent with each other.
 """
 
@@ -283,34 +283,6 @@ class DomainSpec:
         s = np.clip((t - y0) / (y1 - y0), 0.0, 1.0)
         return x0 + s * (x1 - x0)
 
-    def project(self, x: float, y: float, direction: str) -> Optional[tuple]:
-        """Nearest boundary intersection of the axis ray from (x, y).
-
-        ``direction`` is one of 'x-', 'x+', 'y-', 'y+' ('x+' walks right).
-        Returns the intersection point or None when the ray misses.
-        """
-        v = self.vertices
-        x0s, y0s = v[:, 0], v[:, 1]
-        x1s, y1s = np.roll(x0s, -1), np.roll(y0s, -1)
-        best = None
-        if direction in ("x-", "x+"):
-            cond = (y0s > y) != (y1s > y)
-            idx = np.nonzero(cond)[0]
-            for i in idx:
-                xi = x0s[i] + (y - y0s[i]) * (x1s[i] - x0s[i]) / (y1s[i] - y0s[i])
-                d = xi - x if direction == "x+" else x - xi
-                if d >= -1e-14 and (best is None or d < best[0]):
-                    best = (d, (float(xi), float(y)))
-        else:
-            cond = (x0s > x) != (x1s > x)
-            idx = np.nonzero(cond)[0]
-            for i in idx:
-                yi = y0s[i] + (x - x0s[i]) * (y1s[i] - y0s[i]) / (x1s[i] - x0s[i])
-                d = yi - y if direction == "y+" else y - yi
-                if d >= -1e-14 and (best is None or d < best[0]):
-                    best = (d, (float(x), float(yi)))
-        return None if best is None else best[1]
-
     # -- classification ----------------------------------------------------
 
     def classify(self) -> DomainKind:
@@ -396,8 +368,7 @@ class DomainSpec:
         """Near every sampled boundary point, every nearby exterior probe
         must have at least one horizontal or vertical ray that escapes to
         infinity without re-intersecting the boundary.  A ray meets an
-        edge that crosses its line at a signed distance >= -1e-14 ahead,
-        as in ``project``."""
+        edge that crosses its line at a signed distance >= -1e-14 ahead."""
         v = self.vertices
         mids = 0.5 * (v + np.roll(v, -1, axis=0))
         samples = np.concatenate([v, mids])

@@ -20,7 +20,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import fixed_points as fp
-from .embedding import SYM4, build_embedding, check_order_preserving, run_corner_chains
+from .embedding import (SYM4, EmbeddedSystem, check_order_preserving,
+                        run_corner_chains)
 from .enclosure import METHOD_ENCLOSURE, corner_ranges
 from .errors import MonomapError, NonFiniteValue, UnsupportedDomain
 from .extension import ExtendedMap, audit_extension, extend
@@ -478,7 +479,7 @@ def _search_artificial(run: _Run) -> dict:
 
 def _run_chains(run: _Run) -> dict:
     cfg, ext, tol_fp = run.cfg, run.ext, run.tol_fp
-    sys = build_embedding(ext, SYM4)
+    sys = EmbeddedSystem(ext)
     order = check_order_preserving(sys, cfg["n_order_pairs"], rng=run.rng)
     if not order.ok:
         raise MonomapError(

@@ -17,9 +17,7 @@ from monomap import stability
 from monomap.embedding import (
     CONVERGED,
     STALLED,
-    SYM2,
-    SYM4,
-    build_embedding,
+    EmbeddedSystem,
     check_order_preserving,
     run_corner_chains,
 )
@@ -84,7 +82,7 @@ def test_criterion_1_eq8_end_to_end():
     assert not rep.has_artificial
     assert not rep.unresolved
 
-    sys4 = build_embedding(ext, SYM4)
+    sys4 = EmbeddedSystem(ext)
     lo, hi, stop = run_corner_chains(sys4, tol=1e-12 * (sys4.b - sys4.a))
     assert stop == CONVERGED
     assert np.allclose(lo.limit, x_star, atol=1e-8)
@@ -142,23 +140,26 @@ def test_criterion_3_xfy():
     spec, domain = make_xfy(lambda y: 2.0 / (1.0 + y))
     x0, x1, y0, y1 = domain.bbox
     ext = extend_rectangle(spec, Box(x0, x1, y0, y1))
-    sys2 = build_embedding(ext, SYM2)
+    sys4 = EmbeddedSystem(ext)
 
     # finite-difference Jacobian of the embedded map at the equilibrium
-    x_eq = np.array([1.0, 1.0])
+    # x* = 1, where F_x = 1 and F_y = -1/2: its eigenvalues solve
+    # (l^2 - l)^2 = 1/4, so l = (1 +- sqrt(3))/2 or (1 +- i)/2
+    x_eq = np.ones(4)
     h = 1e-6
-    J = np.empty((2, 2))
-    for j in range(2):
-        e = np.zeros(2)
+    J = np.empty((4, 4))
+    for j in range(4):
+        e = np.zeros(4)
         e[j] = h
-        J[:, j] = (sys2.step(x_eq + e) - sys2.step(x_eq - e)) / (2 * h)
+        J[:, j] = (sys4.step(x_eq + e) - sys4.step(x_eq - e)) / (2 * h)
     eig = np.sort(np.abs(np.linalg.eigvals(J)))
-    assert eig[0] == pytest.approx(0.5, abs=1e-4)
-    assert eig[1] == pytest.approx(1.5, abs=1e-4)
+    r3 = math.sqrt(3.0)
+    assert eig == pytest.approx(
+        [(r3 - 1) / 2, math.sqrt(0.5), math.sqrt(0.5), (1 + r3) / 2], abs=1e-4)
 
     # the chains settle on separate limits: their order interval stops
     # shrinking instead of closing
-    lo, hi, stop = run_corner_chains(sys2)
+    lo, hi, stop = run_corner_chains(sys4)
     assert stop == STALLED
     assert float(np.max(np.abs(lo.limit - hi.limit))) > 0.1
 
@@ -244,32 +245,31 @@ def test_criterion_5_order_and_bracketing():
     spec, domain = make_eq7(1.0, 1.0, 1.0)
     ext = extend_rectangle(spec, Box(0.0, 1.0, 0.0, 1.0))
     rng = np.random.default_rng(11)
-    for variant in (SYM2, SYM4):
-        sysv = build_embedding(ext, variant)
+    sys4 = EmbeddedSystem(ext)
 
-        audit = check_order_preserving(sysv, n_pairs=10_000, rng=rng)
-        assert audit.ok, variant
-        assert audit.n_pairs == 10_000
+    audit = check_order_preserving(sys4, n_pairs=10_000, rng=rng)
+    assert audit.ok
+    assert audit.n_pairs == 10_000
 
-        lo, hi, _ = run_corner_chains(sysv)
-        signs = sysv.order_signs
-        for chain, direction in ((lo, 1.0), (hi, -1.0)):
-            diffs = np.diff(chain.states, axis=0)
-            assert np.all(direction * signs * diffs >= -1e-9)
+    lo, hi, _ = run_corner_chains(sys4)
+    signs = sys4.order_signs
+    for chain, direction in ((lo, 1.0), (hi, -1.0)):
+        diffs = np.diff(chain.states, axis=0)
+        assert np.all(direction * signs * diffs >= -1e-9)
 
-        starts = rng.uniform(sysv.a, sysv.b, (100, sysv.state_dim))
-        lo_s = sysv.min_corner.copy()
-        hi_s = sysv.max_corner.copy()
-        mids = starts.copy()
-        checkpoints = {1, 10, 100}
-        for n in range(1, 101):
-            lo_s = sysv.step(lo_s)
-            hi_s = sysv.step(hi_s)
-            mids = sysv.step(mids)
-            if n in checkpoints:
-                for s in mids:
-                    assert sysv.precedes(lo_s, s, tol=1e-9), (variant, n)
-                    assert sysv.precedes(s, hi_s, tol=1e-9), (variant, n)
+    starts = rng.uniform(sys4.a, sys4.b, (100, sys4.state_dim))
+    lo_s = sys4.min_corner.copy()
+    hi_s = sys4.max_corner.copy()
+    mids = starts.copy()
+    checkpoints = {1, 10, 100}
+    for n in range(1, 101):
+        lo_s = sys4.step(lo_s)
+        hi_s = sys4.step(hi_s)
+        mids = sys4.step(mids)
+        if n in checkpoints:
+            for s in mids:
+                assert sys4.precedes(lo_s, s, tol=1e-9), n
+                assert sys4.precedes(s, hi_s, tol=1e-9), n
 
 
 @criterion("criterion 6: degenerate height detected, near-degenerate certified")

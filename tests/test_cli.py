@@ -220,6 +220,16 @@ class TestExitCodes:
         )
         assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 1
 
+    def test_refuted_verdict_is_1(self, tmp_path, capsys, monkeypatch):
+        from test_stability import _one_domain_exit
+
+        _one_domain_exit(monkeypatch)
+        cfg = write_cfg(tmp_path, EQ8_CFG)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "verdict: Refuted" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "certificate.json").read_text())
+        assert doc["verdict"] == "Refuted"
+
     def test_unsupported_domain_is_3(self, tmp_path):
         cfg = write_cfg(
             tmp_path,

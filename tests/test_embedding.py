@@ -10,26 +10,29 @@ from monomap.embedding import (
     MAX_ITER,
     MIN_CORNER,
     STALLED,
-    SYM2,
     SYM4,
-    build_embedding,
     check_order_preserving,
     run_corner_chains,
 )
 from monomap.errors import ChainMonotonicityBroken, EmbeddingUnavailable
 from monomap.examples import make_eq7, make_eq8
-from monomap.extension import extend, extend_rectangle
+from monomap.extension import ExtendedMap, extend, extend_rectangle
 from monomap.geometry import DomainSpec
 from monomap.map_model import (Box, DEC_INC, Direction, INC_DEC, MapSpec,
                                 MonotoneSignature, compile_expression)
 
 SQRT_HALF = 0.7071067811865476
 
+# certify's one embedding, passed to a test as ``embedding``; the test
+# ids carry its name, as certificate.json does
+ON_SYM4 = pytest.mark.parametrize("embedding", [EmbeddedSystem], ids=[SYM4])
+
 
 class TestConstruction:
-    @pytest.mark.parametrize("variant,dim", [(SYM2, 2), (SYM4, 4)])
-    def test_state_dimensions(self, eq7_ext, variant, dim):
-        sys = build_embedding(eq7_ext, variant)
+    @pytest.mark.parametrize("embedding,dim", [(EmbeddedSystem, 4)],
+                             ids=[f"{SYM4}-4"])
+    def test_state_dimensions(self, eq7_ext, embedding, dim):
+        sys = embedding(eq7_ext)
         assert sys.state_dim == dim
         assert sys.min_corner.shape == (dim,)
         assert sys.precedes(sys.min_corner, sys.max_corner)
@@ -44,49 +47,43 @@ class TestConstruction:
             spec = MapSpec(func, sig, Box(0.0, 1.0, 0.0, 1.0))
             ext = extend_rectangle(spec, Box(0.0, 1.0, 0.0, 1.0))
             with pytest.raises(EmbeddingUnavailable):
-                build_embedding(ext, SYM2)
+                EmbeddedSystem(ext)
 
     def test_non_square_rect_unavailable(self):
         func = lambda x, y: (1.0 + x) / (1.0 + x + y)
         spec = MapSpec(func, INC_DEC, Box(0.0, 1.0, 0.0, 2.0))
         ext = extend_rectangle(spec, Box(0.0, 1.0, 0.0, 2.0))
         with pytest.raises(EmbeddingUnavailable):
-            build_embedding(ext, SYM2)
+            EmbeddedSystem(ext)
 
 
 class TestStep:
-    def test_sym2_step_is_the_symmetrized_map(self, eq7_ext):
-        # F(x,y) = (1+x)/(1+x+y); G(x,y) = (F(x,y), F(y,x))
-        sys = build_embedding(eq7_ext, SYM2)
-        out = sys.step(np.array([0.0, 1.0]))
-        assert out == pytest.approx([0.5, 1.0])
-
     def test_diagonal_states_track_the_planar_map(self, eq7_ext):
         # the state (x, y, x, y) steps to (F(x, y), x, F(x, y), x): both
         # halves follow the companion map T(x, y) = (F(x, y), x)
-        sys = build_embedding(eq7_ext, SYM4)
+        sys = EmbeddedSystem(eq7_ext)
         t = sys.step(np.array([0.3, 0.6, 0.3, 0.6]))
         fx = float(eq7_ext.base(0.3, 0.6))
         assert t == pytest.approx([fx, 0.3, fx, 0.3], abs=1e-12)
 
     def test_batched_step_matches_scalar(self, eq7_ext, rng):
-        sys = build_embedding(eq7_ext, SYM4)
+        sys = EmbeddedSystem(eq7_ext)
         states = rng.uniform(0.0, 1.0, (50, 4))
         batch = sys.step(states)
         for i in range(50):
             assert batch[i] == pytest.approx(sys.step(states[i]), abs=1e-14)
 
     def test_step_stays_in_box(self, eq8_ext, rng):
-        sys = build_embedding(eq8_ext, SYM4)
+        sys = EmbeddedSystem(eq8_ext)
         states = rng.uniform(sys.a, sys.b, (200, 4))
         out = sys.step(states)
         assert np.all(out >= sys.a) and np.all(out <= sys.b)
 
 
 class TestOrderPreservation:
-    @pytest.mark.parametrize("variant", [SYM2, SYM4])
-    def test_random_ordered_pairs_stay_ordered(self, eq7_ext, variant):
-        sys = build_embedding(eq7_ext, variant)
+    @ON_SYM4
+    def test_random_ordered_pairs_stay_ordered(self, eq7_ext, embedding):
+        sys = embedding(eq7_ext)
         audit = check_order_preserving(
             sys, n_pairs=2000, rng=np.random.default_rng(7)
         )
@@ -94,9 +91,9 @@ class TestOrderPreservation:
         assert audit.n_pairs == 2000
 
     def test_order_audit_catches_a_broken_map(self, eq7_ext):
-        # declare the wrong variant ordering by lying about the signs
-        sys = build_embedding(eq7_ext, SYM2)
-        sys.order_signs = np.array([1.0, 1.0])  # wrong mask on purpose
+        # declare the wrong ordering by lying about the signs
+        sys = EmbeddedSystem(eq7_ext)
+        sys.order_signs = np.ones(4)  # wrong mask on purpose
         audit = check_order_preserving(
             sys, n_pairs=2000, rng=np.random.default_rng(8)
         )
@@ -105,17 +102,17 @@ class TestOrderPreservation:
 
 
 class TestCornerChains:
-    @pytest.mark.parametrize("variant", [SYM2, SYM4])
-    def test_chains_converge_to_the_equilibrium(self, eq7_ext, variant):
-        sys = build_embedding(eq7_ext, variant)
+    @ON_SYM4
+    def test_chains_converge_to_the_equilibrium(self, eq7_ext, embedding):
+        sys = embedding(eq7_ext)
         lo, hi, stop = run_corner_chains(sys)
         assert stop == CONVERGED
         assert np.allclose(lo.limit, SQRT_HALF, atol=1e-8)
         assert np.allclose(hi.limit, SQRT_HALF, atol=1e-8)
 
-    @pytest.mark.parametrize("variant", [SYM2, SYM4])
-    def test_stops_once_the_order_interval_closes(self, eq8_ext, variant):
-        sys = build_embedding(eq8_ext, variant)
+    @ON_SYM4
+    def test_stops_once_the_order_interval_closes(self, eq8_ext, embedding):
+        sys = embedding(eq8_ext)
         tol = 1e-9 * (sys.b - sys.a)
         lo, hi, stop = run_corner_chains(sys, tol=tol)
         assert stop == CONVERGED
@@ -124,7 +121,7 @@ class TestCornerChains:
         assert widths[-1] <= tol < np.min(widths[:-1])
 
     def test_chains_are_monotone_every_step(self, eq8_ext):
-        sys = build_embedding(eq8_ext, SYM4)
+        sys = EmbeddedSystem(eq8_ext)
         lo, hi, _ = run_corner_chains(sys)
         signs = sys.order_signs
         for chain, direction in ((lo, 1.0), (hi, -1.0)):
@@ -132,13 +129,13 @@ class TestCornerChains:
             assert np.all(direction * signs * diffs >= -1e-10 * (sys.b - sys.a))
 
     def test_eq8_limit(self, eq8_ext):
-        sys = build_embedding(eq8_ext, SYM4)
+        sys = EmbeddedSystem(eq8_ext)
         lo, hi, _ = run_corner_chains(sys)
         assert np.allclose(lo.limit, 0.7, atol=1e-6)
         assert np.allclose(hi.limit, 0.7, atol=1e-6)
 
     def test_bracketing_of_interior_orbits(self, eq7_ext, rng):
-        sys = build_embedding(eq7_ext, SYM4)
+        sys = EmbeddedSystem(eq7_ext)
         lo = sys.min_corner.copy()
         hi = sys.max_corner.copy()
         mids = rng.uniform(sys.a, sys.b, (20, 4))
@@ -157,23 +154,22 @@ class TestCornerChains:
         func = lambda x, y: x + 1e-7 * (0.5 - x) - 1e-9 * y
         spec = MapSpec(func, INC_DEC, Box(0.0, 1.0, 0.0, 1.0))
         ext = extend_rectangle(spec, Box(0.0, 1.0, 0.0, 1.0))
-        sys = build_embedding(ext, SYM2)
+        sys = EmbeddedSystem(ext)
         lo, hi, stop = run_corner_chains(sys, max_iter=100000)
         assert stop == STALLED
         assert lo.n_iter == hi.n_iter == 2000
 
     def test_max_iter_stop(self, eq8_ext):
-        sys = build_embedding(eq8_ext, SYM4)
+        sys = EmbeddedSystem(eq8_ext)
         lo, hi, stop = run_corner_chains(sys, max_iter=5)
         assert stop == MAX_ITER
         assert lo.n_iter == hi.n_iter == 5
 
 
 class _Rowwise:
-    """An embedded system whose step t of a state s becomes
+    """An embedded system whose corner step t of a state s becomes
     ``change(sys, s, t)`` for the states whose first coordinate satisfies
-    ``pick``.  The rule looks at each state alone, so stepping one state
-    or a batch sees the same changes."""
+    ``pick``.  The rule looks at each of the two states alone."""
 
     def __init__(self, sys, pick, change):
         self._sys = sys
@@ -184,14 +180,11 @@ class _Rowwise:
         return getattr(self._sys, name)
 
     def step_corners(self, s):
-        return None  # every chain step goes through step below
-
-    def step(self, state):
-        s = np.asarray(state, dtype=float)
-        t = self._sys.step(s)
-        hit = self._pick(s[..., 0])
+        t = np.reshape(self._sys.step_corners(s), (2, -1))
+        s = np.reshape(s, (2, -1))
+        hit = self._pick(s[:, 0])
         t[hit] = self._change(self._sys, s[hit], t[hit])
-        return t
+        return t.ravel().tolist()
 
 
 # a step run backwards: a chain through such a state loses monotonicity
@@ -208,16 +201,16 @@ class TestChainFaults:
     """A chain whose step goes against its direction raises
     ChainMonotonicityBroken naming that chain and the iteration."""
 
-    @pytest.mark.parametrize("variant", [SYM2, SYM4])
+    @ON_SYM4
     @pytest.mark.parametrize("fault,failing,iteration", [
         (_AT_MAX_CORNER, MAX_CORNER, 1),
         (_ON_MIN_CHAIN, MIN_CORNER, 3),
         # both chains are faulty; the first fault ends the run
         (lambda x: _AT_MAX_CORNER(x) | _ON_MIN_CHAIN(x), MAX_CORNER, 1),
     ], ids=["max_corner_only", "min_corner_only", "both"])
-    def test_failure_names_the_chain(self, eq7_ext, variant, fault, failing,
+    def test_failure_names_the_chain(self, eq7_ext, embedding, fault, failing,
                                      iteration):
-        sys = _Rowwise(build_embedding(eq7_ext, variant), fault, _REVERSE)
+        sys = _Rowwise(embedding(eq7_ext), fault, _REVERSE)
         with pytest.raises(ChainMonotonicityBroken) as got:
             run_corner_chains(sys)
         assert str(got.value).startswith(
@@ -260,7 +253,7 @@ class TestChainFaultsOnFloats:
     ], ids=["max_corner_only", "min_corner_only", "both"])
     def test_failure_names_the_chain(self, eq7_ext, monkeypatch, fault,
                                      failing, iteration):
-        sys = build_embedding(_faulty_rectangle_ext(eq7_ext, fault), SYM4)
+        sys = EmbeddedSystem(_faulty_rectangle_ext(eq7_ext, fault))
 
         def no_array_step(self, state):
             raise AssertionError("the chain left the float path")
@@ -340,17 +333,18 @@ def _chain_case(name):
     return spec, extend(spec, domain)
 
 
+_CHAIN_CASES = ["eq8 0.3", "eq8 0.49", "eq8 0.495", "eq7", "log",
+                "expression", "expression octagon"]
+
+
 class TestFloatChainsMatchArrayChains:
     """The float loop gives the bits of the array loop, with F evaluated
-    at the same number of points."""
+    at the same number of points, and never steps through arrays."""
 
-    @pytest.mark.parametrize("name,variant", [
-        ("eq8 0.3", SYM4), ("eq8 0.49", SYM4), ("eq8 0.495", SYM4),
-        ("eq8 0.49", SYM2), ("eq7", SYM4), ("log", SYM4),
-        ("expression", SYM4), ("expression octagon", SYM4),
-    ])
+    @pytest.mark.parametrize("name", _CHAIN_CASES,
+                             ids=[f"{n}-{SYM4}" for n in _CHAIN_CASES])
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-    def test_bitwise_equal(self, name, variant, monkeypatch):
+    def test_bitwise_equal(self, name, monkeypatch):
         spec, ext = _chain_case(name)
         points = [0]
         func = spec.func
@@ -360,19 +354,23 @@ class TestFloatChainsMatchArrayChains:
             return func(x, y)
 
         spec.func = counted
-        sys = build_embedding(ext, variant)
+        sys = EmbeddedSystem(ext)
         tol = 1e-8 * (sys.b - sys.a)
         want_states, want_norms, want_stop = _array_chains(sys, tol=tol)
         want_points, points[0] = points[0], 0
 
-        array_steps = [0]
-        step = EmbeddedSystem.step
+        def no_array_step(self, state):
+            raise AssertionError("the chain stepped through arrays")
 
-        def counted_step(self, state):
-            array_steps[0] += 1
-            return step(self, state)
+        ext_steps = [0]
+        ext_eval = ExtendedMap.eval
 
-        monkeypatch.setattr(EmbeddedSystem, "step", counted_step)
+        def counted_eval(self, x, y):
+            ext_steps[0] += 1
+            return ext_eval(self, x, y)
+
+        monkeypatch.setattr(EmbeddedSystem, "step", no_array_step)
+        monkeypatch.setattr(ExtendedMap, "eval", counted_eval)
         lo, hi, stop = run_corner_chains(sys, tol=tol)
         assert stop == want_stop
         assert stop == (STALLED if name.startswith("expression") else CONVERGED)
@@ -380,14 +378,11 @@ class TestFloatChainsMatchArrayChains:
             assert chain.states.tobytes() == want_states[c].tobytes()
             assert chain.step_norms.tobytes() == want_norms[c].tobytes()
         assert points[0] == want_points
-        n_steps = lo.n_iter
-        if variant == SYM2:
-            assert array_steps[0] == n_steps
-        elif ext.engine is None:
-            assert array_steps[0] == 0  # every point of the box is F's
+        if ext.engine is None:
+            assert ext_steps[0] == 0  # every point of the box is F's
         else:
-            # the corner steps leave the domain; the rest stay on floats
-            assert 0 < array_steps[0] < n_steps / 2
+            # the corner steps leave the domain; the rest call F alone
+            assert 0 < ext_steps[0] < lo.n_iter / 2
 
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -398,7 +393,7 @@ class TestFloatChainsMatchArrayChains:
         spec = MapSpec(compile_expression("(1 + x) / (1 + x + y) + 0 * log(y)",
                                           {}),
                        INC_DEC, Box(0.0, 1.0, 0.0, 1.0))
-        sys = build_embedding(extend_rectangle(spec, spec.box), SYM4)
+        sys = EmbeddedSystem(extend_rectangle(spec, spec.box))
         want_states, want_norms, want_stop = _array_chains(sys, max_iter=2500)
         assert np.isnan(want_states[:, -1]).all()
         # the closing order check fails on NaN limits; skip it here
@@ -414,7 +409,7 @@ class TestChainArtifacts:
     def test_to_dict_round_trips_through_json(self, eq7_ext):
         import json
 
-        sys = build_embedding(eq7_ext, SYM2)
+        sys = EmbeddedSystem(eq7_ext)
         lo, _, _ = run_corner_chains(sys)
         doc = json.loads(json.dumps(lo.to_dict()))
         assert doc["n_iter"] == lo.n_iter

@@ -52,6 +52,23 @@ def _random_convex_case(rng):
     return MapSpec(func, sig, Box(*domain.bbox)), domain
 
 
+# a flat bottom edge whose left end is the leftmost vertex, in the
+# engine's frame (dec_inc) and, mirrored, in the swapped one (inc_dec)
+_FLAT_BOTTOM_CASES = [
+    (lambda x, y: (1.0 + y) / (1.0 + x), DEC_INC, [(0, 0), (1, 0), (1, 1)]),
+    (lambda x, y: (1.0 + y) / (1.0 + x), DEC_INC,
+     [(0, 0), (1, 0), (1.2, 1), (0.4, 1.2)]),
+    (lambda x, y: (1.0 + x) / (1.0 + y), INC_DEC, [(0, 0), (1, 1), (0, 1)]),
+    (lambda x, y: y - x * x, DEC_INC, [(0, 0), (1, 0), (1, 1)]),
+]
+
+
+def _flat_bottom_case(k):
+    func, sig, verts = _FLAT_BOTTOM_CASES[k]
+    domain = DomainSpec.polygon(verts)
+    return MapSpec(func, sig, Box(*domain.bbox)), domain
+
+
 class TestRectangleExtension:
     def test_is_the_base_map(self, eq7_ext):
         spec = eq7_ext.base
@@ -116,6 +133,30 @@ class TestConvexExtension:
         for x in np.linspace(x0, x1, 9):
             vals = [eq8_ext.eval(x, y) for y in ys]
             assert np.all(np.diff(vals) <= 1e-9)
+
+
+class TestFlatBottom:
+    """On a flat bottom edge that starts at the leftmost vertex the left
+    wall sits at that vertex, so the edge lies in the base zone."""
+
+    @pytest.mark.parametrize("k", range(len(_FLAT_BOTTOM_CASES)))
+    def test_extension_is_f_on_the_boundary_and_audits(self, k):
+        spec, domain = _flat_bottom_case(k)
+        ext = extend(spec, domain)
+        audit = audit_extension(ext, rng=np.random.default_rng(k))
+        # y - x^2 peaks inside an edge, which the sampled range misses,
+        # so its range check fails; that is a defect of the range check
+        assert audit.continuity_ok and audit.agreement_ok
+        assert audit.monotone_ok and audit.n_monotone_violations == 0
+        if k < 3:
+            assert audit.all_ok
+        v = domain.vertices
+        t = np.linspace(0.0, 1.0, 41)[:, None, None]
+        edge = (v + t * (np.roll(v, -1, axis=0) - v)).reshape(-1, 2)
+        lo, hi = ext.base_range
+        np.testing.assert_allclose(
+            ext.eval(edge[:, 0], edge[:, 1]), spec(edge[:, 0], edge[:, 1]),
+            rtol=0, atol=1e-14 * max(1.0, hi - lo))
 
 
 class TestSwappedSignature:
@@ -206,6 +247,15 @@ class TestSerialization:
         assert not audit.nice_ok
         assert audit.range_inflation == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("side", range(4))
+    def test_rectangle_must_be_the_domain_bounding_box(self, eq8_ext, side):
+        # extend only builds the bounding box; a stored rectangle grown
+        # on any side is refused, not evaluated
+        data = json.loads(dumps_json(eq8_ext.to_dict()))
+        data["rect"][side] += 0.5 if side % 2 else -0.5
+        with pytest.raises(ValueError, match="bounding box"):
+            ExtendedMap.from_dict(data, eq8_ext.base)
+
     def test_loaded_rectangle_has_no_domain(self, eq7_ext):
         loaded = ExtendedMap.from_dict(eq7_ext.to_dict(), eq7_ext.base)
         assert loaded.domain is None and loaded.engine is None
@@ -277,6 +327,7 @@ class TestOnePointZoneTest:
         rng = np.random.default_rng(20261019)
         cases = [_random_convex_case(rng) for _ in range(8)]
         cases += [_notched_square_case(rng, k) for k in range(16)]
+        cases += [_flat_bottom_case(k) for k in range(len(_FLAT_BOTTOM_CASES))]
         seen = set()
         for k, (spec, domain) in enumerate(cases):
             ext = extend(spec, domain)
@@ -356,7 +407,7 @@ class TestSectorZones:
                 xb, yb = x[base], y[base]
                 sub = np.full(xb.shape, _Z_BASE)
                 for j, s in enumerate(engine.sectors):
-                    hit = s.contains(xb, yb, 0.0) & (sub == _Z_BASE)
+                    hit = s.contains(xb, yb) & (sub == _Z_BASE)
                     sub[hit & ~_even_odd(xb, yb, engine.omega)] = (
                         _Z_SECTOR + j)
                 want[base] = sub

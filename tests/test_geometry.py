@@ -269,16 +269,41 @@ class TestMetrics:
         assert big.chord_tol > small.chord_tol
 
 
+def _project(d, x, y, direction):
+    """Nearest boundary intersection of the axis ray from (x, y), one
+    edge at a time: ``direction`` is one of 'x-', 'x+', 'y-', 'y+' ('x+'
+    walks right).  An edge that crosses the ray's line at a signed
+    distance >= -1e-14 ahead is hit.  None when the ray misses."""
+    v = d.vertices
+    if direction[0] == "y":  # mirror in the diagonal: y-rays become x-rays
+        v, x, y = v[:, ::-1], y, x
+    x0s, y0s = v[:, 0], v[:, 1]
+    x1s, y1s = np.roll(x0s, -1), np.roll(y0s, -1)
+    best = None
+    for i in np.flatnonzero((y0s > y) != (y1s > y)):
+        xi = x0s[i] + (y - y0s[i]) * (x1s[i] - x0s[i]) / (y1s[i] - y0s[i])
+        ahead = xi - x if direction[1] == "+" else x - xi
+        if ahead >= -1e-14 and (best is None or ahead < best[0]):
+            best = (ahead, float(xi))
+    if best is None:
+        return None
+    return (best[1], float(y)) if direction[0] == "x" else (float(y), best[1])
+
+
 class TestProjection:
+    """The axis-ray reference of the exterior-ray test."""
+
     def test_axis_ray_hits_nearest_boundary(self):
         d = DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0)
-        px, py = d.project(2.0, 0.5, "x-")
+        px, py = _project(d, 2.0, 0.5, "x-")
         assert px == pytest.approx(1.0, abs=1e-9)
         assert py == pytest.approx(0.5, abs=1e-9)
+        assert _project(d, 0.25, -1.0, "y+") == (0.25, 0.0)
 
     def test_axis_ray_misses(self):
         d = DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0)
-        assert d.project(2.0, 0.5, "x+") is None
+        assert _project(d, 2.0, 0.5, "x+") is None
+        assert _project(d, 0.25, -1.0, "y-") is None
 
 
 class TestSlices:
@@ -343,7 +368,7 @@ def _ray_test_one_probe_at_a_time(d):
             sx, sy = px + ox * eps, py + oy * eps
             if int(d.contains(sx, sy)) != -1:
                 continue
-            if all(d.project(sx, sy, k) is not None
+            if all(_project(d, sx, sy, k) is not None
                    for k in ("x+", "x-", "y+", "y-")):
                 return False
     return True

@@ -45,6 +45,7 @@ class TestMonotonicityAudit:
         assert audit.witness is not None
         assert audit.worst_violation > 0
 
+    @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_non_finite_raises(self):
         spec = MapSpec(
             lambda x, y: (1.0 + x) / (x + y - x - y),

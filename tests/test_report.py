@@ -13,7 +13,7 @@ from monomap.report import (
     write_json,
     write_orbits_csv,
 )
-from monomap.embedding import SYM4, build_embedding, run_corner_chains
+from monomap.embedding import EmbeddedSystem, run_corner_chains
 from monomap.geometry import DomainSpec
 from monomap.stability import certify
 
@@ -40,7 +40,7 @@ class TestJson:
 
 class TestCsv:
     def test_chains_csv(self, tmp_path, eq8_ext):
-        sys = build_embedding(eq8_ext, SYM4)
+        sys = EmbeddedSystem(eq8_ext)
         lo, hi, _ = run_corner_chains(sys)
         path = tmp_path / "chains.csv"
         write_chains_csv(path, lo, hi)

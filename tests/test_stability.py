@@ -11,6 +11,7 @@ from monomap.map_model import Box, DEC_INC, INC_DEC, MapSpec
 from monomap.stability import (
     GLOBALLY_STABLE,
     INCONCLUSIVE,
+    REFUTED,
     certify,
     iterate_orbit,
     verify_invariance,
@@ -813,6 +814,36 @@ class TestSoundnessGate:
         cert = self._certify(eq8_problem)
         assert cert.verdict == INCONCLUSIVE
         assert cert.verdict_detail["stage"] in ("embedding", "corner_chains")
+
+
+def _one_domain_exit(monkeypatch):
+    """Make certify's orbit ensemble report that one orbit left the
+    domain, with everything else it measured unchanged."""
+    real = stab._run_ensemble
+
+    def one_exit(*a, **k):
+        finals, _, traces, settled = real(*a, **k)
+        return finals, 1, traces, settled
+
+    monkeypatch.setattr(stab, "_run_ensemble", one_exit)
+
+
+class TestRefuted:
+    def test_an_orbit_leaving_the_domain_refutes(self, eq8_problem,
+                                                monkeypatch):
+        _one_domain_exit(monkeypatch)
+        cert = certify(*eq8_problem)
+        assert cert.verdict == REFUTED
+        assert not cert.globally_stable
+        assert [s["status"] for s in cert.stages[:-1]] == ["passed"] * 6
+        dev = cert.orbit_ensemble["max_final_deviation"]
+        assert cert.stages[-1] == {"stage": "orbit_ensemble",
+                                   "status": "failed", "n_domain_exits": 1,
+                                   "max_final_deviation": dev}
+        assert cert.verdict_detail == {
+            "reason": "a sampled orbit contradicts the certificate",
+            "n_domain_exits": 1, "max_final_deviation": dev}
+        assert cert.orbit_ensemble["n_domain_exits"] == 1
 
 
 class TestVerdictVocabulary:
