@@ -8,13 +8,13 @@ README for the key reference).  Every pass/fail threshold is fixed and
 scaled to the problem: the fixed-point tolerance tol_fp is 1e-9 of the
 box span, and certify stops the corner chains once their order interval
 is at most 10 * tol_fp wide.  Each command accepts only the ``[run]``
-keys it reads (extend: seed, audit_grid; fixedpoints: n_grid; certify:
-seed, n_grid, n_orbits, orbit_steps, max_iter, audit_grid,
-n_order_pairs; simulate: seed, steps, n_orbits, x0, x_m1), and every
-``[run]`` size among them must be at least 1.  Certify always runs the
-4-dimensional embedding (Sym4).  Simulate runs one orbit from (x0, x_m1)
-when both are given, n_orbits random starts when neither is, and
-rejects one without the other, or n_orbits beside them.  ``[map]``
+keys it reads (extend: seed; fixedpoints: n_grid; certify: seed, n_grid,
+n_orbits, orbit_steps, max_iter, n_order_pairs; simulate: seed, steps,
+n_orbits, x0, x_m1), and every ``[run]`` size among them must be at
+least 1.  Certify always runs the 4-dimensional embedding (Sym4).
+Simulate runs one orbit from (x0, x_m1) when both are given, n_orbits
+random starts when neither is, and rejects one without the other, or
+n_orbits beside them.  ``[map]``
 names a family (eq7, eq8, xfy or expression); each is an expression
 compiled by ``map_model.compile_expression``, and a key the family does
 not read, or a parameter the expression never names, is a configuration
@@ -65,10 +65,10 @@ EXIT_CONFIG = 4
 
 # the [run] keys each command reads; giving it any other is an error
 _COMMAND_RUN_KEYS = {
-    "extend": {"seed", "audit_grid"},
+    "extend": {"seed"},
     "fixedpoints": {"n_grid"},
     "certify": {"seed", "n_grid", "n_orbits", "orbit_steps", "max_iter",
-                "audit_grid", "n_order_pairs"},
+                "n_order_pairs"},
     "simulate": {"seed", "steps", "n_orbits", "x0", "x_m1"},
 }
 
@@ -216,9 +216,7 @@ def cmd_extend(cfg: dict, out: Path, seed: int) -> int:
     if _signature_fails(spec):
         return EXIT_AUDIT_FAIL
     ext = extend(spec, domain)
-    rng = np.random.default_rng(seed)
-    grid_n = _as_int(cfg["run"], "audit_grid", 100)
-    audit = audit_extension(ext, grid_n=grid_n, rng=rng)
+    audit = audit_extension(ext, rng=np.random.default_rng(seed))
     report.write_json(out / "extension.json", ext.to_dict())
     report.write_json(out / "extension_audit.json", audit.to_dict())
     (out / "pieces.svg").write_text(report.render_pieces_svg(ext))

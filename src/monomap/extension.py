@@ -56,7 +56,7 @@ from .errors import (
     UnsupportedDomain,
 )
 from .map_model import Box, DEC_INC, MapSpec
-from .geometry import DomainKind, DomainSpec, EdgeTable
+from .geometry import DomainKind, DomainSpec, EdgeTable, _signed_area
 
 SCHEMA_VERSION = 1
 
@@ -435,11 +435,6 @@ class ExtensionPiece:
         }
 
 
-def _poly_area(p: np.ndarray) -> float:
-    x, y = p[:, 0], p[:, 1]
-    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
-
-
 def _rect_poly(x0, x1, y0, y1):
     return np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)], dtype=float)
 
@@ -453,12 +448,14 @@ _Z_SECTOR = 100  # + sector index
 
 
 class _Engine:
-    def __init__(self, func: Callable, omega: np.ndarray, rect: Box,
-                 tol_val: float):
+    def __init__(self, func: Callable, omega: np.ndarray, rect: Box):
         self.func = func
         self.rect = rect
         self.omega = omega  # ccw polyline, no repeated end vertex
-        self.tol_val = tol_val
+        # the noise scale of boundary values: 1e-12 of F's spread at the
+        # vertices
+        fv = np.asarray(func(omega[:, 0], omega[:, 1]), dtype=float)
+        self.tol_val = 1e-12 * max(1.0, float(fv.max() - fv.min()))
         self.geom_tol = 1e-12 * rect.diam
 
         self._close_sectors()
@@ -746,7 +743,7 @@ class _Engine:
 
         def add(rule, poly, **meta):
             poly = np.asarray(poly, dtype=float)
-            if len(poly) >= 3 and _poly_area(poly) > g * g:
+            if len(poly) >= 3 and abs(_signed_area(poly)) > g * g:
                 pieces.append(ExtensionPiece(rule, poly, meta))
 
         # SW side: slabs between vertical flats
@@ -1011,8 +1008,9 @@ def _swap_piece(p: ExtensionPiece) -> ExtensionPiece:
 class ExtendedMap:
     """Piecewise evaluator for the extension of a map to a rectangle.
 
-    ``base_range`` is the sampled range of the base map on the domain; it
-    is None for a rectangle, where the map is its own extension.
+    ``base_range`` is the range of the base map on the domain, read off
+    the SE and NW boundary tables (see :func:`extend`); it is None for a
+    rectangle, where the map is its own extension.
     """
 
     def __init__(self, base: MapSpec, rect: Box, domain: Optional[DomainSpec],
@@ -1133,20 +1131,6 @@ def _swap_frame(func: Callable, rect: Box, verts: np.ndarray, swapped: bool):
             verts[::-1, ::-1].copy())
 
 
-def _sampled_range(map_spec: MapSpec, domain: DomainSpec, n: int = 120):
-    x0, x1, y0, y1 = domain.bbox
-    gx = np.linspace(x0, x1, n)
-    gy = np.linspace(y0, y1, n)
-    X, Y = np.meshgrid(gx, gy, indexing="ij")
-    inside = domain.contains(X.ravel(), Y.ravel()) >= 0
-    vals = np.asarray(map_spec(X.ravel()[inside], Y.ravel()[inside]), dtype=float)
-    bx = domain.vertices[:, 0]
-    by = domain.vertices[:, 1]
-    bv = np.asarray(map_spec(bx, by), dtype=float)
-    allv = np.concatenate([vals, bv])
-    return float(allv.min()), float(allv.max())
-
-
 def extend_rectangle(map_spec: MapSpec, rect: Box) -> ExtendedMap:
     """The trivial extension: on a rectangle the map is its own extension."""
     return ExtendedMap(map_spec, rect, None, None, swapped=False)
@@ -1159,6 +1143,17 @@ def extend(map_spec: MapSpec, domain: DomainSpec) -> ExtendedMap:
     A rectangle is its own extension.  Convex and semi-convex domains go
     through the one zone construction (a convex domain simply has no
     sectors); a domain that fails the exterior-ray test is rejected.
+
+    F's range on the domain is read off the SE and NW boundary tables.
+    In the engine's frame F decreases in x and increases in y: a vertical
+    ray from an interior point meets the boundary above (F higher) and
+    below (F lower); of two boundary points at one height the left one
+    has the higher F; F is monotone along the SW and NE chains, towards L
+    and T or B and R; and a sector's chord values are fills between its
+    two arcs, whose least values sit at chord ends.  So F is least on the
+    SE chain and greatest on the NW chain, and every chain vertex, chord
+    end and edge extremum ``_insert_breakpoints`` finds is a knot of
+    their tables.
     """
     kind = domain.classify()
     if kind == DomainKind.RECTANGLE:
@@ -1174,8 +1169,8 @@ def extend(map_spec: MapSpec, domain: DomainSpec) -> ExtendedMap:
     rect = Box(*domain.bbox)
     func, crect, pts = _swap_frame(map_spec, rect, domain.vertices.copy(),
                                    swapped)
-    lo, hi = _sampled_range(map_spec, domain)
-    engine = _Engine(func, pts, crect, 1e-12 * max(1.0, hi - lo))
+    engine = _Engine(func, pts, crect)
+    lo, hi = float(engine.t_se.fs.min()), float(engine.t_nw.fs.max())
     return ExtendedMap(map_spec, rect, domain, engine, swapped,
                        base_range=(lo, hi))
 

@@ -34,7 +34,6 @@ import numpy as np
 
 from .enclosure import METHOD_ENCLOSURE, corner_ranges
 from .errors import ContinuumOfFixedPoints, ParamConstraint
-from .extension import ExtendedMap
 
 SCHEMA_VERSION = 3
 
@@ -137,12 +136,12 @@ def _narrow(F, lo, hi, glo, ghi):
 
 
 def find_equilibria(
-    target,
+    F,
     interval: Tuple[float, float],
     n_grid: int = 256,
 ) -> List[Tuple[float, float]]:
     """Roots of g(x) = F(x, x) - x on [a, b], as (root, residual) pairs,
-    for an extension or a vectorized callable F.
+    for any vectorized callable F, an extension included.
 
     g is sampled on n_grid equal cells.  A node where g is exactly 0 is a
     root; every cell where g changes sign is narrowed (`_narrow`) until
@@ -150,7 +149,6 @@ def find_equilibria(
     root, with |g| there as its residual.  Roots less than 1e-6 of b - a
     apart are merged.
     """
-    F = target.eval if isinstance(target, ExtendedMap) else target
     a, b = float(interval[0]), float(interval[1])
     sep_min = _SEP_MIN * (b - a)
     xs = np.linspace(a, b, n_grid + 1)

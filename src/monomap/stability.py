@@ -330,14 +330,13 @@ _DEFAULTS = {
     "n_orbits": 100,
     "orbit_steps": 10000,
     "n_order_pairs": 1000,
-    "audit_grid": 100,
     "max_iter": 100000,
     "seed": 0,
 }
 
 # run sizes (grid cells, samples, orbits, steps; ``steps`` is simulate's)
-SIZE_KEYS = ("n_grid", "n_orbits", "orbit_steps", "max_iter", "audit_grid",
-             "n_order_pairs", "steps")
+SIZE_KEYS = ("n_grid", "n_orbits", "orbit_steps", "max_iter", "n_order_pairs",
+             "steps")
 
 
 def check_sizes(sizes: dict) -> None:
@@ -446,7 +445,7 @@ def _check_invariance(run: _Run) -> dict:
 
 def _build_extension(run: _Run) -> dict:
     ext = extend(run.spec, run.domain)
-    aud = audit_extension(ext, grid_n=run.cfg["audit_grid"], rng=run.rng)
+    aud = audit_extension(ext, rng=run.rng)
     run.cert.extension_audit = aud.to_dict()
     if not aud.all_ok:
         raise MonomapError("extension audit failed")

@@ -309,7 +309,6 @@ class TestExitCodes:
             "n_orbits": ("certify", "simulate"),
             "orbit_steps": ("certify",),
             "max_iter": ("certify",),
-            "audit_grid": ("extend", "certify"),
             "n_order_pairs": ("certify",),
             "steps": ("simulate",),
         }[key]
@@ -329,6 +328,16 @@ class TestExitCodes:
         assert "n_boundary" in capsys.readouterr().err
         with pytest.raises(ValueError, match="n_boundary"):
             certify(*make_eq8(1.0, 0.3), {"n_boundary": 5})
+
+    def test_removed_audit_grid_key_is_4(self, tmp_path, capsys):
+        # the extension audit always runs its 100 x 100 grid
+        cfg = write_cfg(tmp_path, EQ8_CFG + "audit_grid = 100\n")
+        for command in ("extend", "certify"):
+            assert main([command, "--config", cfg,
+                         "--out", str(tmp_path)]) == 4
+            assert "audit_grid" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="audit_grid"):
+            certify(*make_eq8(1.0, 0.3), {"audit_grid": 100})
 
     def test_removed_variant_key_is_4(self, tmp_path, capsys, monkeypatch):
         # certify runs only the Sym4 embedding; the key is rejected before
@@ -369,7 +378,7 @@ class TestExitCodes:
         ("extend", "n_orbits = 5\nx0 = 5\n", "n_orbits, x0"),
         ("extend", "n_grid = 64\n", "n_grid"),
         ("fixedpoints", "max_iter = 10\n", "max_iter"),
-        ("fixedpoints", "audit_grid = 50\n", "audit_grid"),
+        ("fixedpoints", "n_order_pairs = 50\n", "n_order_pairs"),
         ("certify", "x0 = 0.5\nsteps = 10\n", "steps, x0"),
         ("simulate", "max_iter = 10\n", "max_iter"),
         ("simulate", "orbit_steps = 500\nsteps = 10\n", "orbit_steps"),

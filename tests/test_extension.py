@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from test_stability import _notched_square_case
 
+from monomap.cli import main
 from monomap.errors import (
     NonMonotoneInducedEdge,
     OutsideRect,
@@ -144,12 +145,7 @@ class TestFlatBottom:
         spec, domain = _flat_bottom_case(k)
         ext = extend(spec, domain)
         audit = audit_extension(ext, rng=np.random.default_rng(k))
-        # y - x^2 peaks inside an edge, which the sampled range misses,
-        # so its range check fails; that is a defect of the range check
-        assert audit.continuity_ok and audit.agreement_ok
-        assert audit.monotone_ok and audit.n_monotone_violations == 0
-        if k < 3:
-            assert audit.all_ok
+        assert audit.all_ok and audit.n_monotone_violations == 0
         v = domain.vertices
         t = np.linspace(0.0, 1.0, 41)[:, None, None]
         edge = (v + t * (np.roll(v, -1, axis=0) - v)).reshape(-1, 2)
@@ -157,6 +153,60 @@ class TestFlatBottom:
         np.testing.assert_allclose(
             ext.eval(edge[:, 0], edge[:, 1]), spec(edge[:, 0], edge[:, 1]),
             rtol=0, atol=1e-14 * max(1.0, hi - lo))
+
+
+# y - x^2 (dec_inc) peaks at 0.25 inside the edge from (0, 0) to (1, 1)
+_EDGE_PEAK_DOMAINS = [
+    [(0, 0), (1, 0.02), (1, 1)],
+    [(0, 0), (0.6, -0.5), (1, 1)],
+    [(0, 0), (1, -0.3), (1.1, 0.5), (1, 1)],
+]
+
+
+class TestBaseRange:
+    """``base_range`` is F's range on the domain, read off the SE and NW
+    boundary tables."""
+
+    @pytest.mark.parametrize("verts", _EDGE_PEAK_DOMAINS)
+    def test_maximum_inside_an_edge(self, verts):
+        domain = DomainSpec.polygon(verts)
+        spec = MapSpec(lambda x, y: y - x * x, DEC_INC, Box(*domain.bbox))
+        ext = extend(spec, domain)
+        audit = audit_extension(ext, rng=np.random.default_rng(0))
+        assert ext.base_range[1] == 0.25
+        assert audit.range_inflation == 0.0
+        assert audit.nice_ok and audit.all_ok
+
+    def test_extend_command_passes_the_audit(self, tmp_path):
+        verts = ";".join(f"{x},{y}" for x, y in _EDGE_PEAK_DOMAINS[0])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[map]\nfamily = expression\nexpr = y - x*x\n"
+                       "signature = dec_inc\n\n[domain]\nkind = polygon\n"
+                       f"vertices = {verts}\n")
+        assert main(["extend", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        audit = json.loads((tmp_path / "extension_audit.json").read_text())
+        assert audit["nice_ok"] and audit["range_inflation"] == 0.0
+
+    def test_seeded_ranges_hold_f_on_the_boundary(self):
+        # F at every vertex, sector arcs included, and at 2,000 points on
+        # every edge lies in the range to within 1e-12 of its spread
+        rng = np.random.default_rng(20261019)
+        cases = [_random_convex_case(rng) for _ in range(100)]
+        cases += [_notched_square_case(rng, k) for k in range(100)]
+        t = np.linspace(0.0, 1.0, 2000)[:, None, None]
+        seen = set()
+        for k, (spec, domain) in enumerate(cases):
+            ext = extend(spec, domain)
+            lo, hi = ext.base_range
+            v = domain.vertices
+            edge = (v + t * (np.roll(v, -1, axis=0) - v)).reshape(-1, 2)
+            f = spec(edge[:, 0], edge[:, 1])
+            slack = 1e-12 * (hi - lo)
+            assert lo - slack <= f.min() and f.max() <= hi + slack, k
+            seen.add((spec.signature, len(ext.engine.sectors) > 0))
+        assert seen == {(sig, notched) for sig in (INC_DEC, DEC_INC)
+                        for notched in (False, True)}
 
 
 class TestSwappedSignature:
