@@ -37,14 +37,22 @@ The outer construction then sees the closed domain, reading boundary
 values on the chord from the sector fill.
 
 All exterior rules evaluate the base map at exactly-projected boundary
-points, so agreement on the domain, continuity across piece borders and
-weak monotonicity hold to floating-point accuracy.
+points, so continuity across piece borders and weak monotonicity hold to
+floating-point accuracy.  Inside the domain the extension is the base map
+itself; on the domain's boundary an exterior rule may claim a point, and
+there it reproduces the base map only to rounding (by up to
+6.9e-14·max(1, spread of F) on the benchmark's random domains).
+
+Evaluation runs on tables built once per engine: each interpolant and
+crossing is stored per result of its knot search, so a call makes one
+search per table and the interpolation arithmetic on the gathered rows.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -67,42 +75,47 @@ SCHEMA_VERSION = 1
 
 
 class _SparseTable:
-    """O(1) windowed min/max over a fixed array (inclusive index ranges)."""
+    """O(1) windowed min/max over a fixed array (inclusive index ranges).
+    Every level lives in one flat array, so a query is two gathers."""
 
     def __init__(self, values: np.ndarray):
         v = np.asarray(values, dtype=float)
         self.n = len(v)
-        self.mins = [v]
-        self.maxs = [v]
+        mins, maxs = [v], [v]
         k = 1
         while (1 << k) <= self.n:
             half = 1 << (k - 1)
-            prev_min, prev_max = self.mins[-1], self.maxs[-1]
-            self.mins.append(np.minimum(prev_min[:-half], prev_min[half:]))
-            self.maxs.append(np.maximum(prev_max[:-half], prev_max[half:]))
+            prev_min, prev_max = mins[-1], maxs[-1]
+            mins.append(np.minimum(prev_min[:-half], prev_min[half:]))
+            maxs.append(np.maximum(prev_max[:-half], prev_max[half:]))
             k += 1
+        self.mins = np.concatenate(mins)
+        self.maxs = np.concatenate(maxs)
+        # where each window length's level floor(log2 L) starts, for the
+        # window's first and for its last 2**level entries; length 0, an
+        # empty window that the fill answers, reads level 0
+        lo_at, hi_at, start = [0], [0], 0
+        for k, t in enumerate(mins):
+            count = min(1 << k, self.n - (1 << k) + 1)
+            lo_at += [start] * count
+            hi_at += [start - (1 << k) + 1] * count
+            start += len(t)
+        self._lo_at = np.array(lo_at)
+        self._hi_at = np.array(hi_at)
 
     def query(self, lo: np.ndarray, hi: np.ndarray, want_max: bool):
         """Vectorized min/max over inclusive [lo, hi]; empty ranges give
         +inf (min) or -inf (max)."""
         lo = np.asarray(lo, dtype=np.int64)
         hi = np.asarray(hi, dtype=np.int64)
-        out = np.full(lo.shape, -np.inf if want_max else np.inf)
-        ok = lo <= hi
-        if not np.any(ok):
-            return out
-        length = hi[ok] - lo[ok] + 1
-        k = np.int64(np.floor(np.log2(length)))
+        length = hi - lo + 1
+        ok = length > 0
+        np.maximum(length, 0, out=length)
         table = self.maxs if want_max else self.mins
-        a = np.empty(length.shape)
-        b = np.empty(length.shape)
-        for level in np.unique(k):
-            m = k == level
-            t = table[int(level)]
-            a[m] = t[lo[ok][m]]
-            b[m] = t[hi[ok][m] - (1 << int(level)) + 1]
-        out[ok] = np.maximum(a, b) if want_max else np.minimum(a, b)
-        return out
+        a = table[self._lo_at[length] + lo]
+        b = table[self._hi_at[length] + hi]
+        out = np.maximum(a, b) if want_max else np.minimum(a, b)
+        return np.where(ok, out, -np.inf if want_max else np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +130,11 @@ def _insert_breakpoints(pts: np.ndarray, srcs: np.ndarray, valfuncs, tol: float)
     srcs = np.asarray(srcs, dtype=int)[: max(len(pts) - 1, 0)]
     for _ in range(12):
         p0, p1 = pts[:-1], pts[1:]
-        probes = []
-        for lam in (0.25, 0.5, 0.75):
-            q = p0 + lam * (p1 - p0)
-            probes.append(_eval_src(q[:, 0], q[:, 1], srcs, valfuncs))
-        f0 = _eval_src(pts[:-1, 0], pts[:-1, 1], srcs, valfuncs)
-        f1 = _eval_src(pts[1:, 0], pts[1:, 1], srcs, valfuncs)
-        seq = np.stack([f0] + probes + [f1])
+        # each edge's start, three probes and end, in one evaluation
+        q = np.stack([p0] + [p0 + lam * (p1 - p0) for lam in (0.25, 0.5, 0.75)]
+                     + [p1])
+        seq = _eval_src(q[..., 0].ravel(), q[..., 1].ravel(),
+                        np.tile(srcs, 5), valfuncs).reshape(5, -1)
         d = np.diff(seq, axis=0)
         pos = d > tol
         neg = d < -tol
@@ -179,6 +190,10 @@ def _eval_src(x, y, srcs, valfuncs):
     srcs = np.asarray(srcs)
     if srcs.size == 0:
         return out
+    first = srcs.flat[0]
+    if (srcs == first).all():  # one source: no split
+        out[...] = valfuncs[int(first)](x, np.asarray(y))
+        return out
     for s in np.unique(srcs):
         m = srcs == s
         out[m] = valfuncs[int(s)](x[m], np.asarray(y)[m])
@@ -216,59 +231,6 @@ class _ChainTable:
         fs = _eval_src(xs, ys, vs, valfuncs)
         return cls(xs, ys, fs, edge_srcs, valfuncs)
 
-    # crossing helpers -------------------------------------------------
-
-    def _cross(self, coord: np.ndarray, q: np.ndarray, first: bool):
-        """Edge index + interpolated point for the first param with
-        coord >= q (first=True) or the last with coord <= q."""
-        n = len(coord)
-        if first:
-            i = np.searchsorted(coord, q, side="left")
-            np.minimum(i, n - 1, out=i)
-            j = np.maximum(i - 1, 0)
-            denom = coord[i] - coord[j]
-            lam = np.where(denom > 0, (q - coord[j]) / np.where(denom > 0, denom, 1), 1.0)
-            _unit_clamp(lam)
-            lam = np.where(i == 0, 0.0, lam)
-            base = np.where(i == 0, 0, j)
-            x = self.xs[base] + lam * (self.xs[np.minimum(base + 1, n - 1)] - self.xs[base])
-            y = self.ys[base] + lam * (self.ys[np.minimum(base + 1, n - 1)] - self.ys[base])
-            interior_from = i  # first vertex at/after the crossing
-            edge = np.where(i == 0, 0, j)
-            return edge, interior_from, x, y
-        else:
-            i = np.searchsorted(coord, q, side="right") - 1
-            np.maximum(i, 0, out=i)
-            nxt = np.minimum(i + 1, n - 1)
-            denom = coord[nxt] - coord[i]
-            lam = np.where(denom > 0, (q - coord[i]) / np.where(denom > 0, denom, 1), 0.0)
-            _unit_clamp(lam)
-            lam = np.where(i == n - 1, 0.0, lam)
-            x = self.xs[i] + lam * (self.xs[nxt] - self.xs[i])
-            y = self.ys[i] + lam * (self.ys[nxt] - self.ys[i])
-            interior_to = i  # last vertex at/before the crossing
-            return i, interior_to, x, y
-
-    def value_at(self, edge, x, y):
-        return _eval_src(x, y, self.edge_srcs[np.minimum(edge, len(self.edge_srcs) - 1)]
-                         if len(self.edge_srcs) else np.zeros_like(x, dtype=int),
-                         self.valfuncs)
-
-    def window(self, q_first_coord, q_first, q_last_coord, q_last, want_max):
-        """Extremum of the boundary value between the crossing where
-        q_first_coord first reaches q_first and the crossing where
-        q_last_coord last stays within q_last."""
-        coord_a = self.ys if q_first_coord == "y" else self.xs
-        coord_b = self.xs if q_last_coord == "x" else self.ys
-        ea, ia, xa, ya = self._cross(coord_a, q_first, first=True)
-        eb, ib, xb, yb = self._cross(coord_b, q_last, first=False)
-        fa = self.value_at(ea, xa, ya)
-        fb = self.value_at(eb, xb, yb)
-        inner = self.rmq.query(ia, ib, want_max)
-        if want_max:
-            return np.maximum(np.maximum(fa, fb), inner)
-        return np.minimum(np.minimum(fa, fb), inner)
-
     def to_state(self):
         return {
             "xs": self.xs.tolist(),
@@ -296,26 +258,152 @@ def _unit_clamp(lam: np.ndarray) -> None:
     np.minimum(1.0, lam, out=lam)
 
 
-def _interp_mono(knot_q, knot_v, q):
-    """Piecewise-linear interpolation on weakly monotone increasing
-    knots (ties collapse to the earlier knot)."""
-    n = len(knot_q)
-    i = np.searchsorted(knot_q, q, side="left")
-    np.maximum(i, 1, out=i)
-    np.minimum(i, n - 1, out=i)
-    d = knot_q[i] - knot_q[i - 1]
-    lam = np.where(d > 0, (q - knot_q[i - 1]) / np.where(d > 0, d, 1), 0.0)
-    _unit_clamp(lam)
-    return knot_v[i - 1] + lam * (knot_v[i] - knot_v[i - 1])
+class _Segments:
+    """Piecewise-linear segments tabulated per result s of a knot
+    search: a query q with that result interpolates on row s.  A row
+    holds the segment's start q0 and length d and, per value, its start
+    v0 and rise dv.  The arithmetic is that of piecewise-linear
+    interpolation on the knots themselves: (q - q0)/d, clamped to
+    [0, 1], then v0 + lam*dv.
+
+    On a segment of no length the fraction is ``tie`` (0: the earlier
+    knot, 1: the later), a scalar or one per row.  Such a row stores
+    d = 1 and q0 = +inf or -inf, so that (q - q0)/d clamps to the tie
+    for every finite q; a NaN query gives NaN.
+    """
+
+    def __init__(self, q0, d, values, tie=0.0):
+        flat = d <= 0
+        self.q0 = np.where(flat, np.where(tie, -np.inf, np.inf), q0)
+        self.d = np.where(flat, 1.0, d)
+        self.values = values
+
+    @cached_property
+    def _lists(self):
+        """The same rows as lists of floats, for one point."""
+        return (self.q0.tolist(), self.d.tolist(),
+                [(v0.tolist(), dv.tolist()) for v0, dv in self.values])
+
+    def __call__(self, s, q):
+        lam = q - self.q0[s]
+        lam /= self.d[s]
+        _unit_clamp(lam)
+        return [v0[s] + lam * dv[s] for v0, dv in self.values]
+
+    def one(self, s: int, q: float) -> list:
+        """The values of row s at one float q, with the same arithmetic."""
+        q0, d, values = self._lists
+        lam = min(max((q - q0[s]) / d[s], 0.0), 1.0)
+        return [v0[s] + lam * dv[s] for v0, dv in values]
 
 
-def _interp_one(knot_q: list, knot_v: list, q: float) -> float:
-    """`_interp_mono` at one point, on lists of floats, with the same
-    arithmetic (bisect_left finds the knot searchsorted finds)."""
-    i = min(max(bisect_left(knot_q, q), 1), len(knot_q) - 1)
-    d = knot_q[i] - knot_q[i - 1]
-    lam = min(max((q - knot_q[i - 1]) / d, 0.0), 1.0) if d > 0 else 0.0
-    return knot_v[i - 1] + lam * (knot_v[i] - knot_v[i - 1])
+class _Interp:
+    """Piecewise-linear interpolation of one or more curves, each given
+    by weakly increasing knots (ties collapse to the earlier knot),
+    tabulated once over their merged knots: one knot search per call
+    serves every curve.
+
+    For knots k and merged knots m (sorted, holding every knot), the
+    number of knots below q is the number at or below m[s - 1], where s
+    is the number of merged knots below q (ties and all); so the segment
+    q interpolates on is fixed by s alone.
+    """
+
+    def __init__(self, *curves):
+        self.knots = np.sort(np.concatenate([q for q, _ in curves]))
+        # row s holds the segment for s merged knots below q; -inf
+        # stands in for m[-1], with no knot at or below it
+        below = np.concatenate(([-np.inf], self.knots))
+        self.rows = []
+        for knot_q, knot_v in curves:
+            i = knot_q.searchsorted(below, side="right")
+            i = np.minimum(np.maximum(i, 1), len(knot_q) - 1)
+            j = i - 1
+            q0, v0 = knot_q[j], knot_v[j]
+            self.rows.append(_Segments(q0, knot_q[i] - q0,
+                                       [(v0, knot_v[i] - v0)]))
+
+    @cached_property
+    def _knot_list(self):
+        return self.knots.tolist()
+
+    def __call__(self, q) -> list:
+        s = self.knots.searchsorted(q)
+        return [r(s, q)[0] for r in self.rows]
+
+    def one(self, q: float) -> list:
+        """``__call__`` at one float, on lists (bisect_left finds the
+        row searchsorted finds)."""
+        s = bisect_left(self._knot_list, q)
+        return [r.one(s, q)[0] for r in self.rows]
+
+
+class _Crossing:
+    """Where the chain coordinate ``coord`` first reaches a query
+    (first=True) or last stays within it, tabulated per result s of the
+    knot search: the crossing point, the value source of its edge and
+    the vertex that bounds the window's interior -- the first vertex at
+    or after the crossing, or the last at or before it."""
+
+    def __init__(self, table: _ChainTable, coord: np.ndarray, first: bool):
+        n = len(coord)
+        s = np.arange(n + 1)
+        # row s interpolates on the edge from vertex a to vertex b; past
+        # the last vertex the first crossing stays on the last edge
+        a = np.maximum(s - 1, 0)
+        if first:
+            a[-1] = max(n - 2, 0)
+        b = np.minimum(a + 1, n - 1)
+        q0 = coord[a]
+        d = coord[b] - q0
+        if first:
+            self.inner = np.minimum(s, n - 1)
+            # q at or before vertex 0: the crossing is vertex 0 (a row of
+            # no length, fraction 0); on any other edge of no length it
+            # is the edge's far end (fraction 1)
+            d[0] = 0.0
+            tie = s > 0
+        else:
+            self.inner = a
+            tie = 0.0
+        x0, y0 = table.xs[a], table.ys[a]
+        self.rows = _Segments(q0, d, [(x0, table.xs[b] - x0),
+                                      (y0, table.ys[b] - y0)], tie)
+        self.knots = coord
+        self.side = "left" if first else "right"
+        srcs = table.edge_srcs
+        self.src = (srcs[np.minimum(a, len(srcs) - 1)] if len(srcs)
+                    else np.zeros(n + 1, dtype=int))
+
+    def __call__(self, q):
+        s = self.knots.searchsorted(q, side=self.side)
+        x, y = self.rows(s, q)
+        return x, y, self.inner[s], self.src[s]
+
+
+class _Window:
+    """The windowed extremum rule of a chain table: the extremum of the
+    boundary value between the crossing where the ``first`` coordinate
+    first reaches its query and the crossing where the other coordinate
+    last stays within its query."""
+
+    def __init__(self, table: _ChainTable, first: str, want_max: bool):
+        xs, ys = table.xs, table.ys
+        self.first = _Crossing(table, ys if first == "y" else xs, True)
+        self.last = _Crossing(table, xs if first == "y" else ys, False)
+        self.rmq = table.rmq
+        self.valfuncs = table.valfuncs
+        self.want_max = want_max
+
+    def __call__(self, q_first, q_last):
+        xa, ya, ia, sa = self.first(q_first)
+        xb, yb, ib, sb = self.last(q_last)
+        fa = _eval_src(xa, ya, sa, self.valfuncs)
+        fb = _eval_src(xb, yb, sb, self.valfuncs)
+        inner = self.rmq.query(ia, ib, self.want_max)
+        if self.want_max:
+            return np.maximum(np.maximum(fa, fb), inner)
+        return np.minimum(np.minimum(fa, fb), inner)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +431,10 @@ class _Sector:
         self.y_hi = float(self.arc2[-1, 1])
         self.apex = self.arc1[-1]
         self.polygon = np.vstack([self.arc1, self.arc2[1:]])
+        # the lower (arc1, reversed to run by increasing x) and upper
+        # (arc2) boundary heights over x, and x of the far boundary over y
+        self._arcs = _Interp(self.arc1[::-1].T, self.arc2.T)
+        self._far_x = _Interp(self.polygon[:, ::-1].T)
 
     @classmethod
     def build(cls, arc1: np.ndarray, arc2: np.ndarray, func,
@@ -359,8 +451,9 @@ class _Sector:
         sector = cls(arc1, arc2, func, "linear")
         # monotone fill needs the upper graph to dominate the lower
         xs = np.linspace(sector.apex[0], sector.chord_x, 64)
-        vlo = np.asarray(func(xs, sector.lower_y(xs)), dtype=float)
-        vhi = np.asarray(func(xs, sector.upper_y(xs)), dtype=float)
+        ylo, yhi = sector._arcs(xs)
+        vlo = np.asarray(func(xs, ylo), dtype=float)
+        vhi = np.asarray(func(xs, yhi), dtype=float)
         if np.any(vhi < vlo - tol_val):
             k = int(np.argmin(vhi - vlo))
             raise SectorOrderViolation(
@@ -368,19 +461,11 @@ class _Sector:
             )
         return sector
 
-    def lower_y(self, x):
-        # arc1 reversed runs by increasing x
-        return _interp_mono(self.arc1[::-1, 0], self.arc1[::-1, 1], x)
-
-    def upper_y(self, x):
-        return _interp_mono(self.arc2[:, 0], self.arc2[:, 1], x)
-
     def eval(self, x, y):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if self.mode == "linear":
-            y1 = self.lower_y(x)
-            y2 = self.upper_y(x)
+            y1, y2 = self._arcs(x)
             g1 = np.asarray(self.func(x, y1), dtype=float)
             g2 = np.asarray(self.func(x, y2), dtype=float)
             d = y2 - y1
@@ -391,13 +476,12 @@ class _Sector:
         # minimum over the arc between the two projections collapses to
         # the horizontal projection onto the wedge's far boundary
         yq = np.clip(y, self.y_lo, self.y_hi)
-        xq = _interp_mono(self.polygon[:, 1], self.polygon[:, 0], yq)
+        (xq,) = self._far_x(yq)
         return np.asarray(self.func(xq, yq), dtype=float)
 
     def contains(self, x, y):
         inx = (x >= self.apex[0]) & (x <= self.chord_x)
-        y1 = self.lower_y(np.clip(x, self.apex[0], self.chord_x))
-        y2 = self.upper_y(np.clip(x, self.apex[0], self.chord_x))
+        y1, y2 = self._arcs(np.clip(x, self.apex[0], self.chord_x))
         return inx & (y >= y1) & (y <= y2)
 
     def to_state(self):
@@ -445,6 +529,13 @@ def _rect_poly(x0, x1, y0, y1):
 
 _Z_BASE, _Z_SWBAND, _Z_SE, _Z_NW, _Z_NEBAND = range(5)
 _Z_SECTOR = 100  # + sector index
+# the wall zones by a 4-bit index: left of the left wall (1), right of
+# the right wall (2), y >= L's height (4), y > R's height (8); right of
+# the right wall wins
+_WALL_ZONES = np.array(
+    [_Z_BASE, _Z_SWBAND, _Z_SE, _Z_SE, _Z_BASE, _Z_NW, _Z_SE, _Z_SE,
+     _Z_BASE, _Z_SWBAND, _Z_NEBAND, _Z_NEBAND, _Z_BASE, _Z_NW, _Z_NEBAND,
+     _Z_NEBAND])
 
 
 class _Engine:
@@ -596,35 +687,31 @@ class _Engine:
         """The zone of each point of the rectangle."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        code = np.full(x.shape, _Z_BASE, dtype=int)
-        left_of = x < _interp_mono(self.wall_left_y, self.wall_left_x, y)
-        right_of = x > _interp_mono(self.wall_right_y, self.wall_right_x, y)
-        code[left_of & (y >= self.L[1])] = _Z_NW
-        code[left_of & (y < self.L[1])] = _Z_SWBAND
-        code[right_of & (y <= self.R[1])] = _Z_SE
-        code[right_of & (y > self.R[1])] = _Z_NEBAND
-        # points inside the closed domain may actually lie in a sector
-        if self.sectors:
-            base = code == _Z_BASE
-            if np.any(base):
-                xb, yb = x[base], y[base]
-                sub = code[base]
-                for k, s in enumerate(self.sectors):
-                    hit = np.flatnonzero(s.contains(xb, yb)
-                                         & (sub == _Z_BASE))
-                    # sector polygons overlap the base region only on arcs
-                    hit = hit[~self._omega_edges.even_odd(xb[hit], yb[hit])]
-                    sub[hit] = _Z_SECTOR + k
-                code[base] = sub
+        # one knot search gives both wall abscissae at each height
+        xl, xr = self._walls(y)
+        bit = np.uint8
+        code = _WALL_ZONES[(x < xl).view(bit) | (x > xr).view(bit) << 1
+                           | (y >= self.L[1]).view(bit) << 2
+                           | (y > self.R[1]).view(bit) << 3]
+        # points inside the closed domain may actually lie in a sector:
+        # only base points in its x span can, and its polygon overlaps
+        # the base region only on arcs
+        for k, (s, (lo, hi)) in enumerate(zip(self.sectors,
+                                              self._sector_spans)):
+            m = (code == _Z_BASE) & (x >= lo) & (x <= hi)
+            if m.any():
+                xs, ys = x[m], y[m]
+                hit = s.contains(xs, ys)
+                hit[hit] = ~self._omega_edges.even_odd(xs[hit], ys[hit])
+                code[m] = np.where(hit, _Z_SECTOR + k, _Z_BASE)
         return code
 
     def is_base(self, x: float, y: float) -> bool:
         """Whether ``classify`` puts the point in the base zone, on
         floats; False also for a point whose x lies in a sector's x
         range, where the array path decides."""
-        if x < _interp_one(*self._wall_left, y):
-            return False
-        if x > _interp_one(*self._wall_right, y):
+        xl, xr = self._walls.one(y)
+        if x < xl or x > xr:
             return False
         return not any(lo <= x <= hi for lo, hi in self._sector_spans)
 
@@ -635,6 +722,10 @@ class _Engine:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         out = np.empty(x.shape)
         code = self.classify(x, y)
+        if not code.any():
+            # every point is in the base zone (_Z_BASE is 0)
+            out[...] = self.func(x, y)
+            return out
         # only the zones that occur; a small batch usually hits one
         for zone in np.flatnonzero(np.bincount(code)).tolist():
             m = code == zone
@@ -644,18 +735,22 @@ class _Engine:
             elif zone == _Z_SWBAND:
                 out[m] = self._eval_sw(xm, ym)
             elif zone == _Z_SE:
-                out[m] = self.t_se.window("y", ym, "x", xm, want_max=False)
+                out[m] = self._se_window(ym, xm)
             elif zone == _Z_NW:
-                out[m] = self.t_nw.window("x", xm, "y", ym, want_max=True)
+                out[m] = self._nw_window(xm, ym)
             elif zone == _Z_NEBAND:
                 out[m] = self._eval_ne(xm, ym)
             else:
                 out[m] = self.sectors[zone - _Z_SECTOR].eval(xm, ym)
         return out
 
-    def _sw_graft_terms(self, x, y):
+    def _eval_sw(self, x, y):
+        # vertical projection up onto the SW chain; at a flat this takes
+        # the limit from the left (the flat top), matching the grafts
+        (yy,) = self._sw_ray(x)
+        base = np.asarray(self.func(x, yy), dtype=float)
         total = np.zeros(x.shape)
-        for (e, yt, yb) in self.sw_flats:
+        for e, yt, yb in self.sw_flats:
             # inclusive: at x == e the projection hits the flat top, and
             # the graft term restores the value on the flat itself
             active = x <= e
@@ -663,23 +758,18 @@ class _Engine:
                 continue
             yc = np.clip(y[active], yb, yt)
             ecol = np.full(yc.shape, e)
-            term = np.asarray(self.func(ecol, yc), dtype=float) - float(
-                self.func(np.array([e]), np.array([yt]))[0]
-            )
-            total[active] += term
-        return total
+            total[active] += (np.asarray(self.func(ecol, yc), dtype=float)
+                              - self._f_end(e, yt))
+        return base + total
 
-    def _eval_sw(self, x, y):
-        # vertical projection up onto the SW chain; at a flat this takes
-        # the limit from the left (the flat top), matching the grafts
-        t = self.t_sw
-        yy = _interp_mono(t.xs, t.ys, x)
-        base = np.asarray(self.func(x, yy), dtype=float)
-        return base + self._sw_graft_terms(x, y)
-
-    def _ne_graft_terms(self, x, y):
+    def _eval_ne(self, x, y):
+        # horizontal projection left onto the NE chain (table R -> T has
+        # y non-decreasing, x non-increasing); at a flat this takes the
+        # limit from below (the flat's right end), matching the grafts
+        (xx,) = self._ne_ray(y)
+        base = np.asarray(self.func(xx, y), dtype=float)
         total = np.zeros(x.shape)
-        for (h, xl, xr) in self.ne_flats:
+        for h, xl, xr in self.ne_flats:
             # strict: at y == h the projection already sits at the flat's
             # right end, which is the correct boundary value there
             active = y > h
@@ -687,20 +777,19 @@ class _Engine:
                 continue
             xc = np.clip(x[active], xl, xr)
             hrow = np.full(xc.shape, h)
-            term = np.asarray(self.func(xc, hrow), dtype=float) - float(
-                self.func(np.array([xl]), np.array([h]))[0]
-            )
-            total[active] += term
-        return total
+            total[active] += (np.asarray(self.func(xc, hrow), dtype=float)
+                              - self._f_end(xl, h))
+        return base + total
 
-    def _eval_ne(self, x, y):
-        # horizontal projection left onto the NE chain (table R -> T has
-        # y non-decreasing, x non-increasing); at a flat this takes the
-        # limit from below (the flat's right end), matching the grafts
-        t = self.t_ne
-        xx = _interp_mono(t.ys, t.xs, y)
-        base = np.asarray(self.func(xx, y), dtype=float)
-        return base + self._ne_graft_terms(x, y)
+    def _f_end(self, x: float, y: float) -> float:
+        """F at a flat's end, evaluated once per engine, on the first
+        call whose graft term needs it (a flat on the rectangle's side
+        has no point that does)."""
+        f = self._flat_ends.get((x, y))
+        if f is None:
+            f = float(self.func(np.array([x]), np.array([y]))[0])
+            self._flat_ends[(x, y)] = f
+        return f
 
     # -- boundary walls and piece polygons ----------------------------------
 
@@ -717,13 +806,19 @@ class _Engine:
         self.wall_left_x, self.wall_left_y = wall_x[k:], wall_y[k:]
         self.wall_right_x = np.concatenate([self.t_se.xs, self.t_ne.xs[1:]])
         self.wall_right_y = np.concatenate([self.t_se.ys, self.t_ne.ys[1:]])
-        # the same walls as floats, for is_base
-        self._wall_left = (self.wall_left_y.tolist(), self.wall_left_x.tolist())
-        self._wall_right = (self.wall_right_y.tolist(),
-                            self.wall_right_x.tolist())
+        self._walls = _Interp((self.wall_left_y, self.wall_left_x),
+                              (self.wall_right_y, self.wall_right_x))
         self._sector_spans = [(float(s.apex[0]), s.chord_x)
                               for s in self.sectors]
         self._omega_edges = EdgeTable(self.omega)
+        # the zone rules: windowed extrema on the SE and NW chains, ray
+        # projections onto the SW and NE chains, and F at the flat ends
+        # the graft terms subtract, filled in by _f_end
+        self._se_window = _Window(self.t_se, "y", want_max=False)
+        self._nw_window = _Window(self.t_nw, "x", want_max=True)
+        self._sw_ray = _Interp((self.t_sw.xs, self.t_sw.ys))
+        self._ne_ray = _Interp((self.t_ne.ys, self.t_ne.xs))
+        self._flat_ends = {}
 
         r = self.rect
         X0, X1, Y0, Y1 = r.x0, r.x1, r.y0, r.y1
@@ -1022,6 +1117,7 @@ class ExtendedMap:
         self.engine = engine
         self.swapped = swapped
         self.base_range = base_range
+        self._pad = 1e-9 * rect.diam  # how far outside eval clamps
         if engine is None:
             self.pieces = [
                 ExtensionPiece(RULE_BASE, _rect_poly(rect.x0, rect.x1, rect.y0, rect.y1),
@@ -1039,10 +1135,9 @@ class ExtendedMap:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
         r = self.rect
-        pad = 1e-9 * r.diam
         what = "evaluation point outside the extension rectangle"
-        x = clamp_to(x, r.x0, r.x1, pad, what)
-        y = clamp_to(y, r.y0, r.y1, pad, what)
+        x = clamp_to(x, r.x0, r.x1, self._pad, what)
+        y = clamp_to(y, r.y0, r.y1, self._pad, what)
         if self.engine is None:
             out = np.asarray(self.base(x, y), dtype=float)
         elif self.swapped:
@@ -1230,9 +1325,11 @@ def audit_extension(ext: ExtendedMap, grid_n: int = 100,
     )
     max_jump = 0.0
     if np.any(ok):
-        va = ext.eval(pa[ok, 0], pa[ok, 1])
-        vb = ext.eval(pb[ok, 0], pb[ok, 1])
-        jumps = np.abs(va - vb)
+        # both sides of every edge in one evaluation
+        n = int(np.count_nonzero(ok))
+        v = ext.eval(np.concatenate([pa[ok, 0], pb[ok, 0]]),
+                     np.concatenate([pa[ok, 1], pb[ok, 1]]))
+        jumps = np.abs(v[:n] - v[n:])
         k = int(np.argmax(jumps))
         max_jump = float(jumps[k])
         witnesses["continuity"] = (mid[ok][k][0], mid[ok][k][1], max_jump)

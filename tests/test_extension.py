@@ -18,7 +18,7 @@ from monomap.extension import (
     extend,
     extend_rectangle,
 )
-from monomap.geometry import DomainSpec
+from monomap.geometry import DomainSpec, EdgeTable
 from monomap.map_model import (
     Box,
     DEC_INC,
@@ -395,6 +395,13 @@ class TestOnePointZoneTest:
                 np.testing.assert_array_equal(got, want & ~in_sector,
                                               err_msg=str(k))
                 assert want.any() and (~want).any()
+                # eval sends a batch that classify puts wholly in the base
+                # zone to F in one call; the points is_base accepts make
+                # such a batch
+                bx, by = x[got], y[got]
+                assert not engine.classify(bx, by).any()
+                np.testing.assert_array_equal(engine.eval(bx, by),
+                                              engine.func(bx, by))
             seen.add((spec.signature, len(ext.engine.sectors) > 0))
         assert seen == {(sig, notched) for sig in (INC_DEC, DEC_INC)
                         for notched in (False, True)}
@@ -466,6 +473,320 @@ class TestSectorZones:
                           bool((got >= _Z_SECTOR).any())))
         assert seen == {(INC_DEC, False, False), (DEC_INC, False, False),
                         (INC_DEC, True, True), (DEC_INC, True, True)}
+
+
+# ---------------------------------------------------------------------------
+# A frozen copy of the engine's evaluation before its tables were
+# tabulated (a knot search and the interpolation arithmetic on every
+# call), reading only the engine's stored state: its chain tables,
+# sectors, flats, extremes and domain.
+# ---------------------------------------------------------------------------
+
+
+def _ref_interp(knot_q, knot_v, q):
+    """Piecewise-linear interpolation on weakly increasing knots (ties
+    collapse to the earlier knot)."""
+    n = len(knot_q)
+    i = np.searchsorted(knot_q, q, side="left")
+    np.maximum(i, 1, out=i)
+    np.minimum(i, n - 1, out=i)
+    d = knot_q[i] - knot_q[i - 1]
+    lam = np.where(d > 0, (q - knot_q[i - 1]) / np.where(d > 0, d, 1), 0.0)
+    _ref_clamp(lam)
+    return knot_v[i - 1] + lam * (knot_v[i] - knot_v[i - 1])
+
+
+def _ref_clamp(lam):
+    np.maximum(0.0, lam, out=lam)
+    np.minimum(1.0, lam, out=lam)
+
+
+def _ref_walls(engine):
+    """The (y knots, x values) of the left and right walls."""
+    t_sw, t_nw, t_se, t_ne = engine.t_sw, engine.t_nw, engine.t_se, engine.t_ne
+    wall_x = np.concatenate([t_sw.xs[::-1], t_nw.xs[1:]])
+    wall_y = np.concatenate([t_sw.ys[::-1], t_nw.ys[1:]])
+    k = int(np.searchsorted(wall_y, wall_y[0], side="right")) - 1
+    return ((wall_y[k:], wall_x[k:]),
+            (np.concatenate([t_se.ys, t_ne.ys[1:]]),
+             np.concatenate([t_se.xs, t_ne.xs[1:]])))
+
+
+def _ref_arcs(s, x):
+    return (_ref_interp(s.arc1[::-1, 0], s.arc1[::-1, 1], x),
+            _ref_interp(s.arc2[:, 0], s.arc2[:, 1], x))
+
+
+def _ref_sector_contains(s, x, y):
+    inx = (x >= s.apex[0]) & (x <= s.chord_x)
+    y1, y2 = _ref_arcs(s, np.clip(x, s.apex[0], s.chord_x))
+    return inx & (y >= y1) & (y <= y2)
+
+
+def _ref_sector_eval(s, x, y):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if s.mode == "linear":
+        y1, y2 = _ref_arcs(s, x)
+        g1 = np.asarray(s.func(x, y1), dtype=float)
+        g2 = np.asarray(s.func(x, y2), dtype=float)
+        d = y2 - y1
+        lam = np.where(d > 0, (y - y1) / np.where(d > 0, d, 1), 0.0)
+        lam = np.clip(lam, 0.0, 1.0)
+        return (1 - lam) * g1 + lam * g2
+    yq = np.clip(y, s.y_lo, s.y_hi)
+    xq = _ref_interp(s.polygon[:, 1], s.polygon[:, 0], yq)
+    return np.asarray(s.func(xq, yq), dtype=float)
+
+
+def _ref_eval_src(x, y, srcs, valfuncs):
+    out = np.empty(x.shape)
+    for s in np.unique(srcs):
+        m = srcs == s
+        out[m] = valfuncs[int(s)](x[m], y[m])
+    return out
+
+
+def _ref_range(fs, lo, hi, want_max):
+    """Min or max of fs over inclusive [lo, hi] from a sparse table read
+    level by level; empty ranges give +inf (min) or -inf (max)."""
+    pick = np.maximum if want_max else np.minimum
+    table = [fs]
+    while (1 << len(table)) <= len(fs):
+        half = 1 << (len(table) - 1)
+        table.append(pick(table[-1][:-half], table[-1][half:]))
+    out = np.full(lo.shape, -np.inf if want_max else np.inf)
+    ok = lo <= hi
+    if not np.any(ok):
+        return out
+    length = hi[ok] - lo[ok] + 1
+    k = np.int64(np.floor(np.log2(length)))
+    a = np.empty(length.shape)
+    b = np.empty(length.shape)
+    for level in np.unique(k):
+        m = k == level
+        t = table[int(level)]
+        a[m] = t[lo[ok][m]]
+        b[m] = t[hi[ok][m] - (1 << int(level)) + 1]
+    out[ok] = pick(a, b)
+    return out
+
+
+def _ref_cross(t, coord, q, first):
+    n = len(coord)
+    if first:
+        i = np.searchsorted(coord, q, side="left")
+        np.minimum(i, n - 1, out=i)
+        j = np.maximum(i - 1, 0)
+        denom = coord[i] - coord[j]
+        lam = np.where(denom > 0,
+                       (q - coord[j]) / np.where(denom > 0, denom, 1), 1.0)
+        _ref_clamp(lam)
+        lam = np.where(i == 0, 0.0, lam)
+        base = np.where(i == 0, 0, j)
+        nxt = np.minimum(base + 1, n - 1)
+        return base, i, (t.xs[base] + lam * (t.xs[nxt] - t.xs[base]),
+                         t.ys[base] + lam * (t.ys[nxt] - t.ys[base]))
+    i = np.searchsorted(coord, q, side="right") - 1
+    np.maximum(i, 0, out=i)
+    nxt = np.minimum(i + 1, n - 1)
+    denom = coord[nxt] - coord[i]
+    lam = np.where(denom > 0, (q - coord[i]) / np.where(denom > 0, denom, 1),
+                   0.0)
+    _ref_clamp(lam)
+    lam = np.where(i == n - 1, 0.0, lam)
+    return i, i, (t.xs[i] + lam * (t.xs[nxt] - t.xs[i]),
+                  t.ys[i] + lam * (t.ys[nxt] - t.ys[i]))
+
+
+def _ref_window(t, valfuncs, first_y, q_first, q_last, want_max):
+    ea, ia, (xa, ya) = _ref_cross(t, t.ys if first_y else t.xs, q_first, True)
+    eb, ib, (xb, yb) = _ref_cross(t, t.xs if first_y else t.ys, q_last, False)
+    last = len(t.edge_srcs) - 1
+    fa = _ref_eval_src(xa, ya, t.edge_srcs[np.minimum(ea, last)], valfuncs)
+    fb = _ref_eval_src(xb, yb, t.edge_srcs[np.minimum(eb, last)], valfuncs)
+    inner = _ref_range(t.fs, ia, ib, want_max)
+    pick = np.maximum if want_max else np.minimum
+    return pick(pick(fa, fb), inner)
+
+
+def _ref_eval_sw(engine, x, y):
+    f = engine.func
+    t = engine.t_sw
+    total = np.zeros(x.shape)
+    for e, yt, yb in engine.sw_flats:
+        active = x <= e
+        if not np.any(active):
+            continue
+        yc = np.clip(y[active], yb, yt)
+        total[active] += (np.asarray(f(np.full(yc.shape, e), yc), dtype=float)
+                          - float(f(np.array([e]), np.array([yt]))[0]))
+    return np.asarray(f(x, _ref_interp(t.xs, t.ys, x)), dtype=float) + total
+
+
+def _ref_eval_ne(engine, x, y):
+    f = engine.func
+    t = engine.t_ne
+    total = np.zeros(x.shape)
+    for h, xl, xr in engine.ne_flats:
+        active = y > h
+        if not np.any(active):
+            continue
+        xc = np.clip(x[active], xl, xr)
+        total[active] += (np.asarray(f(xc, np.full(xc.shape, h)), dtype=float)
+                          - float(f(np.array([xl]), np.array([h]))[0]))
+    return np.asarray(f(_ref_interp(t.ys, t.xs, y), y), dtype=float) + total
+
+
+def _ref_classify(engine, x, y):
+    from monomap.extension import _Z_BASE, _Z_NEBAND, _Z_NW, _Z_SE, \
+        _Z_SECTOR, _Z_SWBAND
+
+    (ly, lx), (ry, rx) = _ref_walls(engine)
+    code = np.full(x.shape, _Z_BASE, dtype=int)
+    left_of = x < _ref_interp(ly, lx, y)
+    right_of = x > _ref_interp(ry, rx, y)
+    code[left_of & (y >= engine.L[1])] = _Z_NW
+    code[left_of & (y < engine.L[1])] = _Z_SWBAND
+    code[right_of & (y <= engine.R[1])] = _Z_SE
+    code[right_of & (y > engine.R[1])] = _Z_NEBAND
+    if engine.sectors:
+        base = code == _Z_BASE
+        if np.any(base):
+            xb, yb = x[base], y[base]
+            sub = code[base]
+            omega = EdgeTable(engine.omega)
+            for k, s in enumerate(engine.sectors):
+                hit = np.flatnonzero(_ref_sector_contains(s, xb, yb)
+                                     & (sub == _Z_BASE))
+                hit = hit[~omega.even_odd(xb[hit], yb[hit])]
+                sub[hit] = _Z_SECTOR + k
+            code[base] = sub
+    return code
+
+
+def _ref_eval(engine, x, y):
+    from monomap.extension import _Z_BASE, _Z_NEBAND, _Z_NW, _Z_SE, \
+        _Z_SECTOR, _Z_SWBAND
+
+    valfuncs = [engine.func] + [
+        (lambda a, b, s=s: _ref_sector_eval(s, a, b)) for s in engine.sectors]
+    out = np.empty(x.shape)
+    code = _ref_classify(engine, x, y)
+    for zone in np.flatnonzero(np.bincount(code)).tolist():
+        m = code == zone
+        xm, ym = x[m], y[m]
+        if zone == _Z_BASE:
+            out[m] = engine.func(xm, ym)
+        elif zone == _Z_SWBAND:
+            out[m] = _ref_eval_sw(engine, xm, ym)
+        elif zone == _Z_SE:
+            out[m] = _ref_window(engine.t_se, valfuncs, True, ym, xm, False)
+        elif zone == _Z_NW:
+            out[m] = _ref_window(engine.t_nw, valfuncs, False, xm, ym, True)
+        elif zone == _Z_NEBAND:
+            out[m] = _ref_eval_ne(engine, xm, ym)
+        else:
+            out[m] = valfuncs[1 + zone - _Z_SECTOR](xm, ym)
+    return out
+
+
+def _assert_bitwise(got, want, msg=""):
+    assert got.dtype == want.dtype and got.shape == want.shape, msg
+    assert got.tobytes() == want.tobytes(), msg
+
+
+class TestEvalMatchesFrozenReference:
+    """The tabulated engine gives the zone codes and values of the frozen
+    per-call evaluation above, bit for bit, on seeded convex and notched
+    engines of both signatures, built and loaded."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(20261021)
+        cases = [_random_convex_case(rng) for _ in range(6)]
+        cases += [_notched_square_case(rng, k) for k in range(8)]
+        for spec, domain in cases:
+            ext = extend(spec, domain)
+            loaded = ExtendedMap.from_dict(
+                json.loads(dumps_json(ext.to_dict())), spec)
+            yield spec, ext, loaded
+
+    @staticmethod
+    def _points(engine, rng):
+        """A 100^2 grid over the rectangle, the probes of the zone tests
+        (wall knots and one ulp either side), the sectors' apex and chord
+        abscissae and one ulp either side, and 41 points per edge of the
+        domain's boundary."""
+        r = engine.rect
+        X, Y = np.meshgrid(np.linspace(r.x0, r.x1, 100),
+                           np.linspace(r.y0, r.y1, 100), indexing="ij")
+        px, py = _zone_probe_points(engine, rng)
+        xs, ys = [X.ravel(), px], [Y.ravel(), py]
+        heights = np.linspace(r.y0, r.y1, 101)
+        for s in engine.sectors:
+            for x in (s.apex[0], s.chord_x):
+                for side in (-np.inf, None, np.inf):
+                    xs.append(np.full(heights.shape, x if side is None
+                                      else np.nextafter(x, side)))
+                    ys.append(heights)
+        v = engine.omega
+        t = np.linspace(0.0, 1.0, 41)[:, None, None]
+        edge = (v + t * (np.roll(v, -1, axis=0) - v)).reshape(-1, 2)
+        xs.append(edge[:, 0])
+        ys.append(edge[:, 1])
+        return np.concatenate(xs), np.concatenate(ys)
+
+    def test_interpolation_classify_and_eval(self):
+        rng = np.random.default_rng(7)
+        seen, zones = set(), set()
+        for k, (spec, ext, loaded) in enumerate(self._cases()):
+            for engine in (ext.engine, loaded.engine):
+                x, y = self._points(engine, rng)
+                msg = f"case {k}"
+                (ly, lx), (ry, rx) = _ref_walls(engine)
+                xl, xr = engine._walls(y)
+                _assert_bitwise(xl, _ref_interp(ly, lx, y), msg)
+                _assert_bitwise(xr, _ref_interp(ry, rx, y), msg)
+                t = engine.t_sw
+                _assert_bitwise(engine._sw_ray(x)[0],
+                                _ref_interp(t.xs, t.ys, x), msg)
+                t = engine.t_ne
+                _assert_bitwise(engine._ne_ray(y)[0],
+                                _ref_interp(t.ys, t.xs, y), msg)
+                for s in engine.sectors:
+                    for got, want in zip(s._arcs(x), _ref_arcs(s, x)):
+                        _assert_bitwise(got, want, msg)
+                    _assert_bitwise(
+                        s._far_x(y)[0],
+                        _ref_interp(s.polygon[:, 1], s.polygon[:, 0], y), msg)
+                code = engine.classify(x, y)
+                _assert_bitwise(code, _ref_classify(engine, x, y), msg)
+                _assert_bitwise(engine.eval(x, y), _ref_eval(engine, x, y),
+                                msg)
+                seen.add((spec.signature, bool(engine.sectors)))
+                zones.update(np.unique(code).tolist())
+        assert seen == {(sig, notched) for sig in (INC_DEC, DEC_INC)
+                        for notched in (False, True)}
+        # every wall zone and sector zones took part
+        assert set(range(5)) < zones and max(zones) >= 100
+
+    def test_batches(self):
+        # the small-batch and all-base paths, through ExtendedMap.eval in
+        # the caller's frame
+        rng = np.random.default_rng(8)
+        for k, (spec, ext, loaded) in enumerate(self._cases()):
+            # inside the rectangle, which ExtendedMap.eval clamps to
+            x, y = self._points(ext.engine, rng)
+            r = ext.engine.rect
+            x, y = np.clip(x, r.x0, r.x1), np.clip(y, r.y0, r.y1)
+            for n in (0, 1, 2, 4, 31, 10_000):
+                for _ in range(3 if n < 10_000 else 1):
+                    i = rng.integers(0, len(x), n)
+                    want = _ref_eval(ext.engine, x[i], y[i])
+                    for e in (ext, loaded):
+                        a, b = (y[i], x[i]) if e.swapped else (x[i], y[i])
+                        _assert_bitwise(e.eval(a, b), want, f"case {k}, n={n}")
 
 
 class TestNegativeControls:
