@@ -150,17 +150,26 @@ class EmbeddedSystem:
 
     def step_corners(self, s: list) -> list:
         """``step`` of the two states s[:4] and s[4:], in [a, b], on
-        Python floats.  F is evaluated at the four points in one call:
-        of F itself, by numpy, where all four lie where the extension is
-        F, and of the extension otherwise, as ``step`` calls it.  The
-        values are clipped to [a, b] as ``step`` clips them."""
+        Python floats.  Where all four evaluation points lie where the
+        extension is F, F itself is evaluated: point by point on the
+        floats (``MapSpec.one``) for a float-exact map, else at the four
+        points in one numpy call.  Otherwise the extension is evaluated
+        at the four in one call, as ``step`` calls it.  Either way the
+        values have the bits ``step`` gives, and they are clipped to
+        [a, b] as ``step`` clips them."""
         x0, y0, u0, v0, x1, y1, u1, v1 = s
         ext = self.source
         is_base = ext.is_base
-        f = (ext.base if is_base(x0, y0) and is_base(x1, y1)
-             and is_base(u0, v0) and is_base(u1, v1) else ext.eval)
-        f0, f1, f2, f3 = f(np.array([x0, x1, u0, u1]),
-                           np.array([y0, y1, v0, v1])).tolist()
+        all_base = (is_base(x0, y0) and is_base(x1, y1) and is_base(u0, v0)
+                    and is_base(u1, v1))
+        if all_base and ext.base.float_exact:
+            one = ext.base.one
+            f0, f1, f2, f3 = (one(x0, y0), one(x1, y1), one(u0, v0),
+                              one(u1, v1))
+        else:
+            f = ext.base if all_base else ext.eval
+            f0, f1, f2, f3 = f(np.array([x0, x1, u0, u1]),
+                               np.array([y0, y1, v0, v1])).tolist()
         t = [f0, u0, f2, x0, f1, u1, f3, x1]
         a, b = self.a, self.b
         if not (a <= f0 <= b and a <= f1 <= b and a <= f2 <= b

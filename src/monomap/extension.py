@@ -64,7 +64,8 @@ from .errors import (
     UnsupportedDomain,
 )
 from .map_model import Box, DEC_INC, MapSpec
-from .geometry import DomainKind, DomainSpec, EdgeTable, _signed_area
+from .geometry import (DomainKind, DomainSpec, EdgeTable, _shifted,
+                       _signed_area)
 
 SCHEMA_VERSION = 1
 
@@ -278,23 +279,11 @@ class _Segments:
         self.d = np.where(flat, 1.0, d)
         self.values = values
 
-    @cached_property
-    def _lists(self):
-        """The same rows as lists of floats, for one point."""
-        return (self.q0.tolist(), self.d.tolist(),
-                [(v0.tolist(), dv.tolist()) for v0, dv in self.values])
-
     def __call__(self, s, q):
         lam = q - self.q0[s]
         lam /= self.d[s]
         _unit_clamp(lam)
         return [v0[s] + lam * dv[s] for v0, dv in self.values]
-
-    def one(self, s: int, q: float) -> list:
-        """The values of row s at one float q, with the same arithmetic."""
-        q0, d, values = self._lists
-        lam = min(max((q - q0[s]) / d[s], 0.0), 1.0)
-        return [v0[s] + lam * dv[s] for v0, dv in values]
 
 
 class _Interp:
@@ -323,19 +312,9 @@ class _Interp:
             self.rows.append(_Segments(q0, knot_q[i] - q0,
                                        [(v0, knot_v[i] - v0)]))
 
-    @cached_property
-    def _knot_list(self):
-        return self.knots.tolist()
-
     def __call__(self, q) -> list:
         s = self.knots.searchsorted(q)
         return [r(s, q)[0] for r in self.rows]
-
-    def one(self, q: float) -> list:
-        """``__call__`` at one float, on lists (bisect_left finds the
-        row searchsorted finds)."""
-        s = bisect_left(self._knot_list, q)
-        return [r.one(s, q)[0] for r in self.rows]
 
 
 class _Crossing:
@@ -706,14 +685,30 @@ class _Engine:
                 code[m] = np.where(hit, _Z_SECTOR + k, _Z_BASE)
         return code
 
+    @cached_property
+    def _wall_rows(self):
+        """The wall table of ``_walls`` as Python floats, for one point:
+        its merged knots, and per row the left and the right wall's
+        segment (q0, d, v0, dv).  Built on the first ``is_base`` call."""
+        cols = [c.tolist() for seg in self._walls.rows
+                for c in (seg.q0, seg.d, *seg.values[0])]
+        return self._walls.knots.tolist(), list(zip(*cols))
+
     def is_base(self, x: float, y: float) -> bool:
         """Whether ``classify`` puts the point in the base zone, on
         floats; False also for a point whose x lies in a sector's x
-        range, where the array path decides."""
-        xl, xr = self._walls.one(y)
-        if x < xl or x > xr:
+        range, where the array path decides.  ``bisect_left`` finds the
+        row ``searchsorted`` finds, and the wall abscissae take the
+        interpolation's arithmetic, so they have its bits."""
+        knots, rows = self._wall_rows
+        q0, d, v0, dv, r0, e, w0, dw = rows[bisect_left(knots, y)]
+        if (x < v0 + min(max((y - q0) / d, 0.0), 1.0) * dv
+                or x > w0 + min(max((y - r0) / e, 0.0), 1.0) * dw):
             return False
-        return not any(lo <= x <= hi for lo, hi in self._sector_spans)
+        for lo, hi in self._sector_spans:
+            if lo <= x <= hi:
+                return False
+        return True
 
     # -- evaluation ---------------------------------------------------------
 
@@ -995,7 +990,7 @@ def _extreme_midpoints(pts: np.ndarray, g: float):
             continue
         # find the edge containing p
         a = ring
-        b = np.roll(ring, -1, axis=0)
+        b = _shifted(ring)
         t_num = (p[0] - a[:, 0]) * (b[:, 0] - a[:, 0]) + (p[1] - a[:, 1]) * (
             b[:, 1] - a[:, 1]
         )
@@ -1014,7 +1009,7 @@ def _extreme_midpoints(pts: np.ndarray, g: float):
         return int(np.argmin(d))
 
     iL = vindex(L)
-    ring = np.roll(ring, -iL, axis=0)
+    ring = _shifted(ring, iL)
     iB, iR, iT = vindex(B), vindex(R), vindex(T)
     # extremes may coincide (e.g. leftmost vertex is also the topmost);
     # a top extreme equal to the left one wraps to the end of the ring
@@ -1300,7 +1295,7 @@ def audit_extension(ext: ExtendedMap, grid_n: int = 100,
     for piece in ext.pieces:
         poly = np.asarray(piece.polygon, dtype=float)
         p0 = poly
-        p1 = np.roll(poly, -1, axis=0)
+        p1 = _shifted(poly)
         seg = p1 - p0
         ln = np.hypot(seg[:, 0], seg[:, 1])
         keep = ln > 1e4 * eps
@@ -1341,14 +1336,15 @@ def audit_extension(ext: ExtendedMap, grid_n: int = 100,
         pass
     else:
         x0, x1, y0, y1 = ext.domain.bbox
-        pts = []
-        while len(pts) < 400:
+        accepted, n = [], 0
+        while n < 400:
             cand = np.column_stack(
                 [rng.uniform(x0, x1, 400), rng.uniform(y0, y1, 400)]
             )
             inside = ext.domain.contains(cand[:, 0], cand[:, 1]) == 1
-            pts.extend(cand[inside].tolist())
-        pts = np.array(pts[:400])
+            accepted.append(cand[inside])
+            n += len(accepted[-1])
+        pts = np.concatenate(accepted)[:400]
         ve = ext.eval(pts[:, 0], pts[:, 1])
         vb = np.asarray(ext.base(pts[:, 0], pts[:, 1]), dtype=float)
         max_dis = float(np.max(np.abs(ve - vb)))

@@ -23,9 +23,15 @@ class DomainKind(Enum):
     UNSUPPORTED = "unsupported"
 
 
+def _shifted(a: np.ndarray, k: int = 1) -> np.ndarray:
+    """The rows of ``a`` from row k on, then the first k: ``np.roll(a, -k,
+    axis=0)`` for -len(a) <= k <= len(a), without its overhead."""
+    return np.concatenate([a[k:], a[:k]])
+
+
 def _signed_area(pts: np.ndarray) -> float:
     x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return 0.5 * float(np.sum(x * _shifted(y) - _shifted(x) * y))
 
 
 def _dedupe(pts: np.ndarray, tol: float) -> np.ndarray:
@@ -52,7 +58,7 @@ class EdgeTable:
 
     def __init__(self, ring: np.ndarray):
         x0, y0 = ring[:, 0], ring[:, 1]
-        x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+        x1, y1 = _shifted(x0), _shifted(y0)
         dx, dy = x1 - x0, y1 - y0
         L2 = dx * dx + dy * dy
         ylo, yhi = np.minimum(y0, y1), np.maximum(y0, y1)
@@ -222,7 +228,7 @@ class DomainSpec:
         """
         v = self.vertices
         x0, y0 = v[:, 0], v[:, 1]
-        x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+        x1, y1 = _shifted(x0), _shifted(y0)
         t = np.clip(np.asarray(t, dtype=float), x0.min(), x0.max())[..., None]
         dx = x1 - x0
         flat = dx == 0
@@ -264,7 +270,7 @@ class DomainSpec:
         lies in the polygon.
         """
         ya = self.vertices[:, 1]
-        yb = np.roll(ya, -1)
+        yb = _shifted(ya)
         ys = np.unique(ya)
         bands = []
         for lo, hi in zip(ys[:-1], ys[1:]):
@@ -338,8 +344,8 @@ class DomainSpec:
 
     def _turn_crosses(self) -> np.ndarray:
         v = self.vertices
-        a = v - np.roll(v, 1, axis=0)
-        b = np.roll(v, -1, axis=0) - v
+        a = v - _shifted(v, -1)
+        b = _shifted(v) - v
         return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
 
     def _is_self_intersecting(self) -> bool:
@@ -348,7 +354,7 @@ class DomainSpec:
         pass of the four orientation tests of a segment pair."""
         v = self.vertices
         n = len(v)
-        q = np.roll(v, -1, axis=0)
+        q = _shifted(v)
         ax, ay, bx, by = v[:, 0], v[:, 1], q[:, 0], q[:, 1]
         for i in range(n - 2):
             # the later edges not adjacent to edge i (edge n-1 closes
@@ -370,7 +376,7 @@ class DomainSpec:
         infinity without re-intersecting the boundary.  A ray meets an
         edge that crosses its line at a signed distance >= -1e-14 ahead."""
         v = self.vertices
-        mids = 0.5 * (v + np.roll(v, -1, axis=0))
+        mids = 0.5 * (v + _shifted(v))
         samples = np.concatenate([v, mids])
         if len(samples) > 256:  # thin long boundaries to ~256 samples
             samples = samples[:: len(samples) // 256]

@@ -77,6 +77,10 @@ class MapSpec:
     """A planar scalar map F together with its declared signature and box.
 
     ``func`` must accept numpy arrays (or scalars) and broadcast.
+    ``float_exact`` is read off ``func`` when the spec is built: True for
+    an expression that ``compile_expression`` marks, whose value on
+    Python floats has numpy's bits.  A ``func`` replaced later (a call
+    counter, say) keeps the mark, so that it sees the float calls too.
     """
 
     func: Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]
@@ -84,10 +88,36 @@ class MapSpec:
     box: Box
     name: str = "map"
     params: dict = field(default_factory=dict)
+    float_exact: bool = field(default=False, init=False, repr=False,
+                              compare=False)
+
+    def __post_init__(self):
+        self.float_exact = getattr(self.func, "float_exact", False) is True
 
     def __call__(self, x, y):
-        out = self.func(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return np.asarray(out, dtype=float)
+        """F on numpy arrays, broadcast to the inputs' broadcast shape (an
+        expression that names neither x nor y gives one value)."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        out = np.asarray(self.func(x, y), dtype=float)
+        if out.shape != x.shape or x.shape != y.shape:
+            shape = np.broadcast_shapes(x.shape, y.shape)
+            if out.shape != shape:
+                out = np.array(np.broadcast_to(out, shape))
+        return out
+
+    def one(self, x: float, y: float) -> float:
+        """F at one point of Python floats, with the bits ``__call__``
+        gives: a float-exact ``func`` runs on the floats themselves, and
+        any other on 0-d arrays.  Where the floats raise on a division
+        by zero, which numpy turns into inf or NaN, the point goes to
+        numpy as well."""
+        if self.float_exact:
+            try:
+                return self.func(x, y)
+            except ZeroDivisionError:
+                pass
+        return float(self(x, y))
 
     def eval_checked(self, x, y):
         out = self(x, y)
@@ -111,6 +141,13 @@ _GRAMMAR = (
 )
 
 
+# the grammar elements that round alike on Python floats and in numpy:
+# + - * / and unary +- are correctly rounded in both, while Python's **
+# differs from numpy's in the last bit on some inputs, and the calls are
+# numpy's own functions, which a float argument does not make faster
+_NOT_FLOAT_EXACT = (ast.Pow, ast.Call)
+
+
 def compile_expression(expr: str, params: dict) -> Callable:
     """Compile an arithmetic expression in x, y and named float parameters
     into ``lambda x, y: expr``; anything outside the grammar, and a
@@ -118,7 +155,10 @@ def compile_expression(expr: str, params: dict) -> Callable:
 
     A whitelist pass over the parsed tree admits the grammar only, turns
     number literals into floats, and checks every name; the tree is then
-    compiled once and evaluated without builtins.
+    compiled once and evaluated without builtins.  The lambda's
+    ``float_exact`` attribute is True when the tree holds no ``**`` and no
+    call: on Python floats it then gives numpy's bits (see
+    ``MapSpec.one``).
     """
     clash = sorted(_RESERVED & set(params))
     if clash:
@@ -163,7 +203,10 @@ def compile_expression(expr: str, params: dict) -> Callable:
         ast.Expression(ast.Lambda(args, tree.body))), "<expression>", "eval")
     namespace = {k: float(v) for k, v in params.items()}
     namespace.update(_FUNCTIONS, __builtins__={})
-    return eval(code, namespace)
+    func = eval(code, namespace)
+    func.float_exact = not any(isinstance(node, _NOT_FLOAT_EXACT)
+                               for node in ast.walk(tree))
+    return func
 
 
 @dataclass

@@ -217,18 +217,20 @@ def iterate_orbit(
 ) -> Orbit:
     """Run x_{k+1} = F(x_k, x_{k-1}) for n steps from (x0, x_m1).
 
-    The values are kept as Python floats, but F is always evaluated by
-    numpy, on the 0-d arrays ``map_spec`` makes of them: Python's own
-    ``**`` and ``/`` differ from numpy's (x ** 3.0 in the last bit, and
-    1 / 0 raises where numpy gives inf, a NonFiniteValue here).
+    The values are kept as Python floats, and each step is one
+    ``map_spec.one`` call: a float-exact expression runs on the floats,
+    any other map on 0-d arrays, with numpy's bits either way (Python's
+    own ``**`` differs from numpy's in the last bit, and its 1 / 0
+    raises where numpy gives inf, a NonFiniteValue here).
     ``exited_at`` is the first n with (x_n, x_{n-1}) outside the domain;
     the orbit is located after it has run, block by block, up to the
     first block with an exit.
     """
     prev, cur = float(x_m1), float(x0)
     vals = array("d", (prev, cur))
+    one = map_spec.one
     for k in range(n):
-        prev, cur = cur, float(map_spec(cur, prev))
+        prev, cur = cur, one(cur, prev)
         if not math.isfinite(cur):
             raise NonFiniteValue(
                 f"orbit produced a non-finite value at step {k + 1}"

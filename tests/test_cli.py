@@ -156,6 +156,29 @@ class TestCommands:
         assert (out / "orbit.svg").exists()
 
 
+class TestConstantMap:
+    """An expression that names neither x nor y gives one value, which
+    F's callers see broadcast to their points."""
+
+    CFG = ("[map]\nfamily = expression\nexpr = 1.0\n\n"
+           "[domain]\nkind = rect\nrect = 0,1,0,1\n")
+
+    def test_extend_passes_its_audit(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["extend", "--config", write_cfg(tmp_path, self.CFG),
+                     "--out", str(out)]) == 0
+        audit = json.loads((out / "extension_audit.json").read_text())
+        assert audit["all_ok"] and audit["max_jump"] == 0.0
+
+    def test_certify_is_globally_stable(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["certify", "--config", write_cfg(tmp_path, self.CFG),
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "certificate.json").read_text())
+        assert doc["verdict"] == "GloballyStable"
+        assert doc["verdict_detail"] == {"x_star": 1.0}
+
+
 def test_readme_config_sample_certifies(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     sample = readme.split("```ini\n", 1)[1].split("```", 1)[0]

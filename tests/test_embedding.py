@@ -384,6 +384,38 @@ class TestFloatChainsMatchArrayChains:
             # the corner steps leave the domain; the rest call F alone
             assert 0 < ext_steps[0] < lo.n_iter / 2
 
+    @pytest.mark.parametrize("name", ["eq7", "eq8 0.3", "eq8 0.49"])
+    def test_base_steps_skip_numpy(self, name, monkeypatch):
+        # a float-exact map is evaluated on the floats wherever all four
+        # points are base: F reaches numpy only inside the extension's
+        # own eval, which a rectangle never calls
+        spec, ext = _chain_case(name)
+        assert spec.float_exact
+        sys = EmbeddedSystem(ext)
+        in_eval = [0, 0]  # open eval calls, all eval calls
+        ext_eval, spec_call = ExtendedMap.eval, MapSpec.__call__
+
+        def counted_eval(self, x, y):
+            in_eval[0] += 1
+            in_eval[1] += 1
+            try:
+                return ext_eval(self, x, y)
+            finally:
+                in_eval[0] -= 1
+
+        def guarded_call(self, x, y):
+            if not in_eval[0]:
+                raise AssertionError("a base step went through numpy")
+            return spec_call(self, x, y)
+
+        monkeypatch.setattr(ExtendedMap, "eval", counted_eval)
+        monkeypatch.setattr(MapSpec, "__call__", guarded_call)
+        lo, hi, stop = run_corner_chains(sys)
+        assert stop == CONVERGED
+        if ext.engine is None:
+            assert in_eval[1] == 0
+        else:
+            assert 0 < in_eval[1] < lo.n_iter / 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_states_follow_the_array_rules(self, monkeypatch):

@@ -366,14 +366,49 @@ def _zone_probe_points(engine, rng):
     return np.concatenate(xs), np.concatenate(ys)
 
 
+def _knot_probe_points(engine):
+    """Canonical-frame points at the exact height of every wall knot:
+    at each knot's own abscissa (every one of tied knots) and at both
+    walls' abscissae there, each also one ulp either side; and points on
+    the ends of every sector's x span and one ulp either side, at every
+    knot height and across the rectangle."""
+    r = engine.rect
+    ky = np.concatenate([engine.wall_left_y, engine.wall_right_y])
+    kx = np.concatenate([engine.wall_left_x, engine.wall_right_x])
+    x = np.concatenate([kx, *engine._walls(ky)])
+    y = np.tile(ky, 3)
+    xs = [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
+    ys = [y, y, y]
+    heights = np.concatenate([ky, np.linspace(r.y0, r.y1, 41)])
+    for end in np.ravel(engine._sector_spans):
+        for e in (np.nextafter(end, -np.inf), end, np.nextafter(end, np.inf)):
+            xs.append(np.full(heights.shape, e))
+            ys.append(heights)
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def _is_base_per_point(engine, x, y, msg):
+    """Assert that is_base at each point is classify's base-zone answer,
+    or False in a sector's x span; return classify's answers and
+    is_base's."""
+    from monomap.extension import _Z_BASE
+
+    want = engine.classify(x, y) == _Z_BASE
+    in_sector = np.zeros(x.shape, dtype=bool)
+    for lo, hi in engine._sector_spans:
+        in_sector |= (x >= lo) & (x <= hi)
+    got = np.array([engine.is_base(a, b)
+                    for a, b in zip(x.tolist(), y.tolist())])
+    np.testing.assert_array_equal(got, want & ~in_sector, err_msg=msg)
+    return want, got
+
+
 class TestOnePointZoneTest:
     """_Engine.is_base answers classify's base-zone question for one
     point, on floats; in a sector's x range it answers False and leaves
     the point to eval."""
 
     def test_matches_classify(self):
-        from monomap.extension import _Z_BASE
-
         rng = np.random.default_rng(20261019)
         cases = [_random_convex_case(rng) for _ in range(8)]
         cases += [_notched_square_case(rng, k) for k in range(16)]
@@ -385,15 +420,7 @@ class TestOnePointZoneTest:
                 json.loads(dumps_json(ext.to_dict())), spec)
             for engine in (ext.engine, loaded.engine):
                 x, y = _zone_probe_points(engine, rng)
-                want = engine.classify(x, y) == _Z_BASE
-                spans = engine._sector_spans
-                in_sector = np.zeros(x.shape, dtype=bool)
-                for lo, hi in spans:
-                    in_sector |= (x >= lo) & (x <= hi)
-                got = np.array([engine.is_base(a, b)
-                                for a, b in zip(x.tolist(), y.tolist())])
-                np.testing.assert_array_equal(got, want & ~in_sector,
-                                              err_msg=str(k))
+                want, got = _is_base_per_point(engine, x, y, str(k))
                 assert want.any() and (~want).any()
                 # eval sends a batch that classify puts wholly in the base
                 # zone to F in one call; the points is_base accepts make
@@ -405,6 +432,28 @@ class TestOnePointZoneTest:
             seen.add((spec.signature, len(ext.engine.sectors) > 0))
         assert seen == {(sig, notched) for sig in (INC_DEC, DEC_INC)
                         for notched in (False, True)}
+
+    def test_at_wall_knots_and_sector_span_ends(self):
+        # the one-point wall table must pick classify's row where y is a
+        # knot, tied knots included (a flat bottom ties the right wall's
+        # first knots), and leave every point of a span's closed ends
+        # to eval
+        rng = np.random.default_rng(20261020)
+        cases = [_flat_bottom_case(k) for k in range(len(_FLAT_BOTTOM_CASES))]
+        cases += [_notched_square_case(rng, k) for k in range(12)]
+        tied = spans = both = 0
+        for k, (spec, domain) in enumerate(cases):
+            ext = extend(spec, domain)
+            loaded = ExtendedMap.from_dict(
+                json.loads(dumps_json(ext.to_dict())), spec)
+            for engine in (ext.engine, loaded.engine):
+                x, y = _knot_probe_points(engine)
+                want, got = _is_base_per_point(engine, x, y, str(k))
+                both += got.any() and (want & ~got).any()
+            tied += any(np.any(np.diff(w) == 0) for w in
+                        (engine.wall_left_y, engine.wall_right_y))
+            spans += len(engine._sector_spans) > 0
+        assert tied >= len(_FLAT_BOTTOM_CASES) and spans and both
 
     def test_extended_map_swaps_and_checks_the_rectangle(self, eq8_ext, rng):
         # where is_base says yes, eval is F itself, bit for bit; a point

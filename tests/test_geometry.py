@@ -460,3 +460,16 @@ def test_random_convex_polygons_classify_convex(n, seed):
     cx = float(np.mean([p[0] for p in pts]))
     cy = float(np.mean([p[1] for p in pts]))
     assert int(d.contains(cx, cy)) >= 0
+
+
+def test_shifted_is_np_roll():
+    # the ring shift the geometry and the extension use in place of
+    # np.roll gives its values, for row arrays and flat ones
+    from monomap.geometry import _shifted
+
+    rng = np.random.default_rng(7)
+    for a in (rng.uniform(-1.0, 1.0, (5, 2)), rng.uniform(-1.0, 1.0, 6)):
+        for k in range(-len(a), len(a) + 1):
+            want = np.roll(a, -k, axis=0)
+            assert _shifted(a, k).tobytes() == want.tobytes()
+            assert _shifted(a, k).shape == want.shape

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from monomap.map_model import (
     MapSpec,
     NonFiniteValue,
     check_monotonicity,
+    compile_expression,
 )
 
 
@@ -77,3 +79,112 @@ def test_mapspec_is_callable_and_vectorized():
     out = spec(xs, ys)
     assert out.shape == (3,)
     assert out[1] == pytest.approx(rational(0.5, 0.5))
+
+
+class TestFloatTwin:
+    """MapSpec.one on Python floats gives the bits MapSpec.__call__ gives
+    on 0-d arrays: a marked expression runs on the floats themselves."""
+
+    # one case per grammar element the mark admits, and the two rational
+    # families
+    EXACT = ["x + y", "x - y", "x * y", "x / y", "-x", "+y", "p * x - y",
+             "x / 3", "2", "p", "(p + q*x) / (1 + x + r*y)",
+             "(p + 2*p*x) / (1 + x + y) - h", "-(x - -y) * +p / (y + q)"]
+    PARAMS = {"p": 0.7, "q": 1.3, "r": 2.5, "h": 0.3}
+
+    @staticmethod
+    def _spec(expr, params=None):
+        params = {k: v for k, v in (params or TestFloatTwin.PARAMS).items()
+                  if re.search(rf"\b{k}\b", expr)}
+        return MapSpec(compile_expression(expr, params), INC_DEC,
+                       Box(0.0, 1.0, 0.0, 1.0), params=params)
+
+    @staticmethod
+    def _points():
+        rng = np.random.default_rng(20261019)
+        pts = rng.uniform(-3.0, 3.0, (400, 2)).tolist()
+        pts += (rng.uniform(-1.0, 1.0, (100, 2)) * 1e-310).tolist()
+        special = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e308, -1e308]
+        pts += [[a, b] for a in special for b in special]
+        return pts
+
+    @staticmethod
+    def _bits(v):
+        return np.float64(v).tobytes()
+
+    @pytest.mark.parametrize("expr", EXACT)
+    def test_marked_expressions_match_numpy_bitwise(self, expr):
+        spec = self._spec(expr)
+        assert spec.float_exact
+        with np.errstate(all="ignore"):  # 1/0 and overflow, in numpy
+            for a, b in self._points():
+                got = spec.one(a, b)
+                assert self._bits(got) == self._bits(spec(a, b)), (expr, a, b)
+
+    @pytest.mark.parametrize("expr", ["x ** 3 / (1 + y)", "x * exp(-y)",
+                                      "log(1 + x) - y", "sqrt(x) / (1 + y)",
+                                      "x ** 2.0 - y"])
+    def test_powers_and_calls_keep_numpy(self, expr):
+        spec = self._spec(expr)
+        assert not spec.float_exact
+        rng = np.random.default_rng(3)
+        for a, b in rng.uniform(0.0, 3.0, (200, 2)).tolist():
+            got = spec.one(a, b)
+            assert type(got) is float
+            assert self._bits(got) == self._bits(spec(a, b))
+
+    def test_hand_written_maps_are_not_marked(self, xfy_problem):
+        assert not spec_inc_dec().float_exact
+        assert not MapSpec(lambda x, y: x - y, INC_DEC,
+                           Box(0.0, 1.0, 0.0, 1.0)).float_exact
+        assert not xfy_problem[0].float_exact
+
+    def test_division_by_zero_takes_numpy_values(self):
+        # Python floats raise on 1/0 and 0/0; one gives numpy's inf, -inf
+        # and NaN (x86 sets its sign bit), with numpy's warning
+        spec = self._spec("(x - y) / (x + y)")
+        for (a, b), want in (((1.0, -1.0), math.inf),
+                             ((-1.0, 1.0), -math.inf),
+                             ((0.0, -0.0), math.nan)):
+            with pytest.warns(RuntimeWarning):
+                got = spec.one(a, b)
+            with np.errstate(all="ignore"):
+                assert self._bits(got) == self._bits(spec(a, b))
+            assert got == want or math.isnan(want) and math.isnan(got)
+
+    def test_overflow_is_inf_as_in_numpy(self):
+        spec = self._spec("x * x * 1e300")
+        got = spec.one(1e10, 0.0)
+        with np.errstate(over="ignore"):
+            assert self._bits(got) == self._bits(spec(1e10, 0.0))
+        assert got == math.inf
+
+    def test_mark_is_read_when_the_spec_is_built(self):
+        # a counter put on func afterwards sees every float call, on the
+        # floats; a spec built around the counter has no mark
+        spec = self._spec("(p + q*x) / (1 + x + r*y)")
+        func, seen = spec.func, []
+
+        def counted(x, y):
+            seen.append((type(x), type(y)))
+            return func(x, y)
+
+        spec.func = counted
+        assert spec.float_exact
+        assert spec.one(0.25, 0.5) == func(0.25, 0.5)
+        assert seen == [(float, float)]
+        assert not MapSpec(counted, INC_DEC, spec.box).float_exact
+
+
+class TestBroadcast:
+    def test_output_takes_the_inputs_broadcast_shape(self):
+        const = MapSpec(compile_expression("1.0", {}), INC_DEC,
+                        Box(0.0, 1.0, 0.0, 1.0))
+        got = const(np.zeros((2, 3)), np.zeros((2, 3)))
+        assert got.shape == (2, 3) and np.all(got == 1.0)
+        got[0, 0] = 2.0  # a writable array of its own
+        assert const(0.5, 0.5).shape == ()
+        only_x = MapSpec(compile_expression("x", {}), INC_DEC,
+                         Box(0.0, 1.0, 0.0, 1.0))
+        got = only_x(np.arange(3.0), np.zeros((2, 1)))
+        np.testing.assert_array_equal(got, [[0.0, 1.0, 2.0]] * 2)

@@ -452,6 +452,52 @@ class TestOrbits:
             iterate_orbit(spec, 1.5, 1.0, 10)
         assert str(got.value) == "orbit produced a non-finite value at step 3"
 
+    def test_zero_denominator_on_the_float_path(self):
+        # the compiled expression raises ZeroDivisionError on floats at
+        # step 3; that step goes to numpy, whose inf ends the orbit
+        from monomap.map_model import compile_expression
+
+        spec = MapSpec(compile_expression("1 / (x - y)", {}), INC_DEC,
+                       Box(0.0, 4.0, 0.0, 4.0))
+        assert spec.float_exact
+        with np.errstate(divide="ignore"), pytest.raises(NonFiniteValue) as got:
+            iterate_orbit(spec, 1.5, 1.0, 10)
+        assert str(got.value) == "orbit produced a non-finite value at step 3"
+
+    def test_overflow_on_the_float_path(self, monkeypatch):
+        # Python floats overflow to inf as numpy does, without numpy
+        from monomap.map_model import compile_expression
+
+        spec = MapSpec(compile_expression("x * x * 1e300 - y", {}), INC_DEC,
+                       Box(0.0, 4.0, 0.0, 4.0))
+        monkeypatch.setattr(MapSpec, "__call__", _no_numpy_call)
+        with pytest.raises(NonFiniteValue) as got:
+            iterate_orbit(spec, 2.0, 0.0, 10)
+        assert str(got.value) == "orbit produced a non-finite value at step 2"
+
+    @pytest.mark.parametrize("make,args,start", [
+        (make_eq7, (2.05, 3.0, 3.0), (0.4, 2.9)),
+        (make_eq8, (1.0, 0.3), (0.6, 0.2)),
+        (make_eq8, (0.95, 0.495), (0.9, 0.3)),
+    ], ids=["eq7", "eq8", "eq8-near-degenerate"])
+    def test_expression_orbits_stay_on_floats(self, make, args, start,
+                                              monkeypatch):
+        # the rational families run on Python floats alone, with the
+        # bits of numpy's 0-d evaluation
+        spec, domain = make(*args)
+        x0, x_m1 = start
+        vals = [x_m1, x0]
+        for k in range(2000):
+            vals.append(float(spec(vals[k + 1], vals[k])))
+        monkeypatch.setattr(MapSpec, "__call__", _no_numpy_call)
+        orbit = iterate_orbit(spec, x0, x_m1, 2000, domain=domain)
+        assert orbit.values.tobytes() == np.array(vals).tobytes()
+        assert orbit.exited_at is None
+
+
+def _no_numpy_call(self, x, y):
+    raise AssertionError("F was evaluated through numpy")
+
 
 def _reference_orbit(map_spec, x0, x_m1, n, domain):
     """iterate_orbit with the domain checked after every step."""
