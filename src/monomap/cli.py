@@ -301,13 +301,11 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
         )
         if exits:
             print(f"{exits} of {n_orbits} orbits left the domain")
-    report.write_orbits_csv(out / "orbits.csv", np.asarray(traces),
-                            keep_every=1)
+    report.write_orbits_csv(out / "orbits.csv", traces, keep_every=1)
     (out / "phase.svg").write_text(
-        report.render_phase_svg(domain, traces=np.asarray(traces))
+        report.render_phase_svg(domain, traces=traces)
     )
-    print(f"simulated {np.asarray(traces).shape[1]} orbit(s), "
-          f"{steps} max steps")
+    print(f"simulated {traces.shape[1]} orbit(s), {steps} max steps")
     return EXIT_OK
 
 

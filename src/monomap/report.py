@@ -3,17 +3,25 @@
 Every writer here is a pure function of its inputs — no timestamps, no
 environment-dependent metadata — so identical inputs produce identical
 bytes, and reports can be diffed in CI.
+
+The writers cost about one float format per value they hold: CSV rows
+and SVG points are built by C-level iteration (``map`` of a bound
+``str.format`` or ``%``) over columns taken from numpy with ``tolist``,
+and JSON by a small encoder that writes ``json``'s indented layout.
+The two CSV writers stream: they format and write ``_CSV_BLOCK`` values
+at a time, because chain and orbit files run to megabytes, and whole
+files of strings would raise the peak memory of every run that writes
+one.  JSON documents and SVG images are built in memory.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 import numpy as np
-
-SCHEMA_VERSION = 1
 
 _PIECE_COLORS = {
     "base_map": "#9ecae1",
@@ -38,10 +46,80 @@ def _json_default(value):
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
-def dumps_json(obj) -> str:
-    """Canonical JSON: sorted keys, fixed separators, ASCII, newline end."""
+def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True,
-                      default=_json_default) + "\n"
+                      default=_json_default)
+
+
+def _float_json(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v == float("inf"):
+        return "Infinity"
+    if v == -float("inf"):
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+def _encode(o, nl: str) -> str:
+    """``o`` as ``_json_dumps`` writes it when ``nl`` is the newline and
+    indent of its own line.  The tests run most frequent first; only
+    True and False must come before int."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        sep = "," + inner
+        try:
+            # a leaf list of finite floats; repr of a finite float has no "n"
+            body = sep.join(map(float.__repr__, o))
+            if "n" in body:
+                raise TypeError
+        except TypeError:
+            body = sep.join([_encode(v, inner) for v in o])
+        return "[" + inner + body + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        try:
+            keys = sorted(o)
+            names = list(map(encode_basestring_ascii, keys))
+        except TypeError:
+            # a key that is not a str: json converts and sorts such keys
+            # its own way
+            return _json_dumps(o).replace("\n", nl)
+        inner = nl + "  "
+        return ("{" + inner + ("," + inner).join([
+            name + ": " + _encode(o[k], inner)
+            for name, k in zip(names, keys)]) + nl + "}")
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, float):
+        return _float_json(o)
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    return _encode(_json_default(o), nl)
+
+
+def dumps_json(obj) -> str:
+    """Canonical JSON: sorted keys, indent 2, ASCII, newline end.
+
+    The bytes are those of ``json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=True, default=_json_default)``, whose indented form
+    runs on ``json``'s pure-Python encoder; ``_encode`` writes the same
+    layout with one ``float.__repr__`` per value of a list of floats."""
+    try:
+        text = _encode(obj, "\n")
+    except RecursionError:
+        # a circular or very deep document: json raises its own error
+        text = _json_dumps(obj)
+    return text + "\n"
 
 
 def write_json(path, obj) -> None:
@@ -49,37 +127,75 @@ def write_json(path, obj) -> None:
         fh.write(dumps_json(obj))
 
 
-def _write_csv(path, header: list, rows) -> None:
-    """Write the header and the rows, each a list of strings, as
-    ``csv.writer`` writes fields that need no quoting: joined by commas,
-    every line ended by \\r\\n."""
+# values formatted per write by the CSV writers
+_CSV_BLOCK = 8192
+
+
+def _blocks(n_rows: int, n_values: int) -> range:
+    """The first rows of the blocks of at most ``_CSV_BLOCK`` values
+    that rows of ``n_values`` values each are written in."""
+    return range(0, n_rows, max(1, _CSV_BLOCK // max(1, n_values)))
+
+
+def _write_csv(path, header: list, blocks) -> None:
+    """Write the header, then each block, an iterable of lines each
+    ended by \\r\\n as ``csv.writer`` ends them (no field needs
+    quoting), in one write."""
     with open(path, "w", newline="") as fh:
-        fh.writelines(",".join(row) + "\r\n"
-                      for row in itertools.chain([header], rows))
+        fh.write(",".join(header) + "\r\n")
+        for lines in blocks:
+            fh.write("".join(lines))
 
 
 def write_orbits_csv(path, traces: np.ndarray, keep_every: int = 100) -> None:
     """Orbit ensemble traces: one row per recorded step, one column per orbit."""
     traces = np.asarray(traces, dtype=float)
-    _write_csv(path,
-               ["step"] + [f"orbit{i}" for i in range(traces.shape[1])],
-               ([str(k * keep_every), *map(repr, row.tolist())]
-                for k, row in enumerate(traces)))
+    n, m = traces.shape
+    line = ("{}" + ",{!r}" * m + "\r\n").format
+    steps = range(0, n * keep_every, keep_every)
+    rows = _blocks(n, m)
+    _write_csv(path, ["step"] + [f"orbit{i}" for i in range(m)],
+               (map(line, steps[a:a + rows.step],
+                    *traces[a:a + rows.step].T.tolist()) for a in rows))
+
+
+def _chain_blocks(chain, line):
+    """The lines of one corner chain, a block at a time.  A Sym4 step
+    takes (x, y, u, v) to (F(x, y), u, F(u, v), x), so columns s1 and s3
+    of row k + 1 repeat columns s2 and s0 of row k.  Where they do bit
+    for bit (an int64 view, which tells -0.0 from 0.0) the repr strings
+    of s2 and s0 are reused for s1 and s3; otherwise every column gets
+    its own."""
+    states = np.ascontiguousarray(chain.states, dtype=float)
+    norms = chain.step_norms
+    n, dim = states.shape
+    bits = states.view(np.int64)
+    shifted = (dim == 4 and np.array_equal(bits[1:, 1], bits[:-1, 2])
+               and np.array_equal(bits[1:, 3], bits[:-1, 0]))
+    rows = _blocks(n, dim + 1)
+    for a in rows:
+        b = a + rows.step
+        cols = states[a:b].T.tolist()
+        if shifted:
+            r0, r2 = list(map(repr, cols[0])), list(map(repr, cols[2]))
+            strs = [r0, [repr(cols[1][0])] + r2[:-1], r2,
+                    [repr(cols[3][0])] + r0[:-1]]
+        else:
+            strs = [list(map(repr, c)) for c in cols]
+        norm = map(repr, norms[max(a - 1, 0):b - 1].tolist())
+        yield map(line, itertools.repeat(chain.start), range(a, b), *strs,
+                  itertools.chain([""], norm) if a == 0 else norm)
 
 
 def write_chains_csv(path, lo_chain, hi_chain) -> None:
     """Both corner chains in one file: chain id, iteration, state, step norm."""
     dim = lo_chain.states.shape[1]
-
-    def rows(chain):
-        norms = itertools.chain([""], map(repr, chain.step_norms.tolist()))
-        for k, (row, norm) in enumerate(zip(chain.states, norms)):
-            yield [chain.start, str(k), *map(repr, row.tolist()), norm]
-
+    line = ("{},{}" + ",{}" * dim + ",{}\r\n").format
     _write_csv(path,
                ["chain", "iteration"] + [f"s{i}" for i in range(dim)]
                + ["step_norm"],
-               itertools.chain(rows(lo_chain), rows(hi_chain)))
+               itertools.chain(_chain_blocks(lo_chain, line),
+                               _chain_blocks(hi_chain, line)))
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +205,13 @@ def write_chains_csv(path, lo_chain, hi_chain) -> None:
 
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
+
+
+def _points_attr(px: list, py: list) -> str:
+    """The SVG points attribute of the pixel coordinates px, py, each
+    formatted as ``_fmt`` formats it (``%.6g`` writes the same bytes,
+    -0, nan and inf included)."""
+    return " ".join(map("%.6g,%.6g".__mod__, zip(px, py)))
 
 
 class _Canvas:
@@ -115,8 +238,7 @@ class _Canvas:
         """The SVG points attribute of an (n, 2) point list: ``pt`` on
         arrays, formatted as ``_fmt`` formats."""
         px, py = self.pt(*np.asarray(pts, dtype=float).T)
-        return " ".join(f"{a:.6g},{b:.6g}"
-                        for a, b in zip(px.tolist(), py.tolist()))
+        return _points_attr(px.tolist(), py.tolist())
 
     def polygon(self, pts, fill, stroke="#333333", width=1.0, opacity=0.8):
         self.parts.append(
@@ -125,9 +247,11 @@ class _Canvas:
             f'fill-opacity="{opacity}"/>'
         )
 
-    def polyline(self, pts, stroke, width=1.0, opacity=1.0):
+    def polyline(self, px, py, stroke, width=1.0, opacity=1.0):
+        """A polyline through the pixel coordinates px, py: iterables of
+        floats, ``pt`` of the data points."""
         self.parts.append(
-            f'<polyline points="{self._points(pts)}" fill="none" '
+            f'<polyline points="{_points_attr(px, py)}" fill="none" '
             f'stroke="{stroke}" stroke-width="{width}" '
             f'stroke-opacity="{opacity}"/>'
         )
@@ -192,10 +316,12 @@ def render_phase_svg(
         )
     cv.polygon(domain.vertices, fill="#dbeafe", stroke="#1f4e9c", width=1.5)
     if traces is not None:
-        traces = np.asarray(traces, dtype=float)
-        for j in range(traces.shape[1]):
-            cv.polyline(np.column_stack([traces[1:, j], traces[:-1, j]]),
-                        stroke="#b04040", width=0.7, opacity=0.5)
+        t = np.asarray(traces, dtype=float).T
+        px, py = cv.pt(t, t)  # every orbit through pt in one call
+        for xs, ys in zip(px.tolist(), py.tolist()):
+            # the points (x_k, x_{k-1})
+            cv.polyline(itertools.islice(xs, 1, None), ys, stroke="#b04040",
+                        width=0.7, opacity=0.5)
     for x_star in fixed_points:
         cv.circle(x_star, x_star, 4, "#006400")
     return cv.render()
@@ -209,8 +335,8 @@ def render_orbit_svg(values: np.ndarray) -> str:
     if hi - lo < 1e-30:
         lo, hi = lo - 0.5, hi + 0.5
     cv = _Canvas(0, n - 1, lo, hi)
-    cv.polyline(np.column_stack([np.arange(n), values]), stroke="#1f4e9c",
-                width=1.2)
+    px, py = cv.pt(np.arange(n, dtype=float), values)
+    cv.polyline(px.tolist(), py.tolist(), stroke="#1f4e9c", width=1.2)
     cv.text(0, hi, f"n={n - 1} final={values[-1]:.9g}", size=12)
     return cv.render()
 

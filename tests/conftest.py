@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from monomap.examples import make_eq7, make_eq8, make_xfy
 from monomap.extension import extend, extend_rectangle
 from monomap.geometry import DomainSpec
 from monomap.map_model import Box
+
+# every run draws the same examples, so a failure reproduces as it is;
+# a test's own @settings still sets its max_examples
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

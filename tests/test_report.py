@@ -1,8 +1,12 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from monomap import report
 from monomap.report import (
     dumps_json,
     render_certificate_md,
@@ -13,9 +17,97 @@ from monomap.report import (
     write_json,
     write_orbits_csv,
 )
-from monomap.embedding import EmbeddedSystem, run_corner_chains
+from monomap.embedding import (MAX_CORNER, MIN_CORNER, CornerChain,
+                               EmbeddedSystem, run_corner_chains)
 from monomap.geometry import DomainSpec
+from monomap.map_model import Box
 from monomap.stability import certify
+
+# ---------------------------------------------------------------------------
+# Oracles: the straightforward writers the fast ones must match byte for
+# byte.
+# ---------------------------------------------------------------------------
+
+EDGE_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+               -5e-324, 1e16, 1e-5, 1e-4, 0.1, 1 / 3, 123456789.0, 2.5e-300]
+
+
+def oracle_dumps_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True,
+                      default=report._json_default) + "\n"
+
+
+def oracle_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def oracle_orbits_csv(path, traces, steps) -> None:
+    oracle_csv(path, ["step"] + [f"orbit{i}" for i in range(traces.shape[1])],
+               ([str(k)] + [repr(v) for v in row.tolist()]
+                for k, row in zip(steps, traces)))
+
+
+def oracle_chains_csv(path, lo, hi) -> None:
+    dim = lo.states.shape[1]
+    oracle_csv(path,
+               ["chain", "iteration"] + [f"s{i}" for i in range(dim)]
+               + ["step_norm"],
+               ([c.start, str(k)] + [repr(v) for v in row.tolist()]
+                + ["" if k == 0 else repr(float(c.step_norms[k - 1]))]
+                for c in (lo, hi) for k, row in enumerate(c.states)))
+
+
+def oracle_points(cv, pts) -> str:
+    """The SVG points attribute as a per-point f-string writes it."""
+    px, py = cv.pt(*np.asarray(pts, dtype=float).T)
+    return " ".join(f"{a:.6g},{b:.6g}" for a, b in zip(px.tolist(), py.tolist()))
+
+
+def oracle_polyline(cv, pts, stroke, width, opacity) -> None:
+    cv.parts.append(
+        f'<polyline points="{oracle_points(cv, pts)}" fill="none" '
+        f'stroke="{stroke}" stroke-width="{width}" '
+        f'stroke-opacity="{opacity}"/>'
+    )
+
+
+def oracle_phase_svg(domain, traces, fixed_points=(), rect=None) -> str:
+    """The phase plot with each orbit mapped and formatted on its own."""
+    x0, x1, y0, y1 = rect.as_tuple() if rect is not None else domain.bbox
+    cv = report._Canvas(x0, x1, y0, y1)
+    if rect is not None:
+        cv.polygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)],
+                   fill="#f5f5f5", stroke="#999999")
+    cv.polygon(domain.vertices, fill="#dbeafe", stroke="#1f4e9c", width=1.5)
+    for j in range(traces.shape[1]):
+        oracle_polyline(cv, np.column_stack([traces[1:, j], traces[:-1, j]]),
+                        "#b04040", 0.7, 0.5)
+    for x_star in fixed_points:
+        cv.circle(x_star, x_star, 4, "#006400")
+    return cv.render()
+
+
+def oracle_orbit_svg(values) -> str:
+    n = len(values)
+    lo, hi = float(values.min()), float(values.max())
+    if hi - lo < 1e-30:
+        lo, hi = lo - 0.5, hi + 0.5
+    cv = report._Canvas(0, n - 1, lo, hi)
+    oracle_polyline(cv, np.column_stack([np.arange(n), values]), "#1f4e9c",
+                    1.2, 1.0)
+    cv.text(0, hi, f"n={n - 1} final={values[-1]:.9g}", size=12)
+    return cv.render()
+
+
+def edge_matrix(rng, n, m):
+    """An (n, m) matrix of seeded values with the edge floats mixed in."""
+    a = rng.normal(0.0, 1.0, (n, m)) * 10.0 ** rng.integers(-8, 8, (n, m))
+    mask = rng.random((n, m)) < 0.3
+    a[mask] = rng.choice(EDGE_FLOATS, int(mask.sum()))
+    return a
 
 
 class TestJson:
@@ -82,3 +174,192 @@ class TestCertificateMarkdown:
         md = render_certificate_md(cert)
         assert "GloballyStable" in md
         assert "invariance" in md.lower()
+
+
+# ---------------------------------------------------------------------------
+# The fast writers against the oracles.
+# ---------------------------------------------------------------------------
+
+
+def edge_document():
+    """A JSON document with every kind of value the encoder must handle."""
+    rng = np.random.default_rng(7)
+    return {
+        "floats": EDGE_FLOATS,
+        "finite": [v for v in EDGE_FLOATS if np.isfinite(v)],
+        "scalars": {"neg_zero": -0.0, "nan": float("nan"),
+                    "inf": float("inf"), "tiny": 5e-324, "big": 1e16,
+                    "small": 1e-5, "int": -12, "huge_int": 2**70},
+        "flags": [True, False, None, 0, 1, 1.0],
+        "text": ["plain", "π ≤ ∞", "naïve café", "tab\tnew\nline",
+                 'quote " backslash \\', " \x00\x7f", "😀", ""],
+        "π-key": {"ünïcode": "ключ"},
+        "empty": {"dict": {}, "list": [], "tuple": (), "str": ""},
+        "nested": [[[]], [{}], [[1.5, [2.5, {"k": [()]}]]], [[0.5, -0.0]]],
+        "tuples": (1.0, 2.0, (3, "x", (None,))),
+        "mixed": [1.0, 2, 3.5, True],
+        "numpy": {
+            "f64": np.float64(0.1), "f32": np.float32(0.1),
+            "i64": np.int64(-3), "i32": np.int32(7), "u8": np.uint8(255),
+            "b": np.bool_(True), "b0": np.bool_(False),
+            "f64_nan": np.float64("nan"), "f32_inf": np.float32("-inf"),
+        },
+        "arrays": {
+            "vec": rng.normal(size=5), "mat": rng.normal(size=(3, 2)),
+            "ints": np.arange(4), "bools": np.array([True, False]),
+            "empty": np.zeros(0), "zero_d": np.array(2.5),
+            "edges": np.array(EDGE_FLOATS),
+        },
+    }
+
+
+class TestJsonOracle:
+    def test_edge_document(self):
+        doc = edge_document()
+        assert dumps_json(doc) == oracle_dumps_json(doc)
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, float("nan"), float("inf"), 1e16, None, True, "é", [],
+        {}, (), [[]], np.float64(-0.0), np.arange(3.0), np.int64(5)])
+    def test_top_level_values(self, value):
+        assert dumps_json(value) == oracle_dumps_json(value)
+
+    def test_non_str_keys_fall_back_to_json(self):
+        doc = {"outer": {"a": {1: [0.5, -0.0], 3: {"z": 1}},
+                         "b": {2.5: "x", 0.5: {"deep": [float("nan")]}},
+                         "c": [{False: 1, 2: (3.0,)}]}}
+        assert dumps_json(doc) == oracle_dumps_json(doc)
+
+    def test_unsortable_keys_raise_as_json_does(self):
+        doc = {"a": {"k": 1, 2: 3}}
+        with pytest.raises(TypeError):
+            oracle_dumps_json(doc)
+        with pytest.raises(TypeError):
+            dumps_json(doc)
+
+    def test_unserializable_value_raises(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dumps_json({"a": [object()]})
+
+    def test_circular_document_raises_as_json_does(self):
+        doc = {"a": []}
+        doc["a"].append(doc)
+        with pytest.raises(ValueError, match="Circular reference"):
+            dumps_json(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers()
+        | st.floats(allow_nan=True, allow_infinity=True)
+        | st.floats().map(np.float64) | st.integers(-9, 9).map(np.int64)
+        | st.text(),
+        lambda children: st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children)
+        | st.lists(st.floats(), min_size=1),
+        max_leaves=30))
+    def test_json_trees(self, tree):
+        assert dumps_json(tree) == oracle_dumps_json(tree)
+
+
+class TestCsvOracle:
+    @pytest.mark.parametrize("block", [report._CSV_BLOCK, 5])
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (9, 1), (37, 4)])
+    @pytest.mark.parametrize("keep_every", [1, 100])
+    def test_orbits_csv(self, tmp_path, monkeypatch, block, shape,
+                        keep_every):
+        monkeypatch.setattr(report, "_CSV_BLOCK", block)
+        traces = edge_matrix(np.random.default_rng(11), *shape)
+        write_orbits_csv(tmp_path / "fast.csv", traces, keep_every=keep_every)
+        oracle_orbits_csv(tmp_path / "want.csv", traces,
+                          range(0, len(traces) * keep_every, keep_every))
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
+    @pytest.mark.parametrize("block", [report._CSV_BLOCK, 7])
+    def test_chains_csv_of_a_real_chain(self, tmp_path, monkeypatch,
+                                        eq8_ext, block):
+        monkeypatch.setattr(report, "_CSV_BLOCK", block)
+        lo, hi, _ = run_corner_chains(EmbeddedSystem(eq8_ext))
+        write_chains_csv(tmp_path / "fast.csv", lo, hi)
+        oracle_chains_csv(tmp_path / "want.csv", lo, hi)
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
+
+def sym4_chain(start, rng, n, signed_zero=False):
+    """A chain whose rows follow (x, y, u, v) -> (f, u, g, x): columns s1
+    and s3 of each row are bit copies of s2 and s0 of the row before."""
+    f = edge_matrix(rng, n, 2)
+    if signed_zero:
+        f[::2, 0], f[1::2, 0] = -0.0, 0.0
+    states = np.empty((n, 4))
+    states[0] = edge_matrix(rng, 1, 4)[0]
+    for k in range(1, n):
+        x, _, u, _ = states[k - 1]
+        states[k] = (f[k, 0], u, f[k, 1], x)
+    norms = np.max(np.abs(np.diff(states, axis=0)), axis=1)
+    return CornerChain(start, states, norms)
+
+
+class TestChainsCsvShift:
+    def write_both(self, tmp_path, lo, hi):
+        write_chains_csv(tmp_path / "fast.csv", lo, hi)
+        oracle_chains_csv(tmp_path / "want.csv", lo, hi)
+        got = (tmp_path / "fast.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        return got.decode().splitlines()
+
+    @pytest.mark.parametrize("block", [report._CSV_BLOCK, 6])
+    def test_shifted_columns(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(report, "_CSV_BLOCK", block)
+        rng = np.random.default_rng(3)
+        lines = self.write_both(tmp_path,
+                                sym4_chain(MIN_CORNER, rng, 40, True),
+                                sym4_chain(MAX_CORNER, rng, 1))
+        assert len(lines) == 1 + 40 + 1
+
+    @pytest.mark.parametrize("block", [report._CSV_BLOCK, 6])
+    def test_falls_back_where_the_shift_is_not_a_bit_copy(
+            self, tmp_path, monkeypatch, block):
+        """-0.0 == 0.0, so a float-keyed reuse would write "0.0" where
+        the state holds -0.0; the int64 check must send this chain to
+        its own repr of every column."""
+        monkeypatch.setattr(report, "_CSV_BLOCK", block)
+        rng = np.random.default_rng(5)
+        lo = sym4_chain(MIN_CORNER, rng, 30)
+        lo.states[10, 2] = 0.0
+        lo.states[11, 1] = -0.0
+        lo.states[20, 0] = -0.0
+        lo.states[21, 3] = 0.0
+        hi = CornerChain(MAX_CORNER, edge_matrix(rng, 12, 4),
+                         np.abs(rng.normal(size=11)))
+        lines = self.write_both(tmp_path, lo, hi)
+        assert lines[12].split(",")[3] == "-0.0"  # row 11, column s1
+        assert lines[22].split(",")[5] == "0.0"  # row 21, column s3
+
+
+class TestSvgOracle:
+    def test_points_attr_matches_the_fstring(self):
+        xs = EDGE_FLOATS + list(np.random.default_rng(2).normal(size=50)
+                                * 1e3)
+        ys = xs[::-1]
+        assert report._points_attr(xs, ys) == " ".join(
+            f"{a:.6g},{b:.6g}" for a, b in zip(xs, ys))
+
+    @pytest.mark.parametrize("shape", [(0, 2), (1, 3), (25, 1), (60, 5)])
+    def test_phase_svg(self, shape):
+        domain = DomainSpec.rectangle(0.0, 2.0, -1.0, 1.5)
+        traces = edge_matrix(np.random.default_rng(13), *shape)
+        rect = Box(-0.5, 2.5, -1.5, 2.0)
+        assert (render_phase_svg(domain, traces, [0.25, -0.0], rect)
+                == oracle_phase_svg(domain, traces, [0.25, -0.0], rect))
+        assert (render_phase_svg(domain, traces)
+                == oracle_phase_svg(domain, traces))
+
+    @pytest.mark.parametrize("n", [1, 2, 500])
+    def test_orbit_svg(self, n):
+        values = np.random.default_rng(17).normal(size=n) * 1e-3
+        values[:: 7] = -0.0
+        values[3:: 11] = 5e-324
+        assert render_orbit_svg(values) == oracle_orbit_svg(values)
