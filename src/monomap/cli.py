@@ -251,7 +251,8 @@ def cmd_certify(cfg: dict, out: Path, seed: int) -> int:
     if cert.chains is not None:
         report.write_chains_csv(out / "chains.csv", *cert.chains)
     if cert.orbit_traces is not None:
-        report.write_orbits_csv(out / "orbits.csv", cert.orbit_traces)
+        report.write_orbits_csv(out / "orbits.csv", cert.orbit_traces,
+                                cert.orbit_trace_steps)
         (out / "phase.svg").write_text(
             report.render_phase_svg(
                 domain,
@@ -288,6 +289,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
     if x0 is not None:
         orbit = iterate_orbit(spec, x0, x_m1, steps, domain=domain)
         traces = orbit.values[1:, None]
+        kept = range(len(traces))
         (out / "orbit.svg").write_text(report.render_orbit_svg(orbit.values))
         if orbit.exited_at is not None:
             print(f"orbit left the domain at step {orbit.exited_at}")
@@ -296,12 +298,12 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
         sx, sy = sample_starts(domain, n_orbits, rng)
         x0b, x1b, y0b, y1b = domain.bbox
         span = max(x1b - x0b, y1b - y0b)
-        _, exits, traces, _ = _run_ensemble(
+        _, exits, traces, kept, _ = _run_ensemble(
             spec, domain, sx, sy, steps, 1e-9 * span, keep_every=1
         )
         if exits:
             print(f"{exits} of {n_orbits} orbits left the domain")
-    report.write_orbits_csv(out / "orbits.csv", traces, keep_every=1)
+    report.write_orbits_csv(out / "orbits.csv", traces, kept)
     (out / "phase.svg").write_text(
         report.render_phase_svg(domain, traces=traces)
     )

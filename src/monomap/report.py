@@ -147,12 +147,12 @@ def _write_csv(path, header: list, blocks) -> None:
             fh.write("".join(lines))
 
 
-def write_orbits_csv(path, traces: np.ndarray, keep_every: int = 100) -> None:
-    """Orbit ensemble traces: one row per recorded step, one column per orbit."""
+def write_orbits_csv(path, traces: np.ndarray, steps: Sequence[int]) -> None:
+    """Orbit traces: one row per kept step, labelled with that step, and
+    one column per orbit."""
     traces = np.asarray(traces, dtype=float)
     n, m = traces.shape
     line = ("{}" + ",{!r}" * m + "\r\n").format
-    steps = range(0, n * keep_every, keep_every)
     rows = _blocks(n, m)
     _write_csv(path, ["step"] + [f"orbit{i}" for i in range(m)],
                (map(line, steps[a:a + rows.step],

@@ -28,7 +28,9 @@ from .extension import ExtendedMap, audit_extension, extend
 from .geometry import DomainKind, DomainSpec
 from .map_model import Box, MapSpec, check_monotonicity
 
-SCHEMA_VERSION = 5
+# 6: orbits.csv labels each kept row with its true step (not k * keep_every)
+# and no longer repeats the final state
+SCHEMA_VERSION = 6
 
 GLOBALLY_STABLE = "GloballyStable"
 INCONCLUSIVE = "Inconclusive"
@@ -268,9 +270,10 @@ def _run_ensemble(
     """Iterate many orbits in lockstep.
 
     Returns the final values, the number of orbits that left the domain,
-    the traces, and whether the orbits settled: every orbit's step size
-    dropped below tol_fp / 10, which also stops the iteration early.
-    Traces are thinned to every `keep_every`-th value for plotting.
+    the traces, the step of each trace row, and whether the orbits
+    settled: every orbit's step size dropped below tol_fp / 10, which
+    also stops the iteration early.  Traces are thinned to the start,
+    every `keep_every`-th step and the last step run, each row once.
     The domain is checked once per block of _ENSEMBLE_BLOCK steps.
     """
     cur = np.asarray(starts_x, dtype=float).copy()
@@ -278,6 +281,8 @@ def _run_ensemble(
     exited = np.zeros(cur.shape, dtype=bool)
     tol = 4 * domain.chord_tol
     traces = [cur.copy()]
+    steps = [0]
+    n_run = 0
     settled = False
     # the points (x_{k+1}, x_k) of the steps not located yet
     px = np.empty((_ENSEMBLE_BLOCK, cur.size))
@@ -296,16 +301,21 @@ def _run_ensemble(
             filled = 0
         change = np.max(np.abs(nxt - cur))
         prev, cur = cur, nxt
-        if (k + 1) % keep_every == 0:
+        n_run = k + 1
+        if n_run % keep_every == 0:
             traces.append(cur.copy())
+            steps.append(n_run)
         if change < tol_fp / 10:
             settled = True
             break
     if filled:
         exited |= np.any(domain.contains(px[:filled], py[:filled], tol=tol) < 0,
                          axis=0)
-    traces.append(cur.copy())
-    return cur, int(np.count_nonzero(exited)), np.asarray(traces), settled
+    if steps[-1] != n_run:
+        traces.append(cur.copy())
+        steps.append(n_run)
+    return (cur, int(np.count_nonzero(exited)), np.asarray(traces), steps,
+            settled)
 
 
 def sample_starts(domain: DomainSpec, n: int, rng: np.random.Generator):
@@ -366,6 +376,7 @@ class StabilityCertificate:
     extension: Optional[ExtendedMap] = None
     chains: Optional[tuple] = None  # (min-corner chain, max-corner chain)
     orbit_traces: Optional[np.ndarray] = None
+    orbit_trace_steps: Optional[list] = None  # the step of each trace row
 
     @property
     def globally_stable(self) -> bool:
@@ -584,10 +595,10 @@ def certify(
     # 7. empirical orbit ensemble (corroboration only)
     want = cfg["n_orbits"]
     starts_x, starts_y = sample_starts(domain, want, rng)
-    finals, exits, traces, settled = _run_ensemble(
+    finals, exits, traces, steps, settled = _run_ensemble(
         map_spec, domain, starts_x, starts_y, cfg["orbit_steps"], tol_fp
     )
-    cert.orbit_traces = traces
+    cert.orbit_traces, cert.orbit_trace_steps = traces, steps
     worst_dev = float(np.max(np.abs(finals - x_star)))
     cert.orbit_ensemble = {
         "n_orbits": want,

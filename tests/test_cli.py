@@ -156,6 +156,41 @@ class TestCommands:
         assert (out / "orbit.svg").exists()
 
 
+def read_orbits_csv(path):
+    """The step column and the (rows, orbits) values of an orbits.csv."""
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    return ([int(r[0]) for r in rows],
+            np.array([[float(v) for v in r[1:]] for r in rows]))
+
+
+class TestOrbitStepColumn:
+    """Each orbits.csv row is labelled with the step whose state it holds,
+    and no state is written twice."""
+
+    def test_simulate_ensemble_writes_each_step_once(self, tmp_path):
+        cfg = write_cfg(tmp_path, EQ8_CFG + "steps = 50\nn_orbits = 3\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        steps, vals = read_orbits_csv(out / "orbits.csv")
+        assert steps == list(range(51))
+        # row k is x_k: each row past the second is F of the two before
+        spec, _ = make_eq8(1.0, 0.3)
+        assert np.array_equal(vals[2:], spec(vals[1:-1], vals[:-2]))
+
+    def test_certify_labels_the_settling_step(self, tmp_path):
+        cfg = write_cfg(tmp_path, EQ8_CFG + "seed = 0\n")
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        steps, vals = read_orbits_csv(out / "orbits.csv")
+        # the ensemble settles after 51 steps, before the first kept
+        # step 100 of its 10,000: the start and step 51 are its two rows
+        assert steps == [0, 51]
+        x_star = 0.7
+        assert np.max(np.abs(vals[1] - x_star)) < 1e-8
+        assert np.max(np.abs(vals[0] - x_star)) > 1e-3
+
+
 class TestConstantMap:
     """An expression that names neither x nor y gives one value, which
     F's callers see broadcast to their points."""

@@ -143,7 +143,7 @@ class TestCsv:
     def test_orbits_csv(self, tmp_path):
         traces = np.linspace(0, 1, 40).reshape(10, 4)
         path = tmp_path / "orbits.csv"
-        write_orbits_csv(path, traces, keep_every=1)
+        write_orbits_csv(path, traces, range(10))
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 11  # header + 10 rows
 
@@ -270,9 +270,12 @@ class TestCsvOracle:
                         keep_every):
         monkeypatch.setattr(report, "_CSV_BLOCK", block)
         traces = edge_matrix(np.random.default_rng(11), *shape)
-        write_orbits_csv(tmp_path / "fast.csv", traces, keep_every=keep_every)
-        oracle_orbits_csv(tmp_path / "want.csv", traces,
-                          range(0, len(traces) * keep_every, keep_every))
+        # the last row is an early stop between two kept steps
+        steps = [k * keep_every for k in range(len(traces))]
+        if len(steps) > 1:
+            steps[-1] -= keep_every // 2
+        write_orbits_csv(tmp_path / "fast.csv", traces, steps)
+        oracle_orbits_csv(tmp_path / "want.csv", traces, steps)
         assert ((tmp_path / "fast.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
 

@@ -575,20 +575,23 @@ def _reference_ensemble(map_spec, domain, starts_x, starts_y, n_steps,
     """_run_ensemble with the domain checked after every step."""
     cur, prev = starts_x.copy(), starts_y.copy()
     exited = np.zeros(cur.shape, dtype=bool)
-    traces = [cur.copy()]
+    traces, steps = [cur.copy()], [0]
     settled = False
     for k in range(n_steps):
         nxt = np.asarray(map_spec(cur, prev), dtype=float)
         exited |= domain.contains(nxt, cur, tol=4 * domain.chord_tol) < 0
         change = np.max(np.abs(nxt - cur))
         prev, cur = cur, nxt
-        if (k + 1) % keep_every == 0:
-            traces.append(cur.copy())
+        traces.append(cur.copy())
+        steps.append(k + 1)
         if change < tol_fp / 10:
             settled = True
             break
-    traces.append(cur.copy())
-    return cur, int(np.count_nonzero(exited)), np.asarray(traces), settled
+    # the start, every keep_every-th step and the last, each once
+    keep = [i for i, step in enumerate(steps)
+            if step % keep_every == 0 or i == len(steps) - 1]
+    return (cur, int(np.count_nonzero(exited)), np.asarray(traces)[keep],
+            [steps[i] for i in keep], settled)
 
 
 class TestEnsembleContainmentPass:
@@ -604,6 +607,7 @@ class TestEnsembleContainmentPass:
         assert got[1] == want[1]
         assert np.array_equal(got[2], want[2])
         assert got[3] == want[3]
+        assert got[4] == want[4]
         return got
 
     @pytest.mark.parametrize("block", [1, 7, 256])
@@ -615,7 +619,7 @@ class TestEnsembleContainmentPass:
         moved = DomainSpec.polygon(
             _shift_edge(domain.vertices, 1, 0.2 * domain.bbox[1]))
         starts = stab.sample_starts(moved, 100, np.random.default_rng(3))
-        _, exits, _, settled = self._assert_matches_reference(
+        _, exits, _, _, settled = self._assert_matches_reference(
             spec, moved, starts, 10_000, 1e-9 * domain.bbox[1])
         assert 0 < exits < 100
         assert settled
@@ -627,11 +631,13 @@ class TestEnsembleContainmentPass:
         monkeypatch.setattr(stab, "_ENSEMBLE_BLOCK", block)
         sx, sy = stab.sample_starts(_FLAT_HEXAGON, 100,
                                     np.random.default_rng(3))
-        _, exits, traces, settled = self._assert_matches_reference(
+        _, exits, traces, steps, settled = self._assert_matches_reference(
             _ROTATION, _FLAT_HEXAGON, (0.5 * sx, 0.5 * sy), 600, 1e-9)
         assert 0 < exits < 100
         assert not settled
-        assert len(traces) == 8
+        # the last step, 600, is a multiple of keep_every: kept once
+        assert steps == [0, 100, 200, 300, 400, 500, 600]
+        assert len(traces) == 7
 
 
 class TestCertify:
@@ -868,8 +874,8 @@ def _one_domain_exit(monkeypatch):
     real = stab._run_ensemble
 
     def one_exit(*a, **k):
-        finals, _, traces, settled = real(*a, **k)
-        return finals, 1, traces, settled
+        finals, _, traces, steps, settled = real(*a, **k)
+        return finals, 1, traces, steps, settled
 
     monkeypatch.setattr(stab, "_run_ensemble", one_exit)
 
