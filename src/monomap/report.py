@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
@@ -54,17 +55,17 @@ def _json_dumps(obj) -> str:
 def _float_json(v: float) -> str:
     if v != v:
         return "NaN"
-    if v == float("inf"):
+    if v == math.inf:
         return "Infinity"
-    if v == -float("inf"):
+    if v == -math.inf:
         return "-Infinity"
     return float.__repr__(v)
 
 
 def _encode(o, nl: str) -> str:
     """``o`` as ``_json_dumps`` writes it when ``nl`` is the newline and
-    indent of its own line.  The tests run most frequent first; only
-    True and False must come before int."""
+    indent of its own line.  The type checks run the most frequent type
+    first; only the checks for True and False must precede int's."""
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
@@ -140,7 +141,7 @@ def _blocks(n_rows: int, n_values: int) -> range:
 def _write_csv(path, header: list, blocks) -> None:
     """Write the header, then each block, an iterable of lines each
     ended by \\r\\n as ``csv.writer`` ends them (no field needs
-    quoting), in one write."""
+    quoting), one write a block."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lines in blocks:

@@ -28,8 +28,6 @@ from .extension import ExtendedMap, audit_extension, extend
 from .geometry import DomainKind, DomainSpec
 from .map_model import Box, MapSpec, check_monotonicity
 
-# 6: orbits.csv labels each kept row with its true step (not k * keep_every)
-# and no longer repeats the final state
 SCHEMA_VERSION = 6
 
 GLOBALLY_STABLE = "GloballyStable"
