@@ -63,7 +63,8 @@ def oracle_chains_csv(path, lo, hi) -> None:
 def oracle_points(cv, pts) -> str:
     """The SVG points attribute as a per-point f-string writes it."""
     px, py = cv.pt(*np.asarray(pts, dtype=float).T)
-    return " ".join(f"{a:.6g},{b:.6g}" for a, b in zip(px.tolist(), py.tolist()))
+    return " ".join(f"{a:.6g},{b:.6g}"
+                    for a, b in zip(px.tolist(), py.tolist()))
 
 
 def oracle_polyline(cv, pts, stroke, width, opacity) -> None:
