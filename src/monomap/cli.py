@@ -259,6 +259,7 @@ def cmd_certify(cfg: dict, out: Path, seed: int) -> int:
                 traces=cert.orbit_traces,
                 fixed_points=[cert.x_star] if cert.x_star is not None else [],
                 rect=cert.extension.rect,
+                previous=cert.orbit_trace_previous,
             )
         )
     else:
@@ -298,7 +299,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
         sx, sy = sample_starts(domain, n_orbits, rng)
         x0b, x1b, y0b, y1b = domain.bbox
         span = max(x1b - x0b, y1b - y0b)
-        _, exits, traces, kept, _ = _run_ensemble(
+        _, exits, traces, _, kept, _ = _run_ensemble(
             spec, domain, sx, sy, steps, 1e-9 * span, keep_every=1
         )
         if exits:

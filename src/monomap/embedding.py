@@ -50,17 +50,6 @@ class OrderAudit:
     witness_before: Optional[np.ndarray] = None
     witness_after: Optional[np.ndarray] = None
 
-    def to_dict(self):
-        d = {
-            "ok": self.ok,
-            "n_pairs": self.n_pairs,
-            "worst_margin": self.worst_margin,
-        }
-        if self.witness_before is not None:
-            d["witness_before"] = self.witness_before.tolist()
-            d["witness_after"] = self.witness_after.tolist()
-        return d
-
 
 @dataclass
 class CornerChain:

@@ -6,12 +6,12 @@ signature picks: for F increasing in x and decreasing in y they are
 (x0, y1) and (x1, y0), so F spans exactly [F(x0, y1), F(x1, y0)] on the
 cell (the decomposition function of mixed-monotone systems).  The
 artificial fixed-point search and the invariance proof both rest on
-this enclosure.
+this enclosure, and both refine their cells with `refine`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -38,3 +38,50 @@ def corner_ranges(
     ys = np.stack((y0, y1) if sy > 0 else (y1, y0))
     v = np.asarray(F(xs.ravel(), ys.ravel()), dtype=float)
     return xs, ys, v.reshape(xs.shape)
+
+
+class Refinement(NamedTuple):
+    leaves: np.ndarray  # the cells set aside, one per column
+    stop: Optional[str]  # None when every cell was decided
+    witness: object
+    cells: int  # cells tested
+    depth: int  # the deepest level tested
+    widest: int  # the most cells a level left undecided
+
+
+def refine(cells: np.ndarray, test: Callable, split: Callable,
+           leaf: Callable, budget: int) -> Refinement:
+    """Refine cells, one per column, level by level until each is decided.
+
+    ``test(cells, depth)`` returns the mask of the cells it leaves
+    undecided and a witness, which stops the refinement ("witness"), or
+    None.  The undecided cells are all set aside when four times their
+    number exceeds ``budget`` ("cell_budget"), else those that the mask
+    ``leaf(cells, depth)`` marks, if it returns one ("min_width");
+    ``split`` makes the next level of the others.  The stop is the
+    reason of the last set-aside.
+    """
+    leaves, stop = [cells[:, :0]], None
+    depth = n_cells = widest = 0
+    while True:
+        undecided, witness = test(cells, depth)
+        n_cells += cells.shape[1]
+        if witness is not None:
+            stop = "witness"
+            break
+        cells = np.compress(undecided, cells, axis=1)
+        widest = max(widest, cells.shape[1])
+        if 4 * cells.shape[1] > budget:
+            leaves.append(cells)
+            stop = "cell_budget"
+            break
+        left = leaf(cells, depth) if cells.shape[1] else None
+        if left is not None and left.any():
+            leaves.append(np.compress(left, cells, axis=1))
+            cells, stop = np.compress(~left, cells, axis=1), "min_width"
+        if not cells.shape[1]:
+            break
+        cells = split(cells)
+        depth += 1
+    return Refinement(np.concatenate(leaves, axis=1), stop, witness,
+                      n_cells, depth, widest)

@@ -63,7 +63,7 @@ from .errors import (
     SectorOrderViolation,
     UnsupportedDomain,
 )
-from .map_model import Box, DEC_INC, MapSpec
+from .map_model import Box, DEC_INC, MapSpec, lattice_violations
 from .geometry import (DomainKind, DomainSpec, EdgeTable, _shifted,
                        _signed_area)
 
@@ -631,34 +631,15 @@ class _Engine:
 
     def _find_flats(self):
         g = 1e-9 * self.rect.diam
-        # vertical flats of the SW chain (top, bottom per flat)
-        self.sw_flats = []
-        pts = self.t_sw
-        i = 0
-        xs, ys = pts.xs, pts.ys
-        while i < len(xs) - 1:
-            if abs(xs[i + 1] - xs[i]) <= g and ys[i + 1] < ys[i] - g:
-                j = i + 1
-                while j < len(xs) - 1 and abs(xs[j + 1] - xs[j]) <= g and ys[j + 1] < ys[j]:
-                    j += 1
-                self.sw_flats.append((float(xs[i]), float(ys[i]), float(ys[j])))
-                i = j
-            else:
-                i += 1
-        # horizontal flats of the NE chain (traversed R -> T, x decreasing)
-        self.ne_flats = []
+        # vertical flats of the SW chain: (x, top, bottom)
+        xs, ys = self.t_sw.xs, self.t_sw.ys
+        self.sw_flats = [(float(xs[i]), float(ys[i]), float(ys[j]))
+                         for i, j in _flat_runs(xs, ys, g)]
+        # horizontal flats of the NE chain (traversed R -> T, x
+        # decreasing): (height, left end, right end)
         xs, ys = self.t_ne.xs, self.t_ne.ys
-        i = 0
-        while i < len(xs) - 1:
-            if abs(ys[i + 1] - ys[i]) <= g and xs[i + 1] < xs[i] - g:
-                j = i + 1
-                while j < len(xs) - 1 and abs(ys[j + 1] - ys[j]) <= g and xs[j + 1] < xs[j]:
-                    j += 1
-                # (height, left end, right end)
-                self.ne_flats.append((float(ys[i]), float(xs[j]), float(xs[i])))
-                i = j
-            else:
-                i += 1
+        self.ne_flats = [(float(ys[i]), float(xs[j]), float(xs[i]))
+                         for i, j in _flat_runs(ys, xs, g)]
 
     # -- zone classification ----------------------------------------------
 
@@ -928,6 +909,24 @@ def _valfuncs(func: Callable, sectors) -> list:
     """The boundary value sources of the chain tables: the base map
     (source 0), then each sector's fill."""
     return [func] + [s.eval for s in sectors]
+
+
+def _flat_runs(a, b, g: float) -> List[tuple]:
+    """The (first, last) knot of each flat run of a chain with knot
+    coordinates a, b: a run starts at an edge along which a moves by at
+    most g while b falls by more than g, and goes on while a moves by at
+    most g and b falls."""
+    runs, i = [], 0
+    while i < len(a) - 1:
+        if abs(a[i + 1] - a[i]) <= g and b[i + 1] < b[i] - g:
+            j = i + 1
+            while j < len(a) - 1 and abs(a[j + 1] - a[j]) <= g and b[j + 1] < b[j]:
+                j += 1
+            runs.append((i, j))
+            i = j
+        else:
+            i += 1
+    return runs
 
 
 def _trim_runs(part: np.ndarray, axis: int, lo: float, hi: float, g: float):
@@ -1350,19 +1349,15 @@ def audit_extension(ext: ExtendedMap, grid_n: int = 100,
         max_dis = float(np.max(np.abs(ve - vb)))
     agreement_ok = max_dis == 0.0 or max_dis <= 1e-14 * max(1.0, spread)
 
-    # (C3) monotonicity on the whole rectangle
-    sx = ext.base.signature.first.sign
-    sy = ext.base.signature.second.sign
-    dx = sx * np.diff(V, axis=0)
-    dy = sy * np.diff(V, axis=1)
-    tol_mono = 1e-9 * spread
-    n_viol = int(np.sum(dx < -tol_mono) + np.sum(dy < -tol_mono))
-    monotone_ok = n_viol == 0
-    if not monotone_ok:
-        # the grid point where the worst difference starts
-        d = dx if dx.min() <= dy.min() else dy
-        i, j = np.unravel_index(np.argmin(d), d.shape)
-        witnesses["monotone"] = (gx[i], gy[j], float(d[i, j]))
+    # (C3) monotonicity on the whole rectangle, witnessed by the grid
+    # point where the worst difference starts
+    n_x, n_y, worst = lattice_violations(V, ext.base.signature,
+                                         1e-9 * spread)
+    n_viol = n_x + n_y
+    monotone_ok = worst is None
+    if worst is not None:
+        i, j, _, step = worst
+        witnesses["monotone"] = (gx[i], gy[j], step)
 
     # (Nice) range preservation
     inflation = max(lo - float(V.min()), float(V.max()) - hi, 0.0)

@@ -32,7 +32,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .enclosure import METHOD_ENCLOSURE, corner_ranges
+from .enclosure import METHOD_ENCLOSURE, corner_ranges, refine
 from .errors import ContinuumOfFixedPoints, ParamConstraint
 
 SCHEMA_VERSION = 3
@@ -41,6 +41,8 @@ SCHEMA_VERSION = 3
 # level would hold more than _MAX_CELLS cells
 _MAX_DEPTH = 40
 _MAX_CELLS = 1 << 18
+# the (i, j) offsets of the four children of a cell
+_CHILDREN = np.array([[0, 1, 0, 1], [0, 0, 1, 1]])[:, None, :]
 # every enclosure comparison is widened by this many ulps of the box's
 # largest coordinate, for the rounding of F and of the differences
 _ULPS = 8
@@ -247,9 +249,10 @@ def find_artificial(
     enclosure of their difference from the same four corners is the
     difference of the two enclosures, so it would drop no further cell.
 
-    The cells left at width 2^-40 of the box, or when a level would
-    exceed the cell budget, are grouped into boxes (cells less than
-    sep_min apart share one).  A box whose centre residual is at most
+    The quadtree is refined by `enclosure.refine`.  The cells left when
+    a level would exceed the cell budget, else at width 2^-40 of the
+    box, are grouped into boxes (cells less than sep_min apart share
+    one).  A box whose centre residual is at most
     tol_fp = 1e-9 of the box span is an artificial pair (its mirror image solves the system
     too); any other box is unresolved.
     """
@@ -258,42 +261,36 @@ def find_artificial(
     sep_min = _SEP_MIN * (b - a)
     equilibria = find_equilibria(ext, (a, b), n_grid=n_grid)
     eps = _ULPS * np.spacing(max(abs(a), abs(b)))
-    i = j = np.zeros(1, dtype=np.int64)
-    depth = cells = evaluations = widest = 0
-    while True:
+
+    def test(cells, depth):
+        i, j = cells
         n = 1 << depth
         x0, x1 = _nodes(i, n, a, b), _nodes(i + 1, n, a, b)
         y0, y1 = _nodes(j, n, a, b), _nodes(j + 1, n, a, b)
         flo, fhi, glo, ghi = _corner_ranges(ext, x0, x1, y0, y1)
-        cells += i.size
-        evaluations += 4 * i.size
         keep = (
             (flo - x1 <= eps) & (fhi - x0 >= -eps)  # F(x, y) - x
             & (glo - y1 <= eps) & (ghi - y0 >= -eps)  # F(y, x) - y
             & (y1 - x0 > sep_min)  # not wholly inside the diagonal band
         )
-        i, j = i[keep], j[keep]
-        widest = max(widest, i.size)
-        if not i.size:
-            stop = "exhausted"
-            break
-        if depth == _MAX_DEPTH:
-            stop = "min_width"
-            break
-        if 4 * i.size > _MAX_CELLS:
-            stop = "cell_budget"
-            break
+        return keep, None
+
+    def split(cells):
         # the four children; those wholly below the diagonal mirror kept ones
-        ci = (2 * i[:, None] + np.array([0, 1, 0, 1])).ravel()
-        cj = (2 * j[:, None] + np.array([0, 0, 1, 1])).ravel()
-        above = cj + 1 > ci
-        i, j = ci[above], cj[above]
-        depth += 1
+        kids = (2 * cells[:, :, None] + _CHILDREN).reshape(2, -1)
+        return np.compress(kids[1] + 1 > kids[0], kids, axis=1)
+
+    def leaf(cells, depth):
+        return np.ones(cells.shape[1], bool) if depth == _MAX_DEPTH else None
+
+    run = refine(np.zeros((2, 1), dtype=np.int64), test, split, leaf,
+                 _MAX_CELLS)
+    i, j = run.leaves
 
     # cells less than sep_min apart form one box: group them by their
     # ancestors at the last depth whose cells are at least sep_min wide
-    n = 1 << depth
-    shift = max(0, depth - int(np.floor(np.log2((b - a) / sep_min))))
+    n = 1 << run.depth
+    shift = max(0, run.depth - int(np.floor(np.log2((b - a) / sep_min))))
     coarse, parent = np.unique(np.stack([i >> shift, j >> shift], axis=1),
                                axis=0, return_inverse=True)
     label = _labels(coarse[:, 0], coarse[:, 1])[parent.ravel()]
@@ -307,7 +304,6 @@ def find_artificial(
     cx, cy = 0.5 * (bx0 + bx1), 0.5 * (by0 + by1)
     v = np.clip(ext.eval(np.concatenate([cx, cy]), np.concatenate([cy, cx])),
                 a, b)
-    evaluations += v.size
     res = np.maximum(np.abs(v[: cx.size] - cx), np.abs(v[cx.size:] - cy))
     artificial: List[Kept] = []
     unresolved: List[Kept] = []
@@ -315,19 +311,9 @@ def find_artificial(
         kept = ((float(cx[k]), float(cy[k])), float(res[k]),
                 (float(bx0[k]), float(bx1[k]), float(by0[k]), float(by1[k])))
         (artificial if res[k] <= tol_fp else unresolved).append(kept)
-    return FixedPointReport(
-        equilibria=equilibria,
-        artificial=artificial,
-        unresolved=unresolved,
-        search={
-            "box": [a, b],
-            "cells": cells,
-            "depth": depth,
-            "min_width": (b - a) / n,
-            "widest_level": widest,
-            "stop": stop,
-            "evaluations": evaluations,
-            "diagonal_band": sep_min,
-            "tol_fp": tol_fp,
-        },
-    )
+    search = {"box": [a, b], "cells": run.cells, "depth": run.depth,
+              "min_width": (b - a) / n, "widest_level": run.widest,
+              "stop": run.stop or "exhausted",
+              "evaluations": 4 * run.cells + v.size,
+              "diagonal_band": sep_min, "tol_fp": tol_fp}
+    return FixedPointReport(equilibria, artificial, unresolved, search)

@@ -224,6 +224,23 @@ _MONO_GRID = 256
 _MONO_TOL = 1e-9
 
 
+def lattice_violations(Z: np.ndarray, signature: MonotoneSignature,
+                       tol: float):
+    """Count the steps of the lattice values Z (x along axis 0) that go
+    against the signature by more than tol, along x and along y, and
+    give the worst as (i, j, axis, signed step from node (i, j)), or
+    None; on a tie, the x step."""
+    dx = signature.first.sign * np.diff(Z, axis=0)
+    dy = signature.second.sign * np.diff(Z, axis=1)
+    n_x = int(np.count_nonzero(dx < -tol))
+    n_y = int(np.count_nonzero(dy < -tol))
+    if not (n_x or n_y):
+        return n_x, n_y, None
+    axis, d = ("x", dx) if dx.min() <= dy.min() else ("y", dy)
+    i, j = np.unravel_index(np.argmin(d), d.shape)
+    return n_x, n_y, (int(i), int(j), axis, float(d[i, j]))
+
+
 def check_monotonicity(spec: MapSpec,
                        box: Optional[Box] = None) -> MonotonicityAudit:
     """Audit the declared signature on a 256 x 256 lattice of the box."""
@@ -233,31 +250,10 @@ def check_monotonicity(spec: MapSpec,
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     Z = spec.eval_checked(X, Y)
     spread = float(Z.max() - Z.min())
-    tol = _MONO_TOL * max(1.0, spread)
-
-    sgn_x = spec.signature.first.sign
-    sgn_y = spec.signature.second.sign
-    dx = sgn_x * np.diff(Z, axis=0)
-    dy = sgn_y * np.diff(Z, axis=1)
-    viol_x = dx < -tol
-    viol_y = dy < -tol
-    n_x = int(viol_x.sum())
-    n_y = int(viol_y.sum())
-    worst = 0.0
-    witness = None
-    if n_x:
-        i, j = np.unravel_index(np.argmin(dx), dx.shape)
-        worst = max(worst, float(-dx[i, j]))
-        witness = (float(xs[i]), float(ys[j]), "x")
-    if n_y:
-        i, j = np.unravel_index(np.argmin(dy), dy.shape)
-        if float(-dy[i, j]) > worst:
-            worst = float(-dy[i, j])
-            witness = (float(xs[i]), float(ys[j]), "y")
-    return MonotonicityAudit(
-        ok=(n_x == 0 and n_y == 0),
-        n_violations_x=n_x,
-        n_violations_y=n_y,
-        worst_violation=worst,
-        witness=witness,
-    )
+    n_x, n_y, worst = lattice_violations(
+        Z, spec.signature, _MONO_TOL * max(1.0, spread))
+    if worst is None:
+        return MonotonicityAudit(True, n_x, n_y, 0.0)
+    i, j, axis, step = worst
+    return MonotonicityAudit(False, n_x, n_y, -step,
+                             (float(xs[i]), float(ys[j]), axis))

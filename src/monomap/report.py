@@ -303,26 +303,25 @@ def render_phase_svg(
     traces: Optional[np.ndarray] = None,
     fixed_points: Sequence[float] = (),
     rect=None,
+    previous: Optional[np.ndarray] = None,
 ) -> str:
-    """The domain with orbit traces (x_k vs x_{k-1}) and fixed points."""
-    if rect is not None:
-        x0, x1, y0, y1 = rect.as_tuple()
-    else:
-        x0, x1, y0, y1 = domain.bbox
+    """The domain with orbit traces (x_k vs x_{k-1}) and fixed points:
+    ``traces`` holds x_k, a row per kept step and a column per orbit, and
+    ``previous`` the x_{k-1} beside it, by default the row before."""
+    x0, x1, y0, y1 = rect.as_tuple() if rect is not None else domain.bbox
     cv = _Canvas(x0, x1, y0, y1)
     if rect is not None:
-        cv.polygon(
-            [(x0, y0), (x1, y0), (x1, y1), (x0, y1)],
-            fill="#f5f5f5", stroke="#999999",
-        )
+        cv.polygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)],
+                   fill="#f5f5f5", stroke="#999999")
     cv.polygon(domain.vertices, fill="#dbeafe", stroke="#1f4e9c", width=1.5)
     if traces is not None:
-        t = np.asarray(traces, dtype=float).T
-        px, py = cv.pt(t, t)  # every orbit through pt in one call
+        t = np.asarray(traces, dtype=float)
+        if previous is None:
+            t, previous = t[1:], t[:-1]
+        # every orbit through pt in one call
+        px, py = cv.pt(t.T, np.asarray(previous, dtype=float).T)
         for xs, ys in zip(px.tolist(), py.tolist()):
-            # the points (x_k, x_{k-1})
-            cv.polyline(itertools.islice(xs, 1, None), ys, stroke="#b04040",
-                        width=0.7, opacity=0.5)
+            cv.polyline(xs, ys, stroke="#b04040", width=0.7, opacity=0.5)
     for x_star in fixed_points:
         cv.circle(x_star, x_star, 4, "#006400")
     return cv.render()

@@ -22,13 +22,13 @@ import numpy as np
 from . import fixed_points as fp
 from .embedding import (SYM4, EmbeddedSystem, check_order_preserving,
                         run_corner_chains)
-from .enclosure import METHOD_ENCLOSURE, corner_ranges
+from .enclosure import METHOD_ENCLOSURE, corner_ranges, refine
 from .errors import MonomapError, NonFiniteValue, UnsupportedDomain
 from .extension import ExtendedMap, audit_extension, extend
 from .geometry import DomainKind, DomainSpec
 from .map_model import Box, MapSpec, check_monotonicity
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 GLOBALLY_STABLE = "GloballyStable"
 INCONCLUSIVE = "Inconclusive"
@@ -113,73 +113,59 @@ def verify_invariance(map_spec: MapSpec, domain: DomainSpec) -> InvarianceResult
     h1.  The test is the same for rectangles, convex and semi-convex
     domains.
 
-    Cells start as the bounding box, and each level first clips the
-    y-range of every cell to the domain's extent over its x-range
-    (dropping the cells that miss the domain), then evaluates every
-    cell in one call of F.  A failing cell is split in x and in y.  An
-    extreme corner in the domain whose image lies outside by more than
-    tol stops the proof with that corner as the witness.  Failing cells
-    narrower than tol, and all failing cells when the next level would
-    exceed the cell budget, are left as ``unproved`` boxes.  The band
-    tol, thousands of ulps wide, also absorbs the rounding of F and of
-    the edge positions.
+    The cells are refined by `enclosure.refine`.  They start as the
+    bounding box; a failing cell is split in x and in y, and every new
+    cell has its y-range clipped to the domain's extent over its x-range
+    (the cells that miss the domain are dropped).  Each level evaluates
+    every cell in one call of F.  An extreme corner in the domain whose
+    image lies outside by more than tol stops the proof with that corner
+    as the witness.  All failing cells when the next level would exceed
+    the cell budget, else the failing cells narrower than tol, are left
+    as ``unproved`` boxes.  ``depth`` is the deepest level evaluated.
+    The band tol, thousands of ulps wide, also absorbs the rounding of F
+    and of the edge positions.
     """
     tol = 4 * domain.chord_tol
     bx0, bx1, by0, by1 = domain.bbox
     cuts, bands = domain.trapezoids()
     sig = map_spec.signature.as_tuple()
-    x0, x1 = np.array([bx0]), np.array([bx1])
-    y0, y1 = np.array([by0]), np.array([by1])
-    unproved = []
-    witness = None
-    depth = cells = evaluations = 0
-    stop = "proved"
-    while x0.size:
-        lo, hi = domain.slab_extent(x0, x1)
-        y0, y1 = np.maximum(y0, lo), np.minimum(y1, hi)
-        meets = y0 <= y1
-        x0, x1, y0, y1 = x0[meets], x1[meets], y0[meets], y1[meets]
+
+    def clip(cells):  # in place, then drops the cells that miss the domain
+        lo, hi = domain.slab_extent(cells[0], cells[1])
+        np.maximum(cells[2], lo, out=cells[2])
+        np.minimum(cells[3], hi, out=cells[3])
+        return np.compress(cells[2] <= cells[3], cells, axis=1)
+
+    def test(cells, depth):
+        x0, x1, y0, y1 = cells
         xs, ys, f = corner_ranges(map_spec, sig, x0, x1, y0, y1)
-        cells += x0.size
-        evaluations += f.size
         slack = tol - np.maximum(0.0, np.maximum(by0 - x0, x1 - by1))
         bad = ~_fits_trapezoids(domain, cuts, bands, np.clip(x0, by0, by1),
                                 np.clip(x1, by0, by1), f[0], f[1], slack)
         if not bad.any():
-            break
+            return bad, None
         cx, cy, fx = xs[:, bad].ravel(), ys[:, bad].ravel(), f[:, bad].ravel()
-        out = ((domain.contains(cx, cy, tol=0.0) >= 0)
-               & (domain.contains(fx, cx, tol=tol) < 0))
-        if out.any():
-            k = int(np.argmax(out))
-            witness = (float(cx[k]), float(cy[k]))
-            stop = "witness"
-            break
-        x0, x1, y0, y1 = x0[bad], x1[bad], y0[bad], y1[bad]
-        left = np.maximum(x1 - x0, y1 - y0) < tol
-        if 4 * x0.size > _MAX_INVARIANCE_CELLS:
-            left[:], stop = True, "cell_budget"
-        elif left.any():
-            stop = "min_width"
-        unproved += [[float(c) for c in box] for box in
-                     zip(x0[left], x1[left], y0[left], y1[left])]
-        x0, x1, y0, y1 = x0[~left], x1[~left], y0[~left], y1[~left]
+        out = np.flatnonzero((domain.contains(cx, cy, tol=0.0) >= 0)
+                             & (domain.contains(fx, cx, tol=tol) < 0))
+        return bad, (float(cx[out[0]]), float(cy[out[0]])) if out.size else None
+
+    def split(cells):
+        x0, x1, y0, y1 = cells
         xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        x0, x1 = np.concatenate([x0, xm, x0, xm]), np.concatenate([xm, x1, xm, x1])
-        y0, y1 = np.concatenate([y0, y0, ym, ym]), np.concatenate([ym, ym, y1, y1])
-        depth += 1
-    return InvarianceResult(
-        verified=witness is None and not unproved,
-        witness=witness,
-        search={
-            "cells": cells,
-            "evaluations": evaluations,
-            "depth": depth,
-            "tol": tol,
-            "stop": stop,
-            "unproved": unproved,
-        },
-    )
+        # rows x0, x1, y0, y1 of the four children
+        return clip(np.concatenate([x0, xm, x0, xm, xm, x1, xm, x1,
+                                    y0, y0, ym, ym, ym, ym, y1, y1]
+                                   ).reshape(4, -1))
+
+    def leaf(cells, depth):
+        return np.maximum(cells[1] - cells[0], cells[3] - cells[2]) < tol
+
+    run = refine(clip(np.array([[bx0], [bx1], [by0], [by1]], dtype=float)),
+                 test, split, leaf, _MAX_INVARIANCE_CELLS)
+    search = {"cells": run.cells, "evaluations": 2 * run.cells,
+              "depth": run.depth, "tol": tol, "stop": run.stop or "proved",
+              "unproved": run.leaves.T.tolist()}
+    return InvarianceResult(run.stop is None, search, run.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +181,6 @@ class Orbit:
     @property
     def final(self) -> float:
         return float(self.values[-1])
-
-    def to_dict(self):
-        return {
-            "values": self.values.tolist(),
-            "exited_at": self.exited_at,
-        }
 
 
 # points per containment call in iterate_orbit: an orbit that leaves the
@@ -268,18 +248,18 @@ def _run_ensemble(
     """Iterate many orbits in lockstep.
 
     Returns the final values, the number of orbits that left the domain,
-    the traces, the step of each trace row, and whether the orbits
-    settled: every orbit's step size dropped below tol_fp / 10, which
-    also stops the iteration early.  Traces are thinned to the start,
-    every `keep_every`-th step and the last step run, each row once.
-    The domain is checked once per block of _ENSEMBLE_BLOCK steps.
+    the traces x_k, the x_{k-1} beside each trace row, the step k of
+    each row, and whether the orbits settled: every orbit's step size
+    dropped below tol_fp / 10, which also stops the iteration early.
+    Traces are thinned to the start, every `keep_every`-th step and the
+    last step run, each row once.  The domain is checked once per block
+    of _ENSEMBLE_BLOCK steps.
     """
     cur = np.asarray(starts_x, dtype=float).copy()
     prev = np.asarray(starts_y, dtype=float).copy()
     exited = np.zeros(cur.shape, dtype=bool)
     tol = 4 * domain.chord_tol
-    traces = [cur.copy()]
-    steps = [0]
+    kept, steps = [(prev.copy(), cur.copy())], [0]  # (x_{k-1}, x_k) rows
     n_run = 0
     settled = False
     # the points (x_{k+1}, x_k) of the steps not located yet
@@ -301,7 +281,7 @@ def _run_ensemble(
         prev, cur = cur, nxt
         n_run = k + 1
         if n_run % keep_every == 0:
-            traces.append(cur.copy())
+            kept.append((prev.copy(), cur.copy()))
             steps.append(n_run)
         if change < tol_fp / 10:
             settled = True
@@ -310,9 +290,10 @@ def _run_ensemble(
         exited |= np.any(domain.contains(px[:filled], py[:filled], tol=tol) < 0,
                          axis=0)
     if steps[-1] != n_run:
-        traces.append(cur.copy())
+        kept.append((prev.copy(), cur.copy()))
         steps.append(n_run)
-    return (cur, int(np.count_nonzero(exited)), np.asarray(traces), steps,
+    previous, traces = np.asarray(kept).transpose(1, 0, 2)
+    return (cur, int(np.count_nonzero(exited)), traces, previous, steps,
             settled)
 
 
@@ -375,6 +356,7 @@ class StabilityCertificate:
     chains: Optional[tuple] = None  # (min-corner chain, max-corner chain)
     orbit_traces: Optional[np.ndarray] = None
     orbit_trace_steps: Optional[list] = None  # the step of each trace row
+    orbit_trace_previous: Optional[np.ndarray] = None  # x_{k-1} beside x_k
 
     @property
     def globally_stable(self) -> bool:
@@ -593,10 +575,11 @@ def certify(
     # 7. empirical orbit ensemble (corroboration only)
     want = cfg["n_orbits"]
     starts_x, starts_y = sample_starts(domain, want, rng)
-    finals, exits, traces, steps, settled = _run_ensemble(
+    finals, exits, traces, previous, steps, settled = _run_ensemble(
         map_spec, domain, starts_x, starts_y, cfg["orbit_steps"], tol_fp
     )
     cert.orbit_traces, cert.orbit_trace_steps = traces, steps
+    cert.orbit_trace_previous = previous
     worst_dev = float(np.max(np.abs(finals - x_star)))
     cert.orbit_ensemble = {
         "n_orbits": want,

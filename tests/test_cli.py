@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from monomap.cli import main, parse_config
 from monomap.errors import ConfigError
 from monomap.examples import make_eq8
 from monomap.map_model import compile_expression
-from monomap.stability import SIZE_KEYS, certify
+from monomap.stability import SIZE_KEYS, certify, iterate_orbit
 
 EQ8_CFG = """
 [map]
@@ -189,6 +190,40 @@ class TestOrbitStepColumn:
         x_star = 0.7
         assert np.max(np.abs(vals[1] - x_star)) < 1e-8
         assert np.max(np.abs(vals[0] - x_star)) > 1e-3
+
+
+class TestCertifyPhasePlot:
+    """phase.svg draws, for each orbit, the point (x_k, x_{k-1}) at each
+    step k that orbits.csv keeps."""
+
+    def test_points_are_kept_steps_beside_their_predecessors(self, tmp_path):
+        cfg = write_cfg(tmp_path, EQ8_CFG + "seed = 0\n")
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        steps, vals = read_orbits_csv(out / "orbits.csv")
+        assert steps == [0, 51]
+        spec, domain = make_eq8(1.0, 0.3)
+        cert = certify(spec, domain, {"seed": 0})
+        x, prev = cert.orbit_traces, cert.orbit_trace_previous
+        assert np.array_equal(x, vals)
+        # x_{k-1} and x_k of every orbit, run again from its start
+        for j in range(x.shape[1]):
+            orbit = iterate_orbit(spec, x[0, j], prev[0, j], 51).values
+            assert (orbit[-2], orbit[-1]) == (prev[1, j], x[1, j])
+        # one polyline per orbit through its kept points, in pixels of
+        # the 640 px square with 40 px margins over the box, y up
+        x0, x1, y0, y1 = cert.extension.rect.as_tuple()
+        scale = 560 / max(x1 - x0, y1 - y0)
+        svg = (out / "phase.svg").read_text()
+        lines = re.findall(r'<polyline points="([^"]*)"', svg)
+        assert len(lines) == x.shape[1]
+        for j, line in enumerate(lines):
+            px, py = np.array([p.split(",") for p in line.split()],
+                              dtype=float).T
+            np.testing.assert_allclose(x0 + (px - 40) / scale, x[:, j],
+                                       atol=1e-5)
+            np.testing.assert_allclose(y0 + (600 - py) / scale, prev[:, j],
+                                       atol=1e-5)
 
 
 class TestConstantMap:

@@ -14,11 +14,12 @@ from monomap.errors import (
 from monomap.examples import make_eq8
 from monomap.extension import (
     ExtendedMap,
+    _flat_runs,
     audit_extension,
     extend,
     extend_rectangle,
 )
-from monomap.geometry import DomainSpec, EdgeTable
+from monomap.geometry import DomainKind, DomainSpec, EdgeTable
 from monomap.map_model import (
     Box,
     DEC_INC,
@@ -26,6 +27,7 @@ from monomap.map_model import (
     Direction,
     MapSpec,
     MonotoneSignature,
+    check_monotonicity,
 )
 from monomap.report import dumps_json
 
@@ -68,6 +70,30 @@ def _flat_bottom_case(k):
     func, sig, verts = _FLAT_BOTTOM_CASES[k]
     domain = DomainSpec.polygon(verts)
     return MapSpec(func, sig, Box(*domain.bbox)), domain
+
+
+_INC_DEC_MAP = lambda x, y: (1.0 + x) / (1.0 + x + y)  # noqa: E731
+_DEC_INC_MAP = lambda x, y: (1.0 + y) / (1.0 + y + x)  # noqa: E731
+_L_SHAPES = ([(0, 0), (3, 0), (3, 1), (2, 1), (2, 3), (0, 3)],
+             [(1, 0), (3, 0), (3, 3), (0, 3), (0, 1), (1, 1)])
+# L-shapes in both signatures, whose ray chains have flats (the NE flat
+# graft terms, a SW graft piece); an intrusion whose chord top lands
+# inside an edge, at y = 1.45; and the first L-shape with a collinear
+# vertex, which makes a NE flat run over two edges
+_SHAPE_CASES = [(f, sig, verts) for verts in _L_SHAPES
+                for f, sig in ((_INC_DEC_MAP, INC_DEC), (_DEC_INC_MAP, DEC_INC))]
+_SHAPE_CASES += [
+    (_DEC_INC_MAP, DEC_INC,
+     [(0, 0), (1, 0), (1.8, 0.5), (1.2, 1.0), (2, 1.6), (2, 3), (0, 3)]),
+    (_INC_DEC_MAP, INC_DEC,
+     [(0, 0), (3, 0), (3, 1), (2, 1), (2, 2), (2, 3), (0, 3)]),
+]
+
+
+def _shape_cases():
+    for func, sig, verts in _SHAPE_CASES:
+        domain = DomainSpec.polygon(verts)
+        yield MapSpec(func, sig, Box(*domain.bbox)), domain
 
 
 class TestRectangleExtension:
@@ -244,6 +270,23 @@ class TestSemiConvex:
         audit = audit_extension(ext, rng=np.random.default_rng(6))
         assert audit.all_ok
 
+    @pytest.mark.parametrize("k", range(len(_SHAPE_CASES)))
+    def test_flat_and_mid_edge_chord_shapes_audit(self, k):
+        spec, domain = list(_shape_cases())[k]
+        assert domain.classify() == DomainKind.SEMI_CONVEX
+        ext = extend(spec, domain)
+        assert audit_extension(ext, rng=np.random.default_rng(k)).all_ok
+
+    def test_flat_runs(self):
+        # a stays within g while b falls: a run over knots 1 to 3 and one
+        # from 4 to 6, which goes on while b falls by less than g
+        a = np.array([0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0])
+        b = np.array([5.0, 4.0, 3.0, 2.0, 2.0, 1.0, 1.0 - 1e-12, 1.0])
+        assert _flat_runs(a, b, 1e-9) == [(1, 3), (4, 6)]
+        # b rising, or a moving by more than g, starts no run
+        assert _flat_runs(a, -b, 1e-9) == []
+        assert _flat_runs(a + np.arange(8.0), b, 1e-9) == []
+
     def test_unsupported_boundary_chain_rejected(self):
         # the bite faces sideways, so a boundary chain loses monotonicity
         pts = [(0, 0), (2, 0), (2, 0.6), (1.3, 1.0), (2, 1.4), (2, 2), (0, 2)]
@@ -316,6 +359,7 @@ class TestSerialization:
         rng = np.random.default_rng(20261018)
         cases = [_random_convex_case(rng) for _ in range(12)]
         cases += [_notched_square_case(rng, k) for k in range(24)]
+        cases += _shape_cases()
         seen = set()
         for k, (spec, domain) in enumerate(cases):
             ext = extend(spec, domain)
@@ -413,6 +457,7 @@ class TestOnePointZoneTest:
         cases = [_random_convex_case(rng) for _ in range(8)]
         cases += [_notched_square_case(rng, k) for k in range(16)]
         cases += [_flat_bottom_case(k) for k in range(len(_FLAT_BOTTOM_CASES))]
+        cases += _shape_cases()
         seen = set()
         for k, (spec, domain) in enumerate(cases):
             ext = extend(spec, domain)
@@ -755,6 +800,7 @@ class TestEvalMatchesFrozenReference:
         rng = np.random.default_rng(20261021)
         cases = [_random_convex_case(rng) for _ in range(6)]
         cases += [_notched_square_case(rng, k) for k in range(8)]
+        cases += _shape_cases()
         for spec, domain in cases:
             ext = extend(spec, domain)
             loaded = ExtendedMap.from_dict(
@@ -880,3 +926,15 @@ class TestNegativeControls:
         assert y > 0
         assert func(x + h, y) - func(x, y) > 0
         assert worst == pytest.approx(-(func(x + h, y) - func(x, y)), rel=1e-12)
+
+    def test_monotone_tie_names_the_x_step(self):
+        # declared inc_dec, this map falls by exactly 1 a grid step along
+        # y everywhere and along x from x = 50: as the signature audit
+        # does, check C3 names the x step, from (50, 0)
+        func = lambda x, y: y - np.maximum(x - 50.0, 0.0)  # noqa: E731
+        spec = MapSpec(func, INC_DEC, Box(0.0, 99.0, 0.0, 99.0))
+        audit = audit_extension(extend_rectangle(spec, spec.box),
+                                rng=np.random.default_rng(5))
+        assert audit.n_monotone_violations == 49 * 100 + 100 * 99
+        assert audit.to_dict()["witnesses"]["monotone"] == [50.0, 0.0, -1.0]
+        assert check_monotonicity(spec).witness[2] == "x"

@@ -14,6 +14,7 @@ from monomap.map_model import (
     NonFiniteValue,
     check_monotonicity,
     compile_expression,
+    lattice_violations,
 )
 
 
@@ -46,6 +47,26 @@ class TestMonotonicityAudit:
         assert audit.n_violations_x + audit.n_violations_y > 0
         assert audit.witness is not None
         assert audit.worst_violation > 0
+
+    @pytest.mark.parametrize("func, axis, i, j", [
+        # declared inc_dec: y - x falls by exactly 1 along both axes of
+        # the integer lattice, a tie the x step wins, from the first node
+        (lambda x, y: y - x, "x", 0, 0),
+        # falls by 2 along y where x >= 100, by at most 1 along x
+        (lambda x, y: y - x + np.where(x >= 100, y, 0.0), "y", 100, 0),
+    ])
+    def test_worst_step_and_its_node(self, func, axis, i, j):
+        # the signature audit and the extension audit's check C3 read
+        # one scan; both name the same worst step
+        box = Box(0.0, 255.0, 0.0, 255.0)
+        audit = check_monotonicity(MapSpec(func, INC_DEC, box))
+        assert audit.witness == (float(i), float(j), axis)
+        assert audit.worst_violation == (1.0 if axis == "x" else 2.0)
+        n_x, n_y, worst = lattice_violations(
+            func(*np.meshgrid(np.arange(256.0), np.arange(256.0),
+                              indexing="ij")), INC_DEC, 1e-9)
+        assert (n_x, n_y) == (audit.n_violations_x, audit.n_violations_y)
+        assert worst == (i, j, axis, -audit.worst_violation)
 
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_non_finite_raises(self):

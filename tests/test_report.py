@@ -75,8 +75,11 @@ def oracle_polyline(cv, pts, stroke, width, opacity) -> None:
     )
 
 
-def oracle_phase_svg(domain, traces, fixed_points=(), rect=None) -> str:
+def oracle_phase_svg(domain, traces, fixed_points=(), rect=None,
+                     previous=None) -> str:
     """The phase plot with each orbit mapped and formatted on its own."""
+    if previous is None:
+        traces, previous = traces[1:], traces[:-1]
     x0, x1, y0, y1 = rect.as_tuple() if rect is not None else domain.bbox
     cv = report._Canvas(x0, x1, y0, y1)
     if rect is not None:
@@ -84,7 +87,7 @@ def oracle_phase_svg(domain, traces, fixed_points=(), rect=None) -> str:
                    fill="#f5f5f5", stroke="#999999")
     cv.polygon(domain.vertices, fill="#dbeafe", stroke="#1f4e9c", width=1.5)
     for j in range(traces.shape[1]):
-        oracle_polyline(cv, np.column_stack([traces[1:, j], traces[:-1, j]]),
+        oracle_polyline(cv, np.column_stack([traces[:, j], previous[:, j]]),
                         "#b04040", 0.7, 0.5)
     for x_star in fixed_points:
         cv.circle(x_star, x_star, 4, "#006400")
@@ -360,6 +363,16 @@ class TestSvgOracle:
                 == oracle_phase_svg(domain, traces, [0.25, -0.0], rect))
         assert (render_phase_svg(domain, traces)
                 == oracle_phase_svg(domain, traces))
+
+    @pytest.mark.parametrize("shape", [(0, 2), (1, 3), (25, 1), (60, 5)])
+    def test_phase_svg_of_kept_steps(self, shape):
+        # each row of traces beside its own x_{k-1}, as certify keeps them
+        domain = DomainSpec.rectangle(0.0, 2.0, -1.0, 1.5)
+        rng = np.random.default_rng(19)
+        traces, previous = edge_matrix(rng, *shape), edge_matrix(rng, *shape)
+        rect = Box(-0.5, 2.5, -1.5, 2.0)
+        assert (render_phase_svg(domain, traces, [0.25], rect, previous)
+                == oracle_phase_svg(domain, traces, [0.25], rect, previous))
 
     @pytest.mark.parametrize("n", [1, 2, 500])
     def test_orbit_svg(self, n):

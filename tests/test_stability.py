@@ -213,6 +213,15 @@ class TestInvariance:
         assert cert.verdict_detail["stage"] == "invariance"
         assert "unproved" in cert.verdict_detail["reason"]
 
+    def test_depth_is_the_deepest_level_evaluated(self, eq8_problem,
+                                                  monkeypatch):
+        # levels 0 and 1 (1 and 4 cells) are evaluated; 4 * 3 failing
+        # cells would exceed the budget, so they are left unproved
+        monkeypatch.setattr(stab, "_MAX_INVARIANCE_CELLS", 8)
+        search = verify_invariance(*eq8_problem).search
+        assert (search["cells"], search["depth"]) == (5, 1)
+        assert len(search["unproved"]) == 3
+
 
 def _random_invariance_case(rng, k):
     """Case k of the seeded suite: eq8 or eq7 on its own domain, or on
@@ -575,7 +584,7 @@ def _reference_ensemble(map_spec, domain, starts_x, starts_y, n_steps,
     """_run_ensemble with the domain checked after every step."""
     cur, prev = starts_x.copy(), starts_y.copy()
     exited = np.zeros(cur.shape, dtype=bool)
-    traces, steps = [cur.copy()], [0]
+    traces, steps = [prev.copy(), cur.copy()], [0]
     settled = False
     for k in range(n_steps):
         nxt = np.asarray(map_spec(cur, prev), dtype=float)
@@ -588,10 +597,11 @@ def _reference_ensemble(map_spec, domain, starts_x, starts_y, n_steps,
             settled = True
             break
     # the start, every keep_every-th step and the last, each once
-    keep = [i for i, step in enumerate(steps)
-            if step % keep_every == 0 or i == len(steps) - 1]
-    return (cur, int(np.count_nonzero(exited)), np.asarray(traces)[keep],
-            [steps[i] for i in keep], settled)
+    keep = np.array([i for i, step in enumerate(steps)
+                     if step % keep_every == 0 or i == len(steps) - 1])
+    traces = np.asarray(traces)
+    return (cur, int(np.count_nonzero(exited)), traces[keep + 1],
+            traces[keep], [steps[i] for i in keep], settled)
 
 
 class TestEnsembleContainmentPass:
@@ -606,8 +616,9 @@ class TestEnsembleContainmentPass:
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
         assert np.array_equal(got[2], want[2])
-        assert got[3] == want[3]
+        assert np.array_equal(got[3], want[3])
         assert got[4] == want[4]
+        assert got[5] == want[5]
         return got
 
     @pytest.mark.parametrize("block", [1, 7, 256])
@@ -619,7 +630,7 @@ class TestEnsembleContainmentPass:
         moved = DomainSpec.polygon(
             _shift_edge(domain.vertices, 1, 0.2 * domain.bbox[1]))
         starts = stab.sample_starts(moved, 100, np.random.default_rng(3))
-        _, exits, _, _, settled = self._assert_matches_reference(
+        _, exits, _, _, _, settled = self._assert_matches_reference(
             spec, moved, starts, 10_000, 1e-9 * domain.bbox[1])
         assert 0 < exits < 100
         assert settled
@@ -631,7 +642,7 @@ class TestEnsembleContainmentPass:
         monkeypatch.setattr(stab, "_ENSEMBLE_BLOCK", block)
         sx, sy = stab.sample_starts(_FLAT_HEXAGON, 100,
                                     np.random.default_rng(3))
-        _, exits, traces, steps, settled = self._assert_matches_reference(
+        _, exits, traces, _, steps, settled = self._assert_matches_reference(
             _ROTATION, _FLAT_HEXAGON, (0.5 * sx, 0.5 * sy), 600, 1e-9)
         assert 0 < exits < 100
         assert not settled
@@ -874,8 +885,8 @@ def _one_domain_exit(monkeypatch):
     real = stab._run_ensemble
 
     def one_exit(*a, **k):
-        finals, _, traces, steps, settled = real(*a, **k)
-        return finals, 1, traces, steps, settled
+        finals, _, *rest = real(*a, **k)
+        return (finals, 1, *rest)
 
     monkeypatch.setattr(stab, "_run_ensemble", one_exit)
 
