@@ -226,6 +226,47 @@ class TestCertifyPhasePlot:
                                        atol=1e-5)
 
 
+class TestInvarianceWitnessCertificate:
+    """The certificate of a domain that is not invariant records the
+    proof's witness: eq8(1, 0.3) on its pentagon with edge 4 moved 1% of
+    the box inward, as `test_pentagon_edge_moved_inward_fails` builds it.
+    The witness ends a four-level search, so the record is that of the
+    level that found it."""
+
+    INVARIANCE = {
+        "method": "MonotoneEnclosure",
+        "verified": False,
+        "search": {"cells": 123, "evaluations": 246, "depth": 4,
+                   "tol": 3.5460438575968005e-05, "stop": "witness",
+                   "unproved": []},
+        "limits": [
+            "the proof is only as sound as the monotonicity of the map, "
+            "which the monotonicity stage checks by sampling",
+            "images are proved to lie within tol of the domain, not "
+            "inside it",
+        ],
+        "witness": [0.0, 0.45281249999999995],
+    }
+
+    def test_certificate_records_the_witness(self, tmp_path):
+        from test_stability import _shift_edge
+
+        _, domain = make_eq8(1.0, 0.3)
+        moved = _shift_edge(domain.vertices, 4, 0.01 * domain.bbox[1])
+        vertices = ";".join(f"{float(x)!r},{float(y)!r}" for x, y in moved)
+        cfg = write_cfg(tmp_path, "[map]\nfamily = eq8\np = 1.0\nh = 0.3\n\n"
+                        f"[domain]\nkind = polygon\nvertices = {vertices}\n")
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
+        doc = json.loads((out / "certificate.json").read_text())
+        assert doc["verdict"] == "Inconclusive"
+        assert doc["invariance"] == self.INVARIANCE
+        md = (out / "certificate.md").read_text().splitlines()
+        assert ("- verified: False by 123 cells, 246 evaluations, depth 4 "
+                "(stop: witness), tol 3.546e-05") in md
+        assert "- witness: [0.0, 0.45281249999999995]" in md
+
+
 class TestConstantMap:
     """An expression that names neither x nor y gives one value, which
     F's callers see broadcast to their points."""
