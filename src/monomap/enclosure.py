@@ -50,38 +50,52 @@ class Refinement(NamedTuple):
 
 
 def refine(cells: np.ndarray, test: Callable, split: Callable,
-           leaf: Callable, budget: int) -> Refinement:
+           leaf: Callable, budget: int,
+           scan: Optional[Callable] = None) -> Refinement:
     """Refine cells, one per column, level by level until each is decided.
 
     ``test(cells, depth)`` returns the mask of the cells it leaves
-    undecided and a witness, which stops the refinement ("witness"), or
-    None.  The undecided cells are all set aside when four times their
-    number exceeds ``budget`` ("cell_budget"), else those that the mask
-    ``leaf(cells, depth)`` marks, if it returns one ("min_width");
-    ``split`` makes the next level of the others.  The stop is the
-    reason of the last set-aside.
+    undecided and its evidence on them.  The undecided cells are all set
+    aside when four times their number exceeds ``budget``
+    ("cell_budget"), else those that the mask ``leaf(cells, depth)``
+    marks, if it returns one ("min_width"); ``split`` makes the next
+    level of the others.  The stop is the reason of the last set-aside.
+
+    ``scan(evidence, first)`` returns the first witness in the evidence
+    of levels first, first + 1, ... as (level, point), or None; it runs
+    after each level that leaves at least twice as many cells undecided
+    as the one before, and at the end.  A witness stops the refinement
+    ("witness") with the record of the levels up to its own.
     """
-    leaves, stop = [cells[:, :0]], None
+    leaves, stop, found = [cells[:, :0]], None, None
     depth = n_cells = widest = 0
+    # per level: cells tested through it, widest before it, leaves before it
+    record, evidence, first, last = [], [], 0, cells.shape[1]
     while True:
-        undecided, witness = test(cells, depth)
+        undecided, seen = test(cells, depth)
         n_cells += cells.shape[1]
-        if witness is not None:
-            stop = "witness"
-            break
+        record.append((n_cells, widest, len(leaves)))
+        evidence.append(seen)
         cells = np.compress(undecided, cells, axis=1)
-        widest = max(widest, cells.shape[1])
-        if 4 * cells.shape[1] > budget:
+        grew, last = cells.shape[1] >= 2 * last, cells.shape[1]
+        widest = max(widest, last)
+        if 4 * last > budget:
             leaves.append(cells)
-            stop = "cell_budget"
-            break
+            cells, stop = cells[:, :0], "cell_budget"
         left = leaf(cells, depth) if cells.shape[1] else None
         if left is not None and left.any():
             leaves.append(np.compress(left, cells, axis=1))
             cells, stop = np.compress(~left, cells, axis=1), "min_width"
-        if not cells.shape[1]:
+        if scan and (grew or not cells.shape[1]):
+            found = scan(evidence, first)
+            evidence, first = [], depth + 1
+        if found is not None or not cells.shape[1]:
             break
         cells = split(cells)
         depth += 1
-    return Refinement(np.concatenate(leaves, axis=1), stop, witness,
+    if found is not None:  # cut the record back to the witness's level
+        depth, found = found
+        n_cells, widest, n_leaves = record[depth]
+        leaves, stop = leaves[:n_leaves], "witness"
+    return Refinement(np.concatenate(leaves, axis=1), stop, found,
                       n_cells, depth, widest)

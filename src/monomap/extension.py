@@ -1341,7 +1341,7 @@ def audit_extension(ext: ExtendedMap, grid_n: int = 100,
                 [rng.uniform(x0, x1, 400), rng.uniform(y0, y1, 400)]
             )
             inside = ext.domain.contains(cand[:, 0], cand[:, 1]) == 1
-            accepted.append(cand[inside])
+            accepted.append(np.compress(inside, cand, axis=0))
             n += len(accepted[-1])
         pts = np.concatenate(accepted)[:400]
         ve = ext.eval(pts[:, 0], pts[:, 1])

@@ -217,21 +217,20 @@ def _labels(i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return label
 
 
-def _corner_ranges(ext, x0, x1, y0, y1):
-    """Least and greatest values of F(x, y) and of F(y, x), clamped to the
-    box, on the cells [x0, x1] x [y0, y1], from one ``ext.eval`` call.
+def _corner_ranges(ext, lo, hi):
+    """Least (row 0) and greatest (row 1) values of F(x, y), then of
+    F(y, x), clamped to the box, on the cells [x0, x1] x [y0, y1], from
+    one ``ext.eval`` call; ``lo`` stacks x0 and y0, ``hi`` x1 and y1.
 
     F(y, x) on a cell is F on the cell mirrored across the diagonal, so
     both come from the corner enclosure of the base map's signature.
     """
-    n = x0.size
+    n = lo.size // 2
     _, _, v = corner_ranges(
-        ext.eval, ext.base.signature.as_tuple(),
-        np.concatenate([x0, y0]), np.concatenate([x1, y1]),
-        np.concatenate([y0, x0]), np.concatenate([y1, x1]),
+        ext.eval, ext.base.signature.as_tuple(), lo, hi,
+        np.concatenate([lo[n:], lo[:n]]), np.concatenate([hi[n:], hi[:n]]),
     )
-    v = np.clip(v, ext.rect.x0, ext.rect.x1)
-    return v[0, :n], v[1, :n], v[0, n:], v[1, n:]
+    return np.minimum(np.maximum(v, ext.rect.x0), ext.rect.x1)
 
 
 def find_artificial(
@@ -263,17 +262,15 @@ def find_artificial(
     eps = _ULPS * np.spacing(max(abs(a), abs(b)))
 
     def test(cells, depth):
-        i, j = cells
-        n = 1 << depth
-        x0, x1 = _nodes(i, n, a, b), _nodes(i + 1, n, a, b)
-        y0, y1 = _nodes(j, n, a, b), _nodes(j + 1, n, a, b)
-        flo, fhi, glo, ghi = _corner_ranges(ext, x0, x1, y0, y1)
-        keep = (
-            (flo - x1 <= eps) & (fhi - x0 >= -eps)  # F(x, y) - x
-            & (glo - y1 <= eps) & (ghi - y0 >= -eps)  # F(y, x) - y
-            & (y1 - x0 > sep_min)  # not wholly inside the diagonal band
-        )
-        return keep, None
+        k = cells.shape[1]
+        # the nodes x0, y0 and x1, y1 of every cell in one pass
+        ij = np.stack([cells, cells + 1])
+        lo, hi = _nodes(ij, 1 << depth, a, b).reshape(2, -1)
+        least, most = _corner_ranges(ext, lo, hi)
+        # F(x, y) - x and F(y, x) - y on the stacked rows
+        keep = (least - hi <= eps) & (most - lo >= -eps)
+        return (keep[:k] & keep[k:]
+                & (hi[k:] - lo[:k] > sep_min)), None  # y1 - x0: off the band
 
     def split(cells):
         # the four children; those wholly below the diagonal mirror kept ones

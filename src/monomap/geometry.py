@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -226,18 +227,22 @@ class DomainSpec:
         ``t`` is clamped to the domain's x-range; an edge along the line
         contributes both of its ends.
         """
-        v = self.vertices
-        x0, y0 = v[:, 0], v[:, 1]
-        x1, y1 = _shifted(x0), _shifted(y0)
-        t = np.clip(np.asarray(t, dtype=float), x0.min(), x0.max())[..., None]
-        dx = x1 - x0
-        flat = dx == 0
-        hit = (np.minimum(x0, x1) <= t) & (t <= np.maximum(x0, x1))
-        s = np.clip((t - x0) / np.where(flat, 1.0, dx), 0.0, 1.0)
-        y = y0 + s * (y1 - y0)
-        lo = np.where(hit, np.where(flat, np.minimum(y0, y1), y), np.inf)
-        hi = np.where(hit, np.where(flat, np.maximum(y0, y1), y), -np.inf)
+        xmin, xmax, xlo, xhi, x0, dx, y0, dy, flat, ylo, yhi = self._slices
+        t = np.minimum(np.maximum(t, xmin), xmax)[..., None]
+        hit = (xlo <= t) & (t <= xhi)
+        y = y0 + np.minimum(np.maximum((t - x0) / dx, 0.0), 1.0) * dy
+        lo = np.where(hit, np.where(flat, ylo, y), np.inf)
+        hi = np.where(hit, np.where(flat, yhi, y), -np.inf)
         return lo.min(axis=-1), hi.max(axis=-1)
+
+    @cached_property
+    def _slices(self):
+        """The edge table of ``slice_bounds``, built on its first call."""
+        (x0, y0), (x1, y1) = self.vertices.T, _shifted(self.vertices).T
+        flat = x1 == x0
+        return (x0.min(), x0.max(), np.minimum(x0, x1), np.maximum(x0, x1),
+                x0, np.where(flat, 1.0, x1 - x0), y0, y1 - y0, flat,
+                np.minimum(y0, y1), np.maximum(y0, y1))
 
     def slab_extent(self, x0, x1):
         """y-range of the part of the domain in each slab x0 <= x <= x1.
@@ -247,13 +252,12 @@ class DomainSpec:
         those bound it; this holds for any polygon, convex or not.
         """
         x0, x1 = np.asarray(x0, dtype=float), np.asarray(x1, dtype=float)
-        lo0, hi0 = self.slice_bounds(x0)
-        lo1, hi1 = self.slice_bounds(x1)
+        lo, hi = self.slice_bounds(np.stack(np.broadcast_arrays(x0, x1)))
         vx, vy = self.vertices[:, 0], self.vertices[:, 1]
         between = (x0[..., None] < vx) & (vx < x1[..., None])
-        lo = np.minimum(np.minimum(lo0, lo1),
+        lo = np.minimum(lo.min(axis=0),
                         np.where(between, vy, np.inf).min(axis=-1))
-        hi = np.maximum(np.maximum(hi0, hi1),
+        hi = np.maximum(hi.max(axis=0),
                         np.where(between, vy, -np.inf).max(axis=-1))
         return lo, hi
 

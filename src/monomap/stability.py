@@ -73,23 +73,35 @@ class InvarianceResult:
         return d
 
 
-def _fits_trapezoids(domain, cuts, bands, h0, h1, f0, f1, slack):
+def _trapezoid_sides(domain):
+    """`DomainSpec.trapezoids` as one table: each band's lower and upper
+    cut, and the start (x0, y0) and span (dx, dy) of the left and right
+    side of its trapezoids, shape (bands, trapezoids, 2); a band with
+    fewer trapezoids than the most repeats its last one."""
+    cuts, bands = domain.trapezoids()
+    k, v = max(map(len, bands)), domain.vertices
+    e = np.array([[s[min(i, len(s) - 1)] for i in range(k)] for s in bands])
+    a, b = v[e], v[(e + 1) % len(v)]
+    return (cuts[:-1, None], cuts[1:, None], *np.moveaxis(a, -1, 0),
+            *np.moveaxis(b - a, -1, 0))
+
+
+def _fits_trapezoids(sides, h0, h1, f0, f1, slack):
     """Which cells have their image slice [f0, f1] in one trapezoid of
     every band that their heights [h0, h1] cross, within ``slack``.  A
     band is crossed when [h0, h1] overlaps it with positive length, or
     holds h0 = h1: a point shared with a neighbouring band is checked
     there."""
-    ok = slack >= 0
-    f0, f1, slack = f0[:, None], f1[:, None], slack[:, None]
-    for lo, hi, sides in zip(cuts[:-1], cuts[1:], bands):
-        a, b = np.maximum(h0, lo), np.minimum(h1, hi)
-        crossed = (a < b) | ((a == b) & (h0 == h1))
-        # the sides' x at both ends, shape (2, cells, trapezoids, 2)
-        x = domain.edge_x(sides, np.stack([a, b])[..., None, None])
-        fit = ((f0 >= x[..., 0].max(axis=0) - slack)
-               & (f1 <= x[..., 1].min(axis=0) + slack))
-        ok &= ~crossed | fit.any(axis=1)
-    return ok
+    lo, hi, x0, y0, dx, dy = sides
+    a, b = np.maximum(h0, lo), np.minimum(h1, hi)  # (bands, cells)
+    crossed = (a < b) | ((a == b) & (h0 == h1))
+    # x of the sides at a and b, as `DomainSpec.edge_x` computes it
+    t = np.stack([a, b])[..., None, None]
+    x = x0[:, None] + np.minimum(np.maximum(
+        (t - y0[:, None]) / dy[:, None], 0.0), 1.0) * dx[:, None]
+    fit = ((f0[:, None] >= x[..., 0].max(axis=0) - slack[:, None])
+           & (f1[:, None] <= x[..., 1].min(axis=0) + slack[:, None]))
+    return (slack >= 0) & (~crossed | fit.any(axis=-1)).all(axis=0)
 
 
 def verify_invariance(map_spec: MapSpec, domain: DomainSpec) -> InvarianceResult:
@@ -117,21 +129,22 @@ def verify_invariance(map_spec: MapSpec, domain: DomainSpec) -> InvarianceResult
     bounding box; a failing cell is split in x and in y, and every new
     cell has its y-range clipped to the domain's extent over its x-range
     (the cells that miss the domain are dropped).  Each level evaluates
-    every cell in one call of F.  An extreme corner in the domain whose
-    image lies outside by more than tol stops the proof with that corner
-    as the witness.  All failing cells when the next level would exceed
-    the cell budget, else the failing cells narrower than tol, are left
-    as ``unproved`` boxes.  ``depth`` is the deepest level evaluated.
-    The band tol, thousands of ulps wide, also absorbs the rounding of F
-    and of the edge positions.
+    every cell in one call of F.  An extreme corner of a failing cell in
+    the domain whose image lies outside by more than tol is a witness;
+    the first, in level order, stops the proof at its level.  Corners
+    are looked up in batches of levels, so F may be evaluated on levels
+    past the witness's, which the record leaves out.  All failing
+    cells when the next level would exceed the cell budget, else the
+    failing cells narrower than tol, are left as ``unproved`` boxes.
+    ``depth`` is the deepest level evaluated.  The band tol, thousands
+    of ulps wide, also absorbs the rounding of F and of the edges.
     """
     tol = 4 * domain.chord_tol
     bx0, bx1, by0, by1 = domain.bbox
-    cuts, bands = domain.trapezoids()
+    sides = _trapezoid_sides(domain)
     sig = map_spec.signature.as_tuple()
 
-    def clip(cells):  # in place, then drops the cells that miss the domain
-        lo, hi = domain.slab_extent(cells[0], cells[1])
+    def clip(cells, lo, hi):  # in place, then drops the cells that miss
         np.maximum(cells[2], lo, out=cells[2])
         np.minimum(cells[3], hi, out=cells[3])
         return np.compress(cells[2] <= cells[3], cells, axis=1)
@@ -140,28 +153,39 @@ def verify_invariance(map_spec: MapSpec, domain: DomainSpec) -> InvarianceResult
         x0, x1, y0, y1 = cells
         xs, ys, f = corner_ranges(map_spec, sig, x0, x1, y0, y1)
         slack = tol - np.maximum(0.0, np.maximum(by0 - x0, x1 - by1))
-        bad = ~_fits_trapezoids(domain, cuts, bands, np.clip(x0, by0, by1),
-                                np.clip(x1, by0, by1), f[0], f[1], slack)
-        if not bad.any():
-            return bad, None
-        cx, cy, fx = xs[:, bad].ravel(), ys[:, bad].ravel(), f[:, bad].ravel()
+        h0, h1 = np.minimum(np.maximum(cells[:2], by0), by1)
+        bad = ~_fits_trapezoids(sides, h0, h1, f[0], f[1], slack)
+        # rows x, y and F of the failing cells' extreme corners
+        return bad, np.compress(bad, np.concatenate([xs, ys, f]),
+                                axis=1).reshape(3, -1)
+
+    def scan(evidence, first):
+        cx, cy, fx = np.concatenate(evidence, axis=1)
         out = np.flatnonzero((domain.contains(cx, cy, tol=0.0) >= 0)
-                             & (domain.contains(fx, cx, tol=tol) < 0))
-        return bad, (float(cx[out[0]]), float(cy[out[0]])) if out.size else None
+                             & (domain.contains(fx, cx, tol=tol) < 0)
+                             ) if cx.size else ()
+        if len(out):
+            ends = np.cumsum([e.shape[1] for e in evidence])
+            return (first + int(np.searchsorted(ends, out[0], side="right")),
+                    (float(cx[out[0]]), float(cy[out[0]])))
+        return None
 
     def split(cells):
         x0, x1, y0, y1 = cells
         xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        # rows x0, x1, y0, y1 of the four children
+        # rows x0, x1, y0, y1 of the four children; two x-halves' extents
         return clip(np.concatenate([x0, xm, x0, xm, xm, x1, xm, x1,
                                     y0, y0, ym, ym, ym, ym, y1, y1]
-                                   ).reshape(4, -1))
+                                   ).reshape(4, -1),
+                    *np.tile(domain.slab_extent(np.concatenate([x0, xm]),
+                                                np.concatenate([xm, x1])), 2))
 
     def leaf(cells, depth):
         return np.maximum(cells[1] - cells[0], cells[3] - cells[2]) < tol
 
-    run = refine(clip(np.array([[bx0], [bx1], [by0], [by1]], dtype=float)),
-                 test, split, leaf, _MAX_INVARIANCE_CELLS)
+    run = refine(clip(np.array([[bx0], [bx1], [by0], [by1]], dtype=float),
+                      *domain.slab_extent(bx0, bx1)),
+                 test, split, leaf, _MAX_INVARIANCE_CELLS, scan)
     search = {"cells": run.cells, "evaluations": 2 * run.cells,
               "depth": run.depth, "tol": tol, "stop": run.stop or "proved",
               "unproved": run.leaves.T.tolist()}

@@ -22,6 +22,22 @@ def _halves(cells):
     return np.concatenate([[lo, mid], [mid, hi]], axis=1)
 
 
+def _narrow_left_half(cells, depth):
+    """A cell left of 1/2 is a leaf below width 1/4, any other below
+    width 1/16: the cell at 0.3 stops at level 3, the one at 0.71 goes
+    on to level 5."""
+    lo, hi = cells
+    return hi - lo < np.where(lo < 0.5, 0.25, 0.0625)
+
+
+def _first_true(evidence, first):
+    """The scan of tests whose evidence is True at the witness's level."""
+    for level, found in enumerate(evidence, first):
+        if found:
+            return level, ("here", level)
+    return None
+
+
 _ROOT = np.array([[0.0], [1.0]])
 _NEVER = lambda cells, depth: None  # noqa: E731
 
@@ -39,29 +55,72 @@ class TestRefine:
         assert run.leaves.shape == (2, 0)
 
     def test_witness_stops_at_its_level(self):
+        # the witness of level 2 is scanned after level 5, where the
+        # leaf rule ends the run; the record is that of levels 0 to 2,
+        # and the leaves of level 5 leave it
         def test(cells, depth):
             undecided, _ = _holds_a_point(cells, depth)
-            return undecided, ("here", depth) if depth == 2 else None
+            return undecided, depth == 2
 
-        run = refine(_ROOT, test, _halves, _NEVER, 1 << 10)
+        run = refine(_ROOT, test, _halves,
+                     lambda cells, depth: np.full(cells.shape[1], depth == 5),
+                     1 << 10, _first_true)
         assert run.stop == "witness" and run.witness == ("here", 2)
         assert (run.cells, run.depth, run.widest) == (1 + 2 + 4, 2, 2)
+        assert run.leaves.shape == (2, 0)
+
+    def test_widest_leaves_out_the_witness_level(self):
+        # level 1 leaves 2 cells undecided, twice level 0's 1, so it is
+        # scanned at once; its own count is not part of the record
+        def test(cells, depth):
+            undecided, _ = _holds_a_point(cells, depth)
+            return undecided, depth == 1
+
+        run = refine(_ROOT, test, _halves, _NEVER, 1 << 10, _first_true)
+        assert run.stop == "witness" and run.witness == ("here", 1)
+        assert (run.cells, run.depth, run.widest) == (1 + 2, 1, 1)
+
+    def test_leaves_set_aside_before_the_witness_stay(self):
+        # the leaf rule of the next test sets the cell at 0.3 aside at
+        # level 3 and the one at 0.71 at level 5; a witness at level 4
+        # keeps the first leaf only
+        def test(cells, depth):
+            undecided, _ = _holds_a_point(cells, depth)
+            return undecided, depth == 4
+
+        run = refine(_ROOT, test, _halves, _narrow_left_half, 1 << 10,
+                     _first_true)
+        assert run.stop == "witness" and run.witness == ("here", 4)
+        np.testing.assert_array_equal(run.leaves, [[0.25], [0.375]])
+        assert (run.cells, run.depth, run.widest) == (1 + 2 + 4 + 4 + 2,
+                                                     4, 2)
+
+    def test_a_proved_run_makes_few_scans(self):
+        # cells narrower than 1/20 are decided, so level 5 decides all;
+        # of the levels before, which leave 1, 2, 2, 2, 2 cells
+        # undecided, only level 1 doubles its predecessor's count
+        scanned = []
+
+        def scan(evidence, first):
+            scanned.append((first, len(evidence)))
+            return None
+
+        run = refine(_ROOT, lambda c, d: (_holds_a_point(c, d)[0]
+                                          & (c[1] - c[0] > 0.05), None),
+                     _halves, _NEVER, 1 << 10, scan)
+        assert run.stop is None and run.witness is None
+        assert run.depth == 5
+        # one scan after level 1, and one at the end for levels 2 to 5
+        assert scanned == [(0, 2), (2, 4)]
 
     def test_narrow_leaves_are_set_aside_while_the_others_go_on(self):
-        # a cell left of 1/2 is a leaf below width 1/4, any other below
-        # width 1/16: the cell at 0.3 stops at level 3, the one at 0.71
-        # goes on to level 5
-        def leaf(cells, depth):
-            lo, hi = cells
-            return hi - lo < np.where(lo < 0.5, 0.25, 0.0625)
-
         calls = []
 
         def split(cells):
             calls.append(cells.shape[1])
             return _halves(cells)
 
-        run = refine(_ROOT, _holds_a_point, split, leaf, 1 << 10)
+        run = refine(_ROOT, _holds_a_point, split, _narrow_left_half, 1 << 10)
         assert run.stop == "min_width" and run.witness is None
         np.testing.assert_array_equal(
             run.leaves, [[0.25, 22 / 32], [0.375, 23 / 32]])

@@ -330,7 +330,9 @@ class TestCornerRanges:
         corners = np.sort(rng.uniform(a, b, (2, 2, 400)), axis=1)
         x0, x1 = corners[0]
         y0, y1 = corners[1]
-        flo, fhi, glo, ghi = _corner_ranges(ext, x0, x1, y0, y1)
+        least, most = _corner_ranges(ext, np.concatenate([x0, y0]),
+                                     np.concatenate([x1, y1]))
+        (flo, glo), (fhi, ghi) = np.split(least, 2), np.split(most, 2)
         t = rng.uniform(0.0, 1.0, (2, 30, 400))
         x = x0 + t[0] * (x1 - x0)
         y = y0 + t[1] * (y1 - y0)

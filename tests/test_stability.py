@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,83 @@ def _two_height_invariance(map_spec, domain):
     return search, witness
 
 
+def _eager_invariance(map_spec, domain):
+    """Reference for verify_invariance on any semi-convex domain: the
+    level loop that looks up the witness at every level that has failing
+    cells and stops there, with the band-by-band trapezoid test.
+    Returns the search record and the witness."""
+    tol = 4 * domain.chord_tol
+    bx0, bx1, by0, by1 = domain.bbox
+    cuts, bands = domain.trapezoids()
+    sig = map_spec.signature.as_tuple()
+
+    def clip(cells):
+        lo, hi = domain.slab_extent(cells[0], cells[1])
+        cells[2], cells[3] = np.maximum(cells[2], lo), np.minimum(cells[3], hi)
+        return cells[:, cells[2] <= cells[3]]
+
+    def fits(h0, h1, f0, f1, slack):
+        ok = slack >= 0
+        f0, f1, slack = f0[:, None], f1[:, None], slack[:, None]
+        for lo, hi, sides in zip(cuts[:-1], cuts[1:], bands):
+            a, b = np.maximum(h0, lo), np.minimum(h1, hi)
+            crossed = (a < b) | ((a == b) & (h0 == h1))
+            x = domain.edge_x(sides, np.stack([a, b])[..., None, None])
+            fit = ((f0 >= x[..., 0].max(axis=0) - slack)
+                   & (f1 <= x[..., 1].min(axis=0) + slack))
+            ok &= ~crossed | fit.any(axis=1)
+        return ok
+
+    cells = clip(np.array([[bx0], [bx1], [by0], [by1]]))
+    leaves, stop, witness = [], "proved", None
+    depth = n_cells = 0
+    while True:
+        x0, x1, y0, y1 = cells
+        xs, ys, f = corner_ranges(map_spec, sig, x0, x1, y0, y1)
+        n_cells += cells.shape[1]
+        slack = tol - np.maximum(0.0, np.maximum(by0 - x0, x1 - by1))
+        bad = ~fits(np.clip(x0, by0, by1), np.clip(x1, by0, by1), f[0], f[1],
+                    slack)
+        cx, cy, fx = xs[:, bad].ravel(), ys[:, bad].ravel(), f[:, bad].ravel()
+        out = np.flatnonzero((domain.contains(cx, cy, tol=0.0) >= 0)
+                             & (domain.contains(fx, cx, tol=tol) < 0))
+        if out.size:
+            witness, stop = (float(cx[out[0]]), float(cy[out[0]])), "witness"
+            break
+        cells = cells[:, bad]
+        if 4 * cells.shape[1] > stab._MAX_INVARIANCE_CELLS:
+            leaves += cells.T.tolist()
+            stop = "cell_budget"
+            break
+        left = np.maximum(cells[1] - cells[0], cells[3] - cells[2]) < tol
+        if left.any():
+            leaves += cells[:, left].T.tolist()
+            cells, stop = cells[:, ~left], "min_width"
+        if not cells.shape[1]:
+            break
+        x0, x1, y0, y1 = cells
+        xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        cells = clip(np.array([np.concatenate(r) for r in (
+            [x0, xm, x0, xm], [xm, x1, xm, x1],
+            [y0, y0, ym, ym], [ym, ym, y1, y1])]))
+        depth += 1
+    search = {"cells": n_cells, "evaluations": 2 * n_cells, "depth": depth,
+              "tol": tol, "stop": stop, "unproved": leaves}
+    return search, witness
+
+
+def _counting_points(spec):
+    """``spec`` with its map wrapped to count the points it is evaluated
+    at, and the one-element list that holds the count."""
+    count = [0]
+
+    def func(x, y):
+        count[0] += np.broadcast(x, y).size
+        return spec.func(x, y)
+
+    return MapSpec(func, spec.signature, spec.box, params=spec.params), count
+
+
 def _sample_invariance(map_spec, domain, n_boundary, rng):
     """Reference check by sampling: n_boundary points per edge and
     n_boundary^2 interior points drawn by rejection from the bounding
@@ -373,6 +452,59 @@ class TestInvarianceRandomized:
             search, witness = _two_height_invariance(spec, domain)
             assert proof.search == search, (k, spec.params)
             assert proof.witness == witness, (k, spec.params)
+
+    def test_witness_runs_evaluate_few_points_past_the_witness(
+            self, monkeypatch):
+        # the witness scans run in batches, so a failing proof evaluates
+        # F a level or more past its witness's; the bounds are the most
+        # the suite measured.  A proof that holds looks its corners up
+        # in at most four scans of two containment calls.
+        contains = DomainSpec.contains
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return contains(*args, **kwargs)
+
+        monkeypatch.setattr(DomainSpec, "contains", counted)
+        rng = np.random.default_rng(20261018)
+        witnesses = 0
+        for k in range(200):
+            spec, domain, _ = _random_invariance_case(rng, k)
+            counting, points = _counting_points(spec)
+            calls[0] = 0
+            proof = verify_invariance(counting, domain)
+            recorded = proof.search["evaluations"]
+            if proof.witness is not None:
+                witnesses += 1
+                # a witness at level 0 has a one-cell record
+                bound = 3.5 if proof.search["depth"] else 21
+                assert points[0] <= bound * recorded, (k, points, recorded)
+            else:
+                assert points[0] == recorded, k
+            if proof.verified:
+                assert calls[0] <= 8, (k, calls)
+        assert witnesses >= 20, witnesses
+
+    def test_semi_convex_record_matches_eager_reference(self):
+        # the witness scans cut the record back to the eager loop's
+        rng = np.random.default_rng(20261019)
+        cases = [_notched_square_case(rng, k) for k in range(300)]
+        inc_dec = MapSpec(lambda x, y: 1 + 1e-9 * (x - y), INC_DEC,
+                          Box(0.0, 2.0, 0.0, 2.0))
+        cases += [(inc_dec, DomainSpec.polygon(
+            [(0, 0), (2, 0), (2, 2), (1.1, 2), (1.0, 1.5), (0.9, 2),
+             (0, 2)]))]
+        outcomes = collections.Counter()
+        for k, (spec, domain) in enumerate(cases):
+            counting, points = _counting_points(spec)
+            proof = verify_invariance(counting, domain)
+            search, witness = _eager_invariance(spec, domain)
+            assert proof.search == search, (k, spec.params)
+            assert proof.witness == witness, (k, spec.params)
+            outcomes[search["stop"]] += 1
+            outcomes["cut_back"] += points[0] > search["evaluations"]
+        assert outcomes["proved"] >= 50 and outcomes["cut_back"] >= 40, outcomes
 
     def test_semi_convex_proof_agrees_with_sampling(self):
         rng = np.random.default_rng(20261019)
