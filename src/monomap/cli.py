@@ -19,7 +19,8 @@ names a family (eq7, eq8, xfy or expression); each is an expression
 compiled by ``map_model.compile_expression``, and a key the family does
 not read, or a parameter the expression never names, is a configuration
 error.  Extend and fixedpoints first check the declared monotone
-signature by sampling, and exit 2 with the witness when it fails.  Exit
+signature by sampling the domain's bounding box, and exit 2 with the
+witness when it fails.  Exit
 codes: 0 success / GloballyStable, 1 Inconclusive or Refuted verdict, or
 unresolved fixed-point search, 2 audit, signature or numeric failure, 3
 unsupported domain, 4 configuration or usage error.  With a fixed seed
@@ -191,9 +192,6 @@ def build_problem(cfg: dict):
             raise ConfigError(f"unknown domain kind {kind!r}")
     if domain is None:
         raise ConfigError("no domain: give [domain] or use a builtin family")
-    if spec.box is None:
-        x0, x1, y0, y1 = domain.bbox
-        spec.box = Box(x0, x1, y0, y1)
     return spec, domain
 
 
@@ -202,10 +200,11 @@ def build_problem(cfg: dict):
 # ---------------------------------------------------------------------------
 
 
-def _signature_fails(spec: MapSpec) -> bool:
-    """Check the declared signature, which extend and the fixed-point
-    search rest on; print the witness of a failure."""
-    mono = check_monotonicity(spec)
+def _signature_fails(spec: MapSpec, domain: DomainSpec) -> bool:
+    """Check the declared signature on the domain's bounding box, where
+    extend and the fixed-point search rest on it, as certify's first
+    stage does; print the witness of a failure."""
+    mono = check_monotonicity(spec, Box(*domain.bbox))
     if not mono.ok:
         print(f"declared monotone signature fails at {mono.witness}")
     return not mono.ok
@@ -213,7 +212,7 @@ def _signature_fails(spec: MapSpec) -> bool:
 
 def cmd_extend(cfg: dict, out: Path, seed: int) -> int:
     spec, domain = build_problem(cfg)
-    if _signature_fails(spec):
+    if _signature_fails(spec, domain):
         return EXIT_AUDIT_FAIL
     ext = extend(spec, domain)
     audit = audit_extension(ext, rng=np.random.default_rng(seed))
@@ -227,7 +226,7 @@ def cmd_extend(cfg: dict, out: Path, seed: int) -> int:
 
 def cmd_fixedpoints(cfg: dict, out: Path, seed: int) -> int:
     spec, domain = build_problem(cfg)
-    if _signature_fails(spec):
+    if _signature_fails(spec, domain):
         return EXIT_AUDIT_FAIL
     ext = extend(spec, domain)
     n_grid = _as_int(cfg["run"], "n_grid", 256)

@@ -368,13 +368,15 @@ class _Window:
 
     def __init__(self, table: _ChainTable, first: str, want_max: bool):
         xs, ys = table.xs, table.ys
-        self.first = _Crossing(table, ys if first == "y" else xs, True)
-        self.last = _Crossing(table, xs if first == "y" else ys, False)
+        self.first_y = first == "y"
+        self.first = _Crossing(table, ys if self.first_y else xs, True)
+        self.last = _Crossing(table, xs if self.first_y else ys, False)
         self.rmq = table.rmq
         self.valfuncs = table.valfuncs
         self.want_max = want_max
 
-    def __call__(self, q_first, q_last):
+    def __call__(self, x, y):
+        q_first, q_last = (y, x) if self.first_y else (x, y)
         xa, ya, ia, sa = self.first(q_first)
         xb, yb, ib, sb = self.last(q_last)
         fa = _eval_src(xa, ya, sa, self.valfuncs)
@@ -383,6 +385,50 @@ class _Window:
         if self.want_max:
             return np.maximum(np.maximum(fa, fb), inner)
         return np.minimum(np.minimum(fa, fb), inner)
+
+
+class _Ray:
+    """The ray rule of the band beside the SW or the NE chain: F where
+    the ray that keeps the point's x (``keep_x``) or its y meets the
+    chain, plus a graft term per flat (c, lo, hi, end) where
+    ``acts(kept, c)``: F with the kept coordinate at c and the other
+    clipped to [lo, hi], minus F at the flat's end (c, end)."""
+
+    def __init__(self, func, chain: _ChainTable, keep_x: bool, acts,
+                 flats):
+        self.func, self.keep_x = func, keep_x
+        self.acts, self.flats = acts, flats
+        # the chain's other coordinate over the kept one
+        self.table = _Interp(self._xy(chain.xs, chain.ys))
+        self._ends = {}
+
+    def _xy(self, kept, other):  # (kept, other) as (x, y), and back
+        return (kept, other) if self.keep_x else (other, kept)
+
+    def _f_end(self, x: float, y: float) -> float:
+        """F at a flat's end, evaluated once per rule, on the first call
+        whose graft term needs it (a flat on the rectangle's side has no
+        point that does)."""
+        f = self._ends.get((x, y))
+        if f is None:
+            f = float(self.func(np.array([x]), np.array([y]))[0])
+            self._ends[(x, y)] = f
+        return f
+
+    def __call__(self, x, y):
+        u, v = self._xy(x, y)
+        (w,) = self.table(u)
+        base = np.asarray(self.func(*self._xy(u, w)), dtype=float)
+        total = np.zeros(u.shape)
+        for c, lo, hi, end in self.flats:
+            active = self.acts(u, c)
+            if not np.any(active):
+                continue
+            vc = np.clip(v[active], lo, hi)
+            at = self._xy(np.full(vc.shape, c), vc)
+            total[active] += (np.asarray(self.func(*at), dtype=float)
+                              - self._f_end(*self._xy(c, end)))
+        return base + total
 
 
 # ---------------------------------------------------------------------------
@@ -705,67 +751,8 @@ class _Engine:
         # only the zones that occur; a small batch usually hits one
         for zone in np.flatnonzero(np.bincount(code)).tolist():
             m = code == zone
-            xm, ym = x[m], y[m]
-            if zone == _Z_BASE:
-                out[m] = self.func(xm, ym)
-            elif zone == _Z_SWBAND:
-                out[m] = self._eval_sw(xm, ym)
-            elif zone == _Z_SE:
-                out[m] = self._se_window(ym, xm)
-            elif zone == _Z_NW:
-                out[m] = self._nw_window(xm, ym)
-            elif zone == _Z_NEBAND:
-                out[m] = self._eval_ne(xm, ym)
-            else:
-                out[m] = self.sectors[zone - _Z_SECTOR].eval(xm, ym)
+            out[m] = self._rules[zone](x[m], y[m])
         return out
-
-    def _eval_sw(self, x, y):
-        # vertical projection up onto the SW chain; at a flat this takes
-        # the limit from the left (the flat top), matching the grafts
-        (yy,) = self._sw_ray(x)
-        base = np.asarray(self.func(x, yy), dtype=float)
-        total = np.zeros(x.shape)
-        for e, yt, yb in self.sw_flats:
-            # inclusive: at x == e the projection hits the flat top, and
-            # the graft term restores the value on the flat itself
-            active = x <= e
-            if not np.any(active):
-                continue
-            yc = np.clip(y[active], yb, yt)
-            ecol = np.full(yc.shape, e)
-            total[active] += (np.asarray(self.func(ecol, yc), dtype=float)
-                              - self._f_end(e, yt))
-        return base + total
-
-    def _eval_ne(self, x, y):
-        # horizontal projection left onto the NE chain (table R -> T has
-        # y non-decreasing, x non-increasing); at a flat this takes the
-        # limit from below (the flat's right end), matching the grafts
-        (xx,) = self._ne_ray(y)
-        base = np.asarray(self.func(xx, y), dtype=float)
-        total = np.zeros(x.shape)
-        for h, xl, xr in self.ne_flats:
-            # strict: at y == h the projection already sits at the flat's
-            # right end, which is the correct boundary value there
-            active = y > h
-            if not np.any(active):
-                continue
-            xc = np.clip(x[active], xl, xr)
-            hrow = np.full(xc.shape, h)
-            total[active] += (np.asarray(self.func(xc, hrow), dtype=float)
-                              - self._f_end(xl, h))
-        return base + total
-
-    def _f_end(self, x: float, y: float) -> float:
-        """F at a flat's end, evaluated once per engine, on the first
-        call whose graft term needs it (a flat on the rectangle's side
-        has no point that does)."""
-        f = self._flat_ends.get((x, y))
-        if f is None:
-            f = float(self.func(np.array([x]), np.array([y]))[0])
-            self._flat_ends[(x, y)] = f
-        return f
 
     # -- boundary walls and piece polygons ----------------------------------
 
@@ -787,14 +774,21 @@ class _Engine:
         self._sector_spans = [(float(s.apex[0]), s.chord_x)
                               for s in self.sectors]
         self._omega_edges = EdgeTable(self.omega)
-        # the zone rules: windowed extrema on the SE and NW chains, ray
-        # projections onto the SW and NE chains, and F at the flat ends
-        # the graft terms subtract, filled in by _f_end
-        self._se_window = _Window(self.t_se, "y", want_max=False)
-        self._nw_window = _Window(self.t_nw, "x", want_max=True)
-        self._sw_ray = _Interp((self.t_sw.xs, self.t_sw.ys))
-        self._ne_ray = _Interp((self.t_ne.ys, self.t_ne.xs))
-        self._flat_ends = {}
+        # the rule of each zone.  A ray up to the SW chain meets a
+        # vertical flat at its top, so the flat's term acts at x <= e and
+        # restores the value on the flat; a ray left to the NE chain meets
+        # a horizontal flat at its right end, the value there, so y > h.
+        # No rule refers back to the engine, which refcounting then frees.
+        self._rules = {
+            _Z_BASE: self.func,
+            _Z_SWBAND: _Ray(self.func, self.t_sw, True, np.less_equal, [
+                (e, yb, yt, yt) for e, yt, yb in self.sw_flats]),
+            _Z_SE: _Window(self.t_se, "y", want_max=False),
+            _Z_NW: _Window(self.t_nw, "x", want_max=True),
+            _Z_NEBAND: _Ray(self.func, self.t_ne, False, np.greater, [
+                (h, xl, xr, xl) for h, xl, xr in self.ne_flats]),
+            **{_Z_SECTOR + k: s.eval for k, s in enumerate(self.sectors)},
+        }
 
         r = self.rect
         X0, X1, Y0, Y1 = r.x0, r.x1, r.y0, r.y1

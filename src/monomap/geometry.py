@@ -306,20 +306,13 @@ class DomainSpec:
         n = len(v)
         if self._is_self_intersecting():
             raise UnsupportedDomain("boundary is self-intersecting")
-        x0, x1, y0, y1 = self.bbox
         scale = self.diam
 
-        # Rectangle: every vertex on a bbox corner-aligned grid of 4 corners.
-        if n <= 8:
-            corners = {(x0, y0), (x1, y0), (x1, y1), (x0, y1)}
-            is_rect = all(
-                any(math.hypot(px - cx, py - cy) <= 1e-9 * scale
-                    for cx, cy in corners)
-                or self._on_bbox_edge(px, py, 1e-9 * scale)
-                for px, py in v
-            ) and self._covers_rectangle()
-            if is_rect:
-                return DomainKind.RECTANGLE
+        # Rectangle: every vertex on a side of the bbox (a corner lies on
+        # two), and the polygon covers the bbox.
+        if (n <= 8 and all(self._on_bbox_edge(px, py, 1e-9 * scale)
+                           for px, py in v) and self._covers_rectangle()):
+            return DomainKind.RECTANGLE
 
         # Convex: all turn cross products non-negative (ccw ordering).
         cross = self._turn_crosses()

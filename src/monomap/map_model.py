@@ -241,10 +241,8 @@ def lattice_violations(Z: np.ndarray, signature: MonotoneSignature,
     return n_x, n_y, (int(i), int(j), axis, float(d[i, j]))
 
 
-def check_monotonicity(spec: MapSpec,
-                       box: Optional[Box] = None) -> MonotonicityAudit:
-    """Audit the declared signature on a 256 x 256 lattice of the box."""
-    box = box or spec.box
+def check_monotonicity(spec: MapSpec, box: Box) -> MonotonicityAudit:
+    """Audit the declared signature on a 256 x 256 lattice of ``box``."""
     xs = np.linspace(box.x0, box.x1, _MONO_GRID)
     ys = np.linspace(box.y0, box.y1, _MONO_GRID)
     X, Y = np.meshgrid(xs, ys, indexing="ij")

@@ -340,6 +340,23 @@ class TestExitCodes:
         assert "'x')" in printed
         assert not (out / "fixed_points.json").exists()
 
+    @pytest.mark.parametrize("command", ["extend", "fixedpoints"])
+    def test_signature_is_checked_on_the_domains_box(self, tmp_path, capsys,
+                                                     command):
+        # x*f(y) holds the xfy family's signature on its own box, x >=
+        # 0.01, but increases in y where x < 0, which this domain reaches;
+        # certify's first stage names the same witness
+        cfg = write_cfg(
+            tmp_path,
+            "[map]\nfamily = xfy\nf = 2/(1 + y)\n\n[domain]\nkind = rect\n"
+            "rect = -0.5,3,-0.5,3\n",
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().out == (
+            "declared monotone signature fails at (-0.5, -0.5, 'y')\n")
+        assert not any(out.iterdir())
+
     def test_missing_file_is_4(self, tmp_path):
         assert main(["certify", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)]) == 4

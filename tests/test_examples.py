@@ -21,7 +21,7 @@ class TestEq7Family:
 
     def test_map_is_mixed_monotone(self):
         spec, _ = make_eq7(1.0, 2.0, 3.0)
-        assert check_monotonicity(spec).ok
+        assert check_monotonicity(spec, spec.box).ok
 
     def test_equilibrium_closed_form(self):
         # positive root of (1+r) x^2 + (1-q) x - p = 0
@@ -85,7 +85,7 @@ class TestXfYFamily:
     def test_valid_factor(self):
         spec, domain = make_xfy(lambda y: 2.0 / (1.0 + y))
         assert domain.bbox == pytest.approx((0.01, 3.0, 0.01, 3.0))
-        assert check_monotonicity(spec).ok
+        assert check_monotonicity(spec, spec.box).ok
 
     def test_increasing_factor_rejected(self):
         with pytest.raises(ParamConstraint):

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -833,6 +835,8 @@ class TestEvalMatchesFrozenReference:
         return np.concatenate(xs), np.concatenate(ys)
 
     def test_interpolation_classify_and_eval(self):
+        from monomap.extension import _Z_NEBAND, _Z_SWBAND
+
         rng = np.random.default_rng(7)
         seen, zones = set(), set()
         for k, (spec, ext, loaded) in enumerate(self._cases()):
@@ -844,10 +848,10 @@ class TestEvalMatchesFrozenReference:
                 _assert_bitwise(xl, _ref_interp(ly, lx, y), msg)
                 _assert_bitwise(xr, _ref_interp(ry, rx, y), msg)
                 t = engine.t_sw
-                _assert_bitwise(engine._sw_ray(x)[0],
+                _assert_bitwise(engine._rules[_Z_SWBAND].table(x)[0],
                                 _ref_interp(t.xs, t.ys, x), msg)
                 t = engine.t_ne
-                _assert_bitwise(engine._ne_ray(y)[0],
+                _assert_bitwise(engine._rules[_Z_NEBAND].table(y)[0],
                                 _ref_interp(t.ys, t.xs, y), msg)
                 for s in engine.sectors:
                     for got, want in zip(s._arcs(x), _ref_arcs(s, x)):
@@ -882,6 +886,20 @@ class TestEvalMatchesFrozenReference:
                     for e in (ext, loaded):
                         a, b = (y[i], x[i]) if e.swapped else (x[i], y[i])
                         _assert_bitwise(e.eval(a, b), want, f"case {k}, n={n}")
+
+
+def test_engine_is_freed_by_refcounting():
+    # no zone rule refers back to its engine, so a dropped extension
+    # frees its tables at once, not at the next cycle collection
+    spec, domain = _notched_square_case(np.random.default_rng(3), 0)
+    ext = extend(spec, domain)
+    gc.disable()
+    try:
+        ref = weakref.ref(ext.engine)
+        del ext
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 class TestNegativeControls:
@@ -937,4 +955,4 @@ class TestNegativeControls:
                                 rng=np.random.default_rng(5))
         assert audit.n_monotone_violations == 49 * 100 + 100 * 99
         assert audit.to_dict()["witnesses"]["monotone"] == [50.0, 0.0, -1.0]
-        assert check_monotonicity(spec).witness[2] == "x"
+        assert check_monotonicity(spec, spec.box).witness[2] == "x"

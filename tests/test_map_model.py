@@ -35,14 +35,15 @@ class TestBox:
 
 class TestMonotonicityAudit:
     def test_correct_signature_passes(self):
-        audit = check_monotonicity(spec_inc_dec())
+        spec = spec_inc_dec()
+        audit = check_monotonicity(spec, spec.box)
         assert audit.ok
         assert audit.n_violations_x == 0
         assert audit.n_violations_y == 0
 
     def test_wrong_signature_fails_with_witness(self):
         spec = MapSpec(rational, DEC_INC, Box(0.0, 1.0, 0.0, 1.0))
-        audit = check_monotonicity(spec)
+        audit = check_monotonicity(spec, spec.box)
         assert not audit.ok
         assert audit.n_violations_x + audit.n_violations_y > 0
         assert audit.witness is not None
@@ -59,7 +60,7 @@ class TestMonotonicityAudit:
         # the signature audit and the extension audit's check C3 read
         # one scan; both name the same worst step
         box = Box(0.0, 255.0, 0.0, 255.0)
-        audit = check_monotonicity(MapSpec(func, INC_DEC, box))
+        audit = check_monotonicity(MapSpec(func, INC_DEC, box), box)
         assert audit.witness == (float(i), float(j), axis)
         assert audit.worst_violation == (1.0 if axis == "x" else 2.0)
         n_x, n_y, worst = lattice_violations(
@@ -76,7 +77,7 @@ class TestMonotonicityAudit:
             Box(0.0, 1.0, 0.0, 1.0),
         )
         with pytest.raises(NonFiniteValue):
-            check_monotonicity(spec)
+            check_monotonicity(spec, spec.box)
 
 
 @settings(max_examples=50, deadline=None)

@@ -161,6 +161,27 @@ class TestInvariance:
         wide = DomainSpec.rectangle(0.0, 2.0, 0.0, 1.0)
         _assert_real_witness(spec, wide, verify_invariance(spec, wide))
 
+    def test_heights_just_above_the_top_meet_the_top_band(self):
+        # the x-range passes the top y = 1 by 3.6e-6, less than tol, so
+        # a cell with 1 < x0 <= x1 has images just above the domain; its
+        # heights are clipped to 1 and checked against the top band with
+        # slack tol - (x1 - 1).  F leaves the x-range by up to 1.2e-6
+        # near y = 0, within tol but past that slack, so those cells
+        # fail down to the leaf width; unclipped, their heights would
+        # cross no band and they would pass
+        domain = DomainSpec.rectangle(0.9, 1.0 + 3.6e-6, 0.0, 1.0)
+        tol = 4 * domain.chord_tol
+        assert 3.6e-6 < tol < 3.6e-6 + 1.2e-6
+        spec = MapSpec(lambda x, y: 1.0 + 4.8e-6 - 0.1 * y + 0.0 * x,
+                       INC_DEC, Box(*domain.bbox))
+        res = verify_invariance(spec, domain)
+        assert not res.verified and res.witness is None
+        search = res.search
+        assert (search["stop"], search["cells"], search["depth"]) == (
+            "min_width", 81, 18)
+        assert len(search["unproved"]) == 6
+        assert all(x0 > 1.0 for x0, _, _, _ in search["unproved"])
+
     def test_semi_convex_domain_is_proved(self):
         # a notch in the right side, past every image F <= 1
         domain = DomainSpec.polygon([(0, 0), (2, 0), (2, 0.6), (1.3, 1.0),

@@ -6,13 +6,15 @@ Builds the seeded operation list of one workload from
 ``perfbench/workloads.py``, as ``perfbench/run.py`` builds it for a run of
 ``--seconds`` seconds, runs each operation once through
 ``monomap.cli.main`` in this process, and prints one line per artifact:
-the operation's index, the file name and its sha256.  The sources come
-from this checkout's ``src``.
+the operation's index, the file name and its sha256.  Each operation's
+artifacts are followed by one line for what the CLI returned and
+printed: its index, ``exit=`` and the exit code, and the sha256 of its
+stdout.  The sources come from this checkout's ``src``.
 
 With a fixed seed the CLI writes byte-identical outputs, so two runs
-print the same lines; and a refactor that must leave every artifact
-unchanged shows it by the same lines at the parent commit and at the
-change.
+print the same lines; and a refactor that must leave every artifact,
+exit code and message unchanged shows it by the same lines at the parent
+commit and at the change.
 """
 
 import argparse
@@ -31,7 +33,8 @@ from workloads import GENERATORS  # noqa: E402
 
 
 def digests(workload: str, seed: int, seconds: int):
-    """(operation index, file name, sha256) of every artifact, in order."""
+    """(operation index, name, sha256) of every artifact, in order, then
+    (index, "exit=<code>", sha256 of its stdout) per operation."""
     _, ops = GENERATORS[workload](seed, seconds)
     with tempfile.TemporaryDirectory() as tmp:
         for k, op in enumerate(ops):
@@ -39,12 +42,17 @@ def digests(workload: str, seed: int, seconds: int):
             out.mkdir()
             cfg = Path(tmp) / f"op{k:04d}.ini"
             cfg.write_text(op.config)
-            with contextlib.redirect_stdout(io.StringIO()):
-                cli_main([op.command, "--config", str(cfg), "--out", str(out),
-                          "--seed", str(op.seed)])
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli_main([op.command, "--config", str(cfg), "--out",
+                                 str(out), "--seed", str(op.seed)])
             for path in sorted(out.iterdir()):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                yield k, path.name, digest
+                yield k, path.name, _sha256(path.read_bytes())
+            yield k, f"exit={code}", _sha256(stdout.getvalue().encode())
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def main(argv=None) -> int:
