@@ -8,10 +8,10 @@ README for the key reference).  Every pass/fail threshold is fixed and
 scaled to the problem: the fixed-point tolerance tol_fp is 1e-9 of the
 box span, and certify stops the corner chains once their order interval
 is at most 10 * tol_fp wide.  Each command accepts only the ``[run]``
-keys it reads (extend: seed; fixedpoints: n_grid; certify: seed, n_grid,
-n_orbits, orbit_steps, max_iter, n_order_pairs; simulate: seed, steps,
-n_orbits, x0, x_m1), and every ``[run]`` size among them must be at
-least 1.  Certify always runs the 4-dimensional embedding (Sym4).
+keys it reads (extend: seed; fixedpoints: seed, n_grid; certify: seed,
+n_grid, n_orbits, orbit_steps, max_iter, n_order_pairs; simulate: seed,
+steps, n_orbits, x0, x_m1), and every ``[run]`` size among them must be
+at least 1.  Certify always runs the 4-dimensional embedding (Sym4).
 Simulate runs one orbit from (x0, x_m1) when both are given, n_orbits
 random starts when neither is, and rejects one without the other, or
 n_orbits beside them.  ``[map]``
@@ -20,7 +20,9 @@ compiled by ``map_model.compile_expression``, and a key the family does
 not read, or a parameter the expression never names, is a configuration
 error.  Extend and fixedpoints first check the declared monotone
 signature by sampling the domain's bounding box, and exit 2 with the
-witness when it fails.  Exit
+witness when it fails; fixedpoints then audits the extension with the
+seed's rng, as extend does, and exits 2 without searching when the audit
+fails.  Exit
 codes: 0 success / GloballyStable, 1 Inconclusive or Refuted verdict, or
 unresolved fixed-point search, 2 audit, signature or numeric failure, 3
 unsupported domain, 4 configuration or usage error.  With a fixed seed
@@ -67,7 +69,7 @@ EXIT_CONFIG = 4
 # the [run] keys each command reads; giving it any other is an error
 _COMMAND_RUN_KEYS = {
     "extend": {"seed"},
-    "fixedpoints": {"n_grid"},
+    "fixedpoints": {"seed", "n_grid"},
     "certify": {"seed", "n_grid", "n_orbits", "orbit_steps", "max_iter",
                 "n_order_pairs"},
     "simulate": {"seed", "steps", "n_orbits", "x0", "x_m1"},
@@ -229,6 +231,18 @@ def cmd_fixedpoints(cfg: dict, out: Path, seed: int) -> int:
     if _signature_fails(spec, domain):
         return EXIT_AUDIT_FAIL
     ext = extend(spec, domain)
+    # the search's enclosures rest on a monotone extension: audit it
+    # first, as extend and certify do
+    audit = audit_extension(ext, rng=np.random.default_rng(seed))
+    if not audit.all_ok:
+        failed = [name for name, ok in (
+            ("continuity", audit.continuity_ok),
+            ("agreement", audit.agreement_ok),
+            ("monotonicity", audit.monotone_ok),
+            ("range", audit.nice_ok)) if not ok]
+        print(f"extension audit FAILED ({', '.join(failed)}); no "
+              "fixed-point search run")
+        return EXIT_AUDIT_FAIL
     n_grid = _as_int(cfg["run"], "n_grid", 256)
     rep = fp.find_artificial(ext, n_grid=n_grid)
     report.write_json(out / "fixed_points.json", rep.to_dict())

@@ -39,6 +39,10 @@ CONVERGED = "converged"
 STALLED = "stalled"
 MAX_ITER = "max_iter"
 
+# a box that holds no point: ``step_corners`` then asks ``is_base`` of
+# each point
+NO_BOX = (math.inf, -math.inf, math.inf, -math.inf)
+
 
 @dataclass
 class OrderAudit:
@@ -137,7 +141,7 @@ class EmbeddedSystem:
         out = clamp_to(out, self.a, self.b, copy=False)
         return out[0] if single else out
 
-    def step_corners(self, s: list) -> list:
+    def step_corners(self, s: list, box: tuple = NO_BOX) -> list:
         """``step`` of the two states s[:4] and s[4:], in [a, b], on
         Python floats.  Where all four evaluation points lie where the
         extension is F, F itself is evaluated: point by point on the
@@ -145,12 +149,23 @@ class EmbeddedSystem:
         points in one numpy call.  Otherwise the extension is evaluated
         at the four in one call, as ``step`` calls it.  Either way the
         values have the bits ``step`` gives, and they are clipped to
-        [a, b] as ``step`` clips them."""
+        [a, b] as ``step`` clips them.
+
+        ``box`` (x0, x1, y0, y1) is a box on which the source's
+        ``box_is_base`` holds, or ``NO_BOX``: where all four points lie
+        in it they are F's, with no ``is_base`` call."""
         x0, y0, u0, v0, x1, y1, u1, v1 = s
+        bx0, bx1, by0, by1 = box
         ext = self.source
-        is_base = ext.is_base
-        all_base = (is_base(x0, y0) and is_base(x1, y1) and is_base(u0, v0)
-                    and is_base(u1, v1))
+        if (bx0 <= x0 <= bx1 and bx0 <= x1 <= bx1 and bx0 <= u0 <= bx1
+                and bx0 <= u1 <= bx1 and by0 <= y0 <= by1
+                and by0 <= y1 <= by1 and by0 <= v0 <= by1
+                and by0 <= v1 <= by1):
+            all_base = True
+        else:
+            is_base = ext.is_base
+            all_base = (is_base(x0, y0) and is_base(x1, y1)
+                        and is_base(u0, v0) and is_base(u1, v1))
         if all_base and ext.base.float_exact:
             one = ext.base.one
             f0, f1, f2, f3 = (one(x0, y0), one(x1, y1), one(u0, v0),
@@ -206,41 +221,56 @@ def run_corner_chains(
     of G with a* preceding b*; every orbit of G lies in the order
     interval between their iterates.  Both corners advance together,
     their states kept as Python floats, one ``sys.step_corners`` call a
-    step; it gives the bits ``sys.step`` gives on the (2, dim) array.
+    step; it gives the bits ``sys.step`` gives on the (2, 4) array.
     The stop is CONVERGED once the interval's width max|s_hi - s_lo| is
     at most ``tol`` (default 1e-8 of the box span), STALLED once the
     width falls by less than 0.1% over 1,000 steps, or MAX_ITER.  Each
     step is checked to move its chain in the chain's direction.
+
+    The order interval nests in the one before, so every later
+    evaluation point (x, y) or (u, v) lies in the hull of the two
+    states' x and u coordinates times the hull of their y and v
+    coordinates, up to the slack a step may lose.  At step 0 and each
+    power of two, until the source's ``box_is_base`` holds on that box,
+    the box is tried; once it holds it is kept, and steps inside it
+    evaluate F with no per-point ``is_base``.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    starts = (MIN_CORNER, MAX_CORNER)
     span = sys.b - sys.a
     if tol is None:
         tol = 1e-8 * span
     slack_tol = 1e-10 * span
-    dim = sys.state_dim
     # the chain rises from the least element and falls from the greatest
-    signs = sys.order_signs.tolist()
-    slopes = signs + [-g for g in signs]
     s = sys.min_corner.tolist() + sys.max_corner.tolist()
     states = array("d", s)
     stop = MAX_ITER
     checkpoint = math.inf
+    box = NO_BOX
     for k in range(max_iter):
-        t = sys.step_corners(s)
-        d = [g * (v - w) for g, v, w in zip(slopes, t, s)]
-        for row in (0, 1):
-            slack = min(d[row * dim:(row + 1) * dim])
-            if slack < -slack_tol:
-                raise ChainMonotonicityBroken(
-                    f"{starts[row]} chain lost monotonicity at "
-                    f"iteration {k + 1} (slack {slack:.3e}); the "
-                    "extension or its declared monotonicity is inconsistent"
-                )
+        if box is NO_BOX and not k & (k - 1):
+            x0, y0, u0, v0, x1, y1, u1, v1 = s
+            hull = (min(x0, u0, x1, u1), max(x0, u0, x1, u1),
+                    min(y0, v0, y1, v1), max(y0, v0, y1, v1))
+            if sys.source.box_is_base(*hull):
+                box = hull
+        t = sys.step_corners(s, box)
+        # the steps against the order signs (1, -1, -1, 1) of the rising
+        # chain and their negatives for the falling one
+        lo_slack = min(t[0] - s[0], s[1] - t[1], s[2] - t[2], t[3] - s[3])
+        hi_slack = min(s[4] - t[4], t[5] - s[5], t[6] - s[6], s[7] - t[7])
+        if lo_slack < -slack_tol or hi_slack < -slack_tol:
+            start, slack = ((MIN_CORNER, lo_slack) if lo_slack < -slack_tol
+                            else (MAX_CORNER, hi_slack))
+            raise ChainMonotonicityBroken(
+                f"{start} chain lost monotonicity at "
+                f"iteration {k + 1} (slack {slack:.3e}); the "
+                "extension or its declared monotonicity is inconsistent"
+            )
         states.extend(t)
         s = t
-        width = max([abs(h - l) for l, h in zip(t[:dim], t[dim:])])
+        width = max(abs(t[4] - t[0]), abs(t[5] - t[1]), abs(t[6] - t[2]),
+                    abs(t[7] - t[3]))
         if width <= tol:
             stop = CONVERGED
             break
@@ -249,11 +279,11 @@ def run_corner_chains(
                 stop = STALLED
                 break
             checkpoint = width
-    # (2, n_iter + 1, dim)
-    states = np.frombuffer(states).reshape(-1, 2, dim).transpose(1, 0, 2).copy()
+    # (2, n_iter + 1, 4)
+    states = np.frombuffer(states).reshape(-1, 2, 4).transpose(1, 0, 2).copy()
     norms = np.max(np.abs(np.diff(states, axis=1)), axis=2)
     lo, hi = (CornerChain(start, states[c], norms[c])
-              for c, start in enumerate(starts))
+              for c, start in enumerate((MIN_CORNER, MAX_CORNER)))
     if not sys.precedes(lo.limit, hi.limit, tol=10 * slack_tol):
         raise ChainMonotonicityBroken(
             "the lower corner chain overtook the upper corner chain"

@@ -737,6 +737,27 @@ class _Engine:
                 return False
         return True
 
+    def box_is_base(self, x0: float, x1: float, y0: float, y1: float) -> bool:
+        """Whether ``is_base`` holds at every point of the box [x0, x1] x
+        [y0, y1], on floats; False may also mean undecided.  Within one
+        row of the wall table each wall's arithmetic is monotone in y, so
+        the rows the box's heights select are checked at their ends,
+        clipped to [y0, y1]: the left wall at most x0 and the right wall
+        at least x1 there hold them so on the whole row."""
+        for lo, hi in self._sector_spans:
+            if lo <= x1 and x0 <= hi:
+                return False
+        knots, rows = self._wall_rows
+        first, last = bisect_left(knots, y0), bisect_left(knots, y1)
+        for s in range(first, last + 1):
+            q0, d, v0, dv, r0, e, w0, dw = rows[s]
+            for y in (y0 if s == first else knots[s - 1],
+                      y1 if s == last else knots[s]):
+                if not (v0 + min(max((y - q0) / d, 0.0), 1.0) * dv <= x0
+                        and x1 <= w0 + min(max((y - r0) / e, 0.0), 1.0) * dw):
+                    return False
+        return True
+
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, x, y):
@@ -1150,6 +1171,20 @@ class ExtendedMap:
         if self.swapped:
             return self.engine.is_base(y, x)
         return self.engine.is_base(x, y)
+
+    def box_is_base(self, x0: float, x1: float, y0: float,
+                    y1: float) -> bool:
+        """Whether ``is_base`` holds at every point of the box [x0, x1] x
+        [y0, y1]: the box lies in ``rect`` and, with an engine, the
+        engine's ``box_is_base`` holds.  False may also mean undecided."""
+        r = self.rect
+        if not (r.x0 <= x0 <= x1 <= r.x1 and r.y0 <= y0 <= y1 <= r.y1):
+            return False
+        if self.engine is None:
+            return True
+        if self.swapped:
+            return self.engine.box_is_base(y0, y1, x0, x1)
+        return self.engine.box_is_base(x0, x1, y0, y1)
 
     # serialization ----------------------------------------------------------
 

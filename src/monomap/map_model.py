@@ -245,8 +245,8 @@ def check_monotonicity(spec: MapSpec, box: Box) -> MonotonicityAudit:
     """Audit the declared signature on a 256 x 256 lattice of ``box``."""
     xs = np.linspace(box.x0, box.x1, _MONO_GRID)
     ys = np.linspace(box.y0, box.y1, _MONO_GRID)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    Z = spec.eval_checked(X, Y)
+    # F broadcasts the two axes to the (x, y) lattice itself
+    Z = spec.eval_checked(xs[:, None], ys[None, :])
     spread = float(Z.max() - Z.min())
     n_x, n_y, worst = lattice_violations(
         Z, spec.signature, _MONO_TOL * max(1.0, spread))

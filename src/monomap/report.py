@@ -215,6 +215,42 @@ def _points_attr(px: list, py: list) -> str:
     return " ".join(map("%.6g,%.6g".__mod__, zip(px, py)))
 
 
+def _m4(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """The mask of the points M4 keeps of a polyline through the pixel
+    coordinates px, py (Jugel et al., PVLDB 7(10), 2014).  A column is a
+    run of consecutive points with one floor(px); of each it keeps the
+    first and the last point and the first with the least and with the
+    greatest py, NaN aside.  A point with a NaN coordinate has no pixel
+    and is kept.  The kept line covers the pixels the full one covers."""
+    n = len(px)
+    col = np.floor(px)
+    first = np.ones(n, dtype=bool)
+    first[1:] = col[1:] != col[:-1]
+    last = np.ones(n, dtype=bool)
+    last[:-1] = first[1:]
+    keep = first | last | np.isnan(py)
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    for extreme in (np.fmin, np.fmax):
+        hits = np.flatnonzero(py == extreme.reduceat(py, starts)[group])
+        firsts = np.ones(len(hits), dtype=bool)
+        firsts[1:] = group[hits[1:]] != group[hits[:-1]]
+        keep[hits[firsts]] = True
+    return keep
+
+
+def _cell_changes(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """The mask of the points of each row of px, py (one polyline a row)
+    kept in the phase plot: all but those in the pixel cell (floor(px),
+    floor(py)) of both of their neighbours, so the kept line runs
+    through the same cells."""
+    cx, cy = np.floor(px), np.floor(py)
+    same = (cx[:, 1:] == cx[:, :-1]) & (cy[:, 1:] == cy[:, :-1])
+    keep = np.ones(px.shape, dtype=bool)
+    keep[:, 1:-1] = ~(same[:, :-1] & same[:, 1:])
+    return keep
+
+
 class _Canvas:
     """Maps data coordinates into a fixed-size SVG viewport (y up)."""
 
@@ -307,7 +343,8 @@ def render_phase_svg(
 ) -> str:
     """The domain with orbit traces (x_k vs x_{k-1}) and fixed points:
     ``traces`` holds x_k, a row per kept step and a column per orbit, and
-    ``previous`` the x_{k-1} beside it, by default the row before."""
+    ``previous`` the x_{k-1} beside it, by default the row before.  A
+    point in the pixel cell of both of its neighbours is not drawn."""
     x0, x1, y0, y1 = rect.as_tuple() if rect is not None else domain.bbox
     cv = _Canvas(x0, x1, y0, y1)
     if rect is not None:
@@ -318,17 +355,23 @@ def render_phase_svg(
         t = np.asarray(traces, dtype=float)
         if previous is None:
             t, previous = t[1:], t[:-1]
-        # every orbit through pt in one call
+        # every orbit through pt and the cell rule in one call each
         px, py = cv.pt(t.T, np.asarray(previous, dtype=float).T)
-        for xs, ys in zip(px.tolist(), py.tolist()):
-            cv.polyline(xs, ys, stroke="#b04040", width=0.7, opacity=0.5)
+        keep = _cell_changes(px, py)
+        xs, ys = px[keep].tolist(), py[keep].tolist()
+        a = 0
+        for b in np.cumsum(keep.sum(axis=1)).tolist():
+            cv.polyline(xs[a:b], ys[a:b], stroke="#b04040", width=0.7,
+                        opacity=0.5)
+            a = b
     for x_star in fixed_points:
         cv.circle(x_star, x_star, 4, "#006400")
     return cv.render()
 
 
 def render_orbit_svg(values: np.ndarray) -> str:
-    """A single orbit as value vs step."""
+    """A single orbit as value vs step, drawn at pixel resolution: the
+    points M4 keeps of it."""
     values = np.asarray(values, dtype=float)
     n = len(values)
     lo, hi = float(values.min()), float(values.max())
@@ -336,7 +379,9 @@ def render_orbit_svg(values: np.ndarray) -> str:
         lo, hi = lo - 0.5, hi + 0.5
     cv = _Canvas(0, n - 1, lo, hi)
     px, py = cv.pt(np.arange(n, dtype=float), values)
-    cv.polyline(px.tolist(), py.tolist(), stroke="#1f4e9c", width=1.2)
+    keep = _m4(px, py)
+    cv.polyline(px[keep].tolist(), py[keep].tolist(), stroke="#1f4e9c",
+                width=1.2)
     cv.text(0, hi, f"n={n - 1} final={values[-1]:.9g}", size=12)
     return cv.render()
 

@@ -128,6 +128,19 @@ class TestCommands:
         assert doc["search"]["unresolved"] == []
         assert doc["search"]["cells"] > 0
 
+    def test_fixedpoints_reads_seed(self, tmp_path):
+        # the seed draws the extension audit's sample points; the search
+        # itself draws none, so its report does not depend on the seed
+        docs = []
+        for k, (extra, argv) in enumerate((("seed = 3\n", []),
+                                           ("", ["--seed", "5"]))):
+            cfg = write_cfg(tmp_path, EQ8_CFG + extra)
+            out = tmp_path / str(k)
+            assert main(["fixedpoints", "--config", cfg, "--out", str(out)]
+                        + argv) == 0
+            docs.append((out / "fixed_points.json").read_bytes())
+        assert docs[0] == docs[1]
+
     def test_certify_globally_stable(self, tmp_path):
         cfg = write_cfg(tmp_path, EQ8_CFG)
         out = tmp_path / "out"
@@ -357,6 +370,27 @@ class TestExitCodes:
             "declared monotone signature fails at (-0.5, -0.5, 'y')\n")
         assert not any(out.iterdir())
 
+    def test_failed_extension_audit_stops_fixedpoints(self, tmp_path, capsys):
+        # a vertex 1e-7 off the left side leaves a continuity jump of
+        # 3.2e-5 in the extension, which extend's audit reports; the
+        # search must not run on it
+        cfg = write_cfg(
+            tmp_path,
+            "[map]\nfamily = expression\nexpr = y - x/(1 + x)\n"
+            "signature = dec_inc\n\n[domain]\nkind = polygon\n"
+            "vertices = 0,2;1e-7,0.5;1,0;3,1;2,3\n",
+        )
+        ext_out, fp_out = tmp_path / "extend", tmp_path / "fixedpoints"
+        assert main(["extend", "--config", cfg, "--out", str(ext_out)]) == 2
+        audit = json.loads((ext_out / "extension_audit.json").read_text())
+        assert not audit["continuity_ok"] and audit["monotone_ok"]
+        capsys.readouterr()
+        assert main(["fixedpoints", "--config", cfg,
+                     "--out", str(fp_out)]) == 2
+        assert capsys.readouterr().out == (
+            "extension audit FAILED (continuity); no fixed-point search run\n")
+        assert not any(fp_out.iterdir())
+
     def test_missing_file_is_4(self, tmp_path):
         assert main(["certify", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)]) == 4
@@ -533,7 +567,6 @@ class TestExitCodes:
         ("certify", "x0 = 0.5\nsteps = 10\n", "steps, x0"),
         ("simulate", "max_iter = 10\n", "max_iter"),
         ("simulate", "orbit_steps = 500\nsteps = 10\n", "orbit_steps"),
-        ("fixedpoints", "seed = 3\n", "seed"),
     ])
     def test_unread_run_key_is_4(self, tmp_path, capsys, command, extra,
                                  unread):

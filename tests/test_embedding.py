@@ -1,3 +1,6 @@
+import math
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +8,12 @@ from hypothesis import strategies as st
 
 from monomap.embedding import (
     CONVERGED,
+    CornerChain,
     EmbeddedSystem,
     MAX_CORNER,
     MAX_ITER,
     MIN_CORNER,
+    NO_BOX,
     STALLED,
     SYM4,
     check_order_preserving,
@@ -179,12 +184,16 @@ class _Rowwise:
     def __getattr__(self, name):
         return getattr(self._sys, name)
 
-    def step_corners(self, s):
-        t = np.reshape(self._sys.step_corners(s), (2, -1))
+    def fault(self, s, t):
+        """The step t of s, with the fault applied."""
+        t = np.reshape(t, (2, -1))
         s = np.reshape(s, (2, -1))
         hit = self._pick(s[:, 0])
         t[hit] = self._change(self._sys, s[hit], t[hit])
         return t.ravel().tolist()
+
+    def step_corners(self, s, box=NO_BOX):
+        return self.fault(s, self._sys.step_corners(s, box))
 
 
 # a step run backwards: a chain through such a state loses monotonicity
@@ -311,6 +320,9 @@ _OCTAGON = [(0.2, 0.0), (0.8, 0.0), (1.0, 0.3), (1.0, 0.7), (0.7, 1.0),
             (0.3, 1.0), (0.0, 0.8), (0.0, 0.2)]
 
 
+_NOTCH = [(0, 0), (2, 0), (2, 2), (1.4, 2), (1.0, 1.3), (0.6, 2), (0, 2)]
+
+
 def _chain_case(name):
     """A fresh problem per case, so the point counter wraps its own F."""
     if name.startswith("eq8"):
@@ -324,6 +336,11 @@ def _chain_case(name):
                                           params),
                        INC_DEC, Box(0.0, 1.0, 0.0, 1.0), params=params)
         domain = DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0)
+    elif name == "notched":
+        # the golden notched polygon: its notch becomes a sector
+        spec = MapSpec(compile_expression("(1 + x)/(1 + x + y)", {}),
+                       INC_DEC, Box(0.0, 2.0, 0.0, 2.0))
+        domain = DomainSpec.polygon(_NOTCH)
     else:
         params = {"c": 2.0, "p": 0.3, "q": 0.5, "r": 0.4}
         spec = MapSpec(compile_expression(_POWER_EXPR, params), INC_DEC,
@@ -331,6 +348,10 @@ def _chain_case(name):
         domain = (DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0)
                   if name == "expression" else DomainSpec.polygon(_OCTAGON))
     return spec, extend(spec, domain)
+
+
+def _chain_system(name):
+    return EmbeddedSystem(_chain_case(name)[1])
 
 
 _CHAIN_CASES = ["eq8 0.3", "eq8 0.49", "eq8 0.495", "eq7", "log",
@@ -435,6 +456,160 @@ class TestFloatChainsMatchArrayChains:
         for c, chain in enumerate((lo, hi)):
             assert chain.states.tobytes() == want_states[c].tobytes()
             assert chain.step_norms.tobytes() == want_norms[c].tobytes()
+
+
+def _frozen_step_corners(sys, s):
+    """The reference for the chains' base box: the corner step that asks
+    ``is_base`` of each of the four points, every step."""
+    x0, y0, u0, v0, x1, y1, u1, v1 = s
+    ext = sys.source
+    is_base = ext.is_base
+    all_base = (is_base(x0, y0) and is_base(x1, y1) and is_base(u0, v0)
+                and is_base(u1, v1))
+    if all_base and ext.base.float_exact:
+        one = ext.base.one
+        f0, f1, f2, f3 = (one(x0, y0), one(x1, y1), one(u0, v0),
+                          one(u1, v1))
+    else:
+        f = ext.base if all_base else ext.eval
+        f0, f1, f2, f3 = f(np.array([x0, x1, u0, u1]),
+                           np.array([y0, y1, v0, v1])).tolist()
+    t = [f0, u0, f2, x0, f1, u1, f3, x1]
+    a, b = sys.a, sys.b
+    if not (a <= f0 <= b and a <= f1 <= b and a <= f2 <= b
+            and a <= f3 <= b):
+        t = np.clip(t, a, b).tolist()
+    return t
+
+
+def _frozen_chains(sys, step, max_iter=100000, tol=None):
+    """The reference loop for run_corner_chains: slopes from the order
+    signs, for any state dimension, and one ``step(s)`` a step."""
+    starts = (MIN_CORNER, MAX_CORNER)
+    span = sys.b - sys.a
+    if tol is None:
+        tol = 1e-8 * span
+    slack_tol = 1e-10 * span
+    dim = sys.state_dim
+    signs = sys.order_signs.tolist()
+    slopes = signs + [-g for g in signs]
+    s = sys.min_corner.tolist() + sys.max_corner.tolist()
+    states = array("d", s)
+    stop = MAX_ITER
+    checkpoint = math.inf
+    for k in range(max_iter):
+        t = step(s)
+        d = [g * (v - w) for g, v, w in zip(slopes, t, s)]
+        for row in (0, 1):
+            slack = min(d[row * dim:(row + 1) * dim])
+            if slack < -slack_tol:
+                raise ChainMonotonicityBroken(
+                    f"{starts[row]} chain lost monotonicity at "
+                    f"iteration {k + 1} (slack {slack:.3e}); the "
+                    "extension or its declared monotonicity is inconsistent"
+                )
+        states.extend(t)
+        s = t
+        width = max([abs(h - l) for l, h in zip(t[:dim], t[dim:])])
+        if width <= tol:
+            stop = CONVERGED
+            break
+        if (k + 1) % 1000 == 0:
+            if width > 0.999 * checkpoint:
+                stop = STALLED
+                break
+            checkpoint = width
+    states = np.frombuffer(states).reshape(-1, 2, dim).transpose(1, 0, 2).copy()
+    norms = np.max(np.abs(np.diff(states, axis=1)), axis=2)
+    return states, norms, stop
+
+
+def _outcome(run):
+    """run()'s chains as bytes and its stop, or the message it raised."""
+    try:
+        out = run()
+    except ChainMonotonicityBroken as e:
+        return str(e)
+    if isinstance(out[0], CornerChain):
+        lo, hi, stop = out
+        states = np.stack([lo.states, hi.states])
+        norms = np.stack([lo.step_norms, hi.step_norms])
+    else:
+        states, norms, stop = out
+    return states.tobytes(), norms.tobytes(), stop
+
+
+# for the eq8(0.95, 0.3) chains: the MinCorner chain's first coordinate
+# passes 0.62 near step 26, long after the chains keep their base box
+# at step 4
+_LATE_ON_MIN_CHAIN = lambda x: (x > 0.62) & (x < 0.63)
+
+
+class TestChainsMatchTheFrozenLoop:
+    """With a base box, run_corner_chains gives the bits, the stop and
+    the error messages of the loop that asks is_base of every point."""
+
+    # the octagon's chains stall at an artificial pair whose hull box
+    # reaches past the octagon's edge x + y = 1.7, so no box of theirs
+    # is base and every step asks is_base
+    @pytest.mark.parametrize("name,kept", [
+        ("eq8 0.3", True), ("eq8 0.49", True), ("eq8 0.495", True),
+        ("notched", True), ("eq7", True), ("expression octagon", False)])
+    def test_bitwise_equal(self, name, kept, monkeypatch):
+        sys = _chain_system(name)
+        want = _outcome(lambda: _frozen_chains(
+            sys, lambda s: _frozen_step_corners(sys, s)))
+        calls = [0]
+        is_base = ExtendedMap.is_base
+
+        def counted(self, x, y):
+            calls[0] += 1
+            return is_base(self, x, y)
+
+        monkeypatch.setattr(ExtendedMap, "is_base", counted)
+        lo, hi, stop = run_corner_chains(sys)
+        assert _outcome(lambda: (lo, hi, stop)) == want
+        # a box is kept within the first few powers of two; after it no
+        # step asks is_base
+        if sys.source.engine is None:
+            assert calls[0] == 0
+        elif kept:
+            assert 0 < calls[0] < lo.n_iter / 4
+        else:
+            assert calls[0] >= lo.n_iter
+
+    @pytest.mark.parametrize("case,fault,failing", [
+        ("eq7", _AT_MAX_CORNER, MAX_CORNER),
+        ("eq7", _ON_MIN_CHAIN, MIN_CORNER),
+        ("eq7", lambda x: _AT_MAX_CORNER(x) | _ON_MIN_CHAIN(x), MAX_CORNER),
+        ("eq8 0.3", _LATE_ON_MIN_CHAIN, MIN_CORNER),
+    ], ids=["eq7-max_corner", "eq7-min_corner", "eq7-both", "eq8-late"])
+    def test_faults_raise_the_same_message(self, case, fault, failing):
+        sys = _Rowwise(_chain_system(case), fault, _REVERSE)
+        want = _outcome(lambda: _frozen_chains(
+            sys, lambda s: sys.fault(s, _frozen_step_corners(sys, s))))
+        assert want.startswith(f"{failing} chain lost monotonicity")
+        assert _outcome(lambda: run_corner_chains(sys)) == want
+
+    @pytest.mark.parametrize("coord", range(4))
+    @pytest.mark.parametrize("chain", [MIN_CORNER, MAX_CORNER])
+    def test_each_coordinate_has_its_slack(self, chain, coord):
+        # one coordinate of one chain runs backwards from the first step
+        # that moves it, so the slack in the message is that
+        # coordinate's own step
+        def reverse_one(sys, s, t):
+            t[:, coord] = 2 * s[:, coord] - t[:, coord]
+            return t
+
+        # the eq7 chains meet at x* = 1.0083: the MinCorner chain's first
+        # coordinate stays below it, the MaxCorner chain's above
+        pick = (lambda x: x < 1.0) if chain == MIN_CORNER else (
+            lambda x: x > 1.02)
+        sys = _Rowwise(_chain_system("eq7"), pick, reverse_one)
+        want = _outcome(lambda: _frozen_chains(
+            sys, lambda s: sys.fault(s, _frozen_step_corners(sys, s))))
+        assert want.startswith(f"{chain} chain lost monotonicity")
+        assert _outcome(lambda: run_corner_chains(sys)) == want
 
 
 class TestChainArtifacts:

@@ -524,6 +524,120 @@ class TestOnePointZoneTest:
         assert not eq7_ext.is_base(0.5, np.nan)
 
 
+def _seeded_boxes(rect, rng, n):
+    """n boxes in and around ``rect``: a seeded centre in it, half-widths
+    from 1e-7 to 1/2 of its diameter, every fourth box flat in x or y
+    (a segment or a point), and each clipped to the rectangle except
+    where a side lands 1e-12 of the diameter outside it."""
+    cx, cy = rng.uniform(rect.x0, rect.x1, n), rng.uniform(rect.y0, rect.y1, n)
+    hx, hy = rect.diam * 10.0 ** rng.uniform(-7, np.log10(0.5), (2, n))
+    flat = rng.integers(0, 4, n)
+    hx[flat == 1] = 0.0
+    hy[flat == 2] = 0.0
+    pad = np.where(rng.random(n) < 0.1, 1e-12 * rect.diam, 0.0)
+    return np.column_stack([
+        np.maximum(cx - hx, rect.x0 - pad), np.minimum(cx + hx, rect.x1),
+        np.maximum(cy - hy, rect.y0), np.minimum(cy + hy, rect.y1 + pad),
+    ]).tolist()
+
+
+class TestBoxIsBase:
+    """ExtendedMap.box_is_base holds only on boxes where is_base holds
+    everywhere: checked at the box's corners, at both ends of the box's
+    side across it at every wall knot inside it, and at 100 seeded
+    points; and it fails whenever a corner is not base."""
+
+    def test_oracle_on_seeded_boxes(self):
+        rng = np.random.default_rng(20261021)
+        cases = [_random_convex_case(rng) for _ in range(6)]
+        cases += [_notched_square_case(rng, k) for k in range(8)]
+        cases += [_flat_bottom_case(k) for k in range(len(_FLAT_BOTTOM_CASES))]
+        cases += _shape_cases()
+        held = failed = knotted = corner_base_failed = 0
+        kinds = set()
+        for k, (spec, domain) in enumerate(cases):
+            ext = extend(spec, domain)
+            is_base = ext.is_base
+            # the engine's wall knots, which are heights in its frame:
+            # abscissae in the caller's frame when it is swapped
+            knots = ext.engine._walls.knots.tolist()
+            inner = rng.random((100, 2)).tolist()
+            boxes = _seeded_boxes(ext.rect, rng, 300)
+            # boxes around base points, most of which hold
+            base_pts = [(a, b) for a, b in zip(
+                rng.uniform(ext.rect.x0, ext.rect.x1, 400).tolist(),
+                rng.uniform(ext.rect.y0, ext.rect.y1, 400).tolist())
+                if is_base(a, b)][:100]
+            for (a, b), h in zip(base_pts, 10.0 ** rng.uniform(-6, -1, 100)):
+                h *= ext.rect.diam
+                boxes.append([a - h, a + h, b - h, b + h])
+            for x0, x1, y0, y1 in boxes:
+                got = ext.box_is_base(x0, x1, y0, y1)
+                corners = all(is_base(a, b) for a in (x0, x1)
+                              for b in (y0, y1))
+                if not corners:
+                    assert not got, (k, x0, x1, y0, y1)
+                    failed += 1
+                    continue
+                if not got:
+                    corner_base_failed += 1
+                    continue
+                held += 1
+                if ext.swapped:
+                    across = [(q, b) for q in knots if x0 <= q <= x1
+                              for b in (y0, y1)]
+                else:
+                    across = [(a, q) for q in knots if y0 <= q <= y1
+                              for a in (x0, x1)]
+                knotted += bool(across)
+                inside = [(x0 + u * (x1 - x0), y0 + v * (y1 - y0))
+                          for u, v in inner]
+                for a, b in across + inside:
+                    assert is_base(a, b), (k, x0, x1, y0, y1, a, b)
+            kinds.add((ext.swapped, len(ext.engine.sectors) > 0))
+        assert kinds == {(s, n) for s in (False, True) for n in (False, True)}
+        assert held > 500 and failed > 500 and knotted > 20
+        # a box can fail with four base corners: one over a sector span
+        assert corner_base_failed
+
+    def test_walks_every_row_the_box_selects(self):
+        # a wall table with knots at y = 0, 1, 2, 3, 4 whose left wall
+        # is x = 0 but bulges to x = 0.8 at y = 2: a box over all five
+        # heights fails there, in rows that neither of its ends selects.
+        # (A real wall is monotone on either side of its extreme, so
+        # that its ends nearly always decide; the rows decide to the
+        # last bit.)
+        engine = extend(*make_eq8(1.0, 0.3)).engine
+        right = (0.0, 1.0, 10.0, 0.0)
+        left = [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.8),
+                (2.0, 0.8, -0.8), (3.0, 0.0, 0.0), (3.0, 0.0, 0.0)]
+        engine.__dict__["_wall_rows"] = (
+            [0.0, 1.0, 2.0, 3.0, 4.0],
+            [(q0, 1.0, v0, dv, *right) for q0, v0, dv in left])
+        assert engine.is_base(0.5, 0.0) and engine.is_base(0.5, 4.0)
+        assert not engine.is_base(0.5, 2.0)
+        assert not engine.box_is_base(0.5, 1.0, 0.0, 4.0)
+        assert engine.box_is_base(0.8, 1.0, 0.0, 4.0)
+        assert engine.box_is_base(0.5, 1.0, 2.5, 4.0)
+        assert not engine.box_is_base(0.5, 1.0, 1.5, 4.0)
+
+    def test_engine_frame_and_rectangle(self, eq7_ext, eq8_ext):
+        # a swapped map asks its engine about the transposed box; the
+        # rectangle extension holds on every box inside its rectangle
+        assert eq8_ext.swapped
+        r = eq8_ext.rect
+        rng = np.random.default_rng(4)
+        for x0, x1, y0, y1 in _seeded_boxes(r, rng, 200):
+            inside = r.x0 <= x0 and x1 <= r.x1 and r.y0 <= y0 and y1 <= r.y1
+            assert eq8_ext.box_is_base(x0, x1, y0, y1) == (
+                inside and eq8_ext.engine.box_is_base(y0, y1, x0, x1))
+            assert eq7_ext.box_is_base(x0, x1, y0, y1) == (
+                x0 >= 0.0 and x1 <= 1.0 and y0 >= 0.0 and y1 <= 1.0)
+        assert eq7_ext.box_is_base(0.0, 1.0, 0.0, 1.0)
+        assert not eq7_ext.box_is_base(0.2, 0.1, 0.0, 1.0)
+        assert not eq7_ext.box_is_base(0.0, 1.0, np.nan, 1.0)
+
+
 def _even_odd(x, y, poly):
     """Even-odd ray casting over every point and every edge."""
     inside = np.zeros(x.shape, dtype=bool)

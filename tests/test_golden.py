@@ -18,10 +18,15 @@ for byte, with the copies under ``tests/data/golden/``:
 * ``eq8_simulate``: one 10,000-step eq8 orbit (p = 1, h = 0.45) from a
   fixed start inside the pentagon.
 
-A refactor must leave these bytes unchanged.  The golden files may be
-regenerated only together with a ``schema_version`` bump that
-CHANGES.md explains; ``python tests/test_golden.py --regenerate``
-rewrites them from the current code.
+A refactor must leave these bytes unchanged.  A JSON, CSV or Markdown
+golden file may be regenerated only together with a ``schema_version``
+bump that CHANGES.md explains.  SVG has no schema: an SVG golden file
+may change with a plot rule that CHANGES.md states.
+
+    PYTHONPATH=src python tests/test_golden.py --regenerate CASE/FILE ...
+
+rewrites only the named files (say ``eq8_simulate/orbit.svg``) from the
+current code, so a regeneration cannot bless a change elsewhere.
 """
 
 import sys
@@ -91,13 +96,39 @@ def test_artifacts_are_byte_identical(name, tmp_path):
         assert got == want, f"{name}/{fname} differs from the golden copy"
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--regenerate"]:
+def test_regenerate_rewrites_only_the_named_files(tmp_path, monkeypatch):
+    want = (GOLDEN / "eq7_certify" / "certificate.md").read_bytes()
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
+    regenerate(["eq7_certify/certificate.md"])
+    written = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert written == [tmp_path / "eq7_certify" / "certificate.md"]
+    assert written[0].read_bytes() == want
+    for target in ("eq7_certify/phase.svg", "eq7_certify", "nope/orbit.svg"):
+        with pytest.raises(SystemExit, match="no golden artifact"):
+            regenerate([target])
+
+
+def regenerate(targets) -> None:
+    """Rewrite the golden copies of the named CASE/FILE artifacts only."""
     import shutil
     import tempfile
 
-    for name in sorted(CASES):
+    wanted = {}
+    for target in targets:
+        name, _, fname = target.partition("/")
+        if name not in CASES or fname not in CASES[name][2]:
+            raise SystemExit(f"no golden artifact {target!r}")
+        wanted.setdefault(name, []).append(fname)
+    for name, fnames in sorted(wanted.items()):
         with tempfile.TemporaryDirectory() as tmp:
             run_case(name, Path(tmp))
             (GOLDEN / name).mkdir(parents=True, exist_ok=True)
-            for fname in CASES[name][2]:
+            for fname in fnames:
                 shutil.copyfile(Path(tmp) / fname, GOLDEN / name / fname)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] != ["--regenerate"] or not sys.argv[2:]:
+        raise SystemExit("usage: python tests/test_golden.py --regenerate "
+                         "CASE/FILE ...")
+    regenerate(sys.argv[2:])

@@ -69,6 +69,41 @@ class TestMonotonicityAudit:
         assert (n_x, n_y) == (audit.n_violations_x, audit.n_violations_y)
         assert worst == (i, j, axis, -audit.worst_violation)
 
+    @pytest.mark.parametrize("name", ["eq7", "eq8", "rational", "calls",
+                                      "power", "lambda", "only_y"])
+    def test_lattice_on_axes_has_the_meshgrid_bits(self, name, monkeypatch):
+        # F on the broadcast axes xs[:, None], ys[None, :] gives the bits
+        # of F on the full meshgrid; the audit reads no other values
+        from monomap import map_model
+        from monomap.examples import make_eq7, make_eq8
+
+        exprs = {
+            "rational": "(a + b*x)/(1 + x + c*y*y)",
+            "calls": "exp(-c*y) * sqrt(1 + x) + log(1 + a*x) - b*y",
+            "power": "(a + x) ** b / (1 + y) ** c",
+            "only_y": "a*b*c - y",
+        }
+        if name in exprs:
+            params = {"a": 0.7, "b": 1.3, "c": 0.4}
+            spec = MapSpec(compile_expression(exprs[name], params), INC_DEC,
+                           Box(0.0, 2.0, 0.5, 3.0), params=params)
+        elif name == "lambda":
+            spec = MapSpec(lambda x, y: np.tanh(x) - np.arctan(y) / 3,
+                           INC_DEC, Box(-1.0, 4.0, -2.0, 2.0))
+        else:
+            spec = (make_eq7(1.0, 2.0, 3.0) if name == "eq7"
+                    else make_eq8(1.0, 0.45))[0]
+        seen = []
+        scan = map_model.lattice_violations
+        monkeypatch.setattr(map_model, "lattice_violations",
+                            lambda Z, *a: seen.append(Z) or scan(Z, *a))
+        b = spec.box
+        assert check_monotonicity(spec, b).ok
+        xs, ys = np.linspace(b.x0, b.x1, 256), np.linspace(b.y0, b.y1, 256)
+        want = spec.eval_checked(*np.meshgrid(xs, ys, indexing="ij"))
+        assert seen[0].shape == want.shape == (256, 256)
+        assert seen[0].tobytes() == want.tobytes()
+
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_non_finite_raises(self):
         spec = MapSpec(

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -17,11 +19,12 @@ from monomap.report import (
     write_json,
     write_orbits_csv,
 )
+from monomap.examples import make_eq8
 from monomap.embedding import (MAX_CORNER, MIN_CORNER, CornerChain,
                                EmbeddedSystem, run_corner_chains)
 from monomap.geometry import DomainSpec
 from monomap.map_model import Box
-from monomap.stability import certify
+from monomap.stability import certify, iterate_orbit
 
 # ---------------------------------------------------------------------------
 # Oracles: the straightforward writers the fast ones must match byte for
@@ -60,19 +63,58 @@ def oracle_chains_csv(path, lo, hi) -> None:
                 for c in (lo, hi) for k, row in enumerate(c.states)))
 
 
-def oracle_points(cv, pts) -> str:
+def oracle_points(px, py) -> str:
     """The SVG points attribute as a per-point f-string writes it."""
-    px, py = cv.pt(*np.asarray(pts, dtype=float).T)
-    return " ".join(f"{a:.6g},{b:.6g}"
-                    for a, b in zip(px.tolist(), py.tolist()))
+    return " ".join(f"{a:.6g},{b:.6g}" for a, b in zip(px, py))
 
 
-def oracle_polyline(cv, pts, stroke, width, opacity) -> None:
+def oracle_polyline(cv, px, py, stroke, width, opacity) -> None:
     cv.parts.append(
-        f'<polyline points="{oracle_points(cv, pts)}" fill="none" '
+        f'<polyline points="{oracle_points(px, py)}" fill="none" '
         f'stroke="{stroke}" stroke-width="{width}" '
         f'stroke-opacity="{opacity}"/>'
     )
+
+
+def pixel(v):
+    """The pixel index floor(v) of a coordinate; inf and NaN stand for
+    themselves (NaN equals no pixel)."""
+    return math.floor(v) if math.isfinite(v) else v
+
+
+def oracle_cell_rule(px, py):
+    """The phase plot's points: each but those in the pixel cell of both
+    of their neighbours."""
+    cells = [(pixel(a), pixel(b)) for a, b in zip(px, py)]
+
+    def same(i, j):
+        return cells[i][0] == cells[j][0] and cells[i][1] == cells[j][1]
+
+    keep = [i for i in range(len(cells))
+            if not (0 < i < len(cells) - 1 and same(i, i - 1)
+                    and same(i, i + 1))]
+    return [px[i] for i in keep], [py[i] for i in keep]
+
+
+def oracle_m4(px, py):
+    """The orbit plot's points: in each run of points in one pixel
+    column, the first, the last, and the first with the least and with
+    the greatest py among those that are not NaN; and every NaN py."""
+    columns = []
+    for i in range(len(px)):
+        if i and pixel(px[i]) == pixel(px[i - 1]):
+            columns[-1].append(i)
+        else:
+            columns.append([i])
+    keep = set()
+    for col in columns:
+        keep |= {col[0], col[-1]}
+        ys = [py[i] for i in col if py[i] == py[i]]
+        for want in (min(ys), max(ys)) if ys else ():
+            keep.add(next(i for i in col if py[i] == want))
+        keep |= {i for i in col if py[i] != py[i]}
+    keep = sorted(keep)
+    return [px[i] for i in keep], [py[i] for i in keep]
 
 
 def oracle_phase_svg(domain, traces, fixed_points=(), rect=None,
@@ -87,8 +129,9 @@ def oracle_phase_svg(domain, traces, fixed_points=(), rect=None,
                    fill="#f5f5f5", stroke="#999999")
     cv.polygon(domain.vertices, fill="#dbeafe", stroke="#1f4e9c", width=1.5)
     for j in range(traces.shape[1]):
-        oracle_polyline(cv, np.column_stack([traces[:, j], previous[:, j]]),
-                        "#b04040", 0.7, 0.5)
+        px = [cv.pt(a, b)[0] for a, b in zip(traces[:, j], previous[:, j])]
+        py = [cv.pt(a, b)[1] for a, b in zip(traces[:, j], previous[:, j])]
+        oracle_polyline(cv, *oracle_cell_rule(px, py), "#b04040", 0.7, 0.5)
     for x_star in fixed_points:
         cv.circle(x_star, x_star, 4, "#006400")
     return cv.render()
@@ -100,8 +143,9 @@ def oracle_orbit_svg(values) -> str:
     if hi - lo < 1e-30:
         lo, hi = lo - 0.5, hi + 0.5
     cv = report._Canvas(0, n - 1, lo, hi)
-    oracle_polyline(cv, np.column_stack([np.arange(n), values]), "#1f4e9c",
-                    1.2, 1.0)
+    px = [cv.pt(float(k), v)[0] for k, v in enumerate(values)]
+    py = [cv.pt(float(k), v)[1] for k, v in enumerate(values)]
+    oracle_polyline(cv, *oracle_m4(px, py), "#1f4e9c", 1.2, 1.0)
     cv.text(0, hi, f"n={n - 1} final={values[-1]:.9g}", size=12)
     return cv.render()
 
@@ -380,3 +424,71 @@ class TestSvgOracle:
         values[:: 7] = -0.0
         values[3:: 11] = 5e-324
         assert render_orbit_svg(values) == oracle_orbit_svg(values)
+
+    @pytest.mark.parametrize("edges", [(), (-0.0, 5e-324), (float("nan"),),
+                                       (float("inf"), -0.0),
+                                       (-float("inf"), float("nan"))],
+                             ids=["finite", "zeros", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("n", [3, 40, 6000])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_orbit_svg_decimates(self, n, edges):
+        # a slow walk, with runs of repeats, decimated many points a
+        # column; the edge floats make NaN pixels or collapse the scale
+        rng = np.random.default_rng(n)
+        values = np.cumsum(rng.normal(size=n)) * 0.05
+        values[rng.random(n) < 0.2] = 0.25
+        for v in edges:
+            values[rng.integers(0, n, max(1, n // 50))] = v
+        assert render_orbit_svg(values) == oracle_orbit_svg(values)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 1), (400, 4), (3000, 2)])
+    def test_phase_svg_drops_repeated_cells(self, shape):
+        # slow walks that stay in a pixel cell for a few steps, runs of
+        # repeats, and edge floats
+        rng = np.random.default_rng(shape[0])
+        walk = 0.5 + np.cumsum(rng.normal(size=shape), axis=0) * 5e-4
+        walk[rng.random(shape) < 0.2] = 0.75
+        walk[rng.random(shape) < 0.02] = rng.choice(EDGE_FLOATS)
+        domain = DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0)
+        for args in ((), ([0.5], Box(-0.5, 1.5, -0.5, 1.5), walk[::-1])):
+            assert (render_phase_svg(domain, walk, *args)
+                    == oracle_phase_svg(domain, walk, *args))
+
+
+def polylines(svg):
+    """The points of each polyline of an SVG image, as strings."""
+    return [points.split(" ") if points else []
+            for points in re.findall(r'<polyline points="([^"]*)"', svg)]
+
+
+class TestOrbitPlotResolution:
+    """The orbit plot keeps, of each pixel column of the full polyline,
+    its first, last, least and greatest point, in their order."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_column_keeps_its_m4_points(self, seed):
+        rng = np.random.default_rng(seed)
+        p, h = rng.uniform(0.9, 1.0), rng.uniform(0.45, 0.48)
+        spec, domain = make_eq8(p, h)
+        x0, x_m1 = (p - h) * rng.uniform(0.6, 1.4, 2)
+        steps = int(rng.integers(2000, 12000))
+        orbit = iterate_orbit(spec, x0, x_m1, steps, domain=domain)
+        values = orbit.values
+        n = len(values)
+        kept = polylines(render_orbit_svg(values))[0]
+        lo, hi = float(values.min()), float(values.max())
+        cv = report._Canvas(0, n - 1, lo, hi)
+        px, py = cv.pt(np.arange(n, dtype=float), values)
+        full = report._points_attr(px.tolist(), py.tolist()).split(" ")
+        # the kept points are full points, in their order (each step has
+        # its own x string)
+        at = {point: k for k, point in enumerate(full)}
+        index = [at[point] for point in kept]
+        assert index == sorted(set(index))
+        column = np.floor(px)
+        for c in np.unique(column):
+            ks = np.flatnonzero(column == c)
+            want = {ks[0], ks[-1], ks[np.argmin(py[ks])],
+                    ks[np.argmax(py[ks])]}
+            assert want <= set(index), (c, want)
+        assert len(kept) <= 4 * len(np.unique(column))
