@@ -22,6 +22,8 @@ four corner values enclose both components of the clamped residual
 (the decomposition function of mixed-monotone systems).  A cell whose
 enclosure misses 0 holds no root and is dropped; the cells left at the
 finest width are reported, as a pair or as unresolved, never dropped.
+Each cell carries its corner values, and its children take half of
+theirs from it: a split evaluates ten points per cell.
 """
 
 from __future__ import annotations
@@ -35,14 +37,12 @@ import numpy as np
 from .enclosure import METHOD_ENCLOSURE, corner_ranges, refine
 from .errors import ContinuumOfFixedPoints, ParamConstraint
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # refinement stops at cells 2^-_MAX_DEPTH of the box wide, or before a
 # level would hold more than _MAX_CELLS cells
 _MAX_DEPTH = 40
 _MAX_CELLS = 1 << 18
-# the (i, j) offsets of the four children of a cell
-_CHILDREN = np.array([[0, 1, 0, 1], [0, 0, 1, 1]])[:, None, :]
 # every enclosure comparison is widened by this many ulps of the box's
 # largest coordinate, for the rounding of F and of the differences
 _ULPS = 8
@@ -233,6 +233,54 @@ def _corner_ranges(ext, lo, hi):
     return np.minimum(np.maximum(v, ext.rect.x0), ext.rect.x1)
 
 
+# A pair-search cell is a column of _ROWS floats: its grid indices i and
+# j (exact in float64), the least values of F(x, y) and F(y, x) on it,
+# clamped to the box, their greatest values, then its sides x1, y1, x0,
+# y0, so that rows 2-5 less rows 6-9 are the four residual bounds.
+_ROWS = 10
+# the five nodes (p, q) of a cell's 3 x 3 grid of child corners that are
+# no corner of the cell, and its children (a, b) in the order split
+# lists them
+_INNER = ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1))
+_KIDS = ((0, 0), (1, 0), (0, 1), (1, 1))
+# the rows of the x and of the y argument, in a split's node table
+# [X0, X1, X2, Y0, Y1, Y2], of the ten points it evaluates per cell:
+# F(X[p], Y[q]) at the five inner nodes, then F(Y[p], X[q])
+_ARGS = np.array([[p for p, _ in _INNER] + [3 + p for p, _ in _INNER],
+                  [3 + q for _, q in _INNER] + [q for _, q in _INNER]])
+_THIRDS = np.arange(3)[:, None]
+
+
+def _split_pattern(signature) -> np.ndarray:
+    """The rows of a split's table that make each child's column, for a
+    map of this signature, as a (_ROWS, 4) array: one column per child,
+    in ``_KIDS`` order.
+
+    The table stacks the ten new values (`_ARGS`), the parent's four
+    values, its six nodes and its six grid lines.  F(x, y) is least on a
+    cell at the corner the signature picks, and F(y, x) at the corner it
+    picks for the mirrored cell; a child's least corner is an inner node
+    or else the parent's least corner, and likewise for the greatest.
+    So no child value is evaluated twice.
+    """
+    sx, sy = signature
+    lo, hi = (int(sx < 0), int(sy < 0)), (int(sx > 0), int(sy > 0))
+    parent = {(2 * lo[0], 2 * lo[1]): 10, (2 * hi[0], 2 * hi[1]): 12}
+
+    def value(mirror, p, q):
+        # the row of F(X[p], Y[q]), or of F(Y[p], X[q]) when mirrored
+        if (p, q) in _INNER:
+            return 5 * mirror + _INNER.index((p, q))
+        return parent[p, q] + mirror
+
+    return np.array([
+        [20 + a, 23 + b,
+         value(0, a + lo[0], b + lo[1]), value(1, b + lo[0], a + lo[1]),
+         value(0, a + hi[0], b + hi[1]), value(1, b + hi[0], a + hi[1]),
+         15 + a, 18 + b, 14 + a, 17 + b]
+        for a, b in _KIDS]).T
+
+
 def find_artificial(
     ext,
     n_grid: int = 256,
@@ -248,6 +296,15 @@ def find_artificial(
     enclosure of their difference from the same four corners is the
     difference of the two enclosures, so it would drop no further cell.
 
+    Each cell carries its corner values (see `_split_pattern`): the root
+    evaluates its four corner points, and a split evaluates ten points
+    per parent, F(x, y) and F(y, x) at the five nodes of the parent's
+    3 x 3 node grid that are no corner of it; the children take the
+    other values from the parent.  Every node comes from `_nodes` on the
+    children's own grid, so the values are those of the children's own
+    corners, bit for bit.  ``evaluations`` in the search record counts
+    the points evaluated: 4, 10 per split cell and 2 per kept box.
+
     The quadtree is refined by `enclosure.refine`.  The cells left when
     a level would exceed the cell budget, else at width 2^-40 of the
     box, are grouped into boxes (cells less than sep_min apart share
@@ -260,29 +317,43 @@ def find_artificial(
     sep_min = _SEP_MIN * (b - a)
     equilibria = find_equilibria(ext, (a, b), n_grid=n_grid)
     eps = _ULPS * np.spacing(max(abs(a), abs(b)))
+    pattern = _split_pattern(ext.base.signature.as_tuple())
+    lo, hi = _nodes(np.array([[0, 0], [1, 1]]), 1, a, b)
+    values = _corner_ranges(ext, lo, hi)
+    root = np.concatenate([[0.0, 0.0], values.ravel(), hi, lo])[:, None]
+    evaluations, level = values.size, 0
 
-    def test(cells, depth):
-        k = cells.shape[1]
-        # the nodes x0, y0 and x1, y1 of every cell in one pass
-        ij = np.stack([cells, cells + 1])
-        lo, hi = _nodes(ij, 1 << depth, a, b).reshape(2, -1)
-        least, most = _corner_ranges(ext, lo, hi)
-        # F(x, y) - x and F(y, x) - y on the stacked rows
-        keep = (least - hi <= eps) & (most - lo >= -eps)
-        return (keep[:k] & keep[k:]
-                & (hi[k:] - lo[:k] > sep_min)), None  # y1 - x0: off the band
+    def test(cells, _):
+        # least - (x1, y1) and most - (x0, y0) of F(x, y) and F(y, x)
+        d = cells[2:6] - cells[6:]
+        keep = (d[:2] <= eps) & (d[2:] >= -eps)
+        return keep[0] & keep[1] & (cells[7] - cells[8] > sep_min), None
 
     def split(cells):
-        # the four children; those wholly below the diagonal mirror kept ones
-        kids = (2 * cells[:, :, None] + _CHILDREN).reshape(2, -1)
-        return np.compress(kids[1] + 1 > kids[0], kids, axis=1)
+        nonlocal evaluations, level
+        level += 1
+        k = cells.shape[1]
+        # grid lines 2i + t and 2j + t, t = 0, 1, 2, and their nodes
+        lines = (2 * cells[:2, None] + _THIRDS).reshape(6, k)
+        nodes = _nodes(lines, 1 << level, a, b)
+        v = ext.eval(nodes[_ARGS[0]].ravel(), nodes[_ARGS[1]].ravel())
+        evaluations += v.size
+        table = np.concatenate([
+            np.minimum(np.maximum(v, a), b).reshape(10, k), cells[2:6],
+            nodes, lines])
+        kids = table[pattern].reshape(_ROWS, -1)
+        # the children wholly below the diagonal mirror kept ones; only a
+        # cell on the diagonal has one, and none is left once the cells
+        # are narrower than the diagonal band
+        if not np.any(cells[0] == cells[1]):
+            return kids
+        return np.compress(kids[1] >= kids[0], kids, axis=1)
 
     def leaf(cells, depth):
         return np.ones(cells.shape[1], bool) if depth == _MAX_DEPTH else None
 
-    run = refine(np.zeros((2, 1), dtype=np.int64), test, split, leaf,
-                 _MAX_CELLS)
-    i, j = run.leaves
+    run = refine(root, test, split, leaf, _MAX_CELLS)
+    i, j = run.leaves[:2].astype(np.int64)
 
     # cells less than sep_min apart form one box: group them by their
     # ancestors at the last depth whose cells are at least sep_min wide
@@ -311,6 +382,6 @@ def find_artificial(
     search = {"box": [a, b], "cells": run.cells, "depth": run.depth,
               "min_width": (b - a) / n, "widest_level": run.widest,
               "stop": run.stop or "exhausted",
-              "evaluations": 4 * run.cells + v.size,
+              "evaluations": evaluations + v.size,
               "diagonal_band": sep_min, "tol_fp": tol_fp}
     return FixedPointReport(equilibria, artificial, unresolved, search)

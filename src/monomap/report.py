@@ -252,14 +252,20 @@ def _cell_changes(px: np.ndarray, py: np.ndarray) -> np.ndarray:
 
 
 class _Canvas:
-    """Maps data coordinates into a fixed-size SVG viewport (y up)."""
+    """Maps data coordinates into a fixed-size SVG viewport (y up), with
+    one scale for both axes, or with ``fill`` each axis scaled to span
+    the plot area."""
 
-    def __init__(self, x0, x1, y0, y1, size=640, margin=40):
+    def __init__(self, x0, x1, y0, y1, size=640, margin=40, fill=False):
         self.x0, self.x1, self.y0, self.y1 = x0, x1, y0, y1
         self.size = size
         self.margin = margin
-        span = max(x1 - x0, y1 - y0, 1e-30)
-        self.scale = (size - 2 * margin) / span
+        width = size - 2 * margin
+        if fill:
+            self.sx = width / max(x1 - x0, 1e-30)
+            self.sy = width / max(y1 - y0, 1e-30)
+        else:
+            self.sx = self.sy = width / max(x1 - x0, y1 - y0, 1e-30)
         self.parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
             f'height="{size}" viewBox="0 0 {size} {size}">',
@@ -267,8 +273,8 @@ class _Canvas:
         ]
 
     def pt(self, x, y):
-        px = self.margin + (x - self.x0) * self.scale
-        py = self.size - self.margin - (y - self.y0) * self.scale
+        px = self.margin + (x - self.x0) * self.sx
+        py = self.size - self.margin - (y - self.y0) * self.sy
         return px, py
 
     def _points(self, pts) -> str:
@@ -370,14 +376,14 @@ def render_phase_svg(
 
 
 def render_orbit_svg(values: np.ndarray) -> str:
-    """A single orbit as value vs step, drawn at pixel resolution: the
-    points M4 keeps of it."""
+    """A single orbit as value vs step, scaled to the plot area on each
+    axis and drawn at pixel resolution: the points M4 keeps of it."""
     values = np.asarray(values, dtype=float)
     n = len(values)
     lo, hi = float(values.min()), float(values.max())
     if hi - lo < 1e-30:
         lo, hi = lo - 0.5, hi + 0.5
-    cv = _Canvas(0, n - 1, lo, hi)
+    cv = _Canvas(0, n - 1, lo, hi, fill=True)
     px, py = cv.pt(np.arange(n, dtype=float), values)
     keep = _m4(px, py)
     cv.polyline(px[keep].tolist(), py[keep].tolist(), stroke="#1f4e9c",

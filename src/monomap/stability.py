@@ -283,7 +283,10 @@ def _run_ensemble(
     prev = np.asarray(starts_y, dtype=float).copy()
     exited = np.zeros(cur.shape, dtype=bool)
     tol = 4 * domain.chord_tol
-    kept, steps = [(prev.copy(), cur.copy())], [0]  # (x_{k-1}, x_k) rows
+    kept, steps = [cur.copy()], [0]  # x_k rows
+    # x_{k-1} beside each row whose step does not follow the row before;
+    # beside any other row x_{k-1} is the row before, bit for bit
+    gaps = [(0, prev.copy())]
     n_run = 0
     settled = False
     # the points (x_{k+1}, x_k) of the steps not located yet
@@ -305,7 +308,9 @@ def _run_ensemble(
         prev, cur = cur, nxt
         n_run = k + 1
         if n_run % keep_every == 0:
-            kept.append((prev.copy(), cur.copy()))
+            if steps[-1] != n_run - 1:
+                gaps.append((len(steps), prev.copy()))
+            kept.append(cur.copy())
             steps.append(n_run)
         if change < tol_fp / 10:
             settled = True
@@ -314,9 +319,15 @@ def _run_ensemble(
         exited |= np.any(domain.contains(px[:filled], py[:filled], tol=tol) < 0,
                          axis=0)
     if steps[-1] != n_run:
-        kept.append((prev.copy(), cur.copy()))
+        if steps[-1] != n_run - 1:
+            gaps.append((len(steps), prev.copy()))
+        kept.append(cur.copy())
         steps.append(n_run)
-    previous, traces = np.asarray(kept).transpose(1, 0, 2)
+    traces = np.asarray(kept)
+    previous = np.empty_like(traces)
+    previous[1:] = traces[:-1]
+    for row, x in gaps:
+        previous[row] = x
     return (cur, int(np.count_nonzero(exited)), traces, previous, steps,
             settled)
 

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from monomap import fixed_points
 from monomap.errors import ContinuumOfFixedPoints, DegenerateCase, ParamConstraint
 from monomap.fixed_points import (
     _PARTS,
     _corner_ranges,
     _narrow,
+    _nodes,
     find_artificial,
     find_equilibria,
 )
@@ -21,7 +23,8 @@ from monomap.examples import (
 )
 from monomap.extension import extend, extend_rectangle
 from monomap.geometry import DomainSpec
-from monomap.map_model import Box, DEC_INC, INC_DEC, MapSpec
+from monomap.map_model import (Box, DEC_INC, INC_DEC, Direction, MapSpec,
+                               MonotoneSignature, compile_expression)
 
 
 class TestFindEquilibria:
@@ -379,8 +382,198 @@ class TestSearchOutcomes:
         search = find_artificial(eq8_ext).to_dict()["search"]
         assert search["stop"] == "exhausted"
         assert search["unresolved"] == []
-        assert search["evaluations"] == 4 * search["cells"]
+        # 4 root corners plus 10 points per split cell, whose 3 or 4
+        # children the cells count
+        splits, rest = divmod(search["evaluations"] - 4, 10)
+        assert rest == 0
+        assert 3 * splits <= search["cells"] - 1 <= 4 * splits
         assert search["diagonal_band"] == pytest.approx(1e-6 * 6.3)
+
+
+# the level rule of the pair search before cells carried their corner
+# values, frozen: every level evaluates the four corners of every cell
+_FROZEN_CHILDREN = np.array([[0, 1, 0, 1], [0, 0, 1, 1]])[:, None, :]
+
+
+def frozen_rule(ext, seen):
+    """The frozen (test, split) of the four-corners-per-cell search on
+    integer cells (i, j); ``seen(depth, i, j, values)`` receives each
+    level's (least F(x, y), least F(y, x), most F(x, y), most F(y, x))."""
+    a, b = float(ext.rect.x0), float(ext.rect.x1)
+    sep_min = 1e-6 * (b - a)
+    eps = 8 * np.spacing(max(abs(a), abs(b)))
+
+    def test(cells, depth):
+        k = cells.shape[1]
+        ij = np.stack([cells, cells + 1])
+        lo, hi = _nodes(ij, 1 << depth, a, b).reshape(2, -1)
+        least, most = _corner_ranges(ext, lo, hi)
+        seen(depth, *cells, np.concatenate([least.reshape(2, k),
+                                            most.reshape(2, k)]))
+        keep = (least - hi <= eps) & (most - lo >= -eps)
+        return (keep[:k] & keep[k:]
+                & (hi[k:] - lo[:k] > sep_min)), None
+
+    def split(cells):
+        kids = (2 * cells[:, :, None] + _FROZEN_CHILDREN).reshape(2, -1)
+        return np.compress(kids[1] + 1 > kids[0], kids, axis=1)
+
+    return test, split
+
+
+class _CountingExt:
+    """An extension that counts the points passed to ``eval``; calls of
+    the map itself (the equilibrium sweep) are not counted."""
+
+    def __init__(self, ext):
+        self.ext, self.points = ext, 0
+
+    def __getattr__(self, name):
+        return getattr(self.ext, name)
+
+    def __call__(self, x, y):
+        return self.ext.eval(x, y)
+
+    def eval(self, x, y):
+        self.points += np.size(x)
+        return self.ext.eval(x, y)
+
+
+def traced_search(ext, monkeypatch, frozen):
+    """The report of `find_artificial`, with its level rule or the frozen
+    one, the values of every tested cell by level as {depth: (i, j,
+    values)} sorted by cell, the cells split and the points evaluated."""
+    levels, split_cells = {}, []
+    refine = fixed_points.refine
+
+    def seen(depth, i, j, values):
+        levels.setdefault(depth, []).append(
+            (np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64),
+             values))
+
+    def spy(cells, test, split, leaf, budget):
+        if frozen:
+            test, split = frozen_rule(ext, seen)
+            cells = np.zeros((2, 1), dtype=np.int64)
+        else:
+            def test(cells, depth, test=test):
+                seen(depth, cells[0], cells[1], cells[2:6])
+                return test(cells, depth)
+
+        def counted(cells):
+            split_cells.append(cells.shape[1])
+            return split(cells)
+
+        return refine(cells, test, counted, leaf, budget)
+
+    counting = _CountingExt(ext)
+    with monkeypatch.context() as m:
+        m.setattr(fixed_points, "refine", spy)
+        rep = find_artificial(counting)
+    by_level = {}
+    for depth, [(i, j, values)] in levels.items():
+        order = np.lexsort((j, i))
+        by_level[depth] = (i[order], j[order], values[:, order])
+    return rep, by_level, sum(split_cells), counting.points
+
+
+def _rect_ext(func, sig, box=(0.0, 2.0, 0.0, 2.0)):
+    spec = MapSpec(func, sig, Box(*box))
+    return extend_rectangle(spec, spec.box)
+
+
+INC_INC = MonotoneSignature(Direction.INCREASING, Direction.INCREASING)
+DEC_DEC = MonotoneSignature(Direction.DECREASING, Direction.DECREASING)
+DEC_INC_EXPR = compile_expression("(a + b*y)/(1 + y + c*x)",
+                                  {"a": 0.6, "b": 1.5, "c": 0.8})
+NOTCHED_MAP = MapSpec(lambda x, y: (1 + x) / (1 + x + y), INC_DEC,
+                      Box(0.0, 2.0, 0.0, 2.0))
+
+PARENT_VALUE_CASES = {
+    # an artificial pair, kept down to the min_width stop
+    "eq7_pair": lambda: eq7_ext(0.5, 2.0, 4.0),
+    # a level would exceed the cell budget near the pitchfork
+    "eq7_cell_budget": lambda: extend(*make_eq7(0.3128125, 6.0, 1.05)),
+    "eq8_pentagon": lambda: extend(*make_eq8(1.0, 0.3)),
+    "eq8_near_half": lambda: extend(*make_eq8(3.0, 0.499)),
+    # the engine with a sector, on the diagonal mirror of an inc_dec map
+    "notched_sector": lambda: extend(NOTCHED_MAP, DomainSpec.polygon(NOTCHED)),
+    # a compiled dec_inc expression, which the engine runs in its own
+    # frame, on the notched polygon mirrored across the diagonal
+    "dec_inc_expression": lambda: extend(
+        MapSpec(DEC_INC_EXPR, DEC_INC, Box(0.0, 2.0, 0.0, 2.0)),
+        DomainSpec.polygon([(y, x) for x, y in NOTCHED][::-1])),
+    # same-sign signatures, which only a rectangle extension carries
+    "inc_inc_rectangle": lambda: _rect_ext(
+        lambda x, y: 0.2 + 0.3 * x + 0.4 * y * y, INC_INC),
+    "dec_dec_rectangle": lambda: _rect_ext(
+        lambda x, y: 2.0 / (1.0 + x + 2.0 * y), DEC_DEC),
+}
+
+
+class TestParentValues:
+    """Cells carry their corner values, so a split evaluates ten points
+    per cell and the children take the rest from their parent.  Against
+    the frozen rule that evaluates every cell's four corners: the same
+    report, evaluations aside, and the same values, bit for bit, of every
+    cell of every level."""
+
+    @pytest.fixture(scope="class", params=sorted(PARENT_VALUE_CASES))
+    def case(self, request):
+        return request.param, PARENT_VALUE_CASES[request.param]()
+
+    def test_same_report_and_cell_values(self, case, monkeypatch):
+        name, ext = case
+        rep, levels, splits, points = traced_search(ext, monkeypatch, False)
+        old, old_levels, _, _ = traced_search(ext, monkeypatch, True)
+        new_doc, old_doc = rep.to_dict(), old.to_dict()
+        del new_doc["search"]["evaluations"], old_doc["search"]["evaluations"]
+        assert new_doc == old_doc
+        assert sorted(levels) == sorted(old_levels)
+        for depth, (i, j, values) in levels.items():
+            want_i, want_j, want = old_levels[depth]
+            assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+            assert values.tobytes() == want.tobytes(), (name, depth)
+        # the points evaluated: 4 root corners, 10 per split cell and 2
+        # per kept box
+        boxes = len(rep.artificial) + len(rep.unresolved)
+        assert rep.search["evaluations"] == points == (
+            4 + 10 * splits + 2 * boxes)
+        want = {"eq7_pair": "min_width",
+                "eq7_cell_budget": "cell_budget"}.get(name, "exhausted")
+        assert rep.search["stop"] == want and rep.search["depth"] > 8
+
+    @pytest.mark.parametrize("sig", [INC_DEC, DEC_INC, INC_INC, DEC_DEC])
+    def test_pattern_reads_each_child_corner(self, sig):
+        """Each child's column names the table row of the value at its
+        own least and greatest corner, for every signature."""
+        pattern = fixed_points._split_pattern(sig.as_tuple())
+        sx, sy = sig.as_tuple()
+        # the table for one parent with cell (i, j) = (0, 0): each value
+        # row holds a code of the node it is the value at, 100 p + 10 q
+        # (+ 1 for F(y, x)); nodes and lines hold p or q
+        inner = fixed_points._INNER
+        codes = [100 * p + 10 * q for p, q in inner]
+        codes += [100 * p + 10 * q + 1 for p, q in inner]
+        corner = {-1: 2, 1: 0}
+        lo = (corner[sx], corner[sy])
+        hi = (2 - lo[0], 2 - lo[1])
+        codes += [100 * lo[0] + 10 * lo[1], 100 * lo[0] + 10 * lo[1] + 1,
+                  100 * hi[0] + 10 * hi[1], 100 * hi[0] + 10 * hi[1] + 1]
+        table = np.array(codes + [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2],
+                         dtype=float)
+        kids = table[pattern]
+        for c, (a, b) in enumerate(fixed_points._KIDS):
+            # F(x, y) is least at (x0 or x1 by sx, y0 or y1 by sy); F(y, x)
+            # at the node (y0 or y1 by sx, x0 or x1 by sy)
+            lx, ly = int(sx < 0), int(sy < 0)
+            assert kids[:, c].tolist() == [
+                a, b,
+                100 * (a + lx) + 10 * (b + ly),
+                100 * (b + lx) + 10 * (a + ly) + 1,
+                100 * (a + 1 - lx) + 10 * (b + 1 - ly),
+                100 * (b + 1 - lx) + 10 * (a + 1 - ly) + 1,
+                a + 1, b + 1, a, b]
 
 
 class TestEq8LineFamily:

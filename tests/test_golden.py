@@ -1,6 +1,6 @@
 """Golden-artifact regression test.
 
-Reruns six CLI commands and compares every artifact they write, byte
+Reruns seven CLI commands and compares every artifact they write, byte
 for byte, with the copies under ``tests/data/golden/``:
 
 * ``eq8_certify``: eq8 with p = 1, h = 0.3 and seed 0, the
@@ -16,7 +16,10 @@ for byte, with the copies under ``tests/data/golden/``:
 * ``eq8_near_degenerate_certify``: eq8 with p = 1, h = 0.49 and seed 0,
   whose corner chains run for thousands of steps before they meet;
 * ``eq8_simulate``: one 10,000-step eq8 orbit (p = 1, h = 0.45) from a
-  fixed start inside the pentagon.
+  fixed start inside the pentagon;
+* ``eq7_fixedpoints``: ``fixedpoints`` of eq7 with p = 0.5, q = 2,
+  r = 4: the pair search's record, down to its min_width stop, with the
+  artificial pair it keeps.
 
 A refactor must leave these bytes unchanged.  A JSON, CSV or Markdown
 golden file may be regenerated only together with a ``schema_version``
@@ -26,9 +29,12 @@ may change with a plot rule that CHANGES.md states.
     PYTHONPATH=src python tests/test_golden.py --regenerate CASE/FILE ...
 
 rewrites only the named files (say ``eq8_simulate/orbit.svg``) from the
-current code, so a regeneration cannot bless a change elsewhere.
+current code, so a regeneration cannot bless a change elsewhere.  For
+each JSON file it rewrites it prints the paths whose values changed, as
+``CASE/FILE: a.b[2].c: old -> new``.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -77,6 +83,11 @@ CASES = {
         "[run]\nx0 = 2.0\nx_m1 = 0.5\nsteps = 10000\n",
         ("orbit.svg", "orbits.csv", "phase.svg"),
     ),
+    "eq7_fixedpoints": (
+        "fixedpoints",
+        "[map]\nfamily = eq7\np = 0.5\nq = 2.0\nr = 4.0\n\n[run]\nseed = 0\n",
+        ("fixed_points.json",),
+    ),
 }
 
 
@@ -108,8 +119,61 @@ def test_regenerate_rewrites_only_the_named_files(tmp_path, monkeypatch):
             regenerate([target])
 
 
+def test_regenerate_prints_the_changed_json_paths(tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
+    target = "eq7_certify/certificate.json"
+    regenerate([target])
+    assert capsys.readouterr().out == ""
+    # a doctored copy of the fresh file: two values moved, a key added
+    path = tmp_path / target
+    fresh = json.loads(path.read_text())
+    doc = json.loads(path.read_text())
+    doc["artificial_search"]["search"]["evaluations"] += 1
+    doc["artificial_search"]["equilibria"][0]["x"] = "moved"
+    doc["stale"] = [1, 2]
+    path.write_text(json.dumps(doc))
+    regenerate([target, "eq7_certify/certificate.md"])
+    assert capsys.readouterr().out.splitlines() == [
+        f"{target}: artificial_search.equilibria[0].x: 'moved' -> "
+        f"{fresh['artificial_search']['equilibria'][0]['x']!r}",
+        f"{target}: artificial_search.search.evaluations: "
+        f"{doc['artificial_search']['search']['evaluations']} -> "
+        f"{fresh['artificial_search']['search']['evaluations']}",
+        f"{target}: stale: [1, 2] -> (absent)",
+    ]
+    assert json.loads(path.read_text()) == fresh
+
+
+def json_changes(old, new, path=""):
+    """(path, old value, new value) of every leaf where two JSON values
+    differ, in key order; a key on one side only has ``ABSENT`` on the
+    other."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from json_changes(old.get(key, ABSENT), new.get(key, ABSENT),
+                                    f"{path}.{key}" if path else key)
+    elif (isinstance(old, list) and isinstance(new, list)
+          and len(old) == len(new)):
+        for k, (a, b) in enumerate(zip(old, new)):
+            yield from json_changes(a, b, f"{path}[{k}]")
+    elif repr(old) != repr(new):  # 1 differs from 1.0, NaN equals NaN
+        yield path, old, new
+
+
+class _Absent:
+    def __repr__(self):
+        return "(absent)"
+
+
+ABSENT = _Absent()
+
+
 def regenerate(targets) -> None:
-    """Rewrite the golden copies of the named CASE/FILE artifacts only."""
+    """Rewrite the golden copies of the named CASE/FILE artifacts only,
+    printing the changed paths of each JSON file."""
+    import contextlib
+    import io
     import shutil
     import tempfile
 
@@ -121,10 +185,16 @@ def regenerate(targets) -> None:
         wanted.setdefault(name, []).append(fname)
     for name, fnames in sorted(wanted.items()):
         with tempfile.TemporaryDirectory() as tmp:
-            run_case(name, Path(tmp))
+            with contextlib.redirect_stdout(io.StringIO()):
+                run_case(name, Path(tmp))
             (GOLDEN / name).mkdir(parents=True, exist_ok=True)
             for fname in fnames:
-                shutil.copyfile(Path(tmp) / fname, GOLDEN / name / fname)
+                old, new = GOLDEN / name / fname, Path(tmp) / fname
+                if fname.endswith(".json") and old.exists():
+                    for path, a, b in json_changes(json.loads(old.read_text()),
+                                                   json.loads(new.read_text())):
+                        print(f"{name}/{fname}: {path}: {a!r} -> {b!r}")
+                shutil.copyfile(new, old)
 
 
 if __name__ == "__main__":

@@ -138,13 +138,16 @@ def oracle_phase_svg(domain, traces, fixed_points=(), rect=None,
 
 
 def oracle_orbit_svg(values) -> str:
+    """The orbit plot with its own pixel mapping: step k and value v
+    each scaled to the 560-pixel plot area inside a 40-pixel margin."""
     n = len(values)
     lo, hi = float(values.min()), float(values.max())
     if hi - lo < 1e-30:
         lo, hi = lo - 0.5, hi + 0.5
-    cv = report._Canvas(0, n - 1, lo, hi)
-    px = [cv.pt(float(k), v)[0] for k, v in enumerate(values)]
-    py = [cv.pt(float(k), v)[1] for k, v in enumerate(values)]
+    cv = report._Canvas(0, n - 1, lo, hi, fill=True)
+    sx, sy = 560 / max(n - 1, 1e-30), 560 / max(hi - lo, 1e-30)
+    px = [40 + k * sx for k in range(n)]
+    py = [600 - (float(v) - lo) * sy for v in values]
     oracle_polyline(cv, *oracle_m4(px, py), "#1f4e9c", 1.2, 1.0)
     cv.text(0, hi, f"n={n - 1} final={values[-1]:.9g}", size=12)
     return cv.render()
@@ -477,7 +480,7 @@ class TestOrbitPlotResolution:
         n = len(values)
         kept = polylines(render_orbit_svg(values))[0]
         lo, hi = float(values.min()), float(values.max())
-        cv = report._Canvas(0, n - 1, lo, hi)
+        cv = report._Canvas(0, n - 1, lo, hi, fill=True)
         px, py = cv.pt(np.arange(n, dtype=float), values)
         full = report._points_attr(px.tolist(), py.tolist()).split(" ")
         # the kept points are full points, in their order (each step has
@@ -492,3 +495,13 @@ class TestOrbitPlotResolution:
                     ks[np.argmax(py[ks])]}
             assert want <= set(index), (c, want)
         assert len(kept) <= 4 * len(np.unique(column))
+
+    def test_long_orbit_spans_the_plot_height(self):
+        """A 10,000-step orbit fills the plot area in y as it does in x
+        (one scale for both axes drew it as a flat line)."""
+        spec, domain = make_eq8(1.0, 0.45)
+        values = iterate_orbit(spec, 2.0, 0.5, 10_000, domain=domain).values
+        points = polylines(render_orbit_svg(values))[0]
+        px, py = np.array([p.split(",") for p in points], dtype=float).T
+        assert px.min() == 40 and px.max() == 600
+        assert py.min() == pytest.approx(40) and py.max() == 600

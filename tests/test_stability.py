@@ -804,6 +804,55 @@ class TestEnsembleContainmentPass:
         assert len(traces) == 7
 
 
+def _frozen_kept_rows(map_spec, starts_x, starts_y, n_steps, tol_fp,
+                      keep_every):
+    """The trace rows of _run_ensemble as it kept them before the x_{k-1}
+    of a row was stored only where the row before is not step k - 1:
+    (traces, previous, steps), frozen."""
+    cur, prev = starts_x.copy(), starts_y.copy()
+    kept, steps = [(prev.copy(), cur.copy())], [0]
+    n_run = 0
+    for k in range(n_steps):
+        nxt = np.asarray(map_spec(cur, prev), dtype=float)
+        change = np.max(np.abs(nxt - cur))
+        prev, cur = cur, nxt
+        n_run = k + 1
+        if n_run % keep_every == 0:
+            kept.append((prev.copy(), cur.copy()))
+            steps.append(n_run)
+        if change < tol_fp / 10:
+            break
+    if steps[-1] != n_run:
+        kept.append((prev.copy(), cur.copy()))
+        steps.append(n_run)
+    previous, traces = np.asarray(kept).transpose(1, 0, 2)
+    return traces, previous, steps
+
+
+class TestEnsemblePrevious:
+    """The x_{k-1} beside each trace row is stored only where the row
+    before is not step k - 1; the rows are those of the frozen loop that
+    stored it beside every row."""
+
+    @pytest.mark.parametrize("keep_every", [1, 7, 100])
+    @pytest.mark.parametrize("n_steps, tol_fp", [
+        (8, 0.0), (250, 0.0), (701, 0.0),
+        # settles at a step that is no multiple of 7 or of 100
+        (10_000, 1e-8)])
+    def test_rows_match_the_frozen_loop(self, keep_every, n_steps, tol_fp):
+        spec, domain = make_eq8(1.0, 0.3)
+        sx, sy = stab.sample_starts(domain, 5, np.random.default_rng(8))
+        _, _, traces, previous, steps, settled = stab._run_ensemble(
+            spec, domain, sx, sy, n_steps, tol_fp, keep_every=keep_every)
+        want = _frozen_kept_rows(spec, sx, sy, n_steps, tol_fp, keep_every)
+        assert traces.tobytes() == want[0].tobytes()
+        assert previous.tobytes() == want[1].tobytes()
+        assert steps == want[2]
+        assert settled == (tol_fp > 0)
+        if settled:
+            assert steps[-1] % 7 and steps[-1] % 100
+
+
 class TestCertify:
     def test_eq8_globally_stable(self, eq8_problem):
         spec, domain = eq8_problem
