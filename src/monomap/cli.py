@@ -8,21 +8,23 @@ README for the key reference).  Every pass/fail threshold is fixed and
 scaled to the problem: the fixed-point tolerance tol_fp is 1e-9 of the
 box span, and certify stops the corner chains once their order interval
 is at most 10 * tol_fp wide.  Each command accepts only the ``[run]``
-keys it reads (extend: seed; fixedpoints: seed, n_grid; certify: seed,
-n_grid, n_orbits, orbit_steps, max_iter, n_order_pairs; simulate: seed,
-steps, n_orbits, x0, x_m1), and every ``[run]`` size among them must be
-at least 1.  Certify always runs the 4-dimensional embedding (Sym4).
+keys it reads (``RUN_KEYS``, defaults in parentheses): extend: seed (0);
+fixedpoints: seed, n_grid (256); certify: seed, n_grid, n_orbits (100),
+orbit_steps (10000), max_iter (100000), n_order_pairs (1000); simulate:
+seed, steps (1000), n_orbits (20), x0, x_m1.  x0 and x_m1 are numbers,
+the rest integers: the seed (``--seed`` replaces it) at least 0, every
+size at least 1.  Certify always runs the 4-dimensional embedding (Sym4).
 Simulate runs one orbit from (x0, x_m1) when both are given, n_orbits
 random starts when neither is, and rejects one without the other, or
-n_orbits beside them.  ``[map]``
-names a family (eq7, eq8, xfy or expression); each is an expression
-compiled by ``map_model.compile_expression``, and a key the family does
-not read, or a parameter the expression never names, is a configuration
-error.  Extend and fixedpoints first check the declared monotone
-signature by sampling the domain's bounding box, and exit 2 with the
-witness when it fails; fixedpoints then audits the extension with the
-seed's rng, as extend does, and exits 2 without searching when the audit
-fails.  Exit
+n_orbits beside them.  A polygon with a non-finite vertex or zero area
+is an unsupported domain.  ``[map]`` names a family (eq7, eq8, xfy or
+expression); each is an expression compiled by
+``map_model.compile_expression``, and a key the family does not read, or
+a parameter the expression never names, is a configuration error.
+Extend and fixedpoints first check the declared monotone signature by
+sampling the domain's bounding box, and exit 2 with the witness when it
+fails; fixedpoints then audits the extension with the seed's rng, as
+extend does, and exits 2 without searching when the audit fails.  Exit
 codes: 0 success / GloballyStable, 1 Inconclusive or Refuted verdict, or
 unresolved fixed-point search, 2 audit, signature or numeric failure, 3
 unsupported domain, 4 configuration or usage error.  With a fixed seed
@@ -52,8 +54,8 @@ from .extension import audit_extension, extend
 from .geometry import DomainSpec
 from .map_model import (Box, DEC_INC, INC_DEC, MapSpec, check_monotonicity,
                         compile_expression)
-from .stability import (SIZE_KEYS, _run_ensemble, certify, check_sizes,
-                        iterate_orbit, sample_starts)
+from .stability import (_DEFAULTS, _run_ensemble, certify, iterate_orbit,
+                        sample_starts)
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
@@ -66,19 +68,21 @@ EXIT_CONFIG = 4
 # Config file parsing: [section] headers + key = value lines.
 # ---------------------------------------------------------------------------
 
-# the [run] keys each command reads; giving it any other is an error
-_COMMAND_RUN_KEYS = {
-    "extend": {"seed"},
-    "fixedpoints": {"seed", "n_grid"},
-    "certify": {"seed", "n_grid", "n_orbits", "orbit_steps", "max_iter",
-                "n_order_pairs"},
-    "simulate": {"seed", "steps", "n_orbits", "x0", "x_m1"},
+# the [run] keys each command reads, with their defaults; giving it any
+# other is an error
+RUN_KEYS = {
+    "extend": {"seed": 0},
+    "fixedpoints": {"seed": 0, "n_grid": 256},
+    "certify": _DEFAULTS,
+    "simulate": {"seed": 0, "steps": 1000, "n_orbits": 20, "x0": None,
+                 "x_m1": None},
 }
+_FLOAT_KEYS = ("x0", "x_m1")
 
 _KNOWN_KEYS = {
     "map": {"family", "expr", "signature", "f"},
     "domain": {"kind", "rect", "vertices"},
-    "run": set().union(*_COMMAND_RUN_KEYS.values()),
+    "run": set().union(*RUN_KEYS.values()),
 }
 
 
@@ -108,22 +112,32 @@ def parse_config(text: str) -> dict:
     return cfg
 
 
-def _as_float(cfg_sec: dict, key: str, default=None) -> Optional[float]:
-    if key not in cfg_sec:
-        return default
+def _number(cfg_sec: dict, key: str, kind=float):
     try:
-        return float(cfg_sec[key])
+        return kind(cfg_sec[key])
     except ValueError as e:
-        raise ConfigError(f"{key} must be a number, got {cfg_sec[key]!r}") from e
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {cfg_sec[key]!r}") from e
 
 
-def _as_int(cfg_sec: dict, key: str, default=None) -> Optional[int]:
-    if key not in cfg_sec:
-        return default
-    try:
-        return int(cfg_sec[key])
-    except ValueError as e:
-        raise ConfigError(f"{key} must be an integer, got {cfg_sec[key]!r}") from e
+def _run_values(command: str, run: dict, seed: Optional[int]) -> dict:
+    """The value of every ``[run]`` key ``command`` reads: the given
+    ones parsed and bounded, ``seed`` (from --seed) over the config's,
+    the others at their defaults."""
+    unread = sorted(set(run) - set(RUN_KEYS[command]))
+    if unread:
+        raise ConfigError(f"{command} does not read the [run] key(s) "
+                          f"{', '.join(unread)}")
+    values = dict(RUN_KEYS[command])
+    for key in sorted(run):
+        values[key] = _number(run, key, float if key in _FLOAT_KEYS else int)
+    if seed is not None:
+        values["seed"] = seed
+    for key, value in values.items():
+        least = 0 if key == "seed" else 1
+        if key not in _FLOAT_KEYS and value < least:
+            raise ConfigError(f"{key} must be at least {least}, got {value}")
+    return values
 
 
 # the rational families: constructor and the [map] keys it reads, in
@@ -148,13 +162,13 @@ def build_problem(cfg: dict):
         _reject_unread(family, set(msec) - set(names))
         if len(msec) < len(names):
             raise ConfigError(f"{family} needs {'=, '.join(names)}=")
-        spec, domain = make(*(_as_float(msec, k) for k in names))
+        spec, domain = make(*(_number(msec, k) for k in names))
     elif family == "xfy":
         fexpr = msec.pop("f", None)
         if fexpr is None:
             raise ConfigError("xfy needs f= (an expression in y)")
         _reject_unread(family, {"expr", "signature"} & set(msec))
-        params = {k: _as_float(msec, k) for k in msec}
+        params = {k: _number(msec, k) for k in msec}
         g = compile_expression(fexpr, params)
         spec, domain = make_xfy(lambda yv: g(0.0, yv))
     elif family == "expression":
@@ -164,7 +178,7 @@ def build_problem(cfg: dict):
         sig_txt = msec.pop("signature", "inc_dec")
         if sig_txt not in ("inc_dec", "dec_inc"):
             raise ConfigError("signature must be inc_dec or dec_inc")
-        params = {k: _as_float(msec, k) for k in msec}
+        params = {k: _number(msec, k) for k in msec}
         sig = INC_DEC if sig_txt == "inc_dec" else DEC_INC
         spec = MapSpec(compile_expression(expr, params), sig, None,
                        name="expression", params=params)
@@ -212,12 +226,12 @@ def _signature_fails(spec: MapSpec, domain: DomainSpec) -> bool:
     return not mono.ok
 
 
-def cmd_extend(cfg: dict, out: Path, seed: int) -> int:
+def cmd_extend(cfg: dict, out: Path, run: dict) -> int:
     spec, domain = build_problem(cfg)
     if _signature_fails(spec, domain):
         return EXIT_AUDIT_FAIL
     ext = extend(spec, domain)
-    audit = audit_extension(ext, rng=np.random.default_rng(seed))
+    audit = audit_extension(ext, rng=np.random.default_rng(run["seed"]))
     report.write_json(out / "extension.json", ext.to_dict())
     report.write_json(out / "extension_audit.json", audit.to_dict())
     (out / "pieces.svg").write_text(report.render_pieces_svg(ext))
@@ -226,14 +240,14 @@ def cmd_extend(cfg: dict, out: Path, seed: int) -> int:
     return EXIT_OK if audit.all_ok else EXIT_AUDIT_FAIL
 
 
-def cmd_fixedpoints(cfg: dict, out: Path, seed: int) -> int:
+def cmd_fixedpoints(cfg: dict, out: Path, run: dict) -> int:
     spec, domain = build_problem(cfg)
     if _signature_fails(spec, domain):
         return EXIT_AUDIT_FAIL
     ext = extend(spec, domain)
     # the search's enclosures rest on a monotone extension: audit it
     # first, as extend and certify do
-    audit = audit_extension(ext, rng=np.random.default_rng(seed))
+    audit = audit_extension(ext, rng=np.random.default_rng(run["seed"]))
     if not audit.all_ok:
         failed = [name for name, ok in (
             ("continuity", audit.continuity_ok),
@@ -243,8 +257,7 @@ def cmd_fixedpoints(cfg: dict, out: Path, seed: int) -> int:
         print(f"extension audit FAILED ({', '.join(failed)}); no "
               "fixed-point search run")
         return EXIT_AUDIT_FAIL
-    n_grid = _as_int(cfg["run"], "n_grid", 256)
-    rep = fp.find_artificial(ext, n_grid=n_grid)
+    rep = fp.find_artificial(ext, n_grid=run["n_grid"])
     report.write_json(out / "fixed_points.json", rep.to_dict())
     print(f"equilibria: {[x for x, _ in rep.equilibria]}; artificial: "
           f"{[pair for pair, _, _ in rep.artificial]}; "
@@ -252,13 +265,9 @@ def cmd_fixedpoints(cfg: dict, out: Path, seed: int) -> int:
     return EXIT_INCONCLUSIVE if rep.unresolved else EXIT_OK
 
 
-def cmd_certify(cfg: dict, out: Path, seed: int) -> int:
+def cmd_certify(cfg: dict, out: Path, run: dict) -> int:
     spec, domain = build_problem(cfg)
-    run = cfg["run"]
-    ccfg = {"seed": seed}
-    for key in sorted((_COMMAND_RUN_KEYS["certify"] - {"seed"}) & run.keys()):
-        ccfg[key] = _as_int(run, key)
-    cert = certify(spec, domain, ccfg)
+    cert = certify(spec, domain, run)
     report.write_json(out / "certificate.json", cert.to_dict())
     (out / "certificate.md").write_text(report.render_certificate_md(cert))
     if cert.chains is not None:
@@ -286,20 +295,16 @@ def cmd_certify(cfg: dict, out: Path, seed: int) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
+def cmd_simulate(cfg: dict, out: Path, run: dict) -> int:
     spec, domain = build_problem(cfg)
-    run = cfg["run"]
-    steps = _as_int(run, "steps", 1000)
-    x0 = _as_float(run, "x0")
-    x_m1 = _as_float(run, "x_m1")
+    steps, x0, x_m1 = run["steps"], run["x0"], run["x_m1"]
     if (x0 is None) != (x_m1 is None):
         given, missing = ("x0", "x_m1") if x_m1 is None else ("x_m1", "x0")
         raise ConfigError(f"[run] {given} needs {missing} too; give both "
                           "or neither")
-    if x0 is not None and "n_orbits" in run:
+    if x0 is not None and "n_orbits" in cfg["run"]:
         raise ConfigError("[run] n_orbits counts random starts; simulate "
                           "runs one orbit from the given x0, x_m1")
-    rng = np.random.default_rng(seed)
     if x0 is not None:
         orbit = iterate_orbit(spec, x0, x_m1, steps, domain=domain)
         traces = orbit.values[1:, None]
@@ -308,8 +313,9 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
         if orbit.exited_at is not None:
             print(f"orbit left the domain at step {orbit.exited_at}")
     else:
-        n_orbits = _as_int(run, "n_orbits", 20)
-        sx, sy = sample_starts(domain, n_orbits, rng)
+        n_orbits = run["n_orbits"]
+        sx, sy = sample_starts(domain, n_orbits,
+                               np.random.default_rng(run["seed"]))
         x0b, x1b, y0b, y1b = domain.bbox
         span = max(x1b - x0b, y1b - y0b)
         _, exits, traces, _, kept, _ = _run_ensemble(
@@ -350,22 +356,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = parse_config(text)
-        run = cfg["run"]
-        reads = _COMMAND_RUN_KEYS[args.command]
-        unread = sorted(set(run) - reads)
-        if unread:
-            raise ConfigError(
-                f"{args.command} does not read the [run] key(s) "
-                f"{', '.join(unread)}"
-            )
-        try:
-            check_sizes({k: _as_int(run, k) for k in sorted(reads & run.keys())
-                         if k in SIZE_KEYS})
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        seed = args.seed if args.seed is not None else _as_int(
-            cfg["run"], "seed", 0
-        )
+        run = _run_values(args.command, cfg["run"], args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         handler = {
@@ -374,7 +365,7 @@ def main(argv=None) -> int:
             "certify": cmd_certify,
             "simulate": cmd_simulate,
         }[args.command]
-        return handler(cfg, out, seed)
+        return handler(cfg, out, run)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

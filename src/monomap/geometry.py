@@ -139,6 +139,10 @@ class DomainSpec:
         pts = np.asarray(vertices, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise UnsupportedDomain("vertices must be (x, y) pairs")
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            x, y = pts[~finite][0]
+            raise UnsupportedDomain(f"vertex ({x}, {y}) is not finite")
         self.name = name
         diam = math.hypot(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]))
         if diam == 0:
@@ -307,6 +311,9 @@ class DomainSpec:
         if self._is_self_intersecting():
             raise UnsupportedDomain("boundary is self-intersecting")
         scale = self.diam
+        # a ring that folds back on itself has no interior to sample
+        if abs(_signed_area(v)) <= 1e-12 * scale * scale:
+            raise UnsupportedDomain("boundary encloses zero area")
 
         # Rectangle: every vertex on a side of the bbox (a corner lies on
         # two), and the polygon covers the bbox.

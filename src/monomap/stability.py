@@ -272,7 +272,7 @@ def _run_ensemble(
     """Iterate many orbits in lockstep.
 
     Returns the final values, the number of orbits that left the domain,
-    the traces x_k, the x_{k-1} beside each trace row, the step k of
+    the traces x_k, the gap rows (see `_previous_rows`), the step k of
     each row, and whether the orbits settled: every orbit's step size
     dropped below tol_fp / 10, which also stops the iteration early.
     Traces are thinned to the start, every `keep_every`-th step and the
@@ -323,13 +323,18 @@ def _run_ensemble(
             gaps.append((len(steps), prev.copy()))
         kept.append(cur.copy())
         steps.append(n_run)
-    traces = np.asarray(kept)
+    return (cur, int(np.count_nonzero(exited)), np.asarray(kept), gaps, steps,
+            settled)
+
+
+def _previous_rows(traces: np.ndarray, gaps: list) -> np.ndarray:
+    """x_{k-1} beside each trace row x_k of `_run_ensemble`: the row
+    before, but the stored x_{k-1} at each (row, x_{k-1}) of ``gaps``."""
     previous = np.empty_like(traces)
     previous[1:] = traces[:-1]
     for row, x in gaps:
         previous[row] = x
-    return (cur, int(np.count_nonzero(exited)), traces, previous, steps,
-            settled)
+    return previous
 
 
 def sample_starts(domain: DomainSpec, n: int, rng: np.random.Generator):
@@ -359,17 +364,6 @@ _DEFAULTS = {
     "max_iter": 100000,
     "seed": 0,
 }
-
-# run sizes (grid cells, samples, orbits, steps; ``steps`` is simulate's)
-SIZE_KEYS = ("n_grid", "n_orbits", "orbit_steps", "max_iter", "n_order_pairs",
-             "steps")
-
-
-def check_sizes(sizes: dict) -> None:
-    """Raise ValueError naming the first run size in ``sizes`` below 1."""
-    for key in SIZE_KEYS:
-        if key in sizes and sizes[key] < 1:
-            raise ValueError(f"{key} must be at least 1, got {sizes[key]}")
 
 
 @dataclass
@@ -572,7 +566,10 @@ def certify(
         if unknown:
             raise ValueError(f"unknown certify config keys: {sorted(unknown)}")
         cfg.update(config)
-    check_sizes(cfg)
+    for key, value in cfg.items():  # the seed and the run sizes
+        least = 0 if key == "seed" else 1
+        if value < least:
+            raise ValueError(f"{key} must be at least {least}, got {value}")
     rng = np.random.default_rng(cfg["seed"])
     x0, x1, y0, y1 = domain.bbox
     span = max(x1 - x0, y1 - y0)
@@ -610,11 +607,11 @@ def certify(
     # 7. empirical orbit ensemble (corroboration only)
     want = cfg["n_orbits"]
     starts_x, starts_y = sample_starts(domain, want, rng)
-    finals, exits, traces, previous, steps, settled = _run_ensemble(
+    finals, exits, traces, gaps, steps, settled = _run_ensemble(
         map_spec, domain, starts_x, starts_y, cfg["orbit_steps"], tol_fp
     )
     cert.orbit_traces, cert.orbit_trace_steps = traces, steps
-    cert.orbit_trace_previous = previous
+    cert.orbit_trace_previous = _previous_rows(traces, gaps)
     worst_dev = float(np.max(np.abs(finals - x_star)))
     cert.orbit_ensemble = {
         "n_orbits": want,

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 
 import monomap.cli as cli
-from monomap.cli import main, parse_config
+from monomap import fixed_points, stability
+from monomap.cli import RUN_KEYS, main, parse_config
 from monomap.errors import ConfigError
 from monomap.examples import make_eq8
 from monomap.map_model import compile_expression
-from monomap.stability import SIZE_KEYS, certify, iterate_orbit
+from monomap.stability import certify, iterate_orbit
 
 EQ8_CFG = """
 [map]
@@ -487,7 +489,8 @@ class TestExitCodes:
         assert (f"family {family} does not read the [map] key(s) {key}"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("key", SIZE_KEYS)
+    @pytest.mark.parametrize("key", sorted(
+        set().union(*RUN_KEYS.values()) - {"seed", "x0", "x_m1"}))
     def test_size_below_one_is_rejected(self, tmp_path, capsys, key):
         readers = {
             "n_grid": ("fixedpoints", "certify"),
@@ -497,6 +500,8 @@ class TestExitCodes:
             "n_order_pairs": ("certify",),
             "steps": ("simulate",),
         }[key]
+        assert readers == tuple(c for c in ("fixedpoints", "certify",
+                                            "simulate") if key in RUN_KEYS[c])
         if "certify" in readers:
             with pytest.raises(ValueError, match=key):
                 certify(*make_eq8(1.0, 0.3), {key: 0})
@@ -585,6 +590,84 @@ class TestExitCodes:
         assert main(["extend", "--config", cfg, "--out", str(tmp_path)]) == 4
         name = text.strip().rsplit("\n", 1)[-1].split(" = ")[0]
         assert f"parameter(s) {name}" in capsys.readouterr().err
+
+
+class TestRunKeys:
+    """Each command's [run] keys are parsed, bounded and defaulted once,
+    from `cli.RUN_KEYS`, before the output directory is made."""
+
+    COMMANDS = ("extend", "fixedpoints", "certify", "simulate")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("extra, argv", [("seed = -1\n", []),
+                                             ("", ["--seed", "-1"])])
+    def test_negative_seed_is_4(self, tmp_path, capsys, command, extra, argv):
+        cfg = write_cfg(tmp_path, EQ8_CFG + extra)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]
+                    + argv) == 4
+        assert ("config error: seed must be at least 0, got -1\n"
+                == capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_certify_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            certify(*make_eq8(1.0, 0.3), {"seed": -1})
+
+    def test_malformed_seed_beside_the_flag_is_4(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, EQ8_CFG + "seed = x\n")
+        out = tmp_path / "out"
+        assert main(["extend", "--config", cfg, "--out", str(out),
+                     "--seed", "5"]) == 4
+        assert "seed must be an integer, got 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_start_is_4_before_any_output(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, EQ8_CFG + "x0 = half\nx_m1 = 0.5\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+        assert "x0 must be a number, got 'half'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_defaults_are_the_librarys(self):
+        search = inspect.signature(fixed_points.find_artificial)
+        assert (RUN_KEYS["fixedpoints"]["n_grid"]
+                == search.parameters["n_grid"].default)
+        assert RUN_KEYS["certify"] is stability._DEFAULTS
+        assert RUN_KEYS["simulate"]["steps"] == 1000
+        assert RUN_KEYS["simulate"]["n_orbits"] == 20
+
+    def test_readme_table_lists_the_keys_and_defaults(self):
+        readme = (Path(__file__).resolve().parents[1]
+                  / "README.md").read_text()
+        rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, re.M)
+        table = {command: dict(re.findall(r"`(\w+)` \(([\d,]+|none)\)",
+                                          keys))
+                 for command, keys in rows if command in RUN_KEYS}
+        assert table == {
+            command: {key: "none" if value is None else f"{value:,}"
+                      for key, value in keys.items()}
+            for command, keys in RUN_KEYS.items()}
+
+
+class TestDegenerateDomains:
+    """A polygon without interior, or with a vertex that is no number,
+    is an unsupported domain, found before any stage samples it."""
+
+    VERTICES = {"collinear": ("0,0;1,1;2,2", "zero area"),
+                "nan": ("0,0;2,0;nan,2;0,2", "not finite")}
+
+    @pytest.mark.parametrize("command", ["extend", "fixedpoints", "certify"])
+    @pytest.mark.parametrize("case", sorted(VERTICES))
+    def test_exit_is_3(self, tmp_path, capsys, command, case):
+        vertices, named = self.VERTICES[case]
+        cfg = write_cfg(tmp_path, "[map]\nfamily = expression\n"
+                        "expr = (1 + x)/(1 + x + y)\nsignature = inc_dec\n\n"
+                        f"[domain]\nkind = polygon\nvertices = {vertices}\n")
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 3
+        printed = capsys.readouterr()
+        assert named in printed.err + printed.out
 
 
 class TestOverrides:

@@ -36,6 +36,28 @@ class TestClassification:
         with pytest.raises(UnsupportedDomain):
             d.classify()
 
+    def test_bowtie_keeps_its_own_message(self):
+        # a bowtie's two lobes cancel: its signed area is 0 as well
+        d = DomainSpec.polygon([(0, 0), (1, 1), (1, 0), (0, 1)])
+        with pytest.raises(UnsupportedDomain, match="self-intersecting"):
+            d.classify()
+
+    @pytest.mark.parametrize("pts", [
+        [(0, 0), (1, 1), (2, 2)],
+        [(0, 0), (2, 0), (1, 0), (3, 0)],
+    ])
+    def test_zero_area_rejected(self, pts):
+        # it has no interior from which to sample the extension's audit
+        d = DomainSpec.polygon(pts)
+        with pytest.raises(UnsupportedDomain, match="zero area"):
+            d.classify()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_non_finite_vertex_rejected(self, bad):
+        with pytest.raises(UnsupportedDomain, match="not finite"):
+            DomainSpec.polygon([(0, 0), (2, 0), (bad, 2), (0, 2)])
+
     def test_pentagon_from_family_is_convex(self):
         d = DomainSpec.polygon([(2, 0), (2, 2), (0.7, 2), (0, 0.7), (0, 0)])
         assert d.classify() == DomainKind.CONVEX

@@ -769,7 +769,7 @@ class TestEnsembleContainmentPass:
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
         assert np.array_equal(got[2], want[2])
-        assert np.array_equal(got[3], want[3])
+        assert np.array_equal(stab._previous_rows(got[2], got[3]), want[3])
         assert got[4] == want[4]
         assert got[5] == want[5]
         return got
@@ -829,6 +829,16 @@ def _frozen_kept_rows(map_spec, starts_x, starts_y, n_steps, tol_fp,
     return traces, previous, steps
 
 
+def _frozen_previous(traces, gaps):
+    """x_{k-1} beside each trace row, assembled as _run_ensemble
+    assembled it before it returned the gap rows instead: frozen."""
+    previous = np.empty_like(traces)
+    previous[1:] = traces[:-1]
+    for row, x in gaps:
+        previous[row] = x
+    return previous
+
+
 class TestEnsemblePrevious:
     """The x_{k-1} beside each trace row is stored only where the row
     before is not step k - 1; the rows are those of the frozen loop that
@@ -842,8 +852,9 @@ class TestEnsemblePrevious:
     def test_rows_match_the_frozen_loop(self, keep_every, n_steps, tol_fp):
         spec, domain = make_eq8(1.0, 0.3)
         sx, sy = stab.sample_starts(domain, 5, np.random.default_rng(8))
-        _, _, traces, previous, steps, settled = stab._run_ensemble(
+        _, _, traces, gaps, steps, settled = stab._run_ensemble(
             spec, domain, sx, sy, n_steps, tol_fp, keep_every=keep_every)
+        previous = stab._previous_rows(traces, gaps)
         want = _frozen_kept_rows(spec, sx, sy, n_steps, tol_fp, keep_every)
         assert traces.tobytes() == want[0].tobytes()
         assert previous.tobytes() == want[1].tobytes()
@@ -851,6 +862,19 @@ class TestEnsemblePrevious:
         assert settled == (tol_fp > 0)
         if settled:
             assert steps[-1] % 7 and steps[-1] % 100
+
+    @pytest.mark.parametrize("keep_every", [1, 7, 100])
+    def test_assembly_matches_the_frozen_one(self, keep_every):
+        # certify assembles the rows from the gaps _run_ensemble returns;
+        # the bits are those _run_ensemble itself assembled
+        spec, domain = make_eq8(1.0, 0.3)
+        sx, sy = stab.sample_starts(domain, 5, np.random.default_rng(8))
+        _, _, traces, gaps, _, _ = stab._run_ensemble(
+            spec, domain, sx, sy, 701, 0.0, keep_every=keep_every)
+        # the start is a gap row; step 701 follows the row before it
+        assert gaps[0][0] == 0 and gaps[-1][0] < len(traces) - 1
+        assert (stab._previous_rows(traces, gaps).tobytes()
+                == _frozen_previous(traces, gaps).tobytes())
 
 
 class TestCertify:
