@@ -11,16 +11,17 @@ is at most 10 * tol_fp wide.  Each command accepts only the ``[run]``
 keys it reads (``RUN_KEYS``, defaults in parentheses): extend: seed (0);
 fixedpoints: seed, n_grid (256); certify: seed, n_grid, n_orbits (100),
 orbit_steps (10000), max_iter (100000), n_order_pairs (1000); simulate:
-seed, steps (1000), n_orbits (20), x0, x_m1.  x0 and x_m1 are numbers,
-the rest integers: the seed (``--seed`` replaces it) at least 0, every
-size at least 1.  Certify always runs the 4-dimensional embedding (Sym4).
-Simulate runs one orbit from (x0, x_m1) when both are given, n_orbits
-random starts when neither is, and rejects one without the other, or
-n_orbits beside them.  A polygon with a non-finite vertex or zero area
-is an unsupported domain.  ``[map]`` names a family (eq7, eq8, xfy or
-expression); each is an expression compiled by
-``map_model.compile_expression``, and a key the family does not read, or
-a parameter the expression never names, is a configuration error.
+seed, steps (1000), n_orbits (20), x0, x_m1.  x0 and x_m1 are finite
+numbers, the rest integers: the seed (``--seed`` replaces it) at least
+0, every size at least 1.  Certify always runs the 4-dimensional
+embedding (Sym4).  Simulate runs one orbit from (x0, x_m1) when both are
+given, n_orbits random starts when neither is; one without the other, or
+n_orbits beside them, is rejected before any output.  A polygon with a
+non-finite vertex, zero area or a self-crossing boundary is unsupported.
+``[map]`` names a family (eq7, eq8, xfy or expression); each is an
+expression compiled by ``map_model.compile_expression``, and a key the
+family does not read, or a parameter the expression never names, is a
+configuration error.
 Extend and fixedpoints first check the declared monotone signature by
 sampling the domain's bounding box, and exit 2 with the witness when it
 fails; fixedpoints then audits the extension with the seed's rng, as
@@ -34,6 +35,7 @@ all JSON/CSV/SVG outputs are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -135,8 +137,20 @@ def _run_values(command: str, run: dict, seed: Optional[int]) -> dict:
         values["seed"] = seed
     for key, value in values.items():
         least = 0 if key == "seed" else 1
-        if key not in _FLOAT_KEYS and value < least:
+        if key in _FLOAT_KEYS:
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+        elif value < least:
             raise ConfigError(f"{key} must be at least {least}, got {value}")
+    # simulate's start: both of x0 and x_m1 or neither, and no n_orbits
+    x0, x_m1 = values.get("x0"), values.get("x_m1")
+    if (x0 is None) != (x_m1 is None):
+        given, missing = ("x0", "x_m1") if x_m1 is None else ("x_m1", "x0")
+        raise ConfigError(f"[run] {given} needs {missing} too; give both "
+                          "or neither")
+    if x0 is not None and "n_orbits" in run:
+        raise ConfigError("[run] n_orbits counts random starts; simulate "
+                          "runs one orbit from the given x0, x_m1")
     return values
 
 
@@ -297,14 +311,8 @@ def cmd_certify(cfg: dict, out: Path, run: dict) -> int:
 
 def cmd_simulate(cfg: dict, out: Path, run: dict) -> int:
     spec, domain = build_problem(cfg)
+    domain.classify()  # a self-crossing or zero-area boundary stops here
     steps, x0, x_m1 = run["steps"], run["x0"], run["x_m1"]
-    if (x0 is None) != (x_m1 is None):
-        given, missing = ("x0", "x_m1") if x_m1 is None else ("x_m1", "x0")
-        raise ConfigError(f"[run] {given} needs {missing} too; give both "
-                          "or neither")
-    if x0 is not None and "n_orbits" in cfg["run"]:
-        raise ConfigError("[run] n_orbits counts random starts; simulate "
-                          "runs one orbit from the given x0, x_m1")
     if x0 is not None:
         orbit = iterate_orbit(spec, x0, x_m1, steps, domain=domain)
         traces = orbit.values[1:, None]

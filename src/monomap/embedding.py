@@ -39,8 +39,8 @@ CONVERGED = "converged"
 STALLED = "stalled"
 MAX_ITER = "max_iter"
 
-# a box that holds no point: ``step_corners`` then asks ``is_base`` of
-# each point
+# a box that holds no point: ``step_corners`` then evaluates the
+# extension at every step
 NO_BOX = (math.inf, -math.inf, math.inf, -math.inf)
 
 
@@ -143,37 +143,30 @@ class EmbeddedSystem:
 
     def step_corners(self, s: list, box: tuple = NO_BOX) -> list:
         """``step`` of the two states s[:4] and s[4:], in [a, b], on
-        Python floats.  Where all four evaluation points lie where the
-        extension is F, F itself is evaluated: point by point on the
-        floats (``MapSpec.one``) for a float-exact map, else at the four
-        points in one numpy call.  Otherwise the extension is evaluated
-        at the four in one call, as ``step`` calls it.  Either way the
-        values have the bits ``step`` gives, and they are clipped to
-        [a, b] as ``step`` clips them.
-
-        ``box`` (x0, x1, y0, y1) is a box on which the source's
-        ``box_is_base`` holds, or ``NO_BOX``: where all four points lie
-        in it they are F's, with no ``is_base`` call."""
+        Python floats.  ``box`` (x0, x1, y0, y1) is a box on which the
+        source's ``box_is_base`` holds, or ``NO_BOX``.  Where all four
+        evaluation points lie in it, F itself is evaluated: point by
+        point on the floats (``MapSpec.one``) for a float-exact map,
+        else at the four points in one numpy call.  Otherwise the
+        extension is evaluated at the four in one call, as ``step``
+        calls it.  Either way the values have the bits ``step`` gives,
+        and they are clipped to [a, b] as ``step`` clips them."""
         x0, y0, u0, v0, x1, y1, u1, v1 = s
         bx0, bx1, by0, by1 = box
         ext = self.source
-        if (bx0 <= x0 <= bx1 and bx0 <= x1 <= bx1 and bx0 <= u0 <= bx1
+        if not (bx0 <= x0 <= bx1 and bx0 <= x1 <= bx1 and bx0 <= u0 <= bx1
                 and bx0 <= u1 <= bx1 and by0 <= y0 <= by1
                 and by0 <= y1 <= by1 and by0 <= v0 <= by1
                 and by0 <= v1 <= by1):
-            all_base = True
-        else:
-            is_base = ext.is_base
-            all_base = (is_base(x0, y0) and is_base(x1, y1)
-                        and is_base(u0, v0) and is_base(u1, v1))
-        if all_base and ext.base.float_exact:
+            f0, f1, f2, f3 = ext.eval(np.array([x0, x1, u0, u1]),
+                                      np.array([y0, y1, v0, v1])).tolist()
+        elif ext.base.float_exact:
             one = ext.base.one
             f0, f1, f2, f3 = (one(x0, y0), one(x1, y1), one(u0, v0),
                               one(u1, v1))
         else:
-            f = ext.base if all_base else ext.eval
-            f0, f1, f2, f3 = f(np.array([x0, x1, u0, u1]),
-                               np.array([y0, y1, v0, v1])).tolist()
+            f0, f1, f2, f3 = ext.base(np.array([x0, x1, u0, u1]),
+                                      np.array([y0, y1, v0, v1])).tolist()
         t = [f0, u0, f2, x0, f1, u1, f3, x1]
         a, b = self.a, self.b
         if not (a <= f0 <= b and a <= f1 <= b and a <= f2 <= b
@@ -233,7 +226,7 @@ def run_corner_chains(
     coordinates, up to the slack a step may lose.  At step 0 and each
     power of two, until the source's ``box_is_base`` holds on that box,
     the box is tried; once it holds it is kept, and steps inside it
-    evaluate F with no per-point ``is_base``.
+    evaluate F.  Every other step evaluates the extension.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

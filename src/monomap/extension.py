@@ -50,9 +50,7 @@ search per table and the interpolation arithmetic on the gathered rows.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -712,51 +710,23 @@ class _Engine:
                 code[m] = np.where(hit, _Z_SECTOR + k, _Z_BASE)
         return code
 
-    @cached_property
-    def _wall_rows(self):
-        """The wall table of ``_walls`` as Python floats, for one point:
-        its merged knots, and per row the left and the right wall's
-        segment (q0, d, v0, dv).  Built on the first ``is_base`` call."""
-        cols = [c.tolist() for seg in self._walls.rows
-                for c in (seg.q0, seg.d, *seg.values[0])]
-        return self._walls.knots.tolist(), list(zip(*cols))
-
-    def is_base(self, x: float, y: float) -> bool:
-        """Whether ``classify`` puts the point in the base zone, on
-        floats; False also for a point whose x lies in a sector's x
-        range, where the array path decides.  ``bisect_left`` finds the
-        row ``searchsorted`` finds, and the wall abscissae take the
-        interpolation's arithmetic, so they have its bits."""
-        knots, rows = self._wall_rows
-        q0, d, v0, dv, r0, e, w0, dw = rows[bisect_left(knots, y)]
-        if (x < v0 + min(max((y - q0) / d, 0.0), 1.0) * dv
-                or x > w0 + min(max((y - r0) / e, 0.0), 1.0) * dw):
-            return False
-        for lo, hi in self._sector_spans:
-            if lo <= x <= hi:
-                return False
-        return True
-
     def box_is_base(self, x0: float, x1: float, y0: float, y1: float) -> bool:
-        """Whether ``is_base`` holds at every point of the box [x0, x1] x
-        [y0, y1], on floats; False may also mean undecided.  Within one
-        row of the wall table each wall's arithmetic is monotone in y, so
-        the rows the box's heights select are checked at their ends,
-        clipped to [y0, y1]: the left wall at most x0 and the right wall
-        at least x1 there hold them so on the whole row."""
-        for lo, hi in self._sector_spans:
-            if lo <= x1 and x0 <= hi:
-                return False
-        knots, rows = self._wall_rows
-        first, last = bisect_left(knots, y0), bisect_left(knots, y1)
-        for s in range(first, last + 1):
-            q0, d, v0, dv, r0, e, w0, dw = rows[s]
-            for y in (y0 if s == first else knots[s - 1],
-                      y1 if s == last else knots[s]):
-                if not (v0 + min(max((y - q0) / d, 0.0), 1.0) * dv <= x0
-                        and x1 <= w0 + min(max((y - r0) / e, 0.0), 1.0) * dw):
-                    return False
-        return True
+        """Whether ``classify`` puts every point of the box [x0, x1] x
+        [y0, y1] in the base zone, outside every sector's x span; False
+        may also mean undecided.  Each wall's arithmetic is monotone in y
+        within one row of the wall table, so each row the box's heights
+        select is evaluated at its ends, clipped to [y0, y1]: the left
+        wall at most x0 and the right at least x1 there hold on the row."""
+        if not y0 <= y1 or any(lo <= x1 and x0 <= hi
+                               for lo, hi in self._sector_spans):
+            return False
+        knots = self._walls.knots
+        first, last = knots.searchsorted((y0, y1)).tolist()
+        inner = knots[first:last]
+        rows = np.tile(np.arange(first, last + 1), 2)
+        ends = np.concatenate([[y0], inner, inner, [y1]])
+        left, right = (w(rows, ends)[0] for w in self._walls.rows)
+        return bool((left <= x0).all() and (right >= x1).all())
 
     # -- evaluation ---------------------------------------------------------
 
@@ -1158,25 +1128,12 @@ class ExtendedMap:
 
     __call__ = eval
 
-    def is_base(self, x: float, y: float) -> bool:
-        """Whether ``eval`` at the point (x, y) is F at that very point:
-        the point lies in ``rect`` (eval clamps one outside it) and in
-        the engine's base zone.  A point in a sector's x range answers
-        False as well; ``eval`` decides there."""
-        r = self.rect
-        if not (r.x0 <= x <= r.x1 and r.y0 <= y <= r.y1):
-            return False
-        if self.engine is None:
-            return True
-        if self.swapped:
-            return self.engine.is_base(y, x)
-        return self.engine.is_base(x, y)
-
     def box_is_base(self, x0: float, x1: float, y0: float,
                     y1: float) -> bool:
-        """Whether ``is_base`` holds at every point of the box [x0, x1] x
-        [y0, y1]: the box lies in ``rect`` and, with an engine, the
-        engine's ``box_is_base`` holds.  False may also mean undecided."""
+        """Whether ``eval`` at every point (x, y) of the box [x0, x1] x
+        [y0, y1] is F at that very point: the box lies in ``rect`` (eval
+        clamps a point outside it) and, with an engine, the engine's
+        ``box_is_base`` holds.  False may also mean undecided."""
         r = self.rect
         if not (r.x0 <= x0 <= x1 <= r.x1 and r.y0 <= y0 <= y1 <= r.y1):
             return False
@@ -1360,21 +1317,10 @@ def audit_extension(ext: ExtendedMap, grid_n: int = 100,
 
     # (C2) agreement with the base map on the domain
     max_dis = 0.0
-    if ext.domain is None:
-        pass
-    else:
-        x0, x1, y0, y1 = ext.domain.bbox
-        accepted, n = [], 0
-        while n < 400:
-            cand = np.column_stack(
-                [rng.uniform(x0, x1, 400), rng.uniform(y0, y1, 400)]
-            )
-            inside = ext.domain.contains(cand[:, 0], cand[:, 1]) == 1
-            accepted.append(np.compress(inside, cand, axis=0))
-            n += len(accepted[-1])
-        pts = np.concatenate(accepted)[:400]
-        ve = ext.eval(pts[:, 0], pts[:, 1])
-        vb = np.asarray(ext.base(pts[:, 0], pts[:, 1]), dtype=float)
+    if ext.domain is not None:
+        px, py = ext.domain.draw(400, rng, 400, lambda code: code == 1)
+        ve = ext.eval(px, py)
+        vb = np.asarray(ext.base(px, py), dtype=float)
         max_dis = float(np.max(np.abs(ve - vb)))
     agreement_ok = max_dis == 0.0 or max_dis <= 1e-14 * max(1.0, spread)
 

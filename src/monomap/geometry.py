@@ -17,6 +17,10 @@ import numpy as np
 from .errors import UnsupportedDomain
 
 
+# the rounds ``DomainSpec.draw`` draws before a domain is too thin to sample
+DRAW_ROUNDS = 1000
+
+
 class DomainKind(Enum):
     RECTANGLE = "rectangle"
     CONVEX = "convex"
@@ -224,6 +228,29 @@ class DomainSpec:
         out = np.empty_like(code)
         out[order] = code
         return out.reshape(x.shape)
+
+    def draw(self, n: int, rng: np.random.Generator, batch: int, accept):
+        """The first n of the points drawn uniformly from the bounding
+        box whose ``contains`` code satisfies ``accept``, as (x, y).
+        Each round draws ``batch`` abscissae, then ``batch`` ordinates.
+        A domain too thin for ``DRAW_ROUNDS`` rounds to yield n points
+        is an unsupported domain."""
+        x0, x1, y0, y1 = self.bbox
+        xs, ys, got = [np.empty(0)], [np.empty(0)], 0
+        for _ in range(DRAW_ROUNDS):
+            if got >= n:
+                break
+            cx = rng.uniform(x0, x1, batch)
+            cy = rng.uniform(y0, y1, batch)
+            keep = accept(self.contains(cx, cy))
+            xs.append(cx[keep])
+            ys.append(cy[keep])
+            got += len(xs[-1])
+        if got < n:
+            raise UnsupportedDomain(
+                f"{got or 'no'} point(s) of {DRAW_ROUNDS * batch} drawn from "
+                f"the bounding box lie inside the domain, {n} needed")
+        return np.concatenate(xs)[:n], np.concatenate(ys)[:n]
 
     def slice_bounds(self, t):
         """Lowest and highest boundary point on each vertical line x = t.

@@ -340,16 +340,7 @@ def _previous_rows(traces: np.ndarray, gaps: list) -> np.ndarray:
 def sample_starts(domain: DomainSpec, n: int, rng: np.random.Generator):
     """n start points (x_0, x_{-1}) drawn uniformly from the bounding box
     of the domain, keeping those inside it or on its boundary."""
-    x0, x1, y0, y1 = domain.bbox
-    sx = np.empty(0)
-    sy = np.empty(0)
-    while len(sx) < n:
-        cx = rng.uniform(x0, x1, 4 * n)
-        cy = rng.uniform(y0, y1, 4 * n)
-        keep = domain.contains(cx, cy) >= 0
-        sx = np.concatenate([sx, cx[keep]])[:n]
-        sy = np.concatenate([sy, cy[keep]])[:n]
-    return sx, sy
+    return domain.draw(n, rng, 4 * n, lambda code: code >= 0)
 
 
 # ---------------------------------------------------------------------------

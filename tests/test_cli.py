@@ -1,6 +1,5 @@
 import inspect
 import json
-import os
 import re
 import subprocess
 import sys
@@ -8,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_cli, src_env
 
 import monomap.cli as cli
 from monomap import fixed_points, stability
@@ -552,7 +552,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
         assert f"{given} needs {missing}" in capsys.readouterr().err
-        assert not (out / "orbits.csv").exists()
+        assert not out.exists()
 
     def test_simulate_start_rejects_n_orbits(self, tmp_path, capsys):
         # a given start runs one orbit; a count of random starts beside it
@@ -562,7 +562,19 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
         assert "n_orbits" in capsys.readouterr().err
-        assert not (out / "orbits.csv").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("start", ["x0 = nan\nx_m1 = 0.5",
+                                       "x0 = 0.5\nx_m1 = -inf",
+                                       "x0 = inf\nx_m1 = nan"])
+    def test_simulate_rejects_a_non_finite_start(self, tmp_path, capsys,
+                                                 start):
+        cfg = write_cfg(tmp_path, EQ8_CFG + start + "\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+        key = "x0" if "x0 = 0.5" not in start else "x_m1"
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, extra, unread", [
         ("extend", "n_orbits = 5\nx0 = 5\n", "n_orbits, x0"),
@@ -657,7 +669,8 @@ class TestDegenerateDomains:
     VERTICES = {"collinear": ("0,0;1,1;2,2", "zero area"),
                 "nan": ("0,0;2,0;nan,2;0,2", "not finite")}
 
-    @pytest.mark.parametrize("command", ["extend", "fixedpoints", "certify"])
+    @pytest.mark.parametrize("command", ["extend", "fixedpoints", "certify",
+                                         "simulate"])
     @pytest.mark.parametrize("case", sorted(VERTICES))
     def test_exit_is_3(self, tmp_path, capsys, command, case):
         vertices, named = self.VERTICES[case]
@@ -668,6 +681,23 @@ class TestDegenerateDomains:
                      "--out", str(tmp_path / "out")]) == 3
         printed = capsys.readouterr()
         assert named in printed.err + printed.out
+
+
+class TestSliverDomain:
+    """A triangle thinner than the boundary band holds no interior point
+    to sample: the commands that sample its inside stop with exit 3
+    instead of drawing forever."""
+
+    @pytest.mark.parametrize("command", ["extend", "fixedpoints"])
+    def test_exit_is_3(self, tmp_path, command):
+        cfg = write_cfg(tmp_path, "[map]\nfamily = expression\n"
+                        "expr = (1 + x)/(1 + x + y)\nsignature = inc_dec\n\n"
+                        "[domain]\nkind = polygon\n"
+                        "vertices = 0,0;1,1.000001;2,2\n")
+        done = run_cli([command, "--config", cfg, "--out", "out"],
+                       cwd=tmp_path)
+        assert done.returncode == 3, done.stderr
+        assert "no point(s) of 400000 drawn" in done.stderr
 
 
 class TestOverrides:
@@ -686,12 +716,8 @@ class TestOverrides:
 def test_cli_import_does_not_load_scipy():
     # numpy is the only runtime dependency; importing scipy.optimize
     # would add about half a second to every command's start-up
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     subprocess.run(
         [sys.executable, "-c",
          "import sys, monomap.cli; assert 'scipy' not in sys.modules"],
-        env=env, check=True,
+        env=src_env(), check=True,
     )

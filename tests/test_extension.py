@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import base_oracle, engine_base_oracle
 from test_stability import _notched_square_case
 
 from monomap.cli import main
@@ -16,6 +17,8 @@ from monomap.errors import (
 from monomap.examples import make_eq8
 from monomap.extension import (
     ExtendedMap,
+    _Interp,
+    _Z_BASE,
     _flat_runs,
     audit_extension,
     extend,
@@ -433,26 +436,21 @@ def _knot_probe_points(engine):
     return np.concatenate(xs), np.concatenate(ys)
 
 
-def _is_base_per_point(engine, x, y, msg):
-    """Assert that is_base at each point is classify's base-zone answer,
-    or False in a sector's x span; return classify's answers and
-    is_base's."""
-    from monomap.extension import _Z_BASE
-
-    want = engine.classify(x, y) == _Z_BASE
-    in_sector = np.zeros(x.shape, dtype=bool)
-    for lo, hi in engine._sector_spans:
-        in_sector |= (x >= lo) & (x <= hi)
-    got = np.array([engine.is_base(a, b)
+def _one_point_boxes(engine, x, y, msg):
+    """Assert that box_is_base on the one-point box at each point is the
+    oracle's answer, classify's base zone outside every sector's x span;
+    return classify's base-zone answers and box_is_base's."""
+    got = np.array([engine.box_is_base(a, a, b, b)
                     for a, b in zip(x.tolist(), y.tolist())])
-    np.testing.assert_array_equal(got, want & ~in_sector, err_msg=msg)
-    return want, got
+    np.testing.assert_array_equal(got, engine_base_oracle(engine, x, y),
+                                  err_msg=msg)
+    return engine.classify(x, y) == _Z_BASE, got
 
 
 class TestOnePointZoneTest:
-    """_Engine.is_base answers classify's base-zone question for one
-    point, on floats; in a sector's x range it answers False and leaves
-    the point to eval."""
+    """_Engine.box_is_base on a one-point box answers classify's
+    base-zone question for that point; in a sector's x range it answers
+    False and leaves the point to eval."""
 
     def test_matches_classify(self):
         rng = np.random.default_rng(20261019)
@@ -467,24 +465,31 @@ class TestOnePointZoneTest:
                 json.loads(dumps_json(ext.to_dict())), spec)
             for engine in (ext.engine, loaded.engine):
                 x, y = _zone_probe_points(engine, rng)
-                want, got = _is_base_per_point(engine, x, y, str(k))
+                want, got = _one_point_boxes(engine, x, y, str(k))
                 assert want.any() and (~want).any()
                 # eval sends a batch that classify puts wholly in the base
-                # zone to F in one call; the points is_base accepts make
-                # such a batch
+                # zone to F in one call; the points box_is_base accepts
+                # make such a batch
                 bx, by = x[got], y[got]
                 assert not engine.classify(bx, by).any()
                 np.testing.assert_array_equal(engine.eval(bx, by),
                                               engine.func(bx, by))
+            # the map asks its engine in the engine's frame (every fourth
+            # probe point, as each costs a call)
+            x, y = (y, x) if ext.swapped else (x, y)
+            x, y = x[::4], y[::4]
+            np.testing.assert_array_equal(
+                [ext.box_is_base(a, a, b, b)
+                 for a, b in zip(x.tolist(), y.tolist())],
+                base_oracle(ext, x, y), err_msg=str(k))
             seen.add((spec.signature, len(ext.engine.sectors) > 0))
         assert seen == {(sig, notched) for sig in (INC_DEC, DEC_INC)
                         for notched in (False, True)}
 
     def test_at_wall_knots_and_sector_span_ends(self):
-        # the one-point wall table must pick classify's row where y is a
-        # knot, tied knots included (a flat bottom ties the right wall's
-        # first knots), and leave every point of a span's closed ends
-        # to eval
+        # the wall rows must pick classify's row where y is a knot, tied
+        # knots included (a flat bottom ties the right wall's first
+        # knots), and leave every point of a span's closed ends to eval
         rng = np.random.default_rng(20261020)
         cases = [_flat_bottom_case(k) for k in range(len(_FLAT_BOTTOM_CASES))]
         cases += [_notched_square_case(rng, k) for k in range(12)]
@@ -495,7 +500,7 @@ class TestOnePointZoneTest:
                 json.loads(dumps_json(ext.to_dict())), spec)
             for engine in (ext.engine, loaded.engine):
                 x, y = _knot_probe_points(engine)
-                want, got = _is_base_per_point(engine, x, y, str(k))
+                want, got = _one_point_boxes(engine, x, y, str(k))
                 both += got.any() and (want & ~got).any()
             tied += any(np.any(np.diff(w) == 0) for w in
                         (engine.wall_left_y, engine.wall_right_y))
@@ -503,25 +508,29 @@ class TestOnePointZoneTest:
         assert tied >= len(_FLAT_BOTTOM_CASES) and spans and both
 
     def test_extended_map_swaps_and_checks_the_rectangle(self, eq8_ext, rng):
-        # where is_base says yes, eval is F itself, bit for bit; a point
-        # off the rectangle, which eval clamps, is never base
+        # where a one-point box holds, eval is F itself, bit for bit; a
+        # point off the rectangle, which eval clamps, is never base
         r = eq8_ext.rect
         x = rng.uniform(r.x0, r.x1, 3000)
         y = rng.uniform(r.y0, r.y1, 3000)
-        base = np.array([eq8_ext.is_base(a, b)
+        base = np.array([eq8_ext.box_is_base(a, a, b, b)
                          for a, b in zip(x.tolist(), y.tolist())])
         assert 0.2 < base.mean() < 1.0
+        np.testing.assert_array_equal(base, base_oracle(eq8_ext, x, y))
         np.testing.assert_array_equal(eq8_ext.eval(x[base], y[base]),
                                       eq8_ext.base(x[base], y[base]))
         assert not base[~np.asarray(eq8_ext.domain.contains(x, y) >= 0)].any()
         pad = 1e-12 * r.diam
         for a, b in ((r.x0 - pad, 0.5), (0.5, r.y1 + pad)):
-            assert not eq8_ext.is_base(a, b)
+            assert not eq8_ext.box_is_base(a, a, b, b)
+            assert not base_oracle(eq8_ext, a, b)
 
     def test_rectangle_extension_is_base_on_its_box(self, eq7_ext):
-        assert eq7_ext.is_base(0.0, 1.0) and eq7_ext.is_base(0.3, 0.6)
-        assert not eq7_ext.is_base(np.nextafter(1.0, 2.0), 0.5)
-        assert not eq7_ext.is_base(0.5, np.nan)
+        for a, b in ((0.0, 1.0), (0.3, 0.6)):
+            assert eq7_ext.box_is_base(a, a, b, b) and base_oracle(eq7_ext, a, b)
+        for a, b in ((np.nextafter(1.0, 2.0), 0.5), (0.5, np.nan)):
+            assert not eq7_ext.box_is_base(a, a, b, b)
+            assert not base_oracle(eq7_ext, a, b)
 
 
 def _seeded_boxes(rect, rng, n):
@@ -542,10 +551,10 @@ def _seeded_boxes(rect, rng, n):
 
 
 class TestBoxIsBase:
-    """ExtendedMap.box_is_base holds only on boxes where is_base holds
-    everywhere: checked at the box's corners, at both ends of the box's
-    side across it at every wall knot inside it, and at 100 seeded
-    points; and it fails whenever a corner is not base."""
+    """ExtendedMap.box_is_base holds only on boxes where the base oracle
+    holds everywhere: checked at the box's corners, at both ends of the
+    box's side across it at every wall knot inside it, and at 100
+    seeded points; and it fails whenever a corner is not base."""
 
     def test_oracle_on_seeded_boxes(self):
         rng = np.random.default_rng(20261021)
@@ -557,24 +566,23 @@ class TestBoxIsBase:
         kinds = set()
         for k, (spec, domain) in enumerate(cases):
             ext = extend(spec, domain)
-            is_base = ext.is_base
             # the engine's wall knots, which are heights in its frame:
             # abscissae in the caller's frame when it is swapped
             knots = ext.engine._walls.knots.tolist()
-            inner = rng.random((100, 2)).tolist()
+            inner = rng.random((100, 2))
             boxes = _seeded_boxes(ext.rect, rng, 300)
             # boxes around base points, most of which hold
-            base_pts = [(a, b) for a, b in zip(
-                rng.uniform(ext.rect.x0, ext.rect.x1, 400).tolist(),
-                rng.uniform(ext.rect.y0, ext.rect.y1, 400).tolist())
-                if is_base(a, b)][:100]
+            px = rng.uniform(ext.rect.x0, ext.rect.x1, 400)
+            py = rng.uniform(ext.rect.y0, ext.rect.y1, 400)
+            base = base_oracle(ext, px, py)
+            base_pts = list(zip(px[base].tolist(), py[base].tolist()))[:100]
             for (a, b), h in zip(base_pts, 10.0 ** rng.uniform(-6, -1, 100)):
                 h *= ext.rect.diam
                 boxes.append([a - h, a + h, b - h, b + h])
             for x0, x1, y0, y1 in boxes:
                 got = ext.box_is_base(x0, x1, y0, y1)
-                corners = all(is_base(a, b) for a in (x0, x1)
-                              for b in (y0, y1))
+                corners = base_oracle(ext, [x0, x0, x1, x1],
+                                      [y0, y1, y0, y1]).all()
                 if not corners:
                     assert not got, (k, x0, x1, y0, y1)
                     failed += 1
@@ -590,10 +598,12 @@ class TestBoxIsBase:
                     across = [(a, q) for q in knots if y0 <= q <= y1
                               for a in (x0, x1)]
                 knotted += bool(across)
-                inside = [(x0 + u * (x1 - x0), y0 + v * (y1 - y0))
-                          for u, v in inner]
-                for a, b in across + inside:
-                    assert is_base(a, b), (k, x0, x1, y0, y1, a, b)
+                pts = np.concatenate([
+                    np.reshape(across, (-1, 2)),
+                    np.column_stack([x0 + inner[:, 0] * (x1 - x0),
+                                     y0 + inner[:, 1] * (y1 - y0)])])
+                ok = base_oracle(ext, pts[:, 0], pts[:, 1])
+                assert ok.all(), (k, x0, x1, y0, y1, pts[~ok][0])
             kinds.add((ext.swapped, len(ext.engine.sectors) > 0))
         assert kinds == {(s, n) for s in (False, True) for n in (False, True)}
         assert held > 500 and failed > 500 and knotted > 20
@@ -608,14 +618,14 @@ class TestBoxIsBase:
         # that its ends nearly always decide; the rows decide to the
         # last bit.)
         engine = extend(*make_eq8(1.0, 0.3)).engine
-        right = (0.0, 1.0, 10.0, 0.0)
-        left = [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.8),
-                (2.0, 0.8, -0.8), (3.0, 0.0, 0.0), (3.0, 0.0, 0.0)]
-        engine.__dict__["_wall_rows"] = (
-            [0.0, 1.0, 2.0, 3.0, 4.0],
-            [(q0, 1.0, v0, dv, *right) for q0, v0, dv in left])
-        assert engine.is_base(0.5, 0.0) and engine.is_base(0.5, 4.0)
-        assert not engine.is_base(0.5, 2.0)
+        assert not engine._sector_spans
+        engine._walls = _Interp(
+            (np.array([0.0, 1.0, 2.0, 3.0, 4.0]),
+             np.array([0.0, 0.0, 0.8, 0.0, 0.0])),
+            (np.array([0.0, 4.0]), np.array([10.0, 10.0])))
+        assert engine.box_is_base(0.5, 0.5, 0.0, 0.0)
+        assert engine.box_is_base(0.5, 0.5, 4.0, 4.0)
+        assert not engine.box_is_base(0.5, 0.5, 2.0, 2.0)
         assert not engine.box_is_base(0.5, 1.0, 0.0, 4.0)
         assert engine.box_is_base(0.8, 1.0, 0.0, 4.0)
         assert engine.box_is_base(0.5, 1.0, 2.5, 4.0)
