@@ -17,17 +17,17 @@ The rectangle is the domain's bounding box, so the four extreme points
 lie on its sides, and the exterior of the domain inside it is tiled by
 pieces:
 
-  * below the SW chain: vertical-ray pieces (constant along rays up to
-    the boundary) plus graft rectangles next to each vertical flat of
-    the chain, where a boundary profile is added to keep continuity;
+  * below the SW chain and right of the NE chain: ray bands, one
+    construction in (kept, other) coordinates (x kept below SW, y right
+    of NE): pieces constant along rays up to the boundary plus graft
+    rectangles next to each flat of the chain, where a boundary profile
+    is added to keep continuity;
   * right of / below the SE chain: a windowed-minimum rule — the
     minimum of boundary values between the horizontal and vertical
     projections onto the chain (the two-projection minimum formula,
     generalized to non-convex chains by taking the exact minimum over
     the boundary arc between the projections);
-  * left of / above the NW chain: the mirrored windowed-maximum rule;
-  * right of the NE chain: horizontal-ray pieces plus grafts (the
-    mirror image of the SW side).
+  * left of / above the NW chain: the mirrored windowed-maximum rule.
 
 Sector intrusions on the SE chain (boundary backtracking in x while y
 still increases) are closed by a vertical chord and filled first —
@@ -385,23 +385,25 @@ class _Window:
         return np.minimum(np.minimum(fa, fb), inner)
 
 
+def _xy(kept: int, k, o):
+    """(kept, other) coordinates, the kept axis being ``kept``, as (x, y),
+    and back."""
+    return (k, o) if kept == 0 else (o, k)
+
+
 class _Ray:
     """The ray rule of the band beside the SW or the NE chain: F where
-    the ray that keeps the point's x (``keep_x``) or its y meets the
-    chain, plus a graft term per flat (c, lo, hi, end) where
+    the ray that keeps the point's coordinate on the ``kept`` axis meets
+    the chain, plus a graft term per flat (c, lo, hi, end) where
     ``acts(kept, c)``: F with the kept coordinate at c and the other
     clipped to [lo, hi], minus F at the flat's end (c, end)."""
 
-    def __init__(self, func, chain: _ChainTable, keep_x: bool, acts,
-                 flats):
-        self.func, self.keep_x = func, keep_x
+    def __init__(self, func, chain: _ChainTable, kept: int, acts, flats):
+        self.func, self.kept = func, kept
         self.acts, self.flats = acts, flats
         # the chain's other coordinate over the kept one
-        self.table = _Interp(self._xy(chain.xs, chain.ys))
+        self.table = _Interp(_xy(kept, chain.xs, chain.ys))
         self._ends = {}
-
-    def _xy(self, kept, other):  # (kept, other) as (x, y), and back
-        return (kept, other) if self.keep_x else (other, kept)
 
     def _f_end(self, x: float, y: float) -> float:
         """F at a flat's end, evaluated once per rule, on the first call
@@ -414,18 +416,18 @@ class _Ray:
         return f
 
     def __call__(self, x, y):
-        u, v = self._xy(x, y)
+        u, v = _xy(self.kept, x, y)
         (w,) = self.table(u)
-        base = np.asarray(self.func(*self._xy(u, w)), dtype=float)
+        base = np.asarray(self.func(*_xy(self.kept, u, w)), dtype=float)
         total = np.zeros(u.shape)
         for c, lo, hi, end in self.flats:
             active = self.acts(u, c)
             if not np.any(active):
                 continue
             vc = np.clip(v[active], lo, hi)
-            at = self._xy(np.full(vc.shape, c), vc)
+            at = _xy(self.kept, np.full(vc.shape, c), vc)
             total[active] += (np.asarray(self.func(*at), dtype=float)
-                              - self._f_end(*self._xy(c, end)))
+                              - self._f_end(*_xy(self.kept, c, end)))
         return base + total
 
 
@@ -575,7 +577,6 @@ class _Engine:
         self._close_sectors()
         self._check_chain_monotone()
         self._build_tables()
-        self._find_flats()
         self._build_walls_and_pieces()
 
     # -- chain construction ---------------------------------------------
@@ -673,18 +674,6 @@ class _Engine:
         self.t_sw = _ChainTable.build(self.sw_pts, srcs0(self.sw_pts), vf, tol)
         self.t_ne = _ChainTable.build(self.ne_pts, srcs0(self.ne_pts), vf, tol)
 
-    def _find_flats(self):
-        g = 1e-9 * self.rect.diam
-        # vertical flats of the SW chain: (x, top, bottom)
-        xs, ys = self.t_sw.xs, self.t_sw.ys
-        self.sw_flats = [(float(xs[i]), float(ys[i]), float(ys[j]))
-                         for i, j in _flat_runs(xs, ys, g)]
-        # horizontal flats of the NE chain (traversed R -> T, x
-        # decreasing): (height, left end, right end)
-        xs, ys = self.t_ne.xs, self.t_ne.ys
-        self.ne_flats = [(float(ys[i]), float(xs[j]), float(xs[i]))
-                         for i, j in _flat_runs(ys, xs, g)]
-
     # -- zone classification ----------------------------------------------
 
     def classify(self, x, y):
@@ -748,8 +737,8 @@ class _Engine:
     # -- boundary walls and piece polygons ----------------------------------
 
     def _build_walls_and_pieces(self):
-        """Everything else the evaluator needs, from the tables, flats
-        and sectors alone; the built and the loaded engine share it."""
+        """Everything else the evaluator needs, from the tables and
+        sectors alone; the built and the loaded engine share it."""
         # boundary walls as x-of-y knot tables (B -> L -> T, B -> R -> T);
         # interpolation takes the earlier of tied knots, so the left wall
         # starts at the last knot at B's height: on a flat bottom that is
@@ -765,21 +754,6 @@ class _Engine:
         self._sector_spans = [(float(s.apex[0]), s.chord_x)
                               for s in self.sectors]
         self._omega_edges = EdgeTable(self.omega)
-        # the rule of each zone.  A ray up to the SW chain meets a
-        # vertical flat at its top, so the flat's term acts at x <= e and
-        # restores the value on the flat; a ray left to the NE chain meets
-        # a horizontal flat at its right end, the value there, so y > h.
-        # No rule refers back to the engine, which refcounting then frees.
-        self._rules = {
-            _Z_BASE: self.func,
-            _Z_SWBAND: _Ray(self.func, self.t_sw, True, np.less_equal, [
-                (e, yb, yt, yt) for e, yt, yb in self.sw_flats]),
-            _Z_SE: _Window(self.t_se, "y", want_max=False),
-            _Z_NW: _Window(self.t_nw, "x", want_max=True),
-            _Z_NEBAND: _Ray(self.func, self.t_ne, False, np.greater, [
-                (h, xl, xr, xl) for h, xl, xr in self.ne_flats]),
-            **{_Z_SECTOR + k: s.eval for k, s in enumerate(self.sectors)},
-        }
 
         r = self.rect
         X0, X1, Y0, Y1 = r.x0, r.x1, r.y0, r.y1
@@ -802,21 +776,7 @@ class _Engine:
             if len(poly) >= 3 and abs(_signed_area(poly)) > g * g:
                 pieces.append(ExtensionPiece(rule, poly, meta))
 
-        # SW side: slabs between vertical flats
-        edges = [L[0]] + [e for e, _, _ in self.sw_flats] + [B[0]]
-        tops = [yt for _, yt, _ in self.sw_flats]
-        chain = np.column_stack([self.t_sw.xs, self.t_sw.ys])
-        for j in range(len(edges) - 1):
-            a, b = edges[j], edges[j + 1]
-            if b - a <= g:
-                continue
-            floor = tops[j] if j < len(self.sw_flats) else Y0
-            part = chain[(chain[:, 0] >= a - g) & (chain[:, 0] <= b + g)]
-            part = _trim_runs(part, axis=0, lo=a, hi=b, g=g)
-            poly = np.vstack([[(a, floor), (b, floor)], part[::-1]])
-            add(RULE_RAY_YPLUS, poly, zone="south_ray", slab=j)
-            if floor > Y0 + g:
-                add(RULE_GRAFT, _rect_poly(a, b, Y0, floor), zone="south_graft")
+        sw = _ray_band(self.t_sw, 0, (L, B), Y0, add, g)
 
         # SE windowed piece
         se_chain = np.column_stack([self.t_se.xs, self.t_se.ys])
@@ -828,23 +788,27 @@ class _Engine:
         poly = np.vstack([[L], nw_chain[1:], [(T[0], Y1), (X0, Y1)]])
         add(RULE_MAX, poly, zone="northwest")
 
-        # NE side: slabs between horizontal flats (chain R -> T)
-        hs = [R[1]] + [h for h, _, _ in self.ne_flats] + [T[1]]
-        walls = [xr for _, _, xr in self.ne_flats]
-        chain = np.column_stack([self.t_ne.xs, self.t_ne.ys])
-        for j in range(len(hs) - 1):
-            a, b = hs[j], hs[j + 1]
-            if b - a <= g:
-                continue
-            wall = walls[j] if j < len(self.ne_flats) else X1
-            part = chain[(chain[:, 1] >= a - g) & (chain[:, 1] <= b + g)]
-            part = _trim_runs(part, axis=1, lo=a, hi=b, g=g)
-            poly = np.vstack([part, [(wall, b), (wall, a)]])
-            add(RULE_RAY_XMINUS, poly, zone="east_ray", slab=j)
-            if X1 - wall > g:
-                add(RULE_GRAFT, _rect_poly(wall, X1, a, b), zone="east_graft")
-
+        ne = _ray_band(self.t_ne, 1, (R, T), X1, add, g)
         self.pieces = pieces
+        # the stored layouts: (x, top, bottom) and (height, left, right)
+        self.sw_flats = [(c, hi, lo) for c, lo, hi in sw]
+        self.ne_flats = ne
+
+        # the rule of each zone.  A ray up to the SW chain meets a
+        # vertical flat at its top, so the flat's term acts at x <= c and
+        # restores the value on the flat; a ray left to the NE chain meets
+        # a horizontal flat at its right end, the value there, so y > c.
+        # No rule refers back to the engine, which refcounting then frees.
+        self._rules = {
+            _Z_BASE: self.func,
+            _Z_SWBAND: _Ray(self.func, self.t_sw, 0, np.less_equal, [
+                (c, lo, hi, hi) for c, lo, hi in sw]),
+            _Z_SE: _Window(self.t_se, "y", want_max=False),
+            _Z_NW: _Window(self.t_nw, "x", want_max=True),
+            _Z_NEBAND: _Ray(self.func, self.t_ne, 1, np.greater, [
+                (c, lo, hi, lo) for c, lo, hi in ne]),
+            **{_Z_SECTOR + k: s.eval for k, s in enumerate(self.sectors)},
+        }
 
     def to_state(self):
         return {
@@ -874,12 +838,9 @@ class _Engine:
         eng.func = func
         eng.rect = rect
         eng.omega = np.asarray(state["omega"], dtype=float)
-        eng.geom_tol = 1e-12 * rect.diam
         ex = state["extremes"]
         eng.L, eng.B, eng.R, eng.T = (np.asarray(ex[k], dtype=float)
                                       for k in "LBRT")
-        eng.sw_flats = [tuple(map(float, f)) for f in state["sw_flats"]]
-        eng.ne_flats = [tuple(map(float, f)) for f in state["ne_flats"]]
         eng.sectors = [_Sector(**s, func=func) for s in state["sectors"]]
         eng.valfuncs = _valfuncs(func, eng.sectors)
         t = state["tables"]
@@ -914,18 +875,49 @@ def _flat_runs(a, b, g: float) -> List[tuple]:
     return runs
 
 
-def _trim_runs(part: np.ndarray, axis: int, lo: float, hi: float, g: float):
-    """Drop redundant vertices of a flat run at the slab boundaries so
-    slab polygons do not grow degenerate spurs."""
-    while len(part) >= 2 and abs(part[0, axis] - lo) <= g and abs(
-        part[1, axis] - lo
+def _trim_runs(part: np.ndarray, lo: float, hi: float, g: float):
+    """Drop redundant vertices of a flat run at the slab boundaries (in
+    the first column) so slab polygons do not grow degenerate spurs."""
+    while len(part) >= 2 and abs(part[0, 0] - lo) <= g and abs(
+        part[1, 0] - lo
     ) <= g:
         part = part[1:]
-    while len(part) >= 2 and abs(part[-1, axis] - hi) <= g and abs(
-        part[-2, axis] - hi
+    while len(part) >= 2 and abs(part[-1, 0] - hi) <= g and abs(
+        part[-2, 0] - hi
     ) <= g:
         part = part[:-1]
     return part
+
+
+def _ray_band(table: _ChainTable, kept: int, ends, far: float, add,
+              g: float) -> List[tuple]:
+    """The flats (c, lo, hi) of the SW (``kept`` axis 0) or NE (1) chain;
+    the band's pieces go to ``add``.  In (kept, other) coordinates the
+    chain runs from ``ends[0]`` to ``ends[1]``, kept rising and other
+    falling, and its flats (runs of constant kept c over [lo, hi]) cut
+    the band into slabs: a ray piece from the chain to a wall at the
+    closing flat's hi (past the last flat, the rectangle side ``far``)
+    and a graft rectangle from the wall to ``far``.  A NE slab turns
+    back to (x, y) with its rows reversed, which keeps it ccw."""
+    rule, name = ((RULE_RAY_YPLUS, "south"), (RULE_RAY_XMINUS, "east"))[kept]
+    k, o = _xy(kept, table.xs, table.ys)
+    chain = np.column_stack([k, o])
+    flats = [(float(k[i]), float(o[j]), float(o[i]))
+             for i, j in _flat_runs(k, o, g)]
+    cuts = [ends[0][kept]] + [c for c, _, _ in flats] + [ends[1][kept]]
+    walls = [hi for _, _, hi in flats] + [far]
+    for j, (a, b, wall) in enumerate(zip(cuts, cuts[1:], walls)):
+        if b - a <= g:
+            continue
+        part = _trim_runs(chain[(k >= a - g) & (k <= b + g)], a, b, g)
+        slab = np.vstack([[(a, wall), (b, wall)], part[::-1]])
+        add(rule, slab if kept == 0 else slab[::-1, ::-1],
+            zone=f"{name}_ray", slab=j)
+        if abs(far - wall) > g:
+            x_span, y_span = _xy(kept, (a, b), sorted((far, wall)))
+            add(RULE_GRAFT, _rect_poly(*x_span, *y_span),
+                zone=f"{name}_graft")
+    return flats
 
 
 def _extreme_midpoints(pts: np.ndarray, g: float):
@@ -1168,9 +1160,9 @@ class ExtendedMap:
     @classmethod
     def from_dict(cls, data: dict, base: MapSpec) -> "ExtendedMap":
         """Rebuild an evaluator from :meth:`to_dict` output plus the base
-        map callable, without redoing the geometric construction.  The
-        ``pieces`` key is not read: the engine redraws them from its
-        state.  ValueError when the stored rectangle is not the bounding
+        map callable, without redoing the geometric construction; the
+        stored ``pieces``, ``mode``, ``sw_flats`` and ``ne_flats`` are not
+        read.  ValueError when the stored rectangle is not the bounding
         box of the stored domain, the only rectangle ``extend`` builds."""
         if data.get("kind") != "extended_map":
             raise ValueError("not a serialized extended map")

@@ -45,6 +45,12 @@ REFUTED = "Refuted"
 # more than this many cells
 _MAX_INVARIANCE_CELLS = 1 << 16
 
+
+def _image_band(domain: DomainSpec) -> float:
+    """How far outside the domain a point still counts as in it."""
+    return 4 * domain.chord_tol
+
+
 INVARIANCE_LIMITS = (
     "the proof is only as sound as the monotonicity of the map, which "
     "the monotonicity stage checks by sampling",
@@ -139,7 +145,7 @@ def verify_invariance(map_spec: MapSpec, domain: DomainSpec) -> InvarianceResult
     ``depth`` is the deepest level evaluated.  The band tol, thousands
     of ulps wide, also absorbs the rounding of F and of the edges.
     """
-    tol = 4 * domain.chord_tol
+    tol = _image_band(domain)
     bx0, bx1, by0, by1 = domain.bbox
     sides = _trapezoid_sides(domain)
     sig = map_spec.signature.as_tuple()
@@ -243,7 +249,7 @@ def iterate_orbit(
     vals = np.frombuffer(vals)
     exited = None
     if domain is not None:
-        tol = 4 * domain.chord_tol
+        tol = _image_band(domain)
         for start in range(0, n, _ORBIT_BLOCK):
             stop = min(start + _ORBIT_BLOCK, n)
             codes = domain.contains(vals[start + 2 : stop + 2],
@@ -282,7 +288,7 @@ def _run_ensemble(
     cur = np.asarray(starts_x, dtype=float).copy()
     prev = np.asarray(starts_y, dtype=float).copy()
     exited = np.zeros(cur.shape, dtype=bool)
-    tol = 4 * domain.chord_tol
+    tol = _image_band(domain)
     kept, steps = [cur.copy()], [0]  # x_k rows
     # x_{k-1} beside each row whose step does not follow the row before;
     # beside any other row x_{k-1} is the row before, bit for bit

@@ -16,15 +16,20 @@ from monomap.errors import (
 )
 from monomap.examples import make_eq8
 from monomap.extension import (
+    RULE_GRAFT,
+    RULE_RAY_XMINUS,
+    RULE_RAY_YPLUS,
     ExtendedMap,
     _Interp,
     _Z_BASE,
     _flat_runs,
+    _rect_poly,
     audit_extension,
     extend,
     extend_rectangle,
 )
-from monomap.geometry import DomainKind, DomainSpec, EdgeTable
+from monomap.geometry import (DomainKind, DomainSpec, EdgeTable,
+                              _signed_area)
 from monomap.map_model import (
     Box,
     DEC_INC,
@@ -99,6 +104,31 @@ def _shape_cases():
     for func, sig, verts in _SHAPE_CASES:
         domain = DomainSpec.polygon(verts)
         yield MapSpec(func, sig, Box(*domain.bbox)), domain
+
+
+def _comb(teeth):
+    """A square whose right side holds ``teeth`` V-shaped intrusions."""
+    h = 4.0 / teeth
+    side = [p for i in range(teeth)
+            for p in ((4.0, (i + 0.2) * h), (3.8, (i + 0.5) * h))]
+    return [(0, 0), (4, 0)] + side + [(4, 4), (0, 4)]
+
+
+# semi-convex domains the zone engine rejects, in the engine's frame, by
+# the message of the check that stops it
+_REJECTED = [
+    ([(0, 0), (4, 0), (4, 1), (3, 1.2), (3.5, 1.4), (2.5, 1.6), (4, 2),
+      (4, 4), (0, 4)], "nested boundary intrusions"),
+    (_comb(33), "too many boundary intrusions"),
+    # the intrusion's lower arc dips by 1e-8, below the scale of the
+    # classifier's probes
+    ([(0, 0), (4, 0), (4, 1), (3.5, 1.3), (3, 1.3 - 1e-8), (4, 2), (4, 4),
+      (0, 4)], "boundary intrusion is not monotone in y"),
+    # a boundary that passes twice through (9, 9), which the classifier
+    # lets through: the triangle it closes there runs clockwise
+    ([(10, 9), (9, 9), (10, 11), (10, 10), (9, 9), (7, 10), (6, 9), (9, 6)],
+     "boundary extreme points are not in counterclockwise order"),
+]
 
 
 class TestRectangleExtension:
@@ -299,6 +329,16 @@ class TestSemiConvex:
         func = lambda x, y: (1.0 + x) / (1.0 + x + y)
         spec = MapSpec(func, INC_DEC, Box(0.0, 2.0, 0.0, 2.0))
         with pytest.raises(UnsupportedDomain):
+            extend(spec, d)
+
+    @pytest.mark.parametrize("verts, message", _REJECTED,
+                             ids=[m for _, m in _REJECTED])
+    def test_semi_convex_domains_the_zone_engine_rejects(self, verts,
+                                                         message):
+        d = DomainSpec.polygon(verts)
+        assert d.classify() == DomainKind.SEMI_CONVEX
+        spec = MapSpec(_DEC_INC_MAP, DEC_INC, Box(*d.bbox))
+        with pytest.raises(UnsupportedDomain, match=f"^{message}$"):
             extend(spec, d)
 
     def test_u_notch_rejected_by_sector_fill(self):
@@ -1010,6 +1050,147 @@ class TestEvalMatchesFrozenReference:
                     for e in (ext, loaded):
                         a, b = (y[i], x[i]) if e.swapped else (x[i], y[i])
                         _assert_bitwise(e.eval(a, b), want, f"case {k}, n={n}")
+
+
+# ---------------------------------------------------------------------------
+# A frozen copy of the ray bands' flats and pieces as two mirrored
+# constructions built them: the SW flats (x, top, bottom) and slabs
+# between them, then the NE flats (height, left, right) and theirs.
+# ---------------------------------------------------------------------------
+
+
+def _ref_flats(engine):
+    g = 1e-9 * engine.rect.diam
+    xs, ys = engine.t_sw.xs, engine.t_sw.ys
+    sw = [(float(xs[i]), float(ys[i]), float(ys[j]))
+          for i, j in _flat_runs(xs, ys, g)]
+    xs, ys = engine.t_ne.xs, engine.t_ne.ys
+    ne = [(float(ys[i]), float(xs[j]), float(xs[i]))
+          for i, j in _flat_runs(ys, xs, g)]
+    return sw, ne
+
+
+def _ref_trim_runs(part, axis, lo, hi, g):
+    while len(part) >= 2 and abs(part[0, axis] - lo) <= g and abs(
+        part[1, axis] - lo
+    ) <= g:
+        part = part[1:]
+    while len(part) >= 2 and abs(part[-1, axis] - hi) <= g and abs(
+        part[-2, axis] - hi
+    ) <= g:
+        part = part[:-1]
+    return part
+
+
+def _ref_band_pieces(engine):
+    """(rule, polygon, meta) of the SW band's pieces, then the NE's."""
+    r = engine.rect
+    X1, Y0 = r.x1, r.y0
+    L, B, R, T = engine.L, engine.B, engine.R, engine.T
+    g = 1e-9 * r.diam
+    sw_flats, ne_flats = _ref_flats(engine)
+    pieces = []
+
+    def add(rule, poly, **meta):
+        poly = np.asarray(poly, dtype=float)
+        if len(poly) >= 3 and abs(_signed_area(poly)) > g * g:
+            pieces.append((rule, poly, meta))
+
+    edges = [L[0]] + [e for e, _, _ in sw_flats] + [B[0]]
+    tops = [yt for _, yt, _ in sw_flats]
+    chain = np.column_stack([engine.t_sw.xs, engine.t_sw.ys])
+    for j in range(len(edges) - 1):
+        a, b = edges[j], edges[j + 1]
+        if b - a <= g:
+            continue
+        floor = tops[j] if j < len(sw_flats) else Y0
+        part = chain[(chain[:, 0] >= a - g) & (chain[:, 0] <= b + g)]
+        part = _ref_trim_runs(part, axis=0, lo=a, hi=b, g=g)
+        poly = np.vstack([[(a, floor), (b, floor)], part[::-1]])
+        add(RULE_RAY_YPLUS, poly, zone="south_ray", slab=j)
+        if floor > Y0 + g:
+            add(RULE_GRAFT, _rect_poly(a, b, Y0, floor), zone="south_graft")
+
+    hs = [R[1]] + [h for h, _, _ in ne_flats] + [T[1]]
+    walls = [xr for _, _, xr in ne_flats]
+    chain = np.column_stack([engine.t_ne.xs, engine.t_ne.ys])
+    for j in range(len(hs) - 1):
+        a, b = hs[j], hs[j + 1]
+        if b - a <= g:
+            continue
+        wall = walls[j] if j < len(ne_flats) else X1
+        part = chain[(chain[:, 1] >= a - g) & (chain[:, 1] <= b + g)]
+        part = _ref_trim_runs(part, axis=1, lo=a, hi=b, g=g)
+        poly = np.vstack([part, [(wall, b), (wall, a)]])
+        add(RULE_RAY_XMINUS, poly, zone="east_ray", slab=j)
+        if X1 - wall > g:
+            add(RULE_GRAFT, _rect_poly(wall, X1, a, b), zone="east_graft")
+    return pieces
+
+
+# a domain whose ray chains have several flats with sloped runs between
+# them: 2 SW and 1 NE flats in the engine's frame (dec_inc), 1 SW and 3
+# NE in the swapped one (inc_dec)
+_STAIRS = [(0, 5), (0, 4), (1, 3), (1, 2), (2, 1), (3, 0), (5, 0), (7, 2),
+           (7, 3), (6, 4), (6, 5), (5, 6), (5, 7), (3, 7)]
+
+
+def _stairs_cases():
+    domain = DomainSpec.polygon(_STAIRS)
+    for func, sig in ((_DEC_INC_MAP, DEC_INC), (_INC_DEC_MAP, INC_DEC)):
+        yield MapSpec(func, sig, Box(*domain.bbox)), domain
+
+
+_BAND_ZONES = {"south_ray", "south_graft", "east_ray", "east_graft"}
+
+
+class TestBandsMatchFrozenReference:
+    """The engine's flats and band pieces are those of the frozen mirrored
+    construction above, bit for bit, built and loaded."""
+
+    def test_stairs_audit_with_several_flats(self):
+        counts = []
+        for k, (spec, domain) in enumerate(_stairs_cases()):
+            assert domain.classify() == DomainKind.SEMI_CONVEX
+            ext = extend(spec, domain)
+            assert audit_extension(ext, rng=np.random.default_rng(k)).all_ok
+            counts.append((len(ext.engine.sw_flats),
+                           len(ext.engine.ne_flats)))
+        assert counts == [(2, 1), (1, 3)]
+
+    def test_flats_and_pieces(self):
+        rng = np.random.default_rng(20261021)
+        cases = [_random_convex_case(rng) for _ in range(6)]
+        cases += [_notched_square_case(rng, k) for k in range(8)]
+        cases += list(_shape_cases()) + list(_stairs_cases())
+        seen = set()
+        for k, (spec, domain) in enumerate(cases):
+            ext = extend(spec, domain)
+            loaded = ExtendedMap.from_dict(
+                json.loads(dumps_json(ext.to_dict())), spec)
+            for engine in (ext.engine, loaded.engine):
+                sw, ne = _ref_flats(engine)
+                assert engine.sw_flats == sw and engine.ne_flats == ne, k
+                zones = [p.meta["zone"] for p in engine.pieces]
+                got = [p for p in engine.pieces
+                       if p.meta["zone"] in _BAND_ZONES]
+                want = _ref_band_pieces(engine)
+                assert len(got) == len(want), k
+                for p, (rule, poly, meta) in zip(got, want):
+                    assert (p.rule, p.meta) == (rule, meta), k
+                    _assert_bitwise(np.asarray(p.polygon), poly, f"case {k}")
+                # the SW band's pieces come before the windowed pieces,
+                # the NE band's after them
+                south = [i for i, z in enumerate(zones)
+                         if z.startswith("south_")]
+                east = [i for i, z in enumerate(zones)
+                        if z.startswith("east_")]
+                middle = [zones.index(z) for z in ("southeast", "northwest")
+                          if z in zones]
+                assert max(south, default=-1) < min(middle + east, default=1e9)
+                assert max(middle, default=-1) < min(east, default=1e9)
+                seen.add((spec.signature, len(sw) > 1, len(ne) > 1))
+        assert {(DEC_INC, True, False), (INC_DEC, False, True)} <= seen
 
 
 def test_engine_is_freed_by_refcounting():

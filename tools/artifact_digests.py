@@ -1,6 +1,7 @@
 """Digests of every artifact a benchmark workload's operations write.
 
     python3 tools/artifact_digests.py --workload NAME --seed N --seconds S
+    python3 tools/artifact_digests.py --workload all --seed N --seconds S
 
 Builds the seeded operation list of one workload from
 ``perfbench/workloads.py``, as ``perfbench/run.py`` builds it for a run of
@@ -9,7 +10,9 @@ Builds the seeded operation list of one workload from
 the operation's index, the file name and its sha256.  Each operation's
 artifacts are followed by one line for what the CLI returned and
 printed: its index, ``exit=`` and the exit code, and the sha256 of its
-stdout.  The sources come from this checkout's ``src``.
+stdout.  The sources come from this checkout's ``src``.  With
+``--workload all`` it digests every workload in turn, each line led by
+the workload's name.
 
 With a fixed seed the CLI writes byte-identical outputs, so two runs
 print the same lines; and a refactor that must leave every artifact,
@@ -57,12 +60,16 @@ def _sha256(data: bytes) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True, choices=sorted(GENERATORS))
+    ap.add_argument("--workload", required=True,
+                    choices=sorted(GENERATORS) + ["all"])
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=int, required=True)
     args = ap.parse_args(argv)
-    for k, name, digest in digests(args.workload, args.seed, args.seconds):
-        print(f"{k} {name} {digest}")
+    every = args.workload == "all"
+    for w in GENERATORS if every else [args.workload]:
+        lead = f"{w} " if every else ""
+        for k, name, digest in digests(w, args.seed, args.seconds):
+            print(f"{lead}{k} {name} {digest}")
     return 0
 
 
