@@ -335,12 +335,15 @@ class DomainSpec:
     def _classify(self) -> DomainKind:
         v = self.vertices
         n = len(v)
-        if self._is_self_intersecting():
+        contact = self._self_contact()
+        if contact == 2:
             raise UnsupportedDomain("boundary is self-intersecting")
         scale = self.diam
         # a ring that folds back on itself has no interior to sample
         if abs(_signed_area(v)) <= 1e-12 * scale * scale:
             raise UnsupportedDomain("boundary encloses zero area")
+        if contact:
+            raise UnsupportedDomain("boundary is self-intersecting")
 
         # Rectangle: every vertex on a side of the bbox (a corner lies on
         # two), and the polygon covers the bbox.
@@ -379,14 +382,22 @@ class DomainSpec:
         b = _shifted(v) - v
         return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
 
-    def _is_self_intersecting(self) -> bool:
-        """True when two edges that share no vertex cross.  Each edge
-        (p0, p1) is tested against all later edges (q0, q1) in one array
-        pass of the four orientation tests of a segment pair."""
+    def _self_contact(self) -> int:
+        """How two edges that are not neighbours on the ring meet: 2 when
+        a pair crosses (the ends of each lie strictly on both sides of
+        the other's line); else 1 when a pair shares a point (a repeated
+        vertex, a vertex on another edge, collinear edges that overlap);
+        else 0.  Each edge (p0, p1) is tested against all later edges
+        (q0, q1) in one array pass of the four orientation tests of a
+        segment pair and of a bounding-box test, which tells collinear
+        edges that overlap from those that do not."""
         v = self.vertices
         n = len(v)
         q = _shifted(v)
         ax, ay, bx, by = v[:, 0], v[:, 1], q[:, 0], q[:, 1]
+        x0, x1 = np.minimum(ax, bx), np.maximum(ax, bx)
+        y0, y1 = np.minimum(ay, by), np.maximum(ay, by)
+        touch = False
         for i in range(n - 2):
             # the later edges not adjacent to edge i (edge n-1 closes
             # the ring onto edge 0)
@@ -397,9 +408,14 @@ class DomainSpec:
             d2 = (q1x - q0x) * (p1y - q0y) - (q1y - q0y) * (p1x - q0x)
             d3 = (p1x - p0x) * (q0y - p0y) - (p1y - p0y) * (q0x - p0x)
             d4 = (p1x - p0x) * (q1y - p0y) - (p1y - p0y) * (q1x - p0x)
-            if np.any(((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))):
-                return True
-        return False
+            s12 = np.sign(d1) * np.sign(d2)
+            s34 = np.sign(d3) * np.sign(d4)
+            if np.any((s12 < 0) & (s34 < 0)):
+                return 2
+            touch = touch or bool(np.any(
+                (s12 <= 0) & (s34 <= 0) & (x0[j] <= x1[i]) & (x0[i] <= x1[j])
+                & (y0[j] <= y1[i]) & (y0[i] <= y1[j])))
+        return int(touch)
 
     def _semi_convex_ray_test(self) -> bool:
         """Near every sampled boundary point, every nearby exterior probe

@@ -8,10 +8,11 @@ The writers cost about one float format per value they hold: CSV rows
 and SVG points are built by C-level iteration (``map`` of a bound
 ``str.format`` or ``%``) over columns taken from numpy with ``tolist``,
 and JSON by a small encoder that writes ``json``'s indented layout.
-The two CSV writers stream: they format and write ``_CSV_BLOCK`` values
-at a time, because chain and orbit files run to megabytes, and whole
-files of strings would raise the peak memory of every run that writes
-one.  JSON documents and SVG images are built in memory.
+The orbit writer streams: it formats and writes ``_CSV_BLOCK`` values
+at a time, because orbit files run to megabytes, and a whole file of
+strings would raise the peak memory of every run that writes one.  The
+chain writer keeps a few dozen checkpoint rows of each chain, and JSON
+documents and SVG images are built in memory.
 """
 
 from __future__ import annotations
@@ -128,14 +129,8 @@ def write_json(path, obj) -> None:
         fh.write(dumps_json(obj))
 
 
-# values formatted per write by the CSV writers
+# values formatted per write by the orbit writer
 _CSV_BLOCK = 8192
-
-
-def _blocks(n_rows: int, n_values: int) -> range:
-    """The first rows of the blocks of at most ``_CSV_BLOCK`` values
-    that rows of ``n_values`` values each are written in."""
-    return range(0, n_rows, max(1, _CSV_BLOCK // max(1, n_values)))
 
 
 def _write_csv(path, header: list, blocks) -> None:
@@ -154,49 +149,39 @@ def write_orbits_csv(path, traces: np.ndarray, steps: Sequence[int]) -> None:
     traces = np.asarray(traces, dtype=float)
     n, m = traces.shape
     line = ("{}" + ",{!r}" * m + "\r\n").format
-    rows = _blocks(n, m)
+    # the first rows of blocks of at most _CSV_BLOCK values
+    rows = range(0, n, max(1, _CSV_BLOCK // max(1, m)))
     _write_csv(path, ["step"] + [f"orbit{i}" for i in range(m)],
                (map(line, steps[a:a + rows.step],
                     *traces[a:a + rows.step].T.tolist()) for a in rows))
 
 
-def _chain_blocks(chain, line):
-    """The lines of one corner chain, a block at a time.  A Sym4 step
-    takes (x, y, u, v) to (F(x, y), u, F(u, v), x), so columns s1 and s3
-    of row k + 1 repeat columns s2 and s0 of row k.  Where they do bit
-    for bit (an int64 view, which tells -0.0 from 0.0) the repr strings
-    of s2 and s0 are reused for s1 and s3; otherwise every column gets
-    its own."""
-    states = np.ascontiguousarray(chain.states, dtype=float)
-    norms = chain.step_norms
-    n, dim = states.shape
-    bits = states.view(np.int64)
-    shifted = (dim == 4 and np.array_equal(bits[1:, 1], bits[:-1, 2])
-               and np.array_equal(bits[1:, 3], bits[:-1, 0]))
-    rows = _blocks(n, dim + 1)
-    for a in rows:
-        b = a + rows.step
-        cols = states[a:b].T.tolist()
-        if shifted:
-            r0, r2 = list(map(repr, cols[0])), list(map(repr, cols[2]))
-            strs = [r0, [repr(cols[1][0])] + r2[:-1], r2,
-                    [repr(cols[3][0])] + r0[:-1]]
-        else:
-            strs = [list(map(repr, c)) for c in cols]
-        norm = map(repr, norms[max(a - 1, 0):b - 1].tolist())
-        yield map(line, itertools.repeat(chain.start), range(a, b), *strs,
-                  itertools.chain([""], norm) if a == 0 else norm)
+def _checkpoints(n_iter: int) -> list:
+    """The iterations of a chain of ``n_iter`` steps that ``chains.csv``
+    writes: 0, 1, 2, 4, ..., each power of two up to ``n_iter``, and
+    ``n_iter``, each once."""
+    steps = [0] + [1 << j for j in range(n_iter.bit_length())]
+    return steps if steps[-1] == n_iter else steps + [n_iter]
 
 
 def write_chains_csv(path, lo_chain, hi_chain) -> None:
-    """Both corner chains in one file: chain id, iteration, state, step norm."""
+    """Both corner chains in one file, at their checkpoint iterations
+    (``_checkpoints``): a row holds the chain id, the iteration k,
+    the state after k steps and ``step_norm``, the norm of step k (the
+    step into the row; empty at k = 0).  Every value is its ``repr``."""
     dim = lo_chain.states.shape[1]
-    line = ("{},{}" + ",{}" * dim + ",{}\r\n").format
+    line = ("{},{}" + ",{!r}" * dim + ",{}\r\n").format
+
+    def lines(chain):
+        ks = np.array(_checkpoints(chain.n_iter), dtype=np.intp)
+        norms = map(repr, chain.step_norms[ks[1:] - 1].tolist())
+        return map(line, itertools.repeat(chain.start), ks.tolist(),
+                   *chain.states[ks].T.tolist(), itertools.chain([""], norms))
+
     _write_csv(path,
                ["chain", "iteration"] + [f"s{i}" for i in range(dim)]
                + ["step_norm"],
-               itertools.chain(_chain_blocks(lo_chain, line),
-                               _chain_blocks(hi_chain, line)))
+               (lines(lo_chain), lines(hi_chain)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,27 @@ class TestClassification:
         with pytest.raises(UnsupportedDomain):
             d.classify()
 
+    @pytest.mark.parametrize("pts", [
+        # passes twice through (9, 9); the triangle it closes there runs
+        # clockwise
+        [(10, 9), (9, 9), (10, 11), (10, 10), (9, 9), (7, 10), (6, 9),
+         (9, 6)],
+        # two triangles that meet where the vertex (2, 0) lies on the
+        # bottom edge
+        [(0, 0), (4, 0), (4, 3), (2, 0), (0, 3)],
+    ], ids=["repeated vertex", "vertex on an edge"])
+    def test_boundary_through_one_point_twice_rejected(self, pts):
+        d = DomainSpec.polygon(pts)
+        with pytest.raises(UnsupportedDomain, match="self-intersecting"):
+            d.classify()
+
+    def test_collinear_edges_apart_pass(self):
+        # the notch leaves two top edges on the line y = 2
+        pts = [(0, 0), (2, 0), (2, 2), (1.4, 2), (1.0, 1.3), (0.6, 2), (0, 2)]
+        d = DomainSpec.polygon(pts)
+        assert d._self_contact() == 0
+        assert d.classify() == DomainKind.SEMI_CONVEX
+
     def test_bowtie_keeps_its_own_message(self):
         # a bowtie's two lobes cancel: its signed area is 0 as well
         d = DomainSpec.polygon([(0, 0), (1, 1), (1, 0), (0, 1)])
@@ -420,15 +441,23 @@ def test_ray_test_matches_one_probe_at_a_time():
         assert d.classify() == DomainKind.UNSUPPORTED
 
 
-def _self_intersecting_pairwise(d):
-    """Reference for DomainSpec._is_self_intersecting: every pair of
-    edges that share no vertex, one pair at a time."""
+def _self_contact_pairwise(d):
+    """Reference for DomainSpec._self_contact over every pair of edges
+    that are not neighbours on the ring, one pair at a time: 2 if a pair
+    crosses properly, else 1 if an end of one edge lies on the other,
+    else 0."""
     def orient(a, b, c):
         return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    def on_segment(a, b, c):
+        return (orient(a, b, c) == 0
+                and min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+                and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
 
     p = d.vertices
     q = np.roll(p, -1, axis=0)
     n = len(p)
+    contact = 0
     for i in range(n):
         for j in range(i + 1, n):
             if (j + 1) % n == i or (i + 1) % n == j:
@@ -437,9 +466,13 @@ def _self_intersecting_pairwise(d):
             d2 = orient(p[j], q[j], q[i])
             d3 = orient(p[i], q[i], p[j])
             d4 = orient(p[i], q[i], q[j])
-            if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-                return True
-    return False
+            if d1 * d2 < 0 and d3 * d4 < 0:
+                return 2
+            if (on_segment(p[j], q[j], p[i]) or on_segment(p[j], q[j], q[i])
+                    or on_segment(p[i], q[i], p[j])
+                    or on_segment(p[i], q[i], q[j])):
+                contact = 1
+    return contact
 
 
 def test_self_intersection_matches_pairwise_loop():
@@ -459,10 +492,10 @@ def test_self_intersection_matches_pairwise_loop():
             d = DomainSpec.polygon(pts)
         except UnsupportedDomain:
             continue
-        want = _self_intersecting_pairwise(d)
-        assert d._is_self_intersecting() == want
+        want = _self_contact_pairwise(d)
+        assert d._self_contact() == want
         seen.add(want)
-    assert seen == {True, False}
+    assert seen == {0, 1, 2}
 
 
 @settings(max_examples=30, deadline=None)

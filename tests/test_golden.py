@@ -21,17 +21,25 @@ for byte, with the copies under ``tests/data/golden/``:
   r = 4: the pair search's record, down to its min_width stop, with the
   artificial pair it keeps.
 
-A refactor must leave these bytes unchanged.  A JSON, CSV or Markdown
-golden file may be regenerated only together with a ``schema_version``
-bump that CHANGES.md explains.  SVG has no schema: an SVG golden file
-may change with a plot rule that CHANGES.md states.
+A refactor must leave these bytes unchanged.  A JSON or Markdown golden
+file, and ``orbits.csv``, may be regenerated only together with a
+``schema_version`` bump that CHANGES.md explains.  SVG and
+``chains.csv`` have no schema: such a golden file may change with a
+plot rule or a row rule that CHANGES.md states, while every certificate
+stays byte-identical.  ``chains.csv`` keeps checkpoint rows of the
+corner chains, and ``test_chains_golden_rows_are_full_chain_rows``
+checks that each of its rows is the row a file of every chain step
+would hold.
 
     PYTHONPATH=src python tests/test_golden.py --regenerate CASE/FILE ...
 
 rewrites only the named files (say ``eq8_simulate/orbit.svg``) from the
 current code, so a regeneration cannot bless a change elsewhere.  For
 each JSON file it rewrites it prints the paths whose values changed, as
-``CASE/FILE: a.b[2].c: old -> new``.
+``CASE/FILE: a.b[2].c: old -> new``; for each CSV file whose bytes
+change, its old and new row counts (the header counts as a row) and
+whether every new row is an old row, as
+``CASE/FILE: 5221 -> 29 rows, every new row is an old row``.
 """
 
 import json
@@ -40,7 +48,9 @@ from pathlib import Path
 
 import pytest
 
+from monomap import report
 from monomap.cli import main
+from test_report import oracle_chain_row, oracle_checkpoints
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -107,6 +117,35 @@ def test_artifacts_are_byte_identical(name, tmp_path):
         assert got == want, f"{name}/{fname} differs from the golden copy"
 
 
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(CASES) if "chains.csv" in CASES[n][2]])
+def test_chains_golden_rows_are_full_chain_rows(name, tmp_path, monkeypatch):
+    """Each row of a ``chains.csv`` golden file is the row the full-row
+    oracle writes for its chain and iteration, and the rows are the
+    checkpoint iterations of each chain."""
+    chains = []
+    write = report.write_chains_csv
+
+    def capture(path, lo, hi):
+        chains.append((lo, hi))
+        write(path, lo, hi)
+
+    monkeypatch.setattr(report, "write_chains_csv", capture)
+    run_case(name, tmp_path)
+    [(lo, hi)] = chains
+    lines = (GOLDEN / name / "chains.csv").read_bytes().split(b"\r\n")
+    assert lines[0] == b"chain,iteration,s0,s1,s2,s3,step_norm"
+    assert lines[-1] == b""
+    by_start = {c.start: c for c in (lo, hi)}
+    seen = {c.start: [] for c in (lo, hi)}
+    for line in lines[1:-1]:
+        start, k = line.decode().split(",")[:2]
+        row = oracle_chain_row(by_start[start], int(k))
+        assert line.decode() == ",".join(row), f"{name}: {start} row {k}"
+        seen[start].append(int(k))
+    assert seen == {c.start: oracle_checkpoints(c.n_iter) for c in (lo, hi)}
+
+
 def test_regenerate_rewrites_only_the_named_files(tmp_path, monkeypatch):
     want = (GOLDEN / "eq7_certify" / "certificate.md").read_bytes()
     monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
@@ -145,6 +184,29 @@ def test_regenerate_prints_the_changed_json_paths(tmp_path, monkeypatch,
     assert json.loads(path.read_text()) == fresh
 
 
+def test_regenerate_prints_the_csv_row_counts(tmp_path, monkeypatch,
+                                              capsys):
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
+    target = "eq8_certify/chains.csv"
+    regenerate([target])
+    assert capsys.readouterr().out == ""
+    path = tmp_path / target
+    fresh = path.read_bytes()
+    rows = fresh.split(b"\r\n")[:-1]
+    # an old file with one row more than the fresh one: a subset
+    path.write_bytes(fresh + rows[-1] + b"\r\n")
+    regenerate([target])
+    # and one with a row the fresh file does not hold
+    path.write_bytes(fresh.replace(rows[2], rows[2] + b"1"))
+    regenerate([target])
+    n = len(rows)
+    assert capsys.readouterr().out.splitlines() == [
+        f"{target}: {n + 1} -> {n} rows, every new row is an old row",
+        f"{target}: {n} -> {n} rows, 1 new row is not an old row",
+    ]
+    assert path.read_bytes() == fresh
+
+
 def json_changes(old, new, path=""):
     """(path, old value, new value) of every leaf where two JSON values
     differ, in key order; a key on one side only has ``ABSENT`` on the
@@ -169,9 +231,20 @@ class _Absent:
 ABSENT = _Absent()
 
 
+def csv_change(old: bytes, new: bytes) -> str:
+    """The row counts of two CSV files, and whether every row of the
+    new one is a row of the old one."""
+    a, b = old.split(b"\r\n")[:-1], new.split(b"\r\n")[:-1]
+    extra = len(set(b) - set(a))
+    return f"{len(a)} -> {len(b)} rows, " + (
+        "every new row is an old row" if not extra else
+        f"{extra} new row{'s are' if extra > 1 else ' is'} not an old row")
+
+
 def regenerate(targets) -> None:
     """Rewrite the golden copies of the named CASE/FILE artifacts only,
-    printing the changed paths of each JSON file."""
+    printing the changed paths of each JSON file and the row counts of
+    each CSV file."""
     import contextlib
     import io
     import shutil
@@ -194,6 +267,10 @@ def regenerate(targets) -> None:
                     for path, a, b in json_changes(json.loads(old.read_text()),
                                                    json.loads(new.read_text())):
                         print(f"{name}/{fname}: {path}: {a!r} -> {b!r}")
+                if (fname.endswith(".csv") and old.exists()
+                        and old.read_bytes() != new.read_bytes()):
+                    print(f"{name}/{fname}: "
+                          f"{csv_change(old.read_bytes(), new.read_bytes())}")
                 shutil.copyfile(new, old)
 
 

@@ -53,14 +53,29 @@ def oracle_orbits_csv(path, traces, steps) -> None:
                 for k, row in zip(steps, traces)))
 
 
-def oracle_chains_csv(path, lo, hi) -> None:
+def oracle_chain_row(c, k) -> list:
+    """The CSV fields of iteration k of chain c: its id, k, the state
+    and the norm of the step into it."""
+    return ([c.start, str(k)] + [repr(v) for v in c.states[k].tolist()]
+            + ["" if k == 0 else repr(float(c.step_norms[k - 1]))])
+
+
+def oracle_checkpoints(n_iter) -> list:
+    """0, n_iter and every power of two in between, ascending."""
+    return [k for k in range(n_iter + 1)
+            if k in (0, n_iter) or k & (k - 1) == 0]
+
+
+def oracle_chains_csv(path, lo, hi, keep=None) -> None:
+    """Every row of both chains, or the rows of the iterations
+    ``keep(n_iter)`` lists."""
     dim = lo.states.shape[1]
     oracle_csv(path,
                ["chain", "iteration"] + [f"s{i}" for i in range(dim)]
                + ["step_norm"],
-               ([c.start, str(k)] + [repr(v) for v in row.tolist()]
-                + ["" if k == 0 else repr(float(c.step_norms[k - 1]))]
-                for c in (lo, hi) for k, row in enumerate(c.states)))
+               (oracle_chain_row(c, k) for c in (lo, hi)
+                for k in (range(c.n_iter + 1) if keep is None
+                          else keep(c.n_iter))))
 
 
 def oracle_points(px, py) -> str:
@@ -330,13 +345,12 @@ class TestCsvOracle:
         assert ((tmp_path / "fast.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
 
-    @pytest.mark.parametrize("block", [report._CSV_BLOCK, 7])
-    def test_chains_csv_of_a_real_chain(self, tmp_path, monkeypatch,
-                                        eq8_ext, block):
-        monkeypatch.setattr(report, "_CSV_BLOCK", block)
+    def test_chains_csv_of_a_real_chain(self, tmp_path, eq8_ext):
         lo, hi, _ = run_corner_chains(EmbeddedSystem(eq8_ext))
+        assert lo.n_iter > 4 and hi.n_iter > 4
         write_chains_csv(tmp_path / "fast.csv", lo, hi)
-        oracle_chains_csv(tmp_path / "want.csv", lo, hi)
+        oracle_chains_csv(tmp_path / "want.csv", lo, hi,
+                          keep=oracle_checkpoints)
         assert ((tmp_path / "fast.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
 
@@ -356,41 +370,49 @@ def sym4_chain(start, rng, n, signed_zero=False):
     return CornerChain(start, states, norms)
 
 
-class TestChainsCsvShift:
+class TestChainsCsvCheckpoints:
     def write_both(self, tmp_path, lo, hi):
         write_chains_csv(tmp_path / "fast.csv", lo, hi)
-        oracle_chains_csv(tmp_path / "want.csv", lo, hi)
+        oracle_chains_csv(tmp_path / "want.csv", lo, hi,
+                          keep=oracle_checkpoints)
         got = (tmp_path / "fast.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         return got.decode().splitlines()
 
-    @pytest.mark.parametrize("block", [report._CSV_BLOCK, 6])
-    def test_shifted_columns(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(report, "_CSV_BLOCK", block)
-        rng = np.random.default_rng(3)
-        lines = self.write_both(tmp_path,
-                                sym4_chain(MIN_CORNER, rng, 40, True),
-                                sym4_chain(MAX_CORNER, rng, 1))
-        assert len(lines) == 1 + 40 + 1
+    @pytest.mark.parametrize("n_iter", [1, 2, 3, 4, 5, 64, 65])
+    def test_checkpoint_rows(self, tmp_path, n_iter):
+        rng = np.random.default_rng(n_iter)
+        lo = sym4_chain(MIN_CORNER, rng, n_iter + 1, True)
+        hi = CornerChain(MAX_CORNER, edge_matrix(rng, n_iter + 1, 4),
+                         np.abs(edge_matrix(rng, n_iter, 1)[:, 0]))
+        lines = self.write_both(tmp_path, lo, hi)
+        want = oracle_checkpoints(n_iter)
+        assert [int(line.split(",")[1]) for line in lines[1:]] == want * 2
+        if n_iter == 1:  # two rows a chain, so each shows a step
+            assert len(lines) == 1 + 2 + 2
 
-    @pytest.mark.parametrize("block", [report._CSV_BLOCK, 6])
-    def test_falls_back_where_the_shift_is_not_a_bit_copy(
-            self, tmp_path, monkeypatch, block):
-        """-0.0 == 0.0, so a float-keyed reuse would write "0.0" where
-        the state holds -0.0; the int64 check must send this chain to
-        its own repr of every column."""
-        monkeypatch.setattr(report, "_CSV_BLOCK", block)
+    def test_chain_of_no_steps(self, tmp_path):
+        rng = np.random.default_rng(4)
+        lo = CornerChain(MIN_CORNER, edge_matrix(rng, 1, 4), np.empty(0))
+        lines = self.write_both(tmp_path, lo, sym4_chain(MAX_CORNER, rng, 9))
+        assert [line.split(",")[1] for line in lines[1:]] == [
+            "0", "0", "1", "2", "4", "8"]
+
+    def test_signed_zeros(self, tmp_path):
+        """-0.0 == 0.0, yet each is written as its own repr."""
         rng = np.random.default_rng(5)
         lo = sym4_chain(MIN_CORNER, rng, 30)
-        lo.states[10, 2] = 0.0
-        lo.states[11, 1] = -0.0
-        lo.states[20, 0] = -0.0
-        lo.states[21, 3] = 0.0
+        lo.states[7, 2] = 0.0
+        lo.states[8, 1] = -0.0
+        lo.states[15, 0] = -0.0
+        lo.states[16, 3] = 0.0
         hi = CornerChain(MAX_CORNER, edge_matrix(rng, 12, 4),
                          np.abs(rng.normal(size=11)))
         lines = self.write_both(tmp_path, lo, hi)
-        assert lines[12].split(",")[3] == "-0.0"  # row 11, column s1
-        assert lines[22].split(",")[5] == "0.0"  # row 21, column s3
+        assert lines[5].split(",")[:2] == ["MinCorner", "8"]
+        assert lines[5].split(",")[3] == "-0.0"  # row 8, column s1
+        assert lines[6].split(",")[:2] == ["MinCorner", "16"]
+        assert lines[6].split(",")[5] == "0.0"  # row 16, column s3
 
 
 class TestSvgOracle:
