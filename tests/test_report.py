@@ -345,7 +345,11 @@ class TestCsvOracle:
         assert ((tmp_path / "fast.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
 
-    def test_chains_csv_of_a_real_chain(self, tmp_path, eq8_ext):
+    @pytest.mark.parametrize("block", [report._CSV_BLOCK, 7])
+    def test_chains_csv_of_a_real_chain(self, tmp_path, monkeypatch,
+                                        eq8_ext, block):
+        """The orbit writer's block size leaves chains.csv as it is."""
+        monkeypatch.setattr(report, "_CSV_BLOCK", block)
         lo, hi, _ = run_corner_chains(EmbeddedSystem(eq8_ext))
         assert lo.n_iter > 4 and hi.n_iter > 4
         write_chains_csv(tmp_path / "fast.csv", lo, hi)
@@ -370,22 +374,25 @@ def sym4_chain(start, rng, n, signed_zero=False):
     return CornerChain(start, states, norms)
 
 
-class TestChainsCsvCheckpoints:
-    def write_both(self, tmp_path, lo, hi):
-        write_chains_csv(tmp_path / "fast.csv", lo, hi)
-        oracle_chains_csv(tmp_path / "want.csv", lo, hi,
-                          keep=oracle_checkpoints)
-        got = (tmp_path / "fast.csv").read_bytes()
-        assert got == (tmp_path / "want.csv").read_bytes()
-        return got.decode().splitlines()
+def write_both_chains(tmp_path, lo, hi):
+    """chains.csv of lo and hi from the writer, checked against the oracle
+    at the checkpoint rows; its lines."""
+    write_chains_csv(tmp_path / "fast.csv", lo, hi)
+    oracle_chains_csv(tmp_path / "want.csv", lo, hi,
+                      keep=oracle_checkpoints)
+    got = (tmp_path / "fast.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    return got.decode().splitlines()
 
+
+class TestChainsCsvCheckpoints:
     @pytest.mark.parametrize("n_iter", [1, 2, 3, 4, 5, 64, 65])
     def test_checkpoint_rows(self, tmp_path, n_iter):
         rng = np.random.default_rng(n_iter)
         lo = sym4_chain(MIN_CORNER, rng, n_iter + 1, True)
         hi = CornerChain(MAX_CORNER, edge_matrix(rng, n_iter + 1, 4),
                          np.abs(edge_matrix(rng, n_iter, 1)[:, 0]))
-        lines = self.write_both(tmp_path, lo, hi)
+        lines = write_both_chains(tmp_path, lo, hi)
         want = oracle_checkpoints(n_iter)
         assert [int(line.split(",")[1]) for line in lines[1:]] == want * 2
         if n_iter == 1:  # two rows a chain, so each shows a step
@@ -394,12 +401,23 @@ class TestChainsCsvCheckpoints:
     def test_chain_of_no_steps(self, tmp_path):
         rng = np.random.default_rng(4)
         lo = CornerChain(MIN_CORNER, edge_matrix(rng, 1, 4), np.empty(0))
-        lines = self.write_both(tmp_path, lo, sym4_chain(MAX_CORNER, rng, 9))
+        lines = write_both_chains(tmp_path, lo,
+                                  sym4_chain(MAX_CORNER, rng, 9))
         assert [line.split(",")[1] for line in lines[1:]] == [
             "0", "0", "1", "2", "4", "8"]
 
-    def test_signed_zeros(self, tmp_path):
-        """-0.0 == 0.0, yet each is written as its own repr."""
+
+class TestChainsCsvShift:
+    """Chains of the Sym4 shape, whose columns s1 and s3 repeat s2 and s0
+    of the row before."""
+
+    @pytest.mark.parametrize("block", [report._CSV_BLOCK, 6])
+    def test_falls_back_where_the_shift_is_not_a_bit_copy(
+            self, tmp_path, monkeypatch, block):
+        """-0.0 == 0.0, so a writer that took a column's repr from the
+        row before by value would write "0.0" where the state holds -0.0;
+        each is written as its own repr."""
+        monkeypatch.setattr(report, "_CSV_BLOCK", block)
         rng = np.random.default_rng(5)
         lo = sym4_chain(MIN_CORNER, rng, 30)
         lo.states[7, 2] = 0.0
@@ -408,7 +426,7 @@ class TestChainsCsvCheckpoints:
         lo.states[16, 3] = 0.0
         hi = CornerChain(MAX_CORNER, edge_matrix(rng, 12, 4),
                          np.abs(rng.normal(size=11)))
-        lines = self.write_both(tmp_path, lo, hi)
+        lines = write_both_chains(tmp_path, lo, hi)
         assert lines[5].split(",")[:2] == ["MinCorner", "8"]
         assert lines[5].split(",")[3] == "-0.0"  # row 8, column s1
         assert lines[6].split(",")[:2] == ["MinCorner", "16"]
