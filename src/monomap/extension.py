@@ -613,12 +613,10 @@ class _Engine:
                 raise UnsupportedDomain("too many boundary intrusions")
             i = int(viol[0])  # chord bottom at vertex i
             xw = xs[i]
-            rest = np.nonzero(xs[i + 1 :] >= xw - self.geom_tol)[0]
-            if rest.size == 0:
-                raise UnsupportedDomain(
-                    "boundary intrusion never recovers in x"
-                )
-            j = i + 1 + int(rest[0])
+            # the chain ends at R, whose x is the domain's maximum, so a
+            # later vertex gets back to x = xw
+            back = np.flatnonzero(xs[i + 1 :] >= xw - self.geom_tol)
+            j = i + 1 + int(back[0])
             # chord top: interpolate on edge (j-1, j) at x = xw
             if abs(xs[j] - xw) <= self.geom_tol:
                 w2 = se[j].copy()
@@ -964,7 +962,8 @@ def _extreme_midpoints(pts: np.ndarray, g: float):
         d = np.hypot(ring[:, 0] - p[0], ring[:, 1] - p[1])
         if d.min() <= g:
             continue
-        # find the edge containing p
+        # the edge nearest p: a flat's midpoint lies on the edges between
+        # its run's vertices, within g
         a = ring
         b = _shifted(ring)
         t_num = (p[0] - a[:, 0]) * (b[:, 0] - a[:, 0]) + (p[1] - a[:, 1]) * (
@@ -976,8 +975,6 @@ def _extreme_midpoints(pts: np.ndarray, g: float):
         proj = a + tt[:, None] * (b - a)
         dist = np.hypot(proj[:, 0] - p[0], proj[:, 1] - p[1])
         k = int(np.argmin(dist))
-        if dist[k] > 1e3 * g:
-            raise UnsupportedDomain("extreme point off the boundary")
         ring = np.vstack([ring[: k + 1], p[None, :], ring[k + 1 :]])
 
     def vindex(p):
@@ -991,10 +988,6 @@ def _extreme_midpoints(pts: np.ndarray, g: float):
     # a top extreme equal to the left one wraps to the end of the ring
     if iT == 0:
         iT = len(ring)
-    if iR == 0 and iB > 0:
-        raise UnsupportedDomain(
-            "boundary extreme points are not in counterclockwise order"
-        )
     if not (0 <= iB <= iR <= iT <= len(ring)):
         raise UnsupportedDomain(
             "boundary extreme points are not in counterclockwise order"

@@ -10,7 +10,9 @@ and SVG points are built by C-level iteration (``map`` of a bound
 and JSON by a small encoder that writes ``json``'s indented layout.
 The orbit writer streams: it formats and writes ``_CSV_BLOCK`` values
 at a time, because orbit files run to megabytes, and a whole file of
-strings would raise the peak memory of every run that writes one.  The
+strings would raise the peak memory of every run that writes one.  It
+formats each distinct value of a block once, since an orbit that has
+settled into a cycle repeats a few values for thousands of steps.  The
 chain writer keeps a few dozen checkpoint rows of each chain, and JSON
 documents and SVG images are built in memory.
 """
@@ -143,17 +145,26 @@ def _write_csv(path, header: list, blocks) -> None:
             fh.write("".join(lines))
 
 
+def _repr_columns(block: np.ndarray) -> list:
+    """The columns of a 2-d float block as lists of ``repr`` strings,
+    one ``repr`` per distinct bit pattern (so 0.0 and -0.0 stay apart):
+    an orbit that has settled into a cycle holds few distinct values."""
+    bits, where = np.unique(block.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    return text[where.reshape(block.shape)].T.tolist()
+
+
 def write_orbits_csv(path, traces: np.ndarray, steps: Sequence[int]) -> None:
     """Orbit traces: one row per kept step, labelled with that step, and
     one column per orbit."""
     traces = np.asarray(traces, dtype=float)
     n, m = traces.shape
-    line = ("{}" + ",{!r}" * m + "\r\n").format
+    line = ("{}" + ",{}" * m + "\r\n").format
     # the first rows of blocks of at most _CSV_BLOCK values
     rows = range(0, n, max(1, _CSV_BLOCK // max(1, m)))
     _write_csv(path, ["step"] + [f"orbit{i}" for i in range(m)],
                (map(line, steps[a:a + rows.step],
-                    *traces[a:a + rows.step].T.tolist()) for a in rows))
+                    *_repr_columns(traces[a:a + rows.step])) for a in rows))
 
 
 def _checkpoints(n_iter: int) -> list:

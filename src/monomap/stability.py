@@ -232,26 +232,51 @@ def iterate_orbit(
     any other map on 0-d arrays, with numpy's bits either way (Python's
     own ``**`` differs from numpy's in the last bit, and its 1 / 0
     raises where numpy gives inf, a NonFiniteValue here).
+    F is a pure function of the bits of its two floats, so once a state
+    (x_k, x_{k-1}) repeats a state (x_s, x_{s-1}) bit for bit the orbit
+    is periodic from step s on, with period k - s.  Brent's cycle test
+    (BIT 20, 1980) compares each state with the one saved at the last
+    power of two (s = 0, 1, 2, 4, ...); on a repeat F is called no more,
+    and the remaining values tile the last k - s.  A converging orbit
+    ends in such a cycle in floating point, and a slow or chaotic one
+    runs all n steps.  Only a match by ``==`` in both coordinates has
+    its sign bits compared, since ``==`` takes -0.0 for 0.0.
+
     ``exited_at`` is the first n with (x_n, x_{n-1}) outside the domain;
     the orbit is located after it has run, block by block, up to the
-    first block with an exit.
+    first block with an exit.  After a repeat at step k every point
+    repeats one of the steps up to k, so only those are located.
     """
     prev, cur = float(x_m1), float(x0)
     vals = array("d", (prev, cur))
-    one = map_spec.one
-    for k in range(n):
+    one, append = map_spec.one, vals.append
+    isfinite, copysign = math.isfinite, math.copysign
+    # the saved state (x_s, x_{s-1}), the next step to save, and the
+    # last step computed
+    s_cur, s_prev, s, save, ran = cur, prev, 0, 1, n
+    for k in range(1, n + 1):
         prev, cur = cur, one(cur, prev)
-        if not math.isfinite(cur):
+        if not isfinite(cur):
             raise NonFiniteValue(
-                f"orbit produced a non-finite value at step {k + 1}"
+                f"orbit produced a non-finite value at step {k}"
             )
-        vals.append(cur)
+        append(cur)
+        if (cur == s_cur and prev == s_prev
+                and copysign(1.0, cur) == copysign(1.0, s_cur)
+                and copysign(1.0, prev) == copysign(1.0, s_prev)):
+            cycle = vals[s - k:]  # x_{s+1}, ..., x_k
+            reps, part = divmod(n - k, k - s)
+            vals += cycle * reps + cycle[:part]
+            ran = k
+            break
+        if k == save:
+            s_cur, s_prev, s, save = cur, prev, k, 2 * k
     vals = np.frombuffer(vals)
     exited = None
     if domain is not None:
         tol = _image_band(domain)
-        for start in range(0, n, _ORBIT_BLOCK):
-            stop = min(start + _ORBIT_BLOCK, n)
+        for start in range(0, ran, _ORBIT_BLOCK):
+            stop = min(start + _ORBIT_BLOCK, ran)
             codes = domain.contains(vals[start + 2 : stop + 2],
                                     vals[start + 1 : stop + 1], tol=tol)
             out = np.flatnonzero(codes < 0)

@@ -1,6 +1,6 @@
 """Golden-artifact regression test.
 
-Reruns seven CLI commands and compares every artifact they write, byte
+Reruns eight CLI commands and compares every artifact they write, byte
 for byte, with the copies under ``tests/data/golden/``:
 
 * ``eq8_certify``: eq8 with p = 1, h = 0.3 and seed 0, the
@@ -17,6 +17,10 @@ for byte, with the copies under ``tests/data/golden/``:
   whose corner chains run for thousands of steps before they meet;
 * ``eq8_simulate``: one 10,000-step eq8 orbit (p = 1, h = 0.45) from a
   fixed start inside the pentagon;
+* ``eq8_simulate_ensemble``: 20 seeded random eq8 orbits (p = 1,
+  h = 0.45) with a budget of 5,000 steps, which stop together once every
+  step falls below 1e-10 of the domain's span: the ensemble path of
+  ``simulate``, whose ``orbits.csv`` holds several columns;
 * ``eq7_fixedpoints``: ``fixedpoints`` of eq7 with p = 0.5, q = 2,
   r = 4: the pair search's record, down to its min_width stop, with the
   artificial pair it keeps.
@@ -92,6 +96,12 @@ CASES = {
         "[map]\nfamily = eq8\np = 1.0\nh = 0.45\n\n"
         "[run]\nx0 = 2.0\nx_m1 = 0.5\nsteps = 10000\n",
         ("orbit.svg", "orbits.csv", "phase.svg"),
+    ),
+    "eq8_simulate_ensemble": (
+        "simulate",
+        "[map]\nfamily = eq8\np = 1.0\nh = 0.45\n\n"
+        "[run]\nn_orbits = 20\nsteps = 5000\nseed = 0\n",
+        ("orbits.csv", "phase.svg"),
     ),
     "eq7_fixedpoints": (
         "fixedpoints",

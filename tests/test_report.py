@@ -345,6 +345,33 @@ class TestCsvOracle:
         assert ((tmp_path / "fast.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
 
+    @pytest.mark.parametrize("block", [report._CSV_BLOCK, 12, 5, 1])
+    @pytest.mark.parametrize("case", ["one_value", "signed_zeros", "cycles"])
+    def test_orbits_csv_of_repeated_values(self, tmp_path, monkeypatch,
+                                           block, case):
+        """The writer formats each distinct bit pattern of a block once;
+        runs of a value, 0.0 beside -0.0, and runs that cross blocks."""
+        monkeypatch.setattr(report, "_CSV_BLOCK", block)
+        if case == "one_value":
+            traces = np.full((40, 1), 0.1)
+            traces[:3, 0] = [2.0, 1 / 3, 0.1]
+        elif case == "signed_zeros":
+            # 0.0 and -0.0 alternate in a column and face each other
+            # across columns
+            col = np.where(np.arange(23) % 2, -0.0, 0.0)
+            traces = np.stack([col, -col, np.zeros(23), col], axis=1)
+        else:
+            # three columns settled on cycles of periods 1, 2 and 3
+            k = np.arange(31)
+            traces = np.stack([np.full(31, 0.7),
+                               np.where(k % 2, 0.25, -0.0),
+                               np.array([1e-5, 1 / 3, -2.5])[k % 3]], axis=1)
+        steps = list(range(len(traces)))
+        write_orbits_csv(tmp_path / "fast.csv", traces, steps)
+        oracle_orbits_csv(tmp_path / "want.csv", traces, steps)
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
     @pytest.mark.parametrize("block", [report._CSV_BLOCK, 7])
     def test_chains_csv_of_a_real_chain(self, tmp_path, monkeypatch,
                                         eq8_ext, block):

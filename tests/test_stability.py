@@ -732,6 +732,71 @@ class TestOrbitContainmentPass:
         assert orbit.exited_at == 12
 
 
+_SQUARE = DomainSpec.rectangle(-4.0, 4.0, -4.0, 4.0)
+# x_{n+1} = -x_n - x_{n-1} from (2, 1) runs 2, -3, 1, 2, -3, ... exactly:
+# its states (2, 1), (-3, 2), (1, -3) repeat with period 3 from step 0;
+# (1, -3) lies below the box, and state 2 is its first visit
+_TRIPLE = MapSpec(lambda x, y: -x - y, DEC_INC, Box(-4.0, 4.0, -4.0, 4.0))
+_TRIPLE_BOX = DomainSpec.rectangle(-4.0, 3.0, -2.0, 3.0)
+
+
+class TestOrbitCycleStop:
+    """iterate_orbit stops calling F once a state repeats bit for bit and
+    tiles the cycle; values and exited_at are those of the full run."""
+
+    def _assert_matches_reference(self, spec, x0, x_m1, n, domain, calls):
+        counted, count = _counting_points(spec)
+        orbit = iterate_orbit(counted, x0, x_m1, n, domain=domain)
+        vals, exited = _reference_orbit(spec, x0, x_m1, n, domain)
+        # tobytes, since array_equal takes -0.0 for 0.0
+        assert orbit.values.tobytes() == vals.tobytes()
+        assert orbit.exited_at == exited
+        assert count[0] == calls
+        return orbit
+
+    def test_fixed_state(self):
+        spec = MapSpec(lambda x, y: 0.5 * (x + y), INC_DEC,
+                       Box(-4.0, 4.0, -4.0, 4.0))
+        # state 1 repeats the start: one call of F for 1000 steps
+        self._assert_matches_reference(spec, 0.25, 0.25, 1000, _SQUARE,
+                                       calls=1)
+
+    def test_signed_zero_two_cycle(self):
+        # F = -x from (0, 0) gives 0.0, -0.0, 0.0, ...: by == alone state
+        # 1 would repeat state 0, a period 1 that writes -0.0 everywhere
+        spec = MapSpec(lambda x, y: -x, DEC_INC, Box(-1.0, 1.0, -1.0, 1.0))
+        orbit = self._assert_matches_reference(spec, 0.0, 0.0, 101, _SQUARE,
+                                               calls=4)
+        signs = np.signbit(orbit.values[1:])
+        assert signs[1::2].all() and not signs[::2].any()
+
+    @pytest.mark.parametrize("n", [0, 1, 50, 99, 100, 103, 200, 10_000])
+    def test_eq8_cycle_of_period_three(self, n):
+        # from (1.2, 0.4) the states repeat from step 100 with period 3,
+        # which the state saved at step 128 sees at step 131
+        spec, domain = make_eq8(0.9, 0.47)
+        self._assert_matches_reference(spec, 1.2, 0.4, n, domain,
+                                       calls=min(n, 131))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100])
+    def test_cycle_leaves_the_domain(self, n):
+        orbit = self._assert_matches_reference(_TRIPLE, 2.0, 1.0, n,
+                                               _TRIPLE_BOX, calls=min(n, 7))
+        assert orbit.exited_at == (2 if n >= 2 else None)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_blocks_below_the_cycle_start(self, monkeypatch, block):
+        monkeypatch.setattr(stab, "_ORBIT_BLOCK", block)
+        orbit = self._assert_matches_reference(_TRIPLE, 2.0, 1.0, 100,
+                                               _TRIPLE_BOX, calls=7)
+        assert orbit.exited_at == 2
+        # an eq8 orbit whose cycle starts at step 100 and never leaves
+        spec, domain = make_eq8(0.9, 0.47)
+        orbit = self._assert_matches_reference(spec, 1.2, 0.4, 1000, domain,
+                                               calls=131)
+        assert orbit.exited_at is None
+
+
 def _reference_ensemble(map_spec, domain, starts_x, starts_y, n_steps,
                         tol_fp, keep_every=100):
     """_run_ensemble with the domain checked after every step."""
