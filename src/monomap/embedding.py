@@ -9,7 +9,10 @@ into the order-preserving map
 componentwise order with signs (1, -1, -1, 1) and has explicit least and
 greatest elements, so the iterates of the two extreme corners form
 monotone chains that converge to fixed points of G and bracket every
-orbit in between.
+orbit in between.  G commutes with the swap (x, y, u, v) -> (u, v, x, y),
+which maps the least corner to the greatest, so only the chain from the
+least corner is stepped, with F at two points a step; the other chain is
+its swap image.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ CONVERGED = "converged"
 STALLED = "stalled"
 MAX_ITER = "max_iter"
 
-# a box that holds no point: ``step_corners`` then evaluates the
+# a box that holds no point: ``step_floats`` then evaluates the
 # extension at every step
 NO_BOX = (math.inf, -math.inf, math.inf, -math.inf)
 
@@ -87,9 +90,9 @@ class EmbeddedSystem:
     def __init__(self, source: ExtendedMap):
         if source.base.signature != INC_DEC:
             raise EmbeddingUnavailable(
-                "embedding requires a mixed monotone map that increases in "
-                "x and decreases in y; swap the arguments of a map that "
-                "decreases in x first"
+                f"the {SYM4} embedding requires a map that increases in x "
+                "and decreases in y; certify does not support a map that "
+                "decreases in x and increases in y yet"
             )
         r = source.rect
         tol = 1e-9 * max(r.diam, 1.0)
@@ -141,36 +144,29 @@ class EmbeddedSystem:
         out = clamp_to(out, self.a, self.b, copy=False)
         return out[0] if single else out
 
-    def step_corners(self, s: list, box: tuple = NO_BOX) -> list:
-        """``step`` of the two states s[:4] and s[4:], in [a, b], on
-        Python floats.  ``box`` (x0, x1, y0, y1) is a box on which the
-        source's ``box_is_base`` holds, or ``NO_BOX``.  Where all four
-        evaluation points lie in it, F itself is evaluated: point by
-        point on the floats (``MapSpec.one``) for a float-exact map,
-        else at the four points in one numpy call.  Otherwise the
-        extension is evaluated at the four in one call, as ``step``
-        calls it.  Either way the values have the bits ``step`` gives,
-        and they are clipped to [a, b] as ``step`` clips them."""
-        x0, y0, u0, v0, x1, y1, u1, v1 = s
+    def step_floats(self, s: list, box: tuple = NO_BOX) -> list:
+        """``step`` of the one state s, in [a, b], on Python floats.
+        ``box`` (x0, x1, y0, y1) is a box on which the source's
+        ``box_is_base`` holds, or ``NO_BOX``.  Where both evaluation
+        points (x, y) and (u, v) lie in it, F itself is evaluated: point
+        by point on the floats (``MapSpec.one``) for a float-exact map,
+        else at the two points in one numpy call.  Otherwise the
+        extension is evaluated at the two in one call, as ``step`` calls
+        it.  Either way the values have the bits ``step`` gives, and
+        they are clipped to [a, b] as ``step`` clips them."""
+        x, y, u, v = s
         bx0, bx1, by0, by1 = box
         ext = self.source
-        if not (bx0 <= x0 <= bx1 and bx0 <= x1 <= bx1 and bx0 <= u0 <= bx1
-                and bx0 <= u1 <= bx1 and by0 <= y0 <= by1
-                and by0 <= y1 <= by1 and by0 <= v0 <= by1
-                and by0 <= v1 <= by1):
-            f0, f1, f2, f3 = ext.eval(np.array([x0, x1, u0, u1]),
-                                      np.array([y0, y1, v0, v1])).tolist()
+        if not (bx0 <= x <= bx1 and bx0 <= u <= bx1 and by0 <= y <= by1
+                and by0 <= v <= by1):
+            f, g = ext.eval(np.array([x, u]), np.array([y, v])).tolist()
         elif ext.base.float_exact:
-            one = ext.base.one
-            f0, f1, f2, f3 = (one(x0, y0), one(x1, y1), one(u0, v0),
-                              one(u1, v1))
+            f, g = ext.base.one(x, y), ext.base.one(u, v)
         else:
-            f0, f1, f2, f3 = ext.base(np.array([x0, x1, u0, u1]),
-                                      np.array([y0, y1, v0, v1])).tolist()
-        t = [f0, u0, f2, x0, f1, u1, f3, x1]
+            f, g = ext.base(np.array([x, u]), np.array([y, v])).tolist()
+        t = [f, u, g, x]
         a, b = self.a, self.b
-        if not (a <= f0 <= b and a <= f1 <= b and a <= f2 <= b
-                and a <= f3 <= b):
+        if not (a <= f <= b and a <= g <= b):
             t = np.clip(t, a, b).tolist()
         return t
 
@@ -212,21 +208,25 @@ def run_corner_chains(
 
     The two chains are monotone and converge to fixed points a* and b*
     of G with a* preceding b*; every orbit of G lies in the order
-    interval between their iterates.  Both corners advance together,
-    their states kept as Python floats, one ``sys.step_corners`` call a
-    step; it gives the bits ``sys.step`` gives on the (2, 4) array.
-    The stop is CONVERGED once the interval's width max|s_hi - s_lo| is
-    at most ``tol`` (default 1e-8 of the box span), STALLED once the
-    width falls by less than 0.1% over 1,000 steps, or MAX_ITER.  Each
-    step is checked to move its chain in the chain's direction.
+    interval between their iterates.  G commutes with the swap
+    sigma(x, y, u, v) = (u, v, x, y), which maps the least corner to
+    the greatest, so the MaxCorner chain is the sigma image of the
+    MinCorner chain, bit for bit.  Only the MinCorner chain is stepped,
+    its state kept as Python floats, one ``sys.step_floats`` call (F at
+    two points) a step; it gives the bits ``sys.step`` gives.  The
+    MaxCorner chain's states are its columns swapped, with the same
+    step norms.  The stop is CONVERGED once the interval's width
+    max|s_hi - s_lo| is at most ``tol`` (default 1e-8 of the box span),
+    STALLED once the width falls by less than 0.1% over 1,000 steps, or
+    MAX_ITER.  Each step is checked to move each chain in its direction.
 
     The order interval nests in the one before, so every later
-    evaluation point (x, y) or (u, v) lies in the hull of the two
-    states' x and u coordinates times the hull of their y and v
-    coordinates, up to the slack a step may lose.  At step 0 and each
-    power of two, until the source's ``box_is_base`` holds on that box,
-    the box is tried; once it holds it is kept, and steps inside it
-    evaluate F.  Every other step evaluates the extension.
+    evaluation point (x, y) or (u, v) lies in the hull of the state's x
+    and u coordinates times the hull of its y and v coordinates, up to
+    the slack a step may lose.  At step 0 and each power of two, until
+    the source's ``box_is_base`` holds on that box, the box is tried;
+    once it holds it is kept, and steps inside it evaluate F.  Every
+    other step evaluates the extension.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -234,24 +234,25 @@ def run_corner_chains(
     if tol is None:
         tol = 1e-8 * span
     slack_tol = 1e-10 * span
-    # the chain rises from the least element and falls from the greatest
-    s = sys.min_corner.tolist() + sys.max_corner.tolist()
+    # the chain rises from the least element
+    s = sys.min_corner.tolist()
     states = array("d", s)
     stop = MAX_ITER
     checkpoint = math.inf
     box = NO_BOX
     for k in range(max_iter):
+        x, y, u, v = s
         if box is NO_BOX and not k & (k - 1):
-            x0, y0, u0, v0, x1, y1, u1, v1 = s
-            hull = (min(x0, u0, x1, u1), max(x0, u0, x1, u1),
-                    min(y0, v0, y1, v1), max(y0, v0, y1, v1))
+            hull = (min(x, u), max(x, u), min(y, v), max(y, v))
             if sys.source.box_is_base(*hull):
                 box = hull
-        t = sys.step_corners(s, box)
+        t = sys.step_floats(s, box)
         # the steps against the order signs (1, -1, -1, 1) of the rising
-        # chain and their negatives for the falling one
-        lo_slack = min(t[0] - s[0], s[1] - t[1], s[2] - t[2], t[3] - s[3])
-        hi_slack = min(s[4] - t[4], t[5] - s[5], t[6] - s[6], s[7] - t[7])
+        # chain; the falling chain's are the same, in its column order
+        # (min's argument order decides where a term is NaN)
+        d0, d1, d2, d3 = t[0] - x, y - t[1], u - t[2], t[3] - v
+        lo_slack = min(d0, d1, d2, d3)
+        hi_slack = min(d2, d3, d0, d1)
         if lo_slack < -slack_tol or hi_slack < -slack_tol:
             start, slack = ((MIN_CORNER, lo_slack) if lo_slack < -slack_tol
                             else (MAX_CORNER, hi_slack))
@@ -262,8 +263,7 @@ def run_corner_chains(
             )
         states.extend(t)
         s = t
-        width = max(abs(t[4] - t[0]), abs(t[5] - t[1]), abs(t[6] - t[2]),
-                    abs(t[7] - t[3]))
+        width = max(abs(t[2] - t[0]), abs(t[3] - t[1]))
         if width <= tol:
             stop = CONVERGED
             break
@@ -272,11 +272,10 @@ def run_corner_chains(
                 stop = STALLED
                 break
             checkpoint = width
-    # (2, n_iter + 1, 4)
-    states = np.frombuffer(states).reshape(-1, 2, 4).transpose(1, 0, 2).copy()
-    norms = np.max(np.abs(np.diff(states, axis=1)), axis=2)
-    lo, hi = (CornerChain(start, states[c], norms[c])
-              for c, start in enumerate((MIN_CORNER, MAX_CORNER)))
+    states = np.frombuffer(states).reshape(-1, 4)
+    norms = np.max(np.abs(np.diff(states, axis=0)), axis=1)
+    lo = CornerChain(MIN_CORNER, states, norms)
+    hi = CornerChain(MAX_CORNER, states[:, [2, 3, 0, 1]], norms)
     if not sys.precedes(lo.limit, hi.limit, tol=10 * slack_tol):
         raise ChainMonotonicityBroken(
             "the lower corner chain overtook the upper corner chain"

@@ -407,6 +407,30 @@ class TestExitCodes:
         )
         assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 1
 
+    def test_dec_inc_map_stops_at_the_corner_chains(self, tmp_path, capsys):
+        # Sym4 needs F increasing in x and decreasing in y: a dec_inc map
+        # passes the stages before it and then has no embedding
+        cfg = write_cfg(
+            tmp_path,
+            "[map]\nfamily = expression\nexpr = (1 + y)/(1 + y + 2*x)\n"
+            "signature = dec_inc\n\n[domain]\nkind = rect\n"
+            "rect = 0,1,0,1\n",
+        )
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        reason = ("the Sym4 embedding requires a map that increases in x "
+                  "and decreases in y; certify does not support a map that "
+                  "decreases in x and increases in y yet")
+        assert reason in capsys.readouterr().out
+        doc = json.loads((tmp_path / "certificate.json").read_text())
+        assert doc["verdict"] == "Inconclusive"
+        assert [(st["stage"], st["status"]) for st in doc["stages"]] == [
+            ("monotonicity", "passed"), ("classify_domain", "passed"),
+            ("invariance", "passed"), ("extension", "passed"),
+            ("artificial_fixed_points", "passed"),
+            ("corner_chains", "failed")]
+        assert doc["stages"][-1]["error"] == "EmbeddingUnavailable"
+        assert doc["stages"][-1]["message"] == reason
+
     def test_refuted_verdict_is_1(self, tmp_path, capsys, monkeypatch):
         from test_stability import _one_domain_exit
 

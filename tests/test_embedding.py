@@ -14,7 +14,6 @@ from monomap.embedding import (
     MAX_CORNER,
     MAX_ITER,
     MIN_CORNER,
-    NO_BOX,
     STALLED,
     SYM4,
     check_order_preserving,
@@ -172,110 +171,6 @@ class TestCornerChains:
         assert lo.n_iter == hi.n_iter == 5
 
 
-class _Rowwise:
-    """An embedded system whose corner step t of a state s becomes
-    ``change(sys, s, t)`` for the states whose first coordinate satisfies
-    ``pick``.  The rule looks at each of the two states alone."""
-
-    def __init__(self, sys, pick, change):
-        self._sys = sys
-        self._pick = pick
-        self._change = change
-
-    def __getattr__(self, name):
-        return getattr(self._sys, name)
-
-    def fault(self, s, t):
-        """The step t of s, with the fault applied."""
-        t = np.reshape(t, (2, -1))
-        s = np.reshape(s, (2, -1))
-        hit = self._pick(s[:, 0])
-        t[hit] = self._change(self._sys, s[hit], t[hit])
-        return t.ravel().tolist()
-
-    def step_corners(self, s, box=NO_BOX):
-        return self.fault(s, self._sys.step_corners(s, box))
-
-
-# a step run backwards: a chain through such a state loses monotonicity
-_REVERSE = lambda sys, s, t: 2 * s - t
-
-# for the eq7 chains on [0, 1]: the MaxCorner chain starts at first
-# coordinate 1 and falls towards 0.7071; the MinCorner chain rises from
-# 0 through 0.5 and 0.6
-_AT_MAX_CORNER = lambda x: x > 0.99
-_ON_MIN_CHAIN = lambda x: (x > 0.55) & (x < 0.62)
-
-
-class TestChainFaults:
-    """A chain whose step goes against its direction raises
-    ChainMonotonicityBroken naming that chain and the iteration."""
-
-    @ON_SYM4
-    @pytest.mark.parametrize("fault,failing,iteration", [
-        (_AT_MAX_CORNER, MAX_CORNER, 1),
-        (_ON_MIN_CHAIN, MIN_CORNER, 3),
-        # both chains are faulty; the first fault ends the run
-        (lambda x: _AT_MAX_CORNER(x) | _ON_MIN_CHAIN(x), MAX_CORNER, 1),
-    ], ids=["max_corner_only", "min_corner_only", "both"])
-    def test_failure_names_the_chain(self, eq7_ext, embedding, fault, failing,
-                                     iteration):
-        sys = _Rowwise(embedding(eq7_ext), fault, _REVERSE)
-        with pytest.raises(ChainMonotonicityBroken) as got:
-            run_corner_chains(sys)
-        assert str(got.value).startswith(
-            f"{failing} chain lost monotonicity at iteration {iteration} "
-        )
-
-
-def _faulty_rectangle_ext(ext, pick):
-    """The rectangle extension of ext's map with a fault in F itself.
-    In the chain step's batch of four points (the x halves of the
-    MinCorner and the MaxCorner state, then their u halves), F's values
-    for each state whose first coordinate satisfies ``pick`` run
-    backwards, as _REVERSE runs them, wherever that stays in the box
-    (a step to outside would be clipped back to the corner)."""
-    func = ext.base.func
-    lo, hi = ext.rect.x0, ext.rect.x1
-
-    def faulty(x, y):
-        f = np.array(func(x, y), dtype=float)
-        if f.shape == (4,):
-            for row in np.flatnonzero(pick(x[:2])):
-                idx = [row, row + 2]
-                back = 2 * x[idx] - f[idx]
-                f[idx] = np.where((back >= lo) & (back <= hi), back, f[idx])
-        return f
-
-    spec = MapSpec(faulty, ext.base.signature, ext.base.box)
-    return extend_rectangle(spec, ext.rect)
-
-
-class TestChainFaultsOnFloats:
-    """The same faults, made by F, on the float path.  The MaxCorner
-    chain's first step cannot run backwards inside the box, so its
-    fault shows at iteration 2, when its u half can fall."""
-
-    @pytest.mark.parametrize("fault,failing,iteration", [
-        (_AT_MAX_CORNER, MAX_CORNER, 2),
-        (_ON_MIN_CHAIN, MIN_CORNER, 3),
-        (lambda x: _AT_MAX_CORNER(x) | _ON_MIN_CHAIN(x), MAX_CORNER, 2),
-    ], ids=["max_corner_only", "min_corner_only", "both"])
-    def test_failure_names_the_chain(self, eq7_ext, monkeypatch, fault,
-                                     failing, iteration):
-        sys = EmbeddedSystem(_faulty_rectangle_ext(eq7_ext, fault))
-
-        def no_array_step(self, state):
-            raise AssertionError("the chain left the float path")
-
-        monkeypatch.setattr(EmbeddedSystem, "step", no_array_step)
-        with pytest.raises(ChainMonotonicityBroken) as got:
-            run_corner_chains(sys)
-        assert str(got.value).startswith(
-            f"{failing} chain lost monotonicity at iteration {iteration} "
-        )
-
-
 def _array_chains(sys, max_iter=100000, tol=None):
     """The reference for run_corner_chains: the same rules on arrays,
     with both corners stepped as one (2, dim) batch through sys.step
@@ -337,6 +232,12 @@ def _chain_case(name):
                                           params),
                        INC_DEC, Box(0.0, 1.0, 0.0, 1.0), params=params)
         domain = DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0)
+    elif name == "nan":
+        # 0 log 0 is NaN at the points where y = 0
+        spec = MapSpec(compile_expression("(1 + x) / (1 + x + y) + 0 * log(y)",
+                                          {}),
+                       INC_DEC, Box(0.0, 1.0, 0.0, 1.0))
+        domain = DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0)
     elif name == "notched":
         # the golden notched polygon: its notch becomes a sector
         spec = MapSpec(compile_expression("(1 + x)/(1 + x + y)", {}),
@@ -360,8 +261,9 @@ _CHAIN_CASES = ["eq8 0.3", "eq8 0.49", "eq8 0.495", "eq7", "log",
 
 
 class TestFloatChainsMatchArrayChains:
-    """The float loop gives the bits of the array loop, with F evaluated
-    at the same number of points, and never steps through arrays."""
+    """The float loop gives the bits of the array loop, which steps both
+    corners, with F evaluated at half its points, and never steps
+    through arrays."""
 
     @pytest.mark.parametrize("name", _CHAIN_CASES,
                              ids=[f"{n}-{SYM4}" for n in _CHAIN_CASES])
@@ -399,7 +301,7 @@ class TestFloatChainsMatchArrayChains:
         for c, chain in enumerate((lo, hi)):
             assert chain.states.tobytes() == want_states[c].tobytes()
             assert chain.step_norms.tobytes() == want_norms[c].tobytes()
-        assert points[0] == want_points
+        assert 2 * points[0] == want_points
         if ext.engine is None:
             assert ext_steps[0] == 0  # every point of the box is F's
         elif name == "expression octagon":
@@ -450,10 +352,7 @@ class TestFloatChainsMatchArrayChains:
         # 0 log 0 is NaN at the corner points: within a few steps NaN
         # fills every coordinate of both chains, no rule stops them, and
         # both loops run to max_iter past two checkpoints
-        spec = MapSpec(compile_expression("(1 + x) / (1 + x + y) + 0 * log(y)",
-                                          {}),
-                       INC_DEC, Box(0.0, 1.0, 0.0, 1.0))
-        sys = EmbeddedSystem(extend_rectangle(spec, spec.box))
+        sys = _chain_system("nan")
         want_states, want_norms, want_stop = _array_chains(sys, max_iter=2500)
         assert np.isnan(want_states[:, -1]).all()
         # the closing order check fails on NaN limits; skip it here
@@ -463,6 +362,30 @@ class TestFloatChainsMatchArrayChains:
         for c, chain in enumerate((lo, hi)):
             assert chain.states.tobytes() == want_states[c].tobytes()
             assert chain.step_norms.tobytes() == want_norms[c].tobytes()
+
+
+def _swap(s):
+    """sigma(x, y, u, v) = (u, v, x, y), on the last axis."""
+    return s[..., [2, 3, 0, 1]]
+
+
+class TestSwapSymmetry:
+    """G commutes with the swap sigma, which maps the least corner to the
+    greatest: so the MaxCorner chain is sigma of the MinCorner chain, bit
+    for bit, and run_corner_chains steps the MinCorner chain alone."""
+
+    @pytest.mark.parametrize("name", _CHAIN_CASES + ["nan"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_step_commutes_with_the_swap(self, name):
+        sys = _chain_system(name)
+        a, b = sys.a, sys.b
+        rng = np.random.default_rng(34)
+        s = rng.uniform(a, b, (300, 4))
+        # states on the box's corners, edges and midlines, where the
+        # values are clipped, inf or NaN
+        s[:100] = rng.choice([a, b, 0.5 * (a + b)], (100, 4))
+        assert sys.step(_swap(s)).tobytes() == _swap(sys.step(s)).tobytes()
+        assert sys.max_corner.tobytes() == _swap(sys.min_corner).tobytes()
 
 
 def _frozen_step_corners(sys, s):
@@ -544,10 +467,113 @@ def _outcome(run):
     return states.tobytes(), norms.tobytes(), stop
 
 
-# for the eq8(0.95, 0.3) chains: the MinCorner chain's first coordinate
-# passes 0.62 near step 26, long after the chains keep their base box
-# at step 4
-_LATE_ON_MIN_CHAIN = lambda x: (x > 0.62) & (x < 0.63)
+# the two evaluation points of a MinCorner step, each named by the
+# coordinate whose new value F gives there: (x, y) gives x, (u, v) gives
+# u (the MaxCorner chain's x)
+X_HALF, U_HALF = 0, 2
+
+
+def _clean_step(sys, step):
+    """The MinCorner state before and after step ``step`` (from 1) of
+    the frozen loop on sys's faultless map, as Python floats."""
+    states, _, _ = _frozen_chains(
+        sys, lambda s: _frozen_step_corners(sys, s), max_iter=step)
+    return states[0, step - 1].tolist(), states[0, step].tolist()
+
+
+def _faulty_system(name, step, back=None, nan=None, float_exact=None):
+    """The embedded system of a chain case whose F has faults a map can
+    make, at the evaluation points of MinCorner step ``step`` of the
+    faultless chains: at the point of half ``back``, F runs backwards,
+    to 2x - F(x, y); at the point of half ``nan``, F is NaN.  F stays a
+    pure function of (x, y), so a fault shows in both chains alike.
+    ``float_exact`` overrides the spec's mark, to send base steps to
+    numpy (False) or to the floats (True).  Returns the system and the
+    faultless state before and after that step."""
+    spec, ext = _chain_case(name)
+    sys = EmbeddedSystem(ext)
+    s, t = _clean_step(sys, step)
+    func = spec.func
+    back_at = () if back is None else [(s[back], s[back + 1])]
+    nan_at = () if nan is None else [(s[nan], s[nan + 1])]
+
+    def faulty(x, y):
+        f = np.asarray(func(x, y), dtype=float)
+        for px, py in back_at:
+            f = np.where((x == px) & (y == py), 2 * x - f, f)
+        for px, py in nan_at:
+            f = np.where((x == px) & (y == py), np.nan, f)
+        return f if f.ndim else float(f)
+
+    spec.func = faulty
+    if float_exact is not None:
+        spec.float_exact = float_exact
+    return sys, s, t
+
+
+# (the half where F runs backwards, the half where F is NaN, the chain
+# the message names) in one MinCorner step.  The two chains' slack
+# minima take the same four steps in the orders (d0, d1, d2, d3) and
+# (d2, d3, d0, d1), and a minimum that starts at a NaN stays NaN
+_FAULTS = {
+    # the x step is NaN, so only the MaxCorner minimum sees the u step
+    "max_corner_only": (U_HALF, X_HALF, MAX_CORNER),
+    # the u step is NaN, so only the MinCorner minimum sees the x step
+    "min_corner_only": (X_HALF, U_HALF, MIN_CORNER),
+    # both minima see the u step; the MinCorner chain is checked first
+    "both": (U_HALF, None, MIN_CORNER),
+}
+# in the eq7 chains' step 4, 2x - F(x, y) stays in the box on both halves
+_FAULT_STEP = 4
+
+
+class TestChainFaults:
+    """A step that goes against a chain's direction raises
+    ChainMonotonicityBroken naming the chain and the iteration; here F
+    runs on numpy arrays."""
+
+    @ON_SYM4
+    @pytest.mark.parametrize("fault", list(_FAULTS))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failure_names_the_chain(self, embedding, fault):
+        back, nan, failing = _FAULTS[fault]
+        sys, _, _ = _faulty_system("eq7", _FAULT_STEP, back, nan,
+                                   float_exact=False)
+        sys = embedding(sys.source)
+        with pytest.raises(ChainMonotonicityBroken) as got:
+            run_corner_chains(sys)
+        assert str(got.value).startswith(
+            f"{failing} chain lost monotonicity at iteration {_FAULT_STEP} "
+        )
+
+
+class TestChainFaultsOnFloats:
+    """The same faults, with F run on the Python floats
+    (``MapSpec.one``), and never an array step."""
+
+    @pytest.mark.parametrize("fault", list(_FAULTS))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failure_names_the_chain(self, monkeypatch, fault):
+        back, nan, failing = _FAULTS[fault]
+        sys, _, _ = _faulty_system("eq7", _FAULT_STEP, back, nan,
+                                   float_exact=True)
+        spec_call = MapSpec.__call__
+
+        def no_array_step(self, state):
+            raise AssertionError("the chain left the float path")
+
+        def guarded_call(self, x, y):
+            if np.ndim(x) == 1:
+                raise AssertionError("a base step went through numpy")
+            return spec_call(self, x, y)
+
+        monkeypatch.setattr(EmbeddedSystem, "step", no_array_step)
+        monkeypatch.setattr(MapSpec, "__call__", guarded_call)
+        with pytest.raises(ChainMonotonicityBroken) as got:
+            run_corner_chains(sys)
+        assert str(got.value).startswith(
+            f"{failing} chain lost monotonicity at iteration {_FAULT_STEP} "
+        )
 
 
 class TestChainsMatchTheFrozenLoop:
@@ -584,37 +610,45 @@ class TestChainsMatchTheFrozenLoop:
         else:
             assert calls[0] == lo.n_iter
 
-    @pytest.mark.parametrize("case,fault,failing", [
-        ("eq7", _AT_MAX_CORNER, MAX_CORNER),
-        ("eq7", _ON_MIN_CHAIN, MIN_CORNER),
-        ("eq7", lambda x: _AT_MAX_CORNER(x) | _ON_MIN_CHAIN(x), MAX_CORNER),
-        ("eq8 0.3", _LATE_ON_MIN_CHAIN, MIN_CORNER),
+    # eq8-late: the eq8(0.95, 0.3) chains keep their base box at step 4,
+    # long before step 26
+    @pytest.mark.parametrize("case,step,fault", [
+        ("eq7", _FAULT_STEP, "max_corner_only"),
+        ("eq7", _FAULT_STEP, "min_corner_only"),
+        ("eq7", _FAULT_STEP, "both"),
+        ("eq8 0.3", 26, "both"),
     ], ids=["eq7-max_corner", "eq7-min_corner", "eq7-both", "eq8-late"])
-    def test_faults_raise_the_same_message(self, case, fault, failing):
-        sys = _Rowwise(_chain_system(case), fault, _REVERSE)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_faults_raise_the_same_message(self, case, step, fault):
+        back, nan, failing = _FAULTS[fault]
+        sys, _, _ = _faulty_system(case, step, back, nan)
         want = _outcome(lambda: _frozen_chains(
-            sys, lambda s: sys.fault(s, _frozen_step_corners(sys, s))))
-        assert want.startswith(f"{failing} chain lost monotonicity")
+            sys, lambda s: _frozen_step_corners(sys, s)))
+        assert want.startswith(
+            f"{failing} chain lost monotonicity at iteration {step} ")
         assert _outcome(lambda: run_corner_chains(sys)) == want
 
-    @pytest.mark.parametrize("coord", range(4))
-    @pytest.mark.parametrize("chain", [MIN_CORNER, MAX_CORNER])
+    # F gives the chain coordinates x and u; the MaxCorner chain's x is
+    # the MinCorner chain's u, so its slack shows only where the
+    # MinCorner minimum starts at a NaN x step.  Coordinates y and v
+    # copy u and x one step late, so a fault shows in them only after
+    # the step that ends the run
+    @pytest.mark.parametrize("chain,coord", [
+        (MIN_CORNER, 0), (MIN_CORNER, 2), (MAX_CORNER, 0)])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_each_coordinate_has_its_slack(self, chain, coord):
-        # one coordinate of one chain runs backwards from the first step
-        # that moves it, so the slack in the message is that
-        # coordinate's own step
-        def reverse_one(sys, s, t):
-            t[:, coord] = 2 * s[:, coord] - t[:, coord]
-            return t
-
-        # the eq7 chains meet at x* = 1.0083: the MinCorner chain's first
-        # coordinate stays below it, the MaxCorner chain's above
-        pick = (lambda x: x < 1.0) if chain == MIN_CORNER else (
-            lambda x: x > 1.02)
-        sys = _Rowwise(_chain_system("eq7"), pick, reverse_one)
+        # the MinCorner coordinate F gives, and which half is NaN
+        half, nan = ((coord, None) if chain == MIN_CORNER
+                     else (U_HALF, X_HALF))
+        sys, s, t = _faulty_system("eq7", _FAULT_STEP, half, nan)
+        # the coordinate's own step, 2s - t against s, with its sign
+        sign = sys.order_signs[half]
+        slack = sign * ((2 * s[half] - t[half]) - s[half])
         want = _outcome(lambda: _frozen_chains(
-            sys, lambda s: sys.fault(s, _frozen_step_corners(sys, s))))
-        assert want.startswith(f"{chain} chain lost monotonicity")
+            sys, lambda s: _frozen_step_corners(sys, s)))
+        assert want.startswith(
+            f"{chain} chain lost monotonicity at iteration {_FAULT_STEP} "
+            f"(slack {slack:.3e})")
         assert _outcome(lambda: run_corner_chains(sys)) == want
 
 

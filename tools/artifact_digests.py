@@ -10,7 +10,11 @@ Builds the seeded operation list of one workload from
 the operation's index, the file name and its sha256.  Each operation's
 artifacts are followed by one line for what the CLI returned and
 printed: its index, ``exit=`` and the exit code, and the sha256 of its
-stdout.  The sources come from this checkout's ``src``.  With
+stdout.  A certify operation also prints one line for its corner chains:
+its index, ``chain_states`` and the sha256 of every state and step norm
+of both chains, as ``run_corner_chains`` returned them, so a change to a
+step that ``chains.csv`` leaves out of its checkpoint rows shows too.
+The sources come from this checkout's ``src``.  With
 ``--workload all`` it digests every workload in turn, each line led by
 the workload's name.
 
@@ -31,27 +35,46 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import monomap.stability  # noqa: E402
 from monomap.cli import main as cli_main  # noqa: E402
 from workloads import GENERATORS  # noqa: E402
 
 
 def digests(workload: str, seed: int, seconds: int):
     """(operation index, name, sha256) of every artifact, in order, then
-    (index, "exit=<code>", sha256 of its stdout) per operation."""
+    (index, "exit=<code>", sha256 of its stdout) per operation, and for
+    a certify operation (index, "chain_states", sha256 of its chains)."""
     _, ops = GENERATORS[workload](seed, seconds)
-    with tempfile.TemporaryDirectory() as tmp:
-        for k, op in enumerate(ops):
-            out = Path(tmp) / f"op{k:04d}"
-            out.mkdir()
-            cfg = Path(tmp) / f"op{k:04d}.ini"
-            cfg.write_text(op.config)
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = cli_main([op.command, "--config", str(cfg), "--out",
-                                 str(out), "--seed", str(op.seed)])
-            for path in sorted(out.iterdir()):
-                yield k, path.name, _sha256(path.read_bytes())
-            yield k, f"exit={code}", _sha256(stdout.getvalue().encode())
+    run_corner_chains = monomap.stability.run_corner_chains
+    chains = []  # the bytes of the operation's corner chains
+
+    def recorded(*args, **kwargs):
+        out = run_corner_chains(*args, **kwargs)
+        chains.extend(a.tobytes() for chain in out[:2]
+                      for a in (chain.states, chain.step_norms))
+        return out
+
+    monomap.stability.run_corner_chains = recorded
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            for k, op in enumerate(ops):
+                chains.clear()
+                out = Path(tmp) / f"op{k:04d}"
+                out.mkdir()
+                cfg = Path(tmp) / f"op{k:04d}.ini"
+                cfg.write_text(op.config)
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = cli_main([op.command, "--config", str(cfg),
+                                     "--out", str(out), "--seed",
+                                     str(op.seed)])
+                for path in sorted(out.iterdir()):
+                    yield k, path.name, _sha256(path.read_bytes())
+                yield k, f"exit={code}", _sha256(stdout.getvalue().encode())
+                if op.command == "certify":
+                    yield k, "chain_states", _sha256(b"".join(chains))
+    finally:
+        monomap.stability.run_corner_chains = run_corner_chains
 
 
 def _sha256(data: bytes) -> str:
