@@ -249,10 +249,12 @@ def run_corner_chains(
         t = sys.step_floats(s, box)
         # the steps against the order signs (1, -1, -1, 1) of the rising
         # chain; the falling chain's are the same, in its column order
-        # (min's argument order decides where a term is NaN)
-        d0, d1, d2, d3 = t[0] - x, y - t[1], u - t[2], t[3] - v
-        lo_slack = min(d0, d1, d2, d3)
-        hi_slack = min(d2, d3, d0, d1)
+        # (min's argument order decides where a term is NaN).  Those of
+        # y and v, which copy u and x one step late, repeat the previous
+        # step's d2 and d0 bit for bit (0 at step 1), so they are left out
+        d0, d2 = t[0] - x, u - t[2]
+        lo_slack = min(d0, d2)
+        hi_slack = min(d2, d0)
         if lo_slack < -slack_tol or hi_slack < -slack_tol:
             start, slack = ((MIN_CORNER, lo_slack) if lo_slack < -slack_tol
                             else (MAX_CORNER, hi_slack))

@@ -20,6 +20,9 @@ from .errors import UnsupportedDomain
 # the rounds ``DomainSpec.draw`` draws before a domain is too thin to sample
 DRAW_ROUNDS = 1000
 
+# the edge pairs ``DomainSpec._self_contact`` tests in one array pass
+_PAIR_BLOCK = 1 << 16
+
 
 class DomainKind(Enum):
     RECTANGLE = "rectangle"
@@ -387,21 +390,29 @@ class DomainSpec:
         a pair crosses (the ends of each lie strictly on both sides of
         the other's line); else 1 when a pair shares a point (a repeated
         vertex, a vertex on another edge, collinear edges that overlap);
-        else 0.  Each edge (p0, p1) is tested against all later edges
-        (q0, q1) in one array pass of the four orientation tests of a
-        segment pair and of a bounding-box test, which tells collinear
-        edges that overlap from those that do not."""
+        else 0.  Every pair of edges (p0, p1), (q0, q1) that are not
+        neighbours is tested in one array pass of the four orientation
+        tests of a segment pair and of a bounding-box test, which tells
+        collinear edges that overlap from those that do not; a long
+        boundary is taken in blocks of edges p of about ``_PAIR_BLOCK``
+        pairs each."""
         v = self.vertices
         n = len(v)
         q = _shifted(v)
         ax, ay, bx, by = v[:, 0], v[:, 1], q[:, 0], q[:, 1]
         x0, x1 = np.minimum(ax, bx), np.maximum(ax, bx)
         y0, y1 = np.minimum(ay, by), np.maximum(ay, by)
+        rows = max(1, _PAIR_BLOCK // n)
         touch = False
-        for i in range(n - 2):
-            # the later edges not adjacent to edge i (edge n-1 closes
-            # the ring onto edge 0)
-            j = slice(i + 2, n - 1 if i == 0 else n)
+        for r in range(0, n - 2, rows):
+            # the pairs (i, j) of edges i = r, ..., r + rows - 1 with
+            # j >= i + 2, but for (0, n - 1): edge n - 1 closes the ring
+            # onto edge 0
+            i, j = np.nonzero(np.arange(n) >= np.arange(
+                r + 2, min(r + rows, n - 2) + 2)[:, None])
+            i += r
+            keep = (i > 0) | (j < n - 1)
+            i, j = i[keep], j[keep]
             p0x, p0y, p1x, p1y = ax[i], ay[i], bx[i], by[i]
             q0x, q0y, q1x, q1y = ax[j], ay[j], bx[j], by[j]
             d1 = (q1x - q0x) * (p0y - q0y) - (q1y - q0y) * (p0x - q0x)

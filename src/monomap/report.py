@@ -4,15 +4,16 @@ Every writer here is a pure function of its inputs — no timestamps, no
 environment-dependent metadata — so identical inputs produce identical
 bytes, and reports can be diffed in CI.
 
-The writers cost about one float format per value they hold: CSV rows
-and SVG points are built by C-level iteration (``map`` of a bound
+The writers cost about one float format per value they hold: chain
+rows and SVG points are built by C-level iteration (``map`` of a bound
 ``str.format`` or ``%``) over columns taken from numpy with ``tolist``,
 and JSON by a small encoder that writes ``json``'s indented layout.
 The orbit writer streams: it formats and writes ``_CSV_BLOCK`` values
 at a time, because orbit files run to megabytes, and a whole file of
 strings would raise the peak memory of every run that writes one.  It
 formats each distinct value of a block once, since an orbit that has
-settled into a cycle repeats a few values for thousands of steps.  The
+settled into a cycle repeats a few values for thousands of steps, and
+builds each row with one f-string over those strings.  The
 chain writer keeps a few dozen checkpoint rows of each chain, and JSON
 documents and SVG images are built in memory.
 """
@@ -145,13 +146,28 @@ def _write_csv(path, header: list, blocks) -> None:
             fh.write("".join(lines))
 
 
-def _repr_columns(block: np.ndarray) -> list:
-    """The columns of a 2-d float block as lists of ``repr`` strings,
-    one ``repr`` per distinct bit pattern (so 0.0 and -0.0 stay apart):
-    an orbit that has settled into a cycle holds few distinct values."""
+def _reprs(block: np.ndarray) -> np.ndarray:
+    """The ``repr`` strings of a 2-d float block, an object array of its
+    shape, one ``repr`` per distinct bit pattern (so 0.0 and -0.0 stay
+    apart): an orbit that has settled into a cycle holds few distinct
+    values."""
     bits, where = np.unique(block.view(np.int64), return_inverse=True)
     text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
-    return text[where.reshape(block.shape)].T.tolist()
+    return text[where.reshape(block.shape)]
+
+
+def _orbit_lines(steps: Sequence[int], block: np.ndarray) -> list:
+    """The rows of a block of orbit traces, one f-string a row: the step,
+    then the row's fields joined by commas.  A single orbit's one field
+    goes in without the call to ``join``, and a row of no orbits is its
+    step alone."""
+    m = block.shape[1]
+    if m == 0:
+        return [f"{k}\r\n" for k in steps]
+    text = _reprs(block)
+    if m == 1:
+        return [f"{k},{v}\r\n" for k, v in zip(steps, text[:, 0].tolist())]
+    return [f"{k},{','.join(row)}\r\n" for k, row in zip(steps, text.tolist())]
 
 
 def write_orbits_csv(path, traces: np.ndarray, steps: Sequence[int]) -> None:
@@ -159,12 +175,11 @@ def write_orbits_csv(path, traces: np.ndarray, steps: Sequence[int]) -> None:
     one column per orbit."""
     traces = np.asarray(traces, dtype=float)
     n, m = traces.shape
-    line = ("{}" + ",{}" * m + "\r\n").format
     # the first rows of blocks of at most _CSV_BLOCK values
     rows = range(0, n, max(1, _CSV_BLOCK // max(1, m)))
     _write_csv(path, ["step"] + [f"orbit{i}" for i in range(m)],
-               (map(line, steps[a:a + rows.step],
-                    *_repr_columns(traces[a:a + rows.step])) for a in rows))
+               (_orbit_lines(steps[a:a + rows.step],
+                             traces[a:a + rows.step]) for a in rows))
 
 
 def _checkpoints(n_iter: int) -> list:

@@ -139,6 +139,21 @@ class TestCornerChains:
         assert np.allclose(lo.limit, 0.7, atol=1e-6)
         assert np.allclose(hi.limit, 0.7, atol=1e-6)
 
+    def test_copied_coordinates_repeat_the_previous_slack(self):
+        """The steps d1 = y - t[1] and d3 = t[3] - v of the coordinates
+        that copy u and x one step late are the previous step's
+        d2 = u - t[2] and d0 = t[0] - x bit for bit, and 0 at step 1:
+        the chain's monotonicity check leaves them out."""
+        spec, domain = make_eq8(1.0, 0.49)
+        lo, _, _ = run_corner_chains(EmbeddedSystem(extend(spec, domain)))
+        assert lo.n_iter > 100
+        s, t = lo.states[:-1], lo.states[1:]
+        d0, d1 = t[:, 0] - s[:, 0], s[:, 1] - t[:, 1]
+        d2, d3 = s[:, 2] - t[:, 2], t[:, 3] - s[:, 3]
+        assert d1[0] == 0.0 and d3[0] == 0.0
+        assert d1[1:].tobytes() == d2[:-1].tobytes()
+        assert d3[1:].tobytes() == d0[:-1].tobytes()
+
     def test_bracketing_of_interior_orbits(self, eq7_ext, rng):
         sys = EmbeddedSystem(eq7_ext)
         lo = sys.min_corner.copy()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monomap.errors import UnsupportedDomain
+from monomap import geometry
 from monomap.geometry import DomainKind, DomainSpec
 
 
@@ -496,6 +497,86 @@ def test_self_intersection_matches_pairwise_loop():
         assert d._self_contact() == want
         seen.add(want)
     assert seen == {0, 1, 2}
+
+
+def _self_contact_loop(d):
+    """The per-edge loop DomainSpec._self_contact ran before its one
+    array pass: edge i against the later edges not adjacent to it, the
+    same four orientation tests and bounding-box test, 2 at the first
+    crossing."""
+    v = d.vertices
+    n = len(v)
+    q = np.roll(v, -1, axis=0)
+    ax, ay, bx, by = v[:, 0], v[:, 1], q[:, 0], q[:, 1]
+    x0, x1 = np.minimum(ax, bx), np.maximum(ax, bx)
+    y0, y1 = np.minimum(ay, by), np.maximum(ay, by)
+    touch = False
+    for i in range(n - 2):
+        j = slice(i + 2, n - 1 if i == 0 else n)
+        p0x, p0y, p1x, p1y = ax[i], ay[i], bx[i], by[i]
+        q0x, q0y, q1x, q1y = ax[j], ay[j], bx[j], by[j]
+        d1 = (q1x - q0x) * (p0y - q0y) - (q1y - q0y) * (p0x - q0x)
+        d2 = (q1x - q0x) * (p1y - q0y) - (q1y - q0y) * (p1x - q0x)
+        d3 = (p1x - p0x) * (q0y - p0y) - (p1y - p0y) * (q0x - p0x)
+        d4 = (p1x - p0x) * (q1y - p0y) - (p1y - p0y) * (q1x - p0x)
+        s12 = np.sign(d1) * np.sign(d2)
+        s34 = np.sign(d3) * np.sign(d4)
+        if np.any((s12 < 0) & (s34 < 0)):
+            return 2
+        touch = touch or bool(np.any(
+            (s12 <= 0) & (s34 <= 0) & (x0[j] <= x1[i]) & (x0[i] <= x1[j])
+            & (y0[j] <= y1[i]) & (y0[i] <= y1[j])))
+    return int(touch)
+
+
+def _seeded_ring(rng, n, kind):
+    """A ring of n vertices: a star polygon (mostly simple), its vertices
+    in a random order (mostly crossing), or on a 4 x 4 integer grid
+    (exact zeros: touching and collinear edges)."""
+    if kind == "grid":
+        return rng.integers(0, 4, (n, 2)).astype(float)
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    radii = rng.uniform(0.2, 2.0, n)
+    pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    return pts[rng.permutation(n)] if kind == "shuffled" else pts
+
+
+class TestSelfContactMatchesTheLoop:
+    @pytest.mark.parametrize("kind", ["star", "shuffled", "grid"])
+    @pytest.mark.parametrize("block", [1 << 16, 7])
+    def test_seeded_rings(self, monkeypatch, kind, block):
+        # block 7 takes most rings in several blocks of edges
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(3)
+        seen = set()
+        for n in range(3, 41):
+            for _ in range(4):
+                try:
+                    d = DomainSpec.polygon(_seeded_ring(rng, n, kind))
+                except UnsupportedDomain:
+                    continue
+                want = _self_contact_loop(d)
+                assert d._self_contact() == want, (n, d.vertices.tolist())
+                seen.add(want)
+        # each kind reaches the outcome it is drawn for
+        assert {"star": 0, "shuffled": 2, "grid": 1}[kind] in seen
+
+    @pytest.mark.parametrize("pts,want", [
+        ([(0, 0), (1, 1), (1, 0), (0, 1)], 2),
+        ([(10, 9), (9, 9), (10, 11), (10, 10), (9, 9), (7, 10), (6, 9),
+          (9, 6)], 1),
+        ([(0, 0), (4, 0), (4, 3), (2, 0), (0, 3)], 1),
+        ([(0, 0), (3, 0), (3, 1), (2, 0), (1, 0), (0, 1)], 1),
+        ([(0, 0), (2, 0), (2, 2), (1.4, 2), (1.0, 1.3), (0.6, 2), (0, 2)],
+         0),
+    ], ids=["bow-tie", "repeated vertex", "vertex on an edge",
+            "collinear overlap", "collinear apart"])
+    @pytest.mark.parametrize("block", [1 << 16, 1])
+    def test_contacts(self, monkeypatch, pts, want, block):
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        d = DomainSpec.polygon(pts)
+        assert _self_contact_loop(d) == want
+        assert d._self_contact() == want
 
 
 @settings(max_examples=30, deadline=None)

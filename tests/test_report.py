@@ -372,6 +372,50 @@ class TestCsvOracle:
         assert ((tmp_path / "fast.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
 
+    @pytest.mark.parametrize("block", [report._CSV_BLOCK, 12, 1])
+    @pytest.mark.parametrize("period", [1, 2, 3, 4, 6])
+    def test_orbits_csv_of_a_settled_orbit(self, tmp_path, monkeypatch,
+                                          block, period):
+        """A simulate-shaped file: one orbit of 10,000 steps, a transient
+        of 100 steps, then a cycle of a period a near_degenerate orbit
+        settles on."""
+        monkeypatch.setattr(report, "_CSV_BLOCK", block)
+        rng = np.random.default_rng(period)
+        cycle = edge_matrix(rng, period, 1)[:, 0]
+        col = np.concatenate([edge_matrix(rng, 100, 1)[:, 0],
+                              np.resize(cycle, 10_001 - 100)])
+        traces = col[:, None]
+        steps = range(len(traces))
+        write_orbits_csv(tmp_path / "fast.csv", traces, steps)
+        oracle_orbits_csv(tmp_path / "want.csv", traces, steps)
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
+    @pytest.mark.parametrize("block", [report._CSV_BLOCK, 12, 1])
+    def test_orbits_csv_of_an_ensemble(self, tmp_path, monkeypatch, block):
+        """A certify-shaped file: 100 orbits of all-distinct values kept
+        every 100th step, the last row an early stop."""
+        monkeypatch.setattr(report, "_CSV_BLOCK", block)
+        traces = np.random.default_rng(7).normal(size=(102, 100))
+        assert len(np.unique(traces)) == traces.size
+        steps = [100 * k for k in range(101)] + [10_037]
+        write_orbits_csv(tmp_path / "fast.csv", traces, steps)
+        oracle_orbits_csv(tmp_path / "want.csv", traces, steps)
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
+    @pytest.mark.parametrize("block", [report._CSV_BLOCK, 12, 1])
+    def test_orbits_csv_of_no_orbits(self, tmp_path, monkeypatch, block):
+        """An (n, 0) trace: each row is its step alone, no comma."""
+        monkeypatch.setattr(report, "_CSV_BLOCK", block)
+        traces = np.empty((5, 0))
+        steps = [0, 1, 2, 4, 8]
+        write_orbits_csv(tmp_path / "fast.csv", traces, steps)
+        oracle_orbits_csv(tmp_path / "want.csv", traces, steps)
+        got = (tmp_path / "fast.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got == b"step\r\n0\r\n1\r\n2\r\n4\r\n8\r\n"
+
     @pytest.mark.parametrize("block", [report._CSV_BLOCK, 7])
     def test_chains_csv_of_a_real_chain(self, tmp_path, monkeypatch,
                                         eq8_ext, block):
