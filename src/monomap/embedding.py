@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ChainMonotonicityBroken, EmbeddingUnavailable
-from .extension import ExtendedMap, clamp_to
+from .extension import NO_BOX, BaseBoxEval, ExtendedMap, clamp_to
 from .map_model import INC_DEC
 
 SYM4 = "Sym4"
@@ -41,10 +41,6 @@ MAX_CORNER = "MaxCorner"
 CONVERGED = "converged"
 STALLED = "stalled"
 MAX_ITER = "max_iter"
-
-# a box that holds no point: ``step_floats`` then evaluates the
-# extension at every step
-NO_BOX = (math.inf, -math.inf, math.inf, -math.inf)
 
 
 @dataclass
@@ -144,26 +140,17 @@ class EmbeddedSystem:
         out = clamp_to(out, self.a, self.b, copy=False)
         return out[0] if single else out
 
-    def step_floats(self, s: list, box: tuple = NO_BOX) -> list:
-        """``step`` of the one state s, in [a, b], on Python floats.
-        ``box`` (x0, x1, y0, y1) is a box on which the source's
-        ``box_is_base`` holds, or ``NO_BOX``.  Where both evaluation
-        points (x, y) and (u, v) lie in it, F itself is evaluated: point
-        by point on the floats (``MapSpec.one``) for a float-exact map,
-        else at the two points in one numpy call.  Otherwise the
-        extension is evaluated at the two in one call, as ``step`` calls
-        it.  Either way the values have the bits ``step`` gives, and
-        they are clipped to [a, b] as ``step`` clips them."""
+    def step_floats(self, s: list, near: BaseBoxEval) -> list:
+        """``step`` of the one state s, in [a, b], on Python floats: the
+        two evaluation points (x, y) and (u, v) go to ``near``, a
+        ``BaseBoxEval`` of the source, in one call, with their hull, so
+        that F itself is evaluated where they lie in its kept box and the
+        extension elsewhere.  Either way the values have the bits
+        ``step`` gives, and they are clipped to [a, b] as ``step`` clips
+        them."""
         x, y, u, v = s
-        bx0, bx1, by0, by1 = box
-        ext = self.source
-        if not (bx0 <= x <= bx1 and bx0 <= u <= bx1 and by0 <= y <= by1
-                and by0 <= v <= by1):
-            f, g = ext.eval(np.array([x, u]), np.array([y, v])).tolist()
-        elif ext.base.float_exact:
-            f, g = ext.base.one(x, y), ext.base.one(u, v)
-        else:
-            f, g = ext.base(np.array([x, u]), np.array([y, v])).tolist()
+        f, g = near.eval(np.array([x, u]), np.array([y, v]),
+                         (min(x, u), max(x, u), min(y, v), max(y, v))).tolist()
         t = [f, u, g, x]
         a, b = self.a, self.b
         if not (a <= f <= b and a <= g <= b):
@@ -177,15 +164,15 @@ def check_order_preserving(
     rng: Optional[np.random.Generator] = None,
 ) -> OrderAudit:
     """Sample comparable state pairs and verify G keeps them comparable,
-    up to 1e-9 of the box span."""
+    up to 1e-9 of the box span.  Both states of every pair go through
+    one ``sys.step`` call."""
     if rng is None:
         rng = np.random.default_rng(0)
     d = sys.state_dim
     lo = rng.uniform(sys.a, sys.b, size=(n_pairs, d))
     bump = rng.uniform(0.0, sys.b - sys.a, size=(n_pairs, d))
     hi = np.clip(lo + sys.order_signs * bump, sys.a, sys.b)
-    g_lo = sys.step(lo)
-    g_hi = sys.step(hi)
+    g_lo, g_hi = np.split(sys.step(np.concatenate([lo, hi])), 2)
     margins = np.min(sys.order_signs * (g_hi - g_lo), axis=1)
     k = int(np.argmin(margins))
     worst = float(margins[k])
@@ -212,10 +199,10 @@ def run_corner_chains(
     sigma(x, y, u, v) = (u, v, x, y), which maps the least corner to
     the greatest, so the MaxCorner chain is the sigma image of the
     MinCorner chain, bit for bit.  Only the MinCorner chain is stepped,
-    its state kept as Python floats, one ``sys.step_floats`` call (F at
-    two points) a step; it gives the bits ``sys.step`` gives.  The
-    MaxCorner chain's states are its columns swapped, with the same
-    step norms.  The stop is CONVERGED once the interval's width
+    its state kept as Python floats, with F at two points a step; it
+    gives the bits ``sys.step`` gives.  The MaxCorner chain's states are
+    its columns swapped, with the same step norms.  The stop is
+    CONVERGED once the interval's width
     max|s_hi - s_lo| is at most ``tol`` (default 1e-8 of the box span),
     STALLED once the width falls by less than 0.1% over 1,000 steps, or
     MAX_ITER.  Each step is checked to move each chain in its direction.
@@ -224,9 +211,12 @@ def run_corner_chains(
     evaluation point (x, y) or (u, v) lies in the hull of the state's x
     and u coordinates times the hull of its y and v coordinates, up to
     the slack a step may lose.  At step 0 and each power of two, until
-    the source's ``box_is_base`` holds on that box, the box is tried;
-    once it holds it is kept, and steps inside it evaluate F.  Every
-    other step evaluates the extension.
+    one is kept, that box is tried by a ``BaseBoxEval`` of the source.
+    A state inside the kept box of a float-exact map is stepped inline,
+    F's float twin (``MapSpec.func``) at its two points; every other
+    step, and one where the floats divide by zero (numpy gives inf or
+    NaN there), is ``sys.step_floats``, which evaluates F inside the
+    kept box and the extension elsewhere.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -234,35 +224,53 @@ def run_corner_chains(
     if tol is None:
         tol = 1e-8 * span
     slack_tol = 1e-10 * span
+    a, b = sys.a, sys.b
+    near = BaseBoxEval(sys.source)
+    spec = sys.source.base
+    twin = spec.func if spec.float_exact else None
+    bx0, bx1, by0, by1 = NO_BOX
     # the chain rises from the least element
     s = sys.min_corner.tolist()
     states = array("d", s)
     stop = MAX_ITER
     checkpoint = math.inf
-    box = NO_BOX
     for k in range(max_iter):
         x, y, u, v = s
-        if box is NO_BOX and not k & (k - 1):
-            hull = (min(x, u), max(x, u), min(y, v), max(y, v))
-            if sys.source.box_is_base(*hull):
-                box = hull
-        t = sys.step_floats(s, box)
+        if not k & (k - 1) and near.prove(min(x, u), max(x, u),
+                                           min(y, v), max(y, v)):
+            bx0, bx1, by0, by1 = near.box
+        if twin and (bx0 <= x <= bx1 and bx0 <= u <= bx1
+                     and by0 <= y <= by1 and by0 <= v <= by1):
+            try:
+                f, g = twin(x, y), twin(u, v)
+            except ZeroDivisionError:
+                t = sys.step_floats(s, near)
+            else:
+                t = [f, u, g, x]
+                if not (a <= f <= b and a <= g <= b):
+                    t = np.clip(t, a, b).tolist()
+        else:
+            t = sys.step_floats(s, near)
         # the steps against the order signs (1, -1, -1, 1) of the rising
         # chain; the falling chain's are the same, in its column order
         # (min's argument order decides where a term is NaN).  Those of
         # y and v, which copy u and x one step late, repeat the previous
-        # step's d2 and d0 bit for bit (0 at step 1), so they are left out
+        # step's d2 and d0 bit for bit (0 at step 1), so they are left out.
+        # Two steps that are both within the slack, and so not NaN, pass
+        # either minimum; only the others need them
         d0, d2 = t[0] - x, u - t[2]
-        lo_slack = min(d0, d2)
-        hi_slack = min(d2, d0)
-        if lo_slack < -slack_tol or hi_slack < -slack_tol:
-            start, slack = ((MIN_CORNER, lo_slack) if lo_slack < -slack_tol
-                            else (MAX_CORNER, hi_slack))
-            raise ChainMonotonicityBroken(
-                f"{start} chain lost monotonicity at "
-                f"iteration {k + 1} (slack {slack:.3e}); the "
-                "extension or its declared monotonicity is inconsistent"
-            )
+        if not (d0 >= -slack_tol and d2 >= -slack_tol):
+            lo_slack = min(d0, d2)
+            hi_slack = min(d2, d0)
+            if lo_slack < -slack_tol or hi_slack < -slack_tol:
+                start, slack = ((MIN_CORNER, lo_slack)
+                                if lo_slack < -slack_tol
+                                else (MAX_CORNER, hi_slack))
+                raise ChainMonotonicityBroken(
+                    f"{start} chain lost monotonicity at "
+                    f"iteration {k + 1} (slack {slack:.3e}); the "
+                    "extension or its declared monotonicity is inconsistent"
+                )
         states.extend(t)
         s = t
         width = max(abs(t[2] - t[0]), abs(t[3] - t[1]))

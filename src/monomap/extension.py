@@ -46,10 +46,15 @@ there it reproduces the base map only to rounding (by up to
 Evaluation runs on tables built once per engine: each interpolant and
 crossing is stored per result of its knot search, so a call makes one
 search per table and the interpolation arithmetic on the gathered rows.
+Inside a box where ``ExtendedMap.box_is_base`` holds, the extension is F
+at the very point; ``BaseBoxEval`` states that rule once for the
+evaluations that close in on one region (the pair search, the
+equilibrium narrowing and the corner chains).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -1180,6 +1185,60 @@ class ExtendedMap:
         return cls(base, rect, domain, engine, swapped, base_range)
 
 
+# a box that holds no point: the box a ``BaseBoxEval`` keeps until it
+# proves one
+NO_BOX = (math.inf, -math.inf, math.inf, -math.inf)
+
+
+class BaseBoxEval:
+    """``ext.eval`` for evaluations that close in on one region, by the
+    rule that inside a box where ``ext.box_is_base`` holds the extension
+    is F at the very point.
+
+    ``box`` is ``NO_BOX`` until ``prove`` keeps one: the first box on
+    which ``box_is_base`` holds, after which no other is tried.  A batch
+    whose hull lies in the kept box goes to F itself (``base``), any
+    other to ``ext.eval``; the values have the bits ``ext.eval`` gives,
+    since in a base box it hands every point to F unclamped.  Where the
+    batches nest, as a search narrows, every batch after the first
+    proved one calls F directly.  ``base`` and ``rect`` are the
+    extension's, so that it stands in for it where only they and
+    ``eval`` are read.
+    """
+
+    def __init__(self, ext: ExtendedMap):
+        self.ext, self.base, self.rect = ext, ext.base, ext.rect
+        self.box = NO_BOX
+
+    def prove(self, x0: float, x1: float, y0: float, y1: float) -> bool:
+        """Keep the box [x0, x1] x [y0, y1] when none is kept yet and
+        ``box_is_base`` holds on it; whether it was kept."""
+        if self.box is NO_BOX and self.ext.box_is_base(x0, x1, y0, y1):
+            self.box = (x0, x1, y0, y1)
+            return True
+        return False
+
+    def eval(self, x, y, hull: Optional[tuple] = None):
+        """The extension at the points (x, y), as arrays: F itself when
+        ``hull``, a box (x0, x1, y0, y1) that holds them all, lies in the
+        kept box.  By default ``hull`` is the points' own hull, and it is
+        tried with ``prove`` while no box is kept; a caller that gives
+        it tries its boxes itself."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if hull is None:
+            hull = (x.min(initial=math.inf), x.max(initial=-math.inf),
+                    y.min(initial=math.inf), y.max(initial=-math.inf))
+            self.prove(*hull)
+        x0, x1, y0, y1 = hull
+        bx0, bx1, by0, by1 = self.box
+        if bx0 <= x0 and x1 <= bx1 and by0 <= y0 and y1 <= by1:
+            return self.base(x, y)
+        return self.ext.eval(x, y)
+
+    __call__ = eval
+
+
 def _swap_frame(func: Callable, rect: Box, verts: np.ndarray, swapped: bool):
     """``func``, ``rect`` and the ccw vertices ``verts`` seen from the
     other frame when ``swapped``: (x, y) -> F(y, x), the transposed box and
@@ -1240,7 +1299,9 @@ def audit_extension(ext: ExtendedMap, grid_n: int = 100,
     """Check continuity across piece borders, agreement on the domain,
     monotonicity on the rectangle, and range preservation.  A jump may
     reach 1e-7, a monotonicity violation 1e-9 and a range inflation 1e-6
-    of the spread of F's values."""
+    of the spread of F's values.  The three sets of points, the grid,
+    both sides of every piece edge and the agreement points, go to one
+    ``ext.eval`` call."""
     rng = np.random.default_rng(0) if rng is None else rng
     r = ext.rect
     # the grid of the monotonicity and range checks; without a stored
@@ -1248,7 +1309,48 @@ def audit_extension(ext: ExtendedMap, grid_n: int = 100,
     gx = np.linspace(r.x0, r.x1, grid_n)
     gy = np.linspace(r.y0, r.y1, grid_n)
     X, Y = np.meshgrid(gx, gy, indexing="ij")
-    V = ext.eval(X.ravel(), Y.ravel()).reshape(grid_n, grid_n)
+
+    # (C1) continuity: sample along every piece edge, compare both sides.
+    # The offset is kept tiny so that steep-but-continuous slopes (e.g.
+    # near a nearly vertical boundary chord) do not read as jumps.  The
+    # edges of all pieces run at once: each vertex's successor is the
+    # next vertex of its own polygon
+    eps = 5e-13 * r.diam
+    polys = [np.asarray(p.polygon, dtype=float) for p in ext.pieces]
+    sizes = [len(poly) for poly in polys]
+    ends = np.cumsum(sizes)
+    succ = np.arange(1, ends[-1] + 1)
+    succ[ends - 1] = ends - sizes
+    p0 = np.concatenate(polys)
+    seg = p0[succ] - p0
+    ln = np.hypot(seg[:, 0], seg[:, 1])
+    keep = ln > 1e4 * eps
+    p0, seg, ln = p0[keep], seg[keep], ln[keep]
+    ts = np.linspace(0.08, 0.92, 9)
+    mid = p0[:, None, :] + ts[None, :, None] * seg[:, None, :]
+    nrm = np.stack([-seg[:, 1], seg[:, 0]], axis=1) / ln[:, None]
+    pa = (mid + eps * nrm[:, None, :]).reshape(-1, 2)
+    pb = (mid - eps * nrm[:, None, :]).reshape(-1, 2)
+    mid = mid.reshape(-1, 2)
+    ok = (
+        (pa[:, 0] >= r.x0) & (pa[:, 0] <= r.x1)
+        & (pa[:, 1] >= r.y0) & (pa[:, 1] <= r.y1)
+        & (pb[:, 0] >= r.x0) & (pb[:, 0] <= r.x1)
+        & (pb[:, 1] >= r.y0) & (pb[:, 1] <= r.y1)
+    )
+    n = int(np.count_nonzero(ok))
+
+    # (C2) agreement with the base map on the domain
+    px = py = np.empty(0)
+    if ext.domain is not None:
+        px, py = ext.domain.draw(400, rng, 400, lambda code: code == 1)
+
+    # one evaluation: the grid, then both sides of every edge, then the
+    # agreement points
+    v = ext.eval(np.concatenate([X.ravel(), pa[ok, 0], pb[ok, 0], px]),
+                 np.concatenate([Y.ravel(), pa[ok, 1], pb[ok, 1], py]))
+    V, sides, ve = np.split(v, [grid_n * grid_n, grid_n * grid_n + 2 * n])
+    V = V.reshape(grid_n, grid_n)
     if ext.base_range is not None:
         lo, hi = ext.base_range
     else:
@@ -1256,55 +1358,16 @@ def audit_extension(ext: ExtendedMap, grid_n: int = 100,
     spread = max(hi - lo, 1e-12)
     witnesses = {}
 
-    # (C1) continuity: sample along every piece edge, compare both sides.
-    # The offset is kept tiny so that steep-but-continuous slopes (e.g.
-    # near a nearly vertical boundary chord) do not read as jumps.
-    eps = 5e-13 * r.diam
-    pa_all, pb_all, mid_all = [], [], []
-    ts = np.linspace(0.08, 0.92, 9)
-    for piece in ext.pieces:
-        poly = np.asarray(piece.polygon, dtype=float)
-        p0 = poly
-        p1 = _shifted(poly)
-        seg = p1 - p0
-        ln = np.hypot(seg[:, 0], seg[:, 1])
-        keep = ln > 1e4 * eps
-        if not np.any(keep):
-            continue
-        p0, seg, ln = p0[keep], seg[keep], ln[keep]
-        mid = p0[:, None, :] + ts[None, :, None] * seg[:, None, :]
-        nrm = np.stack([-seg[:, 1], seg[:, 0]], axis=1) / ln[:, None]
-        pa = (mid + eps * nrm[:, None, :]).reshape(-1, 2)
-        pb = (mid - eps * nrm[:, None, :]).reshape(-1, 2)
-        pa_all.append(pa)
-        pb_all.append(pb)
-        mid_all.append(mid.reshape(-1, 2))
-    pa = np.concatenate(pa_all)
-    pb = np.concatenate(pb_all)
-    mid = np.concatenate(mid_all)
-    ok = (
-        (pa[:, 0] >= r.x0) & (pa[:, 0] <= r.x1)
-        & (pa[:, 1] >= r.y0) & (pa[:, 1] <= r.y1)
-        & (pb[:, 0] >= r.x0) & (pb[:, 0] <= r.x1)
-        & (pb[:, 1] >= r.y0) & (pb[:, 1] <= r.y1)
-    )
     max_jump = 0.0
-    if np.any(ok):
-        # both sides of every edge in one evaluation
-        n = int(np.count_nonzero(ok))
-        v = ext.eval(np.concatenate([pa[ok, 0], pb[ok, 0]]),
-                     np.concatenate([pa[ok, 1], pb[ok, 1]]))
-        jumps = np.abs(v[:n] - v[n:])
+    if n:
+        jumps = np.abs(sides[:n] - sides[n:])
         k = int(np.argmax(jumps))
         max_jump = float(jumps[k])
         witnesses["continuity"] = (mid[ok][k][0], mid[ok][k][1], max_jump)
     continuity_ok = max_jump <= 1e-7 * spread
 
-    # (C2) agreement with the base map on the domain
     max_dis = 0.0
     if ext.domain is not None:
-        px, py = ext.domain.draw(400, rng, 400, lambda code: code == 1)
-        ve = ext.eval(px, py)
         vb = np.asarray(ext.base(px, py), dtype=float)
         max_dis = float(np.max(np.abs(ve - vb)))
     agreement_ok = max_dis == 0.0 or max_dis <= 1e-14 * max(1.0, spread)

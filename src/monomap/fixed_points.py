@@ -24,6 +24,13 @@ enclosure misses 0 holds no root and is dropped; the cells left at the
 finest width are reported, as a pair or as unresolved, never dropped.
 Each cell carries its corner values, and its children take half of
 theirs from it: a split evaluates ten points per cell.
+
+Both searches close in on a few small regions, so their batches go
+through an ``extension.BaseBoxEval``: inside a box where the
+extension's ``box_is_base`` holds, the extension is F at the very
+point.  Each batch's square hull is tried until one is proved, and
+every later batch inside that box calls F itself instead of the
+extension's zone engine, with the same bits.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import numpy as np
 
 from .enclosure import METHOD_ENCLOSURE, corner_ranges, refine
 from .errors import ContinuumOfFixedPoints, ParamConstraint
+from .extension import BaseBoxEval
 
 SCHEMA_VERSION = 4
 
@@ -115,6 +123,7 @@ def _narrow(F, lo, hi, glo, ghi):
     Each pass cuts every bracket that still holds a float strictly inside
     into _PARTS equal parts, evaluates g at all their inner nodes in one
     call of F, and keeps the first part where g leaves the sign of g(lo).
+    The passes' hulls nest, the brackets narrowing inside the last.
     Returns the narrowed (lo, hi, glo, ghi) as arrays.
     """
     brackets = np.column_stack([lo, hi, glo, ghi]).astype(float).tolist()
@@ -143,7 +152,10 @@ def find_equilibria(
     n_grid: int = 256,
 ) -> List[Tuple[float, float]]:
     """Roots of g(x) = F(x, x) - x on [a, b], as (root, residual) pairs,
-    for any vectorized callable F, an extension included.
+    for any vectorized callable F, an extension included.  F sees the
+    grid first and then each narrowing pass (`_narrow`) as one batch;
+    `find_artificial` passes a ``BaseBoxEval`` of its extension, so the
+    passes inside the first proved base box call the map itself.
 
     g is sampled on n_grid equal cells.  A node where g is exactly 0 is a
     root; every cell where g changes sign is narrowed (`_narrow`) until
@@ -220,7 +232,8 @@ def _labels(i: np.ndarray, j: np.ndarray) -> np.ndarray:
 def _corner_ranges(ext, lo, hi):
     """Least (row 0) and greatest (row 1) values of F(x, y), then of
     F(y, x), clamped to the box, on the cells [x0, x1] x [y0, y1], from
-    one ``ext.eval`` call; ``lo`` stacks x0 and y0, ``hi`` x1 and y1.
+    one ``ext.eval`` call, of an extension or a ``BaseBoxEval`` of one;
+    ``lo`` stacks x0 and y0, ``hi`` x1 and y1.
 
     F(y, x) on a cell is F on the cell mirrored across the diagonal, so
     both come from the corner enclosure of the base map's signature.
@@ -289,7 +302,7 @@ def find_artificial(
 
     Equilibria come from `find_equilibria` on n_grid cells of the
     diagonal.  Off the diagonal, a quadtree over the half y >= x splits
-    all its cells at once, one ``ext.eval`` call per level.  A cell is
+    all its cells at once, one evaluation call per level.  A cell is
     dropped when the corner enclosure of F(x,y)-x or of F(y,x)-y (values
     of F clamped to the box) misses 0 by more than a few ulps, or when it
     lies within sep_min = 1e-6 of the box span of the diagonal.  An
@@ -305,6 +318,14 @@ def find_artificial(
     corners, bit for bit.  ``evaluations`` in the search record counts
     the points evaluated: 4, 10 per split cell and 2 per kept box.
 
+    The equilibrium sweep, the levels and the kept boxes' centres each
+    evaluate through a ``BaseBoxEval`` of ``ext`` (the levels and the
+    centres share one): a batch's square hull is tried with
+    ``box_is_base`` until one holds, and every later batch inside that
+    box calls F itself rather than ``ext.eval``.  The level hulls nest,
+    so on the eq8 pentagons every level from the 7th to 17th on calls
+    F; the values are those ``ext.eval`` gives, bit for bit.
+
     The quadtree is refined by `enclosure.refine`.  The cells left when
     a level would exceed the cell budget, else at width 2^-40 of the
     box, are grouped into boxes (cells less than sep_min apart share
@@ -315,11 +336,14 @@ def find_artificial(
     a, b = _square_bounds(ext.rect)
     tol_fp = 1e-9 * (b - a)
     sep_min = _SEP_MIN * (b - a)
-    equilibria = find_equilibria(ext, (a, b), n_grid=n_grid)
+    equilibria = find_equilibria(BaseBoxEval(ext), (a, b), n_grid=n_grid)
     eps = _ULPS * np.spacing(max(abs(a), abs(b)))
     pattern = _split_pattern(ext.base.signature.as_tuple())
+    # the levels and the kept boxes' centres: every batch's square hull
+    # is tried until one is base, and each later batch inside it calls F
+    near = BaseBoxEval(ext)
     lo, hi = _nodes(np.array([[0, 0], [1, 1]]), 1, a, b)
-    values = _corner_ranges(ext, lo, hi)
+    values = _corner_ranges(near, lo, hi)
     root = np.concatenate([[0.0, 0.0], values.ravel(), hi, lo])[:, None]
     evaluations, level = values.size, 0
 
@@ -336,7 +360,7 @@ def find_artificial(
         # grid lines 2i + t and 2j + t, t = 0, 1, 2, and their nodes
         lines = (2 * cells[:2, None] + _THIRDS).reshape(6, k)
         nodes = _nodes(lines, 1 << level, a, b)
-        v = ext.eval(nodes[_ARGS[0]].ravel(), nodes[_ARGS[1]].ravel())
+        v = near.eval(nodes[_ARGS[0]].ravel(), nodes[_ARGS[1]].ravel())
         evaluations += v.size
         table = np.concatenate([
             np.minimum(np.maximum(v, a), b).reshape(10, k), cells[2:6],
@@ -370,7 +394,7 @@ def find_artificial(
     np.maximum.at(kb[3], label, j + 1)
     bx0, bx1, by0, by1 = (_nodes(k, n, a, b) for k in kb)
     cx, cy = 0.5 * (bx0 + bx1), 0.5 * (by0 + by1)
-    v = np.clip(ext.eval(np.concatenate([cx, cy]), np.concatenate([cy, cx])),
+    v = np.clip(near.eval(np.concatenate([cx, cy]), np.concatenate([cy, cx])),
                 a, b)
     res = np.maximum(np.abs(v[: cx.size] - cx), np.abs(v[cx.size:] - cy))
     artificial: List[Kept] = []

@@ -628,6 +628,70 @@ class TestExitCodes:
         assert f"parameter(s) {name}" in capsys.readouterr().err
 
 
+_EXPR_MAP = "[map]\nfamily = expression\nexpr = (1 + x) / (1 + x + y)\n"
+_UNIT_RECT = "\n[domain]\nkind = rect\nrect = 0,1,0,1\n"
+# F(x, y) = 2x - y + 0.6 leaves the unit square from (0.9, 0.1) at once
+_LEAVING_MAP = ("[map]\nfamily = expression\nexpr = 2*x - y + 0.6\n"
+                + _UNIT_RECT)
+
+
+def _config_error(text, message):
+    return pytest.param("extend", text, 4, "err", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("command, text, code, stream, printed", [
+    _config_error("[map]\np = 1.0\n",
+                  "[map] needs a family= key (eq7, eq8, xfy, expression)"),
+    _config_error("[map]\nfamily = eq8\np = 1.0\n", "eq8 needs p=, h="),
+    _config_error("[map]\nfamily = xfy\n", "xfy needs f= (an expression in y)"),
+    _config_error("[map]\nfamily = expression\n" + _UNIT_RECT,
+                  "expression map needs expr="),
+    _config_error(_EXPR_MAP + "signature = inc_inc\n" + _UNIT_RECT,
+                  "signature must be inc_dec or dec_inc"),
+    _config_error("[map]\nfamily = eq9\n", "unknown map family 'eq9'"),
+    _config_error(_EXPR_MAP + "\n[domain]\nkind = disc\n",
+                  "unknown domain kind 'disc'"),
+    _config_error(_EXPR_MAP + "\n[domain]\nkind = rect\nrect = 0,1,0\n",
+                  "rect domain needs rect=x0,x1,y0,y1"),
+    _config_error(_EXPR_MAP + "\n[domain]\nkind = rect\n",
+                  "rect domain needs rect=x0,x1,y0,y1"),
+    _config_error(_EXPR_MAP + "\n[domain]\nkind = polygon\nvertices = 0,0;1\n",
+                  "polygon domain needs vertices=x1,y1;x2,y2;..."),
+    _config_error(_EXPR_MAP + "\n[domain]\nkind = polygon\n",
+                  "polygon domain needs vertices=x1,y1;x2,y2;..."),
+    _config_error(_EXPR_MAP,
+                  "no domain: give [domain] or use a builtin family"),
+    # a pole on the domain: the signature check meets inf
+    pytest.param(
+        "extend", "[map]\nfamily = expression\nexpr = 1/x - y\n" + _UNIT_RECT,
+        2, "err",
+        "numeric failure: map 'expression' produced non-finite values\n",
+        marks=pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")),
+    # F(x, x) = x on the whole diagonal: a MonomapError no handler
+    # before the last one names
+    ("fixedpoints",
+     "[map]\nfamily = expression\nexpr = y\nsignature = dec_inc\n" + _UNIT_RECT,
+     2, "err", "error: 256 of 256 grid cells are identically zero; the map "
+     "has a continuum of equilibria\n"),
+    ("simulate", _LEAVING_MAP + "\n[run]\nx0 = 0.9\nx_m1 = 0.1\n", 0, "out",
+     "orbit left the domain at step 1\n"),
+    ("simulate", _LEAVING_MAP + "\n[run]\nn_orbits = 4\nsteps = 5\n", 0, "out",
+     "4 of 4 orbits left the domain\n"),
+], ids=["no_family", "missing_family_keys", "xfy_without_f", "no_expr",
+        "bad_signature", "unknown_family", "unknown_domain_kind", "bad_rect",
+        "rect_missing", "bad_vertices", "vertices_missing", "no_domain",
+        "non_finite_value", "monomap_error", "orbit_leaves",
+        "ensemble_leaves"])
+def test_each_exit_path_prints_its_message(tmp_path, capsys, command, text,
+                                           code, stream, printed):
+    """The config errors of build_problem, main's last two handlers and
+    simulate's exit messages, each through the CLI."""
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == code
+    out = capsys.readouterr()
+    assert printed in (out.err if stream == "err" else out.out)
+
+
 class TestRunKeys:
     """Each command's [run] keys are parsed, bounded and defaulted once,
     from `cli.RUN_KEYS`, before the output directory is made."""

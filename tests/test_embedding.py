@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from monomap.embedding import (
     CONVERGED,
+    NO_BOX,
     CornerChain,
     EmbeddedSystem,
     MAX_CORNER,
@@ -21,7 +22,8 @@ from monomap.embedding import (
 )
 from monomap.errors import ChainMonotonicityBroken, EmbeddingUnavailable
 from monomap.examples import make_eq7, make_eq8
-from monomap.extension import ExtendedMap, extend, extend_rectangle
+from monomap.extension import (BaseBoxEval, ExtendedMap, extend,
+                               extend_rectangle)
 from monomap.geometry import DomainSpec
 from monomap.map_model import (Box, DEC_INC, Direction, INC_DEC, MapSpec,
                                 MonotoneSignature, compile_expression)
@@ -665,6 +667,59 @@ class TestChainsMatchTheFrozenLoop:
             f"{chain} chain lost monotonicity at iteration {_FAULT_STEP} "
             f"(slack {slack:.3e})")
         assert _outcome(lambda: run_corner_chains(sys)) == want
+
+
+# maps on the unit square whose chains stay in the base box, kept at
+# step 0, and take one branch of the inline step there at every step:
+# (expression, whether the floats divide by zero, whether F leaves the
+# box)
+_INLINE_CASES = {
+    # F(1, 0) = 1 / 0: the floats raise, numpy gives inf, clipped to 1
+    "zero_division": ("x / y", True, True),
+    # F(1, y) >= 1 for every y in the box, clipped to 1
+    "clip": ("(1 + 3 * x) / (1 + x + 2 * y)", False, True),
+    # ** makes the map not float-exact: F runs on numpy, two points a
+    # step
+    "not_float_exact": ("(1 + x ** 2) / (2 + x ** 2 + y)", False, False),
+}
+
+
+class TestInlineChainStep:
+    """run_corner_chains steps a state inside the kept base box inline
+    on F's float twin; each branch of that step gives the bits of
+    ``step_floats`` with no box kept, which evaluates the extension
+    every step."""
+
+    @pytest.mark.parametrize("name", sorted(_INLINE_CASES))
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_bitwise_equal_to_step_floats(self, name):
+        expr, divides, clips = _INLINE_CASES[name]
+        spec = MapSpec(compile_expression(expr, {}), INC_DEC,
+                       Box(0.0, 1.0, 0.0, 1.0))
+        sys = EmbeddedSystem(extend_rectangle(spec, spec.box))
+        unproved = BaseBoxEval(sys.source)
+        want = _outcome(lambda: _frozen_chains(
+            sys, lambda s: (sys.step_floats(s[:4], unproved)
+                            + sys.step_floats(s[4:], unproved))))
+        assert unproved.box is NO_BOX
+        func, calls = spec.func, {"floats": 0, "raised": 0}
+
+        def counted(x, y):
+            if np.ndim(x) == 0:
+                calls["floats"] += 1
+                try:
+                    return func(x, y)
+                except ZeroDivisionError:
+                    calls["raised"] += 1
+                    raise
+            return func(x, y)
+
+        spec.func = counted
+        lo, hi, stop = run_corner_chains(sys)
+        assert _outcome(lambda: (lo, hi, stop)) == want
+        assert bool(calls["floats"]) == spec.float_exact
+        assert bool(calls["raised"]) == divides
+        assert bool(np.any(lo.states[1:, 2] == sys.b)) == clips
 
 
 class TestChainArtifacts:

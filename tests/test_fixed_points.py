@@ -21,7 +21,7 @@ from monomap.examples import (
     make_eq7,
     make_eq8,
 )
-from monomap.extension import extend, extend_rectangle
+from monomap.extension import ExtendedMap, extend, extend_rectangle
 from monomap.geometry import DomainSpec
 from monomap.map_model import (Box, DEC_INC, INC_DEC, Direction, MapSpec,
                                MonotoneSignature, compile_expression)
@@ -421,30 +421,59 @@ def frozen_rule(ext, seen):
     return test, split
 
 
+class _CountingMap:
+    """The map F of a `_CountingExt`, which counts the points of its
+    calls."""
+
+    def __init__(self, spec, counter):
+        self.spec, self.counter = spec, counter
+
+    def __getattr__(self, name):
+        return getattr(self.spec, name)
+
+    def __call__(self, x, y):
+        self.counter.count("F", x)
+        return self.spec(x, y)
+
+
 class _CountingExt:
-    """An extension that counts the points passed to ``eval``; calls of
-    the map itself (the equilibrium sweep) are not counted."""
+    """An extension that counts the points the pair search evaluates by
+    either path, ``eval`` or its map F itself (``base``), and logs each
+    ``eval`` call and each ``box_is_base`` answer in ``events``.  The
+    equilibrium sweep runs ``paused``: its points and calls are left
+    out."""
 
     def __init__(self, ext):
-        self.ext, self.points = ext, 0
+        self.ext, self.points, self.events, self.paused = ext, 0, [], False
+        self.base = _CountingMap(ext.base, self)
 
     def __getattr__(self, name):
         return getattr(self.ext, name)
 
-    def __call__(self, x, y):
-        return self.ext.eval(x, y)
+    def count(self, path, x):
+        if not self.paused:
+            self.points += np.size(x)
+            self.events.append(path)
 
     def eval(self, x, y):
-        self.points += np.size(x)
+        self.count("eval", x)
         return self.ext.eval(x, y)
+
+    def box_is_base(self, *box):
+        held = self.ext.box_is_base(*box)
+        if not self.paused:
+            self.events.append("base" if held else "not base")
+        return held
 
 
 def traced_search(ext, monkeypatch, frozen):
     """The report of `find_artificial`, with its level rule or the frozen
     one, the values of every tested cell by level as {depth: (i, j,
-    values)} sorted by cell, the cells split and the points evaluated."""
+    values)} sorted by cell, the cells split and the `_CountingExt` the
+    search ran on."""
     levels, split_cells = {}, []
     refine = fixed_points.refine
+    sweep = fixed_points.find_equilibria
 
     def seen(depth, i, j, values):
         levels.setdefault(depth, []).append(
@@ -467,14 +496,23 @@ def traced_search(ext, monkeypatch, frozen):
         return refine(cells, test, counted, leaf, budget)
 
     counting = _CountingExt(ext)
+
+    def paused_sweep(*args, **kwargs):
+        counting.paused = True
+        try:
+            return sweep(*args, **kwargs)
+        finally:
+            counting.paused = False
+
     with monkeypatch.context() as m:
         m.setattr(fixed_points, "refine", spy)
+        m.setattr(fixed_points, "find_equilibria", paused_sweep)
         rep = find_artificial(counting)
     by_level = {}
     for depth, [(i, j, values)] in levels.items():
         order = np.lexsort((j, i))
         by_level[depth] = (i[order], j[order], values[:, order])
-    return rep, by_level, sum(split_cells), counting.points
+    return rep, by_level, sum(split_cells), counting
 
 
 def _rect_ext(func, sig, box=(0.0, 2.0, 0.0, 2.0)):
@@ -524,7 +562,7 @@ class TestParentValues:
 
     def test_same_report_and_cell_values(self, case, monkeypatch):
         name, ext = case
-        rep, levels, splits, points = traced_search(ext, monkeypatch, False)
+        rep, levels, splits, counting = traced_search(ext, monkeypatch, False)
         old, old_levels, _, _ = traced_search(ext, monkeypatch, True)
         new_doc, old_doc = rep.to_dict(), old.to_dict()
         del new_doc["search"]["evaluations"], old_doc["search"]["evaluations"]
@@ -534,10 +572,10 @@ class TestParentValues:
             want_i, want_j, want = old_levels[depth]
             assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
             assert values.tobytes() == want.tobytes(), (name, depth)
-        # the points evaluated: 4 root corners, 10 per split cell and 2
-        # per kept box
+        # the points evaluated, through the extension or F itself: 4
+        # root corners, 10 per split cell and 2 per kept box
         boxes = len(rep.artificial) + len(rep.unresolved)
-        assert rep.search["evaluations"] == points == (
+        assert rep.search["evaluations"] == counting.points == (
             4 + 10 * splits + 2 * boxes)
         want = {"eq7_pair": "min_width",
                 "eq7_cell_budget": "cell_budget"}.get(name, "exhausted")
@@ -574,6 +612,45 @@ class TestParentValues:
                 100 * (a + 1 - lx) + 10 * (b + 1 - ly),
                 100 * (b + 1 - lx) + 10 * (a + 1 - ly) + 1,
                 a + 1, b + 1, a, b]
+
+
+# the cases of TestParentValues, and eq8 near its degenerate height
+BASE_BOX_CASES = dict(PARENT_VALUE_CASES, **{
+    f"eq8_0.95_{h}": (lambda h=h: extend(*make_eq8(0.95, h)))
+    for h in (0.49, 0.4925, 0.495)})
+
+
+class TestBaseBoxes:
+    """The pair search calls F itself on every batch whose hull lies in
+    the first box where box_is_base holds.  Against the search that
+    proves no box (box_is_base always False), so that every batch goes
+    to the extension: the same report, evaluations included, and the
+    same values, bit for bit, of every cell of every level."""
+
+    @pytest.fixture(scope="class", params=sorted(BASE_BOX_CASES))
+    def case(self, request):
+        return request.param, BASE_BOX_CASES[request.param]()
+
+    def test_same_report_without_base_boxes(self, case, monkeypatch):
+        name, ext = case
+        rep, levels, _, counting = traced_search(ext, monkeypatch, False)
+        with monkeypatch.context() as m:
+            m.setattr(ExtendedMap, "box_is_base", lambda self, *box: False)
+            old, old_levels, _, old_counting = traced_search(
+                ext, monkeypatch, False)
+        assert rep.to_dict() == old.to_dict()
+        assert counting.points == old_counting.points
+        assert sorted(levels) == sorted(old_levels)
+        for depth, (i, j, values) in levels.items():
+            want_i, want_j, want = old_levels[depth]
+            assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+            assert values.tobytes() == want.tobytes(), (name, depth)
+        # every case proves a box, at the root for a rectangle; no batch
+        # after it goes to the extension
+        assert "base" not in old_counting.events
+        first = counting.events.index("base")
+        assert "eval" not in counting.events[first:]
+        assert (first == 0) == (ext.engine is None)
 
 
 class TestEq8LineFamily:
