@@ -8,16 +8,16 @@ README for the key reference).  Every pass/fail threshold is fixed and
 scaled to the problem: the fixed-point tolerance tol_fp is 1e-9 of the
 box span, and certify stops the corner chains once their order interval
 is at most 10 * tol_fp wide.  Each command accepts only the ``[run]``
-keys it reads (``RUN_KEYS``, defaults in parentheses): extend: seed (0);
-fixedpoints: seed, n_grid (256); certify: seed, n_grid, n_orbits (100),
-orbit_steps (10000), max_iter (100000), n_order_pairs (1000); simulate:
-seed, steps (1000), n_orbits (20), x0, x_m1.  x0 and x_m1 are finite
-numbers, the rest integers: the seed (``--seed`` replaces it) at least
-0, every size at least 1.  Certify always runs the 4-dimensional
-embedding (Sym4).  Simulate runs one orbit from (x0, x_m1) when both are
-given, n_orbits random starts when neither is; one without the other, or
-n_orbits beside them, is rejected before any output.  A polygon with a
-non-finite vertex, zero area or a self-crossing boundary is unsupported.
+keys it reads (``RUN_KEYS``, defaults in parentheses): extend and
+fixedpoints: seed (0); certify: seed, n_orbits (100), orbit_steps
+(10000), max_iter (100000); simulate: seed, steps (1000), n_orbits (20),
+x0, x_m1.  x0 and x_m1 are finite numbers, the rest integers: the seed
+(``--seed`` replaces it) at least 0, every size at least 1.  Certify
+always runs the 4-dimensional embedding (Sym4).  Simulate runs one orbit
+from (x0, x_m1) when both are given, n_orbits random starts when neither
+is; one without the other, or n_orbits beside them, is rejected before
+any output.  A polygon with a non-finite vertex, zero area or a
+self-crossing boundary is unsupported.
 ``[map]`` names a family (eq7, eq8, xfy or expression); each is an
 expression compiled by ``map_model.compile_expression``, and a key the
 family does not read, or a parameter the expression never names, is a
@@ -74,7 +74,7 @@ EXIT_CONFIG = 4
 # other is an error
 RUN_KEYS = {
     "extend": {"seed": 0},
-    "fixedpoints": {"seed": 0, "n_grid": 256},
+    "fixedpoints": {"seed": 0},
     "certify": _DEFAULTS,
     "simulate": {"seed": 0, "steps": 1000, "n_orbits": 20, "x0": None,
                  "x_m1": None},
@@ -271,7 +271,7 @@ def cmd_fixedpoints(cfg: dict, out: Path, run: dict) -> int:
         print(f"extension audit FAILED ({', '.join(failed)}); no "
               "fixed-point search run")
         return EXIT_AUDIT_FAIL
-    rep = fp.find_artificial(ext, n_grid=run["n_grid"])
+    rep = fp.find_artificial(ext)
     report.write_json(out / "fixed_points.json", rep.to_dict())
     print(f"equilibria: {[x for x, _ in rep.equilibria]}; artificial: "
           f"{[pair for pair, _, _ in rep.artificial]}; "

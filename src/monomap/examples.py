@@ -54,7 +54,9 @@ def eq7_equilibrium(p: float, q: float, r: float) -> float:
 
 
 def make_eq7(p: float, q: float, r: float) -> Tuple[MapSpec, DomainSpec]:
-    """F(x, y) = (p + qx) / (1 + x + ry) on the invariant square [0, q]^2."""
+    """F(x, y) = (p + qx) / (1 + x + ry) on the invariant square [0, q]^2.
+    Its equilibrium lies below q: the quadratic of `eq7_equilibrium` is
+    rq^2 + q - p > 0 at q."""
     _check_eq7(p, q, r)
     params = {"p": p, "q": q, "r": r}
     spec = MapSpec(
@@ -64,11 +66,6 @@ def make_eq7(p: float, q: float, r: float) -> Tuple[MapSpec, DomainSpec]:
         name=FAMILY_EQ7,
         params=params,
     )
-    x_star = eq7_equilibrium(p, q, r)
-    if not x_star < q:
-        raise ParamConstraint(
-            f"equilibrium {x_star} is not below q={q}; family fact violated"
-        )
     domain = DomainSpec.rectangle(0.0, q, 0.0, q)
     return spec, domain
 
@@ -125,8 +122,9 @@ def make_eq8(p: float, h: float) -> Tuple[MapSpec, DomainSpec]:
 
     The invariant domain has vertices (c, c), (x*, c), (0, x*), (0, 0),
     (c, 0) with x* = p - h and c = x*(x* + p + 1)/h, valid for
-    0 < h < min(p, 1/2).  The analysis breaks down at h = 1/2, where the
-    map acquires a continuum of artificial fixed points.
+    0 < h < min(p, 1/2); for every such (p, h), x* + pc/(1+c) < c.  The
+    analysis breaks down at h = 1/2, where the map acquires a continuum
+    of artificial fixed points.
     """
     if not (p > 0 and h > 0):
         raise ParamConstraint(f"requires p > 0 and h > 0, got p={p}, h={h}")
@@ -149,11 +147,6 @@ def make_eq8(p: float, h: float) -> Tuple[MapSpec, DomainSpec]:
         name=FAMILY_EQ8,
         params=params,
     )
-    # invariant-domain inequality x* + pc/(1+c) < c from the analysis
-    if not x_star + p * c / (1 + c) < c:
-        raise ParamConstraint(
-            "invariant-domain inequality x* + pc/(1+c) < c fails"
-        )
     domain = DomainSpec.polygon(
         [(c, 0.0), (c, c), (x_star, c), (0.0, x_star), (0.0, 0.0)],
         name="eq8-pentagon",

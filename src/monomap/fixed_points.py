@@ -59,6 +59,8 @@ _ULPS = 8
 _SEP_MIN = 1e-6
 # each narrowing pass cuts every equilibrium bracket into this many parts
 _PARTS = 32
+# the equal cells of the equilibrium sweep of F(x, x) - x
+N_GRID = 256
 
 LIMITS = (
     "the search is only as sound as the monotonicity of the extended map",
@@ -146,34 +148,31 @@ def _narrow(F, lo, hi, glo, ghi):
                 br[0], br[2] = xi, gi
 
 
-def find_equilibria(
-    F,
-    interval: Tuple[float, float],
-    n_grid: int = 256,
-) -> List[Tuple[float, float]]:
+def find_equilibria(F, interval: Tuple[float, float]
+                    ) -> List[Tuple[float, float]]:
     """Roots of g(x) = F(x, x) - x on [a, b], as (root, residual) pairs,
     for any vectorized callable F, an extension included.  F sees the
     grid first and then each narrowing pass (`_narrow`) as one batch;
     `find_artificial` passes a ``BaseBoxEval`` of its extension, so the
     passes inside the first proved base box call the map itself.
 
-    g is sampled on n_grid equal cells.  A node where g is exactly 0 is a
-    root; every cell where g changes sign is narrowed (`_narrow`) until
-    its ends are adjacent floats, and the end with the smaller |g| is the
-    root, with |g| there as its residual.  Roots less than 1e-6 of b - a
-    apart are merged.
+    g is sampled on N_GRID = 256 equal cells.  A node where g is exactly
+    0 is a root; every cell where g changes sign is narrowed (`_narrow`)
+    until its ends are adjacent floats, and the end with the smaller |g|
+    is the root, with |g| there as its residual.  Roots less than 1e-6 of
+    b - a apart are merged.
     """
     a, b = float(interval[0]), float(interval[1])
     sep_min = _SEP_MIN * (b - a)
-    xs = np.linspace(a, b, n_grid + 1)
+    xs = np.linspace(a, b, N_GRID + 1)
     g = np.asarray(F(xs, xs), dtype=float) - xs
     tiny = 1e-12 * max(1.0, float(np.max(np.abs(g))))
     degenerate = np.count_nonzero(
         (np.abs(g[:-1]) <= tiny) & (np.abs(g[1:]) <= tiny)
     )
-    if degenerate > n_grid / 2:
+    if degenerate > N_GRID / 2:
         raise ContinuumOfFixedPoints(
-            f"{degenerate} of {n_grid} grid cells are identically zero; "
+            f"{degenerate} of {N_GRID} grid cells are identically zero; "
             "the map has a continuum of equilibria"
         )
     i = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)
@@ -294,15 +293,12 @@ def _split_pattern(signature) -> np.ndarray:
         for a, b in _KIDS]).T
 
 
-def find_artificial(
-    ext,
-    n_grid: int = 256,
-) -> FixedPointReport:
+def find_artificial(ext) -> FixedPointReport:
     """Enclose every solution of F(x,y)=x, F(y,x)=y in the box of ``ext``.
 
-    Equilibria come from `find_equilibria` on n_grid cells of the
-    diagonal.  Off the diagonal, a quadtree over the half y >= x splits
-    all its cells at once, one evaluation call per level.  A cell is
+    Equilibria come from `find_equilibria` on the N_GRID = 256 cells of
+    the diagonal.  Off the diagonal, a quadtree over the half y >= x
+    splits all its cells at once, one evaluation call per level.  A cell is
     dropped when the corner enclosure of F(x,y)-x or of F(y,x)-y (values
     of F clamped to the box) misses 0 by more than a few ulps, or when it
     lies within sep_min = 1e-6 of the box span of the diagonal.  An
@@ -336,7 +332,7 @@ def find_artificial(
     a, b = _square_bounds(ext.rect)
     tol_fp = 1e-9 * (b - a)
     sep_min = _SEP_MIN * (b - a)
-    equilibria = find_equilibria(BaseBoxEval(ext), (a, b), n_grid=n_grid)
+    equilibria = find_equilibria(BaseBoxEval(ext), (a, b))
     eps = _ULPS * np.spacing(max(abs(a), abs(b)))
     pattern = _split_pattern(ext.base.signature.as_tuple())
     # the levels and the kept boxes' centres: every batch's square hull

@@ -118,13 +118,10 @@ def dumps_json(obj) -> str:
     The bytes are those of ``json.dumps(obj, sort_keys=True, indent=2,
     ensure_ascii=True, default=_json_default)``, whose indented form
     runs on ``json``'s pure-Python encoder; ``_encode`` writes the same
-    layout with one ``float.__repr__`` per value of a list of floats."""
-    try:
-        text = _encode(obj, "\n")
-    except RecursionError:
-        # a circular or very deep document: json raises its own error
-        text = _json_dumps(obj)
-    return text + "\n"
+    layout with one ``float.__repr__`` per value of a list of floats.
+    Every document the program writes is a tree a few levels deep; a
+    circular one raises RecursionError."""
+    return _encode(obj, "\n") + "\n"
 
 
 def write_json(path, obj) -> None:

@@ -379,10 +379,8 @@ def sample_starts(domain: DomainSpec, n: int, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 _DEFAULTS = {
-    "n_grid": 256,
     "n_orbits": 100,
     "orbit_steps": 10000,
-    "n_order_pairs": 1000,
     "max_iter": 100000,
     "seed": 0,
 }
@@ -499,7 +497,7 @@ def _build_extension(run: _Run) -> dict:
 
 def _search_artificial(run: _Run) -> dict:
     ext, cert = run.ext, run.cert
-    report = fp.find_artificial(ext, n_grid=run.cfg["n_grid"])
+    report = fp.find_artificial(ext)
     cert.artificial_search = report.to_dict()
     run.equilibria = report.equilibria
     if report.has_artificial:
@@ -514,7 +512,7 @@ def _search_artificial(run: _Run) -> dict:
         )
     if not report.equilibria:
         raise MonomapError(
-            f"the {run.cfg['n_grid']}-cell sweep of F(x, x) - x found no "
+            f"the {fp.N_GRID}-cell sweep of F(x, x) - x found no "
             "equilibrium"
         )
     return {"n_equilibria": len(report.equilibria)}
@@ -523,11 +521,12 @@ def _search_artificial(run: _Run) -> dict:
 def _run_chains(run: _Run) -> dict:
     cfg, ext, tol_fp = run.cfg, run.ext, run.tol_fp
     sys = EmbeddedSystem(ext)
-    order = check_order_preserving(sys, cfg["n_order_pairs"], rng=run.rng)
+    order = check_order_preserving(sys, rng=run.rng)
     if not order.ok:
         raise MonomapError(
-            f"embedded step is not order preserving "
-            f"(margin {order.worst_margin:.3e})"
+            f"embedded step is not order preserving (margin "
+            f"{order.worst_margin:.3e}): {order.witness_before.tolist()} "
+            f"precedes {order.witness_after.tolist()}, their images do not"
         )
     lo, hi, stop = run_corner_chains(
         sys, max_iter=cfg["max_iter"], tol=10 * tol_fp

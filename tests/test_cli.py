@@ -1,4 +1,3 @@
-import inspect
 import json
 import re
 import subprocess
@@ -10,7 +9,7 @@ import pytest
 from conftest import run_cli, src_env
 
 import monomap.cli as cli
-from monomap import fixed_points, stability
+from monomap import stability
 from monomap.cli import RUN_KEYS, main, parse_config
 from monomap.errors import ConfigError
 from monomap.examples import make_eq8
@@ -513,27 +512,36 @@ class TestExitCodes:
         assert (f"family {family} does not read the [map] key(s) {key}"
                 in capsys.readouterr().err)
 
+    # the sizes n_grid (the equilibrium sweep's 256 cells) and
+    # n_order_pairs (the order audit's 1,000 pairs) are constants now,
+    # recorded in no output: no command reads them
     @pytest.mark.parametrize("key", sorted(
-        set().union(*RUN_KEYS.values()) - {"seed", "x0", "x_m1"}))
+        set().union(*RUN_KEYS.values()) - {"seed", "x0", "x_m1"}
+        | {"n_grid", "n_order_pairs"}))
     def test_size_below_one_is_rejected(self, tmp_path, capsys, key):
         readers = {
-            "n_grid": ("fixedpoints", "certify"),
+            "n_grid": (),
             "n_orbits": ("certify", "simulate"),
             "orbit_steps": ("certify",),
             "max_iter": ("certify",),
-            "n_order_pairs": ("certify",),
+            "n_order_pairs": (),
             "steps": ("simulate",),
         }[key]
-        assert readers == tuple(c for c in ("fixedpoints", "certify",
-                                            "simulate") if key in RUN_KEYS[c])
-        if "certify" in readers:
+        assert readers == tuple(c for c in ("extend", "fixedpoints",
+                                            "certify", "simulate")
+                                if key in RUN_KEYS[c])
+        if "certify" in readers or not readers:
             with pytest.raises(ValueError, match=key):
                 certify(*make_eq8(1.0, 0.3), {key: 0})
         cfg = write_cfg(tmp_path, EQ8_CFG + f"{key} = 0\n")
-        for command in readers:
-            assert main([command, "--config", cfg,
-                         "--out", str(tmp_path)]) == 4
-            assert f"{key} must be at least 1" in capsys.readouterr().err
+        message = (f"{key} must be at least 1" if readers
+                   else f"unknown key {key!r} in [run]")
+        for command in readers or ("extend", "fixedpoints", "certify",
+                                   "simulate"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 4
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_removed_n_boundary_key_is_4(self, tmp_path, capsys):
         # the sampled invariance check that read it is gone
@@ -613,8 +621,11 @@ class TestExitCodes:
                                  unread):
         cfg = write_cfg(tmp_path, EQ8_CFG + extra)
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 4
-        assert (f"{command} does not read the [run] key(s) {unread}"
-                in capsys.readouterr().err)
+        # a key that no command reads is unknown to all of them
+        message = (f"unknown key {unread!r} in [run]"
+                   if unread in ("n_grid", "n_order_pairs")
+                   else f"{command} does not read the [run] key(s) {unread}")
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         "family = expression\nexpr = (1 + x)/(1 + x + y)\nq = 7\n",
@@ -633,6 +644,18 @@ _UNIT_RECT = "\n[domain]\nkind = rect\nrect = 0,1,0,1\n"
 # F(x, y) = 2x - y + 0.6 leaves the unit square from (0.9, 0.1) at once
 _LEAVING_MAP = ("[map]\nfamily = expression\nexpr = 2*x - y + 0.6\n"
                 + _UNIT_RECT)
+
+
+# a spiral: probes deep in its coil see the boundary along all four
+# axis rays
+_SPIRAL = ("\n[domain]\nkind = polygon\n"
+           "vertices = 0,0;4,0;4,4;1,4;1,2;2,2;2,3;3,3;3,1;0,1\n")
+_EXPR_ONLY = "[map]\nfamily = expression\nexpr = "
+
+
+def _unsupported(text, message):
+    return pytest.param("extend", _EXPR_MAP + text, 3, "err",
+                        f"unsupported domain: {message}\n")
 
 
 def _config_error(text, message):
@@ -661,6 +684,21 @@ def _config_error(text, message):
                   "polygon domain needs vertices=x1,y1;x2,y2;..."),
     _config_error(_EXPR_MAP,
                   "no domain: give [domain] or use a builtin family"),
+    # the parser's own words after the colon differ between Pythons
+    ("extend", _EXPR_ONLY + "x +\n" + _UNIT_RECT, 4, "err",
+     "config error: cannot parse expression 'x +': "),
+    _config_error(_EXPR_ONLY + "x + 'a'\n" + _UNIT_RECT,
+                  "unsupported constant 'a'"),
+    _unsupported(_SPIRAL, "domain failed the exterior-ray test"),
+    ("certify", _EXPR_MAP + _SPIRAL, 3, "out",
+     "verdict: Inconclusive {'stage': 'classify_domain', 'error': "
+     "'UnsupportedDomain', 'reason': 'domain is not semi-convex'}\n"),
+    _unsupported("\n[domain]\nkind = rect\nrect = 1,0,0,1\n",
+                 "rectangle needs x0 < x1 and y0 < y1"),
+    _unsupported("\n[domain]\nkind = polygon\nvertices = 1,1;1,1;1,1\n",
+                 "degenerate (zero-size) boundary"),
+    _unsupported("\n[domain]\nkind = polygon\nvertices = 0,0;1,1;0,0\n",
+                 "fewer than 3 distinct boundary points"),
     # a pole on the domain: the signature check meets inf
     pytest.param(
         "extend", "[map]\nfamily = expression\nexpr = 1/x - y\n" + _UNIT_RECT,
@@ -680,6 +718,8 @@ def _config_error(text, message):
 ], ids=["no_family", "missing_family_keys", "xfy_without_f", "no_expr",
         "bad_signature", "unknown_family", "unknown_domain_kind", "bad_rect",
         "rect_missing", "bad_vertices", "vertices_missing", "no_domain",
+        "expr_syntax", "expr_constant", "spiral_extend", "spiral_certify",
+        "reversed_rect", "zero_size_polygon", "two_point_polygon",
         "non_finite_value", "monomap_error", "orbit_leaves",
         "ensemble_leaves"])
 def test_each_exit_path_prints_its_message(tmp_path, capsys, command, text,
@@ -690,6 +730,26 @@ def test_each_exit_path_prints_its_message(tmp_path, capsys, command, text,
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == code
     out = capsys.readouterr()
     assert printed in (out.err if stream == "err" else out.out)
+
+
+@pytest.mark.parametrize("command, text, warning, printed", [
+    # f = log(y) is -inf at y = 0
+    ("extend", "[map]\nfamily = xfy\nf = log(y)\n", "divide by zero",
+     "error: f must be finite on the domain\n"),
+    # exp(1000 x) overflows where x > 0.71, inside the domain
+    ("simulate", _EXPR_ONLY + "exp(1000*x) - y\n" + _UNIT_RECT
+     + "\n[run]\nn_orbits = 4\nsteps = 5\n", "overflow",
+     "numeric failure: orbit ensemble produced a non-finite value at "
+     "step 2\n"),
+], ids=["xfy_f_not_finite", "ensemble_overflows"])
+def test_a_non_finite_map_value_is_2(tmp_path, capsys, command, text,
+                                     warning, printed):
+    """A map that numpy evaluates to inf or NaN, with its warning."""
+    cfg = write_cfg(tmp_path, text)
+    with pytest.warns(RuntimeWarning, match=warning):
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == printed
 
 
 class TestRunKeys:
@@ -730,9 +790,7 @@ class TestRunKeys:
         assert not out.exists()
 
     def test_defaults_are_the_librarys(self):
-        search = inspect.signature(fixed_points.find_artificial)
-        assert (RUN_KEYS["fixedpoints"]["n_grid"]
-                == search.parameters["n_grid"].default)
+        assert RUN_KEYS["fixedpoints"] == {"seed": 0}
         assert RUN_KEYS["certify"] is stability._DEFAULTS
         assert RUN_KEYS["simulate"]["steps"] == 1000
         assert RUN_KEYS["simulate"]["n_orbits"] == 20

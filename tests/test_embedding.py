@@ -107,6 +107,26 @@ class TestOrderPreservation:
         assert not audit.ok
         assert audit.witness_before is not None
 
+    def test_order_audit_of_a_map_that_breaks_the_order(self):
+        # F(x, y) = y increases in y, against its declared inc_dec, so G
+        # reverses some ordered pairs: the worst by almost the box span
+        sys = EmbeddedSystem(_rising_in_y())
+        audit = check_order_preserving(sys, rng=np.random.default_rng(0))
+        assert not audit.ok
+        assert audit.n_pairs == 1000
+        assert audit.worst_margin == pytest.approx(-0.98, abs=5e-3)
+        before, after = audit.witness_before, audit.witness_after
+        assert sys.precedes(before, after)
+        g = sys.step(np.array([before, after]))
+        assert np.min(sys.order_signs * (g[1] - g[0])) == audit.worst_margin
+
+
+def _rising_in_y():
+    """F(x, y) = y on [0, 1]^2, declared increasing in x and decreasing
+    in y: its embedding breaks the order."""
+    spec = MapSpec(lambda x, y: y, INC_DEC, None)
+    return extend_rectangle(spec, Box(0.0, 1.0, 0.0, 1.0))
+
 
 class TestCornerChains:
     @ON_SYM4
@@ -180,6 +200,18 @@ class TestCornerChains:
         lo, hi, stop = run_corner_chains(sys, max_iter=100000)
         assert stop == STALLED
         assert lo.n_iter == hi.n_iter == 2000
+
+    def test_max_iter_below_one_rejected(self, eq7_ext):
+        with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
+            run_corner_chains(EmbeddedSystem(eq7_ext), max_iter=0)
+
+    def test_chains_that_cross_are_caught(self):
+        # F = y maps the least corner (0, 1, 1, 0) to (1, 1, 0, 0) in one
+        # monotone step, and the greatest to (0, 0, 1, 1), its swap: the
+        # lower chain ends above the upper one
+        with pytest.raises(ChainMonotonicityBroken, match="^the lower "
+                           "corner chain overtook the upper corner chain$"):
+            run_corner_chains(EmbeddedSystem(_rising_in_y()), max_iter=1)
 
     def test_max_iter_stop(self, eq8_ext):
         sys = EmbeddedSystem(eq8_ext)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,11 @@ from monomap.examples import (
 )
 from monomap.geometry import DomainKind
 from monomap.map_model import check_monotonicity
+from monomap.stability import GLOBALLY_STABLE, certify
+
+
+def _exact(values):
+    return [Fraction(float(v)) for v in values]
 
 
 class TestEq7Family:
@@ -27,6 +34,25 @@ class TestEq7Family:
         # positive root of (1+r) x^2 + (1-q) x - p = 0
         x = eq7_equilibrium(1.0, 1.0, 1.0)
         assert x == pytest.approx(np.sqrt(0.5), abs=1e-12)
+
+    def test_equilibrium_below_q_is_a_theorem(self):
+        # for 0 < p <= q and r > 0 the quadratic (1 + r)x^2 + (1 - q)x - p
+        # is -p < 0 at 0 and rq^2 + q - p > 0 at q, so its positive root
+        # x* lies below q; checked exactly on a seeded grid
+        rng = np.random.default_rng(7)
+        for q, u, r in zip(*(_exact(10.0 ** rng.uniform(-8, 8, 300))
+                             for _ in range(3))):
+            p = q * min(u, Fraction(1))
+            assert -p < 0  # the quadratic at 0
+            assert (1 + r) * q * q + (1 - q) * q - p == r * q * q + q - p > 0
+
+    def test_equilibrium_that_rounds_to_q_is_accepted(self):
+        # x* < q exactly, but x* rounds to q = 1 in floats
+        spec, domain = make_eq7(1.0, 1.0, 1e-20)
+        assert eq7_equilibrium(1.0, 1.0, 1e-20) == 1.0
+        cert = certify(spec, domain)
+        assert cert.verdict == GLOBALLY_STABLE
+        assert cert.x_star == 1.0
 
     def test_param_constraints(self):
         with pytest.raises(ParamConstraint):
@@ -47,6 +73,25 @@ class TestEq8Family:
         assert eq8_x_star(1.0, 0.3) == pytest.approx(0.7)
         spec, _ = make_eq8(1.0, 0.3)
         assert float(spec(0.7, 0.7)) == pytest.approx(0.7, abs=1e-12)
+
+    def test_invariant_domain_inequality_is_a_theorem(self):
+        # with x* = p - h and c = x*(x* + p + 1)/h, c - x* - pc/(1 + c)
+        # = x* P(x*) / (h^2 (1 + c)), where P(x) = h(1 - h - h^2)
+        # + (1 + 3h)(1 - h)x + 4x^2 + 4x^3 has positive coefficients for
+        # 0 < h < 1/2; so x* + pc/(1 + c) < c for every 0 < h < min(p, 1/2).
+        # Checked exactly on a seeded grid of p from 1e-8 to 1e8
+        rng = np.random.default_rng(8)
+        ps = 10.0 ** rng.uniform(-8, 8, 300)
+        hs = rng.uniform(0.0, 1.0, 300) * np.minimum(ps, 0.5)
+        for p, h in zip(_exact(ps), _exact(hs)):
+            assert 0 < h < min(p, Fraction(1, 2))
+            x = p - h
+            c = x * (x + p + 1) / h
+            poly = (h * (1 - h - h * h) + (1 + 3 * h) * (1 - h) * x
+                    + 4 * x * x + 4 * x ** 3)
+            gap = c - x - p * c / (1 + c)
+            assert gap == x * poly / (h * h * (1 + c))
+            assert gap > 0
 
     def test_degenerate_height(self):
         with pytest.raises(DegenerateCase):

@@ -124,6 +124,14 @@ _REJECTED = [
     # classifier's probes
     ([(0, 0), (4, 0), (4, 1), (3.5, 1.3), (3, 1.3 - 1e-8), (4, 2), (4, 4),
       (0, 4)], "boundary intrusion is not monotone in y"),
+    # a sliver to the top-right corner (1, 1), under an ulp thick where
+    # it leaves the body at x = 0.4: the top extreme's midpoint (0.65, 1)
+    # is nearer the edge out of the corner, but in floats both distances
+    # round to 5.55e-16, and the tie puts it on the edge into the
+    # corner, before the right extreme (1, 1)
+    ([(0, 0), (0.5, 0), (0.4, 0.999999999999999), (1, 1),
+      (0.3, 0.9999999999999989), (0, 0.5)],
+     "boundary extreme points are not in counterclockwise order"),
 ]
 
 
@@ -337,6 +345,35 @@ class TestSemiConvex:
         with pytest.raises(UnsupportedDomain, match=f"^{message}$"):
             extend(spec, d)
 
+    def test_signature_that_is_not_mixed_rejected(self):
+        inc_inc = MonotoneSignature(Direction.INCREASING, Direction.INCREASING)
+        spec = MapSpec(lambda x, y: x + y, inc_inc, None)
+        with pytest.raises(UnsupportedDomain, match="^extension requires a "
+                           "mixed-monotone map signature$"):
+            extend(spec, DomainSpec.polygon([(0, 0), (1, 0), (0, 1)]))
+
+    def test_sector_fill_that_breaks_monotonicity_rejected(self):
+        # F = -x - 2y decreases in y, against its declared dec_inc (extend
+        # does not check the signature): on the intrusion's chord at
+        # x = 5, the upper arc's values fall below the lower arc's
+        d = DomainSpec.polygon([(5, 1), (5, 1.5), (3.4, 2), (5, 2.2),
+                                (5, 2.6), (2, 2.6), (2, 1)])
+        spec = MapSpec(lambda x, y: -x - 2 * y, DEC_INC, None)
+        with pytest.raises(SectorOrderViolation, match="^sector fill would "
+                           "break monotonicity near x=5$"):
+            extend(spec, d)
+
+    def test_breakpoint_rounds_run_out_and_the_audit_fails(self):
+        # a ripple of period 2 pi / 200 in x + y along edges of length
+        # 14: every round of breakpoints leaves non-monotone edges, the
+        # rounds run out, and the audit finds the extension not monotone
+        d = DomainSpec.polygon([(0, 1), (1, 0), (11, 10), (10, 11)])
+        spec = MapSpec(lambda x, y: y - x + 0.002 * np.sin(200 * (x + y)),
+                       DEC_INC, None)
+        audit = audit_extension(extend(spec, d), rng=np.random.default_rng(0))
+        assert not audit.monotone_ok
+        assert not audit.all_ok
+
     def test_u_notch_rejected_by_sector_fill(self):
         # a deep axis-aligned notch classifies semi-convex, but the
         # boundary values along its sector arc are not monotone
@@ -358,6 +395,12 @@ class TestSerialization:
         ys = rng.uniform(y0, y1, 500)
         for x, y in zip(xs, ys):
             assert loaded.eval(x, y) == eq8_ext.eval(x, y)
+
+    def test_another_document_is_not_loaded(self, eq8_ext):
+        data = {**eq8_ext.to_dict(), "kind": "extension_audit"}
+        with pytest.raises(ValueError,
+                           match="^not a serialized extended map$"):
+            ExtendedMap.from_dict(data, eq8_ext.base)
 
     def test_loaded_extension_audits(self, eq8_ext):
         loaded = ExtendedMap.from_dict(eq8_ext.to_dict(), eq8_ext.base)

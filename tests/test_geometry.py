@@ -80,6 +80,26 @@ class TestClassification:
         with pytest.raises(UnsupportedDomain, match="not finite"):
             DomainSpec.polygon([(0, 0), (2, 0), (bad, 2), (0, 2)])
 
+    @pytest.mark.parametrize("pts, kind", [
+        ([(0, 0), (2, 0), (2, 2), (1.2, 2), (1.2, 0.8), (0.8, 0.8),
+          (0.8, 2), (0, 2)], DomainKind.SEMI_CONVEX),
+        ([(0, 0), (4, 0), (4, 4), (1, 4), (1, 2), (2, 2), (2, 3), (3, 3),
+          (3, 1), (0, 1)], DomainKind.UNSUPPORTED),
+    ], ids=["notch", "spiral"])
+    def test_long_boundary_keeps_its_class(self, pts, kind):
+        # each edge cut into 40: the ray test thins its 2n samples to
+        # every other one
+        v = np.asarray(pts, dtype=float)
+        t = np.arange(40)[:, None, None] / 40
+        fine = (v + t * (np.roll(v, -1, axis=0) - v)).transpose(1, 0, 2)
+        assert DomainSpec.polygon(pts).classify() == kind
+        assert DomainSpec.polygon(fine.reshape(-1, 2)).classify() == kind
+
+    def test_vertices_must_be_pairs(self):
+        with pytest.raises(UnsupportedDomain,
+                           match="^vertices must be \\(x, y\\) pairs$"):
+            DomainSpec.polygon([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+
     def test_pentagon_from_family_is_convex(self):
         d = DomainSpec.polygon([(2, 0), (2, 2), (0.7, 2), (0, 0.7), (0, 0)])
         assert d.classify() == DomainKind.CONVEX

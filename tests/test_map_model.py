@@ -32,6 +32,11 @@ class TestBox:
         assert b.diam == pytest.approx(5.0)
         assert b.as_tuple() == (0.0, 3.0, 1.0, 5.0)
 
+    @pytest.mark.parametrize("box", [(1, 0, 0, 1), (0, 1, 2, 2)])
+    def test_degenerate_box_rejected(self, box):
+        with pytest.raises(ValueError, match="^degenerate box"):
+            Box(*box)
+
 
 class TestMonotonicityAudit:
     def test_correct_signature_passes(self):

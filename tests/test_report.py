@@ -307,10 +307,13 @@ class TestJsonOracle:
         with pytest.raises(TypeError, match="not JSON serializable"):
             dumps_json({"a": [object()]})
 
-    def test_circular_document_raises_as_json_does(self):
+    def test_circular_document_raises_recursion_error(self):
+        # no writer passes one; json would raise ValueError instead
         doc = {"a": []}
         doc["a"].append(doc)
         with pytest.raises(ValueError, match="Circular reference"):
+            oracle_dumps_json(doc)
+        with pytest.raises(RecursionError):
             dumps_json(doc)
 
     @settings(max_examples=200, deadline=None)

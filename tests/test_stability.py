@@ -2,9 +2,11 @@ import collections
 
 import numpy as np
 import pytest
+from test_embedding import _rising_in_y
 
 import monomap.fixed_points as fp
 import monomap.stability as stab
+from monomap.embedding import EmbeddedSystem
 from monomap.enclosure import corner_ranges
 from monomap.errors import NonFiniteValue
 from monomap.examples import eq7_equilibrium, make_eq7, make_eq8
@@ -986,8 +988,8 @@ class TestCertify:
         cert = certify(*make_eq8(1.0, 0.3))
         assert cert.verdict == INCONCLUSIVE
         assert cert.verdict_detail["stage"] == "artificial_fixed_points"
-        assert "sweep" in cert.verdict_detail["reason"]
-        assert "no equilibrium" in cert.verdict_detail["reason"]
+        assert cert.verdict_detail["reason"] == (
+            "the 256-cell sweep of F(x, x) - x found no equilibrium")
 
     @pytest.mark.parametrize("n_orbits", [0, -3])
     def test_orbit_count_below_one_rejected(self, n_orbits):
@@ -1055,6 +1057,32 @@ class TestCertify:
         cert = certify(*eq8_problem)
         assert cert.verdict == GLOBALLY_STABLE
         assert len(calls) == 1
+
+    def test_staircase_with_a_non_square_box_stops_at_the_pair_search(self):
+        # the eq7 image staircase P = U [F(g_i, q), F(g_i+1, 0)] x
+        # [g_i, g_i+1], g_i = iq/4, is invariant (T(P) lies in T([0, q]^2),
+        # which lies in P), but its bounding box is not square, and the
+        # pair search and the embedding need a square one
+        spec, _ = make_eq7(2.05, 3.0, 3.0)
+        g = [0.0, 0.75, 1.5, 2.25, 3.0]
+        lo = [float(spec(g[i], 3.0)) for i in range(4)]
+        hi = [float(spec(g[i + 1], 0.0)) for i in range(4)]
+        domain = DomainSpec.polygon(
+            [v for i in range(4) for v in ((hi[i], g[i]), (hi[i], g[i + 1]))]
+            + [v for i in reversed(range(4))
+               for v in ((lo[i], g[i + 1]), (lo[i], g[i]))])
+        assert domain.bbox == (0.205, 2.7625, 0.0, 3.0)
+        cert = certify(spec, domain)
+        assert [(s["stage"], s["status"]) for s in cert.stages] == [
+            ("monotonicity", "passed"), ("classify_domain", "passed"),
+            ("invariance", "passed"), ("extension", "passed"),
+            ("artificial_fixed_points", "failed")]
+        assert cert.stages[1]["kind"] == "semi_convex"
+        assert cert.extension_audit["all_ok"]
+        assert cert.verdict == INCONCLUSIVE
+        assert cert.verdict_detail == {
+            "stage": "artificial_fixed_points", "error": "ParamConstraint",
+            "reason": "the symmetric fixed-point system needs a square box"}
 
     def test_coppel_style_flat_map(self):
         # one-dimensional contraction viewed as a planar map constant in y
@@ -1157,17 +1185,27 @@ class TestSoundnessGate:
             1.9, 2.1, 2.9, 3.1]
 
     def test_order_audit_failure_blocks(self, eq8_problem, monkeypatch):
+        # the audit of F(x, y) = y on [0, 1]^2, declared inc_dec, stands
+        # in for eq8's: a real failure, with its witness pair
         real = stab.check_order_preserving
+        rising = EmbeddedSystem(_rising_in_y())
+        audits = []
 
-        def broken(*a, **k):
-            audit = real(*a, **k)
-            audit.ok = False
-            return audit
+        def broken(sys, **k):
+            audits.append(real(rising, **k))
+            return audits[-1]
 
         monkeypatch.setattr(stab, "check_order_preserving", broken)
         cert = self._certify(eq8_problem)
         assert cert.verdict == INCONCLUSIVE
-        assert cert.verdict_detail["stage"] in ("embedding", "corner_chains")
+        assert cert.verdict_detail["stage"] == "corner_chains"
+        assert cert.verdict_detail["error"] == "MonomapError"
+        audit, = audits
+        assert not audit.ok
+        assert cert.verdict_detail["reason"] == (
+            "embedded step is not order preserving (margin "
+            f"{audit.worst_margin:.3e}): {audit.witness_before.tolist()} "
+            f"precedes {audit.witness_after.tolist()}, their images do not")
 
 
 def _one_domain_exit(monkeypatch):

@@ -13,7 +13,10 @@ lines it reached when it exits.  A small pytest plugin arms the tracer
 again before each test, since a test or a tool it runs may replace the
 trace function.  The lines of a lambda that fits on one line, and the
 field lines of a dataclass, are left out: the first run with their
-enclosing line, and the second are no statements of their own.
+enclosing line, and the second are no statements of their own.  A
+RecursionError switches the tracer off in its thread until the next
+test, since the call of the trace function is what overflows, so the
+lines a test runs after one are not counted.
 
 Stdlib only: ``coverage`` is not needed.  The traced run takes a few
 times as long as the plain one.  The exit code is pytest's.
